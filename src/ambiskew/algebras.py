@@ -1,27 +1,47 @@
 """The catalog of coefficient algebras and their automorphisms.
 
-Five ground families share one duck-typed interface: the scalar field
-itself, the group algebra of a cyclic group with a distinguished primitive
-root of unity, Laurent polynomials, polynomials, and a quadratic extension
-K[s]/(s^2 - d).  Iterated ambiskew rings implement the same interface (see
-rings.py) so towers can serve as coefficient algebras.
+Five ground families implement one protocol, ``BaseAlgebra``: the scalar
+field itself, the group algebra of a cyclic group with a distinguished
+primitive root of unity, Laurent polynomials, polynomials, and a quadratic
+extension K[s]/(s^2 - d).  Ambiskew rings (``AmbiskewRing``, rings.py)
+implement it too, and generalized Weyl algebras (``GwaRing``, gwa.py) its
+element, automorphism and unit hooks, so towers serve as coefficient
+algebras and every criterion asks its questions the same way.
 
-Elements are sparse dicts over a family-specific monomial basis with Scalar
-values; automorphisms are small dataclasses interpreted by their algebra.
-Besides arithmetic, each family answers the exact questions the simplicity
-criteria reduce to: unit and regularity tests with certificates, stable
-ideals for a set of automorphisms, radical membership, comaximality, and
-the first non-unit member of an integer pencil q*P + B.
+Elements are sparse dicts from a family-specific basis key to nonzero
+Scalars; automorphisms are small dataclasses interpreted by their algebra.
+The protocol hooks are:
+
+- elements: ``from_scalar``, ``gens``, ``gen_elem``, ``mul``, ``power``,
+  ``scalar_of``, ``render`` and ``describe``, plus the shared linear
+  plumbing (``add``, ``sub``, ``smul``, ``eq``, ``terms``);
+- automorphisms: ``identity_auto``, ``validate_auto``, ``apply``,
+  ``compose``, ``invert``, ``auto_powers``/``auto_power``, ``auto_order``,
+  ``eigenvalue``, ``is_diagonal`` (diagonal on the basis),
+  ``auto_from_images`` (the automorphism with given generator images) and
+  ``normalizing_auto`` (gamma with v*a = gamma(a)*v);
+- structure: ``commutative``, ``finite_basis``, ``eigen_frame`` (the
+  exponent lattice of the special-element search), ``no_inner_power`` and
+  ``to_ground`` (an element of a tower read in its ground algebra);
+- decisions: ``is_unit`` and ``is_regular`` with certificates,
+  ``is_domain``, ``alpha_simple`` (no proper ideal stable under a set of
+  automorphisms), ``radical_contains``, ``comaximal``,
+  ``first_nonunit_in_pencil`` (the first non-unit q*P + B),
+  ``split_nondiagonal`` (v = u - rho*alpha(u) for an alpha that is not
+  diagonal) and ``coprime_to_shifts`` (a closed form for the comaximality
+  of u with every alpha^m(u)).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .linear import gauss_solve
+from .multiplicative import factor_rational
 from .scalars import (
     Scalar,
     ScalarContext,
@@ -63,6 +83,23 @@ class UnitAnswer(NamedTuple):
     status: Status
     inverse: object | None
     certificate: dict | None
+
+
+class EigenFrame(NamedTuple):
+    """Eigen data of a diagonal pair (alpha, gamma) for the special-element
+    search: one (alpha-scale, gamma-scale) per free exponent of a candidate
+    monomial, one condition triple per algebra generator, a builder from
+    exponent vectors to elements, and whether the candidate set loses no
+    generality."""
+
+    index_pairs: list
+    gen_conditions: list
+    build: Callable
+    complete: bool
+
+
+NO_EIGEN_FRAME = ("the special-element search needs diagonal automorphisms "
+                  "on a monomial basis, or a polynomial shift with gamma = id")
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +268,18 @@ def integer_roots_scalar_poly(coeffs: list[Scalar]):
 
 
 # ---------------------------------------------------------------------------
-# the family base class
+# the protocol
 # ---------------------------------------------------------------------------
 
 
 class BaseAlgebra:
-    """Shared element plumbing; families override the real behavior."""
+    """The protocol every algebra implements; defaults suit commutative
+    families, which override the real behavior."""
 
     kind = "abstract"
     ctx: ScalarContext
+    # every inner automorphism of a commutative algebra is the identity
+    commutative = True
 
     # elements ---------------------------------------------------------------
 
@@ -265,6 +305,21 @@ class BaseAlgebra:
 
     def smul(self, s: Scalar, a: dict) -> dict:
         return _escale(a, s)
+
+    def mul(self, a: dict, b: dict) -> dict:
+        raise NotImplementedError
+
+    def power(self, a: dict, k: int) -> dict:
+        """a^k by repeated multiplication; k < 0 needs a unit."""
+        if k < 0:
+            answer = self.is_unit(a)
+            if answer.status is not Status.HOLDS:
+                raise ValueError("a negative power needs an invertible element")
+            a, k = answer.inverse, -k
+        out = dict(self.one)
+        for _ in range(k):
+            out = self.mul(out, a)
+        return out
 
     def is_zero(self, a: dict) -> bool:
         return not a
@@ -314,6 +369,19 @@ class BaseAlgebra:
     def invert(self, auto):
         raise NotImplementedError
 
+    def auto_powers(self, auto):
+        """auto^0, auto^1, auto^2, ..., each composed onto the last."""
+        out = self.identity_auto()
+        while True:
+            yield out
+            out = self.compose(auto, out)
+
+    def auto_power(self, auto, k: int):
+        """auto^k; k < 0 inverts first."""
+        if k < 0:
+            auto, k = self.invert(auto), -k
+        return next(itertools.islice(self.auto_powers(auto), k, None))
+
     def auto_equal(self, f, g) -> bool:
         for name in self.gens():
             if not self.eq(self.apply(f, self.gen_elem(name)),
@@ -331,15 +399,70 @@ class BaseAlgebra:
         """Scale of the auto on the basis monomial, or None if it mixes it."""
         raise NotImplementedError
 
+    def is_diagonal(self, auto) -> bool:
+        """Whether the auto scales every basis monomial."""
+        return True
+
+    def auto_from_images(self, images: dict[str, dict]):
+        """The automorphism sending each named generator to its image
+        (unnamed generators are fixed); ValueError when the family has no
+        such automorphism.  This default scales each generator."""
+        return DiagonalAuto(tuple(self._scale_of(images, g) for g in self.gens()))
+
+    def _scale_of(self, images: dict[str, dict], gen: str) -> Scalar:
+        elem = images.get(gen)
+        if elem is None:
+            return self.ctx.one
+        lam = scalar_ratio(self, elem, self.gen_elem(gen))
+        if lam is None or lam.is_zero():
+            raise ValueError(f"the image of {gen} must be a nonzero scalar "
+                             f"multiple of {gen}")
+        return lam
+
+    def normalizing_auto(self, v: dict):
+        """An automorphism gamma with v*a = gamma(a)*v, or None when v is
+        not normal in a way this kernel can represent.  Commutative
+        algebras take the identity."""
+        return self.identity_auto()
+
+    def to_ground(self, elem: dict, autos: list):
+        """(ground algebra, elem, autos) with every tower level peeled off,
+        or None when elem does not come from the ground algebra."""
+        return self, elem, autos
+
     def describe_auto(self, auto) -> str:
         images = []
         for name in self.gens():
             images.append(f"{name} -> {self.render(self.apply(auto, self.gen_elem(name)))}")
         return "{" + ", ".join(images) + "}" if images else "{identity}"
 
+    # structure ----------------------------------------------------------------
+
+    def finite_basis(self) -> list | None:
+        """Every basis key, when the algebra is finite-dimensional over K."""
+        return None
+
+    def eigen_frame(self, alpha, gamma, units_only: bool) -> EigenFrame:
+        """The exponent lattice of the special-element search for the pair
+        (alpha, gamma); ValueError when the family has none."""
+        raise ValueError(NO_EIGEN_FRAME)
+
+    def no_inner_power(self, auto, name: str) -> Verdict:
+        """Whether no positive power of ``auto`` (called ``name`` in the
+        reasons) is inner."""
+        order = self.auto_order(auto)
+        if order is not None:
+            return fails(f"{name}^{order} is the identity, which is inner",
+                         certificate={"kind": "inner_power", "m": order})
+        if not self.commutative:
+            return inconclusive("inner automorphisms of an iterated ring are "
+                                "not decided here")
+        return holds(f"no positive power of {name} is the identity, and every "
+                     "inner automorphism of a commutative ring is trivial")
+
     # decision hooks -----------------------------------------------------------
 
-    def is_unit(self, a: dict, mask=None) -> UnitAnswer:
+    def is_unit(self, a: dict) -> UnitAnswer:
         raise NotImplementedError
 
     def is_regular(self, a: dict) -> UnitAnswer:
@@ -360,9 +483,18 @@ class BaseAlgebra:
         """Whether aA + bA = A."""
         raise NotImplementedError
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int, mask=None) -> int | None:
+    def coprime_to_shifts(self, alpha, u: dict) -> bool:
+        """Whether a closed form shows uA + alpha^m(u)A = A for every m >= 1."""
+        return False
+
+    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
         """Least integer q >= q0 with q*p + b not a unit; None if none exists."""
         raise NotImplementedError
+
+    def split_nondiagonal(self, alpha, v: dict, rho: Scalar):
+        """(u, obstruction, complete) for v = u - rho*alpha(u) when alpha is
+        not diagonal on the basis; see solve_splitting_ex."""
+        return None, {"kind": "nondiagonal_automorphism"}, False
 
     def render(self, a: dict) -> str:
         raise NotImplementedError
@@ -372,11 +504,11 @@ class BaseAlgebra:
 
     # pencils in characteristic p are periodic: one shared exact fallback
 
-    def _pencil_mod_p(self, p: dict, b: dict, q0: int, mask=None) -> int | None:
+    def _pencil_mod_p(self, p: dict, b: dict, q0: int) -> int | None:
         ch = self.ctx.characteristic
         for q in range(q0, q0 + ch):
             elem = _eadd(_escale(p, self.ctx.int_(q)), b)
-            if self.is_unit(elem, mask=mask).status is not Status.HOLDS:
+            if self.is_unit(elem).status is not Status.HOLDS:
                 return q
         return None
 
@@ -440,7 +572,13 @@ class FieldAlgebra(BaseAlgebra):
     def eigenvalue(self, auto, key) -> Scalar:
         return self.ctx.one
 
-    def is_unit(self, a: dict, mask=None) -> UnitAnswer:
+    def finite_basis(self) -> list:
+        return [()]
+
+    def eigen_frame(self, alpha, gamma, units_only: bool) -> EigenFrame:
+        return EigenFrame([], [], lambda exps: self.one, True)
+
+    def is_unit(self, a: dict) -> UnitAnswer:
         if not a:
             return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
         return UnitAnswer(Status.HOLDS, {(): a[()].inv()}, None)
@@ -465,7 +603,7 @@ class FieldAlgebra(BaseAlgebra):
             return holds("one of the two elements is a unit")
         return fails("both elements are zero")
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int, mask=None) -> int | None:
+    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
         if self.ctx.characteristic:
             return self._pencil_mod_p(p, b, q0)
         pa = p.get((), self.ctx.zero)
@@ -481,11 +619,162 @@ class FieldAlgebra(BaseAlgebra):
 
 
 # ---------------------------------------------------------------------------
+# one generator: the shared plumbing of the univariate families
+# ---------------------------------------------------------------------------
+
+
+class _Univariate(BaseAlgebra):
+    """K-span of the powers of one generator, keyed by the exponent.
+
+    Exponents wrap modulo ``period`` when it is positive (group algebras).
+    Automorphisms default to scaling the generator, and the decision
+    hooks default to those of a Euclidean domain whose units are the
+    nonzero multiples of the monomials ``_normalize`` sends to exponent 0.
+    """
+
+    period = 0
+
+    def __init__(self, ctx: ScalarContext, gen: str = "t"):
+        self.ctx = ctx
+        self.gen = gen
+
+    def from_scalar(self, s: Scalar) -> dict:
+        return {} if s.is_zero() else {0: s}
+
+    def gens(self) -> tuple[str, ...]:
+        return (self.gen,)
+
+    def _reduce(self, k: int) -> int:
+        return k % self.period if self.period else k
+
+    def gen_elem(self, name: str) -> dict:
+        if name != self.gen:
+            raise KeyError(name)
+        return {self._reduce(1): self.ctx.one}
+
+    def mul(self, a: dict, b: dict) -> dict:
+        n = self.period
+        out: dict = {}
+        for i, s in a.items():
+            for j, t in b.items():
+                k = (i + j) % n if n else i + j
+                v = out.get(k)
+                v = s * t if v is None else v + s * t
+                if v.is_zero():
+                    out.pop(k, None)
+                else:
+                    out[k] = v
+        return out
+
+    def _key_order(self, key):
+        return -key
+
+    def render(self, a: dict) -> str:
+        parts = []
+        for k, s in self.terms(a):
+            parts.append((s, "" if k == 0 else
+                          (self.gen if k == 1 else f"{self.gen}^{k}")))
+        return _render_terms(parts)
+
+    # scaling automorphisms t -> c*t -----------------------------------------
+
+    def identity_auto(self):
+        return DiagonalAuto((self.ctx.one,))
+
+    def apply(self, auto, a: dict) -> dict:
+        return {k: s * self.eigenvalue(auto, k) if k else s for k, s in a.items()}
+
+    def compose(self, f, g):
+        return DiagonalAuto((f.scales[0] * g.scales[0],))
+
+    def invert(self, auto):
+        return DiagonalAuto((auto.scales[0].inv(),))
+
+    def eigenvalue(self, auto, key) -> Scalar | None:
+        c = auto.scales[0]
+        return c if key == 1 else c ** key
+
+    def eigen_frame(self, alpha, gamma, units_only: bool) -> EigenFrame:
+        # candidates are the monomials c = t^k; both identities pin one
+        # multiplicative relation on k, and normality against t is trivial
+        pair = (self.eigenvalue(alpha, 1), self.eigenvalue(gamma, 1))
+        build = lambda exps: self.monomial(self._reduce(exps[0]), self.ctx.one)
+        return EigenFrame([pair], [pair + ((self.ctx.one,),)], build, True)
+
+    # Euclidean decisions ------------------------------------------------------
+
+    _common_factor = "nonconstant"
+
+    def _normalize(self, a: dict) -> dict:
+        """a divided by its largest unit monomial factor."""
+        return a
+
+    def is_regular(self, a: dict) -> UnitAnswer:
+        if not a:
+            return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
+        return UnitAnswer(Status.HOLDS, None, None)
+
+    def is_domain(self) -> bool | None:
+        return True
+
+    def radical_contains(self, d: dict, u: dict) -> Verdict:
+        if not d:
+            if not u:
+                return holds("u is zero", certificate={"power": 1})
+            return fails("the ideal is zero but u is not")
+        dp = self._normalize(d)
+        deg = max(dp)
+        if deg == 0:
+            return holds("the ideal is everything", certificate={"power": 0})
+        if not u:
+            return holds("u is zero", certificate={"power": 1})
+        power = self._normalize(self.power(u, deg))
+        _, rem = _udivmod(_udense(power, 0), _udense(dp, 0))
+        if rem:
+            return fails(f"d does not divide u^{deg}",
+                         certificate={"kind": "radical_witness", "power": deg})
+        return holds(f"d divides u^{deg}", certificate={"power": deg})
+
+    def comaximal(self, a: dict, b: dict) -> Verdict:
+        if not a and not b:
+            return fails("both elements are zero")
+        if not a or not b:
+            if max(self._normalize(a or b)) == 0:
+                return holds("one element is a unit")
+            return fails("one element is zero, the other is not a unit")
+        g = _ugcd(_udense(self._normalize(a), 0), _udense(self._normalize(b), 0))
+        if len(g) <= 1:
+            return holds("the elements generate the unit ideal")
+        return fails(f"the elements share a {self._common_factor} factor",
+                     certificate={"kind": "common_factor_degree", "degree": len(g) - 1})
+
+    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
+        if self.ctx.characteristic:
+            return self._pencil_mod_p(p, b, q0)
+        support = set(p) | set(b)
+        if not support:
+            return q0
+        if len(support) == 1:
+            (i,) = support
+            if 0 in self._normalize({i: self.ctx.one}):
+                sol = _int_pencil_solutions(p.get(i, self.ctx.zero),
+                                            b.get(i, self.ctx.zero), q0)
+                return q0 if sol == "all" else sol
+        # only finitely many q cancel the pencil down to one unit monomial
+        for q in range(q0, q0 + len(support) + 2):
+            elem = _eadd(_escale(p, self.ctx.int_(q)), b)
+            if self.is_unit(elem).status is not Status.HOLDS:
+                return q
+        raise AssertionError("unreachable: a pencil off the unit monomials is "
+                             "non-unit for all but finitely many q")
+
+
+# ---------------------------------------------------------------------------
 # group algebra of a cyclic group
 # ---------------------------------------------------------------------------
 
 
-class CyclicGroupAlgebra(BaseAlgebra):
+class CyclicGroupAlgebra(_Univariate):
     """K[C_n] with a distinguished primitive n-th root of unity epsilon.
 
     epsilon both parametrizes the standard scaling automorphisms and splits
@@ -500,34 +789,9 @@ class CyclicGroupAlgebra(BaseAlgebra):
             raise ValueError("the group order must be positive")
         if root_of_unity_order(eps) != n:
             raise ValueError("epsilon must be a primitive root of unity of order n")
-        self.ctx = ctx
-        self.n = n
+        super().__init__(ctx, gen)
+        self.n = self.period = n
         self.eps = eps
-        self.gen = gen
-
-    def from_scalar(self, s: Scalar) -> dict:
-        return {} if s.is_zero() else {0: s}
-
-    def gens(self) -> tuple[str, ...]:
-        return (self.gen,)
-
-    def gen_elem(self, name: str) -> dict:
-        if name != self.gen:
-            raise KeyError(name)
-        return {1 % self.n: self.ctx.one}
-
-    def mul(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        for i, s in a.items():
-            for j, t in b.items():
-                k = (i + j) % self.n
-                v = out.get(k)
-                v = s * t if v is None else v + s * t
-                if v.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = v
-        return out
 
     def character(self, l: int, a: dict) -> Scalar:
         val = self.ctx.zero
@@ -541,44 +805,28 @@ class CyclicGroupAlgebra(BaseAlgebra):
                 return j
         raise ValueError("scale is not a power of epsilon")
 
-    def identity_auto(self) -> DiagonalAuto:
-        return DiagonalAuto((self.ctx.one,))
-
     def validate_auto(self, auto) -> None:
         if not isinstance(auto, DiagonalAuto) or len(auto.scales) != 1:
             raise ValueError("cyclic group automorphisms scale the generator")
         self.scale_exponent(auto.scales[0])
 
-    def apply(self, auto, a: dict) -> dict:
-        c = auto.scales[0]
-        return {k: s * c**k for k, s in a.items()}
-
-    def compose(self, f, g):
-        return DiagonalAuto((f.scales[0] * g.scales[0],))
-
-    def invert(self, auto):
-        return DiagonalAuto((auto.scales[0].inv(),))
-
     def auto_order(self, auto) -> int:
         return root_of_unity_order(auto.scales[0]) or 1
 
-    def eigenvalue(self, auto, key) -> Scalar:
-        return auto.scales[0] ** key
+    def finite_basis(self) -> list:
+        return list(range(self.n))
 
     def _character_unit(self, l: int) -> dict:
         inv_n = self.ctx.fraction(Fraction(1, self.n))
         return {k: inv_n * self.eps ** (-k * l) for k in range(self.n)}
 
-    def is_unit(self, a: dict, mask=None) -> UnitAnswer:
-        chars = {l: self.character(l, a)
-                 for l in (range(self.n) if mask is None else sorted(mask))}
+    def is_unit(self, a: dict) -> UnitAnswer:
+        chars = {l: self.character(l, a) for l in range(self.n)}
         for l, val in chars.items():
             if val.is_zero():
                 cert = {"kind": "character_zero", "character": l,
                         "cofactor": self.render(self._character_unit(l))}
                 return UnitAnswer(Status.FAILS, None, cert)
-        if mask is not None:
-            return UnitAnswer(Status.HOLDS, None, None)
         inv: dict = {}
         inv_n = self.ctx.fraction(Fraction(1, self.n))
         for k in range(self.n):
@@ -624,27 +872,17 @@ class CyclicGroupAlgebra(BaseAlgebra):
                              certificate={"kind": "character_witness", "character": l})
         return holds("no character kills both elements")
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int, mask=None) -> int | None:
+    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
         if self.ctx.characteristic:
-            return self._pencil_mod_p(p, b, q0, mask=mask)
+            return self._pencil_mod_p(p, b, q0)
         best = None
-        for l in (range(self.n) if mask is None else sorted(mask)):
+        for l in range(self.n):
             sol = _int_pencil_solutions(self.character(l, p), self.character(l, b), q0)
             if sol == "all":
                 return q0
             if sol is not None and (best is None or sol < best):
                 best = sol
         return best
-
-    def _key_order(self, key):
-        return -key
-
-    def render(self, a: dict) -> str:
-        parts = []
-        for k in sorted(a, reverse=True):
-            mono = "" if k == 0 else (self.gen if k == 1 else f"{self.gen}^{k}")
-            parts.append((a[k], mono))
-        return _render_terms(parts)
 
     def describe(self) -> dict:
         return {"family": "CyclicGroup", "order": self.n, "epsilon": str(self.eps),
@@ -656,41 +894,11 @@ class CyclicGroupAlgebra(BaseAlgebra):
 # ---------------------------------------------------------------------------
 
 
-class LaurentAlgebra(BaseAlgebra):
+class LaurentAlgebra(_Univariate):
     """K[t, t^-1]; units are the nonzero monomials."""
 
     kind = "laurent"
-
-    def __init__(self, ctx: ScalarContext, gen: str = "t"):
-        self.ctx = ctx
-        self.gen = gen
-
-    def from_scalar(self, s: Scalar) -> dict:
-        return {} if s.is_zero() else {0: s}
-
-    def gens(self) -> tuple[str, ...]:
-        return (self.gen,)
-
-    def gen_elem(self, name: str) -> dict:
-        if name != self.gen:
-            raise KeyError(name)
-        return {1: self.ctx.one}
-
-    def mul(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        for i, s in a.items():
-            for j, t in b.items():
-                k = i + j
-                v = out.get(k)
-                v = s * t if v is None else v + s * t
-                if v.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = v
-        return out
-
-    def identity_auto(self) -> DiagonalAuto:
-        return DiagonalAuto((self.ctx.one,))
+    _common_factor = "nonmonomial"
 
     def validate_auto(self, auto) -> None:
         if not isinstance(auto, DiagonalAuto) or len(auto.scales) != 1:
@@ -698,23 +906,10 @@ class LaurentAlgebra(BaseAlgebra):
         if auto.scales[0].is_zero():
             raise ValueError("scale must be invertible")
 
-    def apply(self, auto, a: dict) -> dict:
-        c = auto.scales[0]
-        return {i: s * c**i for i, s in a.items()}
-
-    def compose(self, f, g):
-        return DiagonalAuto((f.scales[0] * g.scales[0],))
-
-    def invert(self, auto):
-        return DiagonalAuto((auto.scales[0].inv(),))
-
     def auto_order(self, auto) -> int | None:
         return root_of_unity_order(auto.scales[0])
 
-    def eigenvalue(self, auto, key) -> Scalar:
-        return auto.scales[0] ** key
-
-    def is_unit(self, a: dict, mask=None) -> UnitAnswer:
+    def is_unit(self, a: dict) -> UnitAnswer:
         if not a:
             return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
         if len(a) == 1:
@@ -723,14 +918,6 @@ class LaurentAlgebra(BaseAlgebra):
         lo, hi = min(a), max(a)
         return UnitAnswer(Status.FAILS, None,
                           {"kind": "multiple_monomials", "exponents": [lo, hi]})
-
-    def is_regular(self, a: dict) -> UnitAnswer:
-        if not a:
-            return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
-        return UnitAnswer(Status.HOLDS, None, None)
-
-    def is_domain(self) -> bool:
-        return True
 
     def alpha_simple(self, autos: list) -> Verdict:
         orders = []
@@ -747,73 +934,11 @@ class LaurentAlgebra(BaseAlgebra):
             certificate={"kind": "stable_ideal", "generator": self.render(f),
                          "fixed_by_all": True})
 
-    def _to_poly(self, a: dict) -> dict:
+    def _normalize(self, a: dict) -> dict:
         if not a:
             return {}
         lo = min(a)
         return {i - lo: s for i, s in a.items()}
-
-    def radical_contains(self, d: dict, u: dict) -> Verdict:
-        if not d:
-            if not u:
-                return holds("u is zero", certificate={"power": 1})
-            return fails("the ideal is zero but u is not")
-        dp = self._to_poly(d)
-        deg = max(dp)
-        if deg == 0:
-            return holds("the ideal is everything", certificate={"power": 0})
-        if not u:
-            return holds("u is zero", certificate={"power": 1})
-        power = self.one
-        for _ in range(deg):
-            power = self.mul(power, u)
-        _, rem = _udivmod(_udense(self._to_poly(power), 0), _udense(dp, 0))
-        if rem:
-            return fails(f"d does not divide u^{deg}",
-                         certificate={"kind": "radical_witness", "power": deg})
-        return holds(f"d divides u^{deg}", certificate={"power": deg})
-
-    def comaximal(self, a: dict, b: dict) -> Verdict:
-        if not a and not b:
-            return fails("both elements are zero")
-        if not a or not b:
-            other = a or b
-            if len(other) == 1:
-                return holds("one element is a unit")
-            return fails("one element is zero, the other is not a unit")
-        g = _ugcd(_udense(self._to_poly(a), 0), _udense(self._to_poly(b), 0))
-        if len(g) <= 1:
-            return holds("the elements generate the unit ideal")
-        return fails("the elements share a nonmonomial factor",
-                     certificate={"kind": "common_factor_degree", "degree": len(g) - 1})
-
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int, mask=None) -> int | None:
-        if self.ctx.characteristic:
-            return self._pencil_mod_p(p, b, q0)
-        support = set(p) | set(b)
-        if not support:
-            return q0
-        if len(support) == 1:
-            (i,) = support
-            sol = _int_pencil_solutions(p.get(i, self.ctx.zero), b.get(i, self.ctx.zero), q0)
-            return q0 if sol == "all" else sol
-        # at most two q can cancel the support down to one monomial
-        for q in range(q0, q0 + len(support) + 2):
-            elem = _eadd(_escale(p, self.ctx.int_(q)), b)
-            if self.is_unit(elem).status is not Status.HOLDS:
-                return q
-        raise AssertionError("unreachable: a multi-monomial pencil is non-unit "
-                             "for all but finitely many q")
-
-    def _key_order(self, key):
-        return -key
-
-    def render(self, a: dict) -> str:
-        parts = []
-        for i in sorted(a, reverse=True):
-            mono = "" if i == 0 else (self.gen if i == 1 else f"{self.gen}^{i}")
-            parts.append((a[i], mono))
-        return _render_terms(parts)
 
     def describe(self) -> dict:
         return {"family": "Laurent", "generator": self.gen}
@@ -824,38 +949,12 @@ class LaurentAlgebra(BaseAlgebra):
 # ---------------------------------------------------------------------------
 
 
-class PolyAlgebra(BaseAlgebra):
+class PolyAlgebra(_Univariate):
     """K[t] with affine automorphisms t -> a*t + b."""
 
     kind = "poly"
-
-    def __init__(self, ctx: ScalarContext, gen: str = "t"):
-        self.ctx = ctx
-        self.gen = gen
-
-    def from_scalar(self, s: Scalar) -> dict:
-        return {} if s.is_zero() else {0: s}
-
-    def gens(self) -> tuple[str, ...]:
-        return (self.gen,)
-
-    def gen_elem(self, name: str) -> dict:
-        if name != self.gen:
-            raise KeyError(name)
-        return {1: self.ctx.one}
-
-    def mul(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        for i, s in a.items():
-            for j, t in b.items():
-                k = i + j
-                v = out.get(k)
-                v = s * t if v is None else v + s * t
-                if v.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = v
-        return out
+    # t^k with k < 0 is no element, so the monomial frame does not apply
+    eigen_frame = BaseAlgebra.eigen_frame
 
     def identity_auto(self) -> AffineAuto:
         return AffineAuto(self.ctx.one, self.ctx.zero)
@@ -865,6 +964,17 @@ class PolyAlgebra(BaseAlgebra):
             raise ValueError("polynomial automorphisms are affine in the variable")
         if auto.a.is_zero():
             raise ValueError("the linear part must be invertible")
+
+    def auto_from_images(self, images: dict[str, dict]) -> AffineAuto:
+        elem = images.get(self.gen)
+        if elem is None:
+            return self.identity_auto()
+        a = elem.get(1)
+        b = elem.get(0, self.ctx.zero)
+        if set(elem) - {0, 1} or a is None or a.is_zero():
+            raise ValueError(f"the image of {self.gen} must be "
+                             f"a*{self.gen} + b with a nonzero")
+        return AffineAuto(a, b)
 
     def apply(self, auto, elem: dict) -> dict:
         if not elem:
@@ -896,10 +1006,7 @@ class PolyAlgebra(BaseAlgebra):
         k = root_of_unity_order(auto.a)
         if k is None:
             return None
-        power = self.identity_auto()
-        for _ in range(k):
-            power = self.compose(auto, power)
-        if power.b.is_zero():
+        if self.auto_power(auto, k).b.is_zero():
             return k
         return k * self.ctx.characteristic if self.ctx.characteristic else None
 
@@ -908,21 +1015,16 @@ class PolyAlgebra(BaseAlgebra):
             return auto.a ** key
         return self.ctx.one if key == 0 else None
 
-    def is_unit(self, a: dict, mask=None) -> UnitAnswer:
+    def is_diagonal(self, auto) -> bool:
+        return auto.b.is_zero()
+
+    def is_unit(self, a: dict) -> UnitAnswer:
         if not a:
             return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
         if set(a) == {0}:
             return UnitAnswer(Status.HOLDS, {0: a[0].inv()}, None)
         return UnitAnswer(Status.FAILS, None,
                           {"kind": "positive_degree", "degree": max(a)})
-
-    def is_regular(self, a: dict) -> UnitAnswer:
-        if not a:
-            return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
-        return UnitAnswer(Status.HOLDS, None, None)
-
-    def is_domain(self) -> bool:
-        return True
 
     def alpha_simple(self, autos: list) -> Verdict:
         autos = list(autos) or [self.identity_auto()]
@@ -983,63 +1085,29 @@ class PolyAlgebra(BaseAlgebra):
         return inconclusive("the automorphisms share no fixed point and no shift "
                             "was derived from their compositions")
 
-    def radical_contains(self, d: dict, u: dict) -> Verdict:
-        if not d:
-            if not u:
-                return holds("u is zero", certificate={"power": 1})
-            return fails("the ideal is zero but u is not")
-        deg = max(d)
-        if deg == 0:
-            return holds("the ideal is everything", certificate={"power": 0})
-        if not u:
-            return holds("u is zero", certificate={"power": 1})
-        power = self.one
-        for _ in range(deg):
-            power = self.mul(power, u)
-        _, rem = _udivmod(_udense(power, 0), _udense(d, 0))
-        if rem:
-            return fails(f"d does not divide u^{deg}",
-                         certificate={"kind": "radical_witness", "power": deg})
-        return holds(f"d divides u^{deg}", certificate={"power": deg})
+    def coprime_to_shifts(self, alpha, u: dict) -> bool:
+        # in characteristic 0 a nonzero shift moves the single root of a
+        # linear u to a different point for every m >= 1
+        return (alpha.a == self.ctx.one and not alpha.b.is_zero()
+                and self.ctx.characteristic == 0 and max(u) == 1)
 
-    def comaximal(self, a: dict, b: dict) -> Verdict:
-        if not a and not b:
-            return fails("both elements are zero")
-        if not a or not b:
-            other = a or b
-            if set(other) == {0}:
-                return holds("one element is a unit")
-            return fails("one element is zero, the other is not a unit")
-        g = _ugcd(_udense(a, 0), _udense(b, 0))
-        if len(g) <= 1:
-            return holds("the elements generate the unit ideal")
-        return fails("the elements share a nonconstant factor",
-                     certificate={"kind": "common_factor_degree", "degree": len(g) - 1})
-
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int, mask=None) -> int | None:
-        if self.ctx.characteristic:
-            return self._pencil_mod_p(p, b, q0)
-        support = set(p) | set(b)
-        if support <= {0}:
-            sol = _int_pencil_solutions(p.get(0, self.ctx.zero), b.get(0, self.ctx.zero), q0)
-            return q0 if sol == "all" else sol
-        # non-units dominate: the pencil is constant only at finitely many q
-        for q in range(q0, q0 + len(support) + 2):
-            elem = _eadd(_escale(p, self.ctx.int_(q)), b)
-            if self.is_unit(elem).status is not Status.HOLDS:
-                return q
-        raise AssertionError("unreachable: a positive-degree pencil is non-unit "
-                             "for all but finitely many q")
-
-    def _key_order(self, key):
-        return -key
-
-    def render(self, a: dict) -> str:
-        parts = []
-        for i in sorted(a, reverse=True):
-            mono = "" if i == 0 else (self.gen if i == 1 else f"{self.gen}^{i}")
-            parts.append((a[i], mono))
-        return _render_terms(parts)
+    def split_nondiagonal(self, alpha, v: dict, rho: Scalar):
+        # window of degree deg(v) + 1: a shift can drop the degree of
+        # u - rho*alpha(u) by one, and by no more than one for the minimal
+        # representative modulo the kernel
+        ctx = self.ctx
+        dim = max(v) + 2
+        rows = [[ctx.zero] * dim for _ in range(dim)]
+        for d in range(dim):
+            img = _eadd({d: ctx.one},
+                        _escale(self.apply(alpha, {d: ctx.one}), -rho))
+            for r, s in img.items():
+                rows[r][d] = s
+        sol = gauss_solve(rows, [v.get(r, ctx.zero) for r in range(dim)])
+        if sol is None:
+            return None, {"kind": "no_polynomial_splitting",
+                          "window": dim - 1}, True
+        return {d: s for d, s in enumerate(sol) if not s.is_zero()}, None, True
 
     def describe(self) -> dict:
         return {"family": "Poly", "generator": self.gen}
@@ -1050,7 +1118,7 @@ class PolyAlgebra(BaseAlgebra):
 # ---------------------------------------------------------------------------
 
 
-class QuadraticAlgebra(BaseAlgebra):
+class QuadraticAlgebra(_Univariate):
     """K[s]/(s^2 - d): a field when d is not a square in K.
 
     The unit test is exact either way through the norm form a^2 - d*b^2;
@@ -1060,24 +1128,14 @@ class QuadraticAlgebra(BaseAlgebra):
     """
 
     kind = "quadratic"
+    # s^2 = d is no basis monomial, so the monomial frame does not apply
+    eigen_frame = BaseAlgebra.eigen_frame
 
     def __init__(self, ctx: ScalarContext, d: Scalar, gen: str = "s"):
         if d.is_zero():
             raise ValueError("the quadratic defect must be nonzero")
-        self.ctx = ctx
+        super().__init__(ctx, gen)
         self.d = d
-        self.gen = gen
-
-    def from_scalar(self, s: Scalar) -> dict:
-        return {} if s.is_zero() else {0: s}
-
-    def gens(self) -> tuple[str, ...]:
-        return (self.gen,)
-
-    def gen_elem(self, name: str) -> dict:
-        if name != self.gen:
-            raise KeyError(name)
-        return {1: self.ctx.one}
 
     def mul(self, a: dict, b: dict) -> dict:
         zero = self.ctx.zero
@@ -1092,8 +1150,8 @@ class QuadraticAlgebra(BaseAlgebra):
             out[1] = c1
         return out
 
-    def identity_auto(self) -> DiagonalAuto:
-        return DiagonalAuto((self.ctx.one,))
+    def _key_order(self, key):
+        return key
 
     def conjugation(self) -> DiagonalAuto:
         return DiagonalAuto((-self.ctx.one,))
@@ -1105,35 +1163,18 @@ class QuadraticAlgebra(BaseAlgebra):
         if not (c == self.ctx.one or c == -self.ctx.one):
             raise ValueError("the generator scale must be 1 or -1")
 
-    def apply(self, auto, a: dict) -> dict:
-        c = auto.scales[0]
-        out = {}
-        if 0 in a:
-            out[0] = a[0]
-        if 1 in a:
-            s = a[1] * c
-            if not s.is_zero():
-                out[1] = s
-        return out
-
-    def compose(self, f, g):
-        return DiagonalAuto((f.scales[0] * g.scales[0],))
-
-    def invert(self, auto):
-        return DiagonalAuto((auto.scales[0],))
-
     def auto_order(self, auto) -> int:
         return 1 if auto.scales[0] == self.ctx.one else 2
 
-    def eigenvalue(self, auto, key) -> Scalar:
-        return self.ctx.one if key == 0 else auto.scales[0]
+    def finite_basis(self) -> list:
+        return [0, 1]
 
     def norm(self, a: dict) -> Scalar:
         zero = self.ctx.zero
         a0, a1 = a.get(0, zero), a.get(1, zero)
         return a0 * a0 - self.d * a1 * a1
 
-    def is_unit(self, a: dict, mask=None) -> UnitAnswer:
+    def is_unit(self, a: dict) -> UnitAnswer:
         if not a:
             return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
         n = self.norm(a)
@@ -1261,7 +1302,7 @@ class QuadraticAlgebra(BaseAlgebra):
                      certificate={"kind": "annihilator_witness",
                                   "annihilator": self.render(self._conj(a))})
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int, mask=None) -> int | None:
+    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
         if self.ctx.characteristic:
             return self._pencil_mod_p(p, b, q0)
         zero = self.ctx.zero
@@ -1276,15 +1317,6 @@ class QuadraticAlgebra(BaseAlgebra):
             return q0
         good = [q for q in roots if q >= q0]
         return min(good) if good else None
-
-    def _key_order(self, key):
-        return key
-
-    def render(self, a: dict) -> str:
-        parts = []
-        for k in sorted(a):
-            parts.append((a[k], "" if k == 0 else self.gen))
-        return _render_terms(parts)
 
     def describe(self) -> dict:
         return {"family": "Quadratic", "defect": str(self.d), "generator": self.gen}
@@ -1302,52 +1334,16 @@ def _fraction_sqrt(f: Fraction) -> Fraction | None:
 
 def _squarefree_part(f: Fraction) -> int:
     """The signed squarefree integer m with f = m * (rational square)."""
-    n = f.numerator * f.denominator
-    sign = -1 if n < 0 else 1
-    n = abs(n)
     m = 1
-    k = 2
-    while k * k <= n:
-        e = 0
-        while n % k == 0:
-            n //= k
-            e += 1
+    for p, e in factor_rational(abs(f)).items():
         if e % 2:
-            m *= k
-        k += 1
-    return sign * m * n
-
-
-# ---------------------------------------------------------------------------
-# gamma: the normalizing automorphism of an element
-# ---------------------------------------------------------------------------
-
-
-def normalizing_auto(algebra, v: dict):
-    """An automorphism gamma with v*a = gamma(a)*v, or None.
-
-    Commutative coefficient algebras take the identity.  For an iterated
-    ring the commutation factor of each monomial of v past each generator
-    must be one and the same scalar, which then defines a diagonal gamma;
-    anything else returns None (v is not normal in a way this kernel can
-    represent).
-    """
-    if algebra.kind != "ambiskew":
-        return algebra.identity_auto()
-    return algebra._normalizing_auto(v)
+            m *= p
+    return m if f > 0 else -m
 
 
 # ---------------------------------------------------------------------------
 # splitting elements: v = u - rho*alpha(u)
 # ---------------------------------------------------------------------------
-
-
-def _diagonal_on_basis(algebra, auto) -> bool:
-    if algebra.kind == "poly":
-        return auto.b.is_zero()
-    if algebra.kind == "ambiskew":
-        return _diagonal_on_basis(algebra.base, auto.base)
-    return True
 
 
 def solve_splitting_ex(algebra, alpha, gamma, v: dict, rho: Scalar):
@@ -1365,46 +1361,25 @@ def solve_splitting_ex(algebra, alpha, gamma, v: dict, rho: Scalar):
     ctx = algebra.ctx
     if algebra.is_zero(v):
         return {}, None, True
-    if _diagonal_on_basis(algebra, alpha):
-        # the equation decouples one basis monomial at a time
-        u = {}
-        for key, s in v.items():
-            lam = algebra.eigenvalue(alpha, key)
-            den = ctx.one - rho * lam
-            if den.is_zero():
-                mono = algebra.render(algebra.monomial(key, ctx.one))
-                return None, {"kind": "resonant_monomial", "monomial": mono,
-                              "scale": str(rho * lam)}, True
-            u[key] = s / den
-        if algebra.kind == "ambiskew":
-            for name in algebra.gens():
-                g = algebra.gen_elem(name)
-                if not algebra.eq(algebra.mul(u, g),
-                                  algebra.mul(algebra.apply(gamma, g), u)):
-                    return None, {"kind": "not_normalizing",
-                                  "generator": name}, False
-            if not algebra.eq(algebra.apply(gamma, u), u):
-                return None, {"kind": "not_gamma_fixed"}, False
-        return u, None, True
-    if algebra.kind == "poly":
-        # window of degree deg(v) + 1: a shift can drop the degree of
-        # u - rho*alpha(u) by one, and by no more than one for the minimal
-        # representative modulo the kernel
-        dim = max(v) + 2
-        rows = [[ctx.zero] * dim for _ in range(dim)]
-        for d in range(dim):
-            img = _eadd({d: ctx.one},
-                        _escale(algebra.apply(alpha, {d: ctx.one}), -rho))
-            for r, s in img.items():
-                rows[r][d] = s
-        sol = gauss_solve(rows, [v.get(r, ctx.zero) for r in range(dim)])
-        if sol is None:
-            return None, {"kind": "no_polynomial_splitting",
-                          "window": dim - 1}, True
-        return {d: s for d, s in enumerate(sol) if not s.is_zero()}, None, True
-    return None, {"kind": "nondiagonal_automorphism"}, False
-
-
-def solve_splitting(algebra, alpha, gamma, v: dict, rho: Scalar) -> dict | None:
-    """u with v = u - rho*alpha(u), gamma-normal and fixed by gamma, or None."""
-    return solve_splitting_ex(algebra, alpha, gamma, v, rho)[0]
+    if not algebra.is_diagonal(alpha):
+        return algebra.split_nondiagonal(alpha, v, rho)
+    # the equation decouples one basis monomial at a time
+    u = {}
+    for key, s in v.items():
+        lam = algebra.eigenvalue(alpha, key)
+        den = ctx.one - rho * lam
+        if den.is_zero():
+            mono = algebra.render(algebra.monomial(key, ctx.one))
+            return None, {"kind": "resonant_monomial", "monomial": mono,
+                          "scale": str(rho * lam)}, True
+        u[key] = s / den
+    if not algebra.commutative:
+        for name in algebra.gens():
+            g = algebra.gen_elem(name)
+            if not algebra.eq(algebra.mul(u, g),
+                              algebra.mul(algebra.apply(gamma, g), u)):
+                return None, {"kind": "not_normalizing",
+                              "generator": name}, False
+        if not algebra.eq(algebra.apply(gamma, u), u):
+            return None, {"kind": "not_gamma_fixed"}, False
+    return u, None, True

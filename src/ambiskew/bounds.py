@@ -3,11 +3,10 @@
 Every criterion that quantifies over an unbounded index (all m >= 1, all
 p-power heights n, scalar periods) truncates its search at these bounds and
 answers Inconclusive beyond them, unless the family structure makes a finite
-search provably exhaustive.  The CLI reads overrides from the
-``AMBISKEW_BOUNDS`` environment variable and from flags.
+search provably exhaustive.
 
 >>> Bounds.parse("m_max=500, n_max=2")
-Bounds(m_max=500, n_max=2, period_max=64, special_window=64)
+Bounds(m_max=500, n_max=2, period_max=64)
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ class Bounds:
     m_max: int = 200
     n_max: int = 3
     period_max: int = 64
-    special_window: int = 64
 
     @classmethod
     def parse(cls, text: str | None, base: "Bounds | None" = None) -> "Bounds":

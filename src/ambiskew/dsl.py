@@ -51,13 +51,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .algebras import (AffineAuto, CyclicGroupAlgebra, DiagonalAuto,
-                       FieldAlgebra, LaurentAlgebra, PolyAlgebra,
-                       QuadraticAlgebra, scalar_ratio)
+from .algebras import (CyclicGroupAlgebra, FieldAlgebra, LaurentAlgebra,
+                       PolyAlgebra, QuadraticAlgebra)
 from .gwa import GwaRing, gwa_from_ambiskew
-from .rings import AmbiskewRing, NestedAuto
+from .rings import AmbiskewRing
 from .scalars import Scalar, ScalarContext
-from .verdict import Status
 
 __all__ = [
     "CheckDecl", "DslError", "SourceLocation", "SpecDocument",
@@ -308,11 +306,6 @@ def _scope_names(algebra) -> dict[str, dict]:
         out["zeta"] = algebra.from_scalar(ctx.zeta())
     for g in algebra.gens():
         out[g] = algebra.gen_elem(g)
-    base = getattr(algebra, "base", None)
-    if base is not None:
-        for g in base.gens():
-            if g not in out:
-                out[g] = algebra.embed(base.gen_elem(g))
     return out
 
 
@@ -346,7 +339,10 @@ def eval_element(expr: Expr, algebra, names: dict[str, dict] | None = None) -> d
     left = eval_element(expr.left, algebra, names)
     if expr.op == "^":
         assert isinstance(expr.right, Num)
-        return _elem_power(algebra, left, expr.right.value, expr.loc)
+        try:
+            return algebra.power(left, expr.right.value)
+        except ValueError as exc:
+            raise DslError("semantic", expr.loc, str(exc)) from None
     right = eval_element(expr.right, algebra, names)
     if expr.op == "+":
         return algebra.add(left, right)
@@ -354,48 +350,12 @@ def eval_element(expr: Expr, algebra, names: dict[str, dict] | None = None) -> d
         return algebra.sub(left, right)
     if expr.op == "*":
         return algebra.mul(left, right)
-    s = _scalar_of_any(algebra, right)
+    s = algebra.scalar_of(right)
     if s is None:
         raise DslError("semantic", expr.loc, "the divisor must be a scalar")
     if s.is_zero():
         raise DslError("semantic", expr.loc, "division by zero")
     return algebra.smul(s.inv(), left)
-
-
-def _scalar_of_any(algebra, elem: dict) -> Scalar | None:
-    probe = getattr(algebra, "scalar_of", None)
-    if probe is not None:
-        return probe(elem)
-    if not elem:
-        return algebra.ctx.zero
-    if set(elem) == {0}:
-        return algebra.base.scalar_of(elem[0])
-    return None
-
-
-def _invert(algebra, a: dict) -> dict | None:
-    probe = getattr(algebra, "is_unit", None)
-    if probe is not None:
-        ans = probe(a)
-        return ans.inverse if ans.status is Status.HOLDS else None
-    if set(a) == {0}:
-        ans = algebra.base.is_unit(a[0])
-        if ans.status is Status.HOLDS:
-            return {0: ans.inverse}
-    return None
-
-
-def _elem_power(algebra, a: dict, k: int, loc: SourceLocation) -> dict:
-    if k < 0:
-        inv = _invert(algebra, a)
-        if inv is None:
-            raise DslError("semantic", loc,
-                           "a negative power needs an invertible element")
-        a, k = inv, -k
-    out = dict(algebra.one)
-    for _ in range(k):
-        out = algebra.mul(out, a)
-    return out
 
 
 def eval_scalar(expr: Expr, ctx: ScalarContext) -> Scalar:
@@ -841,8 +801,8 @@ class _Binder:
                 raise _semantic(rule.loc,
                                 f"duplicate rule for generator {rule.gen!r}")
             images[rule.gen] = eval_element(rule.image, algebra, scope)
-        auto = _auto_from_images(algebra, images, stmt.loc)
         try:
+            auto = algebra.auto_from_images(images)
             algebra.validate_auto(auto)
         except ValueError as exc:
             raise _semantic(stmt.loc, str(exc)) from None
@@ -920,50 +880,6 @@ class _Binder:
             raise _semantic(stmt.loc,
                             f"check {stmt.kind} needs an ambiskew ring")
         self.checks.append(stmt)
-
-
-def _auto_from_images(algebra, images: dict[str, dict], loc: SourceLocation):
-    """The family automorphism matching per-generator images."""
-    kind = algebra.kind
-    if kind == "field":
-        return algebra.identity_auto()
-    if kind == "poly":
-        elem = images.get(algebra.gen)
-        if elem is None:
-            return algebra.identity_auto()
-        a = elem.get(1)
-        b = elem.get(0, algebra.ctx.zero)
-        if set(elem) - {0, 1} or a is None or a.is_zero():
-            raise _semantic(loc, f"the image of {algebra.gen} must be "
-                                 f"a*{algebra.gen} + b with a nonzero")
-        return AffineAuto(a, b)
-    if kind == "ambiskew":
-        inner = {g: algebra.coefficient(img, 0, 0)
-                 for g, img in images.items() if g in algebra.base.gens()}
-        for g, part in inner.items():
-            if not algebra.eq(algebra.embed(part), images[g]):
-                raise _semantic(loc, f"the image of {g} must lie in the "
-                                     "coefficient algebra")
-        base_auto = _auto_from_images(algebra.base, inner, loc)
-        lam_y = _scale_of(algebra, images, algebra.y_name, loc)
-        lam_x = _scale_of(algebra, images, algebra.x_name, loc)
-        return NestedAuto(base_auto, lam_y, lam_x)
-    scales = []
-    for g in algebra.gens():
-        scales.append(_scale_of(algebra, images, g, loc))
-    return DiagonalAuto(tuple(scales))
-
-
-def _scale_of(algebra, images: dict[str, dict], gen: str,
-              loc: SourceLocation) -> Scalar:
-    elem = images.get(gen)
-    if elem is None:
-        return algebra.ctx.one
-    lam = scalar_ratio(algebra, elem, algebra.gen_elem(gen))
-    if lam is None or lam.is_zero():
-        raise _semantic(loc, f"the image of {gen} must be a nonzero scalar "
-                             f"multiple of {gen}")
-    return lam
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,17 @@
 T is generated over A by X and Y subject to XY = u, YX = alpha(u),
 Xa = beta(a)X and Ya = alpha(a)Y, where beta = gamma*alpha^{-1} and u is a
 gamma-normal element fixed by gamma.  Every element has a unique normal
-form a + sum b_i*Y^i + sum c_j*X^j with coefficients on the left, so an
-element is a sparse map from the degree (deg Y = 1, deg X = -1) to its
-coefficient.  Multiplication annihilates opposite generators one pair at a
-time, each annihilation emitting a twist of u; the closed forms
+form a + sum b_i*Y^i + sum c_j*X^j with coefficients on the left.
+Multiplication annihilates opposite generators one pair at a time, each
+annihilation emitting a twist of u; the closed forms
 X^m Y^m = prod alpha^{-i}(u) and Y^m X^m = prod alpha^{i}(u) fall out.
+
+GwaRing implements the BaseAlgebra protocol of algebras.py.  Like
+AmbiskewRing, which stores (i, j, basis key), it stores an element flat, as
+a sparse dict from (degree, basis key of A) to scalars with deg Y = 1 and
+deg X = -1, and its automorphisms are NestedAuto (a part on A plus scales
+for Y and X); so the shared element plumbing, ``power``, ``scalar_of`` and
+``is_unit`` apply to it unchanged.
 
 The quotient of a conformal quadruple by its Casimir ideal zR is such an
 algebra with the splitting element as u, and simplicity of T is a
@@ -31,21 +37,27 @@ four-condition criterion inside A.
 
 from __future__ import annotations
 
-from .algebras import AffineAuto, DiagonalAuto, LaurentAlgebra, PolyAlgebra, scalar_ratio
+from .algebras import (AffineAuto, DiagonalAuto, LaurentAlgebra, PolyAlgebra,
+                       UnitAnswer, scalar_ratio)
 from .bounds import DEFAULT, Bounds
+from .rings import ExtensionAlgebra
 from .scalars import Scalar
-from .verdict import Status, Verdict, conjunction, fails, holds, inconclusive
+from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
+                      inconclusive)
 
 __all__ = ["GwaRing", "ambiskew_as_gwa", "gwa_from_ambiskew", "gwa_simple"]
 
 
-class GwaRing:
+class GwaRing(ExtensionAlgebra):
     """T(A, alpha, u) with an optional gamma twist on the X side.
 
     Omitting gamma gives the classical relations Xa = alpha^{-1}(a)X.
-    Elements are dicts mapping a degree d to a coefficient in A: d > 0
-    holds the coefficient of Y^d, d < 0 that of X^{-d}.
+    Elements are stored flat, as a sparse dict from (d, basis key of A) to
+    scalars: d > 0 holds the coefficient of Y^d, d < 0 that of X^{-d}.
     """
+
+    kind = "gwa"
+    normal_name = "u"
 
     def __init__(self, base, alpha, u: dict, gamma=None,
                  y_name: str = "Y", x_name: str = "X"):
@@ -68,116 +80,104 @@ class GwaRing:
         self.ctx = base.ctx
         self.alpha = alpha
         self.gamma = gamma
-        self.alpha_inv = base.invert(alpha)
-        self.beta = base.compose(gamma, self.alpha_inv)
+        self.beta = base.compose(gamma, base.invert(alpha))
         self.u = dict(u)
         self.y_name = y_name
         self.x_name = x_name
-        self._apow = {0: base.identity_auto()}
-        self._bpow = {0: base.identity_auto()}
+        self._onekey = next(iter(base.one))
+        # powers of alpha (sign 1) and beta (sign -1) met so far, and the rest
+        self._powers = {1: ([], base.auto_powers(alpha)),
+                        -1: ([], base.auto_powers(self.beta))}
 
-    # element constructors -------------------------------------------------
-
-    @property
-    def zero(self) -> dict:
-        return {}
-
-    @property
-    def one(self) -> dict:
-        return {0: dict(self.base.one)}
+    # elements -------------------------------------------------------------
 
     def from_scalar(self, s: Scalar) -> dict:
-        return self.embed(self.base.from_scalar(s))
+        return {} if s.is_zero() else {(0, self._onekey): s}
 
     def embed(self, c: dict) -> dict:
-        return {0: dict(c)} if c else {}
+        """The coefficient element c as an element of degree zero."""
+        return self._flat(0, c)
 
-    def gens(self) -> tuple[str, ...]:
-        return (self.y_name, self.x_name)
+    def grouped(self, f: dict) -> dict[int, dict]:
+        """The element as a map from degrees to coefficient elements."""
+        out: dict[int, dict] = {}
+        for (d, bk), s in f.items():
+            out.setdefault(d, {})[bk] = s
+        return out
+
+    def _flat(self, d: int, c: dict) -> dict:
+        return {(d, bk): s for bk, s in c.items()}
+
+    def _key_order(self, key):
+        return (key[0], self.base._key_order(key[1]))
 
     def gen_elem(self, name: str) -> dict:
         if name == self.y_name:
-            return {1: dict(self.base.one)}
+            return {(1, self._onekey): self.ctx.one}
         if name == self.x_name:
-            return {-1: dict(self.base.one)}
+            return {(-1, self._onekey): self.ctx.one}
+        if name in self.base.gens():
+            return self.embed(self.base.gen_elem(name))
         raise ValueError(f"unknown generator: {name!r}")
-
-    # linear structure -------------------------------------------------------
-
-    def add(self, f: dict, g: dict) -> dict:
-        out = dict(f)
-        for d, c in g.items():
-            s = self.base.add(out.get(d, {}), c)
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return out
-
-    def neg(self, f: dict) -> dict:
-        return {d: self.base.neg(c) for d, c in f.items()}
-
-    def sub(self, f: dict, g: dict) -> dict:
-        return self.add(f, self.neg(g))
-
-    def smul(self, s: Scalar, f: dict) -> dict:
-        if s.is_zero():
-            return {}
-        return {d: self.base.smul(s, c) for d, c in f.items()}
-
-    def is_zero(self, f: dict) -> bool:
-        return not f
-
-    def eq(self, f: dict, g: dict) -> bool:
-        return self.is_zero(self.sub(f, g))
 
     # multiplication ---------------------------------------------------------
 
-    def _alpha_pow(self, m: int):
-        if m not in self._apow:
-            step = self.alpha if m > 0 else self.alpha_inv
-            self._apow[m] = self.base.compose(
-                step, self._alpha_pow(m - (1 if m > 0 else -1)))
-        return self._apow[m]
-
-    def _beta_pow(self, m: int):
-        if m not in self._bpow:
-            step = self.beta if m > 0 else self.base.invert(self.beta)
-            self._bpow[m] = self.base.compose(
-                step, self._beta_pow(m - (1 if m > 0 else -1)))
-        return self._bpow[m]
-
     def _cross(self, d: int):
         """The map with Z_d * a = cross(a) * Z_d for the degree-d generator
-        power."""
-        return self._alpha_pow(d) if d >= 0 else self._beta_pow(-d)
+        power: alpha^d for d >= 0, beta^-d for d < 0."""
+        known, more = self._powers[1 if d >= 0 else -1]
+        while len(known) <= abs(d):
+            known.append(next(more))
+        return known[abs(d)]
 
     def mul(self, f: dict, g: dict) -> dict:
         base = self.base
-        out: dict = {}
-        for d1, b in f.items():
-            for d2, c in g.items():
+        out: dict[int, dict] = {}
+        right = self.grouped(g)
+        for d1, b in self.grouped(f).items():
+            for d2, c in right.items():
                 coeff = base.mul(b, base.apply(self._cross(d1), c))
                 i, k = d1, d2
+                # X^i Y^k collapses one pair at a time, emitting a twist of u
                 while i > 0 and k < 0 and coeff:
-                    coeff = base.mul(coeff,
-                                     base.apply(self._alpha_pow(i), self.u))
+                    coeff = base.mul(coeff, base.apply(self._cross(i), self.u))
                     i -= 1
                     k += 1
                 while i < 0 and k > 0 and coeff:
-                    coeff = base.mul(coeff,
-                                     base.apply(self._beta_pow(-i - 1), self.u))
+                    coeff = base.mul(coeff, base.apply(self._cross(i + 1), self.u))
                     i += 1
                     k -= 1
                 if not coeff:
                     continue
-                d = i + k
-                s = base.add(out.get(d, {}), coeff)
+                s = base.add(out.get(i + k, {}), coeff)
                 if s:
-                    out[d] = s
+                    out[i + k] = s
                 else:
-                    out.pop(d, None)
+                    out.pop(i + k, None)
+        return {(d, bk): s for d, c in out.items() for bk, s in c.items()}
+
+    # automorphisms ------------------------------------------------------------
+
+    def apply(self, auto, f: dict) -> dict:
+        out: dict = {}
+        for d, c in self.grouped(f).items():
+            img = self.base.apply(auto.base, c)
+            scale = auto.lam_y ** d if d >= 0 else auto.lam_x ** -d
+            out.update(self._flat(d, self.base.smul(scale, img)))
         return out
+
+    # decision hooks -------------------------------------------------------------
+
+    def is_unit(self, f: dict) -> UnitAnswer:
+        if not f:
+            return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
+        if any(d for d, _ in f):
+            # X is a unit whenever u is, so only degree zero is decided here
+            return UnitAnswer(Status.INCONCLUSIVE, None, None)
+        ans = self.base.is_unit(self.base_part(f))
+        if ans.status is Status.HOLDS:
+            return UnitAnswer(Status.HOLDS, self.embed(ans.inverse), None)
+        return ans
 
     # rendering ----------------------------------------------------------------
 
@@ -185,8 +185,9 @@ class GwaRing:
         if not f:
             return "0"
         parts = []
-        for d in sorted(f):
-            c = f[d]
+        groups = self.grouped(f)
+        for d in sorted(groups):
+            c = groups[d]
             if d == 0:
                 parts.append(self.base.render(c))
                 continue
@@ -251,7 +252,7 @@ def ambiskew_as_gwa(ring) -> GwaRing:
     ('laurent', 'w')
     """
     base = ring.base
-    if base.kind != "field":
+    if base.gens():
         raise ValueError("the w-presentation is exposed over field "
                          "coefficients only")
     ctx = ring.ctx
@@ -285,22 +286,10 @@ def gwa_simple(gwa: GwaRing, bounds: Bounds = DEFAULT) -> Verdict:
     base = gwa.base
     return conjunction([
         ("alpha_simple", base.alpha_simple([gwa.alpha])),
-        ("outer_powers", _outer_powers(base, gwa.alpha)),
+        ("outer_powers", base.no_inner_power(gwa.alpha, "alpha")),
         ("regular", _regular_u(base, gwa.u)),
         ("comaximal", _comaximal_all_m(gwa, bounds)),
     ], theorem="gwa")
-
-
-def _outer_powers(base, alpha) -> Verdict:
-    order = base.auto_order(alpha)
-    if order is not None:
-        return fails(f"alpha^{order} is the identity, which is inner",
-                     certificate={"kind": "inner_power", "m": order})
-    if base.kind == "ambiskew":
-        return inconclusive("inner automorphisms of an iterated ring are "
-                            "not decided here")
-    return holds("no positive power of alpha is the identity, and every "
-                 "inner automorphism of a commutative ring is trivial")
 
 
 def _regular_u(base, u: dict) -> Verdict:
@@ -314,7 +303,7 @@ def _regular_u(base, u: dict) -> Verdict:
 
 
 def _comaximal_all_m(gwa: GwaRing, bounds: Bounds) -> Verdict:
-    base, ctx = gwa.base, gwa.ctx
+    base = gwa.base
     if base.is_zero(gwa.u):
         return fails("uA + alpha^m(u)A is the zero ideal",
                      certificate={"kind": "comaximal_witness", "m": 1})
@@ -334,9 +323,7 @@ def _comaximal_all_m(gwa: GwaRing, bounds: Bounds) -> Verdict:
     order = base.auto_order(gwa.alpha)
     if order is not None:
         return _comaximal_scan(gwa, order, periodic=True)
-    if base.kind == "poly" and isinstance(gwa.alpha, AffineAuto) \
-            and gwa.alpha.a == ctx.one and not gwa.alpha.b.is_zero() \
-            and ctx.characteristic == 0 and max(gwa.u) == 1:
+    if base.coprime_to_shifts(gwa.alpha, gwa.u):
         return holds("u has a single root, which every alpha^m moves by a "
                      "nonzero multiple of the shift step",
                      certificate={"kind": "shift_coprime"})
@@ -345,19 +332,21 @@ def _comaximal_all_m(gwa: GwaRing, bounds: Bounds) -> Verdict:
 
 def _comaximal_scan(gwa: GwaRing, upto: int, periodic: bool) -> Verdict:
     base = gwa.base
-    for m in range(1, upto + 1):
-        answer = base.comaximal(gwa.u, base.apply(gwa._alpha_pow(m), gwa.u))
-        if answer.status is Status.FAILS:
-            return fails(f"uA + alpha^{m}(u)A is a proper ideal",
-                         certificate={"kind": "comaximal_witness", "m": m,
-                                      "detail": answer.certificate})
-        if answer.status is not Status.HOLDS:
-            return inconclusive(f"comaximality of u and alpha^{m}(u) was "
-                                "not decided")
     if periodic:
-        return holds(f"uA + alpha^m(u)A = A for m = 1..{upto}, and "
+        done = holds(f"uA + alpha^m(u)A = A for m = 1..{upto}, and "
                      f"alpha^m(u) repeats with period {upto}",
                      certificate={"kind": "periodic_scan", "period": upto})
-    return inconclusive("comaximality verified through "
-                        f"m = {upto} without a closed form",
-                        certificate={"kind": "bounded_scan", "m_max": upto})
+    else:
+        done = inconclusive("comaximality verified through "
+                            f"m = {upto} without a closed form",
+                            certificate={"kind": "bounded_scan", "m_max": upto})
+    return bounded_scan(
+        upto,
+        lambda m: base.comaximal(gwa.u, base.apply(gwa._cross(m), gwa.u)),
+        lambda m, answer: fails(
+            f"uA + alpha^{m}(u)A is a proper ideal",
+            certificate={"kind": "comaximal_witness", "m": m,
+                         "detail": answer.certificate}),
+        lambda m: inconclusive(f"comaximality of u and alpha^{m}(u) was "
+                               "not decided"),
+        done)

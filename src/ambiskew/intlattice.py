@@ -44,7 +44,7 @@ def column_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of {x in Z^ncols : rows . x = 0}.
 
     >>> column_kernel([[2, 4]], 2)
-    [[2, -1]]
+    [[-2, 1]]
     >>> column_kernel([[1, 0], [0, 1]], 2)
     []
     """
@@ -99,17 +99,4 @@ def kernel_with_congruences(exact_rows: list[list[int]],
             if next(c for c in x if c) < 0:
                 x = [-c for c in x]
             out.append(x)
-    return out
-
-
-def content_normalized(v: list[int]) -> list[int]:
-    """v divided by the gcd of its entries, first nonzero entry positive."""
-    g = 0
-    for c in v:
-        g = _exgcd(g, c)[0]
-    if g == 0:
-        return list(v)
-    out = [c // g for c in v]
-    if next(c for c in out if c) < 0:
-        out = [-c for c in out]
     return out

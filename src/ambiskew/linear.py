@@ -1,7 +1,7 @@
 """Dense exact linear algebra over the scalar field.
 
-Systems here are tiny (splitting searches, Sylvester determinants, special
-element kernels), so plain Gaussian elimination with exact scalar division
+Systems here are tiny (splitting searches and height-n witness
+searches), so plain Gaussian elimination with exact scalar division
 is the right tool.  Matrices are lists of row lists of Scalars and are never
 mutated in place by the callers.
 """
@@ -45,57 +45,3 @@ def gauss_solve(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | N
     for r, c in pivots:
         x[c] = a[r][n]
     return x
-
-
-def nullspace_basis(rows: list[list[Scalar]], ncols: int, ctx) -> list[list[Scalar]]:
-    """Basis of the right kernel of the matrix."""
-    a = [list(r) for r in rows]
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(a)) if not a[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = a[row][col].inv()
-        a[row] = [c * inv for c in a[row]]
-        for r in range(len(a)):
-            if r != row and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [c - f * d for c, d in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(a):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ctx.zero] * ncols
-        v[fc] = ctx.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        basis.append(v)
-    return basis
-
-
-def determinant(rows: list[list[Scalar]], ctx) -> Scalar:
-    """Determinant by fraction-friendly Gaussian elimination."""
-    n = len(rows)
-    if n == 0:
-        return ctx.one
-    a = [list(r) for r in rows]
-    det = ctx.one
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            return ctx.zero
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = a[col][col].inv()
-        for r in range(col + 1, n):
-            if not a[r][col].is_zero():
-                f = a[r][col] * inv
-                a[r] = [c - f * d for c, d in zip(a[r], a[col])]
-    return det

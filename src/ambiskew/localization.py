@@ -36,14 +36,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .algebras import AffineAuto, DiagonalAuto, NestedAuto
+from .algebras import NO_EIGEN_FRAME, AffineAuto, EigenFrame
 from .bounds import DEFAULT, Bounds
 from .intlattice import column_kernel
 from .multiplicative import relation_kernel
 from .scalars import Scalar, root_of_unity_order
-from .verdict import Status, Verdict, conjunction, fails, holds, inconclusive
+from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
+                      inconclusive)
 
 __all__ = [
     "SpecialElement",
@@ -52,10 +52,6 @@ __all__ = [
     "quantum_torus_simple",
     "special_element_search",
 ]
-
-_UNSUPPORTED = ("the special-element search needs diagonal automorphisms on "
-                "a monomial basis, or a polynomial shift with gamma = id")
-
 
 # ---------------------------------------------------------------------------
 # special elements
@@ -85,23 +81,14 @@ class SpecialElement:
         if not algebra.eq(algebra.apply(alpha, self.c),
                           algebra.smul(rho ** self.j, self.c)):
             raise AssertionError("alpha does not scale the witness by rho^j")
-        gamma_j = _auto_power(algebra, gamma, self.j)
-        alpha_m = _auto_power(algebra, alpha, self.m)
+        gamma_j = algebra.auto_power(gamma, self.j)
+        alpha_m = algebra.auto_power(alpha, self.m)
         for name in algebra.gens():
             a = algebra.gen_elem(name)
             left = algebra.mul(self.c, algebra.apply(gamma_j, a))
             right = algebra.mul(algebra.apply(alpha_m, a), self.c)
             if not algebra.eq(left, right):
                 raise AssertionError(f"the witness is not normal against {name}")
-
-
-def _auto_power(algebra, auto, k: int):
-    if k < 0:
-        return _auto_power(algebra, algebra.invert(auto), -k)
-    out = algebra.identity_auto()
-    for _ in range(k):
-        out = algebra.compose(auto, out)
-    return out
 
 
 def special_element_search(algebra, alpha, gamma, rho: Scalar,
@@ -132,9 +119,9 @@ def special_element_search(algebra, alpha, gamma, rho: Scalar,
         raise ValueError(f"unknown search mode: {mode!r}")
     if algebra.auto_is_identity(alpha) and algebra.auto_is_identity(gamma):
         return _identity_pair_search(algebra, alpha, gamma, rho, mode)
-    if algebra.kind == "poly":
+    if not algebra.is_diagonal(alpha):
         return _shift_search(algebra, alpha, gamma, rho)
-    frame = _eigen_frame(algebra, alpha, gamma, units_only)
+    frame = algebra.eigen_frame(alpha, gamma, units_only)
     return _lattice_search(algebra, alpha, gamma, rho, mode, frame)
 
 
@@ -157,10 +144,10 @@ def _shift_search(algebra, alpha, gamma, rho: Scalar):
     regular witness in a domain forces alpha^m = gamma^j = id, and with
     gamma = id that pins m = 0."""
     if not algebra.auto_is_identity(gamma):
-        raise ValueError(_UNSUPPORTED)
+        raise ValueError(NO_EIGEN_FRAME)
     if not isinstance(alpha, AffineAuto) or alpha.a != algebra.ctx.one \
             or alpha.b.is_zero():
-        raise ValueError(_UNSUPPORTED)
+        raise ValueError(NO_EIGEN_FRAME)
     k = root_of_unity_order(rho)
     if k is None:
         return None, True
@@ -169,68 +156,8 @@ def _shift_search(algebra, alpha, gamma, rho: Scalar):
     return witness, True
 
 
-class _Frame(NamedTuple):
-    """Eigen data of a diagonal pair: one (alpha-scale, gamma-scale) per
-    free exponent of a candidate monomial, one condition triple per algebra
-    generator, a builder from exponent vectors to elements, and whether the
-    candidate set loses no generality."""
-
-    index_pairs: list
-    gen_conditions: list
-    build: object
-    complete: bool
-
-
-def _eigen_frame(algebra, alpha, gamma, units_only: bool) -> _Frame:
-    kind = algebra.kind
-    ctx = algebra.ctx
-    if kind == "field":
-        return _Frame([], [], lambda exps: algebra.one, True)
-    if kind in ("cyclic_group", "laurent"):
-        for auto in (alpha, gamma):
-            if not isinstance(auto, DiagonalAuto):
-                raise ValueError(_UNSUPPORTED)
-        pair = (algebra.eigenvalue(alpha, 1), algebra.eigenvalue(gamma, 1))
-        if kind == "cyclic_group":
-            build = lambda exps: algebra.monomial(exps[0] % algebra.n, ctx.one)
-        else:
-            build = lambda exps: algebra.monomial(exps[0], ctx.one)
-        return _Frame([pair], [pair + ((ctx.one,),)], build, True)
-    if kind == "ambiskew":
-        if not isinstance(alpha, NestedAuto) or not isinstance(gamma, NestedAuto):
-            raise ValueError(_UNSUPPORTED)
-        inner = _eigen_frame(algebra.base, alpha.base, gamma.base, units_only)
-        # Candidates are embedded ground monomials.  Moving one past y or x
-        # uses the ring's own structure maps, so those normality conditions
-        # pick up the candidate's eigenvalue under alpha or beta.
-        own_alpha = _slot_scales(algebra.base, algebra.alpha)
-        own_beta = _slot_scales(algebra.base, algebra.beta)
-        gens = list(inner.gen_conditions)
-        gens.append((alpha.lam_y, gamma.lam_y,
-                     tuple(s ** -1 for s in own_alpha)))
-        gens.append((alpha.lam_x, gamma.lam_x,
-                     tuple(s ** -1 for s in own_beta)))
-        build = lambda exps: algebra.embed(inner.build(exps))
-        complete = bool(inner.complete and units_only
-                        and algebra.is_domain() is True)
-        return _Frame(inner.index_pairs, gens, build, complete)
-    raise ValueError(_UNSUPPORTED)
-
-
-def _slot_scales(algebra, auto) -> list[Scalar]:
-    """Eigenvalues of an automorphism on the innermost ground generators,
-    aligned with the frame's exponent slots."""
-    if algebra.kind == "ambiskew":
-        return _slot_scales(algebra.base, auto.base)
-    if algebra.kind == "field":
-        return []
-    if not isinstance(auto, DiagonalAuto):
-        raise ValueError(_UNSUPPORTED)
-    return [algebra.eigenvalue(auto, 1)]
-
-
 def _lattice_search(algebra, alpha, gamma, rho: Scalar, mode: str,
-                    frame: _Frame):
+                    frame: EigenFrame):
     ctx = algebra.ctx
     one = ctx.one
     rho_inv = rho ** -1
@@ -406,19 +333,19 @@ def _radical_all_m(ring, u: dict, nil: Verdict, bounds: Bounds) -> Verdict:
 
 def _radical_by_scan(ring, u: dict, bounds: Bounds) -> Verdict:
     base = ring.base
-    for m in range(1, bounds.m_max + 1):
-        answer = base.radical_contains(ring.v_m(m), u)
-        if answer.status is Status.FAILS:
-            return fails(f"no power of u lies in v^({m})A",
-                         certificate={"kind": "radical_witness", "m": m,
-                                      "detail": answer.certificate})
-        if answer.status is not Status.HOLDS:
-            return inconclusive(f"membership of powers of u in v^({m})A "
-                                "was not decided")
-    return inconclusive("v is not an eigenvector of alpha; membership "
-                        f"verified through m = {bounds.m_max}",
-                        certificate={"kind": "bounded_scan",
-                                     "m_max": bounds.m_max})
+    return bounded_scan(
+        bounds.m_max,
+        lambda m: base.radical_contains(ring.v_m(m), u),
+        lambda m, answer: fails(
+            f"no power of u lies in v^({m})A",
+            certificate={"kind": "radical_witness", "m": m,
+                         "detail": answer.certificate}),
+        lambda m: inconclusive(f"membership of powers of u in v^({m})A "
+                               "was not decided"),
+        inconclusive("v is not an eigenvector of alpha; membership "
+                     f"verified through m = {bounds.m_max}",
+                     certificate={"kind": "bounded_scan",
+                                  "m_max": bounds.m_max}))
 
 
 # ---------------------------------------------------------------------------

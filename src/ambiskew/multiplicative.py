@@ -20,20 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .intlattice import kernel_with_congruences
-from .scalars import Scalar, ScalarContext
-
-
-def _factor_int(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+from .scalars import Scalar, ScalarContext, factor_int
 
 
 def factor_rational(c: Fraction) -> dict[int, int]:
@@ -44,8 +31,8 @@ def factor_rational(c: Fraction) -> dict[int, int]:
     """
     if c <= 0:
         raise ValueError("factor_rational wants a positive rational")
-    out = _factor_int(c.numerator)
-    for p, e in _factor_int(c.denominator).items():
+    out = factor_int(c.numerator)
+    for p, e in factor_int(c.denominator).items():
         out[p] = out.get(p, 0) - e
     return dict(sorted(out.items()))
 

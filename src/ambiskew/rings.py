@@ -17,8 +17,10 @@ rewrite behind multiplication is y*x -> rho^{-1}*(x*y - v); repeated
 y-powers are folded through the closed form for y^t * x, which brings in
 the elements v_m defined by v_0 = 0 and v_{m+1} = v + rho*alpha(v_m).
 
-The ring implements the same interface as the coefficient families, so a
-constructed ring can serve as the coefficient algebra of the next one.
+The ring implements the BaseAlgebra protocol of the coefficient families,
+so a constructed ring can serve as the coefficient algebra of the next one;
+ExtensionAlgebra holds what it shares with the generalized Weyl algebras of
+gwa.py, which adjoin Y and X the same way.
 
 >>> from .scalars import ScalarContext
 >>> from .algebras import PolyAlgebra, AffineAuto
@@ -27,7 +29,7 @@ constructed ring can serve as the coefficient algebra of the next one.
 >>> shift = AffineAuto(ctx.one, ctx.one)
 >>> weyl = AmbiskewRing(A, shift, A.one, ctx.one)
 >>> weyl.render(weyl.mul(weyl.gen_elem("x"), weyl.gen_elem("y")))
-'1 + x*y'
+'x*y'
 """
 
 from __future__ import annotations
@@ -36,15 +38,14 @@ import math
 from typing import NamedTuple
 
 from .algebras import (
-    AffineAuto,
+    NO_EIGEN_FRAME,
     BaseAlgebra,
-    DiagonalAuto,
+    EigenFrame,
     NestedAuto,
     UnitAnswer,
     _eadd,
     _escale,
     _render_terms,
-    normalizing_auto,
     scalar_ratio,
     solve_splitting_ex,
 )
@@ -67,17 +68,98 @@ class Conformality(NamedTuple):
     detail: dict | None
 
 
-def diagonal_auto(algebra, scales: dict):
-    """Build the family-appropriate automorphism from per-generator scales."""
-    if algebra.kind == "ambiskew":
-        base = diagonal_auto(algebra.base, scales)
-        return NestedAuto(base, scales[algebra.y_name], scales[algebra.x_name])
-    if algebra.kind == "poly":
-        return AffineAuto(scales[algebra.gen], algebra.ctx.zero)
-    return DiagonalAuto(tuple(scales[g] for g in algebra.gens()))
+class ExtensionAlgebra(BaseAlgebra):
+    """What rings built over a coefficient algebra ``base`` by adjoining y
+    and x share: their generators, their automorphisms (NestedAuto: a
+    coefficient part plus scales for y and x) and the normalizing
+    automorphism of an element.  ``normal_name`` names the attribute
+    holding the normal element that every automorphism must rescale."""
+
+    commutative = False
+    normal_name = "v"
+
+    def gens(self) -> tuple[str, ...]:
+        return self.base.gens() + (self.y_name, self.x_name)
+
+    def base_part(self, a: dict) -> dict:
+        """The coefficient of degree zero, as a coefficient element."""
+        return {key[-1]: s for key, s in a.items() if not any(key[:-1])}
+
+    def identity_auto(self) -> NestedAuto:
+        return NestedAuto(self.base.identity_auto(), self.ctx.one, self.ctx.one)
+
+    def validate_auto(self, auto) -> None:
+        if not isinstance(auto, NestedAuto):
+            raise ValueError("ring automorphisms pair a coefficient "
+                             "automorphism with scales for y and x")
+        self.base.validate_auto(auto.base)
+        if auto.lam_y.is_zero() or auto.lam_x.is_zero():
+            raise ValueError("the scales of y and x must be nonzero")
+        b = self.base
+        if not b.auto_equal(b.compose(auto.base, self.alpha),
+                            b.compose(self.alpha, auto.base)):
+            raise ValueError("the coefficient part must commute with alpha")
+        if not b.auto_equal(b.compose(auto.base, self.gamma),
+                            b.compose(self.gamma, auto.base)):
+            raise ValueError("the coefficient part must commute with gamma")
+        normal = getattr(self, self.normal_name)
+        if not b.eq(b.apply(auto.base, normal),
+                    b.smul(auto.lam_y * auto.lam_x, normal)):
+            raise ValueError(f"the coefficient part must scale {self.normal_name} "
+                             "by the product of the scales of y and x")
+
+    def compose(self, f, g):
+        return NestedAuto(self.base.compose(f.base, g.base),
+                          f.lam_y * g.lam_y, f.lam_x * g.lam_x)
+
+    def invert(self, auto):
+        return NestedAuto(self.base.invert(auto.base),
+                          auto.lam_y.inv(), auto.lam_x.inv())
+
+    def auto_order(self, auto) -> int | None:
+        k0 = self.base.auto_order(auto.base)
+        ky = root_of_unity_order(auto.lam_y)
+        kx = root_of_unity_order(auto.lam_x)
+        if k0 is None or ky is None or kx is None:
+            return None
+        return math.lcm(k0, ky, kx)
+
+    def is_diagonal(self, auto) -> bool:
+        return self.base.is_diagonal(auto.base)
+
+    def auto_from_images(self, images: dict[str, dict]) -> NestedAuto:
+        inner = {}
+        for g, img in images.items():
+            if g in self.base.gens():
+                inner[g] = self.base_part(img)
+                if not self.eq(self.embed(inner[g]), img):
+                    raise ValueError(f"the image of {g} must lie in the "
+                                     "coefficient algebra")
+        return NestedAuto(self.base.auto_from_images(inner),
+                          self._scale_of(images, self.y_name),
+                          self._scale_of(images, self.x_name))
+
+    def normalizing_auto(self, v: dict):
+        # each generator must commute past v up to one scalar, which then
+        # defines a diagonal gamma
+        if not v:
+            return self.identity_auto()
+        images = {}
+        for name in self.gens():
+            g = self.gen_elem(name)
+            lam = scalar_ratio(self, self.mul(v, g), self.mul(g, v))
+            if lam is None or lam.is_zero():
+                return None
+            images[name] = self.smul(lam, g)
+        try:
+            auto = self.auto_from_images(images)
+            self.validate_auto(auto)
+        except ValueError:
+            return None
+        return auto
 
 
-class AmbiskewRing(BaseAlgebra):
+class AmbiskewRing(ExtensionAlgebra):
     """R(A, alpha, v, rho) in the shared coefficient-algebra interface."""
 
     kind = "ambiskew"
@@ -90,7 +172,7 @@ class AmbiskewRing(BaseAlgebra):
         if y_name == x_name or y_name in base.gens() or x_name in base.gens():
             raise ValueError("the names of y and x must be distinct from each "
                              "other and from the coefficient generators")
-        gamma = normalizing_auto(base, v)
+        gamma = base.normalizing_auto(v)
         if gamma is None:
             raise ValueError("v is not normal: no diagonal automorphism gamma "
                              "satisfies v*a = gamma(a)*v")
@@ -152,9 +234,6 @@ class AmbiskewRing(BaseAlgebra):
 
     # generators ----------------------------------------------------------
 
-    def gens(self) -> tuple[str, ...]:
-        return self.base.gens() + (self.y_name, self.x_name)
-
     def gen_elem(self, name: str) -> dict:
         if name == self.y_name:
             return {(0, 1, self._onekey): self.ctx.one}
@@ -212,28 +291,6 @@ class AmbiskewRing(BaseAlgebra):
 
     # automorphisms ------------------------------------------------------
 
-    def identity_auto(self) -> NestedAuto:
-        return NestedAuto(self.base.identity_auto(), self.ctx.one, self.ctx.one)
-
-    def validate_auto(self, auto) -> None:
-        if not isinstance(auto, NestedAuto):
-            raise ValueError("ring automorphisms pair a coefficient "
-                             "automorphism with scales for y and x")
-        self.base.validate_auto(auto.base)
-        if auto.lam_y.is_zero() or auto.lam_x.is_zero():
-            raise ValueError("the scales of y and x must be nonzero")
-        b = self.base
-        if not b.auto_equal(b.compose(auto.base, self.alpha),
-                            b.compose(self.alpha, auto.base)):
-            raise ValueError("the coefficient part must commute with alpha")
-        if not b.auto_equal(b.compose(auto.base, self.gamma),
-                            b.compose(self.gamma, auto.base)):
-            raise ValueError("the coefficient part must commute with gamma")
-        if not b.eq(b.apply(auto.base, self.v),
-                    b.smul(auto.lam_y * auto.lam_x, self.v)):
-            raise ValueError("the coefficient part must scale v by the "
-                             "product of the scales of y and x")
-
     def apply(self, auto, a: dict) -> dict:
         out: dict = {}
         for (i, j), c in self.grouped(a).items():
@@ -242,22 +299,6 @@ class AmbiskewRing(BaseAlgebra):
             out = _eadd(out, self._flat(i, j, img))
         return out
 
-    def compose(self, f, g):
-        return NestedAuto(self.base.compose(f.base, g.base),
-                          f.lam_y * g.lam_y, f.lam_x * g.lam_x)
-
-    def invert(self, auto):
-        return NestedAuto(self.base.invert(auto.base),
-                          auto.lam_y.inv(), auto.lam_x.inv())
-
-    def auto_order(self, auto) -> int | None:
-        k0 = self.base.auto_order(auto.base)
-        ky = root_of_unity_order(auto.lam_y)
-        kx = root_of_unity_order(auto.lam_x)
-        if k0 is None or ky is None or kx is None:
-            return None
-        return math.lcm(k0, ky, kx)
-
     def eigenvalue(self, auto, key) -> Scalar | None:
         i, j, bk = key
         lam = self.base.eigenvalue(auto.base, bk)
@@ -265,27 +306,32 @@ class AmbiskewRing(BaseAlgebra):
             return None
         return lam * auto.lam_y ** j * auto.lam_x ** i
 
-    def _normalizing_auto(self, v: dict):
-        if not v:
-            return self.identity_auto()
-        scales: dict[str, Scalar] = {}
-        for name in self.gens():
-            g = self.gen_elem(name)
-            lam = scalar_ratio(self, self.mul(v, g), self.mul(g, v))
-            if lam is None or lam.is_zero():
-                return None
-            scales[name] = lam
-        auto = diagonal_auto(self, scales)
-        try:
-            self.validate_auto(auto)
-        except ValueError:
-            return None
-        return auto
+    def eigen_frame(self, alpha, gamma, units_only: bool) -> EigenFrame:
+        if not isinstance(alpha, NestedAuto) or not isinstance(gamma, NestedAuto):
+            raise ValueError(NO_EIGEN_FRAME)
+        inner = self.base.eigen_frame(alpha.base, gamma.base, units_only)
+        # Candidates are embedded ground monomials.  Moving one past y or x
+        # uses the ring's own structure maps, so those normality conditions
+        # pick up the candidate's eigenvalue under alpha or beta.
+        own = self.base.eigen_frame(self.alpha, self.beta, units_only).index_pairs
+        gens = list(inner.gen_conditions)
+        gens.append((alpha.lam_y, gamma.lam_y, tuple(a ** -1 for a, _ in own)))
+        gens.append((alpha.lam_x, gamma.lam_x, tuple(b ** -1 for _, b in own)))
+        build = lambda exps: self.embed(inner.build(exps))
+        complete = bool(inner.complete and units_only
+                        and self.is_domain() is True)
+        return EigenFrame(inner.index_pairs, gens, build, complete)
 
     # structure ----------------------------------------------------------
 
     def is_domain(self) -> bool | None:
         return self.base.is_domain()
+
+    def to_ground(self, elem: dict, autos: list):
+        if any(i or j for i, j, _ in elem):
+            return None
+        return self.base.to_ground(self.coefficient(elem, 0, 0),
+                                   [auto.base for auto in autos])
 
     def v_eigenvalue(self) -> Scalar | None:
         """mu with alpha(v) = mu*v, or None if v is not an eigenvector."""
@@ -355,7 +401,7 @@ class AmbiskewRing(BaseAlgebra):
 
     # decision hooks -------------------------------------------------------
 
-    def is_unit(self, a: dict, mask=None) -> UnitAnswer:
+    def is_unit(self, a: dict) -> UnitAnswer:
         if not a:
             return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
         if any(k[0] or k[1] for k in a):
@@ -363,7 +409,7 @@ class AmbiskewRing(BaseAlgebra):
                 return UnitAnswer(Status.FAILS, None,
                                   {"kind": "nonconstant_in_domain"})
             return UnitAnswer(Status.INCONCLUSIVE, None, None)
-        ans = self.base.is_unit(self.coefficient(a, 0, 0), mask=mask)
+        ans = self.base.is_unit(self.coefficient(a, 0, 0))
         if ans.status is Status.HOLDS:
             return UnitAnswer(Status.HOLDS, self.embed(ans.inverse),
                               ans.certificate)
@@ -402,17 +448,16 @@ class AmbiskewRing(BaseAlgebra):
         return inconclusive("comaximality in an iterated ring is only "
                             "decided through units")
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int, mask=None) -> int | None:
+    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
         if all(k[0] == 0 and k[1] == 0 for k in p) and \
                 all(k[0] == 0 and k[1] == 0 for k in b):
             return self.base.first_nonunit_in_pencil(
-                self.coefficient(p, 0, 0), self.coefficient(b, 0, 0), q0,
-                mask=mask)
+                self.coefficient(p, 0, 0), self.coefficient(b, 0, 0), q0)
         if not self.is_domain():
             raise ValueError("pencil membership is undecided over a "
                              "coefficient tower with zero divisors")
         if self.ctx.characteristic:
-            return self._pencil_mod_p(p, b, q0, mask=mask)
+            return self._pencil_mod_p(p, b, q0)
         # a unit needs every coefficient outside (0, 0) to cancel, which
         # pins q to at most one value
         for q in (q0, q0 + 1):

@@ -99,6 +99,24 @@ def _poly_invert_mod(f: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
     return _dtrim([c / r0[0] for c in s0])
 
 
+def factor_int(n: int) -> dict[int, int]:
+    """Prime factorization of a positive integer by trial division.
+
+    >>> factor_int(360)
+    {2: 3, 3: 2, 5: 1}
+    """
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # coefficient domains
 # ---------------------------------------------------------------------------
@@ -230,7 +248,7 @@ class PrimeDomain:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p < 2 or factor_int(p) != {p: 1}:
             raise ValueError(f"characteristic must be prime, got {p}")
         self.p = p
 
@@ -405,10 +423,10 @@ class ScalarContext:
     """
 
     __slots__ = ("characteristic", "cyclotomic_order", "parameters",
-                 "rational_relation_mode", "dom", "_pzero", "_pone")
+                 "dom", "_pzero", "_pone")
 
     def __init__(self, characteristic: int = 0, cyclotomic_order: int = 1,
-                 parameters: Iterable[str] = (), rational_relation_mode: str = "factor"):
+                 parameters: Iterable[str] = ()):
         parameters = tuple(parameters)
         if characteristic == 0:
             self.dom = CyclotomicDomain(cyclotomic_order)
@@ -416,8 +434,6 @@ class ScalarContext:
             if cyclotomic_order != 1:
                 raise ValueError("cyclotomic order must be 1 in positive characteristic")
             self.dom = PrimeDomain(characteristic)
-        if rational_relation_mode not in ("factor", "opaque"):
-            raise ValueError(f"unknown rational_relation_mode {rational_relation_mode!r}")
         seen = set()
         for name in parameters:
             if not name.isidentifier() or name == "zeta":
@@ -428,7 +444,6 @@ class ScalarContext:
         self.characteristic = characteristic
         self.cyclotomic_order = cyclotomic_order
         self.parameters = parameters
-        self.rational_relation_mode = rational_relation_mode
         self._pzero = (0,) * len(parameters)
         self._pone = {self._pzero: self.dom.one}
 
@@ -687,9 +702,10 @@ def q_integer(m: int, q: Scalar) -> Scalar:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
-    out += [n // d for d in reversed(out) if d * d != n]
-    return out
+    out = [1]
+    for p, e in factor_int(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def root_of_unity_order(s: Scalar) -> int | None:
@@ -754,24 +770,3 @@ def positive_integer_solution(a: Scalar, b: Scalar):
     if m is None or m.denominator != 1 or m < 1:
         return None
     return int(m)
-
-
-def lucas_binomial_nonzero(n: int, r: int, p: int) -> bool:
-    """Whether the binomial coefficient C(n, r) is nonzero mod the prime p.
-
-    By Lucas' theorem this holds exactly when every base-p digit of r is at
-    most the corresponding digit of n.
-
-    >>> lucas_binomial_nonzero(10, 5, 3)   # 252 = 3 * 84
-    False
-    >>> lucas_binomial_nonzero(4, 2, 5)    # 6
-    True
-    """
-    if r < 0 or r > n:
-        return False
-    while r:
-        if r % p > n % p:
-            return False
-        n //= p
-        r //= p
-    return True

@@ -37,11 +37,12 @@ is only claimed when the family structure makes the search complete.
 
 from __future__ import annotations
 
-from .algebras import _diagonal_on_basis, scalar_ratio, solve_splitting_ex
+from .algebras import scalar_ratio, solve_splitting_ex
 from .bounds import DEFAULT, Bounds
 from .linear import gauss_solve
 from .scalars import root_of_unity_order
-from .verdict import Status, Verdict, conjunction, fails, holds, inconclusive
+from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
+                      inconclusive)
 
 # ---------------------------------------------------------------------------
 # condition (iii): every v^(m) is a unit
@@ -173,19 +174,17 @@ def _units_by_pencils(ring, span: int, bounds: Bounds) -> Verdict:
 
 def _units_by_scan(ring, bounds: Bounds, note: str) -> Verdict:
     base = ring.base
-    for m in range(1, bounds.m_max + 1):
-        answer = base.is_unit(ring.v_m(m))
-        if answer.status is Status.FAILS:
-            return fails(f"v^({m}) is not a unit",
-                         certificate={"kind": "nonunit_v_m", "m": m,
-                                      "value": base.render(ring.v_m(m)),
-                                      "detail": answer.certificate})
-        if answer.status is Status.INCONCLUSIVE:
-            return inconclusive(
-                f"whether v^({m}) is a unit was not decided")
-    return inconclusive(
-        f"{note}; units verified through m = {bounds.m_max}",
-        certificate={"kind": "bounded_scan", "m_max": bounds.m_max})
+    return bounded_scan(
+        bounds.m_max,
+        lambda m: base.is_unit(ring.v_m(m)),
+        lambda m, answer: fails(
+            f"v^({m}) is not a unit",
+            certificate={"kind": "nonunit_v_m", "m": m,
+                         "value": base.render(ring.v_m(m)),
+                         "detail": answer.certificate}),
+        lambda m: inconclusive(f"whether v^({m}) is a unit was not decided"),
+        inconclusive(f"{note}; units verified through m = {bounds.m_max}",
+                     certificate={"kind": "bounded_scan", "m_max": bounds.m_max}))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +265,7 @@ def _no_generalized_splitting(ring, bounds: Bounds) -> Verdict:
     if not base.auto_is_identity(ring.gamma):
         return inconclusive(
             "the height-n witness search only runs over a trivial gamma")
-    if not _diagonal_on_basis(base, ring.alpha):
+    if not base.is_diagonal(ring.alpha):
         return inconclusive(
             "the height-n witness search needs alpha diagonal on the basis")
     if len(ring.v) == 1:
@@ -276,12 +275,13 @@ def _no_generalized_splitting(ring, bounds: Bounds) -> Verdict:
                          certificate={"kind": "generalized_splitting", "n": 1,
                                       "u": base.render({}),
                                       "b": [base.render(b0)]})
-    keys = _finite_keys(base)
+    keys = base.finite_basis()
     if keys is None:
         return inconclusive(
             "the witness search is exhaustive only over finite-dimensional "
             "coefficient families or a monomial v")
-    bound = _exhaustive_height(base, ring.alpha, ring.rho, ring.v, bounds)
+    bound = _exhaustive_height(base, ring.alpha, ring.rho, ring.v, keys,
+                               bounds)
     for n in range(1, bounds.n_max + 1):
         found = _witness_for_height(base, ring.alpha, ring.rho, ring.v, n, keys)
         if found is not None:
@@ -302,13 +302,6 @@ def _no_generalized_splitting(ring, bounds: Bounds) -> Verdict:
         certificate={"kind": "search_exhausted", "n_max": bounds.n_max})
 
 
-def _elem_power(algebra, a: dict, k: int) -> dict:
-    out = dict(algebra.one)
-    for _ in range(k):
-        out = algebra.mul(out, a)
-    return out
-
-
 def _monomial_witness(base, alpha, v: dict, rho):
     """The height-1 witness b0 = -v^(p-1), u = 0, when it is admissible.
 
@@ -319,22 +312,12 @@ def _monomial_witness(base, alpha, v: dict, rho):
     """
     ctx = base.ctx
     p = ctx.characteristic
-    b0 = base.smul(-ctx.one, _elem_power(base, v, p - 1))
+    b0 = base.smul(-ctx.one, base.power(v, p - 1))
     if not base.eq(base.apply(alpha, b0), base.smul(rho ** (1 - p), b0)):
         return None
-    if not base.is_zero(base.add(_elem_power(base, v, p), base.mul(b0, v))):
+    if not base.is_zero(base.add(base.power(v, p), base.mul(b0, v))):
         return None
     return b0
-
-
-def _finite_keys(base):
-    if base.kind == "field":
-        return [()]
-    if base.kind == "cyclic_group":
-        return list(range(base.n))
-    if base.kind == "quadratic":
-        return [0, 1]
-    return None
 
 
 def _witness_for_height(base, alpha, rho, v: dict, n: int, keys):
@@ -350,7 +333,7 @@ def _witness_for_height(base, alpha, rho, v: dict, n: int, keys):
     rho_big = rho ** big
     powers = [dict(v)]
     for _ in range(n):
-        powers.append(_elem_power(base, powers[-1], p))
+        powers.append(base.power(powers[-1], p))
     columns = []
     for k in keys:
         lam = base.eigenvalue(alpha, k)
@@ -385,7 +368,7 @@ def _witness_for_height(base, alpha, rho, v: dict, n: int, keys):
     return u, bs
 
 
-def _exhaustive_height(base, alpha, rho, v: dict, bounds: Bounds):
+def _exhaustive_height(base, alpha, rho, v: dict, keys: list, bounds: Bounds):
     """A height beyond which the witness search repeats itself, or None.
 
     Over prime-field data the Frobenius fixes every scalar, so the
@@ -394,19 +377,14 @@ def _exhaustive_height(base, alpha, rho, v: dict, bounds: Bounds):
     orbit enters its cycle, a height past one full preperiod and two
     cycles reproduces an earlier system.
     """
-    if base.kind in ("cyclic_group", "quadratic"):
-        scales = list(alpha.scales)
-    elif base.kind == "field":
-        scales = []
-    else:
-        return None
+    scales = [base.eigenvalue(alpha, k) for k in keys]
     if any(s.as_fraction() is None for s in [rho, *scales, *v.values()]):
         return None
     p = base.ctx.characteristic
     seen = [dict(v)]
     cur = dict(v)
     for _ in range(2 * bounds.n_max + 8):
-        cur = _elem_power(base, cur, p)
+        cur = base.power(cur, p)
         for start, earlier in enumerate(seen):
             if base.eq(earlier, cur):
                 cycle = len(seen) - start
@@ -538,10 +516,10 @@ def _tower_singular(ring) -> Verdict:
     direct = singular(ring)
     if direct.status is not Status.INCONCLUSIVE:
         return direct
-    stripped = _strip_to_ground(ring)
+    stripped = ring.base.to_ground(dict(ring.v), [ring.alpha, ring.gamma])
     if stripped is None:
         return direct
-    ground, v0, alpha0, gamma0 = stripped
+    ground, v0, (alpha0, gamma0) = stripped
     u0, detail, complete = solve_splitting_ex(ground, alpha0, gamma0, v0,
                                               ring.rho)
     if u0 is None and complete:
@@ -553,20 +531,6 @@ def _tower_singular(ring) -> Verdict:
             "a splitting element over the ground algebra, and none exists "
             "there", certificate=cert)
     return direct
-
-
-def _strip_to_ground(ring):
-    """(ground algebra, v, alpha, gamma) with every tower level peeled off,
-    or None when v does not come from the ground algebra."""
-    algebra, elem = ring.base, dict(ring.v)
-    alpha, gamma = ring.alpha, ring.gamma
-    while algebra.kind == "ambiskew":
-        if any(i or j for i, j, _ in elem):
-            return None
-        elem = algebra.coefficient(elem, 0, 0)
-        alpha, gamma = alpha.base, gamma.base
-        algebra = algebra.base
-    return algebra, elem, alpha, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -586,18 +550,6 @@ def skew_laurent_simple(algebra, sigma, bounds: Bounds = DEFAULT) -> Verdict:
     algebra.validate_auto(sigma)
     conditions = [
         ("sigma_simple", algebra.alpha_simple([sigma])),
-        ("no_inner_power", _no_inner_power(algebra, sigma)),
+        ("no_inner_power", algebra.no_inner_power(sigma, "sigma")),
     ]
     return conjunction(conditions, theorem="skew_laurent")
-
-
-def _no_inner_power(algebra, sigma) -> Verdict:
-    order = algebra.auto_order(sigma)
-    if order is not None:
-        return fails(f"sigma^{order} is the identity, which is inner",
-                     certificate={"kind": "inner_power", "m": order})
-    if algebra.kind == "ambiskew":
-        return inconclusive("inner automorphisms of an iterated ring are "
-                            "not decided here")
-    return holds("no positive power of sigma is the identity, and a "
-                 "commutative ring has no other inner automorphisms")

@@ -103,16 +103,16 @@ def test_closed_form_pair_products():
             down = base.one
             up = base.one
             for i in range(m):
-                down = base.mul(down, base.apply(T._alpha_pow(-i), T.u))
+                down = base.mul(down, base.apply(base.auto_power(T.alpha, -i), T.u))
             for i in range(1, m + 1):
-                up = base.mul(up, base.apply(T._alpha_pow(i), T.u))
+                up = base.mul(up, base.apply(base.auto_power(T.alpha, i), T.u))
             assert T.eq(T.mul(pw(T, X, m), pw(T, Y, m)), T.embed(down))
             assert T.eq(T.mul(pw(T, Y, m), pw(T, X, m)), T.embed(up))
 
 
 def test_twists_of_u_commute():
     level1, T = _nested_fixture()
-    twists = [level1.apply(T._alpha_pow(i), T.u) for i in range(-4, 5)]
+    twists = [level1.apply(level1.auto_power(T.alpha, i), T.u) for i in range(-4, 5)]
     for a in twists:
         for b in twists:
             assert level1.eq(level1.mul(a, b), level1.mul(b, a))
@@ -123,11 +123,11 @@ def test_products_respect_the_grading():
     for T in _family_fixtures():
         for _ in range(8):
             d1, d2 = rng.randint(-2, 2), rng.randint(-2, 2)
-            f = {d1: random_elem(T.base, rng)}
-            g = {d2: random_elem(T.base, rng)}
-            if not f[d1] or not g[d2]:
+            f = T._flat(d1, random_elem(T.base, rng))
+            g = T._flat(d2, random_elem(T.base, rng))
+            if not f or not g:
                 continue
-            assert set(T.mul(f, g)) <= {d1 + d2}
+            assert set(T.grouped(T.mul(f, g))) <= {d1 + d2}
 
 
 def test_gwa_mul_is_associative():
@@ -142,8 +142,7 @@ def test_gwa_mul_is_associative():
                 elem = {}
                 for d in rng.sample(range(-2, 3), 2):
                     c = random_elem(T.base, rng, terms=1)
-                    if c:
-                        elem[d] = c
+                    elem = T.add(elem, T._flat(d, c))
                 triple.append(elem)
             f, g, h = triple
             assert T.eq(T.mul(T.mul(f, g), h), T.mul(f, T.mul(g, h)))

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from ambiskew.intlattice import column_kernel, content_normalized, kernel_with_congruences
-from ambiskew.linear import determinant, gauss_solve, nullspace_basis
+from ambiskew.intlattice import column_kernel, kernel_with_congruences
+from ambiskew.linear import gauss_solve
 from ambiskew.scalars import ScalarContext
 
 
@@ -16,9 +16,7 @@ from ambiskew.scalars import ScalarContext
 
 def test_column_kernel_fixed_cases():
     assert column_kernel([[1, 0], [0, 1]], 2) == []
-    basis = column_kernel([[2, 4]], 2)
-    assert len(basis) == 1
-    assert content_normalized(basis[0]) == [2, -1]
+    assert column_kernel([[2, 4]], 2) == [[-2, 1]]
     # zero matrix: the whole space
     basis = column_kernel([[0, 0, 0]], 3)
     assert len(basis) == 3
@@ -86,21 +84,3 @@ def test_gauss_solve_inconsistent():
     ctx = ScalarContext()
     one = ctx.one
     assert gauss_solve([[one], [one]], [one, one + 1]) is None
-
-
-def test_nullspace_rank_deficient():
-    ctx = ScalarContext(parameters=("q",))
-    q = ctx.param("q")
-    basis = nullspace_basis([[ctx.one, q]], 2, ctx)
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0] + q * v[1] == ctx.zero
-
-
-def test_determinant_known_values():
-    ctx = ScalarContext(parameters=("q",))
-    q, one, zero = ctx.param("q"), ctx.one, ctx.zero
-    assert determinant([[q, one], [one, q]], ctx) == q**2 - 1
-    assert determinant([[q, one], [q, one]], ctx).is_zero()
-    assert determinant([[one, q, zero], [zero, one, q], [q, zero, one]], ctx) == one + q**3
-    assert determinant([], ctx).is_one()

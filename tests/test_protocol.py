@@ -1,0 +1,99 @@
+"""Every algebra, the rings built over them included, speaks one protocol."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from ambiskew.algebras import (
+    AffineAuto,
+    BaseAlgebra,
+    DiagonalAuto,
+    FieldAlgebra,
+    NestedAuto,
+    PolyAlgebra,
+)
+from ambiskew.dsl import eval_element, parse_expression
+from ambiskew.gwa import gwa_from_ambiskew
+from ambiskew.scalars import ScalarContext
+
+from _helpers import (
+    fc4_mixed,
+    laurent_scale,
+    quadratic_conjugation,
+    random_scalar,
+)
+
+
+def _field():
+    ctx = ScalarContext(parameters=("q",))
+    return FieldAlgebra(ctx), FieldAlgebra(ctx).identity_auto()
+
+
+def _poly():
+    ctx = ScalarContext(parameters=("q",))
+    return PolyAlgebra(ctx), AffineAuto(ctx.param("q"), ctx.one)
+
+
+def _laurent():
+    ctx, alg, _ = laurent_scale()
+    return alg, DiagonalAuto((ctx.param("q"),))
+
+
+def _cyclic():
+    ctx, alg, ring = fc4_mixed()
+    return alg, ring.alpha
+
+
+def _quadratic():
+    _, alg, ring = quadratic_conjugation(3, 1, 2)
+    return alg, ring.alpha
+
+
+def _ambiskew():
+    ctx, _, ring = laurent_scale()
+    return ring, ring.extend_autos(ctx.int_(2))[0]
+
+
+def _gwa():
+    ctx, _, ring = laurent_scale()
+    T = gwa_from_ambiskew(ring)
+    q = ctx.param("q")
+    auto = NestedAuto(DiagonalAuto((q,)), q, ctx.one)
+    T.validate_auto(auto)
+    return T, auto
+
+
+CASES = {"field": _field, "poly": _poly, "laurent": _laurent,
+         "cyclic_group": _cyclic, "quadratic": _quadratic,
+         "ambiskew": _ambiskew, "gwa": _gwa}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_protocol(name):
+    algebra, auto = CASES[name]()
+    assert isinstance(algebra, BaseAlgebra)
+    rng = random.Random(name)
+    ctx = algebra.ctx
+    a = algebra.one
+    for gen in algebra.gens():
+        a = algebra.add(a, algebra.smul(random_scalar(ctx, rng, nonzero=True),
+                                        algebra.gen_elem(gen)))
+    folded = algebra.one
+    for k in range(4):
+        assert algebra.eq(algebra.power(a, k), folded)
+        folded = algebra.mul(folded, a)
+    for k in range(-2, 4):
+        step = auto if k >= 0 else algebra.invert(auto)
+        power = algebra.auto_power(auto, k)
+        for gen in algebra.gens():
+            image = algebra.gen_elem(gen)
+            for _ in range(abs(k)):
+                image = algebra.apply(step, image)
+            assert algebra.eq(algebra.apply(power, algebra.gen_elem(gen)), image)
+    s = random_scalar(ctx, rng, nonzero=True)
+    assert algebra.scalar_of(algebra.from_scalar(s)) == s
+    for elem in (a, algebra.power(a, 2), algebra.smul(s, a)):
+        again = eval_element(parse_expression(algebra.render(elem)), algebra)
+        assert algebra.eq(again, elem)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from ambiskew.scalars import (
     Scalar,
     ScalarContext,
     cyclotomic_coeffs,
-    lucas_binomial_nonzero,
     positive_integer_solution,
     q_integer,
     root_of_unity_order,
@@ -186,12 +184,6 @@ def test_positive_integer_solution():
     ctxp = _ctx(characteristic=5)
     with pytest.raises(ValueError):
         positive_integer_solution(ctxp.one, ctxp.one)
-
-
-@given(st.integers(0, 400), st.integers(0, 400), st.sampled_from([2, 3, 5, 7]))
-def test_lucas_matches_big_integer_binomials(n, r, p):
-    expected = (math.comb(n, r) % p != 0) if r <= n else False
-    assert lucas_binomial_nonzero(n, r, p) == expected
 
 
 # ---------------------------------------------------------------------------
