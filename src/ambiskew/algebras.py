@@ -38,6 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .linear import gauss_solve
@@ -793,10 +794,19 @@ class CyclicGroupAlgebra(_Univariate):
         self.n = self.period = n
         self.eps = eps
 
+    @cached_property
+    def _eps_pows(self) -> list[Scalar]:
+        """eps^j for j = 0..n-1, built on first use: a document that only
+        declares a large group pays nothing for it."""
+        pows = [self.ctx.one]
+        for _ in range(1, self.n):
+            pows.append(pows[-1] * self.eps)
+        return pows
+
     def character(self, l: int, a: dict) -> Scalar:
         val = self.ctx.zero
         for k, s in a.items():
-            val = val + s * self.eps ** (k * l)
+            val = val + s * self._eps_pows[k * l % self.n]
         return val
 
     def scale_exponent(self, c: Scalar) -> int:
@@ -818,21 +828,23 @@ class CyclicGroupAlgebra(_Univariate):
 
     def _character_unit(self, l: int) -> dict:
         inv_n = self.ctx.fraction(Fraction(1, self.n))
-        return {k: inv_n * self.eps ** (-k * l) for k in range(self.n)}
+        return {k: inv_n * self._eps_pows[-k * l % self.n]
+                for k in range(self.n)}
 
     def is_unit(self, a: dict) -> UnitAnswer:
-        chars = {l: self.character(l, a) for l in range(self.n)}
-        for l, val in chars.items():
+        chars = [self.character(l, a) for l in range(self.n)]
+        for l, val in enumerate(chars):
             if val.is_zero():
                 cert = {"kind": "character_zero", "character": l,
                         "cofactor": self.render(self._character_unit(l))}
                 return UnitAnswer(Status.FAILS, None, cert)
         inv: dict = {}
         inv_n = self.ctx.fraction(Fraction(1, self.n))
+        inv_chars = [val.inv() for val in chars]
         for k in range(self.n):
             c = self.ctx.zero
-            for l, val in chars.items():
-                c = c + val.inv() * self.eps ** (-k * l)
+            for l, val in enumerate(inv_chars):
+                c = c + val * self._eps_pows[-k * l % self.n]
             c = c * inv_n
             if not c.is_zero():
                 inv[k] = c

@@ -831,6 +831,9 @@ class _Binder:
                 raise _semantic(stmt.loc, str(exc)) from None
             return
         algebra = self.carrier(stmt.base, stmt.loc)
+        if isinstance(algebra, GwaRing):
+            raise _semantic(stmt.loc, f"a ring over the generalized Weyl "
+                            f"algebra {stmt.base!r} is not supported")
         auto = self.named_auto(stmt.auto or "", stmt.base, stmt.loc)
         scope = _scope_names(algebra)
         if stmt.flavor == "ambiskew":

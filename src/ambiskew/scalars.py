@@ -12,14 +12,21 @@ cyclotomic field Q(zeta_N) (characteristic 0) or the prime field F_p, and
   declared parameter, in declaration order) to nonzero C-values;
 * a Scalar is a num/den pair of such polynomials.
 
-Fractions are deliberately *not* reduced to lowest terms: the kernel never
-needs a multivariate gcd.  The normal form instead fixes the denominator to
-have graded-lex leading coefficient 1 and collapses it into the numerator
-whenever the division is exact, which catches constants and quotients like
-(q^2 - 1)/(q - 1).  Equality is decided by cross-multiplication, which is
-exact and total.  Serialization sorts terms in descending graded-lex order
-with the declared parameter order, so the same computation prints
-identically from run to run.
+Without parameters a Scalar is a single C-value: its numerator is ``{}``
+(zero) or ``{(): c}``, and its denominator is always the context's shared
+unit polynomial, so multiplication and inversion act on ``c`` directly
+and addition never cross-multiplies.  In Q (cyclotomic order 1 or 2) ``c`` is a 1-tuple and the
+domain multiplies and inverts its one Fraction without the power basis.
+
+With parameters, fractions are deliberately *not* reduced to lowest
+terms: the kernel never needs a multivariate gcd.  The normal form instead
+fixes the denominator to have graded-lex leading coefficient 1 and
+collapses it into the numerator whenever the division is exact, which
+catches constants and quotients like (q^2 - 1)/(q - 1).  Equality is
+decided by cross-multiplication, which is exact and total.  Serialization
+sorts terms in descending graded-lex order with the declared parameter
+order, so the same computation prints identically from run to run, and a
+constant prints the same with or without parameters in its context.
 """
 
 from __future__ import annotations
@@ -133,15 +140,18 @@ class CyclotomicDomain:
     '1 + zeta'
     """
 
-    __slots__ = ("order", "degree", "_fold", "_zeta_pows")
+    __slots__ = ("order", "degree", "zero", "one", "_mod", "_fold",
+                 "_zeta_pows")
 
     def __init__(self, order: int):
         if order < 1:
             raise ValueError("cyclotomic order must be positive")
         self.order = order
         coeffs = cyclotomic_coeffs(order)
-        self.degree = len(coeffs) - 1
-        d = self.degree
+        self.degree = d = len(coeffs) - 1
+        self.zero = (Fraction(0),) * d
+        self.one = (Fraction(1),) + (Fraction(0),) * (d - 1)
+        self._mod = [Fraction(c) for c in coeffs]
         # x^d folded into the basis, then x^(d+1), ..., x^(2d-2)
         fold = [tuple(Fraction(-c) for c in coeffs[:d])]
         for _ in range(d - 2):
@@ -158,14 +168,6 @@ class CyclotomicDomain:
     @property
     def characteristic(self) -> int:
         return 0
-
-    @property
-    def zero(self) -> tuple[Fraction, ...]:
-        return (Fraction(0),) * self.degree
-
-    @property
-    def one(self) -> tuple[Fraction, ...]:
-        return (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
 
     def _shift(self, a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         # multiply by zeta
@@ -195,6 +197,8 @@ class CyclotomicDomain:
 
     def mul(self, a, b):
         d = self.degree
+        if d == 1:
+            return (a[0] * b[0],)
         conv = [Fraction(0)] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
@@ -212,8 +216,9 @@ class CyclotomicDomain:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        mod = [Fraction(c) for c in cyclotomic_coeffs(self.order)]
-        s = _poly_invert_mod(list(a), mod)
+        if self.degree == 1:
+            return (1 / a[0],)
+        s = _poly_invert_mod(list(a), self._mod)
         s += [Fraction(0)] * (self.degree - len(s))
         return tuple(s[: self.degree])
 
@@ -256,13 +261,8 @@ class PrimeDomain:
     def characteristic(self) -> int:
         return self.p
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
+    zero = 0
+    one = 1
 
     def from_fraction(self, c: RatLike) -> int:
         c = Fraction(c)
@@ -449,7 +449,7 @@ class ScalarContext:
 
     def _const(self, c) -> "Scalar":
         num = {} if self.dom.is_zero(c) else {self._pzero: c}
-        return Scalar(self, num, dict(self._pone))
+        return Scalar(self, num, self._pone)
 
     @property
     def zero(self) -> "Scalar":
@@ -491,7 +491,17 @@ class Scalar:
     """An element of the scalar field, as an unreduced num/den pair.
 
     Supports ``+ - * / **`` against other scalars of the same context and
-    against ints or Fractions, which are coerced.
+    against ints or Fractions, which are coerced.  In a context without
+    parameters the denominator is always the shared unit and the numerator
+    holds the one domain value:
+
+    >>> c = ScalarContext().fraction(Fraction(-3, 7))
+    >>> c.num, c.den
+    ({(): (Fraction(-3, 7),)}, {(): (Fraction(1, 1),)})
+    >>> print(c.inv())
+    -7/3
+    >>> c.inv().den is c.den
+    True
 
     >>> ctx = ScalarContext(parameters=("q", "r"))
     >>> q, r = ctx.param("q"), ctx.param("r")
@@ -510,7 +520,11 @@ class Scalar:
         dom = ctx.dom
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
-        if not num:
+        if not ctx.parameters:
+            if num and den is not ctx._pone:
+                num = {(): dom.div(num[()], den[()])}
+            den = ctx._pone
+        elif not num:
             den = dict(ctx._pone)
         else:
             _, lc = _plead(den)
@@ -600,8 +614,13 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        dom = self.ctx.dom
-        return Scalar(self.ctx, _pmul(dom, self.num, o.num), _pmul(dom, self.den, o.den))
+        ctx = self.ctx
+        if not ctx.parameters:
+            num = {(): ctx.dom.mul(self.num[()], o.num[()])} \
+                if self.num and o.num else {}
+            return Scalar(ctx, num, ctx._pone)
+        dom = ctx.dom
+        return Scalar(ctx, _pmul(dom, self.num, o.num), _pmul(dom, self.den, o.den))
 
     __rmul__ = __mul__
 

@@ -79,6 +79,56 @@ def test_cyclic_pencil_respects_character_mask():
     assert a.first_nonunit_in_pencil(a.one, {0: ctx.int_(-3)}, 1) == 3
 
 
+def _cyclic_algebras():
+    """K[C_n] over Q(zeta_n) for n in {2, 3, 4, 6}, and K[C_4] over F_13."""
+    out = []
+    for n in (2, 3, 4, 6):
+        ctx = ScalarContext(cyclotomic_order=n)
+        out.append((ctx, CyclicGroupAlgebra(ctx, n, ctx.zeta())))
+    ctx = ScalarContext(characteristic=13)
+    out.append((ctx, CyclicGroupAlgebra(ctx, 4, ctx.int_(5))))
+    return out
+
+
+def test_cyclic_inverse_times_element_is_one():
+    rng = random.Random(3)
+    for ctx, alg in _cyclic_algebras():
+        units = 0
+        for _ in range(6):
+            a = {k: ctx.fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                 * alg.eps ** rng.randrange(alg.n)
+                 for k in range(alg.n)}
+            a = {k: c for k, c in a.items() if not c.is_zero()}
+            ans = alg.is_unit(a)
+            if ans.status is Status.HOLDS:
+                units += 1
+                assert alg.eq(alg.mul(a, ans.inverse), alg.one)
+                assert alg.eq(alg.mul(ans.inverse, a), alg.one)
+        assert units
+
+
+def test_cyclic_character_zero_certificate():
+    for ctx, alg in _cyclic_algebras():
+        inv_n = ctx.fraction(Fraction(1, alg.n))
+        for l in range(alg.n):
+            a = {0: -(alg.eps ** l), 1: ctx.one}  # s - eps^l; only chi_l kills it
+            ans = alg.is_unit(a)
+            assert ans.status is Status.FAILS
+            assert ans.certificate["kind"] == "character_zero"
+            assert ans.certificate["character"] == l
+            cofactor = {k: inv_n * alg.eps ** (-k * l) for k in range(alg.n)}
+            assert ans.certificate["cofactor"] == alg.render(cofactor)
+            assert alg.is_zero(alg.mul(a, cofactor))
+    ctx = ScalarContext(cyclotomic_order=4)
+    alg = CyclicGroupAlgebra(ctx, 4, ctx.zeta())
+    assert alg.is_unit({0: -ctx.zeta(), 1: ctx.one}).certificate["cofactor"] \
+        == "(1/4)*zeta*s^3 - 1/4*s^2 - (1/4)*zeta*s + 1/4"
+    ctx = ScalarContext(characteristic=13)
+    alg = CyclicGroupAlgebra(ctx, 4, ctx.int_(5))
+    assert alg.is_unit({0: -ctx.int_(5), 1: ctx.one}).certificate["cofactor"] \
+        == "11*s^3 + 3*s^2 + 2*s + 10"
+
+
 # -- laurent -------------------------------------------------------------------
 
 

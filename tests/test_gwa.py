@@ -16,6 +16,7 @@ from ambiskew.algebras import (
     QuadraticAlgebra,
 )
 from ambiskew.bounds import Bounds
+from ambiskew.dsl import DslError, parse_spec
 from ambiskew.gwa import GwaRing, ambiskew_as_gwa, gwa_from_ambiskew, gwa_simple
 from ambiskew.rings import AmbiskewRing
 from ambiskew.scalars import ScalarContext
@@ -355,3 +356,20 @@ def test_nested_base_outerness_is_inconclusive():
     outer = _conditions(verdict)["outer_powers"]
     assert outer.status is Status.INCONCLUSIVE
     assert "iterated" in outer.reason
+
+
+@pytest.mark.parametrize("ring", [
+    "ring R = ambiskew(T, b, v = 1, rho = 2)",
+    "ring R = gwa(T, b, u = 2)",
+])
+def test_dsl_rejects_a_ring_over_a_gwa(ring):
+    text = ("base P = poly(t)\n"
+            "auto a on P { t -> t + 1 }\n"
+            "ring T = gwa(P, a, u = t)\n"
+            "auto b on T { }\n"
+            f"{ring}\n"
+            "check simple(R)\n")
+    with pytest.raises(DslError) as info:
+        parse_spec(text)
+    assert info.value.loc.line == 5
+    assert "generalized Weyl algebra 'T'" in info.value.message

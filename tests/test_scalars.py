@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ambiskew.scalars import (
     ALL_M,
@@ -234,3 +234,43 @@ def test_normal_form_idempotent(a):
     again = Scalar(a.ctx, a.num, a.den)
     assert again.num == a.num and again.den == a.den
     assert str(again) == str(a)
+
+
+# ---------------------------------------------------------------------------
+# parameter-free fast path against the general path
+# ---------------------------------------------------------------------------
+
+# (parameter-free context, the same field with one unused parameter)
+_PAIRED_CTXS = [(ScalarContext(**kw), ScalarContext(parameters=("q",), **kw))
+                for kw in ({}, {"cyclotomic_order": 4},
+                           {"cyclotomic_order": 12}, {"characteristic": 13})]
+
+
+def _constant(ctx: ScalarContext, coords) -> Scalar:
+    """sum_k coords[k]*zeta^k, or coords[0] in positive characteristic."""
+    if ctx.characteristic:
+        return ctx.fraction(coords[0])
+    return sum((ctx.fraction(c) * ctx.zeta(k) for k, c in enumerate(coords)),
+               ctx.zero)
+
+
+_COORDS = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12)
+                   | st.just(Fraction(0)), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_PAIRED_CTXS), _COORDS, _COORDS, st.integers(-3, 4))
+def test_constant_fast_path_matches_general_path(ctxs, xs, ys, k):
+    fast, general = ctxs
+    a, b = _constant(fast, xs), _constant(fast, ys)
+    ga, gb = _constant(general, xs), _constant(general, ys)
+    assert (a == b) == (ga == gb)
+    pairs = [(a + b, ga + gb), (a - b, ga - gb), (a * b, ga * gb),
+             (-a, -ga), (a + 2, ga + 2), (3 - a, 3 - ga)]
+    if not b.is_zero():
+        pairs += [(a / b, ga / gb), (b.inv(), gb.inv()), (5 / b, 5 / gb),
+                  (b ** k, gb ** k)]
+    for x, gx in pairs:
+        assert str(x) == str(gx)
+        assert x.is_zero() == gx.is_zero() and x.is_one() == gx.is_one()
+        assert x.as_fraction() == gx.as_fraction()
