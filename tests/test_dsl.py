@@ -1,0 +1,262 @@
+"""The DSL's error contract and its expression semantics.
+
+Every document in ``ERRORS`` ends in one ``DslError``; the table pins its
+kind, its line and column and its message, so a change to how the parser
+reads or builds a statement cannot move or reword an error unnoticed.
+"""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+from ambiskew.algebras import FieldAlgebra, PolyAlgebra
+from ambiskew.dsl import (DslError, eval_element, parse_expression,
+                          parse_scalar_table, parse_spec)
+from ambiskew.scalars import ScalarContext
+
+F = "base F = field()\nauto a on F { }\n"
+P = "base P = poly(t)\nauto a on P { t -> t + 1 }\n"
+R = F + "ring R = ambiskew(F, a, v = 1, rho = 1)\n"
+C4 = "context(cyclotomic_order = 4)\n"
+
+# (document, kind, line, column, message)
+ERRORS = [
+    # context
+    ("context(characteristic = 5)\ncontext(characteristic = 7)",
+     "semantic", 2, 1, "the context was already declared"),
+    ("context(characteristic = 6)",
+     "semantic", 1, 1, "characteristic must be prime, got 6"),
+    ("base F = field()\ncontext(characteristic = 5)",
+     "semantic", 2, 1, "the context must come before any declaration"),
+    ("context(characteristic = 5, cyclotomic_order = 4)",
+     "semantic", 1, 1, "cyclotomic order must be 1 in positive characteristic"),
+    ("context(parameters = q)",
+     "semantic", 1, 1, "parameters takes a list like [q, r]"),
+    ("context(modulus = 3)",
+     "semantic", 1, 1, "unknown context argument 'modulus'"),
+    ("context(characteristic = 5, characteristic = 7)",
+     "syntactic", 1, 29, "duplicate argument 'characteristic'"),
+    ("context(characteristic = -5)",
+     "semantic", 1, 1, "characteristic must be 0 or a prime"),
+    # base
+    (C4 + "base A = cyclic_group(n = 4, epsilon = -1)",
+     "semantic", 2, 1, "epsilon must be a primitive root of unity of order n"),
+    ("base A = cyclic_group(n = 4)",
+     "semantic", 1, 1, "cyclic_group needs n = ... and epsilon = ..."),
+    ("base A = cyclic_group(n = 0, epsilon = 1)",
+     "semantic", 1, 1, "n must be a positive integer"),
+    ("base A = matrix()",
+     "semantic", 1, 10, "unknown base family 'matrix'; expected one of "
+     "field, poly, laurent, cyclic_group, quadratic"),
+    ("base A = poly(t)\nbase A = laurent(t)",
+     "semantic", 2, 1, "the name 'A' is already declared"),
+    ("base A = poly(t, u)",
+     "syntactic", 1, 16, "expected a closing ')', found ','"),
+    ("base A = quadratic(d = 2, n = 3)",
+     "semantic", 1, 1, "unknown quadratic argument 'n'"),
+    ("base A = field() $",
+     "lexical", 1, 18, "unexpected character '$'"),
+    # auto
+    (C4 + "base A = cyclic_group(n = 4, epsilon = zeta)\n"
+     "auto b on A { s -> s + 1 }",
+     "semantic", 3, 1, "the image of s must be a nonzero scalar multiple of s"),
+    ("base P = poly(t)\nauto a on P { t -> t^2 }",
+     "semantic", 2, 1, "the image of t must be a*t + b with a nonzero"),
+    ("base P = poly(t)\nauto a on P { u -> t }",
+     "semantic", 2, 15, "P has no generator 'u'"),
+    ("base P = poly(t)\nauto a on P { t -> t, t -> t + 1 }",
+     "semantic", 2, 23, "duplicate rule for generator 't'"),
+    ("base P = poly(t)\nauto a on Q { t -> t }",
+     "semantic", 2, 1, "unknown base or ring 'Q'"),
+    ("base P = poly(t)\nauto a of P { t -> t }",
+     "syntactic", 2, 8, "expected 'on', found 'of'"),
+    ("base P = poly(t)\nauto a on P { t -> t + w }",
+     "semantic", 2, 24, "unknown name 'w'"),
+    ("base P = poly(t)\nauto a on P { t => t }",
+     "lexical", 2, 18, "unexpected character '>'"),
+    # ring
+    (F + "ring R = ambiskew(F, a, v = zeta, rho = 1)",
+     "semantic", 3, 29, "unknown name 'zeta'"),
+    (F + "ring R = ambiskew(F, a, v = 1, rho = 0)",
+     "semantic", 3, 38, "rho must be nonzero"),
+    (F + "ring R = ambiskew(F, b, v = 1, rho = 1)",
+     "semantic", 3, 1, "unknown automorphism 'b'"),
+    (F + "ring R = ambiskew(F, a, v = 1)",
+     "semantic", 3, 1, "ambiskew needs v = ... and rho = ..."),
+    (F + "ring R = ambiskew(F, a, v = 1, rho = 1, u = 2)",
+     "semantic", 3, 41, "unknown ambiskew argument 'u'"),
+    (F + "ring R = ambiskew(F, a, v = 1, rho = 1, y = 2)",
+     "semantic", 3, 41, "y must be a plain name"),
+    (F + "ring R = ambiskew(F, a, v = 1, rho = 1/0)",
+     "semantic", 3, 39, "division by zero"),
+    (F + "ring R = weyl(F, a, v = 1, rho = 1)",
+     "semantic", 3, 10, "unknown ring constructor 'weyl'; expected "
+     "ambiskew, gwa or quotient_by_casimir"),
+    (F + "ring R = ambiskew(F, a)",
+     "syntactic", 3, 23, "expected ',', found ')'"),
+    (P + "ring R = ambiskew(P, a, v = t, rho = 1, y = u, x = u)",
+     "semantic", 3, 1, "the names of y and x must be distinct from each "
+     "other and from the coefficient generators"),
+    (P + "ring R = ambiskew(P, a, v = 1/t, rho = 1)",
+     "semantic", 3, 30, "the divisor must be a scalar"),
+    ("base L = laurent(t)\nauto a on L { t -> 2*t }\n"
+     "ring R = ambiskew(L, a, v = (t - 1)^-1, rho = 1)",
+     "semantic", 3, 36, "a negative power needs an invertible element"),
+    (F + "ring R = ambiskew(F, a, v = (1 + 2, rho = 1)",
+     "syntactic", 3, 35, "expected a closing ')', found ','"),
+    (F + "ring R = ambiskew(F, a, v = 2^x, rho = 1)",
+     "syntactic", 3, 31, "expected an integer exponent after '^', found 'x'"),
+    (F + "ring R = ambiskew(F, a, v = 1 +, rho = 1)",
+     "syntactic", 3, 32, "expected a number, a name or '(', found ','"),
+    (P + "ring T = gwa(P, a, u = t, gamma = g)",
+     "semantic", 3, 1, "unknown automorphism 'g'"),
+    (P + "auto g on P { t -> -t }\nring T = gwa(P, a, u = t, gamma = g)",
+     "semantic", 4, 1, "alpha and gamma must commute"),
+    (R + "ring S = quotient_by_casimir(R)",
+     "semantic", 4, 1, "the quadruple is singular: the Casimir quotient "
+     "needs a splitting element"),
+    (F + "ring S = quotient_by_casimir(F)",
+     "semantic", 3, 1, "quotient_by_casimir needs a declared ambiskew ring, "
+     "and 'F' is not one"),
+    (R + "base G = field()\nauto b on G { }\n"
+     "ring S = ambiskew(F, b, v = 1, rho = 1)",
+     "semantic", 6, 1, "the automorphism 'b' is declared on 'G', not 'F'"),
+    # assume
+    ("context(parameters = [q])\nassume independent(q, r)",
+     "semantic", 2, 1, "'r' is not a declared parameter"),
+    ("assume dependent(q)",
+     "syntactic", 1, 8, "expected 'independent', found 'dependent'"),
+    ("assume independent()",
+     "syntactic", 1, 20, "expected a parameter name, found ')'"),
+    # check
+    (R + "check simple(S)",
+     "semantic", 4, 1, "unknown ring 'S'"),
+    (R + "check fast(R)",
+     "semantic", 4, 7, "unknown check 'fast'; expected one of simple, "
+     "singular, conformal, iterated, localized_simple, torus"),
+    (R + "check simple R",
+     "syntactic", 4, 14, "expected '(', found 'R'"),
+    ("check torus(3)",
+     "syntactic", 1, 13, "expected a table file name, found '3'"),
+    (P + "ring T = gwa(P, a, u = t)\ncheck singular(T)",
+     "semantic", 4, 1, "check singular needs an ambiskew ring"),
+    # lines
+    ("frobnicate x",
+     "syntactic", 1, 1, "expected a statement keyword (one of context, "
+     "base, auto, ring, assume, check), found 'frobnicate'"),
+    ("base A = field()\n  \n# comment\nring",
+     "syntactic", 4, 5, "expected a ring name, found end of line"),
+    ("context(characteristic = 5)\nbase A = field() junk",
+     "syntactic", 2, 18, "expected end of line, found 'junk'"),
+]
+
+# (table text, kind, line, column, message)
+TABLE_ERRORS = [
+    ("1,,2", "syntactic", 1, 3, "empty table entry"),
+    ("1, 2,", "syntactic", 1, 6, "empty table entry"),
+    (" , 1", "syntactic", 1, 1, "empty table entry"),
+    ("1 2, 3", "syntactic", 1, 3, "expected end of line, found '2'"),
+    ("1, x", "semantic", 1, 4, "unknown name 'x'"),
+    ("1, 2\n3, 1/0", "semantic", 2, 5, "division by zero"),
+]
+
+
+def _error(call, text) -> tuple:
+    with pytest.raises(DslError) as info:
+        call(text)
+    err = info.value
+    return err.kind, err.loc.line, err.loc.column, err.message
+
+
+@pytest.mark.parametrize("text, kind, line, column, message", ERRORS)
+def test_document_error_table(text, kind, line, column, message):
+    assert _error(parse_spec, text) == (kind, line, column, message)
+
+
+@pytest.mark.parametrize("text, kind, line, column, message", TABLE_ERRORS)
+def test_scalar_table_error_table(text, kind, line, column, message):
+    ctx = ScalarContext()
+    got = _error(lambda t: parse_scalar_table(t, ctx), text)
+    assert got == (kind, line, column, message)
+
+
+def test_error_table_covers_every_statement_kind():
+    heads = {re.match(r"\w+", text.splitlines()[-1]).group()
+             for text, *_ in ERRORS}
+    assert {"context", "base", "auto", "ring", "assume", "check"} <= heads
+    assert len(ERRORS) >= 25
+
+
+def test_document_objects():
+    doc = parse_spec(C4 + "base A = cyclic_group(n = 4, epsilon = zeta)\n"
+                     "auto b on A { s -> -s }\n"
+                     "ring R = ambiskew(A, b, v = s, rho = -1, y = u)\n"
+                     "check simple(R)\ncheck torus(m.csv)\n")
+    assert doc.context.cyclotomic_order == 4
+    assert list(doc.rings) == ["R"]
+    assert doc.algebra("A") is doc.rings["R"].base
+    assert doc.algebra("R") is doc.rings["R"]
+    assert [c.echo() for c in doc.checks] == ["simple(R)", "torus(m.csv)"]
+
+
+# -- regression tests for fixed parser defects ------------------------------
+
+
+def test_duplicate_ring_argument_is_an_error():
+    text = F + "ring R = ambiskew(F, a, v = 1, v = 2, rho = 1)"
+    assert _error(parse_spec, text) == (
+        "syntactic", 3, 32, "duplicate argument 'v'")
+
+
+@pytest.mark.parametrize("text", [
+    "base A = quadratic(d = [q])",
+    "base A = cyclic_group(n = 4, epsilon = [q])",
+])
+def test_a_list_is_accepted_only_for_parameters(text):
+    kind, line, _column, _message = _error(parse_spec, text)
+    assert (kind, line) == ("semantic", 1)
+
+
+@pytest.mark.parametrize("text, kind, column, message", [
+    ("1, 2)", "syntactic", 5, "expected end of line, found ')'"),
+    ("1,   $", "lexical", 6, "unexpected character '$'"),
+])
+def test_table_cells_report_line_columns(text, kind, column, message):
+    ctx = ScalarContext()
+    got = _error(lambda t: parse_scalar_table(t, ctx), text)
+    assert got == (kind, 1, column, message)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("-2^2", "-4"), ("2*-3^2", "-18"), ("0-2^2", "-4"), ("(-2)^2", "4"),
+    ("--2", "2"), ("2^-1", "1/2"),
+])
+def test_unary_minus_binds_looser_than_power(text, value):
+    alg = FieldAlgebra(ScalarContext())
+    assert alg.render(eval_element(parse_expression(text), alg)) == value
+
+
+def test_long_sums_evaluate_without_recursion():
+    terms = " + ".join(f"{k}*t^{k}" for k in range(990))
+    alg = PolyAlgebra(ScalarContext())
+    elem = eval_element(parse_expression(terms), alg)
+    assert alg.render(elem).endswith("+ 3*t^3 + 2*t^2 + t")
+    doc = parse_spec("base P = poly(t)\nauto a on P { t -> t }\n"
+                     f"ring R = ambiskew(P, a, v = {terms}, rho = 1)\n")
+    ring = doc.rings["R"]
+    assert ring.base.render(ring.v) == alg.render(elem)
+
+
+def test_deep_nesting_is_a_dsl_error():
+    nested = "(" * 2000 + "1" + ")" * 2000
+    with pytest.raises(DslError) as info:
+        parse_expression(nested)
+    assert info.value.loc.line == 1
+    with pytest.raises(DslError) as info:
+        parse_spec(F + f"ring R = ambiskew(F, a, v = {nested}, rho = 1)")
+    assert info.value.loc.line == 3
+    with pytest.raises(DslError) as info:
+        parse_scalar_table(f"1, 2\n3, {nested}", ScalarContext())
+    assert info.value.loc.line == 2
