@@ -26,10 +26,13 @@ The protocol hooks are:
 - decisions: ``is_unit`` and ``is_regular`` with certificates,
   ``is_domain``, ``alpha_simple`` (no proper ideal stable under a set of
   automorphisms), ``radical_contains``, ``comaximal``,
-  ``first_nonunit_in_pencil`` (the first non-unit q*P + B),
-  ``split_nondiagonal`` (v = u - rho*alpha(u) for an alpha that is not
-  diagonal) and ``coprime_to_shifts`` (a closed form for the comaximality
-  of u with every alpha^m(u)).
+  ``first_nonunit_in_pencil`` (the first non-unit q*P + B: the split
+  families, Field, K[C_n] and the quadratic one, list the scalar
+  polynomials in q that vanish exactly there, per character or through the
+  norm, and ``least_integer_root`` solves them; Poly, Laurent and towers
+  probe q with ``is_unit``), ``split_nondiagonal`` (v = u - rho*alpha(u)
+  for an alpha that is not diagonal) and ``coprime_to_shifts`` (a closed
+  form for the comaximality of u with every alpha^m(u)).
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .multiplicative import factor_rational
 from .scalars import (
     Scalar,
     ScalarContext,
-    positive_integer_solution,
     root_of_unity_order,
 )
 from .verdict import Status, Verdict, fails, holds, inconclusive
@@ -217,55 +219,85 @@ def _ugcd(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
 
 
 def integer_roots_scalar_poly(coeffs: list[Scalar]):
-    """Integer roots of sum coeffs[k]*m^k = 0, or "all" if identically zero.
+    """Integer roots of sum coeffs[k]*m^k = 0, or "all" if identically zero;
+    in characteristic p, the residues 0 <= m < p that are roots.
 
-    The coefficients live in the scalar field; an integer m is a root iff
-    every rational component (per parameter monomial and zeta coordinate)
-    of the polynomial vanishes at m, so candidates come from one component
-    and are verified against the full scalar polynomial.
+    Degree 1 is solved as m = -c_0/c_1.  Otherwise every root is a root of
+    each rational component (per parameter monomial and zeta coordinate),
+    so one component gives the candidates, each checked against the full
+    polynomial: characteristic p evaluates that component over one period
+    in integers, and characteristic 0 takes degree at most 2 and solves it
+    through ``math.isqrt`` on its discriminant.
+
+    >>> ctx = ScalarContext()
+    >>> integer_roots_scalar_poly([ctx.int_(-10**40), ctx.zero, ctx.one])
+    [-100000000000000000000, 100000000000000000000]
     """
-    if all(c.is_zero() for c in coeffs):
-        return "all"
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    if len(coeffs) < 2:
+        return [] if coeffs else "all"
+    if len(coeffs) == 2:
+        m = (-coeffs[0] / coeffs[1]).as_fraction()
+        return [int(m)] if m is not None and m.denominator == 1 else []
     ctx = coeffs[0].ctx
-    cleared = list(coeffs)
+    p = ctx.characteristic
+    if len(coeffs) > 3 and not p:
+        raise ValueError("characteristic 0 roots need degree at most 2")
+    cleared = coeffs
     for idx in range(len(cleared)):
         den = cleared[idx].den
         if den != ctx._pone:
             d = Scalar(ctx, dict(den), dict(ctx._pone))
             cleared = [x * d for x in cleared]
+    # the least (parameter monomial, coordinate) with a nonzero entry; an
+    # F_p value is one int
+    coords = (lambda val: (val,)) if p else tuple
+    e, i = min((e, i) for c in cleared for e, val in c.num.items()
+               for i, coord in enumerate(coords(val)) if coord)
+    first = [coords(c.num[e])[i] if e in c.num else 0 for c in cleared]
+    if p:
+        cands = [m for m in range(p)
+                 if sum(c * m**k for k, c in enumerate(first)) % p == 0]
+    else:
+        denlcm = math.lcm(*(f.denominator for f in first))
+        c0, c1, c2 = (int(f * denlcm) for f in first)
+        if c2:
+            disc = c1 * c1 - 4 * c2 * c0
+            root = math.isqrt(max(disc, 0))
+            pairs = {(-c1 - root, 2 * c2), (-c1 + root, 2 * c2)}
+            if root * root != disc:
+                pairs = set()
+        else:
+            pairs = {(-c0, c1)} if c1 else set()
+        cands = sorted(n // d for n, d in pairs if n % d == 0)
+    roots = [m for m in cands
+             if sum((c * ctx.int_(m) ** k for k, c in enumerate(cleared)),
+                    ctx.zero).is_zero()]
+    return "all" if p and len(roots) == p else roots
 
-    def value_at(m: int) -> Scalar:
-        val = ctx.zero
-        for k, c in enumerate(cleared):
-            val = val + c * (ctx.int_(m) ** k)
-        return val
 
-    if ctx.characteristic:
-        # roots are periodic mod p; check one period
-        p = ctx.characteristic
-        out = [m for m in range(p) if value_at(m).is_zero()]
-        return "all" if len(out) == p else out
-    components: dict[tuple, list[Fraction]] = {}
-    for k, c in enumerate(cleared):
-        for e, val in c.num.items():
-            for i, coord in enumerate(val):
-                if coord:
-                    comp = components.setdefault((e, i), [Fraction(0)] * len(cleared))
-                    comp[k] = coord
-    first = components[min(components)]
-    denlcm = math.lcm(*(f.denominator for f in first))
-    ints = [int(f * denlcm) for f in first]
-    while ints[-1] == 0:
-        ints.pop()
-    # Cauchy bound on one rational component limits the integer candidates
-    bound = 1 + max(abs(c) for c in ints) // abs(ints[-1])
-    out = []
-    for m in range(-bound, bound + 1):
-        if sum(c * m**k for k, c in enumerate(ints)):
-            continue
-        if value_at(m).is_zero():
-            out.append(m)
-    return out
+def least_integer_root(polys: list[list[Scalar]], q0: int) -> int | None:
+    """The least integer q >= q0 at which one of the scalar polynomials
+    sum c[k]*q^k vanishes, or None; in characteristic p a root stands for
+    its whole residue class.
+
+    >>> ctx = ScalarContext(characteristic=5)
+    >>> least_integer_root([[ctx.int_(2), ctx.one]], 7)
+    8
+    """
+    best = None
+    for coeffs in polys:
+        roots = integer_roots_scalar_poly(coeffs)
+        if roots == "all":
+            return q0
+        p = coeffs[0].ctx.characteristic
+        for r in roots:
+            q = q0 + (r - q0) % p if p else r
+            if q >= q0 and (best is None or q < best):
+                best = q
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -503,25 +535,20 @@ class BaseAlgebra:
     def describe(self) -> dict:
         raise NotImplementedError
 
-    # pencils in characteristic p are periodic: one shared exact fallback
-
-    def _pencil_mod_p(self, p: dict, b: dict, q0: int) -> int | None:
+    def _probe_pencil(self, p: dict, b: dict, q0: int, count: int) -> int | None:
+        """The first q >= q0 with q*p + b not a unit, for families whose
+        pencils leave no polynomial in q to solve.  In characteristic 0 the
+        caller knows one of ``count`` consecutive values is a non-unit; in
+        characteristic p the pencil repeats mod p, so one period decides."""
         ch = self.ctx.characteristic
-        for q in range(q0, q0 + ch):
+        for q in range(q0, q0 + (ch or count)):
             elem = _eadd(_escale(p, self.ctx.int_(q)), b)
             if self.is_unit(elem).status is not Status.HOLDS:
                 return q
+        if not ch:
+            raise AssertionError(f"unreachable: {count} consecutive unit "
+                                 "values in a pencil bounded by its family")
         return None
-
-
-def _int_pencil_solutions(a: Scalar, b: Scalar, q0: int):
-    """Integer q >= q0 with q*a + b = 0: "all", an int, or None."""
-    shifted = positive_integer_solution(a, b + a * (q0 - 1))
-    if shifted == "all":
-        return "all"
-    if shifted is None:
-        return None
-    return shifted + q0 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +632,8 @@ class FieldAlgebra(BaseAlgebra):
         return fails("both elements are zero")
 
     def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
-        if self.ctx.characteristic:
-            return self._pencil_mod_p(p, b, q0)
-        pa = p.get((), self.ctx.zero)
-        ba = b.get((), self.ctx.zero)
-        sol = _int_pencil_solutions(pa, ba, q0)
-        return q0 if sol == "all" else sol
+        zero = self.ctx.zero
+        return least_integer_root([[b.get((), zero), p.get((), zero)]], q0)
 
     def render(self, a: dict) -> str:
         return str(a[()]) if a else "0"
@@ -750,24 +773,16 @@ class _Univariate(BaseAlgebra):
                      certificate={"kind": "common_factor_degree", "degree": len(g) - 1})
 
     def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
-        if self.ctx.characteristic:
-            return self._pencil_mod_p(p, b, q0)
         support = set(p) | set(b)
         if not support:
             return q0
         if len(support) == 1:
             (i,) = support
             if 0 in self._normalize({i: self.ctx.one}):
-                sol = _int_pencil_solutions(p.get(i, self.ctx.zero),
-                                            b.get(i, self.ctx.zero), q0)
-                return q0 if sol == "all" else sol
+                zero = self.ctx.zero
+                return least_integer_root([[b.get(i, zero), p.get(i, zero)]], q0)
         # only finitely many q cancel the pencil down to one unit monomial
-        for q in range(q0, q0 + len(support) + 2):
-            elem = _eadd(_escale(p, self.ctx.int_(q)), b)
-            if self.is_unit(elem).status is not Status.HOLDS:
-                return q
-        raise AssertionError("unreachable: a pencil off the unit monomials is "
-                             "non-unit for all but finitely many q")
+        return self._probe_pencil(p, b, q0, len(support) + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -885,16 +900,9 @@ class CyclicGroupAlgebra(_Univariate):
         return holds("no character kills both elements")
 
     def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
-        if self.ctx.characteristic:
-            return self._pencil_mod_p(p, b, q0)
-        best = None
-        for l in range(self.n):
-            sol = _int_pencil_solutions(self.character(l, p), self.character(l, b), q0)
-            if sol == "all":
-                return q0
-            if sol is not None and (best is None or sol < best):
-                best = sol
-        return best
+        # q*p + b is a non-unit exactly where one of its characters vanishes
+        return least_integer_root([[self.character(l, b), self.character(l, p)]
+                                   for l in range(self.n)], q0)
 
     def describe(self) -> dict:
         return {"family": "CyclicGroup", "order": self.n, "epsilon": str(self.eps),
@@ -1315,20 +1323,10 @@ class QuadraticAlgebra(_Univariate):
                                   "annihilator": self.render(self._conj(a))})
 
     def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
-        if self.ctx.characteristic:
-            return self._pencil_mod_p(p, b, q0)
-        zero = self.ctx.zero
-        p0, p1 = p.get(0, zero), p.get(1, zero)
-        b0, b1 = b.get(0, zero), b.get(1, zero)
-        # norm(q*p + b) is a quadratic polynomial in q
-        c0 = b0 * b0 - self.d * b1 * b1
-        c1 = 2 * (p0 * b0 - self.d * p1 * b1)
-        c2 = p0 * p0 - self.d * p1 * p1
-        roots = integer_roots_scalar_poly([c0, c1, c2])
-        if roots == "all":
-            return q0
-        good = [q for q in roots if q >= q0]
-        return min(good) if good else None
+        # q*p + b is a non-unit exactly where its norm, quadratic in q, vanishes
+        c0, c2 = self.norm(b), self.norm(p)
+        c1 = self.norm(self.add(p, b)) - c0 - c2
+        return least_integer_root([[c0, c1, c2]], q0)
 
     def describe(self) -> dict:
         return {"family": "Quadratic", "defect": str(self.d), "generator": self.gen}

@@ -517,7 +517,7 @@ def _parse_base(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
     if fam.text not in _BASE_FAMILIES:
         raise _semantic(fam.loc, f"unknown base family {fam.text!r}; "
                         "expected one of " + ", ".join(_BASE_FAMILIES))
-    gen = order = epsilon = defect = None
+    gen = order = scalar = None
     cur.expect("(", "'('")
     if fam.text in ("poly", "laurent"):
         gen = cur.expect("NAME", "a generator name").text
@@ -530,19 +530,21 @@ def _parse_base(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
                 gen = _require_name(value, key, loc)
             elif key == "n" and fam.text == "cyclic_group":
                 order = _require_int(value, key, loc)
-            elif key == "epsilon" and fam.text == "cyclic_group":
-                epsilon = _require_expr(value, key, loc)
-            elif key == "d" and fam.text == "quadratic":
-                defect = _require_expr(value, key, loc)
+            elif (key, fam.text) in (("epsilon", "cyclic_group"),
+                                     ("d", "quadratic")):
+                scalar = _require_expr(value, key, loc)
             else:
                 raise _semantic(loc, f"unknown {fam.text} argument {key!r}")
-        if fam.text == "cyclic_group" and (order is None or epsilon is None):
+        if fam.text == "cyclic_group" and (order is None or scalar is None):
             raise _semantic(loc, "cyclic_group needs n = ... and epsilon = ...")
-        if fam.text == "quadratic" and defect is None:
+        if fam.text == "quadratic" and scalar is None:
             raise _semantic(loc, "quadratic needs d = ...")
     cur.expect_end()
     _fresh(doc, name, loc)
     ctx = _context(doc)
+    # evaluated outside the try: its errors already carry their own location
+    if scalar is not None:
+        scalar = eval_scalar(scalar, ctx)
     try:
         if fam.text == "field":
             alg = FieldAlgebra(ctx)
@@ -551,11 +553,9 @@ def _parse_base(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
         elif fam.text == "laurent":
             alg = LaurentAlgebra(ctx, gen=gen)
         elif fam.text == "cyclic_group":
-            alg = CyclicGroupAlgebra(ctx, order, eval_scalar(epsilon, ctx),
-                                     gen=gen or "s")
+            alg = CyclicGroupAlgebra(ctx, order, scalar, gen=gen or "s")
         else:
-            alg = QuadraticAlgebra(ctx, eval_scalar(defect, ctx),
-                                   gen=gen or "s")
+            alg = QuadraticAlgebra(ctx, scalar, gen=gen or "s")
     except ValueError as exc:
         raise _semantic(loc, str(exc)) from None
     doc.bases[name] = alg

@@ -61,30 +61,16 @@ class GwaRing(ExtensionAlgebra):
 
     def __init__(self, base, alpha, u: dict, gamma=None,
                  y_name: str = "Y", x_name: str = "X"):
-        base.validate_auto(alpha)
         if gamma is None:
             gamma = base.identity_auto()
         else:
             base.validate_auto(gamma)
-        if not base.auto_equal(base.compose(alpha, gamma),
-                               base.compose(gamma, alpha)):
-            raise ValueError("alpha and gamma must commute")
-        if not base.eq(base.apply(gamma, u), u):
-            raise ValueError("gamma must fix u")
+        super().__init__(base, alpha, gamma, u, y_name, x_name)
         for name in base.gens():
             g = base.gen_elem(name)
             if not base.eq(base.mul(u, g),
                            base.mul(base.apply(gamma, g), u)):
                 raise ValueError(f"u is not gamma-normal against {name}")
-        self.base = base
-        self.ctx = base.ctx
-        self.alpha = alpha
-        self.gamma = gamma
-        self.beta = base.compose(gamma, base.invert(alpha))
-        self.u = dict(u)
-        self.y_name = y_name
-        self.x_name = x_name
-        self._onekey = next(iter(base.one))
         # powers of alpha (sign 1) and beta (sign -1) met so far, and the rest
         self._powers = {1: ([], base.auto_powers(alpha)),
                         -1: ([], base.auto_powers(self.beta))}

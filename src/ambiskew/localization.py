@@ -118,40 +118,32 @@ def special_element_search(algebra, alpha, gamma, rho: Scalar,
     if mode not in ("all", "zero_m_only"):
         raise ValueError(f"unknown search mode: {mode!r}")
     if algebra.auto_is_identity(alpha) and algebra.auto_is_identity(gamma):
-        return _identity_pair_search(algebra, alpha, gamma, rho, mode)
+        return _unit_witness(algebra, alpha, gamma, rho, mode == "zero_m_only")
     if not algebra.is_diagonal(alpha):
-        return _shift_search(algebra, alpha, gamma, rho)
+        shift = (isinstance(alpha, AffineAuto) and alpha.a == algebra.ctx.one
+                 and not alpha.b.is_zero())
+        if not shift or not algebra.auto_is_identity(gamma):
+            raise ValueError(NO_EIGEN_FRAME)
+        return _unit_witness(algebra, alpha, gamma, rho, True)
     frame = algebra.eigen_frame(alpha, gamma, units_only)
     return _lattice_search(algebra, alpha, gamma, rho, mode, frame)
 
 
-def _identity_pair_search(algebra, alpha, gamma, rho: Scalar, mode: str):
-    """alpha = gamma = id: scalars act without zero divisors, so both eigen
-    identities force rho^m = rho^j = 1, and c = 1 is then a witness because
-    the normality identity degenerates to a = a."""
+def _unit_witness(algebra, alpha, gamma, rho: Scalar, zero_m: bool):
+    """The witness c = 1 with j = order(rho), or none when rho has infinite
+    order; m = j, or m = 0 when ``zero_m``.  Two cases reduce to it:
+
+    - alpha = gamma = id: scalars act without zero divisors, so both eigen
+      identities force rho^m = rho^j = 1, and the normality identity
+      degenerates to a = a;
+    - a polynomial shift alpha with gamma = id: alpha preserves degree and
+      leading coefficient, so alpha(c) = rho^j c forces rho^j = 1, and
+      normality of a regular witness in a domain forces alpha^m = id, which
+      pins m = 0."""
     k = root_of_unity_order(rho)
     if k is None:
         return None, True
-    m = 0 if mode == "zero_m_only" else k
-    witness = SpecialElement(algebra.one, m, k)
-    witness.check(algebra, alpha, gamma, rho)
-    return witness, True
-
-
-def _shift_search(algebra, alpha, gamma, rho: Scalar):
-    """Polynomial algebra with a shift: alpha preserves degree and leading
-    coefficient, so alpha(c) = rho^j c forces rho^j = 1; normality of a
-    regular witness in a domain forces alpha^m = gamma^j = id, and with
-    gamma = id that pins m = 0."""
-    if not algebra.auto_is_identity(gamma):
-        raise ValueError(NO_EIGEN_FRAME)
-    if not isinstance(alpha, AffineAuto) or alpha.a != algebra.ctx.one \
-            or alpha.b.is_zero():
-        raise ValueError(NO_EIGEN_FRAME)
-    k = root_of_unity_order(rho)
-    if k is None:
-        return None, True
-    witness = SpecialElement(algebra.one, 0, k)
+    witness = SpecialElement(algebra.one, 0 if zero_m else k, k)
     witness.check(algebra, alpha, gamma, rho)
     return witness, True
 
@@ -285,7 +277,7 @@ def _special_fails(base, w: SpecialElement) -> Verdict:
 
 
 def _radical_all_m(ring, u: dict, nil: Verdict, bounds: Bounds) -> Verdict:
-    base, ctx = ring.base, ring.ctx
+    base = ring.base
     if nil.status is Status.HOLDS:
         cert = {"kind": "nilpotent_u"}
         if nil.certificate and "power" in nil.certificate:
@@ -302,14 +294,8 @@ def _radical_all_m(ring, u: dict, nil: Verdict, bounds: Bounds) -> Verdict:
     if mu is None:
         return _radical_by_scan(ring, u, bounds)
     ratio = ring.rho * mu
-    if ratio == ctx.one:
-        vanish_at = ctx.characteristic or None
-    else:
-        vanish_at = root_of_unity_order(ratio)
+    vanish_at = ring.first_vanishing_v_m(ratio)
     if vanish_at is not None:
-        if not base.is_zero(ring.v_m(vanish_at)):
-            raise AssertionError("v_m must vanish when the eigen ratio has "
-                                 "finite multiplicative order")
         if nil.status is Status.FAILS:
             return fails(f"v^({vanish_at}) = 0 and u is not nilpotent",
                          certificate={"kind": "vanishing_v_m", "m": vanish_at,

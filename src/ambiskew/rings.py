@@ -44,7 +44,6 @@ from .algebras import (
     NestedAuto,
     UnitAnswer,
     _eadd,
-    _escale,
     _render_terms,
     scalar_ratio,
     solve_splitting_ex,
@@ -70,13 +69,36 @@ class Conformality(NamedTuple):
 
 class ExtensionAlgebra(BaseAlgebra):
     """What rings built over a coefficient algebra ``base`` by adjoining y
-    and x share: their generators, their automorphisms (NestedAuto: a
-    coefficient part plus scales for y and x) and the normalizing
-    automorphism of an element.  ``normal_name`` names the attribute
-    holding the normal element that every automorphism must rescale."""
+    and x share: their construction checks, their generators, their
+    automorphisms (NestedAuto: a coefficient part plus scales for y and x)
+    and the normalizing automorphism of an element.  ``normal_name`` names
+    the attribute holding the normal element, which gamma must fix and
+    every automorphism must rescale."""
 
     commutative = False
     normal_name = "v"
+
+    def __init__(self, base, alpha, gamma, normal: dict, y_name: str,
+                 x_name: str):
+        base.validate_auto(alpha)
+        if y_name == x_name or y_name in base.gens() or x_name in base.gens():
+            raise ValueError("the names of y and x must be distinct from each "
+                             "other and from the coefficient generators")
+        if not base.auto_equal(base.compose(alpha, gamma),
+                               base.compose(gamma, alpha)):
+            raise ValueError("alpha and gamma must commute")
+        if not base.eq(base.apply(gamma, normal), normal):
+            raise ValueError(f"gamma must fix {self.normal_name}")
+        self.base = base
+        self.ctx = base.ctx
+        self.alpha = alpha
+        self.alpha_inv = base.invert(alpha)
+        self.gamma = gamma
+        self.beta = base.compose(gamma, self.alpha_inv)
+        setattr(self, self.normal_name, dict(normal))
+        self.y_name = y_name
+        self.x_name = x_name
+        self._onekey = next(iter(base.one))
 
     def gens(self) -> tuple[str, ...]:
         return self.base.gens() + (self.y_name, self.x_name)
@@ -168,32 +190,13 @@ class AmbiskewRing(ExtensionAlgebra):
                  y_name: str = "y", x_name: str = "x"):
         if rho.is_zero():
             raise ValueError("the twist rho must be a nonzero scalar")
-        base.validate_auto(alpha)
-        if y_name == x_name or y_name in base.gens() or x_name in base.gens():
-            raise ValueError("the names of y and x must be distinct from each "
-                             "other and from the coefficient generators")
         gamma = base.normalizing_auto(v)
         if gamma is None:
             raise ValueError("v is not normal: no diagonal automorphism gamma "
                              "satisfies v*a = gamma(a)*v")
-        if not base.auto_equal(base.compose(alpha, gamma),
-                               base.compose(gamma, alpha)):
-            raise ValueError("alpha must commute with the automorphism "
-                             "induced by v")
-        if not base.eq(base.apply(gamma, v), v):
-            raise ValueError("the automorphism induced by v must fix v")
-        self.base = base
-        self.ctx = base.ctx
-        self.alpha = alpha
-        self.alpha_inv = base.invert(alpha)
-        self.gamma = gamma
-        self.beta = base.compose(gamma, self.alpha_inv)
+        super().__init__(base, alpha, gamma, v, y_name, x_name)
         self.beta_inv = base.invert(self.beta)
-        self.v = dict(v)
         self.rho = rho
-        self.y_name = y_name
-        self.x_name = x_name
-        self._onekey = next(iter(base.one))
         self._vm: list[dict] = [{}]
         self._conf: Conformality | None = None
 
@@ -340,6 +343,20 @@ class AmbiskewRing(ExtensionAlgebra):
         return scalar_ratio(self.base, self.base.apply(self.alpha, self.v),
                             self.v)
 
+    def first_vanishing_v_m(self, ratio: Scalar) -> int | None:
+        """The least m >= 1 with v^(m) = 0 when rho*alpha rescales v by
+        ``ratio``, or None when no v^(m) vanishes.  Then v^(m) = [m]*v with
+        the ratio-integer [m] = 1 + ratio + ... + ratio^(m-1), which is m
+        for ratio 1 and vanishes at the order of any other root of unity."""
+        if ratio == self.ctx.one:
+            m = self.ctx.characteristic or None
+        else:
+            m = root_of_unity_order(ratio)
+        if m is not None and not self.base.is_zero(self.v_m(m)):
+            raise AssertionError(f"v^({m}) must vanish when the eigen ratio "
+                                 f"{ratio} has finite multiplicative order")
+        return m
+
     def w_element(self) -> dict:
         """The product x*y, whose commutation action on A is gamma."""
         return {(1, 1, self._onekey): self.ctx.one}
@@ -456,16 +473,9 @@ class AmbiskewRing(ExtensionAlgebra):
         if not self.is_domain():
             raise ValueError("pencil membership is undecided over a "
                              "coefficient tower with zero divisors")
-        if self.ctx.characteristic:
-            return self._pencil_mod_p(p, b, q0)
         # a unit needs every coefficient outside (0, 0) to cancel, which
         # pins q to at most one value
-        for q in (q0, q0 + 1):
-            elem = _eadd(_escale(p, self.ctx.int_(q)), b)
-            if self.is_unit(elem).status is not Status.HOLDS:
-                return q
-        raise AssertionError("unreachable: two consecutive unit values in a "
-                             "pencil with terms outside bidegree (0, 0)")
+        return self._probe_pencil(p, b, q0, 2)
 
     # presentation ---------------------------------------------------------
 

@@ -762,30 +762,3 @@ def root_of_unity_order(s: Scalar) -> int | None:
             return d
     raise AssertionError("unreachable: torsion order divides m")
 
-
-ALL_M = "all"
-
-
-def positive_integer_solution(a: Scalar, b: Scalar):
-    """Solutions m >= 1 of m*a + b = 0 in characteristic 0.
-
-    Returns an int (the unique solution), None (no solution), or the
-    string constant ALL_M when a = b = 0.
-
-    >>> ctx = ScalarContext(parameters=("c",))
-    >>> c = ctx.param("c")
-    >>> positive_integer_solution(c, -3 * c)
-    3
-    >>> positive_integer_solution(c, c) is None
-    True
-    >>> positive_integer_solution(ctx.zero, ctx.zero)
-    'all'
-    """
-    if a.ctx.characteristic != 0:
-        raise ValueError("positive_integer_solution requires characteristic 0")
-    if a.is_zero():
-        return ALL_M if b.is_zero() else None
-    m = (-b / a).as_fraction()
-    if m is None or m.denominator != 1 or m < 1:
-        return None
-    return int(m)

@@ -59,7 +59,6 @@ def units_for_all_m(ring, bounds: Bounds = DEFAULT) -> Verdict:
     decides; without a period the check is truncated at ``bounds.m_max``.
     """
     base, ctx = ring.base, ring.ctx
-    p = ctx.characteristic
     if base.is_zero(ring.v):
         return fails("v^(1) = v is zero",
                      certificate={"kind": "vanishing_v_m", "m": 1})
@@ -75,29 +74,19 @@ def units_for_all_m(ring, bounds: Bounds = DEFAULT) -> Verdict:
                                   "detail": unit.certificate})
     if unit.status is Status.INCONCLUSIVE:
         return inconclusive("whether v is a unit was not decided")
-    if ratio == ctx.one:
-        if p:
-            if not base.is_zero(ring.v_m(p)):
-                raise AssertionError("v_m(p) must vanish when the eigen "
-                                     "ratio is one in characteristic p")
-            return fails(f"v^({p}) = {p}*v vanishes in characteristic {p}",
-                         certificate={"kind": "vanishing_v_m", "m": p,
-                                      "ratio": str(ratio)})
-        return holds("v^(m) = m*v for all m and v is a unit",
+    m = ring.first_vanishing_v_m(ratio)
+    if m is None:
+        reason = ("v^(m) = m*v for all m and v is a unit" if ratio == ctx.one
+                  else "v^(m) is a nonzero q-integer multiple of the unit v, "
+                  "with a rescaling factor of infinite multiplicative order")
+        return holds(reason,
                      certificate=_eigen_certificate(base, ring, ratio, unit))
-    order = root_of_unity_order(ratio)
-    if order is not None:
-        if not base.is_zero(ring.v_m(order)):
-            raise AssertionError("v_m(k) must vanish when the eigen ratio "
-                                 "is a k-th root of unity")
-        return fails(
-            f"v^({order}) vanishes: rho*alpha rescales v by a root of "
-            f"unity of order {order}",
-            certificate={"kind": "vanishing_v_m", "m": order,
-                         "ratio": str(ratio)})
-    return holds("v^(m) is a nonzero q-integer multiple of the unit v, "
-                 "with a rescaling factor of infinite multiplicative order",
-                 certificate=_eigen_certificate(base, ring, ratio, unit))
+    cert = {"kind": "vanishing_v_m", "m": m, "ratio": str(ratio)}
+    if ratio == ctx.one:
+        return fails(f"v^({m}) = {m}*v vanishes in characteristic {m}",
+                     certificate=cert)
+    return fails(f"v^({m}) vanishes: rho*alpha rescales v by a root of "
+                 f"unity of order {m}", certificate=cert)
 
 
 def _eigen_certificate(base, ring, ratio, unit) -> dict:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +16,10 @@ from ambiskew.algebras import (
     PolyAlgebra,
     QuadraticAlgebra,
     integer_roots_scalar_poly,
+    least_integer_root,
     scalar_ratio,
 )
-from ambiskew.scalars import ScalarContext
+from ambiskew.scalars import ScalarContext, root_of_unity_order
 from ambiskew.verdict import Status
 
 
@@ -344,6 +346,10 @@ def test_integer_roots_with_parameters():
     assert integer_roots_scalar_poly([-2 * q, q]) == [2]
     # no common root of the two components
     assert integer_roots_scalar_poly([-2 * q + ctx.one, q]) == []
+    # in F_7, q*(m^2 - 4) + (m - 2): the q-component also vanishes at m = 5
+    ctx7 = ScalarContext(characteristic=7, parameters=("q",))
+    q = ctx7.param("q")
+    assert integer_roots_scalar_poly([-4 * q - 2, ctx7.one, q]) == [2]
 
 
 def test_integer_roots_char5():
@@ -420,3 +426,157 @@ def test_cyclic3_units_split_by_characters(xs, ys):
     elif a:
         cofactor = alg._character_unit(ans.certificate["character"])
         assert alg.is_zero(alg.mul(a, cofactor))
+
+
+# -- exact pencil roots ------------------------------------------------------------
+
+
+def test_integer_roots_exact_for_huge_coefficients():
+    ctx = _plain()
+    big = 10**40
+    assert integer_roots_scalar_poly([ctx.int_(-big), ctx.one]) == [big]
+    assert integer_roots_scalar_poly([ctx.int_(-big), ctx.zero, ctx.one]) == \
+        [-10**20, 10**20]
+    # a perfect-square discriminant: (m - r)(m - s) with huge r, s
+    r, s = 10**30 + 7, -(10**25 + 3)
+    coeffs = [ctx.int_(r * s), ctx.int_(-(r + s)), ctx.one]
+    assert integer_roots_scalar_poly(coeffs) == [s, r]
+    # (2m - 1)(m - r): one integer root, one half-integer root
+    coeffs = [ctx.int_(r), ctx.int_(-2 * r - 1), ctx.int_(2)]
+    assert integer_roots_scalar_poly(coeffs) == [r]
+    # negative discriminant
+    assert integer_roots_scalar_poly([ctx.int_(big), ctx.one, ctx.one]) == []
+    # a square discriminant in one component that the other rejects
+    zctx = ScalarContext(cyclotomic_order=4)
+    coeffs = [zctx.int_(-big) + zctx.zeta(), zctx.zero, zctx.one]
+    assert integer_roots_scalar_poly(coeffs) == []
+
+
+def test_integer_roots_need_degree_at_most_two_in_char0():
+    ctx = _plain()
+    with pytest.raises(ValueError, match="degree at most 2"):
+        integer_roots_scalar_poly([ctx.one, ctx.zero, ctx.zero, ctx.one])
+
+
+def test_least_integer_root_linear_cases():
+    ctx = ScalarContext(parameters=("c",))
+    c = ctx.param("c")
+    assert least_integer_root([[-3 * c, c]], 1) == 3
+    assert least_integer_root([[c, c]], 1) is None
+    assert least_integer_root([[-c / 2, c]], 1) is None
+    assert least_integer_root([[ctx.zero, ctx.zero]], 1) == 1
+    assert least_integer_root([[c, ctx.zero]], 1) is None
+    assert least_integer_root([[ctx.zero, ctx.one]], 1) is None
+    assert least_integer_root([[-3 * c, c], [-2 * c, c]], 1) == 2
+    # characteristic 5: q + 1 vanishes on the class of 4
+    ctxp = ScalarContext(characteristic=5)
+    assert least_integer_root([[ctxp.one, ctxp.one]], 1) == 4
+    assert least_integer_root([[ctxp.one, ctxp.one]], 5) == 9
+    assert least_integer_root([[ctxp.one, ctxp.zero]], 0) is None
+
+
+def test_quadratic_pencil_with_a_huge_constant_is_exact():
+    ctx = ScalarContext(cyclotomic_order=4)
+    a = QuadraticAlgebra(ctx, ctx.int_(-1))
+    v = {0: ctx.one, 1: ctx.int_(10**40)}
+    assert a.first_nonunit_in_pencil(a.zero, v, 1) is None
+    assert a.first_nonunit_in_pencil(a.one, {1: ctx.int_(-10**40)}, 0) is None
+    # d = zeta^2 splits: q - 10^40 + zeta*s has norm (q - 10^40)^2 - 1
+    b = {0: ctx.int_(-10**40), 1: ctx.zeta()}
+    assert a.first_nonunit_in_pencil(a.one, b, 1) == 10**40 - 1
+    assert a.first_nonunit_in_pencil(a.one, b, 10**40) == 10**40 + 1
+
+
+_PENCIL_CONTEXTS = {
+    "Q": ScalarContext(),
+    "Q(zeta_4)": ScalarContext(cyclotomic_order=4),
+    "Q(q)": ScalarContext(parameters=("q",)),
+    "F_5": ScalarContext(characteristic=5),
+    "F_13": ScalarContext(characteristic=13),
+}
+
+
+def _primitive_root(ctx, n):
+    cands = [ctx.int_(k) for k in range(-1, ctx.characteristic)]
+    if ctx.cyclotomic_order > 1:
+        cands.append(ctx.zeta())
+    for c in cands:
+        if not c.is_zero() and root_of_unity_order(c) == n:
+            return c
+    return None
+
+
+def _split_families(ctx):
+    out = [FieldAlgebra(ctx)]
+    for n in (2, 3, 4):
+        eps = _primitive_root(ctx, n)
+        if eps is not None:
+            out.append(CyclicGroupAlgebra(ctx, n, eps))
+    # 4 is a square everywhere, 2 nowhere here, -1 only in Q(zeta_4), F_5, F_13
+    out += [QuadraticAlgebra(ctx, ctx.int_(d)) for d in (4, 2, -1)]
+    return out
+
+
+def _random_element(alg, rng):
+    ctx = alg.ctx
+    out = {}
+    for key in alg.finite_basis():
+        s = ctx.int_(rng.randint(-3, 3))
+        if ctx.cyclotomic_order > 1:
+            s = s + rng.randint(-1, 1) * ctx.zeta()
+        if ctx.parameters:
+            s = s + rng.randint(-1, 1) * ctx.param("q")
+        out = alg.add(out, alg.monomial(key, s))
+    return out
+
+
+def _random_nonunit(alg, rng):
+    """A non-unit: one character removed, a multiple of a zero divisor, or 0."""
+    a = _random_element(alg, rng)
+    if isinstance(alg, CyclicGroupAlgebra):
+        l = rng.randrange(alg.n)
+        idem = {k: alg.eps ** (-k * l) / alg.n for k in range(alg.n)}
+        return alg.sub(a, alg.smul(alg.character(l, a), idem))
+    if isinstance(alg, QuadraticAlgebra):
+        _, root = alg.square_root_of_d()
+        if root is not None:
+            return alg.mul(a, {1: alg.ctx.one, 0: -root})
+    return {}
+
+
+def _unit_at(alg, p, b, q):
+    elem = alg.add(alg.smul(alg.ctx.int_(q), p), b)
+    return alg.is_unit(elem).status is Status.HOLDS
+
+
+def _agrees_with_probe(alg, p, b, q0):
+    """first_nonunit_in_pencil against direct is_unit calls: exhaustive over
+    one period in characteristic p, up to q0 + 30 in characteristic 0."""
+    got = alg.first_nonunit_in_pencil(p, b, q0)
+    stop = q0 + (alg.ctx.characteristic or 30)
+    if got is not None:
+        assert got >= q0 and not _unit_at(alg, p, b, got)
+        stop = min(stop, got)
+    assert all(_unit_at(alg, p, b, q) for q in range(q0, stop))
+    return got
+
+
+@pytest.mark.parametrize("name", list(_PENCIL_CONTEXTS))
+def test_split_pencils_agree_with_a_unit_probe(name):
+    ctx = _PENCIL_CONTEXTS[name]
+    rng = random.Random(name)
+    families = _split_families(ctx)
+    assert len(families) >= 5
+    for alg in families:
+        assert alg.first_nonunit_in_pencil(alg.zero, alg.one, 1) is None
+        nones = 0
+        for _ in range(6):
+            q0 = rng.randint(0, 2)
+            p = _random_element(alg, rng)
+            r = q0 + rng.randint(0, 8)
+            planted = alg.sub(_random_nonunit(alg, rng), alg.smul(ctx.int_(r), p))
+            got = _agrees_with_probe(alg, p, planted, q0)
+            assert got is not None and got <= r
+            nones += _agrees_with_probe(alg, p, _random_element(alg, rng), q0) is None
+        if not ctx.characteristic:
+            assert nones

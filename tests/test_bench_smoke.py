@@ -24,9 +24,11 @@ from run import MODULES  # noqa: E402
 from spans import Tracer  # noqa: E402
 
 # (workload, document name at seed 1): a worked example, a 200-step
-# K[C_2] units scan, and a parametric splitting solve
+# K[C_2] units scan, a parametric splitting solve, and the quadratic and
+# K[C_2] unit pencils
 DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
-             ("swell", "swell-solve-0"))
+             ("swell", "swell-solve-0"), ("catalog", "quad-1-1-1"),
+             ("catalog", "fc2-1-0"))
 
 
 def _library() -> types.SimpleNamespace:
@@ -53,6 +55,8 @@ def test_one_document_per_workload_runs_traced_and_checks():
         tracer.uninstall()
     assert tracer.calls("dsl.parse_spec") == len(DOCUMENTS)
     assert tracer.calls("algebras.cyclic_group.is_unit") > 0
+    for fam in ("quadratic", "cyclic_group"):
+        assert tracer.calls(f"algebras.{fam}.first_nonunit_in_pencil") > 0
     for kind in ("Q", "param", "render"):
         assert tracer.calls(f"scalars.{kind}") > 0
     assert tracer.spans and not tracer.dropped

@@ -58,6 +58,10 @@ ERRORS = [
      "semantic", 1, 1, "unknown quadratic argument 'n'"),
     ("base A = field() $",
      "lexical", 1, 18, "unexpected character '$'"),
+    (C4 + "base A = cyclic_group(n = 2, epsilon = w)",
+     "semantic", 2, 40, "unknown name 'w'"),
+    ("base A = quadratic(d = 1/0)",
+     "semantic", 1, 25, "division by zero"),
     # auto
     (C4 + "base A = cyclic_group(n = 4, epsilon = zeta)\n"
      "auto b on A { s -> s + 1 }",
@@ -114,6 +118,12 @@ ERRORS = [
      "semantic", 3, 1, "unknown automorphism 'g'"),
     (P + "auto g on P { t -> -t }\nring T = gwa(P, a, u = t, gamma = g)",
      "semantic", 4, 1, "alpha and gamma must commute"),
+    (P + "ring T = gwa(P, a, u = t, y = t)",
+     "semantic", 3, 1, "the names of y and x must be distinct from each "
+     "other and from the coefficient generators"),
+    (P + "ring T = gwa(P, a, u = t, y = Z, x = Z)",
+     "semantic", 3, 1, "the names of y and x must be distinct from each "
+     "other and from the coefficient generators"),
     (R + "ring S = quotient_by_casimir(R)",
      "semantic", 4, 1, "the quadruple is singular: the Casimir quotient "
      "needs a splitting element"),

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ambiskew.scalars import (
-    ALL_M,
     Scalar,
     ScalarContext,
     cyclotomic_coeffs,
-    positive_integer_solution,
     q_integer,
     root_of_unity_order,
 )
@@ -170,20 +168,6 @@ def test_root_of_unity_orders_mod_p():
     assert root_of_unity_order(ctx.int_(3)) == 6
     assert root_of_unity_order(ctx.int_(2)) == 3
     assert root_of_unity_order(ctx.int_(6)) == 2
-
-
-def test_positive_integer_solution():
-    ctx = _ctx(parameters=("c",))
-    c = ctx.param("c")
-    assert positive_integer_solution(c, -3 * c) == 3
-    assert positive_integer_solution(c, c) is None
-    assert positive_integer_solution(c, -c / 2) is None
-    assert positive_integer_solution(ctx.zero, ctx.zero) == ALL_M
-    assert positive_integer_solution(ctx.zero, c) is None
-    assert positive_integer_solution(ctx.one, ctx.zero) is None
-    ctxp = _ctx(characteristic=5)
-    with pytest.raises(ValueError):
-        positive_integer_solution(ctxp.one, ctxp.one)
 
 
 # ---------------------------------------------------------------------------
