@@ -26,13 +26,17 @@ The protocol hooks are:
 - decisions: ``is_unit`` and ``is_regular`` with certificates,
   ``is_domain``, ``alpha_simple`` (no proper ideal stable under a set of
   automorphisms), ``radical_contains``, ``comaximal``,
-  ``first_nonunit_in_pencil`` (the first non-unit q*P + B: the split
-  families, Field, K[C_n] and the quadratic one, list the scalar
-  polynomials in q that vanish exactly there, per character or through the
-  norm, and ``least_integer_root`` solves them; Poly, Laurent and towers
-  probe q with ``is_unit``), ``split_nondiagonal`` (v = u - rho*alpha(u)
-  for an alpha that is not diagonal) and ``coprime_to_shifts`` (a closed
-  form for the comaximality of u with every alpha^m(u)).
+  ``first_nonunit_in_pencil`` (the first q at which q*P + B, or
+  [q]_R*P + R^q*B for a ratio R of infinite order, is a non-unit, or leaves
+  a watched element outside its radical: the split families, Field, K[C_n]
+  and the quadratic one, list the scalar polynomials in q or in X = R^q
+  that vanish exactly there, per character or through the norm, and
+  ``scalars.least_integer_root`` solves them; Poly, Laurent and towers
+  probe q with ``is_unit`` and decide only R = 1), ``split_nondiagonal``
+  (v = u - rho*alpha(u) for an alpha that is not diagonal) and
+  ``coprime_to_shifts`` (the least m with u and alpha^m(u) not comaximal,
+  from a closed form: the dispersion of u under a polynomial shift, the
+  single root of u under a Laurent scaling).
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .multiplicative import factor_rational
 from .scalars import (
     Scalar,
     ScalarContext,
+    least_integer_root,
     root_of_unity_order,
 )
 from .verdict import Status, Verdict, fails, holds, inconclusive
@@ -218,86 +223,45 @@ def _ugcd(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
     return a
 
 
-def integer_roots_scalar_poly(coeffs: list[Scalar]):
-    """Integer roots of sum coeffs[k]*m^k = 0, or "all" if identically zero;
-    in characteristic p, the residues 0 <= m < p that are roots.
-
-    Degree 1 is solved as m = -c_0/c_1.  Otherwise every root is a root of
-    each rational component (per parameter monomial and zeta coordinate),
-    so one component gives the candidates, each checked against the full
-    polynomial: characteristic p evaluates that component over one period
-    in integers, and characteristic 0 takes degree at most 2 and solves it
-    through ``math.isqrt`` on its discriminant.
-
-    >>> ctx = ScalarContext()
-    >>> integer_roots_scalar_poly([ctx.int_(-10**40), ctx.zero, ctx.one])
-    [-100000000000000000000, 100000000000000000000]
-    """
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    if len(coeffs) < 2:
-        return [] if coeffs else "all"
-    if len(coeffs) == 2:
-        m = (-coeffs[0] / coeffs[1]).as_fraction()
-        return [int(m)] if m is not None and m.denominator == 1 else []
-    ctx = coeffs[0].ctx
-    p = ctx.characteristic
-    if len(coeffs) > 3 and not p:
-        raise ValueError("characteristic 0 roots need degree at most 2")
-    cleared = coeffs
-    for idx in range(len(cleared)):
-        den = cleared[idx].den
-        if den != ctx._pone:
-            d = Scalar(ctx, dict(den), dict(ctx._pone))
-            cleared = [x * d for x in cleared]
-    # the least (parameter monomial, coordinate) with a nonzero entry; an
-    # F_p value is one int
-    coords = (lambda val: (val,)) if p else tuple
-    e, i = min((e, i) for c in cleared for e, val in c.num.items()
-               for i, coord in enumerate(coords(val)) if coord)
-    first = [coords(c.num[e])[i] if e in c.num else 0 for c in cleared]
-    if p:
-        cands = [m for m in range(p)
-                 if sum(c * m**k for k, c in enumerate(first)) % p == 0]
-    else:
-        denlcm = math.lcm(*(f.denominator for f in first))
-        c0, c1, c2 = (int(f * denlcm) for f in first)
-        if c2:
-            disc = c1 * c1 - 4 * c2 * c0
-            root = math.isqrt(max(disc, 0))
-            pairs = {(-c1 - root, 2 * c2), (-c1 + root, 2 * c2)}
-            if root * root != disc:
-                pairs = set()
-        else:
-            pairs = {(-c0, c1)} if c1 else set()
-        cands = sorted(n // d for n, d in pairs if n % d == 0)
-    roots = [m for m in cands
-             if sum((c * ctx.int_(m) ** k for k, c in enumerate(cleared)),
-                    ctx.zero).is_zero()]
-    return "all" if p and len(roots) == p else roots
+def _uresultant(a: list[Scalar], b: list[Scalar]) -> Scalar:
+    """Res(a, b) of two nonzero dense polynomials, by Euclid's algorithm:
+    Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) * Res(b, r)
+    for the remainder r of a by b."""
+    out = b[-1].ctx.one
+    while len(b) > 1:
+        r = _udivmod(a, b)[1]
+        if not r:
+            return b[-1].ctx.zero
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            out = -out
+        out = out * b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    return out * b[0] ** (len(a) - 1)
 
 
-def least_integer_root(polys: list[list[Scalar]], q0: int) -> int | None:
-    """The least integer q >= q0 at which one of the scalar polynomials
-    sum c[k]*q^k vanishes, or None; in characteristic p a root stands for
-    its whole residue class.
+def _interpolate(values: list[Scalar]) -> list[Scalar]:
+    """The dense polynomial of degree < len(values) taking values[i] at
+    i = 0, 1, ..., by Newton's divided differences."""
+    coef = list(values)
+    for j in range(1, len(coef)):
+        for i in range(len(coef) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / j
+    poly = [coef[-1]]
+    for i in range(len(coef) - 2, -1, -1):
+        # poly <- poly*(x - i) + coef[i]
+        poly = [coef[i] - poly[0] * i] + [
+            prev - c * i for prev, c in zip(poly, poly[1:])] + [poly[-1]]
+    return poly
 
-    >>> ctx = ScalarContext(characteristic=5)
-    >>> least_integer_root([[ctx.int_(2), ctx.one]], 7)
-    8
-    """
-    best = None
-    for coeffs in polys:
-        roots = integer_roots_scalar_poly(coeffs)
-        if roots == "all":
-            return q0
-        p = coeffs[0].ctx.characteristic
-        for r in roots:
-            q = q0 + (r - q0) % p if p else r
-            if q >= q0 and (best is None or q < best):
-                best = q
-    return best
+
+def _pencil_line(algebra, p: dict, b: dict, ratio: Scalar | None):
+    """(lead, const) with the pencil element at q a nonzero multiple of
+    lead*X + const.  With ``ratio`` None or 1 the element is q*p + b and
+    X = q; with a ratio R the element is [q]_R*p + R^q*b and X = R^q,
+    which turns (R - 1) times it into X*(p + (R - 1)*b) - p."""
+    if ratio is None or ratio == ratio.ctx.one:
+        return p, b
+    return algebra.add(p, algebra.smul(ratio - 1, b)), algebra.neg(p)
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +307,19 @@ class BaseAlgebra:
         raise NotImplementedError
 
     def power(self, a: dict, k: int) -> dict:
-        """a^k by repeated multiplication; k < 0 needs a unit."""
+        """a^k by square-and-multiply; k < 0 needs a unit."""
         if k < 0:
             answer = self.is_unit(a)
             if answer.status is not Status.HOLDS:
                 raise ValueError("a negative power needs an invertible element")
             a, k = answer.inverse, -k
         out = dict(self.one)
-        for _ in range(k):
-            out = self.mul(out, a)
+        while k:
+            if k & 1:
+                out = self.mul(out, a)
+            k >>= 1
+            if k:
+                a = self.mul(a, a)
         return out
 
     def is_zero(self, a: dict) -> bool:
@@ -516,12 +484,26 @@ class BaseAlgebra:
         """Whether aA + bA = A."""
         raise NotImplementedError
 
-    def coprime_to_shifts(self, alpha, u: dict) -> bool:
-        """Whether a closed form shows uA + alpha^m(u)A = A for every m >= 1."""
-        return False
+    def coprime_to_shifts(self, alpha, u: dict):
+        """(m, reason, fields) from a closed form for the comaximality of u
+        with every alpha^m(u): m is the least m >= 1 with
+        uA + alpha^m(u)A proper, or None when there is none, and then the
+        reason and the certificate fields say why; ValueError when the
+        family has no closed form for alpha and u."""
+        raise ValueError("no closed form for the comaximality of u with its "
+                         "images")
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
-        """Least integer q >= q0 with q*p + b not a unit; None if none exists."""
+    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
+                                ratio: Scalar | None = None,
+                                watch: dict | None = None) -> int | None:
+        """Least integer q >= q0 at which the pencil element fails, or None.
+
+        With ``ratio`` None or 1 the element is q*p + b; with a ratio R of
+        infinite order it is [q]_R*p + R^q*b, the shape of v^(q*L + r) when
+        (rho*alpha)^L rescales v by R.  It fails when it is not a unit, or,
+        given ``watch``, when no power of ``watch`` lies in the ideal it
+        generates.  ValueError when the family does not decide the pencil.
+        """
         raise NotImplementedError
 
     def split_nondiagonal(self, alpha, v: dict, rho: Scalar):
@@ -631,9 +613,16 @@ class FieldAlgebra(BaseAlgebra):
             return holds("one of the two elements is a unit")
         return fails("both elements are zero")
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
+    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
+                                ratio: Scalar | None = None,
+                                watch: dict | None = None) -> int | None:
+        # the element fails where it vanishes; a zero watch never fails
+        if watch is not None and not watch:
+            return None
+        lead, const = _pencil_line(self, p, b, ratio)
         zero = self.ctx.zero
-        return least_integer_root([[b.get((), zero), p.get((), zero)]], q0)
+        return least_integer_root([[const.get((), zero), lead.get((), zero)]],
+                                  q0, ratio)
 
     def render(self, a: dict) -> str:
         return str(a[()]) if a else "0"
@@ -772,15 +761,25 @@ class _Univariate(BaseAlgebra):
         return fails(f"the elements share a {self._common_factor} factor",
                      certificate={"kind": "common_factor_degree", "degree": len(g) - 1})
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
-        support = set(p) | set(b)
+    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
+                                ratio: Scalar | None = None,
+                                watch: dict | None = None) -> int | None:
+        if watch is not None:
+            raise ValueError(f"radical pencils over {self.kind} are not "
+                             "decided here")
+        lead, const = _pencil_line(self, p, b, ratio)
+        support = set(lead) | set(const)
         if not support:
             return q0
         if len(support) == 1:
             (i,) = support
             if 0 in self._normalize({i: self.ctx.one}):
                 zero = self.ctx.zero
-                return least_integer_root([[b.get(i, zero), p.get(i, zero)]], q0)
+                return least_integer_root(
+                    [[const.get(i, zero), lead.get(i, zero)]], q0, ratio)
+        if ratio is not None and ratio != self.ctx.one:
+            raise ValueError(f"pencils over {self.kind} are decided only "
+                             "with the ratio 1")
         # only finitely many q cancel the pencil down to one unit monomial
         return self._probe_pencil(p, b, q0, len(support) + 2)
 
@@ -899,10 +898,18 @@ class CyclicGroupAlgebra(_Univariate):
                              certificate={"kind": "character_witness", "character": l})
         return holds("no character kills both elements")
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
-        # q*p + b is a non-unit exactly where one of its characters vanishes
-        return least_integer_root([[self.character(l, b), self.character(l, p)]
-                                   for l in range(self.n)], q0)
+    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
+                                ratio: Scalar | None = None,
+                                watch: dict | None = None) -> int | None:
+        # the element is a non-unit exactly where one of its characters
+        # vanishes, and leaves watch outside its radical where one that
+        # does not vanish on watch does
+        lead, const = _pencil_line(self, p, b, ratio)
+        return least_integer_root(
+            [[self.character(l, const), self.character(l, lead)]
+             for l in range(self.n)
+             if watch is None or not self.character(l, watch).is_zero()],
+            q0, ratio)
 
     def describe(self) -> dict:
         return {"family": "CyclicGroup", "order": self.n, "epsilon": str(self.eps),
@@ -959,6 +966,18 @@ class LaurentAlgebra(_Univariate):
             return {}
         lo = min(a)
         return {i - lo: s for i, s in a.items()}
+
+    def coprime_to_shifts(self, alpha, u: dict):
+        lam = alpha.scales[0]
+        exps = sorted(u)
+        if root_of_unity_order(lam) is not None or len(exps) != 2 \
+                or exps[1] != exps[0] + 1:
+            raise ValueError("the scaling closed form needs a scale of "
+                             "infinite order and u = c*t^k*(t - theta)")
+        # alpha^m(u) = c*lam^(m*k)*t^k*(lam^m*t - theta) has the one
+        # nonzero root theta/lam^m, never theta again
+        return None, (f"u has a single nonzero root, which alpha^m divides "
+                      f"by {lam}^m, of infinite order"), {"ratio": str(lam)}
 
     def describe(self) -> dict:
         return {"family": "Laurent", "generator": self.gen}
@@ -1105,11 +1124,26 @@ class PolyAlgebra(_Univariate):
         return inconclusive("the automorphisms share no fixed point and no shift "
                             "was derived from their compositions")
 
-    def coprime_to_shifts(self, alpha, u: dict) -> bool:
-        # in characteristic 0 a nonzero shift moves the single root of a
-        # linear u to a different point for every m >= 1
-        return (alpha.a == self.ctx.one and not alpha.b.is_zero()
-                and self.ctx.characteristic == 0 and max(u) == 1)
+    def coprime_to_shifts(self, alpha, u: dict):
+        ctx = self.ctx
+        if alpha.a != ctx.one or alpha.b.is_zero() or ctx.characteristic:
+            raise ValueError("the dispersion closed form needs a nonzero "
+                             "shift in characteristic 0")
+        # alpha^m(u) = u(t + m*b) shares a root with u exactly at the
+        # integer roots m of Res_t(u(t), u(t + m*b)), of degree n^2 in m
+        # (the dispersion of u, Abramov 1971): interpolate it from n^2 + 1
+        # values and take its least positive integer root
+        n = max(u)
+        dense = _udense(u, 0)
+        values = [_uresultant(dense, _udense(self.apply(
+                      AffineAuto(ctx.one, alpha.b * m), u), 0))
+                  for m in range(n * n + 1)]
+        res = _interpolate(values)
+        fields = {"resultant": PolyAlgebra(ctx, "m").render(
+            {k: c for k, c in enumerate(res) if not c.is_zero()})}
+        return (least_integer_root([res], 1),
+                "the resultant of u and alpha^m(u), a polynomial in m, has "
+                "no positive integer root", fields)
 
     def split_nondiagonal(self, alpha, v: dict, rho: Scalar):
         # window of degree deg(v) + 1: a shift can drop the degree of
@@ -1322,11 +1356,32 @@ class QuadraticAlgebra(_Univariate):
                      certificate={"kind": "annihilator_witness",
                                   "annihilator": self.render(self._conj(a))})
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
-        # q*p + b is a non-unit exactly where its norm, quadratic in q, vanishes
-        c0, c2 = self.norm(b), self.norm(p)
-        c1 = self.norm(self.add(p, b)) - c0 - c2
-        return least_integer_root([[c0, c1, c2]], q0)
+    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
+                                ratio: Scalar | None = None,
+                                watch: dict | None = None) -> int | None:
+        lead, const = _pencil_line(self, p, b, ratio)
+        if watch is not None:
+            square, root = self.square_root_of_d()
+            if root is not None:
+                # split at s = +-root: one character per factor
+                zero = self.ctx.zero
+                chars = [lambda a, r=r: a.get(0, zero) + r * a.get(1, zero)
+                         for r in (root, -root)]
+                return least_integer_root(
+                    [[chi(const), chi(lead)] for chi in chars
+                     if not chi(watch).is_zero()], q0, ratio)
+            if square is not False:
+                raise ValueError("radical pencils over a quadratic algebra "
+                                 "need a non-square defect or an explicit "
+                                 "root of it")
+            # a field: only the zero ideal misses a nonzero watch
+            if not watch:
+                return None
+        # lead*X + const is a non-unit exactly where its norm, quadratic in
+        # X, vanishes
+        c0, c2 = self.norm(const), self.norm(lead)
+        c1 = self.norm(self.add(lead, const)) - c0 - c2
+        return least_integer_root([[c0, c1, c2]], q0, ratio)
 
     def describe(self) -> dict:
         return {"family": "Quadratic", "defect": str(self.d), "generator": self.gen}

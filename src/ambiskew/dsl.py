@@ -481,19 +481,19 @@ def _parse_context(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None
     characteristic = 0
     order = 1
     params: tuple[str, ...] = ()
-    for key, (value, _) in _parse_kwargs(cur).items():
+    for key, (value, kloc) in _parse_kwargs(cur).items():
         if key == "characteristic":
             if not isinstance(value, Num) or value.value < 0:
-                raise _semantic(loc, "characteristic must be 0 or a prime")
+                raise _semantic(kloc, "characteristic must be 0 or a prime")
             characteristic = value.value
         elif key == "cyclotomic_order":
-            order = _require_int(value, key, loc)
+            order = _require_int(value, key, kloc)
         elif key == "parameters":
             if not isinstance(value, list):
-                raise _semantic(loc, "parameters takes a list like [q, r]")
+                raise _semantic(kloc, "parameters takes a list like [q, r]")
             params = tuple(tok.text for tok in value)
         else:
-            raise _semantic(loc, f"unknown context argument {key!r}")
+            raise _semantic(kloc, f"unknown context argument {key!r}")
     cur.expect_end()
     if doc.context_declared:
         raise _semantic(loc, "the context was already declared")
@@ -525,16 +525,16 @@ def _parse_base(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
     elif fam.text == "field":
         cur.expect(")", "a closing ')'")
     else:
-        for key, (value, _) in _parse_kwargs(cur).items():
+        for key, (value, kloc) in _parse_kwargs(cur).items():
             if key == "gen":
-                gen = _require_name(value, key, loc)
+                gen = _require_name(value, key, kloc)
             elif key == "n" and fam.text == "cyclic_group":
-                order = _require_int(value, key, loc)
+                order = _require_int(value, key, kloc)
             elif (key, fam.text) in (("epsilon", "cyclic_group"),
                                      ("d", "quadratic")):
-                scalar = _require_expr(value, key, loc)
+                scalar = _require_expr(value, key, kloc)
             else:
-                raise _semantic(loc, f"unknown {fam.text} argument {key!r}")
+                raise _semantic(kloc, f"unknown {fam.text} argument {key!r}")
         if fam.text == "cyclic_group" and (order is None or scalar is None):
             raise _semantic(loc, "cyclic_group needs n = ... and epsilon = ...")
         if fam.text == "quadratic" and scalar is None:

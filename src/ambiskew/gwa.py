@@ -267,7 +267,9 @@ def gwa_simple(gwa: GwaRing, bounds: Bounds = DEFAULT) -> Verdict:
     Inner powers are decided through the order of alpha (on a commutative
     base the only inner automorphism is the identity); the comaximality
     quantifier falls to a unit u, an alpha-stable ideal, periodicity of
-    alpha, a one-root shift argument, or a bounded scan, in that order.
+    alpha, the family's closed form (``coprime_to_shifts``: the dispersion
+    of u under a polynomial shift, a single root under a Laurent scaling of
+    infinite order), or a bounded scan, in that order.
     """
     base = gwa.base
     return conjunction([
@@ -308,31 +310,39 @@ def _comaximal_all_m(gwa: GwaRing, bounds: Bounds) -> Verdict:
                             "was not decided")
     order = base.auto_order(gwa.alpha)
     if order is not None:
-        return _comaximal_scan(gwa, order, periodic=True)
-    if base.coprime_to_shifts(gwa.alpha, gwa.u):
-        return holds("u has a single root, which every alpha^m moves by a "
-                     "nonzero multiple of the shift step",
-                     certificate={"kind": "shift_coprime"})
-    return _comaximal_scan(gwa, bounds.m_max, periodic=False)
+        return _comaximal_scan(gwa, order, holds(
+            f"uA + alpha^m(u)A = A for m = 1..{order}, and alpha^m(u) "
+            f"repeats with period {order}",
+            certificate={"kind": "periodic_scan", "period": order}))
+    try:
+        m, reason, fields = base.coprime_to_shifts(gwa.alpha, gwa.u)
+    except ValueError as exc:
+        return _comaximal_scan(gwa, bounds.m_max, inconclusive(
+            f"{exc}; comaximality verified through m = {bounds.m_max}",
+            certificate={"kind": "bounded_scan", "m_max": bounds.m_max}))
+    if m is None:
+        return holds(reason, certificate={"kind": "shift_coprime", **fields})
+    answer = _comaximal_at(gwa, m)
+    if answer.status is not Status.FAILS:
+        raise AssertionError(f"the closed form disagrees with a direct "
+                             f"comaximality check at m={m}")
+    return _comaximal_fails(m, answer)
 
 
-def _comaximal_scan(gwa: GwaRing, upto: int, periodic: bool) -> Verdict:
+def _comaximal_at(gwa: GwaRing, m: int) -> Verdict:
     base = gwa.base
-    if periodic:
-        done = holds(f"uA + alpha^m(u)A = A for m = 1..{upto}, and "
-                     f"alpha^m(u) repeats with period {upto}",
-                     certificate={"kind": "periodic_scan", "period": upto})
-    else:
-        done = inconclusive("comaximality verified through "
-                            f"m = {upto} without a closed form",
-                            certificate={"kind": "bounded_scan", "m_max": upto})
+    return base.comaximal(gwa.u, base.apply(gwa._cross(m), gwa.u))
+
+
+def _comaximal_fails(m: int, answer: Verdict) -> Verdict:
+    return fails(f"uA + alpha^{m}(u)A is a proper ideal",
+                 certificate={"kind": "comaximal_witness", "m": m,
+                              "detail": answer.certificate})
+
+
+def _comaximal_scan(gwa: GwaRing, upto: int, done: Verdict) -> Verdict:
     return bounded_scan(
-        upto,
-        lambda m: base.comaximal(gwa.u, base.apply(gwa._cross(m), gwa.u)),
-        lambda m, answer: fails(
-            f"uA + alpha^{m}(u)A is a proper ideal",
-            certificate={"kind": "comaximal_witness", "m": m,
-                         "detail": answer.certificate}),
+        upto, lambda m: _comaximal_at(gwa, m), _comaximal_fails,
         lambda m: inconclusive(f"comaximality of u and alpha^{m}(u) was "
                                "not decided"),
         done)

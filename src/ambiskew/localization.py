@@ -226,7 +226,7 @@ def localized_simple(ring, bounds: Bounds = DEFAULT) -> Verdict:
       the full hunt is out of reach but u is provably not nilpotent, the
       hunt may be relaxed to m = 0 (theorem tag ``localized.nonnilpotent``);
     - ``radical``: for every m >= 1 some power of u lies in v^(m)A, decided
-      through the eigen structure of v or a bounded scan.
+      through the eigen structure or the period of v, or a bounded scan.
     """
     conf = ring.conformality()
     if conf.status is Status.FAILS:
@@ -277,6 +277,15 @@ def _special_fails(base, w: SpecialElement) -> Verdict:
 
 
 def _radical_all_m(ring, u: dict, nil: Verdict, bounds: Bounds) -> Verdict:
+    """Whether some power of u lies in v^(m)A for every m >= 1.
+
+    A nilpotent u always does.  When v is an eigenvector every v^(m) is a
+    scalar multiple of v, so one membership test decides.  Otherwise the
+    period of v (``AmbiskewRing.v_period``) turns each residue class of m
+    into a pencil, and the split families name the least m at which a
+    character that does not vanish on u vanishes on v^(m); other families
+    take the bounded scan.
+    """
     base = ring.base
     if nil.status is Status.HOLDS:
         cert = {"kind": "nilpotent_u"}
@@ -292,7 +301,7 @@ def _radical_all_m(ring, u: dict, nil: Verdict, bounds: Bounds) -> Verdict:
                             "nilpotent, which was not decided")
     mu = ring.v_eigenvalue()
     if mu is None:
-        return _radical_by_scan(ring, u, bounds)
+        return _radical_by_period(ring, u, bounds)
     ratio = ring.rho * mu
     vanish_at = ring.first_vanishing_v_m(ratio)
     if vanish_at is not None:
@@ -317,19 +326,51 @@ def _radical_all_m(ring, u: dict, nil: Verdict, bounds: Bounds) -> Verdict:
     return inconclusive("membership of powers of u in vA was not decided")
 
 
-def _radical_by_scan(ring, u: dict, bounds: Bounds) -> Verdict:
+def _radical_by_period(ring, u: dict, bounds: Bounds) -> Verdict:
+    base = ring.base
+    if base.finite_basis() is None:
+        # only the split families, all finite-dimensional, decide radical
+        # pencils; a period search over the others would be wasted
+        return _radical_by_scan(ring, u, bounds, "the coefficient algebra "
+                                "decides no radical pencil")
+    found = ring.v_period(bounds.period_max)
+    if found is None:
+        return _radical_by_scan(
+            ring, u, bounds, f"no scalar period within {bounds.period_max} "
+            "steps")
+    span, ratio = found
+    try:
+        worst = ring.first_failing_v_m(span, ratio, watch=u)
+    except ValueError as exc:
+        return _radical_by_scan(ring, u, bounds, str(exc))
+    if worst is None:
+        cert = {"kind": "eigen_radical", "period": span, "ratio": str(ratio)}
+        return holds(f"(rho*alpha)^{span} rescales v by {ratio}, and no "
+                     "residue pencil leaves a power of u outside v^(m)A",
+                     certificate=cert)
+    answer = base.radical_contains(ring.v_m_periodic(worst, span, ratio), u)
+    if answer.status is not Status.FAILS:
+        raise AssertionError("pencil decision disagrees with a direct "
+                             f"radical check at m={worst}")
+    return _radical_fails(worst, answer)
+
+
+def _radical_fails(m: int, answer: Verdict) -> Verdict:
+    return fails(f"no power of u lies in v^({m})A",
+                 certificate={"kind": "radical_witness", "m": m,
+                              "detail": answer.certificate})
+
+
+def _radical_by_scan(ring, u: dict, bounds: Bounds, note: str) -> Verdict:
     base = ring.base
     return bounded_scan(
         bounds.m_max,
         lambda m: base.radical_contains(ring.v_m(m), u),
-        lambda m, answer: fails(
-            f"no power of u lies in v^({m})A",
-            certificate={"kind": "radical_witness", "m": m,
-                         "detail": answer.certificate}),
+        _radical_fails,
         lambda m: inconclusive(f"membership of powers of u in v^({m})A "
                                "was not decided"),
-        inconclusive("v is not an eigenvector of alpha; membership "
-                     f"verified through m = {bounds.m_max}",
+        inconclusive(f"v is not an eigenvector of alpha and {note}; "
+                     f"membership verified through m = {bounds.m_max}",
                      certificate={"kind": "bounded_scan",
                                   "m_max": bounds.m_max}))
 

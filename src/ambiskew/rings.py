@@ -357,6 +357,61 @@ class AmbiskewRing(ExtensionAlgebra):
                                  f"{ratio} has finite multiplicative order")
         return m
 
+    def v_period(self, period_max: int):
+        """(span, ratio) with v^(q*span + r) = [q]_ratio*v^(span)
+        + ratio^q*v^(r), from the least l <= period_max at which
+        (rho*alpha)^l rescales v; None when there is no such l.  A factor of
+        infinite order is the ratio with span l; a root of unity of order k
+        gives span k*l and ratio 1, so the terms repeat exactly."""
+        base = self.base
+        term = dict(self.v)
+        for l in range(1, period_max + 1):
+            term = base.smul(self.rho, base.apply(self.alpha, term))
+            ratio = scalar_ratio(base, term, self.v)
+            if ratio is not None:
+                break
+        else:
+            return None
+        order = root_of_unity_order(ratio)
+        if order is None:
+            return l, ratio
+        span = l * order
+        check = dict(self.v)
+        for _ in range(span):
+            check = base.smul(self.rho, base.apply(self.alpha, check))
+        if not base.eq(check, self.v):
+            raise AssertionError("the derived period does not reproduce v")
+        return span, self.ctx.one
+
+    def first_failing_v_m(self, span: int, ratio: Scalar,
+                          watch: dict | None = None) -> int | None:
+        """The least m >= 1 at which v^(m) is not a unit, or, given
+        ``watch``, at which no power of watch lies in v^(m)A; None when no
+        m fails.  ``span`` and ``ratio`` come from ``v_period``, which
+        turns each residue r of m into a pencil in q that the coefficient
+        family decides, or refuses with ValueError."""
+        top = self.v_m(span)
+        worst = None
+        for r in range(span):
+            q = self.base.first_nonunit_in_pencil(
+                top, self.v_m(r), 1 if r == 0 else 0, ratio, watch)
+            if q is not None and (worst is None or q * span + r < worst):
+                worst = q * span + r
+        return worst
+
+    def v_m_periodic(self, m: int, span: int, ratio: Scalar) -> dict:
+        """v^(m) in closed form from the period data of ``v_period``:
+        [q]_ratio*v^(span) + ratio^q*v^(r) for m = q*span + r, in
+        O(span + log q) steps where ``v_m`` takes m."""
+        q, r = divmod(m, span)
+        if ratio == self.ctx.one:
+            lead, scale = self.ctx.int_(q), ratio
+        else:
+            scale = ratio ** q
+            lead = (scale - 1) / (ratio - 1)
+        return self.base.add(self.base.smul(lead, self.v_m(span)),
+                             self.base.smul(scale, self.v_m(r)))
+
     def w_element(self) -> dict:
         """The product x*y, whose commutation action on A is gamma."""
         return {(1, 1, self._onekey): self.ctx.one}
@@ -465,14 +520,23 @@ class AmbiskewRing(ExtensionAlgebra):
         return inconclusive("comaximality in an iterated ring is only "
                             "decided through units")
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int) -> int | None:
+    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
+                                ratio: Scalar | None = None,
+                                watch: dict | None = None) -> int | None:
+        if watch is not None:
+            raise ValueError("radical pencils over a coefficient tower are "
+                             "not decided here")
         if all(k[0] == 0 and k[1] == 0 for k in p) and \
                 all(k[0] == 0 and k[1] == 0 for k in b):
             return self.base.first_nonunit_in_pencil(
-                self.coefficient(p, 0, 0), self.coefficient(b, 0, 0), q0)
+                self.coefficient(p, 0, 0), self.coefficient(b, 0, 0), q0,
+                ratio)
         if not self.is_domain():
-            raise ValueError("pencil membership is undecided over a "
-                             "coefficient tower with zero divisors")
+            raise ValueError("the coefficient tower does not decide unit "
+                             "pencils")
+        if ratio is not None and ratio != self.ctx.one:
+            raise ValueError("unit pencils over a coefficient tower are "
+                             "decided only with the ratio 1")
         # a unit needs every coefficient outside (0, 0) to cancel, which
         # pins q to at most one value
         return self._probe_pencil(p, b, q0, 2)

@@ -27,10 +27,17 @@ decided by cross-multiplication, which is exact and total.  Serialization
 sorts terms in descending graded-lex order with the declared parameter
 order, so the same computation prints identically from run to run, and a
 constant prints the same with or without parameters in its context.
+
+The last section solves scalar polynomials over the integers: their
+integer roots at any degree, and the least q at which one vanishes at
+X = q or at X = R^q, which is how the coefficient families decide their
+unit and radical pencils.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
@@ -762,3 +769,253 @@ def root_of_unity_order(s: Scalar) -> int | None:
             return d
     raise AssertionError("unreachable: torsion order divides m")
 
+
+# ---------------------------------------------------------------------------
+# integer roots of scalar polynomials, at X = q or at X = R^q
+# ---------------------------------------------------------------------------
+
+
+def _horner(coeffs: list, x):
+    """sum coeffs[k]*x^k, over ints or over Scalars."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def _rational_component(coeffs: list[Scalar]):
+    """The coefficients cleared to a common polynomial denominator, and one
+    rational component of them: the entries at the least (parameter
+    monomial, cyclotomic coordinate) where some coefficient is nonzero.
+    At a rational point every component of the sum must vanish, so this
+    one gives the candidates.  The entries are Fractions in characteristic
+    0 and ints mod p in characteristic p."""
+    ctx = coeffs[0].ctx
+    cleared = coeffs
+    for idx in range(len(cleared)):
+        den = cleared[idx].den
+        if den != ctx._pone:
+            d = Scalar(ctx, dict(den), dict(ctx._pone))
+            cleared = [x * d for x in cleared]
+    # an F_p value is one int
+    coords = (lambda val: (val,)) if ctx.characteristic else tuple
+    e, i = min((e, i) for c in cleared for e, val in c.num.items()
+               for i, coord in enumerate(coords(val)) if coord)
+    return cleared, [coords(c.num[e])[i] if e in c.num else 0 for c in cleared]
+
+
+def _ints(fracs) -> list[int]:
+    """Fractions scaled by the lcm of their denominators."""
+    den = math.lcm(*(Fraction(f).denominator for f in fracs))
+    return [int(f * den) for f in fracs]
+
+
+def _squarefree_poly(f: list[int]) -> list[int]:
+    """f / gcd(f, f') over Q, scaled back to integer coefficients."""
+    a = [Fraction(c) for c in f]
+    g, h = a, _dtrim([c * k for k, c in enumerate(a)][1:])
+    while h:
+        g, h = h, _ddivmod(g, h)[1]
+    return _ints(_ddivmod(a, g)[0])
+
+
+def _squarefree_mod(f: list[int], p: int) -> bool:
+    """Whether f mod p keeps its degree and has no repeated factor: Euclid's
+    algorithm on f and f' over F_p ends in a nonzero constant."""
+    if f[-1] % p == 0:
+        return False
+    a, b = [c % p for c in f], [c * k % p for k, c in enumerate(f)][1:]
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) == 1
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            shift = len(a) - len(b)
+            a = [(x - c * b[i - shift]) % p if i >= shift else x
+                 for i, x in enumerate(a)][:-1]
+        a, b = b, a
+
+
+def _least_prime(accept) -> int:
+    return next(p for p in itertools.count(2)
+                if all(p % d for d in range(2, math.isqrt(p) + 1))
+                and accept(p))
+
+
+def _integer_roots_int(f: list[int]) -> list[int]:
+    """The integer roots of a nonzero integer polynomial of any degree.
+
+    The roots of its squarefree part g are simple (g is f itself when f
+    stays squarefree modulo the least prime not dividing its leading
+    coefficient), so modulo a small prime p at which g stays squarefree
+    each one is a simple root of g mod p and lifts uniquely by Newton's
+    iteration (Hensel's lemma) until the modulus exceeds twice the bound
+    |g(0)| on a nonzero integer root; each lift is then checked exactly
+    (Loos, "Computing rational zeros of integral polynomials by p-adic
+    expansion", 1983).
+
+    >>> _integer_roots_int([-6, 11, -6, 1])
+    [1, 2, 3]
+    """
+    lo = next(k for k, c in enumerate(f) if c)
+    roots = [0] if lo else []
+    g = f[lo:]
+    if len(g) < 2:
+        return roots
+    p = _least_prime(lambda p: g[-1] % p)
+    if not _squarefree_mod(g, p):
+        # repeated roots, or p divides the discriminant of g
+        g = _squarefree_poly(g)
+        p = _least_prime(lambda p: _squarefree_mod(g, p))
+    bound = abs(g[0])
+    dg = [k * c for k, c in enumerate(g)][1:]
+    for r in range(p):
+        if _horner(g, r) % p:
+            continue
+        mod = p
+        while mod <= 2 * bound:
+            mod *= mod
+            r = (r - _horner(g, r) * pow(_horner(dg, r), -1, mod)) % mod
+        r = r - mod if 2 * r > mod else r
+        if _horner(g, r) == 0:
+            roots.append(r)
+    return sorted(roots)
+
+
+def integer_roots_scalar_poly(coeffs: list[Scalar]):
+    """Integer roots of sum coeffs[k]*m^k = 0, or "all" if identically zero;
+    in characteristic p, the residues 0 <= m < p that are roots.
+
+    Degree 1 is solved as m = -c_0/c_1.  Otherwise every root is a root of
+    each rational component (per parameter monomial and zeta coordinate),
+    so one component gives the candidates, each checked against the full
+    polynomial: characteristic p evaluates that component over one period
+    in integers, and characteristic 0 lifts its roots p-adically
+    (``_integer_roots_int``), at any degree.
+
+    >>> ctx = ScalarContext()
+    >>> integer_roots_scalar_poly([ctx.int_(-10**40), ctx.zero, ctx.one])
+    [-100000000000000000000, 100000000000000000000]
+    """
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    if len(coeffs) < 2:
+        return [] if coeffs else "all"
+    if len(coeffs) == 2:
+        m = (-coeffs[0] / coeffs[1]).as_fraction()
+        return [int(m)] if m is not None and m.denominator == 1 else []
+    ctx = coeffs[0].ctx
+    p = ctx.characteristic
+    cleared, first = _rational_component(coeffs)
+    if p:
+        cands = [m for m in range(p) if _horner(first, m) % p == 0]
+    else:
+        first = _ints(first)
+        while not first[-1]:
+            first.pop()
+        cands = _integer_roots_int(first)
+    roots = [m for m in cands if _horner(cleared, ctx.int_(m)).is_zero()]
+    return "all" if p and len(roots) == p else roots
+
+
+def _ilog(n: int, base: int) -> int:
+    """The largest k with base^k <= n, for n >= 1 and base >= 2: a lower
+    estimate read from the bit lengths, then raised exactly."""
+    k = (n.bit_length() - 1) // base.bit_length()
+    power = base ** k
+    while power * base <= n:
+        power *= base
+        k += 1
+    return k
+
+
+def _power_candidates(coeffs: list[Scalar], ratio: Scalar, q0: int):
+    """Integers q >= q0 among which every root X = ratio^q of the scalar
+    polynomial lies, or ValueError for a ratio without such a bound.
+
+    A rational ratio a/b (reduced, not +-1) makes a^q divide the lowest and
+    b^q the highest nonzero coefficient of an integer component (the
+    rational root theorem), which bounds q by an integer logarithm.  A ratio
+    with nonzero degree (or lowest order) d in a parameter gives each term
+    c_k*X^k the degree deg(c_k) + k*q*d, and a vanishing sum needs its
+    largest degree twice, which pins q for every pair of terms."""
+    ctx = ratio.ctx
+    f = ratio.as_fraction()
+    if f is not None and abs(f) != 1 and not ctx.characteristic:
+        comp = _ints(_rational_component(coeffs)[1])
+        nonzero = [k for k, c in enumerate(comp) if c]
+        lo, hi = nonzero[0], nonzero[-1]
+        if lo == hi:
+            return []
+        a, b = f.numerator, f.denominator
+        top = min(_ilog(abs(comp[k]), base)
+                  for k, base in ((lo, abs(a)), (hi, b)) if base > 1)
+        # b^(hi*q) * f((a/b)^q), in integers
+        return [q for q in range(q0, top + 1)
+                if _horner([c * b ** ((hi - k) * q)
+                            for k, c in enumerate(comp[:hi + 1])], a ** q) == 0]
+    for t in range(len(ctx.parameters)):
+        for measure in (_degree, _order):
+            d = measure(ratio, t)
+            if d:
+                vals = [(k, measure(c, t)) for k, c in enumerate(coeffs)
+                        if not c.is_zero()]
+                return sorted({(di - dj) // ((j - i) * d)
+                               for (i, di), (j, dj) in
+                               itertools.combinations(vals, 2)
+                               if (di - dj) % ((j - i) * d) == 0
+                               and (di - dj) // ((j - i) * d) >= q0})
+    raise ValueError(f"the factor {ratio} has infinite multiplicative order "
+                     "but is neither rational nor of nonzero degree or "
+                     "order in a parameter")
+
+
+def _degree(s: Scalar, t: int) -> int:
+    return max(e[t] for e in s.num) - max(e[t] for e in s.den)
+
+
+def _order(s: Scalar, t: int) -> int:
+    return min(e[t] for e in s.num) - min(e[t] for e in s.den)
+
+
+def least_integer_root(polys: list[list[Scalar]], q0: int,
+                       ratio: Scalar | None = None) -> int | None:
+    """The least integer q >= q0 at which one of the scalar polynomials
+    sum c[k]*X^k vanishes at X = q, or None; in characteristic p a root
+    stands for its whole residue class.  With a ``ratio`` R other than 1,
+    of infinite order, the polynomials are read at X = R^q instead
+    (``_power_candidates``, every candidate checked exactly), and a ratio
+    outside the shapes solved there raises ValueError.
+
+    >>> ctx = ScalarContext(characteristic=5)
+    >>> least_integer_root([[ctx.int_(2), ctx.one]], 7)
+    8
+    >>> rationals = ScalarContext()
+    >>> least_integer_root([[rationals.int_(-8), rationals.one]], 0,
+    ...                    rationals.int_(2))
+    3
+    """
+    best = None
+    if ratio is not None and ratio != ratio.ctx.one:
+        for coeffs in polys:
+            if all(c.is_zero() for c in coeffs):
+                return q0
+            for q in _power_candidates(coeffs, ratio, q0):
+                if _horner(coeffs, ratio ** q).is_zero():
+                    best = q if best is None else min(best, q)
+                    break
+        return best
+    for coeffs in polys:
+        roots = integer_roots_scalar_poly(coeffs)
+        if roots == "all":
+            return q0
+        p = coeffs[0].ctx.characteristic
+        for r in roots:
+            q = q0 + (r - q0) % p if p else r
+            if q >= q0 and (best is None or q < best):
+                best = q
+    return best

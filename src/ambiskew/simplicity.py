@@ -37,10 +37,9 @@ is only claimed when the family structure makes the search complete.
 
 from __future__ import annotations
 
-from .algebras import scalar_ratio, solve_splitting_ex
+from .algebras import solve_splitting_ex
 from .bounds import DEFAULT, Bounds
 from .linear import gauss_solve
-from .scalars import root_of_unity_order
 from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
                       inconclusive)
 
@@ -54,9 +53,11 @@ def units_for_all_m(ring, bounds: Bounds = DEFAULT) -> Verdict:
 
     When v is an eigenvector of alpha the sequence collapses to q-integer
     multiples of v and the answer is exact for every m.  Otherwise the terms
-    rho^l * alpha^l(v) are scanned for a scalar period, which turns each
-    residue class of m into an integer pencil that the coefficient family
-    decides; without a period the check is truncated at ``bounds.m_max``.
+    rho^l * alpha^l(v) are searched for a period L up to a factor R, which
+    turns each residue class of m into a pencil that the coefficient family
+    decides: in q when R is a root of unity, in X = R^q when R is rational
+    or moves a parameter.  Only without a period, or for a family or an R
+    that decides no pencil, is the check truncated at ``bounds.m_max``.
     """
     base, ctx = ring.base, ring.ctx
     if base.is_zero(ring.v):
@@ -98,59 +99,32 @@ def _eigen_certificate(base, ring, ratio, unit) -> dict:
 
 
 def _units_by_period(ring, bounds: Bounds) -> Verdict:
-    base, ctx = ring.base, ring.ctx
-    term = dict(ring.v)
-    period = ratio = None
-    for l in range(1, bounds.period_max + 1):
-        term = base.smul(ring.rho, base.apply(ring.alpha, term))
-        r = scalar_ratio(base, term, ring.v)
-        if r is not None:
-            period, ratio = l, r
-            break
-    if period is None:
+    """Exact decision once (rho*alpha)^L rescales v by R:
+    v^(q*L + r) = [q]_R*v^(L) + R^q*v^(r) reduces each residue r to a
+    pencil in q, or in R^q when R has infinite order, that the coefficient
+    family decides (``AmbiskewRing.first_failing_v_m``)."""
+    base = ring.base
+    found = ring.v_period(bounds.period_max)
+    if found is None:
         return _units_by_scan(
             ring, bounds, f"no scalar period within {bounds.period_max} steps")
-    span = period
-    if ratio != ctx.one:
-        order = root_of_unity_order(ratio)
-        if order is None:
-            return _units_by_scan(
-                ring, bounds,
-                f"the terms repeat only up to the factor {ratio}, which has "
-                "infinite multiplicative order")
-        span = period * order
-    check = dict(ring.v)
-    for _ in range(span):
-        check = base.smul(ring.rho, base.apply(ring.alpha, check))
-    if not base.eq(check, ring.v):
-        raise AssertionError("the derived period does not reproduce v")
-    return _units_by_pencils(ring, span, bounds)
-
-
-def _units_by_pencils(ring, span: int, bounds: Bounds) -> Verdict:
-    """Exact decision once rho^l * alpha^l(v) has exact period ``span``:
-    v^(q*span + r) = q * v^(span) + v^(r) reduces each residue to a pencil."""
-    base = ring.base
-    top = ring.v_m(span)
-    worst = None
-    for r in range(span):
-        start = 1 if r == 0 else 0
-        try:
-            q = base.first_nonunit_in_pencil(top, ring.v_m(r), start)
-        except ValueError:
-            return _units_by_scan(
-                ring, bounds,
-                "the coefficient tower does not decide unit pencils")
-        if q is not None:
-            m = q * span + r
-            if worst is None or m < worst:
-                worst = m
+    span, ratio = found
+    try:
+        worst = ring.first_failing_v_m(span, ratio)
+    except ValueError as exc:
+        return _units_by_scan(ring, bounds, str(exc))
     if worst is None:
+        if ratio == ring.ctx.one:
+            return holds(
+                f"the terms of v^(m) repeat with period {span} and every "
+                "residue pencil stays invertible",
+                certificate={"kind": "periodic_units", "period": span})
         return holds(
-            f"the terms of v^(m) repeat with period {span} and every "
-            "residue pencil stays invertible",
-            certificate={"kind": "periodic_units", "period": span})
-    bad = ring.v_m(worst)
+            f"the terms of v^(m) repeat with period {span} up to the factor "
+            f"{ratio}, and every residue pencil stays invertible",
+            certificate={"kind": "periodic_units", "period": span,
+                         "ratio": str(ratio)})
+    bad = ring.v_m_periodic(worst, span, ratio)
     answer = base.is_unit(bad)
     if answer.status is Status.HOLDS:
         raise AssertionError(

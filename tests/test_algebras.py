@@ -15,11 +15,10 @@ from ambiskew.algebras import (
     LaurentAlgebra,
     PolyAlgebra,
     QuadraticAlgebra,
-    integer_roots_scalar_poly,
-    least_integer_root,
     scalar_ratio,
 )
-from ambiskew.scalars import ScalarContext, root_of_unity_order
+from ambiskew.scalars import (ScalarContext, integer_roots_scalar_poly,
+                              least_integer_root, root_of_unity_order)
 from ambiskew.verdict import Status
 
 
@@ -452,10 +451,49 @@ def test_integer_roots_exact_for_huge_coefficients():
     assert integer_roots_scalar_poly(coeffs) == []
 
 
-def test_integer_roots_need_degree_at_most_two_in_char0():
+def test_integer_roots_of_any_degree_in_char0():
     ctx = _plain()
-    with pytest.raises(ValueError, match="degree at most 2"):
-        integer_roots_scalar_poly([ctx.one, ctx.zero, ctx.zero, ctx.one])
+    # m^3 + 1 = (m + 1)(m^2 - m + 1)
+    assert integer_roots_scalar_poly([ctx.one, ctx.zero, ctx.zero,
+                                      ctx.one]) == [-1]
+    # a repeated root, and a root at 0: m^2*(m - 10^30)^3*(m + 2)
+    big = 10**30
+    dense = _int_poly_times([0, 0, 1], [-big, 1], [-big, 1], [-big, 1],
+                            [2, 1])
+    assert integer_roots_scalar_poly([ctx.int_(c) for c in dense]) == \
+        [-2, 0, big]
+
+
+def _int_poly_times(*factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_roots_match_sympy_at_degree_three_to_six(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    ctx = _plain()
+    zctx = ScalarContext(cyclotomic_order=4)
+    for _ in range(15):
+        degree = rng.randint(3, 6)
+        planted = [rng.randint(-40, 40) for _ in range(rng.randint(0, 3))]
+        rest = [rng.randint(-9, 9) for _ in range(degree - len(planted))]
+        dense = _int_poly_times(*[[-r, 1] for r in planted], rest + [1])
+        m = sympy.Symbol("m")
+        expected = sorted(int(r) for r in sympy.Poly(
+            list(reversed(dense)), m).ground_roots() if r.is_integer)
+        coeffs = [ctx.int_(c) for c in dense]
+        assert integer_roots_scalar_poly(coeffs) == expected
+        # the same roots over Q(zeta_4), with a component that is zero
+        scaled = [zctx.int_(c) * zctx.zeta() for c in dense]
+        assert integer_roots_scalar_poly(scaled) == expected
 
 
 def test_least_integer_root_linear_cases():

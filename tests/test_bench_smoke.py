@@ -9,6 +9,7 @@ is timed.
 from __future__ import annotations
 
 import importlib
+import json
 import sys
 import types
 from pathlib import Path
@@ -23,12 +24,21 @@ from operation import Operation  # noqa: E402
 from run import MODULES  # noqa: E402
 from spans import Tracer  # noqa: E402
 
-# (workload, document name at seed 1): a worked example, a 200-step
-# K[C_2] units scan, a parametric splitting solve, and the quadratic and
-# K[C_2] unit pencils
+# (workload, document name at seed 1): a worked example, the K[C_2] units
+# pencil with the factor rho^2 = 4, a parametric splitting solve, the
+# quadratic and K[C_2] unit pencils, the dispersion of a GWA over a shift,
+# and the radical pencil of a localization
 DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("swell", "swell-solve-0"), ("catalog", "quad-1-1-1"),
-             ("catalog", "fc2-1-0"))
+             ("catalog", "fc2-1-0"), ("scan", "gwa-shift-1"),
+             ("scan", "localized-2-0"))
+
+
+def _kinds(verdict: dict):
+    """Every certificate kind in a verdict and its conditions."""
+    for entry in verify.entries_of(verdict):
+        if entry.get("certificate"):
+            yield entry["certificate"].get("kind")
 
 
 def _library() -> types.SimpleNamespace:
@@ -51,6 +61,9 @@ def test_one_document_per_workload_runs_traced_and_checks():
             text, spec, values = op.run(doc)
             assert verify.check_document(lib, doc, text, spec, values) == []
             assert verify.count_entries(text)[1] > 0
+            kinds = {k for e in json.loads(text) if "verdict" in e
+                     for k in _kinds(e["verdict"])}
+            assert "bounded_scan" not in kinds, name
     finally:
         tracer.uninstall()
     assert tracer.calls("dsl.parse_spec") == len(DOCUMENTS)

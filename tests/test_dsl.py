@@ -33,20 +33,20 @@ ERRORS = [
     ("context(characteristic = 5, cyclotomic_order = 4)",
      "semantic", 1, 1, "cyclotomic order must be 1 in positive characteristic"),
     ("context(parameters = q)",
-     "semantic", 1, 1, "parameters takes a list like [q, r]"),
+     "semantic", 1, 9, "parameters takes a list like [q, r]"),
     ("context(modulus = 3)",
-     "semantic", 1, 1, "unknown context argument 'modulus'"),
+     "semantic", 1, 9, "unknown context argument 'modulus'"),
     ("context(characteristic = 5, characteristic = 7)",
      "syntactic", 1, 29, "duplicate argument 'characteristic'"),
     ("context(characteristic = -5)",
-     "semantic", 1, 1, "characteristic must be 0 or a prime"),
+     "semantic", 1, 9, "characteristic must be 0 or a prime"),
     # base
     (C4 + "base A = cyclic_group(n = 4, epsilon = -1)",
      "semantic", 2, 1, "epsilon must be a primitive root of unity of order n"),
     ("base A = cyclic_group(n = 4)",
      "semantic", 1, 1, "cyclic_group needs n = ... and epsilon = ..."),
     ("base A = cyclic_group(n = 0, epsilon = 1)",
-     "semantic", 1, 1, "n must be a positive integer"),
+     "semantic", 1, 23, "n must be a positive integer"),
     ("base A = matrix()",
      "semantic", 1, 10, "unknown base family 'matrix'; expected one of "
      "field, poly, laurent, cyclic_group, quadratic"),
@@ -55,7 +55,11 @@ ERRORS = [
     ("base A = poly(t, u)",
      "syntactic", 1, 16, "expected a closing ')', found ','"),
     ("base A = quadratic(d = 2, n = 3)",
-     "semantic", 1, 1, "unknown quadratic argument 'n'"),
+     "semantic", 1, 27, "unknown quadratic argument 'n'"),
+    ("base A = quadratic(d = 2, gen = 3)",
+     "semantic", 1, 27, "gen must be a plain name"),
+    ("base A = quadratic(d = [q])",
+     "semantic", 1, 20, "d takes an expression, not a list"),
     ("base A = field() $",
      "lexical", 1, 18, "unexpected character '$'"),
     (C4 + "base A = cyclic_group(n = 2, epsilon = w)",

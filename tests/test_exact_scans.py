@@ -1,0 +1,374 @@
+"""The exact decisions that replace the bounded scans, against brute force.
+
+Units and radical: with (rho*alpha)^L rescaling v by a factor R of infinite
+order, v^(q*L + r) = [q]_R*v^(L) + R^q*v^(r), and the split families decide
+each such pencil exactly.  Comaximality of a GWA over a polynomial shift is
+the dispersion of u.  Every answer here is held against a direct walk over
+the index, and every Fails is replayed.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ambiskew.algebras import (AffineAuto, CyclicGroupAlgebra, DiagonalAuto,
+                               FieldAlgebra, PolyAlgebra, QuadraticAlgebra)
+from ambiskew.gwa import GwaRing, gwa_simple
+from ambiskew.localization import localized_simple
+from ambiskew.rings import AmbiskewRing
+from ambiskew.scalars import (ScalarContext, least_integer_root,
+                              root_of_unity_order)
+from ambiskew.simplicity import units_for_all_m
+from ambiskew.verdict import Status
+
+HORIZON = 300
+
+
+def _contexts():
+    q = ScalarContext(parameters=("q",))
+    p = q.param("q")
+    return {
+        "Q": (ScalarContext(), lambda c: [c.int_(2), c.fraction(Fraction(1, 2)),
+                                          c.int_(-3), c.fraction(Fraction(4, 9))]),
+        "Qzeta4": (ScalarContext(cyclotomic_order=4),
+                   lambda c: [c.int_(2), c.fraction(Fraction(-1, 3))]),
+        "Qq": (q, lambda c: [p, 2 * p, p ** -2, p / (p + 1)]),
+    }
+
+
+def _families(ctx):
+    """Field, K[C_n] for the n whose roots of unity ctx has, and quadratic
+    algebras that split (d = 4, and d = -1 over Q(zeta_4)) or are fields."""
+    out = [FieldAlgebra(ctx), CyclicGroupAlgebra(ctx, 2, -ctx.one)]
+    if ctx.cyclotomic_order == 4:
+        out.append(CyclicGroupAlgebra(ctx, 4, ctx.zeta()))
+    return out + [QuadraticAlgebra(ctx, ctx.int_(d)) for d in (4, 2, -1)]
+
+
+def _scalar(ctx, rng):
+    s = ctx.int_(rng.randint(-3, 3))
+    if ctx.cyclotomic_order > 1:
+        s = s + rng.randint(-1, 1) * ctx.zeta()
+    if ctx.parameters:
+        s = s + rng.randint(-1, 1) * ctx.param("q")
+    return s
+
+
+def _element(alg, rng):
+    out = {}
+    for key in alg.finite_basis():
+        out = alg.add(out, alg.monomial(key, _scalar(alg.ctx, rng)))
+    return out
+
+
+def _killer(alg, rng):
+    """An element e and a linear functional chi with chi(e) = 1 whose zero
+    makes an element a non-unit: a character of a split family, or the
+    whole element (chi = None) for a field."""
+    ctx = alg.ctx
+    if isinstance(alg, CyclicGroupAlgebra):
+        l = rng.randrange(alg.n)
+        idem = {k: alg.eps ** (-k * l) / alg.n for k in range(alg.n)}
+        return idem, lambda a: alg.character(l, a)
+    if isinstance(alg, QuadraticAlgebra):
+        _, root = alg.square_root_of_d()
+        if root is not None:
+            r = root if rng.random() < 0.5 else -root
+            half = ctx.fraction(Fraction(1, 2))
+            idem = {0: half, 1: half / r}
+            return idem, lambda a: a.get(0, ctx.zero) + r * a.get(1, ctx.zero)
+    return None, None
+
+
+def _pencil_at(alg, p, b, ratio, q):
+    scale = ratio ** q
+    lead = (scale - 1) / (ratio - 1)
+    return alg.add(alg.smul(lead, p), alg.smul(scale, b))
+
+
+def _plant(alg, p, b, ratio, q, rng):
+    """b changed so that the pencil element at q fails."""
+    idem, chi = _killer(alg, rng)
+    scale = ratio ** q
+    lead = (scale - 1) / (ratio - 1)
+    if chi is None:
+        return alg.smul(-lead / scale, p)
+    want = -lead * chi(p) / scale
+    return alg.add(b, alg.smul(want - chi(b), idem))
+
+
+def _fails_at(alg, elem, watch):
+    if watch is None:
+        return alg.is_unit(elem).status is not Status.HOLDS
+    return alg.radical_contains(elem, watch).status is Status.FAILS
+
+
+def _check_pencil(alg, p, b, ratio, q0, watch, horizon):
+    got = alg.first_nonunit_in_pencil(p, b, q0, ratio, watch)
+    if got is not None:
+        assert got >= q0
+        assert _fails_at(alg, _pencil_at(alg, p, b, ratio, got), watch)
+    stop = horizon if got is None else min(got, horizon)
+    for q in range(q0, stop):
+        assert not _fails_at(alg, _pencil_at(alg, p, b, ratio, q), watch), \
+            (alg.describe(), q, got)
+    return got
+
+
+@pytest.mark.parametrize("name", ["Q", "Qzeta4", "Qq"])
+def test_ratio_pencils_match_a_walk(name):
+    ctx, ratios = _contexts()[name]
+    rng = random.Random(name)
+    # over Q(q) each step of the walk grows the rational functions
+    horizon = HORIZON if name != "Qq" else 12
+    planted = found = 0
+    for alg in _families(ctx):
+        for ratio in ratios(ctx):
+            for trial in range(4):
+                p, b = _element(alg, rng), _element(alg, rng)
+                target = None
+                if trial % 2:
+                    target = rng.randint(1, horizon - 1)
+                    b = _plant(alg, p, b, ratio, target, rng)
+                    planted += 1
+                watch = None if trial < 2 else _element(alg, rng)
+                try:
+                    got = _check_pencil(alg, p, b, ratio, trial % 2, watch,
+                                        horizon)
+                except ValueError:
+                    # radical pencils need the characters of the family
+                    assert watch is not None and isinstance(alg, QuadraticAlgebra)
+                    continue
+                if target is not None and watch is None:
+                    assert got is not None and got <= target
+                found += got is not None
+    assert planted and found
+
+
+def test_ratio_solver_shapes():
+    ctx = ScalarContext()
+    assert least_integer_root([[ctx.int_(-8), ctx.one]], 0, ctx.int_(2)) == 3
+    assert least_integer_root([[ctx.int_(-8), ctx.one]], 4, ctx.int_(2)) is None
+    assert least_integer_root([[-ctx.one / 8, ctx.one]], 0,
+                              ctx.one / 2) == 3
+    assert least_integer_root([[ctx.int_(-81), ctx.one]], 0, ctx.int_(-3)) == 4
+    assert least_integer_root([[ctx.int_(27), ctx.one]], 0, ctx.int_(-3)) == 3
+    # a quadratic in X: (X - 2^5)(X - 2^9)
+    coeffs = [ctx.int_(2 ** 14), ctx.int_(-(2 ** 5 + 2 ** 9)), ctx.one]
+    assert least_integer_root([coeffs], 0, ctx.int_(2)) == 5
+    assert least_integer_root([coeffs], 6, ctx.int_(2)) == 9
+    # huge exponents stay exact: X = 3^400
+    big = [ctx.int_(-(3 ** 400)), ctx.one]
+    assert least_integer_root([big], 0, ctx.int_(3)) == 400
+    assert least_integer_root([big], 0, ctx.int_(9)) == 200
+    assert least_integer_root([[ctx.zero, ctx.zero]], 5, ctx.int_(2)) == 5
+    qctx = ScalarContext(parameters=("q",))
+    q = qctx.param("q")
+    # degree tie: q^6 = (q^2)^3; lowest-order tie for q/(q + 1)
+    assert least_integer_root([[-q ** 6, qctx.one]], 0, q ** 2) == 3
+    r = q / (q + 1)
+    assert least_integer_root([[-(r ** 5), qctx.one]], 0, r) == 5
+    assert least_integer_root([[-q ** 6, qctx.one + q]], 0, q ** 2) is None
+    zctx = ScalarContext(cyclotomic_order=4)
+    with pytest.raises(ValueError, match="neither rational"):
+        least_integer_root([[zctx.one, zctx.one]], 0,
+                           zctx.one + zctx.zeta())
+    with pytest.raises(ValueError, match="neither rational"):
+        least_integer_root([[-qctx.one, qctx.one]], 0, (q + 1) / (q + 2))
+
+
+def test_closed_form_v_m_matches_the_recurrence():
+    ctx = ScalarContext(cyclotomic_order=4)
+    alg = CyclicGroupAlgebra(ctx, 4, ctx.zeta())
+    for rho in (ctx.int_(2), ctx.one, ctx.zeta()):
+        ring = AmbiskewRing(alg, DiagonalAuto((ctx.zeta(),)),
+                            {0: ctx.one, 1: ctx.int_(2), 3: ctx.zeta()}, rho)
+        span, ratio = ring.v_period(64)
+        for m in (1, 5, 11, 37):
+            assert alg.eq(ring.v_m_periodic(m, span, ratio), ring.v_m(m))
+
+
+def test_power_by_squaring_matches_repeated_products():
+    ctx = ScalarContext(parameters=("q",))
+    field = FieldAlgebra(ctx)
+    ring = AmbiskewRing(field, field.identity_auto(), field.one, ctx.param("q"))
+    a = ring.add(ring.gen_elem("x"), ring.gen_elem("y"))
+    slow = ring.one
+    for k in range(8):
+        assert ring.eq(ring.power(a, k), slow)
+        slow = ring.mul(slow, a)
+    cyc = CyclicGroupAlgebra(ctx, 2, -ctx.one)
+    u = {0: ctx.int_(2), 1: ctx.one}
+    assert cyc.eq(cyc.mul(cyc.power(u, -5), cyc.power(u, 5)), cyc.one)
+
+
+# -- whole blocks: units and radical -----------------------------------------------
+
+
+def _blocks():
+    """K[C_n] (n = 2, 3, 4) and quadratic blocks whose rho*alpha repeats v
+    only up to a factor of infinite order."""
+    rng = random.Random(6)
+    q3 = ScalarContext(cyclotomic_order=3)
+    q4 = ScalarContext(cyclotomic_order=4)
+    qq = ScalarContext(parameters=("q",))
+    out = []
+    specs = [(ScalarContext(), 2, -1), (q3, 3, None), (q4, 4, None), (qq, 2, -1)]
+    for ctx, n, eps in specs:
+        eps = ctx.zeta() if eps is None else ctx.int_(eps)
+        alg = CyclicGroupAlgebra(ctx, n, eps)
+        rhos = ([ctx.param("q")] if ctx.parameters
+                else [ctx.int_(2), ctx.fraction(Fraction(1, 2)), ctx.int_(-3)])
+        for rho in rhos:
+            for _ in range(3):
+                v = {k: ctx.int_(rng.choice((-3, -2, -1, 1, 2, 3)))
+                     for k in range(n)}
+                out.append(AmbiskewRing(alg, DiagonalAuto((eps,)), v, rho))
+    for ctx, d in ((q4, -1), (ScalarContext(), 2), (ScalarContext(), 4)):
+        alg = QuadraticAlgebra(ctx, ctx.int_(d))
+        for rho in (ctx.int_(2), ctx.fraction(Fraction(-1, 3))):
+            for _ in range(3):
+                v = {0: ctx.int_(rng.choice((-2, -1, 1, 2, 3))),
+                     1: ctx.int_(rng.choice((-2, -1, 1, 2)))}
+                out.append(AmbiskewRing(alg, alg.conjugation(), v, rho))
+    return out
+
+
+def _walk(ring, fails, horizon):
+    for m in range(1, horizon + 1):
+        if fails(ring.v_m(m)):
+            return m
+    return None
+
+
+def _nonunit(base):
+    if isinstance(base, CyclicGroupAlgebra) and base.ctx.parameters:
+        # over Q(q) is_unit builds an inverse of degree ~m in q at every
+        # step; the characters alone decide units
+        return lambda a: any(base.character(l, a).is_zero()
+                             for l in range(base.n))
+    return lambda a: base.is_unit(a).status is not Status.HOLDS
+
+
+def test_units_and_radical_match_a_walk_to_300():
+    seen = {"holds": 0, "fails": 0}
+    for ring in _blocks():
+        base = ring.base
+        assert ring.v_eigenvalue() is None
+        span, ratio = ring.v_period(64)
+        assert root_of_unity_order(ratio) is None
+        units = units_for_all_m(ring)
+        walked = _walk(ring, _nonunit(base), HORIZON)
+        assert units.status is not Status.INCONCLUSIVE
+        seen[units.status.value] += 1
+        if units.fails:
+            m = units.certificate["m"]
+            assert walked == m or (walked is None and m > HORIZON)
+            assert base.is_unit(ring.v_m(m)).status is not Status.HOLDS
+        else:
+            assert walked is None
+        if ring.conformality().status is not Status.HOLDS:
+            continue
+        u = ring.conformality().u
+        radical = dict(localized_simple(ring).conditions)["radical"]
+        walked = _walk(ring, lambda a: base.radical_contains(a, u).fails,
+                       HORIZON)
+        assert radical.status is not Status.INCONCLUSIVE
+        if radical.fails:
+            m = radical.certificate["m"]
+            assert walked == m or (walked is None and m > HORIZON)
+            assert base.radical_contains(ring.v_m(m), u).fails
+        else:
+            assert walked is None
+    assert seen["holds"] and seen["fails"]
+
+
+def test_a_ratio_moving_a_parameter_decides():
+    # K[C_2] over Q(q), v = 1 + 2*s, rho = q: (rho*alpha)^2 rescales v by
+    # q^2, whose degree in q pins every candidate
+    ctx = ScalarContext(parameters=("q",))
+    alg = CyclicGroupAlgebra(ctx, 2, -ctx.one)
+    ring = AmbiskewRing(alg, DiagonalAuto((-ctx.one,)),
+                        {0: ctx.one, 1: ctx.int_(2)}, ctx.param("q"))
+    verdict = units_for_all_m(ring)
+    assert verdict.holds
+    assert verdict.certificate == {"kind": "periodic_units", "period": 2,
+                                   "ratio": "q^2"}
+
+
+def test_planted_failure_past_the_old_scan_bound():
+    # K[C_2], s -> -s, rho = 2: (rho*alpha)^2 rescales v by R = 4, and with
+    # chi_0(v) = A, chi_1(v) = B the residue-1 pencil has
+    # chi_0(v^(2q + 1)) = [q]_4*(A + 2*B) + 4^q*A, which vanishes exactly
+    # when 4^q = (A + 2*B)/(4*A + 2*B); plant q = 150, so m = 301
+    ctx = ScalarContext()
+    alg = CyclicGroupAlgebra(ctx, 2, -ctx.one)
+    big = 4 ** 150
+    a, b = 2 * (big - 1), 1 - 4 * big
+    v = {0: ctx.fraction(Fraction(a + b, 2)), 1: ctx.fraction(Fraction(a - b, 2))}
+    ring = AmbiskewRing(alg, DiagonalAuto((-ctx.one,)), v, ctx.int_(2))
+    verdict = units_for_all_m(ring)
+    assert verdict.fails and verdict.certificate["m"] == 301
+    assert verdict.certificate["detail"]["character"] == 0
+    assert _walk(ring, _nonunit(alg), 301) == 301
+
+
+# -- GWA comaximality over a shift: the dispersion of u ---------------------------
+
+
+def _shift_u(ctx, rng):
+    """u of degree 2-4 over Q with planted integer gaps between roots, and
+    sometimes an irreducible quadratic factor."""
+    alg = PolyAlgebra(ctx)
+    base = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+    roots = [base + rng.randint(0, 7) for _ in range(rng.randint(1, 2))]
+    roots += [Fraction(rng.randint(-9, 9), rng.choice((2, 3, 5)))
+              for _ in range(rng.randint(0, 1))]
+    u = {0: ctx.int_(rng.choice((1, -2, 3)))}
+    for r in roots:
+        u = alg.mul(u, {1: ctx.one, 0: ctx.fraction(-r)})
+    if len(roots) < 2 or (len(roots) == 2 and rng.random() < 0.3):
+        u = alg.mul(u, {2: ctx.one, 0: ctx.int_(rng.randint(1, 5))})
+    return alg, u
+
+
+def test_dispersion_matches_a_comaximality_walk():
+    ctx = ScalarContext()
+    rng = random.Random(1971)
+    seen = {"holds": 0, "fails": 0}
+    for _ in range(40):
+        alg, u = _shift_u(ctx, rng)
+        assert 2 <= max(u) <= 4
+        step = ctx.fraction(rng.choice((Fraction(1), Fraction(-1), Fraction(2),
+                                        Fraction(1, 2))))
+        alpha = AffineAuto(ctx.one, step)
+        comax = dict(gwa_simple(GwaRing(alg, alpha, u)).conditions)["comaximal"]
+        walked = None
+        for m in range(1, 40):
+            image = alg.apply(alg.auto_power(alpha, m), u)
+            if alg.comaximal(u, image).fails:
+                walked = m
+                break
+        assert comax.status is not Status.INCONCLUSIVE
+        seen[comax.status.value] += 1
+        if comax.fails:
+            assert comax.certificate["m"] == walked
+        else:
+            assert walked is None
+            assert comax.certificate["kind"] == "shift_coprime"
+            assert "resultant" in comax.certificate
+    assert seen["holds"] and seen["fails"]
+
+
+def test_dispersion_with_a_parametric_step():
+    ctx = ScalarContext(parameters=("q",))
+    alg = PolyAlgebra(ctx)
+    q = ctx.param("q")
+    # roots 0 and 3*q: alpha^m(u) = u(t + m*q) meets u at m = 3
+    u = alg.mul({1: ctx.one}, {1: ctx.one, 0: -3 * q})
+    comax = dict(gwa_simple(GwaRing(alg, AffineAuto(ctx.one, q), u))
+                 .conditions)["comaximal"]
+    assert comax.fails and comax.certificate["m"] == 3

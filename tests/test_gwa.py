@@ -277,7 +277,7 @@ def test_weyl_presentation_simple_in_characteristic_zero():
     assert verdict.holds
     assert verdict.theorem == "gwa"
     assert _conditions(verdict)["comaximal"].certificate == {
-        "kind": "shift_coprime"}
+        "kind": "shift_coprime", "resultant": "-m"}
 
 
 def test_weyl_presentation_fails_in_characteristic_five():
@@ -339,10 +339,20 @@ def test_group_algebra_scan_finds_the_periodic_witness():
     assert cert["kind"] == "comaximal_witness" and cert["m"] == 4
 
 
-def test_bounded_comaximal_scan_is_inconclusive():
+def test_laurent_scaling_moves_a_single_root_away():
     ctx = ScalarContext(parameters=("q",))
     alg = LaurentAlgebra(ctx)
     u = {0: ctx.one, 1: ctx.one}
+    T = GwaRing(alg, DiagonalAuto((ctx.param("q"),)), u)
+    comax = _conditions(gwa_simple(T))["comaximal"]
+    assert comax.holds
+    assert comax.certificate == {"kind": "shift_coprime", "ratio": "q"}
+
+
+def test_bounded_comaximal_scan_is_inconclusive():
+    ctx = ScalarContext(parameters=("q",))
+    alg = LaurentAlgebra(ctx)
+    u = {0: ctx.one, 1: ctx.one, 2: ctx.one}
     T = GwaRing(alg, DiagonalAuto((ctx.param("q"),)), u)
     verdict = gwa_simple(T, bounds=Bounds(m_max=5))
     comax = _conditions(verdict)["comaximal"]

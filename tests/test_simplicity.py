@@ -114,9 +114,26 @@ def test_units_formal_parameters_stay_invertible():
     assert verdict.certificate == {"kind": "periodic_units", "period": 2}
 
 
-def test_units_truncated_scan_is_inconclusive():
+def test_units_with_a_rational_factor_decide():
+    # (rho*alpha)^2 rescales v = 1 + s by rho^2 = 4: once a bounded scan
     ctx, alg, ring = quadratic_conjugation(2, 1, 1)
     verdict = units_for_all_m(ring)
+    assert verdict.status is Status.HOLDS
+    assert verdict.certificate == {"kind": "periodic_units", "period": 2,
+                                   "ratio": "4"}
+    assert all(alg.is_unit(ring.v_m(m)).status is Status.HOLDS
+               for m in range(1, 60))
+
+
+def test_units_truncated_scan_is_inconclusive():
+    # rho = 1 + zeta makes the factor rho^2 = 2*zeta, neither rational nor
+    # parametric, so the pencil solver refuses and the scan runs
+    ctx = ScalarContext(cyclotomic_order=4)
+    alg = CyclicGroupAlgebra(ctx, 2, -ctx.one)
+    ring = AmbiskewRing(alg, DiagonalAuto((-ctx.one,)),
+                        {0: ctx.int_(2), 1: ctx.one}, ctx.one + ctx.zeta())
+    verdict = units_for_all_m(ring)
+    assert "2*zeta" in verdict.reason
     assert verdict.status is Status.INCONCLUSIVE
     assert verdict.certificate == {"kind": "bounded_scan", "m_max": 200}
     tight = units_for_all_m(ring, Bounds(m_max=12))
