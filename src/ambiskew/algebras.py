@@ -37,6 +37,9 @@ The protocol hooks are:
   ``coprime_to_shifts`` (the least m with u and alpha^m(u) not comaximal,
   from a closed form: the dispersion of u under a polynomial shift, the
   single root of u under a Laurent scaling).
+
+The Euclidean decisions of Poly and Laurent (radical, comaximality, the
+dispersion resultant) run on the dense polynomial layer of ``scalars``.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ from .multiplicative import factor_rational
 from .scalars import (
     Scalar,
     ScalarContext,
+    _divmod,
+    _gcd,
+    _interpolate,
+    _join_signed,
+    _resultant,
     least_integer_root,
     root_of_unity_order,
 )
@@ -143,24 +151,18 @@ def _signed_atom(s: Scalar) -> tuple[bool, str]:
 
 
 def _render_terms(parts: list[tuple[Scalar, str]]) -> str:
-    if not parts:
-        return "0"
-    chunks: list[str] = []
-    for i, (s, mono) in enumerate(parts):
+    signed = []
+    for s, mono in parts:
         if not mono:
-            neg, body = _signed_atom(s)
+            signed.append(_signed_atom(s))
         elif s.is_one():
-            neg, body = False, mono
+            signed.append((False, mono))
         elif (-s).is_one():
-            neg, body = True, mono
+            signed.append((True, mono))
         else:
             neg, body = _signed_atom(s)
-            body = f"{body}*{mono}"
-        if i == 0:
-            chunks.append("-" + body if neg else body)
-        else:
-            chunks.append(("- " if neg else "+ ") + body)
-    return " ".join(chunks)
+            signed.append((neg, f"{body}*{mono}"))
+    return _join_signed(signed)
 
 
 def scalar_ratio(algebra, a: dict, b: dict) -> Scalar | None:
@@ -178,80 +180,10 @@ def scalar_ratio(algebra, a: dict, b: dict) -> Scalar | None:
     return s if algebra.eq(a, algebra.smul(s, b)) else None
 
 
-# ---------------------------------------------------------------------------
-# dense univariate helpers over the scalar field (Poly / Laurent decisions)
-# ---------------------------------------------------------------------------
-
-
-def _udense(a: dict, lo: int) -> list[Scalar]:
-    hi = max(a)
-    ctx = next(iter(a.values())).ctx
-    out = [ctx.zero] * (hi - lo + 1)
-    for i, s in a.items():
-        out[i - lo] = s
-    return out
-
-
-def _utrim(a: list[Scalar]) -> list[Scalar]:
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
-
-
-def _udivmod(a: list[Scalar], b: list[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
-    a = list(a)
-    ctx = b[-1].ctx
-    q = [ctx.zero] * max(0, len(a) - len(b) + 1)
-    inv = b[-1].inv()
-    while len(a) >= len(b) and _utrim(a):
-        c = a[-1] * inv
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i, bc in enumerate(b):
-            a[i + shift] = a[i + shift] - c * bc
-        _utrim(a)
-    return q, a
-
-
-def _ugcd(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
-    a, b = _utrim(list(a)), _utrim(list(b))
-    while b:
-        a, b = b, _udivmod(a, b)[1]
-    if a:
-        inv = a[-1].inv()
-        a = [c * inv for c in a]
-    return a
-
-
-def _uresultant(a: list[Scalar], b: list[Scalar]) -> Scalar:
-    """Res(a, b) of two nonzero dense polynomials, by Euclid's algorithm:
-    Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) * Res(b, r)
-    for the remainder r of a by b."""
-    out = b[-1].ctx.one
-    while len(b) > 1:
-        r = _udivmod(a, b)[1]
-        if not r:
-            return b[-1].ctx.zero
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            out = -out
-        out = out * b[-1] ** (len(a) - len(r))
-        a, b = b, r
-    return out * b[0] ** (len(a) - 1)
-
-
-def _interpolate(values: list[Scalar]) -> list[Scalar]:
-    """The dense polynomial of degree < len(values) taking values[i] at
-    i = 0, 1, ..., by Newton's divided differences."""
-    coef = list(values)
-    for j in range(1, len(coef)):
-        for i in range(len(coef) - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / j
-    poly = [coef[-1]]
-    for i in range(len(coef) - 2, -1, -1):
-        # poly <- poly*(x - i) + coef[i]
-        poly = [coef[i] - poly[0] * i] + [
-            prev - c * i for prev, c in zip(poly, poly[1:])] + [poly[-1]]
-    return poly
+def _udense(a: dict) -> list[Scalar]:
+    """The dense coefficient list of a nonzero polynomial element."""
+    zero = next(iter(a.values())).ctx.zero
+    return [a.get(i, zero) for i in range(max(a) + 1)]
 
 
 def _pencil_line(algebra, p: dict, b: dict, ratio: Scalar | None):
@@ -742,7 +674,7 @@ class _Univariate(BaseAlgebra):
         if not u:
             return holds("u is zero", certificate={"power": 1})
         power = self._normalize(self.power(u, deg))
-        _, rem = _udivmod(_udense(power, 0), _udense(dp, 0))
+        _, rem = _divmod(_udense(power), _udense(dp))
         if rem:
             return fails(f"d does not divide u^{deg}",
                          certificate={"kind": "radical_witness", "power": deg})
@@ -755,7 +687,7 @@ class _Univariate(BaseAlgebra):
             if max(self._normalize(a or b)) == 0:
                 return holds("one element is a unit")
             return fails("one element is zero, the other is not a unit")
-        g = _ugcd(_udense(self._normalize(a), 0), _udense(self._normalize(b), 0))
+        g = _gcd(_udense(self._normalize(a)), _udense(self._normalize(b)))
         if len(g) <= 1:
             return holds("the elements generate the unit ideal")
         return fails(f"the elements share a {self._common_factor} factor",
@@ -1086,20 +1018,20 @@ class PolyAlgebra(_Univariate):
                 return fails("every automorphism is the identity",
                              certificate={"kind": "stable_ideal",
                                           "generator": self.gen})
-            # characteristic p: the product over the F_p-span of the shifts
+            # characteristic p: the product over the F_p-span of the shifts,
+            # built one offset at a time (Ore's subspace polynomial): f is
+            # additive, so adding a b outside the span of its roots
+            # (f(b) != 0) multiplies out to prod_k (f - k*f(b)), which is
+            # f^p - f(b)^(p-1)*f with f^p taken termwise
             p = self.ctx.characteristic
-            span = [self.ctx.zero]
+            f = {1: one}
             for b in bs:
-                new = list(span)
-                for s in span:
-                    for k in range(1, p):
-                        cand = s + b * k
-                        if all(cand != t for t in new):
-                            new.append(cand)
-                span = new
-            f = self.one
-            for v in span:
-                f = self.mul(f, {1: one, 0: -v})
+                fb = self.ctx.zero
+                for k, c in f.items():
+                    fb = fb + c * b ** k
+                if not fb.is_zero():
+                    f = self.sub({k * p: c ** p for k, c in f.items()},
+                                 self.smul(fb ** (p - 1), f))
             return fails(
                 "the shifts only translate by the finite span of their offsets",
                 certificate={"kind": "stable_ideal", "generator": self.render(f)})
@@ -1134,9 +1066,9 @@ class PolyAlgebra(_Univariate):
         # (the dispersion of u, Abramov 1971): interpolate it from n^2 + 1
         # values and take its least positive integer root
         n = max(u)
-        dense = _udense(u, 0)
-        values = [_uresultant(dense, _udense(self.apply(
-                      AffineAuto(ctx.one, alpha.b * m), u), 0))
+        dense = _udense(u)
+        values = [_resultant(dense, _udense(self.apply(
+                      AffineAuto(ctx.one, alpha.b * m), u)))
                   for m in range(n * n + 1)]
         res = _interpolate(values)
         fields = {"resultant": PolyAlgebra(ctx, "m").render(

@@ -19,7 +19,6 @@ The statement forms:
     ring R = ambiskew(A, alpha, v = s + 2*s^3, rho = zeta, y = y1, x = x1)
     ring T = gwa(L, alpha, u = t)
     ring T2 = quotient_by_casimir(R)
-    assume independent(q, r)
     check simple(R)
     check torus(matrix.csv)
 
@@ -382,7 +381,6 @@ class SpecDocument:
     autos: dict = field(default_factory=dict)
     rings: dict = field(default_factory=dict)
     checks: list[CheckDecl] = field(default_factory=list)
-    assumptions: list[str] = field(default_factory=list)
     context_declared: bool = False
 
     def algebra(self, name: str):
@@ -670,25 +668,6 @@ def _parse_ring(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
     doc.rings[name] = ring
 
 
-def _parse_assume(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
-    word = cur.expect("NAME", "'independent'")
-    if word.text != "independent":
-        raise DslError("syntactic", word.loc,
-                       f"expected 'independent', found {word.text!r}")
-    cur.expect("(", "'('")
-    names = [cur.expect("NAME", "a parameter name").text]
-    while cur.take(","):
-        names.append(cur.expect("NAME", "a parameter name").text)
-    cur.expect(")", "a closing ')'")
-    cur.expect_end()
-    ctx = _context(doc)
-    for name in names:
-        if name not in ctx.parameters:
-            raise _semantic(loc, f"{name!r} is not a declared parameter")
-    doc.assumptions.append(
-        f"the parameters {', '.join(names)} are algebraically independent")
-
-
 def _parse_check(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
     kind = cur.expect("NAME", "a check kind")
     if kind.text not in CHECK_KINDS:
@@ -728,7 +707,6 @@ _STATEMENT_PARSERS = {
     "base": _parse_base,
     "auto": _parse_auto,
     "ring": _parse_ring,
-    "assume": _parse_assume,
     "check": _parse_check,
 }
 

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 from .algebras import NO_EIGEN_FRAME, AffineAuto, EigenFrame
 from .bounds import DEFAULT, Bounds
-from .intlattice import column_kernel
 from .multiplicative import relation_kernel
 from .scalars import Scalar, root_of_unity_order
 from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
@@ -92,11 +91,10 @@ class SpecialElement:
 
 
 def special_element_search(algebra, alpha, gamma, rho: Scalar,
-                           mode: str = "all", units_only: bool = False):
-    """Hunt for an (m, j)-special element, returning ``(witness, complete)``.
+                           units_only: bool = False):
+    """Hunt for an (m, j)-special element with (m, j) != (0, 0), returning
+    ``(witness, complete)``.
 
-    ``mode="all"`` wants any (m, j) != (0, 0); ``mode="zero_m_only"`` wants
-    m = 0 and j != 0, the relaxed form available when u is not nilpotent.
     ``complete=True`` makes a ``None`` definitive.  ``units_only`` restricts
     the hunt to unit candidates, which loses nothing when the algebra is
     {alpha, gamma}-simple (special elements are then forced to be units);
@@ -108,25 +106,22 @@ def special_element_search(algebra, alpha, gamma, rho: Scalar,
     >>> ctx = ScalarContext(cyclotomic_order=6)
     >>> field = FieldAlgebra(ctx)
     >>> one = field.identity_auto()
-    >>> w, complete = special_element_search(field, one, one, ctx.zeta(),
-    ...                                      mode="zero_m_only")
+    >>> w, complete = special_element_search(field, one, one, ctx.zeta())
     >>> (w.m, w.j), complete
-    ((0, 6), True)
+    ((6, 6), True)
     >>> special_element_search(field, one, one, ctx.int_(2))
     (None, True)
     """
-    if mode not in ("all", "zero_m_only"):
-        raise ValueError(f"unknown search mode: {mode!r}")
     if algebra.auto_is_identity(alpha) and algebra.auto_is_identity(gamma):
-        return _unit_witness(algebra, alpha, gamma, rho, mode == "zero_m_only")
+        return _unit_witness(algebra, alpha, gamma, rho, zero_m=False)
     if not algebra.is_diagonal(alpha):
         shift = (isinstance(alpha, AffineAuto) and alpha.a == algebra.ctx.one
                  and not alpha.b.is_zero())
         if not shift or not algebra.auto_is_identity(gamma):
             raise ValueError(NO_EIGEN_FRAME)
-        return _unit_witness(algebra, alpha, gamma, rho, True)
+        return _unit_witness(algebra, alpha, gamma, rho, zero_m=True)
     frame = algebra.eigen_frame(alpha, gamma, units_only)
-    return _lattice_search(algebra, alpha, gamma, rho, mode, frame)
+    return _lattice_search(algebra, alpha, gamma, rho, frame)
 
 
 def _unit_witness(algebra, alpha, gamma, rho: Scalar, zero_m: bool):
@@ -148,8 +143,7 @@ def _unit_witness(algebra, alpha, gamma, rho: Scalar, zero_m: bool):
     return witness, True
 
 
-def _lattice_search(algebra, alpha, gamma, rho: Scalar, mode: str,
-                    frame: EigenFrame):
+def _lattice_search(algebra, alpha, gamma, rho: Scalar, frame: EigenFrame):
     ctx = algebra.ctx
     one = ctx.one
     rho_inv = rho ** -1
@@ -162,43 +156,26 @@ def _lattice_search(algebra, alpha, gamma, rho: Scalar, mode: str,
     basis = relation_kernel(conditions)
     if basis is None:
         return None, False
-    if mode == "zero_m_only":
-        basis = _zero_m_sublattice(basis)
-        wanted = lambda m, j: m == 0 and j != 0
-    else:
-        wanted = lambda m, j: (m, j) != (0, 0)
-    if not any(wanted(b[0], b[1]) for b in basis):
+    if not any(b[0] or b[1] for b in basis):
         return None, frame.complete
-    vec = _pick_vector(basis, wanted)
+    vec = _pick_vector(basis)
     witness = SpecialElement(frame.build(vec[2:]), vec[0], vec[1])
     witness.check(algebra, alpha, gamma, rho)
     return witness, True
 
 
-def _zero_m_sublattice(basis: list[list[int]]) -> list[list[int]]:
-    ms = [b[0] for b in basis]
-    if all(v == 0 for v in ms):
-        return [list(b) for b in basis]
-    out = []
-    for combo in column_kernel([ms], len(basis)):
-        vec = [sum(c * b[t] for c, b in zip(combo, basis))
-               for t in range(len(basis[0]))]
-        if any(vec):
-            out.append(vec)
-    return out
-
-
-def _pick_vector(basis: list[list[int]], wanted) -> list[int]:
-    """Smallest usable vector among small combinations of the basis, so the
-    reported witness does not depend on elimination order: sign-normalized,
-    then minimal in max(|m|, |j|), then in exponent weight."""
+def _pick_vector(basis: list[list[int]]) -> list[int]:
+    """Smallest vector with (m, j) != (0, 0) among small combinations of the
+    basis, so the reported witness does not depend on elimination order:
+    sign-normalized, then minimal in max(|m|, |j|), then in exponent
+    weight."""
     span = 2 if len(basis) <= 4 else 1
     best_key, best = None, None
     for combo in itertools.product(range(-span, span + 1), repeat=len(basis)):
         vec = [sum(c * b[t] for c, b in zip(combo, basis))
                for t in range(len(basis[0]))]
         m, j = vec[0], vec[1]
-        if not wanted(m, j):
+        if (m, j) == (0, 0):
             continue
         if m < 0 or (m == 0 and j < 0):
             vec = [-t for t in vec]
@@ -222,9 +199,7 @@ def localized_simple(ring, bounds: Bounds = DEFAULT) -> Verdict:
 
     - ``alpha_gamma_simple``: no proper nonzero ideal of the coefficient
       algebra is stable under both alpha and gamma;
-    - ``no_special``: no (m, j)-special element with (m, j) != (0, 0); when
-      the full hunt is out of reach but u is provably not nilpotent, the
-      hunt may be relaxed to m = 0 (theorem tag ``localized.nonnilpotent``);
+    - ``no_special``: no (m, j)-special element with (m, j) != (0, 0);
     - ``radical``: for every m >= 1 some power of u lies in v^(m)A, decided
       through the eigen structure or the period of v, or a bounded scan.
     """
@@ -237,16 +212,14 @@ def localized_simple(ring, bounds: Bounds = DEFAULT) -> Verdict:
     base = ring.base
     nil = base.radical_contains(base.zero, conf.u)
     simple = base.alpha_simple([ring.alpha, ring.gamma])
-    special, relaxed = _no_special(ring, nil, units_only=simple.holds)
-    tag = "localized.nonnilpotent" if relaxed else "localized.full"
     return conjunction([
         ("alpha_gamma_simple", simple),
-        ("no_special", special),
+        ("no_special", _no_special(ring, units_only=simple.holds)),
         ("radical", _radical_all_m(ring, conf.u, nil, bounds)),
-    ], theorem=tag)
+    ], theorem="localized.full")
 
 
-def _no_special(ring, nil: Verdict, units_only: bool) -> tuple[Verdict, bool]:
+def _no_special(ring, units_only: bool) -> Verdict:
     base = ring.base
     note = None
     try:
@@ -255,19 +228,10 @@ def _no_special(ring, nil: Verdict, units_only: bool) -> tuple[Verdict, bool]:
     except ValueError as exc:
         witness, complete, note = None, False, str(exc)
     if witness is not None:
-        return _special_fails(base, witness), False
+        return _special_fails(base, witness)
     if complete:
-        return holds("no (m, j)-special element exists with (m, j) != (0, 0)"), False
-    if nil.status is Status.FAILS and note is None:
-        witness, complete = special_element_search(
-            base, ring.alpha, ring.gamma, ring.rho, mode="zero_m_only",
-            units_only=units_only)
-        if witness is not None:
-            return _special_fails(base, witness), False
-        if complete:
-            return holds("no (0, j)-special element exists with j != 0, and "
-                         "u is not nilpotent, which rules out m != 0"), True
-    return inconclusive(note or "the special-element lattice was not decided"), False
+        return holds("no (m, j)-special element exists with (m, j) != (0, 0)")
+    return inconclusive(note or "the special-element lattice was not decided")
 
 
 def _special_fails(base, w: SpecialElement) -> Verdict:

@@ -28,10 +28,14 @@ sorts terms in descending graded-lex order with the declared parameter
 order, so the same computation prints identically from run to run, and a
 constant prints the same with or without parameters in its context.
 
-The last section solves scalar polynomials over the integers: their
-integer roots at any degree, and the least q at which one vanishes at
-X = q or at X = R^q, which is how the coefficient families decide their
-unit and radical pencils.
+The first section is the package's one layer of dense univariate
+polynomials (trim, divmod, monic gcd, resultant, interpolation, Horner),
+generic over Fractions and Scalars: the cyclotomic construction, the
+integer roots below and the Poly family's radical, comaximality and
+dispersion decisions all run on it.  The last section solves scalar
+polynomials over the integers: their integer roots at any degree, and the
+least q at which one vanishes at X = q or at X = R^q, which is how the
+coefficient families decide their unit and radical pencils.
 """
 
 from __future__ import annotations
@@ -46,28 +50,81 @@ RatLike = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers over Q (for cyclotomic construction and inverses)
+# dense univariate polynomials over Q or over the scalar field
 # ---------------------------------------------------------------------------
+#
+# Coefficient lists, lowest degree first, over any field whose elements
+# support + - * / and a truth value that is False exactly at zero:
+# Fractions and Scalars.
 
 
-def _dtrim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
+def _trim(a: list) -> list:
+    """a without its trailing zeros, in place."""
+    while a and not a[-1]:
         a.pop()
     return a
 
 
-def _ddivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and _dtrim(a):
+def _divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b, whose last coefficient is nonzero."""
+    a = _trim(list(a))
+    q = [0 * b[-1]] * max(0, len(a) - len(b) + 1)
+    inv = 1 / b[-1]
+    while len(a) >= len(b):
+        c = a[-1] * inv
         shift = len(a) - len(b)
-        c = a[-1] * inv_lead
         q[shift] = c
         for i, bc in enumerate(b):
-            a[i + shift] -= c * bc
-        _dtrim(a)
-    return _dtrim(q), a
+            a[i + shift] = a[i + shift] - c * bc
+        _trim(a)
+    return q, a
+
+
+def _gcd(a: list, b: list) -> list:
+    """The monic gcd of a and b, [] when both are zero."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else a
+
+
+def _resultant(a: list, b: list):
+    """Res(a, b) of two nonzero polynomials, by Euclid's algorithm:
+    Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) * Res(b, r)
+    for the remainder r of a by b."""
+    out = b[-1] ** 0
+    while len(b) > 1:
+        r = _divmod(a, b)[1]
+        if not r:
+            return 0 * out
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            out = -out
+        out = out * b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    return out * b[0] ** (len(a) - 1)
+
+
+def _interpolate(values: list) -> list:
+    """The polynomial of degree < len(values) taking values[i] at
+    i = 0, 1, ..., by Newton's divided differences."""
+    coef = list(values)
+    for j in range(1, len(coef)):
+        for i in range(len(coef) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / j
+    poly = [coef[-1]]
+    for i in range(len(coef) - 2, -1, -1):
+        # poly <- poly*(x - i) + coef[i]
+        poly = [coef[i] - poly[0] * i] + [
+            prev - c * i for prev, c in zip(poly, poly[1:])] + [poly[-1]]
+    return poly
+
+
+def _horner(coeffs: list, x):
+    """sum coeffs[k]*x^k, over ints, Fractions or Scalars."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +147,7 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     num[0], num[n] = Fraction(-1), Fraction(1)
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _ddivmod(num, [Fraction(c) for c in cyclotomic_coeffs(d)])
+            num, rem = _divmod(num, [Fraction(c) for c in cyclotomic_coeffs(d)])
             assert not rem
     return tuple(int(c) for c in num)
 
@@ -98,19 +155,19 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
 def _poly_invert_mod(f: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
     """Inverse of f modulo the (irreducible, monic) polynomial mod."""
     # extended Euclid; r0, r1 carry Bezout coefficients s0, s1 for f
-    r0, r1 = list(mod), _dtrim(list(f))
+    r0, r1 = list(mod), _trim(list(f))
     s0, s1 = [], [Fraction(1)]
     while r1:
-        q, r = _ddivmod(r0, r1)
+        q, r = _divmod(r0, r1)
         s = list(s0)
         s += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s))
         for i, qc in enumerate(q):
             for j, sc in enumerate(s1):
                 s[i + j] -= qc * sc
-        r0, r1, s0, s1 = r1, r, s1, _dtrim(s)
+        r0, r1, s0, s1 = r1, r, s1, _trim(s)
     if len(r0) != 1:
         raise ZeroDivisionError("element is not invertible")
-    return _dtrim([c / r0[0] for c in s0])
+    return _trim([c / r0[0] for c in s0])
 
 
 def factor_int(n: int) -> dict[int, int]:
@@ -160,13 +217,9 @@ class CyclotomicDomain:
         self.one = (Fraction(1),) + (Fraction(0),) * (d - 1)
         self._mod = [Fraction(c) for c in coeffs]
         # x^d folded into the basis, then x^(d+1), ..., x^(2d-2)
-        fold = [tuple(Fraction(-c) for c in coeffs[:d])]
+        self._fold = [tuple(Fraction(-c) for c in coeffs[:d])]
         for _ in range(d - 2):
-            prev = fold[-1]
-            shifted = [Fraction(0)] + list(prev[:-1])
-            over = prev[-1]
-            fold.append(tuple(s + over * f for s, f in zip(shifted, fold[0])))
-        self._fold = fold
+            self._fold.append(self._shift(self._fold[-1]))
         pows = [self.one]
         for _ in range(1, order):
             pows.append(self._shift(pows[-1]))
@@ -563,6 +616,10 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self) -> bool:
+        # the dense polynomial layer tests Fractions and Scalars alike
+        return bool(self.num)
+
     def is_one(self) -> bool:
         return self.num == self.ctx._pone and self.den == self.ctx._pone
 
@@ -775,14 +832,6 @@ def root_of_unity_order(s: Scalar) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _horner(coeffs: list, x):
-    """sum coeffs[k]*x^k, over ints or over Scalars."""
-    out = 0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
 def _rational_component(coeffs: list[Scalar]):
     """The coefficients cleared to a common polynomial denominator, and one
     rational component of them: the entries at the least (parameter
@@ -810,48 +859,13 @@ def _ints(fracs) -> list[int]:
     return [int(f * den) for f in fracs]
 
 
-def _squarefree_poly(f: list[int]) -> list[int]:
-    """f / gcd(f, f') over Q, scaled back to integer coefficients."""
-    a = [Fraction(c) for c in f]
-    g, h = a, _dtrim([c * k for k, c in enumerate(a)][1:])
-    while h:
-        g, h = h, _ddivmod(g, h)[1]
-    return _ints(_ddivmod(a, g)[0])
-
-
-def _squarefree_mod(f: list[int], p: int) -> bool:
-    """Whether f mod p keeps its degree and has no repeated factor: Euclid's
-    algorithm on f and f' over F_p ends in a nonzero constant."""
-    if f[-1] % p == 0:
-        return False
-    a, b = [c % p for c in f], [c * k % p for k, c in enumerate(f)][1:]
-    while True:
-        while b and not b[-1]:
-            b.pop()
-        if not b:
-            return len(a) == 1
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            c = a[-1] * inv % p
-            shift = len(a) - len(b)
-            a = [(x - c * b[i - shift]) % p if i >= shift else x
-                 for i, x in enumerate(a)][:-1]
-        a, b = b, a
-
-
-def _least_prime(accept) -> int:
-    return next(p for p in itertools.count(2)
-                if all(p % d for d in range(2, math.isqrt(p) + 1))
-                and accept(p))
-
-
 def _integer_roots_int(f: list[int]) -> list[int]:
     """The integer roots of a nonzero integer polynomial of any degree.
 
-    The roots of its squarefree part g are simple (g is f itself when f
-    stays squarefree modulo the least prime not dividing its leading
-    coefficient), so modulo a small prime p at which g stays squarefree
-    each one is a simple root of g mod p and lifts uniquely by Newton's
+    The roots of its squarefree part g (f itself unless Res(f, f') = 0) are
+    simple.  Modulo the least prime p that divides neither the leading
+    coefficient of g nor Res(g, g') (the least integer >= 2 prime to both,
+    which is prime) each one is a simple root of g mod p and lifts uniquely by Newton's
     iteration (Hensel's lemma) until the modulus exceeds twice the bound
     |g(0)| on a nonzero integer root; each lift is then checked exactly
     (Loos, "Computing rational zeros of integral polynomials by p-adic
@@ -859,17 +873,23 @@ def _integer_roots_int(f: list[int]) -> list[int]:
 
     >>> _integer_roots_int([-6, 11, -6, 1])
     [1, 2, 3]
+    >>> _integer_roots_int([0, -9, 6, -1])
+    [0, 3]
     """
     lo = next(k for k, c in enumerate(f) if c)
     roots = [0] if lo else []
     g = f[lo:]
     if len(g) < 2:
         return roots
-    p = _least_prime(lambda p: g[-1] % p)
-    if not _squarefree_mod(g, p):
-        # repeated roots, or p divides the discriminant of g
-        g = _squarefree_poly(g)
-        p = _least_prime(lambda p: _squarefree_mod(g, p))
+    a = [Fraction(c) for c in g]
+    da = [k * c for k, c in enumerate(a)][1:]
+    res = _resultant(a, da)
+    if not res:
+        # repeated roots: lift those of the squarefree part g / gcd(g, g')
+        g = _ints(_divmod(a, _gcd(a, da))[0])
+        a = [Fraction(c) for c in g]
+        res = _resultant(a, [k * c for k, c in enumerate(a)][1:])
+    p = next(d for d in itertools.count(2) if math.gcd(d, int(res) * g[-1]) == 1)
     bound = abs(g[0])
     dg = [k * c for k, c in enumerate(g)][1:]
     for r in range(p):
@@ -900,9 +920,7 @@ def integer_roots_scalar_poly(coeffs: list[Scalar]):
     >>> integer_roots_scalar_poly([ctx.int_(-10**40), ctx.zero, ctx.one])
     [-100000000000000000000, 100000000000000000000]
     """
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
+    coeffs = _trim(list(coeffs))
     if len(coeffs) < 2:
         return [] if coeffs else "all"
     if len(coeffs) == 2:
@@ -914,10 +932,7 @@ def integer_roots_scalar_poly(coeffs: list[Scalar]):
     if p:
         cands = [m for m in range(p) if _horner(first, m) % p == 0]
     else:
-        first = _ints(first)
-        while not first[-1]:
-            first.pop()
-        cands = _integer_roots_int(first)
+        cands = _integer_roots_int(_trim(_ints(first)))
     roots = [m for m in cands if _horner(cleared, ctx.int_(m)).is_zero()]
     return "all" if p and len(roots) == p else roots
 

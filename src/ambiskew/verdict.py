@@ -26,7 +26,6 @@ class Verdict:
     certificate: dict | None = None
     theorem: str | None = None
     conditions: list[tuple[str, "Verdict"]] = field(default_factory=list)
-    assumptions: list[str] = field(default_factory=list)
 
     @property
     def holds(self) -> bool:
@@ -45,8 +44,6 @@ class Verdict:
         if self.conditions:
             out["conditions"] = [
                 {"name": name, **v.to_json()} for name, v in self.conditions]
-        if self.assumptions:
-            out["assumptions"] = list(self.assumptions)
         return out
 
 
@@ -64,7 +61,6 @@ def inconclusive(reason: str = "", **kw) -> Verdict:
 
 def conjunction(conditions: list[tuple[str, Verdict]], theorem: str | None = None) -> Verdict:
     """Combine fully evaluated conditions: fails beats inconclusive beats holds."""
-    assumptions = [a for _, v in conditions for a in v.assumptions]
     failing = [name for name, v in conditions if v.fails]
     if failing:
         out = fails("failed: " + ", ".join(failing))
@@ -75,7 +71,6 @@ def conjunction(conditions: list[tuple[str, Verdict]], theorem: str | None = Non
         out = holds("all conditions hold")
     out.theorem = theorem
     out.conditions = conditions
-    out.assumptions = assumptions
     return out
 
 

@@ -17,6 +17,7 @@ from ambiskew.algebras import (
     QuadraticAlgebra,
     scalar_ratio,
 )
+from ambiskew.dsl import eval_element, parse_expression
 from ambiskew.scalars import (ScalarContext, integer_roots_scalar_poly,
                               least_integer_root, root_of_unity_order)
 from ambiskew.verdict import Status
@@ -212,6 +213,57 @@ def test_poly_alpha_simple_char5_shift_span():
     # and the witness really is fixed by the shift
     f = {5: ctx.one, 1: ctx.int_(-1)}
     assert a.eq(a.apply(AffineAuto(ctx.one, ctx.one), f), f)
+
+
+def _span_product(a: PolyAlgebra, offsets) -> dict:
+    """prod (t - v) over the F_p-span of the offsets, listed point by point."""
+    ctx = a.ctx
+    span = [ctx.zero]
+    for b in offsets:
+        new = list(span)
+        for s in span:
+            for k in range(1, ctx.characteristic):
+                cand = s + b * k
+                if all(cand != t for t in new):
+                    new.append(cand)
+        span = new
+    f = a.one
+    for v in span:
+        f = a.mul(f, {1: ctx.one, 0: -v})
+    return f
+
+
+@pytest.mark.parametrize("p, offsets", [
+    (3, ["1"]), (5, ["2"]), (7, ["q"]), (5, ["2", "4"]),
+    (3, ["1", "q"]), (5, ["q", "q^2 + 1"]), (3, ["1", "q", "q^2"]),
+    (3, ["q", "2*q", "q + 1"]),
+])
+def test_poly_alpha_simple_shift_span_matches_the_product(p, offsets):
+    ctx = ScalarContext(characteristic=p, parameters=("q",))
+    a = PolyAlgebra(ctx)
+    bs = [eval_element(parse_expression(b), FieldAlgebra(ctx))[()]
+          for b in offsets]
+    v = a.alpha_simple([AffineAuto(ctx.one, b) for b in bs])
+    assert v.fails
+    assert v.certificate["generator"] == a.render(_span_product(a, bs))
+
+
+def test_poly_alpha_simple_shift_span_with_a_parameter_denominator():
+    # the same polynomial as the span product, with differently unreduced
+    # coefficients, so compared by value
+    ctx = ScalarContext(characteristic=3, parameters=("q",))
+    q = ctx.param("q")
+    a = PolyAlgebra(ctx)
+    v = a.alpha_simple([AffineAuto(ctx.one, q.inv()), AffineAuto(ctx.one, q)])
+    got = eval_element(parse_expression(v.certificate["generator"]), a)
+    assert a.eq(got, _span_product(a, [q.inv(), q]))
+
+
+def test_poly_alpha_simple_shift_in_large_characteristic():
+    ctx = ScalarContext(characteristic=10007)
+    a = PolyAlgebra(ctx)
+    v = a.alpha_simple([AffineAuto(ctx.one, ctx.one)])
+    assert v.fails and v.certificate["generator"] == "t^10007 - t"
 
 
 def test_poly_alpha_simple_mixed_charp_is_inconclusive():

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import doctest
 import importlib
+import pkgutil
 
 import pytest
 
-MODULES = ("scalars", "bounds", "verdict", "linear", "intlattice",
-           "multiplicative", "algebras", "rings", "gwa", "simplicity",
-           "localization", "dsl")
+import ambiskew
+
+# every module of the package, so a new module's examples always run
+MODULES = sorted(m.name for m in pkgutil.iter_modules(ambiskew.__path__))
+
+
+def test_every_module_is_discovered():
+    assert len(MODULES) >= 12
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -165,6 +165,22 @@ def test_smith_shift_with_scalar_v_localization_holds():
     assert verdict.theorem == "localized.full"
 
 
+def test_eigenvector_v_radical_fails_when_u_lies_outside_va():
+    # alpha(t) = 2t + 1 fixes t = -1, so v = t + 1 is an eigenvector (mu = 2)
+    # and every v^(m) is a multiple of v; the solver's splitting element
+    # u = -t has no power in (t + 1)
+    ctx = ScalarContext()
+    poly = PolyAlgebra(ctx)
+    ring = AmbiskewRing(poly, AffineAuto(ctx.int_(2), ctx.one),
+                        {1: ctx.one, 0: ctx.one}, ctx.one)
+    assert poly.render(ring.conformality().u) == "-t"
+    verdict = _conditions(localized_simple(ring))["radical"]
+    assert verdict.status is Status.FAILS
+    assert verdict.certificate == {
+        "kind": "radical_witness", "m": 1,
+        "detail": {"kind": "radical_witness", "power": 1}}
+
+
 def test_quadratic_conjugation_localization_is_inconclusive():
     _, _, ring = quadratic_conjugation(Fraction(3), 0, 1)
     verdict = localized_simple(ring)
@@ -184,9 +200,6 @@ def test_identity_pair_search_modes_at_zeta6():
     one = field.identity_auto()
     witness, complete = special_element_search(field, one, one, ctx.zeta())
     assert complete and (witness.m, witness.j) == (6, 6)
-    witness, complete = special_element_search(field, one, one, ctx.zeta(),
-                                               mode="zero_m_only")
-    assert complete and (witness.m, witness.j) == (0, 6)
 
 
 def test_identity_pair_search_without_torsion():
@@ -194,14 +207,6 @@ def test_identity_pair_search_without_torsion():
     field = FieldAlgebra(ctx)
     one = field.identity_auto()
     assert special_element_search(field, one, one, ctx.int_(2)) == (None, True)
-
-
-def test_search_rejects_unknown_mode():
-    ctx = ScalarContext()
-    field = FieldAlgebra(ctx)
-    one = field.identity_auto()
-    with pytest.raises(ValueError, match="mode"):
-        special_element_search(field, one, one, ctx.one, mode="either")
 
 
 def test_search_rejects_conjugation():

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ambiskew.scalars import (
+    CyclotomicDomain,
     Scalar,
     ScalarContext,
+    _divmod,
+    _gcd,
+    _integer_roots_int,
+    _interpolate,
+    _resultant,
     cyclotomic_coeffs,
     q_integer,
     root_of_unity_order,
@@ -258,3 +265,165 @@ def test_constant_fast_path_matches_general_path(ctxs, xs, ys, k):
         assert str(x) == str(gx)
         assert x.is_zero() == gx.is_zero() and x.is_one() == gx.is_one()
         assert x.as_fraction() == gx.as_fraction()
+
+
+# ---------------------------------------------------------------------------
+# the dense polynomial layer, against sympy
+# ---------------------------------------------------------------------------
+
+
+def _random_dense(rng, degree, coeff):
+    """A dense polynomial of the given degree with a nonzero top term."""
+    out = [coeff(rng) for _ in range(degree)]
+    top = coeff(rng)
+    while not top:
+        top = coeff(rng)
+    return out + [top]
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def _to_sympy(sympy, coeffs, x, domain):
+    return sympy.Poly(list(reversed(coeffs)), x, domain=domain)
+
+
+def _sylvester_resultant(sympy, f, g, x):
+    """Res(f, g) as the determinant of the Sylvester matrix.  (sympy's own
+    ``resultant`` returns -729 for both Res(x - 9, x^3) and Res(x^3, x - 9),
+    so it cannot serve as the oracle for the sign.)"""
+    from sympy.polys.subresultants_qq_zz import sylvester
+    return sylvester(f.as_expr(), g.as_expr(), x).det()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dense_layer_matches_sympy_over_q(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    x = sympy.Symbol("x")
+
+    def poly(coeffs):
+        return _to_sympy(sympy, [sympy.Rational(c.numerator, c.denominator)
+                                 for c in coeffs], x, "QQ")
+
+    for _ in range(8):
+        a = _random_dense(rng, rng.randint(1, 6), _rational)
+        b = _random_dense(rng, rng.randint(1, 4), _rational)
+        if rng.random() < 0.4:
+            # a shared factor, so the gcd and the resultant are not trivial
+            c = _random_dense(rng, rng.randint(1, 2), _rational)
+            a, b = (poly(a) * poly(c)).all_coeffs(), \
+                (poly(b) * poly(c)).all_coeffs()
+            a = [Fraction(int(t.p), int(t.q)) for t in reversed(a)]
+            b = [Fraction(int(t.p), int(t.q)) for t in reversed(b)]
+        q, r = _divmod(a, b)
+        sq, sr = sympy.div(poly(a), poly(b))
+        assert poly(q) == sq and poly(r) == sr
+        assert not r or r[-1] != 0
+        assert poly(_gcd(a, b)) == sympy.gcd(poly(a), poly(b))
+        res = _resultant(a, b)
+        assert sympy.Rational(res.numerator, res.denominator) == \
+            _sylvester_resultant(sympy, poly(a), poly(b), x)
+        values = [_rational(rng) for _ in range(rng.randint(1, 6))]
+        expected = sympy.interpolate(
+            [(i, sympy.Rational(v.numerator, v.denominator))
+             for i, v in enumerate(values)], x)
+        assert poly(_interpolate(values)) == sympy.Poly(expected, x,
+                                                         domain="QQ")
+
+
+def test_resultant_sign_and_degenerate_cases():
+    f = [Fraction(c) for c in (-2, 0, 1)]       # x^2 - 2
+    g = [Fraction(c) for c in (0, 1)]           # x
+    assert _resultant(f, g) == -2 and _resultant(g, f) == -2
+    h = [Fraction(c) for c in (1, 1)]           # x + 1
+    # Res(x, x + 1) = 1 and Res(x + 1, x) = -1: both degrees are odd
+    assert _resultant(g, h) == 1 and _resultant(h, g) == -1
+    assert _resultant(f, [Fraction(3)]) == 9
+    assert _resultant([Fraction(3)], f) == 9
+    assert _resultant(f, [Fraction(c) for c in (-4, 0, 2)]) == 0
+    assert _gcd([], []) == [] and _gcd([], h) == h
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_layer_matches_sympy_over_q_of_q(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    ctx = ScalarContext(parameters=("q",))
+    qs = ctx.param("q")
+    x, q = sympy.symbols("x q")
+    field = sympy.QQ.frac_field(q)
+
+    def coeff(rng):
+        c = ctx.int_(rng.randint(-3, 3)) + ctx.int_(rng.randint(-2, 2)) * qs
+        if rng.random() < 0.3:
+            c = c / (qs + rng.randint(1, 3))
+        return c
+
+    def value(s: Scalar):
+        return sympy.sympify(str(s).replace("^", "**"), locals={"q": q})
+
+    def poly(coeffs):
+        return _to_sympy(sympy, [value(c) for c in coeffs], x, field)
+
+    for _ in range(4):
+        a = _random_dense(rng, rng.randint(1, 3), coeff)
+        b = _random_dense(rng, rng.randint(1, 2), coeff)
+        q_, r = _divmod(a, b)
+        sq, sr = sympy.div(poly(a), poly(b))
+        assert poly(q_) == sq and poly(r) == sr
+        assert poly(_gcd(a, b)) == sympy.gcd(poly(a), poly(b))
+        assert sympy.cancel(value(_resultant(a, b)) - _sylvester_resultant(
+            sympy, poly(a), poly(b), x)) == 0
+        values = [coeff(rng) for _ in range(3)]
+        expected = sympy.interpolate([(i, value(v)) for i, v in
+                                      enumerate(values)], x)
+        got = poly(_interpolate(values)).as_expr()
+        assert sympy.cancel(got - expected) == 0
+
+
+def test_integer_roots_with_repeated_roots_and_colliding_primes():
+    sympy = pytest.importorskip("sympy")
+    m = sympy.Symbol("m")
+    cases = [
+        [3, -4, 1],                  # (m - 1)(m - 3): collides mod 2
+        [-28, 39, -12, 1],           # (m - 1)(m - 4)(m - 7): collides mod 3
+        [-12, 16, -7, 1],            # (m - 2)^2 (m - 3)
+        [0, 0, 125, 75, 15, 1],      # m^2 (m + 5)^3
+        [1, -4, 6, -4, 1],           # (m - 1)^4
+        [36, 0, -13, 0, 1],          # (m^2 - 4)(m^2 - 9)
+        [-9, 0, 0, 3, 0, 1],         # m^5 + 3m^3 - 9: no integer root
+        [4, 0, -4, 0, 1],            # (m^2 - 2)^2: repeated, no integer root
+    ]
+    for f in cases:
+        expected = sorted({int(r) for r in sympy.Poly(
+            list(reversed(f)), m).ground_roots() if r.is_integer})
+        assert _integer_roots_int(f) == expected, f
+    assert _integer_roots_int([3, -4, 1]) == [1, 3]
+    assert _integer_roots_int([-12, 16, -7, 1]) == [2, 3]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 12])
+def test_cyclotomic_inverse_round_trip(n):
+    rng = random.Random(n)
+    ctx = ScalarContext(cyclotomic_order=n)
+    for _ in range(6):
+        a = sum((ctx.fraction(_rational(rng)) * ctx.zeta(k)
+                 for k in range(rng.randint(1, n))), ctx.zero)
+        if a.is_zero():
+            continue
+        assert a * a.inv() == ctx.one
+        assert a.inv().inv() == a
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 12, 15])
+def test_fold_rows_are_powers_reduced_mod_the_cyclotomic_polynomial(n):
+    dom = CyclotomicDomain(n)
+    d = dom.degree
+    mod = [Fraction(c) for c in cyclotomic_coeffs(n)]
+    assert len(dom._fold) == d - 1
+    for k, row in enumerate(dom._fold):
+        power = [Fraction(0)] * (d + k) + [Fraction(1)]
+        rem = _divmod(power, mod)[1]
+        assert row == tuple(rem + [Fraction(0)] * (d - len(rem)))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,11 @@ from ambiskew.algebras import (
     LaurentAlgebra,
     NestedAuto,
     PolyAlgebra,
+    QuadraticAlgebra,
 )
 from ambiskew.bounds import Bounds
 from ambiskew.rings import AmbiskewRing
-from ambiskew.scalars import ScalarContext, q_integer
+from ambiskew.scalars import ScalarContext, q_integer, root_of_unity_order
 from ambiskew.simplicity import (
     ring_alpha_simple,
     simple,
@@ -165,6 +167,37 @@ def test_units_fc4_mixed_closed_form():
     assert _fc4_ring(Fraction(-1, 5)).certificate["m"] == 5
     assert _fc4_ring(2).status is Status.HOLDS
     assert _fc4_ring(1).certificate["m"] == 1
+
+
+def test_units_nonunit_eigenvector_fails_at_one():
+    # R(K[t], t -> 2t, v = t, rho = 1): v is an eigenvector but no unit
+    ctx = ScalarContext()
+    poly = PolyAlgebra(ctx)
+    ring = AmbiskewRing(poly, AffineAuto(ctx.int_(2), ctx.zero), {1: ctx.one},
+                        ctx.one)
+    assert ring.v_eigenvalue() == ctx.int_(2)
+    verdict = units_for_all_m(ring)
+    assert verdict.status is Status.FAILS
+    assert verdict.certificate == {
+        "kind": "nonunit_v_m", "m": 1, "value": "t",
+        "detail": {"kind": "positive_degree", "degree": 1}}
+
+
+def test_units_scan_reports_a_nonunit():
+    # under a shift, rho = 2 rescales no term 2^l*(t + l) back to v = t, so
+    # there is no period and the bounded scan stops at v^(1)
+    ctx = ScalarContext()
+    poly = PolyAlgebra(ctx)
+    ring = AmbiskewRing(poly, AffineAuto(ctx.one, ctx.one), {1: ctx.one},
+                        ctx.int_(2))
+    assert ring.v_eigenvalue() is None
+    assert ring.v_period(Bounds().period_max) is None
+    verdict = units_for_all_m(ring)
+    assert verdict.status is Status.FAILS
+    assert verdict.reason == "v^(1) is not a unit"
+    assert verdict.certificate == {
+        "kind": "nonunit_v_m", "m": 1, "value": "t",
+        "detail": {"kind": "positive_degree", "degree": 1}}
 
 
 # -- singularity -----------------------------------------------------------------
@@ -337,6 +370,65 @@ def test_charp_nonmonomial_laurent_declines():
     split = _conditions(verdict)["no_generalized_splitting"]
     assert split.status is Status.INCONCLUSIVE
     assert "finite-dimensional" in split.reason
+
+
+def test_splitting_search_without_heights_is_exhausted():
+    # n_max = 0 leaves the height loop empty, and the repetition bound of
+    # the Frobenius orbit of v (at least 2) cannot close the search
+    ctx, alg, ring = _fc2_ring(1, 1, 1, characteristic=3)
+    assert ring.conformality().status is Status.FAILS
+    cond = _conditions(simple_charp(ring, Bounds(n_max=0)))
+    verdict = cond["no_generalized_splitting"]
+    assert verdict.status is Status.INCONCLUSIVE
+    assert verdict.certificate == {"kind": "search_exhausted", "n_max": 0}
+
+
+def _finite_families(p):
+    """(algebra, its diagonal automorphisms) for every finite family over
+    F_p: the field, K[C_n] for each n dividing p - 1, and K[s]/(s^2 - d) for
+    a square and a non-square d."""
+    ctx = ScalarContext(characteristic=p)
+    field = FieldAlgebra(ctx)
+    out = [(field, [field.identity_auto()])]
+    for n in range(2, p):
+        if (p - 1) % n == 0:
+            eps = next(ctx.int_(e) for e in range(2, p)
+                       if root_of_unity_order(ctx.int_(e)) == n)
+            alg = CyclicGroupAlgebra(ctx, n, eps)
+            out.append((alg, [DiagonalAuto((eps ** j,)) for j in range(n)]))
+    for d in (4, next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) != 1)):
+        alg = QuadraticAlgebra(ctx, ctx.int_(d))
+        out.append((alg, [alg.identity_auto(), alg.conjugation()]))
+    return ctx, out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_singular_prime_field_quadruples_have_a_height_one_witness(p):
+    # Over prime-field data rho^(p-1) = 1, so b_0 may be any alpha-fixed
+    # element, and one always cancels v^p at the resonant keys.  The search
+    # therefore stops at height 1 before its "no_witness" end, which needs
+    # prime-field data and a repetition bound of at least 2.
+    ctx, families = _finite_families(p)
+    rng = random.Random(p)
+    seen = 0
+    for alg, autos in families:
+        keys = alg.finite_basis()
+        for alpha in autos:
+            for rho in range(1, p):
+                for _ in range(3):
+                    v = {k: ctx.int_(rng.randrange(p)) for k in keys}
+                    v = {k: c for k, c in v.items() if not c.is_zero()}
+                    if not v:
+                        continue
+                    ring = AmbiskewRing(alg, alpha, v, ctx.int_(rho))
+                    if ring.conformality().status is not Status.FAILS:
+                        continue
+                    seen += 1
+                    verdict = _conditions(simple_charp(ring))[
+                        "no_generalized_splitting"]
+                    assert verdict.status is Status.FAILS
+                    assert verdict.certificate["n"] == 1
+    assert seen >= 10
 
 
 # -- dispatch and stable ideals --------------------------------------------------
@@ -518,6 +610,24 @@ def test_cyclic_tower_monomial_levels():
     level = _conditions(verdict)["level_2"]
     assert _conditions(level)["singular"].certificate["kind"] == \
         "splitting_element"
+
+
+def test_tower_singularity_by_projection():
+    # alpha is affine but not diagonal at both levels, so the tower's own
+    # splitting solver declines; over K[t] the image of u - alpha(u) is
+    # spanned by t + 1, so v = 1 has no splitting element there
+    ctx = ScalarContext()
+    poly = PolyAlgebra(ctx)
+    aff = AffineAuto(ctx.int_(2), ctx.one)
+    r1 = AmbiskewRing(poly, aff, poly.one, ctx.one, y_name="y1", x_name="x1")
+    r2 = AmbiskewRing(r1, NestedAuto(aff, ctx.one, ctx.one), r1.one, ctx.one,
+                      y_name="y2", x_name="x2")
+    assert singular(r2).status is Status.INCONCLUSIVE
+    level = _conditions(_conditions(simple_iterated([r1, r2]))["level_2"])
+    assert level["singular"].status is Status.HOLDS
+    assert level["singular"].certificate == {
+        "kind": "singular_by_projection",
+        "obstruction": {"kind": "no_polynomial_splitting", "window": 1}}
 
 
 # -- skew Laurent ----------------------------------------------------------------
