@@ -27,8 +27,9 @@ The protocol hooks are:
   ``is_domain``, ``alpha_simple`` (no proper ideal stable under a set of
   automorphisms), ``radical_contains``, ``comaximal``,
   ``first_nonunit_in_pencil`` (the first q at which q*P + B, or
-  [q]_R*P + R^q*B for a ratio R of infinite order, is a non-unit, or leaves
-  a watched element outside its radical: the split families, Field, K[C_n]
+  [q]_R*P + R^q*B for a ratio R of infinite order, is a non-unit, or,
+  given a watched u, a non-unit of A[1/u], which leaves no power of u in
+  the ideal it generates: the split families, Field, K[C_n]
   and the quadratic one, list the scalar polynomials in q or in X = R^q
   that vanish exactly there, per character or through the norm, and
   ``scalars.least_integer_root`` solves them; Poly, Laurent and towers

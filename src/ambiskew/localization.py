@@ -8,6 +8,11 @@ some power of the splitting element u in v^(m)A for every m >= 1.  The
 localization itself is never constructed; every check is coefficient
 arithmetic.
 
+The last statement is the units condition of R read over A[1/u]: for a
+commutative A, some power of u lies in dA exactly when d is a unit of
+A[1/u], and A[1/u] = 0 exactly when u is nilpotent.  So one procedure,
+``simplicity.every_v_m_unit``, decides both, with the same certificates.
+
 For diagonal automorphisms on a monomial basis the special-element hunt is
 an integer lattice problem: the coefficient field has no zero divisors, so
 each defining identity pins one multiplicative relation between rho and the
@@ -41,8 +46,8 @@ from .algebras import NO_EIGEN_FRAME, AffineAuto, EigenFrame
 from .bounds import DEFAULT, Bounds
 from .multiplicative import relation_kernel
 from .scalars import Scalar, root_of_unity_order
-from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
-                      inconclusive)
+from .simplicity import every_v_m_unit
+from .verdict import Status, Verdict, conjunction, fails, holds, inconclusive
 
 __all__ = [
     "SpecialElement",
@@ -200,8 +205,10 @@ def localized_simple(ring, bounds: Bounds = DEFAULT) -> Verdict:
     - ``alpha_gamma_simple``: no proper nonzero ideal of the coefficient
       algebra is stable under both alpha and gamma;
     - ``no_special``: no (m, j)-special element with (m, j) != (0, 0);
-    - ``radical``: for every m >= 1 some power of u lies in v^(m)A, decided
-      through the eigen structure or the period of v, or a bounded scan.
+    - ``radical``: for every m >= 1 some power of u lies in v^(m)A, that
+      is, v^(m) is a unit of A[1/u] (``every_v_m_unit`` with ``watch=u``).
+
+    The certificate names u, and so the Casimir element that S inverts.
     """
     conf = ring.conformality()
     if conf.status is Status.FAILS:
@@ -209,14 +216,16 @@ def localized_simple(ring, bounds: Bounds = DEFAULT) -> Verdict:
                          "element to invert")
     if conf.status is not Status.HOLDS:
         raise ValueError("whether a Casimir element exists was not decided")
-    base = ring.base
-    nil = base.radical_contains(base.zero, conf.u)
-    simple = base.alpha_simple([ring.alpha, ring.gamma])
-    return conjunction([
+    simple = ring.base.alpha_simple([ring.alpha, ring.gamma])
+    verdict = conjunction([
         ("alpha_gamma_simple", simple),
         ("no_special", _no_special(ring, units_only=simple.holds)),
-        ("radical", _radical_all_m(ring, conf.u, nil, bounds)),
+        ("radical", every_v_m_unit(ring, bounds, watch=conf.u)),
     ], theorem="localized.full")
+    verdict.certificate = {"kind": "splitting_element",
+                           "u": ring.base.render(conf.u),
+                           "casimir": ring.render(conf.casimir)}
+    return verdict
 
 
 def _no_special(ring, units_only: bool) -> Verdict:
@@ -238,105 +247,6 @@ def _special_fails(base, w: SpecialElement) -> Verdict:
     return fails(f"{base.render(w.c)} is ({w.m}, {w.j})-special",
                  certificate={"kind": "special_element", "m": w.m, "j": w.j,
                               "element": base.render(w.c)})
-
-
-def _radical_all_m(ring, u: dict, nil: Verdict, bounds: Bounds) -> Verdict:
-    """Whether some power of u lies in v^(m)A for every m >= 1.
-
-    A nilpotent u always does.  When v is an eigenvector every v^(m) is a
-    scalar multiple of v, so one membership test decides.  Otherwise the
-    period of v (``AmbiskewRing.v_period``) turns each residue class of m
-    into a pencil, and the split families name the least m at which a
-    character that does not vanish on u vanishes on v^(m); other families
-    take the bounded scan.
-    """
-    base = ring.base
-    if nil.status is Status.HOLDS:
-        cert = {"kind": "nilpotent_u"}
-        if nil.certificate and "power" in nil.certificate:
-            cert["power"] = nil.certificate["power"]
-        return holds("u is nilpotent, so a power of u lies in every v^(m)A",
-                     certificate=cert)
-    if base.is_zero(ring.v):
-        if nil.status is Status.FAILS:
-            return fails("v = 0 and u is not nilpotent",
-                         certificate={"kind": "vanishing_v_m", "m": 1})
-        return inconclusive("v = 0, so the condition needs u to be "
-                            "nilpotent, which was not decided")
-    mu = ring.v_eigenvalue()
-    if mu is None:
-        return _radical_by_period(ring, u, bounds)
-    ratio = ring.rho * mu
-    vanish_at = ring.first_vanishing_v_m(ratio)
-    if vanish_at is not None:
-        if nil.status is Status.FAILS:
-            return fails(f"v^({vanish_at}) = 0 and u is not nilpotent",
-                         certificate={"kind": "vanishing_v_m", "m": vanish_at,
-                                      "ratio": str(ratio)})
-        return inconclusive(f"v^({vanish_at}) = 0, so the condition needs u "
-                            "to be nilpotent, which was not decided")
-    inner = base.radical_contains(ring.v, u)
-    if inner.status is Status.HOLDS:
-        cert = {"kind": "eigen_radical", "ratio": str(ratio)}
-        if inner.certificate and "power" in inner.certificate:
-            cert["power"] = inner.certificate["power"]
-        return holds("every v^(m) is a nonzero scalar multiple of v, whose "
-                     "ideal absorbs a power of u", certificate=cert)
-    if inner.status is Status.FAILS:
-        return fails("no power of u lies in vA, which equals v^(m)A for "
-                     "every m",
-                     certificate={"kind": "radical_witness", "m": 1,
-                                  "detail": inner.certificate})
-    return inconclusive("membership of powers of u in vA was not decided")
-
-
-def _radical_by_period(ring, u: dict, bounds: Bounds) -> Verdict:
-    base = ring.base
-    if base.finite_basis() is None:
-        # only the split families, all finite-dimensional, decide radical
-        # pencils; a period search over the others would be wasted
-        return _radical_by_scan(ring, u, bounds, "the coefficient algebra "
-                                "decides no radical pencil")
-    found = ring.v_period(bounds.period_max)
-    if found is None:
-        return _radical_by_scan(
-            ring, u, bounds, f"no scalar period within {bounds.period_max} "
-            "steps")
-    span, ratio = found
-    try:
-        worst = ring.first_failing_v_m(span, ratio, watch=u)
-    except ValueError as exc:
-        return _radical_by_scan(ring, u, bounds, str(exc))
-    if worst is None:
-        cert = {"kind": "eigen_radical", "period": span, "ratio": str(ratio)}
-        return holds(f"(rho*alpha)^{span} rescales v by {ratio}, and no "
-                     "residue pencil leaves a power of u outside v^(m)A",
-                     certificate=cert)
-    answer = base.radical_contains(ring.v_m_periodic(worst, span, ratio), u)
-    if answer.status is not Status.FAILS:
-        raise AssertionError("pencil decision disagrees with a direct "
-                             f"radical check at m={worst}")
-    return _radical_fails(worst, answer)
-
-
-def _radical_fails(m: int, answer: Verdict) -> Verdict:
-    return fails(f"no power of u lies in v^({m})A",
-                 certificate={"kind": "radical_witness", "m": m,
-                              "detail": answer.certificate})
-
-
-def _radical_by_scan(ring, u: dict, bounds: Bounds, note: str) -> Verdict:
-    base = ring.base
-    return bounded_scan(
-        bounds.m_max,
-        lambda m: base.radical_contains(ring.v_m(m), u),
-        _radical_fails,
-        lambda m: inconclusive(f"membership of powers of u in v^({m})A "
-                               "was not decided"),
-        inconclusive(f"v is not an eigenvector of alpha and {note}; "
-                     f"membership verified through m = {bounds.m_max}",
-                     certificate={"kind": "bounded_scan",
-                                  "m_max": bounds.m_max}))
 
 
 # ---------------------------------------------------------------------------

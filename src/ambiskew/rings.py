@@ -386,10 +386,10 @@ class AmbiskewRing(ExtensionAlgebra):
     def first_failing_v_m(self, span: int, ratio: Scalar,
                           watch: dict | None = None) -> int | None:
         """The least m >= 1 at which v^(m) is not a unit, or, given
-        ``watch``, at which no power of watch lies in v^(m)A; None when no
-        m fails.  ``span`` and ``ratio`` come from ``v_period``, which
-        turns each residue r of m into a pencil in q that the coefficient
-        family decides, or refuses with ValueError."""
+        ``watch`` = u, not a unit of A[1/u], where no power of u lies in
+        v^(m)A; None when no m fails.  ``span`` and ``ratio`` come from
+        ``v_period``, which turns each residue r of m into a pencil in q
+        that the coefficient family decides, or refuses with ValueError."""
         top = self.v_m(span)
         worst = None
         for r in range(span):

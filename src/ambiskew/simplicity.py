@@ -58,96 +58,132 @@ def units_for_all_m(ring, bounds: Bounds = DEFAULT) -> Verdict:
     decides: in q when R is a root of unity, in X = R^q when R is rational
     or moves a parameter.  Only without a period, or for a family or an R
     that decides no pencil, is the check truncated at ``bounds.m_max``.
+    This is ``every_v_m_unit`` over A itself.
+    """
+    return every_v_m_unit(ring, bounds)
+
+
+def every_v_m_unit(ring, bounds: Bounds = DEFAULT,
+                   watch: dict | None = None) -> Verdict:
+    """Whether every v^(m), m >= 1, is a unit of A or, given ``watch`` = u,
+    of A[1/u]: the radical condition of the Casimir localization.
+
+    The routes, in order: A[1/u] = 0 (u nilpotent); v = 0; v^(1) itself, so
+    a failure at m = 1 waits for no period search (over A only for an
+    eigenvector v); the eigen closed form; the period of v; the bounded
+    scan.  A Fails names the least m.
     """
     base, ctx = ring.base, ring.ctx
+    if watch is None:
+        test, where, nil = base.is_unit, "", Status.FAILS
+    else:
+        def test(d):
+            return base.radical_contains(d, watch)
+        where, answer = " in A[1/u]", test(base.zero)
+        if answer.holds:
+            return holds("u is nilpotent, so a power of u lies in every "
+                         "v^(m)A", certificate={"kind": "nilpotent_u",
+                                                **(answer.certificate or {})})
+        nil = answer.status
     if base.is_zero(ring.v):
-        return fails("v^(1) = v is zero",
-                     certificate={"kind": "vanishing_v_m", "m": 1})
+        return _vanishing(nil, where, "v^(1) = v is zero",
+                          {"kind": "vanishing_v_m", "m": 1})
     mu = ring.v_eigenvalue()
+    if mu is None and watch is None:
+        # the pencils name m = 1 as well, and a unit test here would build
+        # an inverse of v that nothing reads
+        return _units_by_period(ring, bounds, test, where, watch)
+    first = test(ring.v)
+    if first.status is Status.FAILS:
+        return fails(f"v = v^(1) is not a unit{where}",
+                     certificate=_nonunit(base, 1, ring.v, first))
     if mu is None:
-        return _units_by_period(ring, bounds)
+        return _units_by_period(ring, bounds, test, where, watch)
+    if first.status is Status.INCONCLUSIVE:
+        return inconclusive(f"whether v is a unit{where} was not decided")
     ratio = ring.rho * mu
-    unit = base.is_unit(ring.v)
-    if unit.status is Status.FAILS:
-        return fails("v = v^(1) is not a unit",
-                     certificate={"kind": "nonunit_v_m", "m": 1,
-                                  "value": base.render(ring.v),
-                                  "detail": unit.certificate})
-    if unit.status is Status.INCONCLUSIVE:
-        return inconclusive("whether v is a unit was not decided")
     m = ring.first_vanishing_v_m(ratio)
     if m is None:
-        reason = ("v^(m) = m*v for all m and v is a unit" if ratio == ctx.one
-                  else "v^(m) is a nonzero q-integer multiple of the unit v, "
-                  "with a rescaling factor of infinite multiplicative order")
-        return holds(reason,
-                     certificate=_eigen_certificate(base, ring, ratio, unit))
-    cert = {"kind": "vanishing_v_m", "m": m, "ratio": str(ratio)}
-    if ratio == ctx.one:
-        return fails(f"v^({m}) = {m}*v vanishes in characteristic {m}",
+        reason = (f"v^(m) = m*v for all m and v is a unit{where}"
+                  if ratio == ctx.one else "v^(m) is a nonzero q-integer "
+                  f"multiple of the unit v{where}, with a rescaling factor "
+                  "of infinite multiplicative order")
+        cert = {"kind": "eigen_units", "ratio": str(ratio),
+                "v": base.render(ring.v)}
+        if getattr(first, "inverse", None) is not None:
+            cert["v_inverse"] = base.render(first.inverse)
+        if first.certificate:
+            cert["detail"] = first.certificate
+        return holds(reason, certificate=cert)
+    reason = (f"v^({m}) = {m}*v vanishes in characteristic {m}"
+              if ratio == ctx.one else f"v^({m}) vanishes: rho*alpha "
+              f"rescales v by a root of unity of order {m}")
+    return _vanishing(nil, where, reason, {"kind": "vanishing_v_m", "m": m,
+                                           "ratio": str(ratio)})
+
+
+def _vanishing(nil: Status, where: str, reason: str, cert: dict) -> Verdict:
+    """v^(m) = 0 is a unit of A[1/u] exactly when u is nilpotent."""
+    if nil is Status.FAILS:
+        return fails(reason + (where and ", and u is not nilpotent"),
                      certificate=cert)
-    return fails(f"v^({m}) vanishes: rho*alpha rescales v by a root of "
-                 f"unity of order {m}", certificate=cert)
+    return inconclusive(f"{reason}, so the condition needs u to be "
+                        "nilpotent, which was not decided")
 
 
-def _eigen_certificate(base, ring, ratio, unit) -> dict:
-    cert = {"kind": "eigen_units", "ratio": str(ratio),
-            "v": base.render(ring.v)}
-    if unit.inverse is not None:
-        cert["v_inverse"] = base.render(unit.inverse)
-    return cert
+def _nonunit(base, m: int, value: dict, answer) -> dict:
+    return {"kind": "nonunit_v_m", "m": m, "value": base.render(value),
+            "detail": answer.certificate}
 
 
-def _units_by_period(ring, bounds: Bounds) -> Verdict:
+def _units_by_period(ring, bounds: Bounds, test, where: str, watch) -> Verdict:
     """Exact decision once (rho*alpha)^L rescales v by R:
     v^(q*L + r) = [q]_R*v^(L) + R^q*v^(r) reduces each residue r to a
     pencil in q, or in R^q when R has infinite order, that the coefficient
-    family decides (``AmbiskewRing.first_failing_v_m``)."""
-    base = ring.base
-    found = ring.v_period(bounds.period_max)
-    if found is None:
-        return _units_by_scan(
-            ring, bounds, f"no scalar period within {bounds.period_max} steps")
-    span, ratio = found
-    try:
-        worst = ring.first_failing_v_m(span, ratio)
-    except ValueError as exc:
-        return _units_by_scan(ring, bounds, str(exc))
+    family decides (``AmbiskewRing.first_failing_v_m``).  Without a period
+    or a decided pencil, the bounded scan."""
+    if watch is not None and ring.base.finite_basis() is None:
+        # only the split families, all finite-dimensional, decide radical
+        # pencils; a period search over the others would be wasted
+        note = "the coefficient algebra decides no radical pencil"
+    elif (found := ring.v_period(bounds.period_max)) is None:
+        note = f"no scalar period within {bounds.period_max} steps"
+    else:
+        span, ratio = found
+        try:
+            worst = ring.first_failing_v_m(span, ratio, watch)
+        except ValueError as exc:
+            note = str(exc)
+        else:
+            return _periodic(ring, span, ratio, worst, test, where)
+    return bounded_scan(
+        bounds.m_max,
+        lambda m: test(ring.v_m(m)),
+        lambda m, answer: fails(
+            f"v^({m}) is not a unit{where}",
+            certificate=_nonunit(ring.base, m, ring.v_m(m), answer)),
+        lambda m: inconclusive(
+            f"whether v^({m}) is a unit{where} was not decided"),
+        inconclusive(f"{note}; units{where} verified through m = "
+                     f"{bounds.m_max}",
+                     certificate={"kind": "bounded_scan", "m_max": bounds.m_max}))
+
+
+def _periodic(ring, span: int, ratio, worst, test, where: str) -> Verdict:
     if worst is None:
-        if ratio == ring.ctx.one:
-            return holds(
-                f"the terms of v^(m) repeat with period {span} and every "
-                "residue pencil stays invertible",
-                certificate={"kind": "periodic_units", "period": span})
-        return holds(
-            f"the terms of v^(m) repeat with period {span} up to the factor "
-            f"{ratio}, and every residue pencil stays invertible",
-            certificate={"kind": "periodic_units", "period": span,
-                         "ratio": str(ratio)})
+        cert, factor = {"kind": "periodic_units", "period": span}, ""
+        if ratio != ring.ctx.one:
+            cert["ratio"], factor = str(ratio), f" up to the factor {ratio},"
+        return holds(f"the terms of v^(m) repeat with period {span}{factor} "
+                     f"and every residue pencil stays invertible{where}",
+                     certificate=cert)
     bad = ring.v_m_periodic(worst, span, ratio)
-    answer = base.is_unit(bad)
+    answer = test(bad)
     if answer.status is Status.HOLDS:
         raise AssertionError(
             f"pencil decision disagrees with a direct unit check at m={worst}")
-    return fails(f"v^({worst}) is not a unit",
-                 certificate={"kind": "nonunit_v_m", "m": worst,
-                              "value": base.render(bad),
-                              "detail": answer.certificate})
-
-
-def _units_by_scan(ring, bounds: Bounds, note: str) -> Verdict:
-    base = ring.base
-    return bounded_scan(
-        bounds.m_max,
-        lambda m: base.is_unit(ring.v_m(m)),
-        lambda m, answer: fails(
-            f"v^({m}) is not a unit",
-            certificate={"kind": "nonunit_v_m", "m": m,
-                         "value": base.render(ring.v_m(m)),
-                         "detail": answer.certificate}),
-        lambda m: inconclusive(f"whether v^({m}) is a unit was not decided"),
-        inconclusive(f"{note}; units verified through m = {bounds.m_max}",
-                     certificate={"kind": "bounded_scan", "m_max": bounds.m_max}))
+    return fails(f"v^({worst}) is not a unit{where}",
+                 certificate=_nonunit(ring.base, worst, bad, answer))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +252,7 @@ def simple_charp(ring, bounds: Bounds = DEFAULT) -> Verdict:
 
 
 def _no_generalized_splitting(ring, bounds: Bounds) -> Verdict:
-    base, ctx = ring.base, ring.ctx
+    base = ring.base
     conf = ring.conformality()
     if conf.status is Status.HOLDS:
         return fails("a height-0 witness exists: an ordinary splitting element",
@@ -243,8 +279,6 @@ def _no_generalized_splitting(ring, bounds: Bounds) -> Verdict:
         return inconclusive(
             "the witness search is exhaustive only over finite-dimensional "
             "coefficient families or a monomial v")
-    bound = _exhaustive_height(base, ring.alpha, ring.rho, ring.v, keys,
-                               bounds)
     for n in range(1, bounds.n_max + 1):
         found = _witness_for_height(base, ring.alpha, ring.rho, ring.v, n, keys)
         if found is not None:
@@ -253,12 +287,6 @@ def _no_generalized_splitting(ring, bounds: Bounds) -> Verdict:
                          certificate={"kind": "generalized_splitting", "n": n,
                                       "u": base.render(u),
                                       "b": [base.render(b) for b in bs]})
-    if bound is not None and bound <= bounds.n_max:
-        return holds(
-            "no witness exists at any height: beyond the repetition of the "
-            "Frobenius orbit of v the search adds nothing new",
-            certificate={"kind": "no_witness", "n_searched": bounds.n_max,
-                         "exhaustive_height": bound})
     return inconclusive(
         f"no witness up to height {bounds.n_max}, and the family gives no "
         "bound that closes the search",
@@ -329,31 +357,6 @@ def _witness_for_height(base, alpha, rho, v: dict, n: int, keys):
     if not base.eq(lhs, expect):
         raise AssertionError("the height-n witness does not replay")
     return u, bs
-
-
-def _exhaustive_height(base, alpha, rho, v: dict, keys: list, bounds: Bounds):
-    """A height beyond which the witness search repeats itself, or None.
-
-    Over prime-field data the Frobenius fixes every scalar, so the
-    eigenvalue side conditions are the same at every height and the only
-    moving part is the orbit of v under the p-th power map.  Once that
-    orbit enters its cycle, a height past one full preperiod and two
-    cycles reproduces an earlier system.
-    """
-    scales = [base.eigenvalue(alpha, k) for k in keys]
-    if any(s.as_fraction() is None for s in [rho, *scales, *v.values()]):
-        return None
-    p = base.ctx.characteristic
-    seen = [dict(v)]
-    cur = dict(v)
-    for _ in range(2 * bounds.n_max + 8):
-        cur = base.power(cur, p)
-        for start, earlier in enumerate(seen):
-            if base.eq(earlier, cur):
-                cycle = len(seen) - start
-                return start + 2 * cycle
-        seen.append(cur)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +504,7 @@ def _tower_singular(ring) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def skew_laurent_simple(algebra, sigma, bounds: Bounds = DEFAULT) -> Verdict:
+def skew_laurent_simple(algebra, sigma) -> Verdict:
     """Simplicity of the skew Laurent extension by ``sigma``.
 
     The extension is simple exactly when the coefficient ring has no proper

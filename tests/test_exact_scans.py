@@ -21,7 +21,7 @@ from ambiskew.localization import localized_simple
 from ambiskew.rings import AmbiskewRing
 from ambiskew.scalars import (ScalarContext, least_integer_root,
                               root_of_unity_order)
-from ambiskew.simplicity import units_for_all_m
+from ambiskew.simplicity import every_v_m_unit, units_for_all_m
 from ambiskew.verdict import Status
 
 HORIZON = 300
@@ -210,8 +210,11 @@ def test_power_by_squaring_matches_repeated_products():
 
 def _blocks():
     """K[C_n] (n = 2, 3, 4) and quadratic blocks whose rho*alpha repeats v
-    only up to a factor of infinite order."""
-    rng = random.Random(6)
+    only up to a factor of infinite order.  For each K[C_n] and rho one more
+    block splits through a zero divisor u, so that A[1/u] drops characters
+    and the radical condition differs from the units condition, from m = 1
+    on when n > 2."""
+    rng, plant = random.Random(6), random.Random(7)
     q3 = ScalarContext(cyclotomic_order=3)
     q4 = ScalarContext(cyclotomic_order=4)
     qq = ScalarContext(parameters=("q",))
@@ -227,6 +230,16 @@ def _blocks():
                 v = {k: ctx.int_(rng.choice((-3, -2, -1, 1, 2, 3)))
                      for k in range(n)}
                 out.append(AmbiskewRing(alg, DiagonalAuto((eps,)), v, rho))
+            # u dies at characters l and l + 1 (only l when n = 2); alpha
+            # moves character l + 1 to l, so v^(1) dies at l as well
+            u = {k: ctx.int_(plant.choice((-3, -2, -1, 1, 2, 3)))
+                 for k in range(n)}
+            l = plant.randrange(n)
+            for k in range(l, l + min(n - 1, 2)):
+                u = alg.mul(u, {1: ctx.one, 0: -eps ** k})
+            alpha = DiagonalAuto((eps,))
+            v = alg.sub(u, alg.smul(rho, alg.apply(alpha, u)))
+            out.append(AmbiskewRing(alg, alpha, v, rho))
     for ctx, d in ((q4, -1), (ScalarContext(), 2), (ScalarContext(), 4)):
         alg = QuadraticAlgebra(ctx, ctx.int_(d))
         for rho in (ctx.int_(2), ctx.fraction(Fraction(-1, 3))):
@@ -284,6 +297,55 @@ def test_units_and_radical_match_a_walk_to_300():
         else:
             assert walked is None
     assert seen["holds"] and seen["fails"]
+
+
+def _identity_blocks(rng):
+    """Rings over the field, K[C_2], K[C_4] and K[s]/(s^2 - d) for
+    d in {4, 2, -1}, in Q, Q(zeta_4), F_5 and F_13, with every diagonal
+    automorphism and random v and rho."""
+    for ctx, four in ((ScalarContext(), None),
+                      (ScalarContext(cyclotomic_order=4), "zeta"),
+                      (ScalarContext(characteristic=5), 2),
+                      (ScalarContext(characteristic=13), 5)):
+        field = FieldAlgebra(ctx)
+        families = [(field, [field.identity_auto()])]
+        eps4 = ctx.zeta() if four == "zeta" else four and ctx.int_(four)
+        for n, eps in ((2, -ctx.one), (4, eps4)):
+            if eps:
+                alg = CyclicGroupAlgebra(ctx, n, eps)
+                families.append(
+                    (alg, [DiagonalAuto((eps ** j,)) for j in range(n)]))
+        for d in (4, 2, -1):
+            alg = QuadraticAlgebra(ctx, ctx.int_(d))
+            families.append((alg, [alg.identity_auto(), alg.conjugation()]))
+        if ctx.characteristic:
+            rhos = [ctx.int_(k) for k in range(1, ctx.characteristic)]
+        else:
+            rhos = [ctx.fraction(Fraction(a, b)) for a, b in
+                    ((1, 1), (-1, 1), (2, 1), (1, 2), (-3, 1), (3, 2))]
+            if ctx.cyclotomic_order == 4:
+                rhos += [ctx.zeta(), -ctx.zeta()]
+        for alg, autos in families:
+            keys = alg.finite_basis()
+            for alpha in autos:
+                for _ in range(8):
+                    v = {k: ctx.int_(rng.randint(-2, 2)) for k in keys}
+                    v = {k: c for k, c in v.items() if not c.is_zero()}
+                    yield AmbiskewRing(alg, alpha, v, rng.choice(rhos))
+
+
+def test_radical_watching_one_is_the_units_condition():
+    # A[1/1] = A: the radical condition with u = 1 is the units condition
+    seen = {status: 0 for status in Status}
+    for ring in _identity_blocks(random.Random(8)):
+        units = units_for_all_m(ring)
+        watched = every_v_m_unit(ring, watch=ring.base.one)
+        assert watched.status is units.status, ring.describe()
+        if units.fails:
+            assert watched.certificate["m"] == units.certificate["m"]
+        seen[units.status] += 1
+    assert sum(seen.values()) == 384
+    assert seen[Status.HOLDS] and seen[Status.FAILS]
 
 
 def test_a_ratio_moving_a_parameter_decides():

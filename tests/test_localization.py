@@ -105,7 +105,8 @@ def test_quantized_weyl_localization_formal_parameter():
     verdict = localized_simple(_quantized_weyl_at(ctx.param("q")))
     assert verdict.holds
     radical = _conditions(verdict)["radical"].certificate
-    assert radical == {"kind": "eigen_radical", "ratio": "q", "power": 0}
+    assert radical == {"kind": "eigen_units", "ratio": "q", "v": "1",
+                       "detail": {"power": 0}}
 
 
 def test_localized_simple_rejects_singular_quadruple():
@@ -152,7 +153,7 @@ def test_smith_shift_localization_fails_radical():
     assert conds["alpha_gamma_simple"].holds
     assert conds["no_special"].holds
     radical = conds["radical"].certificate
-    assert radical["kind"] == "radical_witness" and radical["m"] == 1
+    assert radical["kind"] == "nonunit_v_m" and radical["m"] == 1
 
 
 def test_smith_shift_with_scalar_v_localization_holds():
@@ -174,11 +175,29 @@ def test_eigenvector_v_radical_fails_when_u_lies_outside_va():
     ring = AmbiskewRing(poly, AffineAuto(ctx.int_(2), ctx.one),
                         {1: ctx.one, 0: ctx.one}, ctx.one)
     assert poly.render(ring.conformality().u) == "-t"
-    verdict = _conditions(localized_simple(ring))["radical"]
-    assert verdict.status is Status.FAILS
-    assert verdict.certificate == {
-        "kind": "radical_witness", "m": 1,
+    verdict = localized_simple(ring)
+    radical = _conditions(verdict)["radical"]
+    assert radical.status is Status.FAILS
+    assert radical.certificate == {
+        "kind": "nonunit_v_m", "m": 1, "value": "t + 1",
         "detail": {"kind": "radical_witness", "power": 1}}
+    # the localization depends on u, so the verdict names it
+    assert verdict.certificate == {"kind": "splitting_element", "u": "-t",
+                                   "casimir": "(t) + x*y"}
+
+
+def test_radical_fails_at_the_least_m():
+    # alpha(t) = -t + 2 sends v = t - 1 to -v, so v^(2) = 0; but u = t/2 has
+    # no power in (t - 1) already, so m = 1 is the least failing index
+    ctx = ScalarContext()
+    poly = PolyAlgebra(ctx)
+    ring = AmbiskewRing(poly, AffineAuto(-ctx.one, ctx.int_(2)),
+                        {1: ctx.one, 0: -ctx.one}, ctx.one)
+    assert poly.render(ring.conformality().u) == "1/2*t"
+    radical = _conditions(localized_simple(ring))["radical"]
+    assert radical.fails
+    assert radical.certificate["kind"] == "nonunit_v_m"
+    assert radical.certificate["m"] == 1
 
 
 def test_quadratic_conjugation_localization_is_inconclusive():

@@ -373,8 +373,8 @@ def test_charp_nonmonomial_laurent_declines():
 
 
 def test_splitting_search_without_heights_is_exhausted():
-    # n_max = 0 leaves the height loop empty, and the repetition bound of
-    # the Frobenius orbit of v (at least 2) cannot close the search
+    # n_max = 0 leaves the height loop empty, and the search never closes
+    # itself: only this bound reaches its Inconclusive end
     ctx, alg, ring = _fc2_ring(1, 1, 1, characteristic=3)
     assert ring.conformality().status is Status.FAILS
     cond = _conditions(simple_charp(ring, Bounds(n_max=0)))
@@ -406,8 +406,9 @@ def _finite_families(p):
 def test_singular_prime_field_quadruples_have_a_height_one_witness(p):
     # Over prime-field data rho^(p-1) = 1, so b_0 may be any alpha-fixed
     # element, and one always cancels v^p at the resonant keys.  The search
-    # therefore stops at height 1 before its "no_witness" end, which needs
-    # prime-field data and a repetition bound of at least 2.
+    # therefore stops at height 1, which is why it has no Holds end: a
+    # bound that closed it would need prime-field data, where a witness
+    # always exists.
     ctx, families = _finite_families(p)
     rng = random.Random(p)
     seen = 0
