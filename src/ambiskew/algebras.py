@@ -1215,14 +1215,8 @@ class QuadraticAlgebra(_Univariate):
                 return False, None
             return True, None
         if f is not None:
-            p = ctx.characteristic
-            if p <= 10000:
-                for r in range(p):
-                    cand = ctx.int_(r)
-                    if cand * cand == self.d:
-                        return True, cand
-                return False, None
-            return None, None
+            root = _sqrt_mod(f.numerator, ctx.characteristic)
+            return (False, None) if root is None else (True, ctx.int_(root))
         # a parameter monomial with an odd exponent is never a square
         if len(self.d.num) == 1 and len(self.d.den) == 1:
             (en,) = self.d.num.keys()
@@ -1328,6 +1322,25 @@ def _fraction_sqrt(f: Fraction) -> Fraction | None:
     if n * n == f.numerator and d * d == f.denominator:
         return Fraction(n, d)
     return None
+
+
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """The least square root of a modulo the prime p, or None: Euler's
+    criterion, then Tonelli-Shanks (Cohen 1993, algorithm 1.5.1)."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, m) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
 
 
 def _squarefree_part(f: Fraction) -> int:

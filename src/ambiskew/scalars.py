@@ -5,9 +5,9 @@ Every quantity the kernel manipulates is a Scalar, an element of
 cyclotomic field Q(zeta_N) (characteristic 0) or the prime field F_p, and
 ``p_1, ..., p_k`` are declared formal parameters.  Representation:
 
-* C-values are tuples of Fraction coordinates in the power basis
-  ``1, zeta, ..., zeta^(phi(N)-1)`` in characteristic 0, or plain ints
-  reduced mod p in characteristic p;
+* C-values are int tuples ``(c_0, ..., c_(d-1), den)``, coordinates in the
+  power basis ``1, zeta, ..., zeta^(d-1)`` over a common denominator, in
+  characteristic 0 (``CyclotomicDomain``), or plain ints mod p;
 * polynomials are sparse dicts mapping exponent tuples (one slot per
   declared parameter, in declaration order) to nonzero C-values;
 * a Scalar is a num/den pair of such polynomials.
@@ -15,8 +15,8 @@ cyclotomic field Q(zeta_N) (characteristic 0) or the prime field F_p, and
 Without parameters a Scalar is a single C-value: its numerator is ``{}``
 (zero) or ``{(): c}``, and its denominator is always the context's shared
 unit polynomial, so multiplication and inversion act on ``c`` directly
-and addition never cross-multiplies.  In Q (cyclotomic order 1 or 2) ``c`` is a 1-tuple and the
-domain multiplies and inverts its one Fraction without the power basis.
+and addition never cross-multiplies.  In Q (cyclotomic order 1 or 2) ``c`` is
+the pair ``(n, den)``.
 
 With parameters, fractions are deliberately *not* reduced to lowest
 terms: the kernel never needs a multivariate gcd.  The normal form instead
@@ -30,18 +30,18 @@ constant prints the same with or without parameters in its context.
 
 The first section is the package's one layer of dense univariate
 polynomials (trim, divmod, monic gcd, resultant, interpolation, Horner),
-generic over Fractions and Scalars: the cyclotomic construction, the
-integer roots below and the Poly family's radical, comaximality and
-dispersion decisions all run on it.  The last section solves scalar
-polynomials over the integers: their integer roots at any degree, and the
-least q at which one vanishes at X = q or at X = R^q, which is how the
-coefficient families decide their unit and radical pencils.
+generic over Fractions and Scalars: the integer roots below and the Poly
+family's radical, comaximality and dispersion decisions all run on it.  The
+last section finds the integer roots of scalar polynomials at any degree,
+and the least q at which one vanishes at X = q or at X = R^q, which is how
+the coefficient families decide their unit and radical pencils.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
@@ -131,8 +131,8 @@ def _horner(coeffs: list, x):
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """Ascending coefficients of the n-th cyclotomic polynomial.
 
-    Computed by dividing ``x^n - 1`` by the cyclotomic polynomials of the
-    proper divisors of n; the recursion grounds out at n = 1.
+    Computed in integers as the product of ``(1 - x^d)^mu(n/d)`` over the
+    divisors d of n, in power series modulo x^(n+1), made monic.
 
     >>> cyclotomic_coeffs(1)
     (-1, 1)
@@ -143,31 +143,19 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    num = [Fraction(0)] * (n + 1)
-    num[0], num[n] = Fraction(-1), Fraction(1)
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = _divmod(num, [Fraction(c) for c in cyclotomic_coeffs(d)])
-            assert not rem
-    return tuple(int(c) for c in num)
-
-
-def _poly_invert_mod(f: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Inverse of f modulo the (irreducible, monic) polynomial mod."""
-    # extended Euclid; r0, r1 carry Bezout coefficients s0, s1 for f
-    r0, r1 = list(mod), _trim(list(f))
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = _divmod(r0, r1)
-        s = list(s0)
-        s += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s))
-        for i, qc in enumerate(q):
-            for j, sc in enumerate(s1):
-                s[i + j] -= qc * sc
-        r0, r1, s0, s1 = r1, r, s1, _trim(s)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    return _trim([c / r0[0] for c in s0])
+    primes = list(factor_int(n))
+    poly = [1] + [0] * n
+    for r in range(len(primes) + 1):
+        for ps in itertools.combinations(primes, r):
+            d = n // math.prod(ps)
+            if r % 2 == 0:  # times 1 - x^d
+                for i in range(n, d - 1, -1):
+                    poly[i] -= poly[i - d]
+            else:  # over 1 - x^d, times 1 + x^d + x^(2d) + ...
+                for i in range(d, n + 1):
+                    poly[i] += poly[i - d]
+    _trim(poly)
+    return tuple(c * poly[-1] for c in poly)
 
 
 def factor_int(n: int) -> dict[int, int]:
@@ -188,24 +176,62 @@ def factor_int(n: int) -> dict[int, int]:
     return out
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 13 prime bases, which decides every n
+    below 3.3e24 (Sorenson and Webster, "Strong pseudoprimes to twelve
+    prime bases", 2017); larger n raise ValueError.
+
+    >>> is_prime(2**61 - 1), is_prime(3215031751)
+    (True, False)
+    """
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is decided only below {_MR_LIMIT}, got {n}")
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # coefficient domains
 # ---------------------------------------------------------------------------
 
 
+def _lowest(out: list) -> tuple:
+    """Coordinates ending with a positive den, divided by their gcd."""
+    g = math.gcd(*out)
+    return tuple(out) if g == 1 else tuple([c // g for c in out])
+
+
 class CyclotomicDomain:
-    """Arithmetic in Q(zeta_N), coordinates in the power basis of zeta.
+    """Arithmetic in Q(zeta_N), d = phi(N).  A value is one int tuple
+    ``(c_0, ..., c_(d-1), den)``, the value sum(c_k*zeta^k)/den, with den > 0
+    and gcd 1: equal values are equal tuples, zero is ``(0, ..., 0, 1)``.
+    Phi_N is monic over Z, so products fold back in integers.  The inverse
+    of c/den is den*prod(sigma_k(c), k != 1)/N(c) over the Galois
+    conjugates zeta -> zeta^k, and the norm N(c) is a positive integer when
+    d > 1 (Cohen, "A Course in Computational Algebraic Number Theory",
+    1993, section 4.3).
 
     >>> dom = CyclotomicDomain(4)
     >>> z = dom.zeta_pow(1)
     >>> dom.mul(z, z) == dom.from_fraction(-1)
     True
+    >>> dom.inv(dom.add(dom.one, z))
+    (1, -1, 2)
     >>> dom.render(dom.add(dom.one, z))
     '1 + zeta'
     """
 
-    __slots__ = ("order", "degree", "zero", "one", "_mod", "_fold",
-                 "_zeta_pows")
+    __slots__ = ("order", "degree", "zero", "one", "_fold", "_zeta_pows")
 
     def __init__(self, order: int):
         if order < 1:
@@ -213,91 +239,100 @@ class CyclotomicDomain:
         self.order = order
         coeffs = cyclotomic_coeffs(order)
         self.degree = d = len(coeffs) - 1
-        self.zero = (Fraction(0),) * d
-        self.one = (Fraction(1),) + (Fraction(0),) * (d - 1)
-        self._mod = [Fraction(c) for c in coeffs]
+        self.zero = (0,) * d + (1,)
+        self.one = (1,) + self.zero[1:]
         # x^d folded into the basis, then x^(d+1), ..., x^(2d-2)
-        self._fold = [tuple(Fraction(-c) for c in coeffs[:d])]
+        self._fold = [tuple(-c for c in coeffs[:d])]
         for _ in range(d - 2):
             self._fold.append(self._shift(self._fold[-1]))
-        pows = [self.one]
+        self._zeta_pows = [self.one]
         for _ in range(1, order):
-            pows.append(self._shift(pows[-1]))
-        self._zeta_pows = pows
+            self._zeta_pows.append(self._shift(self._zeta_pows[-1]))
 
-    @property
-    def characteristic(self) -> int:
-        return 0
-
-    def _shift(self, a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        # multiply by zeta
-        shifted = [Fraction(0)] + list(a[:-1])
-        over = a[-1]
+    def _shift(self, a: tuple) -> tuple:
+        # the first d entries times zeta; a trailing den passes through
+        d = self.degree
+        shifted = [0] + list(a[:d - 1])
+        over = a[d - 1]
         if over:
             shifted = [s + over * f for s, f in zip(shifted, self._fold[0])]
-        return tuple(shifted)
+        return tuple(shifted) + a[d:]
 
-    def from_fraction(self, c: RatLike) -> tuple[Fraction, ...]:
-        return (Fraction(c),) + (Fraction(0),) * (self.degree - 1)
+    def from_fraction(self, c: RatLike) -> tuple[int, ...]:
+        return (c.numerator,) + self.zero[1:-1] + (c.denominator,)
 
-    def zeta_pow(self, k: int) -> tuple[Fraction, ...]:
+    def zeta_pow(self, k: int) -> tuple[int, ...]:
         return self._zeta_pows[k % self.order]
 
     def is_zero(self, a) -> bool:
-        return all(c == 0 for c in a)
+        return a == self.zero
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        da, db = a[-1], b[-1]
+        if da == db:
+            out = list(map(operator.add, a, b))
+            out[-1] = da
+            return tuple(out) if da == 1 else _lowest(out)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        out = [x * fa + y * fb for x, y in zip(a, b)]
+        out[-1] = da * fa
+        return _lowest(out)
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        return tuple([-x for x in a[:-1]]) + a[-1:]
 
     def mul(self, a, b):
         d = self.degree
         if d == 1:
-            return (a[0] * b[0],)
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
+            den = a[1] * b[1]
+            return (a[0] * b[0], 1) if den == 1 else _lowest([a[0] * b[0], den])
+        conv = [0] * (2 * d)
+        terms = [(j, y) for j, y in enumerate(b[:d]) if y]
+        for i, x in enumerate(a[:d]):
+            for j, y in terms if x else ():
+                conv[i + j] += x * y
+        for k, row in enumerate(self._fold, d):
             c = conv[k]
-            if c:
-                for i, f in enumerate(self._fold[k - d]):
-                    out[i] += c * f
-        return tuple(out)
+            for i, f in enumerate(row) if c else ():
+                conv[i] += c * f
+        conv[d:] = [a[d] * b[d]]
+        return tuple(conv) if conv[d] == 1 else _lowest(conv)
 
     def inv(self, a):
-        if self.is_zero(a):
+        if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        if self.degree == 1:
-            return (1 / a[0],)
-        s = _poly_invert_mod(list(a), self._mod)
-        s += [Fraction(0)] * (self.degree - len(s))
-        return tuple(s[: self.degree])
+        d, n = self.degree, self.order
+        if d == 1:
+            return (a[1], a[0]) if a[0] > 0 else (-a[1], -a[0])
+        # c/den with c integral: its conjugates and their product are too
+        c = a[:d] + (1,)
+        adj = self.one
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                conj = [0] * d + [1]
+                for i, ci in enumerate(c[:d]):
+                    for j, z in enumerate(self._zeta_pows[i * k % n][:d] if ci else ()):
+                        conj[j] += ci * z
+                adj = self.mul(adj, tuple(conj))
+        norm = self.mul(c, adj)[0]
+        return _lowest([x * a[d] for x in adj[:d]] + [norm])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def coords(self, a) -> list[Fraction]:
+        """The power-basis coordinates of a, as Fractions."""
+        return [Fraction(c, a[-1]) for c in a[:-1]]
+
     def rational_value(self, a) -> Fraction | None:
-        if any(c != 0 for c in a[1:]):
-            return None
-        return a[0]
+        return None if any(a[1:-1]) else Fraction(a[0], a[-1])
 
     def render(self, a) -> str:
-        parts: list[tuple[bool, str]] = []
-        for k, c in enumerate(a):
-            if c == 0:
-                continue
-            mono = "" if k == 0 else ("zeta" if k == 1 else f"zeta^{k}")
-            parts.append(_signed_coeff(c, mono))
-        return _join_signed(parts)
+        return _join_signed(_zeta_terms(self.coords(a)))
 
 
 class PrimeDomain:
@@ -313,13 +348,9 @@ class PrimeDomain:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if p < 2 or factor_int(p) != {p: 1}:
+        if not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         self.p = p
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
 
     zero = 0
     one = 1
@@ -352,6 +383,9 @@ class PrimeDomain:
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
+
+    def coords(self, a) -> tuple[int]:
+        return (a,)
 
     def rational_value(self, a) -> Fraction | None:
         return Fraction(a)
@@ -452,6 +486,12 @@ def _signed_coeff(c: Fraction, mono: str) -> tuple[bool, str]:
     else:
         body = f"({c.numerator}/{c.denominator})*{mono}"
     return neg, body
+
+
+def _zeta_terms(coords: list[Fraction]) -> list[tuple[bool, str]]:
+    """The signed terms c_k*zeta^k of a cyclotomic value's coordinates."""
+    return [_signed_coeff(c, "" if k == 0 else ("zeta" if k == 1 else f"zeta^{k}"))
+            for k, c in enumerate(coords) if c]
 
 
 def _join_signed(parts: list[tuple[bool, str]]) -> str:
@@ -557,7 +597,7 @@ class Scalar:
 
     >>> c = ScalarContext().fraction(Fraction(-3, 7))
     >>> c.num, c.den
-    ({(): (Fraction(-3, 7),)}, {(): (Fraction(1, 1),)})
+    ({(): (-3, 7)}, {(): (1, 1)})
     >>> print(c.inv())
     -7/3
     >>> c.inv().den is c.den
@@ -745,10 +785,7 @@ class Scalar:
                 parts.append((False, f"({dom.render(c)})*{mono}"))
             else:
                 # inline the zeta-terms of a lone cyclotomic constant
-                for k, coord in enumerate(c):
-                    if coord:
-                        zmono = "" if k == 0 else ("zeta" if k == 1 else f"zeta^{k}")
-                        parts.append(_signed_coeff(coord, zmono))
+                parts += _zeta_terms(dom.coords(c))
         return _join_signed(parts)
 
     def __str__(self) -> str:
@@ -846,8 +883,7 @@ def _rational_component(coeffs: list[Scalar]):
         if den != ctx._pone:
             d = Scalar(ctx, dict(den), dict(ctx._pone))
             cleared = [x * d for x in cleared]
-    # an F_p value is one int
-    coords = (lambda val: (val,)) if ctx.characteristic else tuple
+    coords = ctx.dom.coords
     e, i = min((e, i) for c in cleared for e, val in c.num.items()
                for i, coord in enumerate(coords(val)) if coord)
     return cleared, [coords(c.num[e])[i] if e in c.num else 0 for c in cleared]

@@ -15,9 +15,10 @@ from ambiskew.algebras import (
     LaurentAlgebra,
     PolyAlgebra,
     QuadraticAlgebra,
+    _sqrt_mod,
     scalar_ratio,
 )
-from ambiskew.dsl import eval_element, parse_expression
+from ambiskew.dsl import eval_element, parse_expression, parse_spec
 from ambiskew.scalars import (ScalarContext, integer_roots_scalar_poly,
                               least_integer_root, root_of_unity_order)
 from ambiskew.verdict import Status
@@ -347,6 +348,25 @@ def test_quadratic_conductor_criterion():
     assert v.fails  # sqrt(5) lives in the fifth cyclotomic field
     ctx7 = ScalarContext(cyclotomic_order=7)
     assert QuadraticAlgebra(ctx7, ctx7.int_(5)).alpha_simple([]).holds
+
+
+def test_square_roots_mod_p_agree_with_brute_force():
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    for p in primes:
+        for a in range(p):
+            least = next((r for r in range(p) if r * r % p == a), None)
+            assert _sqrt_mod(a, p) == least, (a, p)
+    ctx = ScalarContext(characteristic=13)
+    assert QuadraticAlgebra(ctx, ctx.int_(10)).square_root_of_d() == (True, ctx.int_(6))
+
+
+def test_quadratic_squareness_is_decided_in_large_characteristic():
+    # 5 is not a square mod 10007, so the algebra is a field
+    doc = parse_spec("context(characteristic = 10007)\n"
+                     "base A = quadratic(d = 5)\nauto b on A { s -> s }\n"
+                     "ring R = ambiskew(A, b, v = 1 + 2*s, rho = 3)\n")
+    ring = doc.rings["R"]
+    assert ring.base.alpha_simple([ring.alpha]).holds
 
 
 def test_quadratic_parameter_defect_is_not_a_square():

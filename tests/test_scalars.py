@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from ambiskew.scalars import (
     _interpolate,
     _resultant,
     cyclotomic_coeffs,
+    is_prime,
     q_integer,
     root_of_unity_order,
 )
@@ -69,6 +71,83 @@ def test_zeta_inverse_nontrivial():
     assert (a - a).is_zero()
 
 
+# -- the integer-coordinate domain against a Fraction reference ---------------
+
+
+def _canonical(fracs: list, d: int) -> tuple:
+    """Fraction coordinates as the domain's value: integers over the least
+    positive common denominator."""
+    fracs = list(fracs) + [Fraction(0)] * (d - len(fracs))
+    den = math.lcm(*(f.denominator for f in fracs))
+    return tuple(int(f * den) for f in fracs) + (den,)
+
+
+def _reduce(poly: list, n: int) -> list:
+    mod = [Fraction(c) for c in cyclotomic_coeffs(n)]
+    return _divmod(poly, mod)[1] if poly else []
+
+
+def _ref_mul(a: list, b: list, n: int) -> list:
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _reduce(out, n)
+
+
+def _fracs(v: tuple) -> list:
+    return [Fraction(c, v[-1]) for c in v[:-1]]
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 8, 12, 15])
+def test_domain_matches_fraction_reference(n):
+    rng = random.Random(1000 + n)
+    dom = CyclotomicDomain(n)
+    d = dom.degree
+    for _ in range(25):
+        a, b = ([_rational(rng) if rng.random() < 0.7 else Fraction(0)
+                 for _ in range(d)] for _ in range(2))
+        va, vb = _canonical(a, d), _canonical(b, d)
+        assert dom.add(va, vb) == _canonical([x + y for x, y in zip(a, b)], d)
+        assert dom.sub(va, vb) == _canonical([x - y for x, y in zip(a, b)], d)
+        assert dom.neg(va) == _canonical([-x for x in a], d)
+        assert dom.mul(va, vb) == _canonical(_ref_mul(a, b, n), d)
+        if any(b):
+            inv = _fracs(dom.inv(vb))
+            assert _ref_mul(inv, b, n) == [1]
+            assert _ref_mul(_fracs(dom.div(va, vb)), b, n) == _reduce(a, n)
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_domain_values_are_canonical(n):
+    rng = random.Random(n)
+    dom = CyclotomicDomain(n)
+    d = dom.degree
+    assert dom.zero == (0,) * d + (1,)
+    vals = [dom.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+            for _ in range(6)] + [dom.zeta_pow(k) for k in range(n)]
+    for _ in range(40):
+        a, b = rng.choice(vals), rng.choice(vals)
+        for c in (dom.add(a, b), dom.sub(a, b), dom.mul(a, b), dom.neg(a)) + (
+                (dom.inv(b), dom.div(a, b)) if not dom.is_zero(b) else ()):
+            assert c[-1] > 0 and math.gcd(*c) == 1
+            vals.append(c)
+        # the same value computed two ways is the same tuple
+        assert dom.sub(dom.add(a, b), b) == a
+        assert dom.mul(a, dom.add(b, b)) == dom.add(dom.mul(a, b), dom.mul(b, a))
+    assert dom.sub(a, a) == dom.zero
+
+
+@pytest.mark.parametrize("n", [60, 128])
+def test_cyclotomic_inverse_round_trip_at_large_degree(n):
+    rng = random.Random(n)
+    dom = CyclotomicDomain(n)
+    a = _canonical([_rational(rng) for _ in range(dom.degree)], dom.degree)
+    inv = dom.inv(a)
+    assert dom.mul(a, inv) == dom.one
+    assert dom.div(dom.one, a) == inv
+
+
 def test_hand_checked_q_integer_at_zeta6():
     # [3] at zeta_6 is 1 + zeta_6 + zeta_6^2 = 2*zeta_6
     ctx = _ctx(cyclotomic_order=6)
@@ -91,6 +170,18 @@ def test_prime_field_basics():
         _ctx(characteristic=6)
     with pytest.raises(ValueError):
         _ctx(characteristic=5, cyclotomic_order=3)
+
+
+def test_primality_is_decided_without_trial_division():
+    assert _ctx(characteristic=2**61 - 1).dom.p == 2**61 - 1
+    # a Carmichael number and a strong pseudoprime to the bases 2, 3, 5, 7
+    for n in (561, 3215031751):
+        with pytest.raises(ValueError, match="characteristic must be prime"):
+            _ctx(characteristic=n)
+    with pytest.raises(ValueError, match="decided only below 3317044064679887385961981"):
+        _ctx(characteristic=2**89 - 1)
+    assert [n for n in range(2, 2000) if is_prime(n)] == [
+        n for n in range(2, 2000) if all(n % d for d in range(2, math.isqrt(n) + 1))]
 
 
 # ---------------------------------------------------------------------------
