@@ -21,12 +21,22 @@ the pair ``(n, den)``.
 With parameters, fractions are deliberately *not* reduced to lowest
 terms: the kernel never needs a multivariate gcd.  The normal form instead
 fixes the denominator to have graded-lex leading coefficient 1 and
-collapses it into the numerator whenever the division is exact, which
-catches constants and quotients like (q^2 - 1)/(q - 1).  Equality is
-decided by cross-multiplication, which is exact and total.  Serialization
-sorts terms in descending graded-lex order with the declared parameter
-order, so the same computation prints identically from run to run, and a
-constant prints the same with or without parameters in its context.
+collapses it into the numerator whenever the division is exact.  The
+denominator takes one of three paths:
+
+* the unit, the context's shared ``{(0, ..., 0): 1}``, which products of
+  two polynomials pass through untouched;
+* a monomial c*q^e, which divides exactly when every numerator exponent is
+  at least e in each slot, and the quotient is then a shift:
+  (q^3 + q)/q collapses to q^2 + 1, while (q + 1)/q^2 stays a fraction;
+* two or more terms, which go through multivariate long division and
+  catch quotients like (q^2 - 1)/(q - 1).
+
+Equality is decided by cross-multiplication, which is exact and total.
+Serialization sorts terms in descending graded-lex order with the declared
+parameter order, so the same computation prints identically from run to
+run, and a constant prints the same with or without parameters in its
+context.
 
 The first section is the package's one layer of dense univariate
 polynomials (trim, divmod, monic gcd, resultant, interpolation, Horner),
@@ -419,16 +429,26 @@ def _pneg(dom, a: dict) -> dict:
 
 
 def _pmul(dom, a: dict, b: dict) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # a field has no zero divisors, so a one-term factor only shifts
+        # and scales the other's terms
+        (ea, ca), = a.items()
+        mul = dom.mul
+        if not any(ea):
+            return {eb: mul(ca, cb) for eb, cb in b.items()}
+        add = operator.add
+        return {tuple(map(add, ea, eb)): mul(ca, cb) for eb, cb in b.items()}
+    mul, add, plus = dom.mul, dom.add, operator.add
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(i + j for i, j in zip(ea, eb))
-            s = dom.add(out.get(e, dom.zero), dom.mul(ca, cb))
-            if dom.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
+            e = tuple(map(plus, ea, eb))
+            c = mul(ca, cb)
+            out[e] = add(out[e], c) if e in out else c
+    zero = dom.zero
+    return {e: c for e, c in out.items() if c != zero}
 
 
 def _pscale(dom, a: dict, c) -> dict:
@@ -448,6 +468,8 @@ def _pdiv_exact(dom, num: dict, den: dict) -> dict | None:
     Single-divisor multivariate long division in graded-lex order; leading
     monomials decrease strictly, and if den divides num the leading term of
     den divides the leading term of every remainder along the way.
+    ``Scalar.__init__`` calls it only for a den of two or more terms: a
+    monomial divides by comparing exponents, and the unit is skipped.
     """
     de, dc = _plead(den)
     q: dict = {}
@@ -518,6 +540,10 @@ class ScalarContext:
     >>> q = ctx.param("q")
     >>> print((q**2 - 1) / (q - 1))
     q + 1
+    >>> print((q**3 + q) / q)
+    q^2 + 1
+    >>> print((q + 1) / q**2)
+    (q + 1)/(q^2)
     >>> print(ctx.zeta() ** 2)
     -1
     """
@@ -573,7 +599,7 @@ class ScalarContext:
     def param(self, name: str) -> "Scalar":
         i = self.parameters.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(self.parameters)))
-        return Scalar(self, {e: self.dom.one}, dict(self._pone))
+        return Scalar(self, {e: self.dom.one}, self._pone)
 
     def describe(self) -> dict:
         return {
@@ -625,17 +651,29 @@ class Scalar:
                 num = {(): dom.div(num[()], den[()])}
             den = ctx._pone
         elif not num:
-            den = dict(ctx._pone)
+            den = ctx._pone
+        elif den is ctx._pone:
+            pass  # a polynomial: nothing to divide
+        elif len(den) == 1:
+            # a monomial divides num exactly when it divides every term
+            (de, dc), = den.items()
+            if dc != dom.one:
+                num = _pscale(dom, num, dom.inv(dc))
+            ge, sub = operator.ge, operator.sub
+            if all(all(map(ge, e, de)) for e in num):
+                num = {tuple(map(sub, e, de)): c for e, c in num.items()}
+                den = ctx._pone
+            elif dc != dom.one:
+                den = {de: dom.one}
         else:
             _, lc = _plead(den)
             if lc != dom.one:
                 s = dom.inv(lc)
                 num = _pscale(dom, num, s)
                 den = _pscale(dom, den, s)
-            if den != ctx._pone:
-                q = _pdiv_exact(dom, num, den)
-                if q is not None:
-                    num, den = q, dict(ctx._pone)
+            q = _pdiv_exact(dom, num, den)
+            if q is not None:
+                num, den = q, ctx._pone
         self.ctx = ctx
         self.num = num
         self.den = den
@@ -724,7 +762,10 @@ class Scalar:
                 if self.num and o.num else {}
             return Scalar(ctx, num, ctx._pone)
         dom = ctx.dom
-        return Scalar(ctx, _pmul(dom, self.num, o.num), _pmul(dom, self.den, o.den))
+        num = _pmul(dom, self.num, o.num)
+        if self.den is ctx._pone and o.den is ctx._pone:
+            return Scalar(ctx, num, ctx._pone)
+        return Scalar(ctx, num, _pmul(dom, self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -750,14 +791,17 @@ class Scalar:
             return NotImplemented
         if k < 0:
             return self.inv() ** (-k)
-        out = self.ctx.one
+        if not k:
+            return self.ctx.one
+        out = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -881,7 +925,7 @@ def _rational_component(coeffs: list[Scalar]):
     for idx in range(len(cleared)):
         den = cleared[idx].den
         if den != ctx._pone:
-            d = Scalar(ctx, dict(den), dict(ctx._pone))
+            d = Scalar(ctx, den, ctx._pone)
             cleared = [x * d for x in cleared]
     coords = ctx.dom.coords
     e, i = min((e, i) for c in cleared for e, val in c.num.items()

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ambiskew import scalars
+from ambiskew.dsl import eval_element, parse_expression, parse_spec
 from ambiskew.scalars import (
     CyclotomicDomain,
     Scalar,
@@ -15,6 +17,7 @@ from ambiskew.scalars import (
     _gcd,
     _integer_roots_int,
     _interpolate,
+    _pdiv_exact,
     _resultant,
     cyclotomic_coeffs,
     is_prime,
@@ -518,3 +521,203 @@ def test_fold_rows_are_powers_reduced_mod_the_cyclotomic_polynomial(n):
         power = [Fraction(0)] * (d + k) + [Fraction(1)]
         rem = _divmod(power, mod)[1]
         assert row == tuple(rem + [Fraction(0)] * (d - len(rem)))
+
+
+# ---------------------------------------------------------------------------
+# parametric fast paths: unit, one-term and several-term denominators
+# ---------------------------------------------------------------------------
+
+_PARAM_CTXS = [ScalarContext(parameters=("q",)),
+               ScalarContext(parameters=("q", "r")),
+               ScalarContext(cyclotomic_order=4, parameters=("mu",)),
+               ScalarContext(characteristic=13, parameters=("q",))]
+
+
+@st.composite
+def _param_poly(draw, ctx: ScalarContext, size: int) -> Scalar:
+    """A polynomial with `size` distinct monomials, each exponent <= 2."""
+    slot = st.integers(0, 2)
+    exps = draw(st.lists(st.tuples(*[slot] * len(ctx.parameters)),
+                         min_size=size, max_size=size, unique=True))
+    out = ctx.zero
+    for e in exps:
+        c = ctx.fraction(Fraction(draw(st.integers(-6, 6).filter(bool)),
+                                  draw(st.integers(1, 3))))
+        if ctx.cyclotomic_order == 4:
+            c = c * ctx.zeta(draw(st.integers(0, 3)))
+        for name, k in zip(ctx.parameters, e):
+            c = c * ctx.param(name) ** k
+        out = out + c
+    return out
+
+
+@st.composite
+def _param_fraction(draw, ctx: ScalarContext) -> tuple[Scalar, Scalar]:
+    """(num, den): den is 1, one term or several; num is half the time a
+    multiple of den, so the exact-division collapse gets exercised."""
+    num = draw(_param_poly(ctx, draw(st.integers(0, 3))))
+    size = draw(st.integers(0, 3))
+    den = draw(_param_poly(ctx, size)) if size else ctx.one
+    if draw(st.booleans()):
+        num = num * den
+    return num, den
+
+
+def _sympy_poly(sympy, ctx: ScalarContext, p: dict):
+    gens = [sympy.Symbol(name) for name in ctx.parameters]
+    out = sympy.Integer(0)
+    for e, c in p.items():
+        coeff = sum(sympy.Rational(x.numerator, x.denominator) * sympy.I ** k
+                    for k, x in enumerate(ctx.dom.coords(c)))
+        out += coeff * sympy.Mul(*[g ** k for g, k in zip(gens, e)])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_parametric_fast_paths_match_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    ctx = data.draw(st.sampled_from(_PARAM_CTXS))
+    an, ad = data.draw(_param_fraction(ctx))
+    bn, bd = data.draw(_param_fraction(ctx))
+    k = data.draw(st.integers(-2, 3))
+    gens = [sympy.Symbol(name) for name in ctx.parameters]
+
+    def expr(s: Scalar):
+        return _sympy_poly(sympy, ctx, s.num) / _sympy_poly(sympy, ctx, s.den)
+
+    def same(s: Scalar, expected) -> bool:
+        diff = expr(s) - expected
+        if not ctx.characteristic:
+            return sympy.cancel(diff) == 0
+        # sympy reads the F_p values as integers: reduce the cleared
+        # numerator mod p (no denominator here is divisible by p)
+        num, _ = sympy.fraction(sympy.together(diff))
+        return sympy.Poly(num, *gens, modulus=ctx.characteristic).is_zero
+
+    a, b = an / ad, bn / bd
+    ea, eb = expr(an) / expr(ad), expr(bn) / expr(bd)
+    assert same(a, ea) and same(b, eb)
+    assert same(a * b, ea * eb)
+    assert same(a + b, ea + eb)
+    if b:
+        assert same(a / b, ea / eb)
+    if a or k >= 0:
+        assert same(a ** k, ea ** k)
+    # the fast paths hand the shared unit around by identity
+    assert ctx._pone == {ctx._pzero: ctx.dom.one}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_monomial_denominator_agrees_with_long_division(data):
+    ctx = data.draw(st.sampled_from(_PARAM_CTXS))
+    dom = ctx.dom
+    num = data.draw(_param_poly(ctx, data.draw(st.integers(1, 3))))
+    mono = data.draw(_param_poly(ctx, 1))
+    if data.draw(st.booleans()):
+        num = num * mono
+    (de, dc), = mono.num.items()
+    got = Scalar(ctx, num.num, mono.num)
+    # the general path: make den monic, then divide by it
+    unit = dom.inv(dc)
+    scaled = {e: dom.mul(c, unit) for e, c in num.num.items()}
+    quotient = _pdiv_exact(dom, scaled, {de: dom.one})
+    if quotient is None:
+        assert got.num == scaled and got.den == {de: dom.one}
+    else:
+        assert got.num == quotient and got.den is ctx._pone
+    assert ctx._pone == {ctx._pzero: dom.one}
+
+
+# ---------------------------------------------------------------------------
+# rendered powers over parametric fields, pinned; the monomial-divisor guard
+# ---------------------------------------------------------------------------
+
+_WEYL = """context(parameters = [q])
+base F = field()
+auto i on F { }
+ring R = ambiskew(F, i, v = 1, rho = q)
+"""
+
+_FC4_MIXED = """context(cyclotomic_order = 4, parameters = [mu])
+base A = cyclic_group(n = 4, epsilon = zeta)
+auto a on A { s -> zeta*s }
+ring R = ambiskew(A, a, v = s + mu*s^3, rho = zeta, y = y1, x = x1)
+"""
+
+_LAURENT_SCALE = """context(parameters = [q, r])
+base L = laurent(t)
+auto a on L { t -> q*t }
+ring R = ambiskew(L, a, v = t, rho = r)
+"""
+
+_WEYL_POW6 = (
+    '((-5*q^10 - 6*q^9 - 3*q^8 - q^7)/(q^13)) + ((9*q^28 + 13*q^27 '
+    '+ 12*q^26 + 7*q^25 + 3*q^24 + q^23)/(q^30))*y^2 + ((-5*q^10 - '
+    '4*q^9 - 3*q^8 - 2*q^7 - q^6)/(q^11))*y^4 + y^6 + ((9*q^46 + '
+    '22*q^45 + 25*q^44 + 19*q^43 + 10*q^42 + 4*q^41 + '
+    'q^40)/(q^48))*x*y + ((-5*q^40 - 9*q^39 - 12*q^38 - 14*q^37 - '
+    '10*q^36 - 6*q^35 - 3*q^34 - q^33)/(q^41))*x*y^3 + ((q^7 + q^6 '
+    '+ q^5 + q^4 + q^3 + q^2)/(q^7))*x*y^5 + ((9*q^36 + 13*q^35 + '
+    '12*q^34 + 7*q^33 + 3*q^32 + q^31)/(q^38))*x^2 + ((-5*q^54 - '
+    '9*q^53 - 17*q^52 - 18*q^51 - 18*q^50 - 12*q^49 - 7*q^48 - '
+    '3*q^47 - q^46)/(q^55))*x^2*y^2 + ((q^17 + q^16 + 2*q^15 + '
+    '2*q^14 + 3*q^13 + 2*q^12 + 2*q^11 + q^10 + '
+    'q^9)/(q^17))*x^2*y^4 + ((-5*q^53 - 9*q^52 - 12*q^51 - 14*q^50 '
+    '- 10*q^49 - 6*q^48 - 3*q^47 - q^46)/(q^54))*x^3*y + ((q^24 + '
+    'q^23 + 2*q^22 + 3*q^21 + 3*q^20 + 3*q^19 + 3*q^18 + 2*q^17 + '
+    'q^16 + q^15)/(q^24))*x^3*y^3 + ((-5*q^15 - 4*q^14 - 3*q^13 - '
+    '2*q^12 - q^11)/(q^16))*x^4 + ((q^23 + q^22 + 2*q^21 + 2*q^20 + '
+    '3*q^19 + 2*q^18 + 2*q^17 + q^16 + q^15)/(q^23))*x^4*y^2 + '
+    '((q^9 + q^8 + q^7 + q^6 + q^5 + q^4)/(q^9))*x^5*y + x^6')
+
+_FC4_POW5 = (
+    '((7*mu^2 + 3 + 2*zeta)*s^3 + ((2 - 2*zeta)*mu)*s^2 + ((10 + '
+    '2*zeta)*mu - 1)*s + (2 - 2*zeta)) + (-4*s^3 + ((3 - '
+    '2*zeta)*mu^2 - 1)*s^2 - 8*mu*s + ((-2 + 2*zeta)*mu + 1))*y1 + '
+    '((2 - 2*zeta)*s^2 + ((4 - 8*zeta)*mu))*y1^2 + (((-2 - '
+    '2*zeta)*mu)*s^3)*y1^3 + (-s)*y1^4 + y1^5 + x1*(-4*s^3 + ((3 - '
+    '2*zeta)*mu^2 - 1)*s^2 - 8*mu*s + ((-2 + 2*zeta)*mu + 1)) + '
+    'x1*((4 + 4*zeta)*s^3 + 6*s^2 + ((-14 - 16*zeta)*mu))*y1 + '
+    'x1*(2*mu*s^3 - 8*s^2 + 2*zeta*s)*y1^2 + x1*((-4 - '
+    '4*zeta)*s)*y1^3 + x1*y1^4 + x1^2*((2 - 2*zeta)*s^2 + ((4 - '
+    '8*zeta)*mu)) + x1^2*(2*mu*s^3 - 8*s^2 + 2*zeta*s)*y1 + '
+    'x1^2*(-8*s)*y1^2 + x1^3*(((-2 - 2*zeta)*mu)*s^3) + x1^3*((-4 - '
+    '4*zeta)*s)*y1 + x1^4*(-s) + x1^4*y1 + x1^5')
+
+_LAURENT_POW3 = (
+    '(8*t^3 + ((-2*q - 4)/(r))*t^2) + ((4*q^2 + 4*q + 4)*t^2 + '
+    '((-q*r^2 - r^2 - r)/(r^3))*t)*y + ((2*q^2 + 2*q + 2)*t)*y^2 + '
+    'y^3 + x*((4*q^2 + 4*q + 4)*t^2 + ((-q*r^3 - r^3 - '
+    'r^2)/(r^4))*t) + x*(((2*q^2 + 4*q*r + 4*q + 2*r)/(r))*t)*y + '
+    '((r^2 + r + 1)/(r^2))*x*y^2 + x^2*((2*q^2 + 2*q + 2)*t) + '
+    '((r^3 + r^2 + r)/(r^3))*x^2*y + x^3')
+
+
+@pytest.mark.parametrize("text, expr, rendered", [
+    (_WEYL, "(x + y)^6", _WEYL_POW6),
+    (_FC4_MIXED, "(x1 + y1 - s)^5", _FC4_POW5),
+    (_LAURENT_SCALE, "(x + y + 2*t)^3", _LAURENT_POW3),
+])
+def test_parametric_powers_render_pinned(text, expr, rendered):
+    ring = parse_spec(text).rings["R"]
+    assert ring.render(eval_element(parse_expression(expr), ring)) == rendered
+
+
+def test_monomial_divisors_skip_long_division(monkeypatch):
+    divisor_terms = []
+    general = scalars._pdiv_exact
+
+    def counting(dom, num, den):
+        divisor_terms.append(len(den))
+        return general(dom, num, den)
+
+    monkeypatch.setattr(scalars, "_pdiv_exact", counting)
+    ring = parse_spec(_WEYL).rings["R"]
+    eval_element(parse_expression("(x + y)^8"), ring)
+    assert 1 not in divisor_terms
+    # the counter sees the divisions that do run: two-term divisors
+    q = ring.ctx.param("q")
+    assert (q**2 - 1) / (q - 1) == q + 1
+    assert 2 in divisor_terms
