@@ -1,24 +1,22 @@
 """Search bounds shared by the decision procedures.
 
-Every criterion that quantifies over an unbounded index (all m >= 1, all
-p-power heights n, scalar periods) truncates its search at these bounds and
-answers Inconclusive beyond them, unless the family structure makes a finite
-search provably exhaustive.
+Every criterion that quantifies over an unbounded index truncates its
+search at one of these constants and answers Inconclusive beyond it, unless
+the family structure makes a finite search provably exhaustive.  Each route
+reads its constant as ``bounds.NAME`` when it runs, so a test lowers one by
+setting the module attribute.
 
->>> Bounds(m_max=500, n_max=2)
-Bounds(m_max=500, n_max=2, period_max=64)
+- ``PERIOD_MAX``: the steps of rho*alpha that ``simplicity``'s units and
+  radical conditions try before they give up on a scalar period of v.
+- ``M_MAX``: the indices m of the bounded scans, over v^(m) in those same
+  conditions and over alpha^m(u) in ``gwa.gwa_simple``'s comaximality.
+- ``N_MAX``: the largest witness height n of the characteristic-p
+  splitting condition in ``simplicity.simple``.
+
+>>> (PERIOD_MAX, M_MAX, N_MAX)
+(64, 200, 3)
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Bounds:
-    m_max: int = 200
-    n_max: int = 3
-    period_max: int = 64
-
-
-DEFAULT = Bounds()
+PERIOD_MAX = 64
+M_MAX = 200
+N_MAX = 3

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from .algebras import (AffineAuto, DiagonalAuto, LaurentAlgebra, PolyAlgebra,
                        UnitAnswer, scalar_ratio)
-from .bounds import DEFAULT, Bounds
+from . import bounds
 from .rings import ExtensionAlgebra
 from .scalars import Scalar
 from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
@@ -259,7 +259,7 @@ def ambiskew_as_gwa(ring) -> GwaRing:
 # ---------------------------------------------------------------------------
 
 
-def gwa_simple(gwa: GwaRing, bounds: Bounds = DEFAULT) -> Verdict:
+def gwa_simple(gwa: GwaRing) -> Verdict:
     """Four-condition simplicity criterion for T(A, alpha, u).
 
     T is simple exactly when A is alpha-simple, no positive power of alpha
@@ -269,14 +269,14 @@ def gwa_simple(gwa: GwaRing, bounds: Bounds = DEFAULT) -> Verdict:
     quantifier falls to a unit u, an alpha-stable ideal, periodicity of
     alpha, the family's closed form (``coprime_to_shifts``: the dispersion
     of u under a polynomial shift, a single root under a Laurent scaling of
-    infinite order), or a bounded scan, in that order.
+    infinite order), or a bounded scan to ``bounds.M_MAX``, in that order.
     """
     base = gwa.base
     return conjunction([
         ("alpha_simple", base.alpha_simple([gwa.alpha])),
         ("outer_powers", base.no_inner_power(gwa.alpha, "alpha")),
         ("regular", _regular_u(base, gwa.u)),
-        ("comaximal", _comaximal_all_m(gwa, bounds)),
+        ("comaximal", _comaximal_all_m(gwa)),
     ], theorem="gwa")
 
 
@@ -290,7 +290,7 @@ def _regular_u(base, u: dict) -> Verdict:
     return inconclusive("regularity of u was not decided")
 
 
-def _comaximal_all_m(gwa: GwaRing, bounds: Bounds) -> Verdict:
+def _comaximal_all_m(gwa: GwaRing) -> Verdict:
     base = gwa.base
     if base.is_zero(gwa.u):
         return fails("uA + alpha^m(u)A is the zero ideal",
@@ -317,9 +317,9 @@ def _comaximal_all_m(gwa: GwaRing, bounds: Bounds) -> Verdict:
     try:
         m, reason, fields = base.coprime_to_shifts(gwa.alpha, gwa.u)
     except ValueError as exc:
-        return _comaximal_scan(gwa, bounds.m_max, inconclusive(
-            f"{exc}; comaximality verified through m = {bounds.m_max}",
-            certificate={"kind": "bounded_scan", "m_max": bounds.m_max}))
+        return _comaximal_scan(gwa, bounds.M_MAX, inconclusive(
+            f"{exc}; comaximality verified through m = {bounds.M_MAX}",
+            certificate={"kind": "bounded_scan", "m_max": bounds.M_MAX}))
     if m is None:
         return holds(reason, certificate={"kind": "shift_coprime", **fields})
     answer = _comaximal_at(gwa, m)

@@ -43,7 +43,6 @@ import itertools
 from dataclasses import dataclass
 
 from .algebras import NO_EIGEN_FRAME, AffineAuto, EigenFrame
-from .bounds import DEFAULT, Bounds
 from .multiplicative import relation_kernel
 from .scalars import Scalar, root_of_unity_order
 from .simplicity import every_v_m_unit
@@ -196,7 +195,7 @@ def _pick_vector(basis: list[list[int]]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def localized_simple(ring, bounds: Bounds = DEFAULT) -> Verdict:
+def localized_simple(ring) -> Verdict:
     """Three-condition criterion for the simplicity of S = R_Z.
 
     Requires a conformal quadruple (a singular one has no Casimir element
@@ -220,7 +219,7 @@ def localized_simple(ring, bounds: Bounds = DEFAULT) -> Verdict:
     verdict = conjunction([
         ("alpha_gamma_simple", simple),
         ("no_special", _no_special(ring, units_only=simple.holds)),
-        ("radical", every_v_m_unit(ring, bounds, watch=conf.u)),
+        ("radical", every_v_m_unit(ring, watch=conf.u)),
     ], theorem="localized.full")
     verdict.certificate = {"kind": "splitting_element",
                            "u": ring.base.render(conf.u),

@@ -61,21 +61,11 @@ def torsion_modulus(ctx: ScalarContext) -> int:
     return n if n % 2 == 0 else 2 * n
 
 
-def torsion_generator(ctx: ScalarContext) -> Scalar:
-    """A generator of the torsion units (order = torsion_modulus)."""
-    if ctx.characteristic:
-        g, _ = _dlog_table(ctx.characteristic)
-        return ctx.int_(g)
-    n = ctx.cyclotomic_order
-    if n % 2 == 0:
-        return ctx.zeta()
-    # -zeta^((n+1)/2) squares to zeta and has order 2n
-    return -(ctx.zeta((n + 1) // 2))
-
-
 @dataclass(frozen=True)
 class MultExpr:
-    """torsion_generator^torsion * prod p^e_p * prod param^e_i."""
+    """g^torsion * prod p^e_p * prod param^e_i, where g generates the
+    torsion units: zeta_N for even N, -zeta_N^((N+1)/2) for odd N, and the
+    least primitive root mod p in characteristic p."""
 
     torsion: int
     primes: tuple[tuple[int, int], ...]
@@ -111,16 +101,6 @@ def decompose(s: Scalar) -> MultExpr | None:
                 t += m // 2
             return MultExpr(t % m, primes, params)
     return None
-
-
-def recompose(ctx: ScalarContext, e: MultExpr) -> Scalar:
-    """Inverse of decompose, used to cross-check decompositions."""
-    s = torsion_generator(ctx) ** e.torsion
-    for p, k in e.primes:
-        s = s * ctx.int_(p) ** k
-    for name, k in zip(ctx.parameters, e.params):
-        s = s * ctx.param(name) ** k
-    return s
 
 
 def relation_kernel(conditions: list[list[Scalar]]) -> list[list[int]] | None:

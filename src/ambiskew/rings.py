@@ -220,14 +220,6 @@ class AmbiskewRing(ExtensionAlgebra):
             out.setdefault((i, j), {})[bk] = s
         return out
 
-    def homogeneous_components(self, a: dict) -> dict[int, dict]:
-        """Split along the grading that gives y degree 1 and x degree -1."""
-        out: dict[int, dict] = {}
-        for key, s in a.items():
-            i, j = key[0], key[1]
-            out.setdefault(j - i, {})[key] = s
-        return out
-
     def _flat(self, i: int, j: int, c: dict) -> dict:
         return {(i, j, bk): s for bk, s in c.items()}
 
@@ -416,25 +408,13 @@ class AmbiskewRing(ExtensionAlgebra):
         """The product x*y, whose commutation action on A is gamma."""
         return {(1, 1, self._onekey): self.ctx.one}
 
-    def w_alpha_power(self, m: int) -> dict:
-        """The image of w = x*y under the m-th power of the extension of
-        alpha determined by alpha(w) = rho^{-1}*(w - v)."""
-        base = self.base
-        sigma = self.rho ** (-m)
-        if m >= 0:
-            c = base.smul(-sigma, self.v_m(m))
-        else:
-            c: dict = {}
-            scale = self.ctx.one
-            for _ in range(-m):
-                c = base.add(base.apply(self.alpha_inv, c),
-                             base.smul(scale, base.apply(self.alpha_inv, self.v)))
-                scale = scale * self.rho
-        return _eadd(self._flat(1, 1, base.from_scalar(sigma)),
-                     self._flat(0, 0, c))
-
     def conformality(self) -> Conformality:
-        """Decide whether v = u - rho*alpha(u) has an admissible solution."""
+        """Decide whether v = u - rho*alpha(u) has an admissible solution.
+
+        When the solver over a coefficient tower declines, the equation is
+        projected to the ground algebra: a splitting element would project,
+        one bidegree at a time, to one there, so a complete ground solve
+        without a solution proves the quadruple singular."""
         if self._conf is None:
             u, detail, complete = solve_splitting_ex(
                 self.base, self.alpha, self.gamma, self.v, self.rho)
@@ -444,32 +424,21 @@ class AmbiskewRing(ExtensionAlgebra):
             elif complete:
                 self._conf = Conformality(Status.FAILS, None, None, detail)
             else:
-                self._conf = Conformality(Status.INCONCLUSIVE, None, None, detail)
+                self._conf = self._projected(detail)
         return self._conf
 
-    def extend_autos(self, lam: Scalar, mu: Scalar | None = None):
-        """Extensions of alpha and gamma to the ring itself.
-
-        Requires v to be an eigenvector of alpha; mu is its eigenvalue and
-        is recomputed when not supplied.  The extension sends y to lam*y
-        and x to (mu/lam)*x; the companion extension of gamma sends y to
-        rho*y and x to rho^{-1}*x.  Both are validated against the
-        defining relations before they are returned.
-        """
-        if lam.is_zero():
-            raise ValueError("the scale of y must be nonzero")
-        if mu is None:
-            mu = self.v_eigenvalue()
-            if mu is None:
-                raise ValueError("v is not an eigenvector of alpha")
-        elif not self.base.eq(self.base.apply(self.alpha, self.v),
-                              self.base.smul(mu, self.v)):
-            raise ValueError("alpha does not scale v by the supplied mu")
-        alpha_ext = NestedAuto(self.alpha, lam, mu / lam)
-        gamma_ext = NestedAuto(self.gamma, self.rho, self.rho.inv())
-        self.validate_auto(alpha_ext)
-        self.validate_auto(gamma_ext)
-        return alpha_ext, gamma_ext
+    def _projected(self, detail: dict | None) -> Conformality:
+        stripped = self.base.to_ground(dict(self.v), [self.alpha, self.gamma])
+        if stripped is not None and stripped[0] is not self.base:
+            ground, v0, (alpha0, gamma0) = stripped
+            u0, obstruction, complete = solve_splitting_ex(
+                ground, alpha0, gamma0, v0, self.rho)
+            if u0 is None and complete:
+                cert = {"kind": "singular_by_projection"}
+                if obstruction:
+                    cert["obstruction"] = obstruction
+                return Conformality(Status.FAILS, None, None, cert)
+        return Conformality(Status.INCONCLUSIVE, None, None, detail)
 
     # decision hooks -------------------------------------------------------
 

@@ -467,19 +467,21 @@ def _pdiv_exact(dom, num: dict, den: dict) -> dict | None:
 
     Single-divisor multivariate long division in graded-lex order; leading
     monomials decrease strictly, and if den divides num the leading term of
-    den divides the leading term of every remainder along the way.
-    ``Scalar.__init__`` calls it only for a den of two or more terms: a
-    monomial divides by comparing exponents, and the unit is skipped.
+    den divides the leading term of every remainder along the way.  den
+    must be monic (graded-lex leading coefficient 1), so each quotient term
+    is the remainder's leading coefficient as it stands.
+    ``Scalar.__init__`` calls it only for a den of two or more terms, made
+    monic first: a monomial divides by comparing exponents, and the unit is
+    skipped.
     """
-    de, dc = _plead(den)
+    de, _ = _plead(den)
     q: dict = {}
     rem = dict(num)
     while rem:
-        re, rc = _plead(rem)
+        re, c = _plead(rem)
         diff = tuple(i - j for i, j in zip(re, de))
         if any(d < 0 for d in diff):
             return None
-        c = dom.div(rc, dc)
         q[diff] = c
         for e, v in den.items():
             tgt = tuple(i + j for i, j in zip(diff, e))

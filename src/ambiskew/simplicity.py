@@ -26,19 +26,18 @@ is only claimed when the family structure makes the search complete.
 >>> ctx = ScalarContext()
 >>> field = FieldAlgebra(ctx)
 >>> weyl = AmbiskewRing(field, field.identity_auto(), field.one, ctx.one)
->>> simple_char0(weyl).status.value
+>>> simple(weyl).status.value
 'holds'
 >>> qctx = ScalarContext(parameters=("q",))
 >>> qfield = FieldAlgebra(qctx)
 >>> plane = AmbiskewRing(qfield, qfield.identity_auto(), {}, qctx.param("q"))
->>> [name for name, sub in simple_char0(plane).conditions if sub.fails]
+>>> [name for name, sub in simple(plane).conditions if sub.fails]
 ['singular', 'units']
 """
 
 from __future__ import annotations
 
-from .algebras import solve_splitting_ex
-from .bounds import DEFAULT, Bounds
+from . import bounds
 from .linear import gauss_solve
 from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
                       inconclusive)
@@ -48,7 +47,7 @@ from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
 # ---------------------------------------------------------------------------
 
 
-def units_for_all_m(ring, bounds: Bounds = DEFAULT) -> Verdict:
+def units_for_all_m(ring) -> Verdict:
     """Whether v^(m) is a unit of the coefficient algebra for all m >= 1.
 
     When v is an eigenvector of alpha the sequence collapses to q-integer
@@ -57,21 +56,21 @@ def units_for_all_m(ring, bounds: Bounds = DEFAULT) -> Verdict:
     turns each residue class of m into a pencil that the coefficient family
     decides: in q when R is a root of unity, in X = R^q when R is rational
     or moves a parameter.  Only without a period, or for a family or an R
-    that decides no pencil, is the check truncated at ``bounds.m_max``.
+    that decides no pencil, is the check truncated at ``bounds.M_MAX``.
     This is ``every_v_m_unit`` over A itself.
     """
-    return every_v_m_unit(ring, bounds)
+    return every_v_m_unit(ring)
 
 
-def every_v_m_unit(ring, bounds: Bounds = DEFAULT,
-                   watch: dict | None = None) -> Verdict:
+def every_v_m_unit(ring, watch: dict | None = None) -> Verdict:
     """Whether every v^(m), m >= 1, is a unit of A or, given ``watch`` = u,
     of A[1/u]: the radical condition of the Casimir localization.
 
     The routes, in order: A[1/u] = 0 (u nilpotent); v = 0; v^(1) itself, so
     a failure at m = 1 waits for no period search (over A only for an
-    eigenvector v); the eigen closed form; the period of v; the bounded
-    scan.  A Fails names the least m.
+    eigenvector v); the eigen closed form; the period of v, searched for
+    ``bounds.PERIOD_MAX`` steps; the bounded scan to ``bounds.M_MAX``.  A
+    Fails names the least m.
     """
     base, ctx = ring.base, ring.ctx
     if watch is None:
@@ -92,13 +91,13 @@ def every_v_m_unit(ring, bounds: Bounds = DEFAULT,
     if mu is None and watch is None:
         # the pencils name m = 1 as well, and a unit test here would build
         # an inverse of v that nothing reads
-        return _units_by_period(ring, bounds, test, where, watch)
+        return _units_by_period(ring, test, where, watch)
     first = test(ring.v)
     if first.status is Status.FAILS:
         return fails(f"v = v^(1) is not a unit{where}",
                      certificate=_nonunit(base, 1, ring.v, first))
     if mu is None:
-        return _units_by_period(ring, bounds, test, where, watch)
+        return _units_by_period(ring, test, where, watch)
     if first.status is Status.INCONCLUSIVE:
         return inconclusive(f"whether v is a unit{where} was not decided")
     ratio = ring.rho * mu
@@ -136,7 +135,7 @@ def _nonunit(base, m: int, value: dict, answer) -> dict:
             "detail": answer.certificate}
 
 
-def _units_by_period(ring, bounds: Bounds, test, where: str, watch) -> Verdict:
+def _units_by_period(ring, test, where: str, watch) -> Verdict:
     """Exact decision once (rho*alpha)^L rescales v by R:
     v^(q*L + r) = [q]_R*v^(L) + R^q*v^(r) reduces each residue r to a
     pencil in q, or in R^q when R has infinite order, that the coefficient
@@ -146,8 +145,8 @@ def _units_by_period(ring, bounds: Bounds, test, where: str, watch) -> Verdict:
         # only the split families, all finite-dimensional, decide radical
         # pencils; a period search over the others would be wasted
         note = "the coefficient algebra decides no radical pencil"
-    elif (found := ring.v_period(bounds.period_max)) is None:
-        note = f"no scalar period within {bounds.period_max} steps"
+    elif (found := ring.v_period(bounds.PERIOD_MAX)) is None:
+        note = f"no scalar period within {bounds.PERIOD_MAX} steps"
     else:
         span, ratio = found
         try:
@@ -157,7 +156,7 @@ def _units_by_period(ring, bounds: Bounds, test, where: str, watch) -> Verdict:
         else:
             return _periodic(ring, span, ratio, worst, test, where)
     return bounded_scan(
-        bounds.m_max,
+        bounds.M_MAX,
         lambda m: test(ring.v_m(m)),
         lambda m, answer: fails(
             f"v^({m}) is not a unit{where}",
@@ -165,8 +164,8 @@ def _units_by_period(ring, bounds: Bounds, test, where: str, watch) -> Verdict:
         lambda m: inconclusive(
             f"whether v^({m}) is a unit{where} was not decided"),
         inconclusive(f"{note}; units{where} verified through m = "
-                     f"{bounds.m_max}",
-                     certificate={"kind": "bounded_scan", "m_max": bounds.m_max}))
+                     f"{bounds.M_MAX}", certificate={"kind": "bounded_scan",
+                                                     "m_max": bounds.M_MAX}))
 
 
 def _periodic(ring, span: int, ratio, worst, test, where: str) -> Verdict:
@@ -211,47 +210,28 @@ def singular(ring) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# characteristic zero
+# the criterion
 # ---------------------------------------------------------------------------
 
 
-def simple_char0(ring, bounds: Bounds = DEFAULT) -> Verdict:
-    """Simplicity of the ring when the scalars have characteristic zero.
-
-    The three conditions are reported together so a failing ring shows every
-    obstruction: a stable coefficient ideal, a splitting element (whose
-    Casimir element generates a proper ideal), or a non-unit v^(m).
-    """
+def simple(ring) -> Verdict:
+    """Simplicity of the ring: alpha-simplicity of A, the splitting
+    condition and the units condition, reported together so a failing ring
+    shows every obstruction.  The splitting condition is ``singular`` in
+    characteristic zero, where a splitting element's Casimir element
+    generates a proper ideal, and the absence of a height-n witness in
+    characteristic p."""
+    alpha_simple = ring.base.alpha_simple([ring.alpha])
     if ring.ctx.characteristic:
-        raise ValueError("this criterion needs characteristic zero; "
-                         "use simple_charp")
-    conditions = [
-        ("alpha_simple", ring.base.alpha_simple([ring.alpha])),
-        ("singular", singular(ring)),
-        ("units", units_for_all_m(ring, bounds)),
-    ]
-    return conjunction(conditions, theorem="simple.char0")
+        split = ("no_generalized_splitting", _no_generalized_splitting(ring))
+    else:
+        split = ("singular", singular(ring))
+    return conjunction(
+        [("alpha_simple", alpha_simple), split, ("units", units_for_all_m(ring))],
+        theorem="simple.charp" if ring.ctx.characteristic else "simple.char0")
 
 
-# ---------------------------------------------------------------------------
-# characteristic p
-# ---------------------------------------------------------------------------
-
-
-def simple_charp(ring, bounds: Bounds = DEFAULT) -> Verdict:
-    """Simplicity of the ring when the scalars have characteristic p > 0."""
-    if not ring.ctx.characteristic:
-        raise ValueError("this criterion needs positive characteristic; "
-                         "use simple_char0")
-    conditions = [
-        ("alpha_simple", ring.base.alpha_simple([ring.alpha])),
-        ("no_generalized_splitting", _no_generalized_splitting(ring, bounds)),
-        ("units", units_for_all_m(ring, bounds)),
-    ]
-    return conjunction(conditions, theorem="simple.charp")
-
-
-def _no_generalized_splitting(ring, bounds: Bounds) -> Verdict:
+def _no_generalized_splitting(ring) -> Verdict:
     base = ring.base
     conf = ring.conformality()
     if conf.status is Status.HOLDS:
@@ -279,7 +259,7 @@ def _no_generalized_splitting(ring, bounds: Bounds) -> Verdict:
         return inconclusive(
             "the witness search is exhaustive only over finite-dimensional "
             "coefficient families or a monomial v")
-    for n in range(1, bounds.n_max + 1):
+    for n in range(1, bounds.N_MAX + 1):
         found = _witness_for_height(base, ring.alpha, ring.rho, ring.v, n, keys)
         if found is not None:
             u, bs = found
@@ -288,9 +268,9 @@ def _no_generalized_splitting(ring, bounds: Bounds) -> Verdict:
                                       "u": base.render(u),
                                       "b": [base.render(b) for b in bs]})
     return inconclusive(
-        f"no witness up to height {bounds.n_max}, and the family gives no "
+        f"no witness up to height {bounds.N_MAX}, and the family gives no "
         "bound that closes the search",
-        certificate={"kind": "search_exhausted", "n_max": bounds.n_max})
+        certificate={"kind": "search_exhausted", "n_max": bounds.N_MAX})
 
 
 def _monomial_witness(base, alpha, v: dict, rho):
@@ -360,18 +340,11 @@ def _witness_for_height(base, alpha, rho, v: dict, n: int, keys):
 
 
 # ---------------------------------------------------------------------------
-# dispatch and stable-ideal simplicity of iterated rings
+# stable-ideal simplicity of iterated rings
 # ---------------------------------------------------------------------------
 
 
-def simple(ring, bounds: Bounds = DEFAULT) -> Verdict:
-    """Simplicity of the ring, dispatched on the scalar characteristic."""
-    if ring.ctx.characteristic:
-        return simple_charp(ring, bounds)
-    return simple_char0(ring, bounds)
-
-
-def ring_alpha_simple(ring, autos: list, bounds: Bounds = DEFAULT) -> Verdict:
+def ring_alpha_simple(ring, autos: list) -> Verdict:
     """Whether an iterated ring has no proper ideal stable under ``autos``.
 
     Three routes decide this.  A simple ring has no proper ideals at all.
@@ -383,7 +356,7 @@ def ring_alpha_simple(ring, autos: list, bounds: Bounds = DEFAULT) -> Verdict:
     Anything else is an honest refusal.
     """
     ctx = ring.ctx
-    inner = simple(ring, bounds)
+    inner = simple(ring)
     if inner.holds:
         return holds("the ring is simple, so only the trivial ideals are "
                      "stable", certificate={"kind": "ring_simple"},
@@ -436,7 +409,7 @@ def _stable_ideal_from(ring) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def simple_iterated(chain, bounds: Bounds = DEFAULT) -> Verdict:
+def simple_iterated(chain) -> Verdict:
     """Level-by-level simplicity of a tower of ambiskew extensions.
 
     The first level is the characteristic-zero criterion.  Every later
@@ -455,48 +428,23 @@ def simple_iterated(chain, bounds: Bounds = DEFAULT) -> Verdict:
     if chain[0].ctx.characteristic:
         raise ValueError("the iteration criterion needs characteristic zero")
     if len(chain) == 1:
-        return simple_char0(chain[0], bounds)
-    conditions = [("level_1", simple_char0(chain[0], bounds))]
+        return simple(chain[0])
+    conditions = [("level_1", simple(chain[0]))]
     for index, ring in enumerate(chain[1:], start=2):
-        conditions.append((f"level_{index}", _tower_level(ring, bounds)))
+        conditions.append((f"level_{index}", _tower_level(ring)))
     return conjunction(conditions, theorem="simple.tower")
 
 
-def _tower_level(ring, bounds: Bounds) -> Verdict:
-    conditions = []
+def _tower_level(ring) -> Verdict:
     mu = ring.v_eigenvalue()
     if mu is None:
-        conditions.append(("eigenvector", inconclusive(
-            "v is not an eigenvector of the level automorphism, so this "
-            "criterion does not apply")))
+        eigen = inconclusive("v is not an eigenvector of the level "
+                             "automorphism, so this criterion does not apply")
     else:
-        conditions.append(("eigenvector", holds(
-            "the level automorphism rescales v",
-            certificate={"kind": "eigenvector", "eigenvalue": str(mu)})))
-    conditions.append(("singular", _tower_singular(ring)))
-    conditions.append(("units", units_for_all_m(ring, bounds)))
-    return conjunction(conditions)
-
-
-def _tower_singular(ring) -> Verdict:
-    direct = singular(ring)
-    if direct.status is not Status.INCONCLUSIVE:
-        return direct
-    stripped = ring.base.to_ground(dict(ring.v), [ring.alpha, ring.gamma])
-    if stripped is None:
-        return direct
-    ground, v0, (alpha0, gamma0) = stripped
-    u0, detail, complete = solve_splitting_ex(ground, alpha0, gamma0, v0,
-                                              ring.rho)
-    if u0 is None and complete:
-        cert = {"kind": "singular_by_projection"}
-        if detail:
-            cert["obstruction"] = detail
-        return holds(
-            "a splitting element would project, one bidegree at a time, to "
-            "a splitting element over the ground algebra, and none exists "
-            "there", certificate=cert)
-    return direct
+        eigen = holds("the level automorphism rescales v",
+                      certificate={"kind": "eigenvector", "eigenvalue": str(mu)})
+    return conjunction([("eigenvector", eigen), ("singular", singular(ring)),
+                        ("units", units_for_all_m(ring))])
 
 
 # ---------------------------------------------------------------------------

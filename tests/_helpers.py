@@ -30,6 +30,32 @@ def pw(ring, elem, m):
     return out
 
 
+def w_alpha_power(ring, m):
+    """The image of w = x*y under the m-th power of the extension of alpha
+    determined by alpha(w) = rho^{-1}*(w - v), built one step of alpha at
+    a time for negative m."""
+    base = ring.base
+    sigma = ring.rho ** (-m)
+    if m >= 0:
+        c = base.smul(-sigma, ring.v_m(m))
+    else:
+        c, scale = {}, ring.ctx.one
+        for _ in range(-m):
+            c = base.add(base.apply(ring.alpha_inv, c),
+                         base.smul(scale, base.apply(ring.alpha_inv, ring.v)))
+            scale = scale * ring.rho
+    return ring.add(ring.smul(sigma, ring.w_element()), ring.embed(c))
+
+
+def homogeneous_components(ring, a):
+    """Split a ring element along the grading that gives y degree 1 and x
+    degree -1."""
+    out = {}
+    for key, s in a.items():
+        out.setdefault(key[1] - key[0], {})[key] = s
+    return out
+
+
 # -- slow word-rewriting multiplier ---------------------------------------------
 
 

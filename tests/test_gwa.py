@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ambiskew import bounds
 from ambiskew.algebras import (
     AffineAuto,
     CyclicGroupAlgebra,
@@ -15,7 +16,6 @@ from ambiskew.algebras import (
     PolyAlgebra,
     QuadraticAlgebra,
 )
-from ambiskew.bounds import Bounds
 from ambiskew.dsl import DslError, parse_spec
 from ambiskew.gwa import GwaRing, ambiskew_as_gwa, gwa_from_ambiskew, gwa_simple
 from ambiskew.rings import AmbiskewRing
@@ -349,12 +349,13 @@ def test_laurent_scaling_moves_a_single_root_away():
     assert comax.certificate == {"kind": "shift_coprime", "ratio": "q"}
 
 
-def test_bounded_comaximal_scan_is_inconclusive():
+def test_bounded_comaximal_scan_is_inconclusive(monkeypatch):
     ctx = ScalarContext(parameters=("q",))
     alg = LaurentAlgebra(ctx)
     u = {0: ctx.one, 1: ctx.one, 2: ctx.one}
     T = GwaRing(alg, DiagonalAuto((ctx.param("q"),)), u)
-    verdict = gwa_simple(T, bounds=Bounds(m_max=5))
+    monkeypatch.setattr(bounds, "M_MAX", 5)
+    verdict = gwa_simple(T)
     comax = _conditions(verdict)["comaximal"]
     assert comax.status is Status.INCONCLUSIVE
     assert comax.certificate == {"kind": "bounded_scan", "m_max": 5}

@@ -6,16 +6,38 @@ from hypothesis import given, strategies as st
 
 from ambiskew.intlattice import column_kernel
 from ambiskew.multiplicative import (
+    MultExpr,
     decompose,
     factor_rational,
-    recompose,
     relation_kernel,
-    torsion_generator,
     torsion_modulus,
 )
-from ambiskew.scalars import ScalarContext
+from ambiskew.scalars import Scalar, ScalarContext
 
 _CTX = ScalarContext(cyclotomic_order=6, parameters=("q", "r"))
+
+
+def torsion_generator(ctx: ScalarContext) -> Scalar:
+    """The generator g of the torsion units that ``MultExpr`` names."""
+    if ctx.characteristic:
+        p = ctx.characteristic
+        return ctx.int_(next(g for g in range(1, p) if len(
+            {pow(g, e, p) for e in range(p - 1)}) == p - 1))
+    n = ctx.cyclotomic_order
+    if n % 2 == 0:
+        return ctx.zeta()
+    # -zeta^((n+1)/2) squares to zeta and has order 2n
+    return -(ctx.zeta((n + 1) // 2))
+
+
+def recompose(ctx: ScalarContext, e: MultExpr) -> Scalar:
+    """The scalar that a decomposition names: the round-trip oracle."""
+    s = torsion_generator(ctx) ** e.torsion
+    for p, k in e.primes:
+        s = s * ctx.int_(p) ** k
+    for name, k in zip(ctx.parameters, e.params):
+        s = s * ctx.param(name) ** k
+    return s
 
 
 def test_factor_rational():
@@ -42,6 +64,14 @@ def test_decompose_fixed_case():
     # minus one is zeta_6^3, so the torsion exponent is 2 + 3 mod 6
     assert d.torsion == 5
     assert recompose(_CTX, d) == s
+
+
+def test_decompose_roundtrip_prime_field():
+    for p in (2, 7, 13):
+        ctx = ScalarContext(characteristic=p)
+        for c in range(1, p):
+            s = ctx.int_(c)
+            assert recompose(ctx, decompose(s)) == s
 
 
 def test_decompose_rejects_sums():

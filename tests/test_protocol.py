@@ -53,7 +53,11 @@ def _quadratic():
 
 def _ambiskew():
     ctx, _, ring = laurent_scale()
-    return ring, ring.extend_autos(ctx.int_(2))[0]
+    # y -> 2*y and x -> (q/2)*x, since alpha scales v = t by q
+    two = ctx.int_(2)
+    auto = NestedAuto(ring.alpha, two, ctx.param("q") / two)
+    ring.validate_auto(auto)
+    return ring, auto
 
 
 def _gwa():

@@ -23,6 +23,7 @@ from ambiskew.verdict import Status
 from _helpers import (
     fc2_block,
     fc4_mixed,
+    homogeneous_components,
     laurent_scale,
     poly_shift,
     pw,
@@ -31,6 +32,7 @@ from _helpers import (
     quantum_plane,
     random_elem,
     slow_mul,
+    w_alpha_power,
     weyl_over_field,
 )
 
@@ -114,12 +116,12 @@ def test_power_products_telescope(name, make):
         lhs = ring.mul(pw(ring, x, m), pw(ring, y, m))
         rhs = ring.one
         for l in range(m):
-            rhs = ring.mul(rhs, ring.w_alpha_power(-l))
+            rhs = ring.mul(rhs, w_alpha_power(ring, -l))
         assert ring.eq(lhs, rhs)
         lhs = ring.mul(pw(ring, y, m), pw(ring, x, m))
         rhs = ring.one
         for l in range(1, m + 1):
-            rhs = ring.mul(rhs, ring.w_alpha_power(l))
+            rhs = ring.mul(rhs, w_alpha_power(ring, l))
         assert ring.eq(lhs, rhs)
 
 
@@ -202,12 +204,12 @@ def test_grading_respected_by_products():
     for _ in range(25):
         f = random_elem(ring, rng)
         g = random_elem(ring, rng)
-        fparts = ring.homogeneous_components(f)
-        gparts = ring.homogeneous_components(g)
+        fparts = homogeneous_components(ring, f)
+        gparts = homogeneous_components(ring, g)
         for df, fc in fparts.items():
             for dg, gc in gparts.items():
                 prod = ring.mul(fc, gc)
-                degrees = set(ring.homogeneous_components(prod))
+                degrees = set(homogeneous_components(ring, prod))
                 assert degrees <= {df + dg}
 
 
@@ -379,31 +381,6 @@ def test_normalizing_auto_of_casimir_matches_gamma_extension():
     gamma = ring.normalizing_auto(z)
     assert gamma.lam_y == ring.rho
     assert gamma.lam_x == ring.rho.inv()
-
-
-def test_extend_autos_requires_eigenvector():
-    ctx, alg, ring = fc2_block()
-    with pytest.raises(ValueError, match="eigenvector"):
-        ring.extend_autos(ctx.one)
-
-
-def test_extend_autos_on_homogeneous_cyclic():
-    ctx = ScalarContext(cyclotomic_order=4, parameters=("lam",))
-    eps = ctx.zeta(1)
-    alg = CyclicGroupAlgebra(ctx, 4, eps)
-    ring = AmbiskewRing(alg, DiagonalAuto((eps,)), {1: ctx.one}, eps ** 3,
-                        y_name="y1", x_name="x1")
-    lam = ctx.param("lam")
-    alpha_ext, gamma_ext = ring.extend_autos(lam)
-    assert alpha_ext.lam_y == lam
-    assert alpha_ext.lam_x == eps / lam
-    assert gamma_ext.lam_y == ring.rho
-    rng = random.Random(3)
-    for _ in range(10):
-        f = random_elem(ring, rng)
-        g = random_elem(ring, rng)
-        assert ring.eq(ring.apply(alpha_ext, ring.mul(f, g)),
-                       ring.mul(ring.apply(alpha_ext, f), ring.apply(alpha_ext, g)))
 
 
 def test_validate_auto_requires_v_scale():

@@ -721,3 +721,24 @@ def test_monomial_divisors_skip_long_division(monkeypatch):
     q = ring.ctx.param("q")
     assert (q**2 - 1) / (q - 1) == q + 1
     assert 2 in divisor_terms
+
+
+def test_monic_divisor_long_division_inverts_nothing(monkeypatch):
+    # Scalar.__init__ makes a divisor of two or more terms monic before
+    # _pdiv_exact runs, so the long division divides by no coefficient
+    ctx = ScalarContext(cyclotomic_order=4, parameters=("mu",))
+    mu, zeta = ctx.param("mu"), ctx.zeta()
+    a = (mu + zeta) / (2 * mu - 1)
+    b = mu ** 2 - zeta
+    inverses = []
+    inv = CyclotomicDomain.inv
+
+    def counting(dom, x):
+        inverses.append(x)
+        return inv(dom, x)
+
+    monkeypatch.setattr(CyclotomicDomain, "inv", counting)
+    product = a * b
+    assert inverses == []
+    monkeypatch.undo()
+    assert product * (2 * mu - 1) == (mu + zeta) * b

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambiskew import bounds
 from ambiskew.algebras import (
     AffineAuto,
     CyclicGroupAlgebra,
@@ -17,14 +18,11 @@ from ambiskew.algebras import (
     PolyAlgebra,
     QuadraticAlgebra,
 )
-from ambiskew.bounds import Bounds
 from ambiskew.rings import AmbiskewRing
 from ambiskew.scalars import ScalarContext, q_integer, root_of_unity_order
 from ambiskew.simplicity import (
     ring_alpha_simple,
     simple,
-    simple_char0,
-    simple_charp,
     simple_iterated,
     singular,
     skew_laurent_simple,
@@ -127,7 +125,7 @@ def test_units_with_a_rational_factor_decide():
                for m in range(1, 60))
 
 
-def test_units_truncated_scan_is_inconclusive():
+def test_units_truncated_scan_is_inconclusive(monkeypatch):
     # rho = 1 + zeta makes the factor rho^2 = 2*zeta, neither rational nor
     # parametric, so the pencil solver refuses and the scan runs
     ctx = ScalarContext(cyclotomic_order=4)
@@ -138,7 +136,8 @@ def test_units_truncated_scan_is_inconclusive():
     assert "2*zeta" in verdict.reason
     assert verdict.status is Status.INCONCLUSIVE
     assert verdict.certificate == {"kind": "bounded_scan", "m_max": 200}
-    tight = units_for_all_m(ring, Bounds(m_max=12))
+    monkeypatch.setattr(bounds, "M_MAX", 12)
+    tight = units_for_all_m(ring)
     assert tight.status is Status.INCONCLUSIVE
     assert tight.certificate["m_max"] == 12
 
@@ -191,7 +190,7 @@ def test_units_scan_reports_a_nonunit():
     ring = AmbiskewRing(poly, AffineAuto(ctx.one, ctx.one), {1: ctx.one},
                         ctx.int_(2))
     assert ring.v_eigenvalue() is None
-    assert ring.v_period(Bounds().period_max) is None
+    assert ring.v_period(bounds.PERIOD_MAX) is None
     verdict = units_for_all_m(ring)
     assert verdict.status is Status.FAILS
     assert verdict.reason == "v^(1) is not a unit"
@@ -226,24 +225,19 @@ def test_singular_fc2_block():
     assert singular(ring).status is Status.HOLDS
 
 
-# -- simple_char0 ----------------------------------------------------------------
+# -- simple, characteristic zero -------------------------------------------------
 
 
 def test_simple_char0_weyl():
-    verdict = simple_char0(weyl_over_field())
+    verdict = simple(weyl_over_field())
     assert verdict.status is Status.HOLDS
     assert verdict.theorem == "simple.char0"
     assert [name for name, _ in verdict.conditions] == [
         "alpha_simple", "singular", "units"]
 
 
-def test_simple_char0_rejects_positive_characteristic():
-    with pytest.raises(ValueError, match="characteristic zero"):
-        simple_char0(weyl_over_field(characteristic=5))
-
-
 def test_quantum_plane_reports_both_failures():
-    verdict = simple_char0(quantum_plane())
+    verdict = simple(quantum_plane())
     assert verdict.status is Status.FAILS
     assert verdict.reason == "failed: singular, units"
 
@@ -252,15 +246,15 @@ def test_quadratic_conjugation_slices():
     # rho = 1 needs a != 0, rho = -1 needs b != 0, rho = 2 is conformal
     for a in (-2, 1):
         ctx, alg, ring = quadratic_conjugation(1, a, 1)
-        assert simple_char0(ring).status is Status.HOLDS
+        assert simple(ring).status is Status.HOLDS
     ctx, alg, ring = quadratic_conjugation(1, 0, 2)
-    verdict = simple_char0(ring)
+    verdict = simple(ring)
     assert verdict.status is Status.FAILS
     assert _conditions(verdict)["singular"].fails
     ctx, alg, ring = quadratic_conjugation(-1, 2, 1)
-    assert simple_char0(ring).status is Status.HOLDS
+    assert simple(ring).status is Status.HOLDS
     ctx, alg, ring = quadratic_conjugation(2, 1, 1)
-    verdict = simple_char0(ring)
+    verdict = simple(ring)
     assert verdict.status is Status.FAILS
     cert = _conditions(verdict)["singular"].certificate
     u = ring.conformality().u
@@ -270,18 +264,18 @@ def test_quadratic_conjugation_slices():
 
 def test_gaussian_unit_commutator_is_simple():
     ctx, alg, ring = quadratic_conjugation(1, 1, 0)
-    verdict = simple_char0(ring)
+    verdict = simple(ring)
     assert verdict.status is Status.HOLDS
     units = _conditions(verdict)["units"]
     assert units.certificate["kind"] == "eigen_units"
 
 
-# -- simple_charp ----------------------------------------------------------------
+# -- simple, characteristic p ----------------------------------------------------
 
 
 def test_simple_charp_weyl_f5():
     ring = weyl_over_field(characteristic=5)
-    verdict = simple_charp(ring)
+    verdict = simple(ring)
     assert verdict.status is Status.FAILS
     assert verdict.theorem == "simple.charp"
     conds = _conditions(verdict)
@@ -298,14 +292,9 @@ def test_simple_charp_weyl_f5():
     assert conds["units"].certificate["m"] == 5
 
 
-def test_simple_charp_rejects_characteristic_zero():
-    with pytest.raises(ValueError, match="positive characteristic"):
-        simple_charp(weyl_over_field())
-
-
 def test_poly_shift_char5_fails_on_all_three_conditions():
     ctx, alg, ring = poly_shift(characteristic=5)
-    verdict = simple_charp(ring)
+    verdict = simple(ring)
     assert verdict.status is Status.FAILS
     conds = _conditions(verdict)
     ideal = conds["alpha_simple"].certificate
@@ -325,7 +314,7 @@ def test_laurent_monomial_char5_witness():
     ctx = ScalarContext(characteristic=5)
     alg = LaurentAlgebra(ctx)
     ring = AmbiskewRing(alg, alg.identity_auto(), {1: ctx.one}, ctx.one)
-    verdict = simple_charp(ring)
+    verdict = simple(ring)
     cert = _conditions(verdict)["no_generalized_splitting"].certificate
     assert cert["n"] == 1 and cert["b"] == ["-t^4"]
     b0 = {4: -ctx.one}
@@ -340,7 +329,7 @@ def test_cyclic_char5_shortcut_witness():
     two = ctx.int_(2)
     alg = CyclicGroupAlgebra(ctx, 4, two)
     ring = AmbiskewRing(alg, DiagonalAuto((two,)), {1: ctx.one}, ctx.int_(3))
-    verdict = simple_charp(ring)
+    verdict = simple(ring)
     assert verdict.status is Status.FAILS
     cert = _conditions(verdict)["no_generalized_splitting"].certificate
     assert cert["n"] == 1 and cert["u"] == "0"
@@ -352,7 +341,7 @@ def test_charp_witness_with_nonzero_u():
     alg = CyclicGroupAlgebra(ctx, 2, -ctx.one)
     ring = AmbiskewRing(alg, DiagonalAuto((-ctx.one,)),
                         {0: ctx.one, 1: ctx.param("m")}, ctx.one)
-    verdict = simple_charp(ring)
+    verdict = simple(ring)
     split = _conditions(verdict)["no_generalized_splitting"]
     assert split.status is Status.FAILS
     assert split.certificate["n"] == 1
@@ -364,7 +353,7 @@ def test_charp_nonmonomial_laurent_declines():
     alg = LaurentAlgebra(ctx)
     ring = AmbiskewRing(alg, DiagonalAuto((ctx.int_(2),)),
                         {1: ctx.one, 2: ctx.one}, ctx.int_(3))
-    verdict = simple_charp(ring)
+    verdict = simple(ring)
     assert verdict.status is Status.FAILS
     assert verdict.reason == "failed: alpha_simple, units"
     split = _conditions(verdict)["no_generalized_splitting"]
@@ -372,12 +361,13 @@ def test_charp_nonmonomial_laurent_declines():
     assert "finite-dimensional" in split.reason
 
 
-def test_splitting_search_without_heights_is_exhausted():
+def test_splitting_search_without_heights_is_exhausted(monkeypatch):
     # n_max = 0 leaves the height loop empty, and the search never closes
     # itself: only this bound reaches its Inconclusive end
     ctx, alg, ring = _fc2_ring(1, 1, 1, characteristic=3)
     assert ring.conformality().status is Status.FAILS
-    cond = _conditions(simple_charp(ring, Bounds(n_max=0)))
+    monkeypatch.setattr(bounds, "N_MAX", 0)
+    cond = _conditions(simple(ring))
     verdict = cond["no_generalized_splitting"]
     assert verdict.status is Status.INCONCLUSIVE
     assert verdict.certificate == {"kind": "search_exhausted", "n_max": 0}
@@ -425,7 +415,7 @@ def test_singular_prime_field_quadruples_have_a_height_one_witness(p):
                     if ring.conformality().status is not Status.FAILS:
                         continue
                     seen += 1
-                    verdict = _conditions(simple_charp(ring))[
+                    verdict = _conditions(simple(ring))[
                         "no_generalized_splitting"]
                     assert verdict.status is Status.FAILS
                     assert verdict.certificate["n"] == 1
@@ -558,7 +548,7 @@ def test_h_tc_order_b_matches():
             v2[(0, 0, 0)] = 2 * t
         if cv:
             v2[(0, 0, 1)] = -4 * c
-        return simple_char0(AmbiskewRing(b1, tau, v2, ctx.one,
+        return simple(AmbiskewRing(b1, tau, v2, ctx.one,
                                          y_name="y1", x_name="x1"))
 
     assert order_b(1, Fraction(1, 3)).status is Status.HOLDS
@@ -623,12 +613,34 @@ def test_tower_singularity_by_projection():
     r1 = AmbiskewRing(poly, aff, poly.one, ctx.one, y_name="y1", x_name="x1")
     r2 = AmbiskewRing(r1, NestedAuto(aff, ctx.one, ctx.one), r1.one, ctx.one,
                       y_name="y2", x_name="x2")
-    assert singular(r2).status is Status.INCONCLUSIVE
+    verdict = singular(r2)
+    assert verdict.status is Status.HOLDS
+    assert verdict.certificate == {
+        "kind": "singular", "obstruction": {
+            "kind": "singular_by_projection",
+            "obstruction": {"kind": "no_polynomial_splitting", "window": 1}}}
+    assert r2.conformality().status is Status.FAILS
     level = _conditions(_conditions(simple_iterated([r1, r2]))["level_2"])
-    assert level["singular"].status is Status.HOLDS
-    assert level["singular"].certificate == {
-        "kind": "singular_by_projection",
-        "obstruction": {"kind": "no_polynomial_splitting", "window": 1}}
+    assert level["singular"].to_json() == verdict.to_json()
+    assert _conditions(simple(r2))["singular"].to_json() == verdict.to_json()
+
+
+def test_lowered_m_max_reaches_the_nested_units_scan(monkeypatch):
+    # R2 = R(R1, identity, 1, 1): its alpha_simple condition asks whether
+    # R1 itself is simple, and R1's units condition scans (see
+    # test_units_truncated_scan_is_inconclusive)
+    monkeypatch.setattr(bounds, "M_MAX", 5)
+    ctx = ScalarContext(cyclotomic_order=4)
+    alg = CyclicGroupAlgebra(ctx, 2, -ctx.one)
+    r1 = AmbiskewRing(alg, DiagonalAuto((-ctx.one,)),
+                      {0: ctx.int_(2), 1: ctx.one}, ctx.one + ctx.zeta(),
+                      y_name="y1", x_name="x1")
+    r2 = AmbiskewRing(r1, r1.identity_auto(), r1.one, ctx.one,
+                      y_name="y2", x_name="x2")
+    nested = _conditions(_conditions(simple(r2))["alpha_simple"])["simple"]
+    units = _conditions(nested)["units"]
+    assert units.status is Status.INCONCLUSIVE
+    assert units.certificate == {"kind": "bounded_scan", "m_max": 5}
 
 
 # -- skew Laurent ----------------------------------------------------------------
@@ -684,7 +696,7 @@ def _fc2_data(draw):
 def test_fc2_verdicts_match_character_oracle(data):
     rho, c0, c1 = data
     ctx, alg, ring = _fc2_ring(rho, c0, c1)
-    verdict = simple_char0(ring)
+    verdict = simple(ring)
     assert verdict.status is not Status.INCONCLUSIVE
 
     # oracle: the two characters of v^(m) follow an explicit recurrence, and
