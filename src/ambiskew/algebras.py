@@ -4,17 +4,19 @@ Five ground families implement one protocol, ``BaseAlgebra``: the scalar
 field itself, the group algebra of a cyclic group with a distinguished
 primitive root of unity, Laurent polynomials, polynomials, and a quadratic
 extension K[s]/(s^2 - d).  Ambiskew rings (``AmbiskewRing``, rings.py)
-implement it too, and generalized Weyl algebras (``GwaRing``, gwa.py) its
-element, automorphism and unit hooks, so towers serve as coefficient
-algebras and every criterion asks its questions the same way.
+implement it too, so towers serve as coefficient algebras and every
+criterion asks its questions the same way.  They and the generalized Weyl
+algebras (``GwaRing``, gwa.py) share ``rings.ExtensionAlgebra``, which owns
+their flat graded element layout and the hooks that read it.
 
 Elements are sparse dicts from a family-specific basis key to nonzero
 Scalars; automorphisms are small dataclasses interpreted by their algebra.
 The protocol hooks are:
 
-- elements: ``from_scalar``, ``gens``, ``gen_elem``, ``mul``, ``power``,
-  ``scalar_of``, ``render`` and ``describe``, plus the shared linear
-  plumbing (``add``, ``sub``, ``smul``, ``eq``, ``terms``);
+- elements: ``from_scalar``, ``gens``, ``gen_elem`` (ValueError for an
+  unknown name), ``mul``, ``power``, ``scalar_of`` and ``render``, plus
+  the shared linear plumbing (``add``, ``sub``, ``smul``, ``eq``,
+  ``terms``);
 - automorphisms: ``identity_auto``, ``validate_auto``, ``apply``,
   ``compose``, ``invert``, ``auto_powers``/``auto_power``, ``auto_order``,
   ``eigenvalue``, ``is_diagonal`` (diagonal on the basis),
@@ -364,12 +366,6 @@ class BaseAlgebra:
         or None when elem does not come from the ground algebra."""
         return self, elem, autos
 
-    def describe_auto(self, auto) -> str:
-        images = []
-        for name in self.gens():
-            images.append(f"{name} -> {self.render(self.apply(auto, self.gen_elem(name)))}")
-        return "{" + ", ".join(images) + "}" if images else "{identity}"
-
     # structure ----------------------------------------------------------------
 
     def finite_basis(self) -> list | None:
@@ -447,9 +443,6 @@ class BaseAlgebra:
     def render(self, a: dict) -> str:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
     def _probe_pencil(self, p: dict, b: dict, q0: int, count: int) -> int | None:
         """The first q >= q0 with q*p + b not a unit, for families whose
         pencils leave no polynomial in q to solve.  In characteristic 0 the
@@ -486,7 +479,7 @@ class FieldAlgebra(BaseAlgebra):
         return ()
 
     def gen_elem(self, name: str) -> dict:
-        raise KeyError(name)
+        raise ValueError(f"unknown generator: {name!r}")
 
     def mul(self, a: dict, b: dict) -> dict:
         if not a or not b:
@@ -560,9 +553,6 @@ class FieldAlgebra(BaseAlgebra):
     def render(self, a: dict) -> str:
         return str(a[()]) if a else "0"
 
-    def describe(self) -> dict:
-        return {"family": "Field"}
-
 
 # ---------------------------------------------------------------------------
 # one generator: the shared plumbing of the univariate families
@@ -595,7 +585,7 @@ class _Univariate(BaseAlgebra):
 
     def gen_elem(self, name: str) -> dict:
         if name != self.gen:
-            raise KeyError(name)
+            raise ValueError(f"unknown generator: {name!r}")
         return {self._reduce(1): self.ctx.one}
 
     def mul(self, a: dict, b: dict) -> dict:
@@ -844,10 +834,6 @@ class CyclicGroupAlgebra(_Univariate):
              if watch is None or not self.character(l, watch).is_zero()],
             q0, ratio)
 
-    def describe(self) -> dict:
-        return {"family": "CyclicGroup", "order": self.n, "epsilon": str(self.eps),
-                "generator": self.gen}
-
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials
@@ -911,9 +897,6 @@ class LaurentAlgebra(_Univariate):
         # nonzero root theta/lam^m, never theta again
         return None, (f"u has a single nonzero root, which alpha^m divides "
                       f"by {lam}^m, of infinite order"), {"ratio": str(lam)}
-
-    def describe(self) -> dict:
-        return {"family": "Laurent", "generator": self.gen}
 
 
 # ---------------------------------------------------------------------------
@@ -1095,9 +1078,6 @@ class PolyAlgebra(_Univariate):
             return None, {"kind": "no_polynomial_splitting",
                           "window": dim - 1}, True
         return {d: s for d, s in enumerate(sol) if not s.is_zero()}, None, True
-
-    def describe(self) -> dict:
-        return {"family": "Poly", "generator": self.gen}
 
 
 # ---------------------------------------------------------------------------
@@ -1309,9 +1289,6 @@ class QuadraticAlgebra(_Univariate):
         c0, c2 = self.norm(const), self.norm(lead)
         c1 = self.norm(self.add(lead, const)) - c0 - c2
         return least_integer_root([[c0, c1, c2]], q0, ratio)
-
-    def describe(self) -> dict:
-        return {"family": "Quadratic", "defect": str(self.d), "generator": self.gen}
 
 
 def _fraction_sqrt(f: Fraction) -> Fraction | None:

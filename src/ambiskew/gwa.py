@@ -8,12 +8,10 @@ Multiplication annihilates opposite generators one pair at a time, each
 annihilation emitting a twist of u; the closed forms
 X^m Y^m = prod alpha^{-i}(u) and Y^m X^m = prod alpha^{i}(u) fall out.
 
-GwaRing implements the BaseAlgebra protocol of algebras.py.  Like
-AmbiskewRing, which stores (i, j, basis key), it stores an element flat, as
-a sparse dict from (degree, basis key of A) to scalars with deg Y = 1 and
-deg X = -1, and its automorphisms are NestedAuto (a part on A plus scales
-for Y and X); so the shared element plumbing, ``power``, ``scalar_of`` and
-``is_unit`` apply to it unchanged.
+GwaRing derives from ``rings.ExtensionAlgebra``, which owns the flat
+element layout, generators, automorphisms (NestedAuto) and unit test it
+shares with AmbiskewRing; GwaRing declares the degrees (0,) of A, (1,) of
+Y and (-1,) of X and adds its multiplication and rendering.
 
 The quotient of a conformal quadruple by its Casimir ideal zR is such an
 algebra with the splitting element as u, and simplicity of T is a
@@ -38,7 +36,7 @@ four-condition criterion inside A.
 from __future__ import annotations
 
 from .algebras import (AffineAuto, DiagonalAuto, LaurentAlgebra, PolyAlgebra,
-                       UnitAnswer, scalar_ratio)
+                       scalar_ratio)
 from . import bounds
 from .rings import ExtensionAlgebra
 from .scalars import Scalar
@@ -52,12 +50,13 @@ class GwaRing(ExtensionAlgebra):
     """T(A, alpha, u) with an optional gamma twist on the X side.
 
     Omitting gamma gives the classical relations Xa = alpha^{-1}(a)X.
-    Elements are stored flat, as a sparse dict from (d, basis key of A) to
-    scalars: d > 0 holds the coefficient of Y^d, d < 0 that of X^{-d}.
+    The degree (d,) holds the coefficient of Y^d for d > 0 and that of
+    X^{-d} for d < 0.
     """
 
     kind = "gwa"
     normal_name = "u"
+    origin, y_deg, x_deg = (0,), (1,), (-1,)
 
     def __init__(self, base, alpha, u: dict, gamma=None,
                  y_name: str = "Y", x_name: str = "X"):
@@ -75,37 +74,6 @@ class GwaRing(ExtensionAlgebra):
         self._powers = {1: ([], base.auto_powers(alpha)),
                         -1: ([], base.auto_powers(self.beta))}
 
-    # elements -------------------------------------------------------------
-
-    def from_scalar(self, s: Scalar) -> dict:
-        return {} if s.is_zero() else {(0, self._onekey): s}
-
-    def embed(self, c: dict) -> dict:
-        """The coefficient element c as an element of degree zero."""
-        return self._flat(0, c)
-
-    def grouped(self, f: dict) -> dict[int, dict]:
-        """The element as a map from degrees to coefficient elements."""
-        out: dict[int, dict] = {}
-        for (d, bk), s in f.items():
-            out.setdefault(d, {})[bk] = s
-        return out
-
-    def _flat(self, d: int, c: dict) -> dict:
-        return {(d, bk): s for bk, s in c.items()}
-
-    def _key_order(self, key):
-        return (key[0], self.base._key_order(key[1]))
-
-    def gen_elem(self, name: str) -> dict:
-        if name == self.y_name:
-            return {(1, self._onekey): self.ctx.one}
-        if name == self.x_name:
-            return {(-1, self._onekey): self.ctx.one}
-        if name in self.base.gens():
-            return self.embed(self.base.gen_elem(name))
-        raise ValueError(f"unknown generator: {name!r}")
-
     # multiplication ---------------------------------------------------------
 
     def _cross(self, d: int):
@@ -120,8 +88,8 @@ class GwaRing(ExtensionAlgebra):
         base = self.base
         out: dict[int, dict] = {}
         right = self.grouped(g)
-        for d1, b in self.grouped(f).items():
-            for d2, c in right.items():
+        for (d1,), b in self.grouped(f).items():
+            for (d2,), c in right.items():
                 coeff = base.mul(b, base.apply(self._cross(d1), c))
                 i, k = d1, d2
                 # X^i Y^k collapses one pair at a time, emitting a twist of u
@@ -140,30 +108,19 @@ class GwaRing(ExtensionAlgebra):
                     out[i + k] = s
                 else:
                     out.pop(i + k, None)
-        return {(d, bk): s for d, c in out.items() for bk, s in c.items()}
+        return {key: s for d, c in out.items()
+                for key, s in self._flat((d,), c).items()}
 
     # automorphisms ------------------------------------------------------------
 
-    def apply(self, auto, f: dict) -> dict:
-        out: dict = {}
-        for d, c in self.grouped(f).items():
-            img = self.base.apply(auto.base, c)
-            scale = auto.lam_y ** d if d >= 0 else auto.lam_x ** -d
-            out.update(self._flat(d, self.base.smul(scale, img)))
-        return out
+    def _weight(self, auto, deg: tuple[int, ...]) -> Scalar:
+        d, = deg
+        return auto.lam_y ** d if d >= 0 else auto.lam_x ** -d
 
     # decision hooks -------------------------------------------------------------
 
-    def is_unit(self, f: dict) -> UnitAnswer:
-        if not f:
-            return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
-        if any(d for d, _ in f):
-            # X is a unit whenever u is, so only degree zero is decided here
-            return UnitAnswer(Status.INCONCLUSIVE, None, None)
-        ans = self.base.is_unit(self.base_part(f))
-        if ans.status is Status.HOLDS:
-            return UnitAnswer(Status.HOLDS, self.embed(ans.inverse), None)
-        return ans
+    def is_domain(self) -> bool | None:
+        return None  # X is a unit whenever u is: nonzero degree stays open
 
     # rendering ----------------------------------------------------------------
 
@@ -171,9 +128,7 @@ class GwaRing(ExtensionAlgebra):
         if not f:
             return "0"
         parts = []
-        groups = self.grouped(f)
-        for d in sorted(groups):
-            c = groups[d]
+        for (d,), c in sorted(self.grouped(f).items()):
             if d == 0:
                 parts.append(self.base.render(c))
                 continue
@@ -184,16 +139,6 @@ class GwaRing(ExtensionAlgebra):
             else:
                 parts.append(f"({self.base.render(c)})*{power}")
         return " + ".join(parts)
-
-    def describe(self) -> dict:
-        return {
-            "family": "GWA",
-            "base": self.base.describe(),
-            "alpha": self.base.describe_auto(self.alpha),
-            "u": self.base.render(self.u),
-            "y": self.y_name,
-            "x": self.x_name,
-        }
 
 
 def gwa_from_ambiskew(ring) -> GwaRing:

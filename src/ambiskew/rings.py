@@ -10,17 +10,17 @@ where gamma is the automorphism induced by v through v*a = gamma(a)*v and
 beta = gamma o alpha^{-1}.  The construction demands that alpha and gamma
 commute and that gamma fixes v; violations are reported by name.
 
-Elements are kept in the normal form sum x^i * a_ij * y^j, stored flat as
-a sparse dict from (i, j, basis key) to scalars so that the element
-plumbing shared by the coefficient families applies unchanged.  The single
+Elements are kept in the normal form sum x^i * a_ij * y^j.  The single
 rewrite behind multiplication is y*x -> rho^{-1}*(x*y - v); repeated
 y-powers are folded through the closed form for y^t * x, which brings in
 the elements v_m defined by v_0 = 0 and v_{m+1} = v + rho*alpha(v_m).
 
 The ring implements the BaseAlgebra protocol of the coefficient families,
-so a constructed ring can serve as the coefficient algebra of the next one;
-ExtensionAlgebra holds what it shares with the generalized Weyl algebras of
-gwa.py, which adjoin Y and X the same way.
+so a constructed ring can serve as the coefficient algebra of the next one.
+``ExtensionAlgebra`` holds what it shares with the generalized Weyl
+algebras of gwa.py, which adjoin Y and X the same way: an element stored
+flat, as a sparse dict from (degree tuple, basis key of A) to scalars with
+x^i * a * y^j in degree (i, j), and the hooks that read that layout.
 
 >>> from .scalars import ScalarContext
 >>> from .algebras import PolyAlgebra, AffineAuto
@@ -69,11 +69,13 @@ class Conformality(NamedTuple):
 
 class ExtensionAlgebra(BaseAlgebra):
     """What rings built over a coefficient algebra ``base`` by adjoining y
-    and x share: their construction checks, their generators, their
-    automorphisms (NestedAuto: a coefficient part plus scales for y and x)
-    and the normalizing automorphism of an element.  ``normal_name`` names
-    the attribute holding the normal element, which gamma must fix and
-    every automorphism must rescale."""
+    and x share.  An element is stored flat, as a sparse dict from a degree
+    tuple plus a basis key of ``base`` to scalars; a subclass declares the
+    degrees ``origin`` of ``base``, ``y_deg`` of y and ``x_deg`` of x, and
+    ``_weight``, the scale a NestedAuto (a coefficient part plus scales for
+    y and x) puts on a degree.  ``normal_name`` names the attribute holding
+    the normal element, which gamma must fix and every automorphism must
+    rescale."""
 
     commutative = False
     normal_name = "v"
@@ -98,14 +100,68 @@ class ExtensionAlgebra(BaseAlgebra):
         setattr(self, self.normal_name, dict(normal))
         self.y_name = y_name
         self.x_name = x_name
-        self._onekey = next(iter(base.one))
+
+    # elements -------------------------------------------------------------
+
+    def from_scalar(self, s: Scalar) -> dict:
+        return self.embed(self.base.from_scalar(s))
+
+    def embed(self, c: dict) -> dict:
+        """The coefficient element c as a ring element."""
+        return self._flat(self.origin, c)
+
+    def _flat(self, deg: tuple[int, ...], c: dict) -> dict:
+        return {deg + (bk,): s for bk, s in c.items()}
+
+    def grouped(self, a: dict) -> dict[tuple[int, ...], dict]:
+        """The element as a map from degrees to coefficient elements."""
+        out: dict[tuple[int, ...], dict] = {}
+        for key, s in a.items():
+            out.setdefault(key[:-1], {})[key[-1]] = s
+        return out
+
+    def base_part(self, a: dict) -> dict:
+        """The coefficient of degree zero, as a coefficient element."""
+        return {key[-1]: s for key, s in a.items() if key[:-1] == self.origin}
+
+    def _in_base(self, a: dict) -> bool:
+        """Whether every term of a has degree zero."""
+        return all(key[:-1] == self.origin for key in a)
+
+    def _key_order(self, key):
+        return key[:-1] + (self.base._key_order(key[-1]),)
 
     def gens(self) -> tuple[str, ...]:
         return self.base.gens() + (self.y_name, self.x_name)
 
-    def base_part(self, a: dict) -> dict:
-        """The coefficient of degree zero, as a coefficient element."""
-        return {key[-1]: s for key, s in a.items() if not any(key[:-1])}
+    def gen_elem(self, name: str) -> dict:
+        if name == self.y_name:
+            return self._flat(self.y_deg, self.base.one)
+        if name == self.x_name:
+            return self._flat(self.x_deg, self.base.one)
+        if name in self.base.gens():
+            return self.embed(self.base.gen_elem(name))
+        raise ValueError(f"unknown generator: {name!r}")
+
+    # automorphisms ----------------------------------------------------------
+
+    def _weight(self, auto, deg: tuple[int, ...]) -> Scalar:
+        """The scale that the NestedAuto ``auto`` puts on degree ``deg``."""
+        raise NotImplementedError
+
+    def apply(self, auto, a: dict) -> dict:
+        out: dict = {}
+        for deg, c in self.grouped(a).items():
+            img = self.base.apply(auto.base, c)
+            img = self.base.smul(self._weight(auto, deg), img)
+            out.update(self._flat(deg, img))
+        return out
+
+    def eigenvalue(self, auto, key) -> Scalar | None:
+        lam = self.base.eigenvalue(auto.base, key[-1])
+        if lam is None:
+            return None
+        return lam * self._weight(auto, key[:-1])
 
     def identity_auto(self) -> NestedAuto:
         return NestedAuto(self.base.identity_auto(), self.ctx.one, self.ctx.one)
@@ -180,11 +236,29 @@ class ExtensionAlgebra(BaseAlgebra):
             return None
         return auto
 
+    # decision hooks ---------------------------------------------------------
+
+    def is_unit(self, a: dict) -> UnitAnswer:
+        if not a:
+            return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
+        if not self._in_base(a):
+            if self.is_domain():
+                return UnitAnswer(Status.FAILS, None,
+                                  {"kind": "nonconstant_in_domain"})
+            return UnitAnswer(Status.INCONCLUSIVE, None, None)
+        ans = self.base.is_unit(self.base_part(a))
+        if ans.status is Status.HOLDS:
+            return UnitAnswer(Status.HOLDS, self.embed(ans.inverse),
+                              ans.certificate)
+        return ans
+
 
 class AmbiskewRing(ExtensionAlgebra):
-    """R(A, alpha, v, rho) in the shared coefficient-algebra interface."""
+    """R(A, alpha, v, rho) in the shared coefficient-algebra interface;
+    x^i * a * y^j has degree (i, j)."""
 
     kind = "ambiskew"
+    origin, y_deg, x_deg = (0, 0), (0, 1), (1, 0)
 
     def __init__(self, base, alpha, v: dict, rho: Scalar,
                  y_name: str = "y", x_name: str = "x"):
@@ -199,42 +273,6 @@ class AmbiskewRing(ExtensionAlgebra):
         self.rho = rho
         self._vm: list[dict] = [{}]
         self._conf: Conformality | None = None
-
-    # elements -----------------------------------------------------------
-
-    def from_scalar(self, s: Scalar) -> dict:
-        return {} if s.is_zero() else {(0, 0, self._onekey): s}
-
-    def embed(self, c: dict) -> dict:
-        """The coefficient element c as a ring element."""
-        return self._flat(0, 0, c)
-
-    def coefficient(self, a: dict, i: int, j: int) -> dict:
-        """The coefficient of x^i ... y^j in a, as a coefficient element."""
-        return {bk: s for (i_, j_, bk), s in a.items() if (i_, j_) == (i, j)}
-
-    def grouped(self, a: dict) -> dict[tuple[int, int], dict]:
-        """The element as a map from (i, j) to coefficient elements."""
-        out: dict[tuple[int, int], dict] = {}
-        for (i, j, bk), s in a.items():
-            out.setdefault((i, j), {})[bk] = s
-        return out
-
-    def _flat(self, i: int, j: int, c: dict) -> dict:
-        return {(i, j, bk): s for bk, s in c.items()}
-
-    def _key_order(self, key):
-        i, j, bk = key
-        return (i, j, self.base._key_order(bk))
-
-    # generators ----------------------------------------------------------
-
-    def gen_elem(self, name: str) -> dict:
-        if name == self.y_name:
-            return {(0, 1, self._onekey): self.ctx.one}
-        if name == self.x_name:
-            return {(1, 0, self._onekey): self.ctx.one}
-        return self.embed(self.base.gen_elem(name))
 
     # multiplication ------------------------------------------------------
 
@@ -253,14 +291,14 @@ class AmbiskewRing(ExtensionAlgebra):
         for (s, t), c in self.grouped(f).items():
             scale = rinv ** t
             lead = self.base.smul(scale, self.base.apply(self.beta_inv, c))
-            out = _eadd(out, self._flat(s + 1, t, lead))
+            out = _eadd(out, self._flat((s + 1, t), lead))
             if t:
                 tail = self.base.smul(-scale, self.base.mul(c, self.v_m(t)))
-                out = _eadd(out, self._flat(s, t - 1, tail))
+                out = _eadd(out, self._flat((s, t - 1), tail))
         return out
 
-    def _times_coeff(self, f: dict, b: dict) -> dict:
-        # (x^s c y^t) * b = x^s (c * alpha^t(b)) y^t
+    def _times_coeff(self, f: dict, b: dict, l: int) -> dict:
+        # (x^s c y^t) * b * y^l = x^s (c * alpha^t(b)) y^(t+l)
         if not b or not f:
             return {}
         groups = self.grouped(f)
@@ -269,7 +307,8 @@ class AmbiskewRing(ExtensionAlgebra):
             images.append(self.base.apply(self.alpha, images[-1]))
         out: dict = {}
         for (s, t), c in groups.items():
-            out = _eadd(out, self._flat(s, t, self.base.mul(c, images[t])))
+            prod = self.base.mul(c, images[t])
+            out = _eadd(out, self._flat((s, t + l), prod))
         return out
 
     def mul(self, f: dict, g: dict) -> dict:
@@ -278,28 +317,13 @@ class AmbiskewRing(ExtensionAlgebra):
         for (k, l), b in sorted(self.grouped(g).items()):
             while len(fx) <= k:
                 fx.append(self._times_x(fx[-1]))
-            part = self._times_coeff(fx[k], b)
-            if l:
-                part = {(i, j + l, bk): s for (i, j, bk), s in part.items()}
-            out = _eadd(out, part)
+            out = _eadd(out, self._times_coeff(fx[k], b, l))
         return out
 
     # automorphisms ------------------------------------------------------
 
-    def apply(self, auto, a: dict) -> dict:
-        out: dict = {}
-        for (i, j), c in self.grouped(a).items():
-            img = self.base.apply(auto.base, c)
-            img = self.base.smul(auto.lam_x ** i * auto.lam_y ** j, img)
-            out = _eadd(out, self._flat(i, j, img))
-        return out
-
-    def eigenvalue(self, auto, key) -> Scalar | None:
-        i, j, bk = key
-        lam = self.base.eigenvalue(auto.base, bk)
-        if lam is None:
-            return None
-        return lam * auto.lam_y ** j * auto.lam_x ** i
+    def _weight(self, auto, deg: tuple[int, ...]) -> Scalar:
+        return auto.lam_x ** deg[0] * auto.lam_y ** deg[1]
 
     def eigen_frame(self, alpha, gamma, units_only: bool) -> EigenFrame:
         if not isinstance(alpha, NestedAuto) or not isinstance(gamma, NestedAuto):
@@ -323,9 +347,9 @@ class AmbiskewRing(ExtensionAlgebra):
         return self.base.is_domain()
 
     def to_ground(self, elem: dict, autos: list):
-        if any(i or j for i, j, _ in elem):
+        if not self._in_base(elem):
             return None
-        return self.base.to_ground(self.coefficient(elem, 0, 0),
+        return self.base.to_ground(self.base_part(elem),
                                    [auto.base for auto in autos])
 
     def v_eigenvalue(self) -> Scalar | None:
@@ -406,7 +430,7 @@ class AmbiskewRing(ExtensionAlgebra):
 
     def w_element(self) -> dict:
         """The product x*y, whose commutation action on A is gamma."""
-        return {(1, 1, self._onekey): self.ctx.one}
+        return self._flat((1, 1), self.base.one)
 
     def conformality(self) -> Conformality:
         """Decide whether v = u - rho*alpha(u) has an admissible solution.
@@ -442,28 +466,14 @@ class AmbiskewRing(ExtensionAlgebra):
 
     # decision hooks -------------------------------------------------------
 
-    def is_unit(self, a: dict) -> UnitAnswer:
-        if not a:
-            return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
-        if any(k[0] or k[1] for k in a):
-            if self.is_domain():
-                return UnitAnswer(Status.FAILS, None,
-                                  {"kind": "nonconstant_in_domain"})
-            return UnitAnswer(Status.INCONCLUSIVE, None, None)
-        ans = self.base.is_unit(self.coefficient(a, 0, 0))
-        if ans.status is Status.HOLDS:
-            return UnitAnswer(Status.HOLDS, self.embed(ans.inverse),
-                              ans.certificate)
-        return ans
-
     def is_regular(self, a: dict) -> UnitAnswer:
         if not a:
             return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
-        if any(k[0] or k[1] for k in a):
+        if not self._in_base(a):
             if self.is_domain():
                 return UnitAnswer(Status.HOLDS, None, None)
             return UnitAnswer(Status.INCONCLUSIVE, None, None)
-        return self.base.is_regular(self.coefficient(a, 0, 0))
+        return self.base.is_regular(self.base_part(a))
 
     def alpha_simple(self, autos: list) -> Verdict:
         from .simplicity import ring_alpha_simple
@@ -495,11 +505,9 @@ class AmbiskewRing(ExtensionAlgebra):
         if watch is not None:
             raise ValueError("radical pencils over a coefficient tower are "
                              "not decided here")
-        if all(k[0] == 0 and k[1] == 0 for k in p) and \
-                all(k[0] == 0 and k[1] == 0 for k in b):
+        if self._in_base(p) and self._in_base(b):
             return self.base.first_nonunit_in_pencil(
-                self.coefficient(p, 0, 0), self.coefficient(b, 0, 0), q0,
-                ratio)
+                self.base_part(p), self.base_part(b), q0, ratio)
         if not self.is_domain():
             raise ValueError("the coefficient tower does not decide unit "
                              "pencils")
@@ -516,8 +524,7 @@ class AmbiskewRing(ExtensionAlgebra):
         if not a:
             return "0"
         parts: list[tuple[Scalar, str]] = []
-        for (i, j) in sorted(self.grouped(a)):
-            c = self.coefficient(a, i, j)
+        for (i, j), c in sorted(self.grouped(a).items()):
             factors = []
             if i:
                 factors.append(self.x_name if i == 1 else f"{self.x_name}^{i}")
@@ -529,14 +536,3 @@ class AmbiskewRing(ExtensionAlgebra):
                 factors.append(self.y_name if j == 1 else f"{self.y_name}^{j}")
             parts.append((s, "*".join(factors)))
         return _render_terms(parts)
-
-    def describe(self) -> dict:
-        return {
-            "family": "Ambiskew",
-            "base": self.base.describe(),
-            "alpha": self.base.describe_auto(self.alpha),
-            "v": self.base.render(self.v),
-            "rho": str(self.rho),
-            "y": self.y_name,
-            "x": self.x_name,
-        }

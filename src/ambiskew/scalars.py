@@ -603,13 +603,6 @@ class ScalarContext:
         e = tuple(1 if j == i else 0 for j in range(len(self.parameters)))
         return Scalar(self, {e: self.dom.one}, self._pone)
 
-    def describe(self) -> dict:
-        return {
-            "characteristic": self.characteristic,
-            "cyclotomic_order": self.cyclotomic_order,
-            "parameters": list(self.parameters),
-        }
-
     def __repr__(self) -> str:
         return (f"ScalarContext(characteristic={self.characteristic}, "
                 f"cyclotomic_order={self.cyclotomic_order}, parameters={self.parameters})")
@@ -846,25 +839,6 @@ class Scalar:
 # ---------------------------------------------------------------------------
 # arithmetic facts the decision procedures lean on
 # ---------------------------------------------------------------------------
-
-
-def q_integer(m: int, q: Scalar) -> Scalar:
-    """The q-integer [m]_q = 1 + q + ... + q^(m-1).
-
-    >>> ctx = ScalarContext(parameters=("q",))
-    >>> print(q_integer(3, ctx.param("q")))
-    q^2 + q + 1
-    >>> q_integer(4, ctx.one).as_integer()
-    4
-    """
-    if m < 0:
-        raise ValueError("q-integers are indexed by m >= 0")
-    out = q.ctx.zero
-    power = q.ctx.one
-    for _ in range(m):
-        out = out + power
-        power = power * q
-    return out
 
 
 def _divisors(n: int) -> list[int]:

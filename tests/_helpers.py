@@ -30,6 +30,14 @@ def pw(ring, elem, m):
     return out
 
 
+def q_integer(m, q):
+    """The q-integer [m]_q = 1 + q + ... + q^(m-1), summed term by term."""
+    out, power = q.ctx.zero, q.ctx.one
+    for _ in range(m):
+        out, power = out + power, power * q
+    return out
+
+
 def w_alpha_power(ring, m):
     """The image of w = x*y under the m-th power of the extension of alpha
     determined by alpha(w) = rho^{-1}*(w - v), built one step of alpha at
@@ -91,7 +99,7 @@ def slow_mul(ring, f, g):
             ny = sum(1 for a in word if a == "y")
             coeffs = [a[1] for a in word if isinstance(a, tuple)]
             c = coeffs[0] if coeffs else base.one
-            out = ring.add(out, ring._flat(nx, ny, base.smul(s, c)))
+            out = ring.add(out, ring._flat((nx, ny), base.smul(s, c)))
             continue
         a, b = word[idx], word[idx + 1]
         head, tail = word[:idx], word[idx + 2:]

@@ -78,6 +78,8 @@ CASES = {"field": _field, "poly": _poly, "laurent": _laurent,
 def test_protocol(name):
     algebra, auto = CASES[name]()
     assert isinstance(algebra, BaseAlgebra)
+    with pytest.raises(ValueError, match="^unknown generator: 'z'$"):
+        algebra.gen_elem("z")
     rng = random.Random(name)
     ctx = algebra.ctx
     a = algebra.one

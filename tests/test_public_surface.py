@@ -43,7 +43,7 @@ SURFACE = {
         "CyclotomicDomain", "PrimeDomain", "RatLike", "Scalar",
         "ScalarContext", "cyclotomic_coeffs", "factor_int",
         "integer_roots_scalar_poly", "is_prime", "least_integer_root",
-        "q_integer", "root_of_unity_order",
+        "root_of_unity_order",
     ],
     "simplicity": [
         "every_v_m_unit", "ring_alpha_simple", "simple", "simple_iterated",

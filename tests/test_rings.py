@@ -17,7 +17,7 @@ from ambiskew.algebras import (
     solve_splitting_ex,
 )
 from ambiskew.rings import AmbiskewRing
-from ambiskew.scalars import ScalarContext, q_integer
+from ambiskew.scalars import ScalarContext
 from ambiskew.verdict import Status
 
 from _helpers import (
@@ -27,6 +27,7 @@ from _helpers import (
     laurent_scale,
     poly_shift,
     pw,
+    q_integer,
     quadratic_conjugation,
     quantized_weyl,
     quantum_plane,
@@ -471,15 +472,6 @@ def test_render_layout():
     assert ring.render(two_block) == "1 + x1*(t*s + t)*y1"
     assert ring.render(ring.zero) == "0"
     assert ring.render(ring.w_element()) == "x1*y1"
-
-
-def test_describe_shapes():
-    ring = quantum_plane()
-    desc = ring.describe()
-    assert desc["family"] == "Ambiskew"
-    assert desc["base"] == {"family": "Field"}
-    assert desc["v"] == "0"
-    assert desc["rho"] == "q"
 
 
 # -- hypothesis: ring axioms ---------------------------------------------------------

@@ -21,9 +21,10 @@ from ambiskew.scalars import (
     _resultant,
     cyclotomic_coeffs,
     is_prime,
-    q_integer,
     root_of_unity_order,
 )
+
+from _helpers import q_integer
 
 
 def _ctx(**kw) -> ScalarContext:
@@ -590,10 +591,13 @@ def test_parametric_fast_paths_match_sympy(data):
         diff = expr(s) - expected
         if not ctx.characteristic:
             return sympy.cancel(diff) == 0
-        # sympy reads the F_p values as integers: reduce the cleared
-        # numerator mod p (no denominator here is divisible by p)
+        # sympy reads the F_p values as rationals: clear the numerator's
+        # rational coefficients over QQ, then reduce it mod p (no
+        # denominator here is divisible by p)
         num, _ = sympy.fraction(sympy.together(diff))
-        return sympy.Poly(num, *gens, modulus=ctx.characteristic).is_zero
+        _, num = sympy.Poly(num, *gens, domain="QQ").clear_denoms(convert=True)
+        return sympy.Poly(num.as_expr(), *gens,
+                          modulus=ctx.characteristic).is_zero
 
     a, b = an / ad, bn / bd
     ea, eb = expr(an) / expr(ad), expr(bn) / expr(bd)

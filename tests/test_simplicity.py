@@ -19,7 +19,7 @@ from ambiskew.algebras import (
     QuadraticAlgebra,
 )
 from ambiskew.rings import AmbiskewRing
-from ambiskew.scalars import ScalarContext, q_integer, root_of_unity_order
+from ambiskew.scalars import ScalarContext, root_of_unity_order
 from ambiskew.simplicity import (
     ring_alpha_simple,
     simple,
@@ -34,6 +34,7 @@ from _helpers import (
     fc2_block,
     fc4_mixed,
     poly_shift,
+    q_integer,
     quadratic_conjugation,
     quantized_weyl,
     quantum_plane,
