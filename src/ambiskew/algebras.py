@@ -31,15 +31,16 @@ The protocol hooks are:
   ``first_nonunit_in_pencil`` (the first q at which q*P + B, or
   [q]_R*P + R^q*B for a ratio R of infinite order, is a non-unit, or,
   given a watched u, a non-unit of A[1/u], which leaves no power of u in
-  the ideal it generates: the split families, Field, K[C_n]
-  and the quadratic one, list the scalar polynomials in q or in X = R^q
-  that vanish exactly there, per character or through the norm, and
-  ``scalars.least_integer_root`` solves them; Poly, Laurent and towers
-  probe q with ``is_unit`` and decide only R = 1), ``split_nondiagonal``
-  (v = u - rho*alpha(u) for an alpha that is not diagonal) and
-  ``coprime_to_shifts`` (the least m with u and alpha^m(u) not comaximal,
-  from a closed form: the dispersion of u under a polynomial shift, the
-  single root of u under a Laurent scaling).
+  the ideal it generates: the split families, Field, K[C_n] and the
+  quadratic one, list the scalar polynomials in q or in X = R^q that
+  vanish exactly there, through the norm or per character in one shared
+  step (``_split_pencil``, which drops the characters that vanish on u),
+  and ``scalars.least_integer_root`` solves them; Poly, Laurent and
+  towers probe q with ``is_unit`` and decide only R = 1),
+  ``split_nondiagonal`` (v = u - rho*alpha(u) for an alpha that is not
+  diagonal) and ``coprime_to_shifts`` (the least m with u and alpha^m(u)
+  not comaximal, from a closed form: the dispersion of u under a
+  polynomial shift, the single root of u under a Laurent scaling).
 
 The Euclidean decisions of Poly and Laurent (radical, comaximality, the
 dispersion resultant) run on the dense polynomial layer of ``scalars``.
@@ -64,6 +65,7 @@ from .scalars import (
     _interpolate,
     _join_signed,
     _resultant,
+    _sqrt_mod,
     least_integer_root,
     root_of_unity_order,
 )
@@ -197,6 +199,18 @@ def _pencil_line(algebra, p: dict, b: dict, ratio: Scalar | None):
     if ratio is None or ratio == ratio.ctx.one:
         return p, b
     return algebra.add(p, algebra.smul(ratio - 1, b)), algebra.neg(p)
+
+
+def _split_pencil(algebra, chars: list, p: dict, b: dict, q0: int,
+                  ratio: Scalar | None, watch: dict | None) -> int | None:
+    """``first_nonunit_in_pencil`` over an algebra that the characters
+    ``chars`` split into copies of K: the element is a non-unit exactly
+    where one of them vanishes on it, and leaves ``watch`` outside its
+    radical where one that does not vanish on ``watch`` does."""
+    lead, const = _pencil_line(algebra, p, b, ratio)
+    return least_integer_root([[chi(const), chi(lead)] for chi in chars
+                               if watch is None or not chi(watch).is_zero()],
+                              q0, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -542,13 +556,10 @@ class FieldAlgebra(BaseAlgebra):
     def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
                                 ratio: Scalar | None = None,
                                 watch: dict | None = None) -> int | None:
-        # the element fails where it vanishes; a zero watch never fails
-        if watch is not None and not watch:
-            return None
-        lead, const = _pencil_line(self, p, b, ratio)
+        # one character, the value itself
         zero = self.ctx.zero
-        return least_integer_root([[const.get((), zero), lead.get((), zero)]],
-                                  q0, ratio)
+        return _split_pencil(self, [lambda a: a.get((), zero)], p, b, q0,
+                             ratio, watch)
 
     def render(self, a: dict) -> str:
         return str(a[()]) if a else "0"
@@ -722,14 +733,15 @@ class CyclicGroupAlgebra(_Univariate):
 
     kind = "cyclic_group"
 
-    def __init__(self, ctx: ScalarContext, n: int, eps: Scalar, gen: str = "s"):
+    def __init__(self, ctx: ScalarContext, n: int, epsilon: Scalar,
+                 gen: str = "s"):
         if n < 1:
             raise ValueError("the group order must be positive")
-        if root_of_unity_order(eps) != n:
+        if root_of_unity_order(epsilon) != n:
             raise ValueError("epsilon must be a primitive root of unity of order n")
         super().__init__(ctx, gen)
         self.n = self.period = n
-        self.eps = eps
+        self.eps = epsilon
 
     @cached_property
     def _eps_pows(self) -> list[Scalar]:
@@ -824,15 +836,8 @@ class CyclicGroupAlgebra(_Univariate):
     def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
                                 ratio: Scalar | None = None,
                                 watch: dict | None = None) -> int | None:
-        # the element is a non-unit exactly where one of its characters
-        # vanishes, and leaves watch outside its radical where one that
-        # does not vanish on watch does
-        lead, const = _pencil_line(self, p, b, ratio)
-        return least_integer_root(
-            [[self.character(l, const), self.character(l, lead)]
-             for l in range(self.n)
-             if watch is None or not self.character(l, watch).is_zero()],
-            q0, ratio)
+        chars = [lambda a, l=l: self.character(l, a) for l in range(self.n)]
+        return _split_pencil(self, chars, p, b, q0, ratio, watch)
 
 
 # ---------------------------------------------------------------------------
@@ -1198,11 +1203,9 @@ class QuadraticAlgebra(_Univariate):
             root = _sqrt_mod(f.numerator, ctx.characteristic)
             return (False, None) if root is None else (True, ctx.int_(root))
         # a parameter monomial with an odd exponent is never a square
-        if len(self.d.num) == 1 and len(self.d.den) == 1:
-            (en,) = self.d.num.keys()
-            (ed,) = self.d.den.keys()
-            if any((i - j) % 2 for i, j in zip(en, ed)):
-                return False, None
+        mono = self.d.as_monomial()
+        if mono is not None and any(e % 2 for e in mono[1]):
+            return False, None
         return None, None
 
     def alpha_simple(self, autos: list) -> Verdict:
@@ -1266,7 +1269,6 @@ class QuadraticAlgebra(_Univariate):
     def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
                                 ratio: Scalar | None = None,
                                 watch: dict | None = None) -> int | None:
-        lead, const = _pencil_line(self, p, b, ratio)
         if watch is not None:
             square, root = self.square_root_of_d()
             if root is not None:
@@ -1274,9 +1276,7 @@ class QuadraticAlgebra(_Univariate):
                 zero = self.ctx.zero
                 chars = [lambda a, r=r: a.get(0, zero) + r * a.get(1, zero)
                          for r in (root, -root)]
-                return least_integer_root(
-                    [[chi(const), chi(lead)] for chi in chars
-                     if not chi(watch).is_zero()], q0, ratio)
+                return _split_pencil(self, chars, p, b, q0, ratio, watch)
             if square is not False:
                 raise ValueError("radical pencils over a quadratic algebra "
                                  "need a non-square defect or an explicit "
@@ -1286,6 +1286,7 @@ class QuadraticAlgebra(_Univariate):
                 return None
         # lead*X + const is a non-unit exactly where its norm, quadratic in
         # X, vanishes
+        lead, const = _pencil_line(self, p, b, ratio)
         c0, c2 = self.norm(const), self.norm(lead)
         c1 = self.norm(self.add(lead, const)) - c0 - c2
         return least_integer_root([[c0, c1, c2]], q0, ratio)
@@ -1299,25 +1300,6 @@ def _fraction_sqrt(f: Fraction) -> Fraction | None:
     if n * n == f.numerator and d * d == f.denominator:
         return Fraction(n, d)
     return None
-
-
-def _sqrt_mod(a: int, p: int) -> int | None:
-    """The least square root of a modulo the prime p, or None: Euler's
-    criterion, then Tonelli-Shanks (Cohen 1993, algorithm 1.5.1)."""
-    a %= p
-    if a == 0 or p == 2:
-        return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    s = ((p - 1) & (1 - p)).bit_length() - 1
-    q = (p - 1) >> s
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i = next(i for i in range(1, m) if pow(t, 1 << i, p) == 1)
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return min(r, p - r)
 
 
 def _squarefree_part(f: Fraction) -> int:

@@ -10,7 +10,10 @@ declares into the ``SpecDocument``.  So every semantic rule (nonzero rho,
 primitive roots, relation preservation) is enforced eagerly and errors
 point at a line and column.
 
-The statement forms:
+The statement forms follow; the families and ring constructors, with
+their keyword arguments and which of them are required, come from the
+tables ``_BASES`` and ``_RINGS``, and one reader (``_parse_args``) checks
+the keywords of every context, base and ring statement:
 
     context(characteristic = 5, cyclotomic_order = 4, parameters = [q])
     base A = cyclic_group(n = 4, epsilon = zeta)
@@ -428,12 +431,30 @@ def _named_auto(doc: SpecDocument, name: str, base_name: str,
 # ---------------------------------------------------------------------------
 
 
-def _parse_kwargs(cur: _Cursor) -> dict[str, tuple]:
-    """``name = value`` pairs up to the closing parenthesis, as name ->
-    (value, location of the name).  A value is an expression or a list of
-    name tokens written ``[q, r]``, left uninterpreted."""
-    out: dict = {}
-    while not cur.at(")"):
+# kind of a keyword -> (the value a statement builds from the written one,
+# None when that does not fit, and the message the error then gives)
+_KINDS = {
+    "count": (lambda v: v.value if isinstance(v, Num) and v.value >= 1
+              else None, "must be a positive integer"),
+    "characteristic": (lambda v: v.value if isinstance(v, Num)
+                       and v.value >= 0 else None, "must be 0 or a prime"),
+    "name": (lambda v: v.ident if isinstance(v, Name) else None,
+             "must be a plain name"),
+    "expr": (lambda v: None if isinstance(v, list) else v,
+             "takes an expression, not a list"),
+    "list": (lambda v: tuple(t.text for t in v) if isinstance(v, list)
+             else None, "takes a list like [q, r]"),
+}
+
+
+def _parse_args(cur: _Cursor, what: str, schema: dict, required: tuple,
+                loc: SourceLocation) -> dict:
+    """The ``name = value`` list that ends the line, after its '(', checked
+    against ``schema`` (name -> a kind of ``_KINDS``) and ``required``.  A
+    value is an expression or a list of names written ``[q, r]``; with an
+    empty schema the list must be empty."""
+    raw: dict = {}
+    while schema and not cur.at(")"):
         key = cur.expect("NAME", "an argument name")
         cur.expect("=", "'=' after the argument name")
         if cur.take("["):
@@ -446,117 +467,81 @@ def _parse_kwargs(cur: _Cursor) -> dict[str, tuple]:
             value: Expr | list[_Token] = items
         else:
             value = _expression(cur)
-        if key.text in out:
+        if key.text in raw:
             raise DslError("syntactic", key.loc,
                            f"duplicate argument {key.text!r}")
-        out[key.text] = (value, key.loc)
+        raw[key.text] = (value, key.loc)
         if not cur.take(","):
             break
     cur.expect(")", "a closing ')'")
-    return out
-
-
-def _require_int(value, key: str, loc: SourceLocation) -> int:
-    if isinstance(value, Num) and value.value >= 1:
-        return value.value
-    raise _semantic(loc, f"{key} must be a positive integer")
-
-
-def _require_name(value, key: str, loc: SourceLocation) -> str:
-    if isinstance(value, Name):
-        return value.ident
-    raise _semantic(loc, f"{key} must be a plain name")
-
-
-def _require_expr(value, key: str, loc: SourceLocation) -> Expr:
-    if isinstance(value, list):
-        raise _semantic(loc, f"{key} takes an expression, not a list")
-    return value
+    cur.expect_end()
+    args = {}
+    for key, (value, kloc) in raw.items():
+        if key not in schema:
+            raise _semantic(kloc, f"unknown {what} argument {key!r}")
+        convert, message = _KINDS[schema[key]]
+        args[key] = convert(value)
+        if args[key] is None:
+            raise _semantic(kloc, f"{key} {message}")
+    if any(key not in args for key in required):
+        raise _semantic(loc, f"{what} needs " +
+                        " and ".join(f"{key} = ..." for key in required))
+    return args
 
 
 def _parse_context(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
     cur.expect("(", "'('")
-    characteristic = 0
-    order = 1
-    params: tuple[str, ...] = ()
-    for key, (value, kloc) in _parse_kwargs(cur).items():
-        if key == "characteristic":
-            if not isinstance(value, Num) or value.value < 0:
-                raise _semantic(kloc, "characteristic must be 0 or a prime")
-            characteristic = value.value
-        elif key == "cyclotomic_order":
-            order = _require_int(value, key, kloc)
-        elif key == "parameters":
-            if not isinstance(value, list):
-                raise _semantic(kloc, "parameters takes a list like [q, r]")
-            params = tuple(tok.text for tok in value)
-        else:
-            raise _semantic(kloc, f"unknown context argument {key!r}")
-    cur.expect_end()
+    args = _parse_args(cur, "context", {"characteristic": "characteristic",
+                                        "cyclotomic_order": "count",
+                                        "parameters": "list"}, (), loc)
     if doc.context_declared:
         raise _semantic(loc, "the context was already declared")
     if doc.context is not None:
         raise _semantic(loc, "the context must come before any declaration")
     try:
-        doc.context = ScalarContext(characteristic=characteristic,
-                                    cyclotomic_order=order, parameters=params)
+        doc.context = ScalarContext(**args)
     except ValueError as exc:
         raise _semantic(loc, str(exc)) from None
     doc.context_declared = True
 
 
-_BASE_FAMILIES = ("field", "poly", "laurent", "cyclic_group", "quadratic")
+# family -> (class, keyword schema or the name of its one positional
+# generator argument, required keywords); the keywords are the class's
+# parameters, expressions evaluated as scalars
+_BASES = {
+    "field": (FieldAlgebra, {}, ()),
+    "poly": (PolyAlgebra, "gen", ()),
+    "laurent": (LaurentAlgebra, "gen", ()),
+    "cyclic_group": (CyclicGroupAlgebra, {"n": "count", "epsilon": "expr",
+                                          "gen": "name"}, ("n", "epsilon")),
+    "quadratic": (QuadraticAlgebra, {"d": "expr", "gen": "name"}, ("d",)),
+}
 
 
 def _parse_base(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
     name = cur.expect("NAME", "a base name").text
     cur.expect("=", "'=' after the base name")
     fam = cur.expect("NAME", "a base family")
-    if fam.text not in _BASE_FAMILIES:
+    if fam.text not in _BASES:
         raise _semantic(fam.loc, f"unknown base family {fam.text!r}; "
-                        "expected one of " + ", ".join(_BASE_FAMILIES))
-    gen = order = scalar = None
+                        "expected one of " + ", ".join(_BASES))
+    cls, schema, required = _BASES[fam.text]
     cur.expect("(", "'('")
-    if fam.text in ("poly", "laurent"):
-        gen = cur.expect("NAME", "a generator name").text
+    if isinstance(schema, str):
+        args = {schema: cur.expect("NAME", "a generator name").text}
         cur.expect(")", "a closing ')'")
-    elif fam.text == "field":
-        cur.expect(")", "a closing ')'")
+        cur.expect_end()
     else:
-        for key, (value, kloc) in _parse_kwargs(cur).items():
-            if key == "gen":
-                gen = _require_name(value, key, kloc)
-            elif key == "n" and fam.text == "cyclic_group":
-                order = _require_int(value, key, kloc)
-            elif (key, fam.text) in (("epsilon", "cyclic_group"),
-                                     ("d", "quadratic")):
-                scalar = _require_expr(value, key, kloc)
-            else:
-                raise _semantic(kloc, f"unknown {fam.text} argument {key!r}")
-        if fam.text == "cyclic_group" and (order is None or scalar is None):
-            raise _semantic(loc, "cyclic_group needs n = ... and epsilon = ...")
-        if fam.text == "quadratic" and scalar is None:
-            raise _semantic(loc, "quadratic needs d = ...")
-    cur.expect_end()
+        args = _parse_args(cur, fam.text, schema, required, loc)
     _fresh(doc, name, loc)
     ctx = _context(doc)
     # evaluated outside the try: its errors already carry their own location
-    if scalar is not None:
-        scalar = eval_scalar(scalar, ctx)
+    args = {key: eval_scalar(value, ctx) if isinstance(value, Expr) else value
+            for key, value in args.items()}
     try:
-        if fam.text == "field":
-            alg = FieldAlgebra(ctx)
-        elif fam.text == "poly":
-            alg = PolyAlgebra(ctx, gen=gen)
-        elif fam.text == "laurent":
-            alg = LaurentAlgebra(ctx, gen=gen)
-        elif fam.text == "cyclic_group":
-            alg = CyclicGroupAlgebra(ctx, order, scalar, gen=gen or "s")
-        else:
-            alg = QuadraticAlgebra(ctx, scalar, gen=gen or "s")
+        doc.bases[name] = cls(ctx, **args)
     except ValueError as exc:
         raise _semantic(loc, str(exc)) from None
-    doc.bases[name] = alg
 
 
 def _parse_auto(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
@@ -595,6 +580,34 @@ def _parse_auto(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
     doc.autos[name] = (carrier, auto)
 
 
+def _ambiskew_args(doc: SpecDocument, args: dict, algebra, base: str,
+                   loc: SourceLocation) -> dict:
+    v = eval_element(args["v"], algebra, _scope_names(algebra))
+    rho = eval_scalar(args["rho"], _context(doc))
+    if rho.is_zero():
+        raise _semantic(args["rho"].loc, "rho must be nonzero")
+    return {"v": v, "rho": rho}
+
+
+def _gwa_args(doc: SpecDocument, args: dict, algebra, base: str,
+              loc: SourceLocation) -> dict:
+    u = eval_element(args["u"], algebra, _scope_names(algebra))
+    gamma = args.get("gamma")
+    if gamma is not None:
+        gamma = _named_auto(doc, gamma, base, loc)
+    return {"u": u, "gamma": gamma}
+
+
+# constructor -> (class, keyword schema, required keywords, the reader of
+# the class's own arguments); y and x rename the generators
+_RINGS = {
+    "ambiskew": (AmbiskewRing, {"v": "expr", "rho": "expr", "y": "name",
+                                "x": "name"}, ("v", "rho"), _ambiskew_args),
+    "gwa": (GwaRing, {"u": "expr", "gamma": "name", "y": "name", "x": "name"},
+            ("u",), _gwa_args),
+}
+
+
 def _parse_ring(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
     name = cur.expect("NAME", "a ring name").text
     cur.expect("=", "'=' after the ring name")
@@ -614,58 +627,28 @@ def _parse_ring(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
         except ValueError as exc:
             raise _semantic(loc, str(exc)) from None
         return
-    if ctor.text not in ("ambiskew", "gwa"):
+    if ctor.text not in _RINGS:
         raise _semantic(ctor.loc, f"unknown ring constructor {ctor.text!r}; "
-                        "expected ambiskew, gwa or quotient_by_casimir")
+                        f"expected {', '.join(_RINGS)} or quotient_by_casimir")
+    cls, schema, required, read = _RINGS[ctor.text]
     cur.expect("(", "'('")
     base = cur.expect("NAME", "a coefficient algebra name").text
     cur.expect(",", "','")
     auto_name = cur.expect("NAME", "an automorphism name").text
     cur.expect(",", "','")
-    kwargs = _parse_kwargs(cur)
-    cur.expect_end()
-    wanted = ("v", "rho", "y", "x") if ctor.text == "ambiskew" else \
-        ("u", "gamma", "y", "x")
-    args: dict = {}
-    for key, (value, kloc) in kwargs.items():
-        if key not in wanted:
-            raise _semantic(kloc, f"unknown {ctor.text} argument {key!r}")
-        if key in ("y", "x", "gamma"):
-            args[key] = _require_name(value, key, kloc)
-        else:
-            args[key] = _require_expr(value, key, kloc)
-    if ctor.text == "ambiskew" and ("v" not in args or "rho" not in args):
-        raise _semantic(loc, "ambiskew needs v = ... and rho = ...")
-    if ctor.text == "gwa" and "u" not in args:
-        raise _semantic(loc, "gwa needs u = ...")
+    args = _parse_args(cur, ctor.text, schema, required, loc)
     _fresh(doc, name, loc)
     algebra = _carrier(doc, base, loc)
     if isinstance(algebra, GwaRing):
         raise _semantic(loc, f"a ring over the generalized Weyl "
                         f"algebra {base!r} is not supported")
     auto = _named_auto(doc, auto_name, base, loc)
-    scope = _scope_names(algebra)
-    if ctor.text == "ambiskew":
-        v = eval_element(args["v"], algebra, scope)
-        rho = eval_scalar(args["rho"], _context(doc))
-        if rho.is_zero():
-            raise _semantic(args["rho"].loc, "rho must be nonzero")
-        try:
-            ring = AmbiskewRing(algebra, auto, v, rho, y_name=args.get("y", "y"),
-                                x_name=args.get("x", "x"))
-        except ValueError as exc:
-            raise _semantic(loc, str(exc)) from None
-    else:
-        u = eval_element(args["u"], algebra, scope)
-        gamma = None
-        if "gamma" in args:
-            gamma = _named_auto(doc, args["gamma"], base, loc)
-        try:
-            ring = GwaRing(algebra, auto, u, gamma=gamma,
-                           y_name=args.get("y", "Y"), x_name=args.get("x", "X"))
-        except ValueError as exc:
-            raise _semantic(loc, str(exc)) from None
-    doc.rings[name] = ring
+    own = read(doc, args, algebra, base, loc)
+    names = {f"{key}_name": args[key] for key in ("y", "x") if key in args}
+    try:
+        doc.rings[name] = cls(algebra, auto, **own, **names)
+    except ValueError as exc:
+        raise _semantic(loc, str(exc)) from None
 
 
 def _parse_check(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:

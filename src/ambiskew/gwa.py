@@ -35,15 +35,14 @@ four-condition criterion inside A.
 
 from __future__ import annotations
 
-from .algebras import (AffineAuto, DiagonalAuto, LaurentAlgebra, PolyAlgebra,
-                       scalar_ratio)
+from .algebras import scalar_ratio
 from . import bounds
 from .rings import ExtensionAlgebra
 from .scalars import Scalar
 from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
                       inconclusive)
 
-__all__ = ["GwaRing", "ambiskew_as_gwa", "gwa_from_ambiskew", "gwa_simple"]
+__all__ = ["GwaRing", "gwa_from_ambiskew", "gwa_simple"]
 
 
 class GwaRing(ExtensionAlgebra):
@@ -163,40 +162,6 @@ def gwa_from_ambiskew(ring) -> GwaRing:
     if conf.status is not Status.HOLDS:
         raise ValueError("whether a splitting element exists was not decided")
     return GwaRing(ring.base, ring.alpha, conf.u, gamma=ring.gamma)
-
-
-def ambiskew_as_gwa(ring) -> GwaRing:
-    """The inverse view over field coefficients: the quadruple itself is a
-    generalized Weyl algebra over the polynomial algebra in w = x*y, with
-    alpha extended by w -> rho^{-1}(w - v); when v = 0 the extension is
-    diagonal and the base can carry w invertibly.
-
-    >>> from .algebras import FieldAlgebra
-    >>> from .rings import AmbiskewRing
-    >>> from .scalars import ScalarContext
-    >>> ctx = ScalarContext(parameters=("q",))
-    >>> field = FieldAlgebra(ctx)
-    >>> plane = AmbiskewRing(field, field.identity_auto(), field.zero,
-    ...                      ctx.param("q"))
-    >>> T = ambiskew_as_gwa(plane)
-    >>> T.base.kind, T.base.render(T.u)
-    ('laurent', 'w')
-    """
-    base = ring.base
-    if base.gens():
-        raise ValueError("the w-presentation is exposed over field "
-                         "coefficients only")
-    ctx = ring.ctx
-    rho_inv = ring.rho ** -1
-    if base.is_zero(ring.v):
-        host = LaurentAlgebra(ctx, gen="w")
-        alpha = DiagonalAuto((rho_inv,))
-    else:
-        host = PolyAlgebra(ctx, gen="w")
-        v0 = base.scalar_of(ring.v)
-        alpha = AffineAuto(rho_inv, -(rho_inv * v0))
-    return GwaRing(host, alpha, host.gen_elem("w"),
-                   y_name=ring.y_name, x_name=ring.x_name)
 
 
 # ---------------------------------------------------------------------------

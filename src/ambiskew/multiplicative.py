@@ -79,13 +79,11 @@ def decompose(s: Scalar) -> MultExpr | None:
     >>> decompose(ctx.fraction(Fraction(-12, 5)) * ctx.zeta(2) * ctx.param("q") ** 3)
     MultExpr(torsion=5, primes=((2, 2), (3, 1), (5, -1)), params=(3,))
     """
-    if s.is_zero() or len(s.num) != 1 or len(s.den) != 1:
+    mono = s.as_monomial()
+    if mono is None:
         return None
-    (en, cn), = s.num.items()
-    (ed, cd), = s.den.items()
-    params = tuple(a - b for a, b in zip(en, ed))
+    c, params = mono
     dom = s.ctx.dom
-    c = dom.div(cn, cd)
     m = torsion_modulus(s.ctx)
     if s.ctx.characteristic:
         _, table = _dlog_table(s.ctx.characteristic)

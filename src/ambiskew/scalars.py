@@ -44,7 +44,10 @@ generic over Fractions and Scalars: the integer roots below and the Poly
 family's radical, comaximality and dispersion decisions all run on it.  The
 last section finds the integer roots of scalar polynomials at any degree,
 and the least q at which one vanishes at X = q or at X = R^q, which is how
-the coefficient families decide their unit and radical pencils.
+the coefficient families decide their unit and radical pencils.  In
+characteristic p the roots are residues mod p, solved through the
+discriminant and a modular square root up to degree 2 rather than found by
+trying all p of them.
 """
 
 from __future__ import annotations
@@ -208,6 +211,42 @@ def is_prime(n: int) -> bool:
         if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
     return True
+
+
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """The least square root of a modulo the prime p, or None: Euler's
+    criterion, then Tonelli-Shanks (Cohen 1993, algorithm 1.5.1)."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, m) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
+def _roots_mod(f: list[int], p: int) -> list[int]:
+    """The residues 0 <= m < p at which the integer polynomial f, nonzero
+    mod p, vanishes mod p: degrees up to 2 in closed form, through the
+    discriminant and ``_sqrt_mod``, higher degrees (and p = 2) by trying
+    every residue."""
+    f = _trim([c % p for c in f])
+    if len(f) > 3 or p == 2:
+        return [m for m in range(p) if _horner(f, m) % p == 0]
+    if len(f) < 3:
+        return [] if len(f) < 2 else [-f[0] * pow(f[1], -1, p) % p]
+    root = _sqrt_mod(f[1] * f[1] - 4 * f[2] * f[0], p)
+    if root is None:
+        return []
+    inv = pow(2 * f[2], -1, p)
+    return sorted({(-f[1] + root) * inv % p, (-f[1] - root) * inv % p})
 
 
 # ---------------------------------------------------------------------------
@@ -712,11 +751,14 @@ class Scalar:
             return None
         return self.ctx.dom.rational_value(self.constant_value())
 
-    def as_integer(self) -> int | None:
-        f = self.as_fraction()
-        if f is not None and f.denominator == 1:
-            return f.numerator
-        return None
+    def as_monomial(self) -> tuple | None:
+        """(c, e) when the scalar is c*p^e, with c a value of the domain
+        and e one exponent per parameter; None otherwise, zero included."""
+        if len(self.num) != 1 or len(self.den) != 1:
+            return None
+        (en, cn), = self.num.items()
+        (ed, cd), = self.den.items()
+        return self.ctx.dom.div(cn, cd), tuple(map(operator.sub, en, ed))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -968,9 +1010,10 @@ def integer_roots_scalar_poly(coeffs: list[Scalar]):
     Degree 1 is solved as m = -c_0/c_1.  Otherwise every root is a root of
     each rational component (per parameter monomial and zeta coordinate),
     so one component gives the candidates, each checked against the full
-    polynomial: characteristic p evaluates that component over one period
-    in integers, and characteristic 0 lifts its roots p-adically
-    (``_integer_roots_int``), at any degree.
+    polynomial: characteristic p solves that component for its residues
+    mod p (``_roots_mod``: in closed form up to degree 2, the degrees the
+    families reach, so no pencil walks the p residues), and characteristic
+    0 lifts its roots p-adically (``_integer_roots_int``), at any degree.
 
     >>> ctx = ScalarContext()
     >>> integer_roots_scalar_poly([ctx.int_(-10**40), ctx.zero, ctx.one])
@@ -986,7 +1029,7 @@ def integer_roots_scalar_poly(coeffs: list[Scalar]):
     p = ctx.characteristic
     cleared, first = _rational_component(coeffs)
     if p:
-        cands = [m for m in range(p) if _horner(first, m) % p == 0]
+        cands = _roots_mod(first, p)
     else:
         cands = _integer_roots_int(_trim(_ints(first)))
     roots = [m for m in cands if _horner(cleared, ctx.int_(m)).is_zero()]

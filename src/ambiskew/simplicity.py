@@ -109,7 +109,7 @@ def every_v_m_unit(ring, watch: dict | None = None) -> Verdict:
                   "of infinite multiplicative order")
         cert = {"kind": "eigen_units", "ratio": str(ratio),
                 "v": base.render(ring.v)}
-        if getattr(first, "inverse", None) is not None:
+        if watch is None:
             cert["v_inverse"] = base.render(first.inverse)
         if first.certificate:
             cert["detail"] = first.certificate
@@ -141,11 +141,7 @@ def _units_by_period(ring, test, where: str, watch) -> Verdict:
     pencil in q, or in R^q when R has infinite order, that the coefficient
     family decides (``AmbiskewRing.first_failing_v_m``).  Without a period
     or a decided pencil, the bounded scan."""
-    if watch is not None and ring.base.finite_basis() is None:
-        # only the split families, all finite-dimensional, decide radical
-        # pencils; a period search over the others would be wasted
-        note = "the coefficient algebra decides no radical pencil"
-    elif (found := ring.v_period(bounds.PERIOD_MAX)) is None:
+    if (found := ring.v_period(bounds.PERIOD_MAX)) is None:
         note = f"no scalar period within {bounds.PERIOD_MAX} steps"
     else:
         span, ratio = found
@@ -377,13 +373,11 @@ def ring_alpha_simple(ring, autos: list) -> Verdict:
         return inconclusive("the automorphisms are trivial and simplicity "
                             "itself was not decided",
                             conditions=[("simple", inner)])
-    parts = [getattr(t, "base", None) for t in autos]
     if (ctx.characteristic == 0 and ring.rho == ctx.one
-            and ring.base.auto_is_identity(ring.alpha)
-            and all(part is not None for part in parts)):
+            and ring.base.auto_is_identity(ring.alpha)):
         scalar = ring.base.scalar_of(ring.v)
         if scalar is not None and not scalar.is_zero():
-            sub = ring.base.alpha_simple(parts)
+            sub = ring.base.alpha_simple([t.base for t in autos])
             return Verdict(
                 sub.status,
                 "x and y span a Weyl algebra factor over the scalars, so "

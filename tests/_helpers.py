@@ -19,6 +19,7 @@ from ambiskew.algebras import (
     PolyAlgebra,
     QuadraticAlgebra,
 )
+from ambiskew.gwa import GwaRing
 from ambiskew.rings import AmbiskewRing
 from ambiskew.scalars import ScalarContext
 
@@ -226,3 +227,25 @@ def quadratic_conjugation(rho, a, b):
         v[1] = ctx.int_(b)
     ring = AmbiskewRing(alg, alg.conjugation(), v, ctx.fraction(rho))
     return ctx, alg, ring
+
+
+def ambiskew_as_gwa(ring):
+    """The inverse view over field coefficients: the quadruple itself is a
+    generalized Weyl algebra over the polynomial algebra in w = x*y, with
+    alpha extended by w -> rho^{-1}(w - v); when v = 0 the extension is
+    diagonal and the base can carry w invertibly."""
+    base = ring.base
+    if base.gens():
+        raise ValueError("the w-presentation is exposed over field "
+                         "coefficients only")
+    ctx = ring.ctx
+    rho_inv = ring.rho ** -1
+    if base.is_zero(ring.v):
+        host = LaurentAlgebra(ctx, gen="w")
+        alpha = DiagonalAuto((rho_inv,))
+    else:
+        host = PolyAlgebra(ctx, gen="w")
+        v0 = base.scalar_of(ring.v)
+        alpha = AffineAuto(rho_inv, -(rho_inv * v0))
+    return GwaRing(host, alpha, host.gen_elem("w"),
+                   y_name=ring.y_name, x_name=ring.x_name)

@@ -15,12 +15,14 @@ from ambiskew.algebras import (
     LaurentAlgebra,
     PolyAlgebra,
     QuadraticAlgebra,
-    _sqrt_mod,
     scalar_ratio,
 )
+from ambiskew import scalars
 from ambiskew.dsl import eval_element, parse_expression, parse_spec
-from ambiskew.scalars import (ScalarContext, integer_roots_scalar_poly,
-                              least_integer_root, root_of_unity_order)
+from ambiskew.scalars import (ScalarContext, _sqrt_mod,
+                              integer_roots_scalar_poly, least_integer_root,
+                              root_of_unity_order)
+from ambiskew.simplicity import simple
 from ambiskew.verdict import Status
 
 
@@ -367,6 +369,35 @@ def test_quadratic_squareness_is_decided_in_large_characteristic():
                      "ring R = ambiskew(A, b, v = 1 + 2*s, rho = 3)\n")
     ring = doc.rings["R"]
     assert ring.base.alpha_simple([ring.alpha]).holds
+
+
+# 5 is a square mod neither prime below, so the norm pencil of v = 1 + 2*s
+# is quadratic and v^(m) vanishes first at m = 2p
+_NORM_PENCIL = ("context(characteristic = {p})\nbase A = quadratic(d = 5)\n"
+                "auto a on A {{ s -> -s }}\n"
+                "ring R = ambiskew(A, a, v = 1 + 2*s, rho = 1)\n")
+
+
+def test_norm_pencil_residues_are_solved_not_walked(monkeypatch):
+    calls = []
+    horner = scalars._horner
+
+    def counting(coeffs, x):
+        calls.append(x)
+        return horner(coeffs, x)
+
+    monkeypatch.setattr(scalars, "_horner", counting)
+    ring = parse_spec(_NORM_PENCIL.format(p=10007)).rings["R"]
+    units = dict(simple(ring).conditions)["units"]
+    assert units.fails and units.certificate["m"] == 2 * 10007
+    assert len(calls) < 50
+
+
+def test_norm_pencil_decides_at_a_large_prime():
+    p = 10**9 + 7
+    verdict = simple(parse_spec(_NORM_PENCIL.format(p=p)).rings["R"])
+    units = dict(verdict.conditions)["units"]
+    assert verdict.fails and units.certificate["m"] == 2 * p
 
 
 def test_quadratic_parameter_defect_is_not_a_square():

@@ -40,11 +40,17 @@ ERRORS = [
      "syntactic", 1, 29, "duplicate argument 'characteristic'"),
     ("context(characteristic = -5)",
      "semantic", 1, 9, "characteristic must be 0 or a prime"),
+    ("context(cyclotomic_order = 0)",
+     "semantic", 1, 9, "cyclotomic_order must be a positive integer"),
     # base
     (C4 + "base A = cyclic_group(n = 4, epsilon = -1)",
      "semantic", 2, 1, "epsilon must be a primitive root of unity of order n"),
     ("base A = cyclic_group(n = 4)",
      "semantic", 1, 1, "cyclic_group needs n = ... and epsilon = ..."),
+    ("base A = quadratic(gen = t)",
+     "semantic", 1, 1, "quadratic needs d = ..."),
+    ("base A = cyclic_group(n = 2, epsilon = -1, d = 3)",
+     "semantic", 1, 44, "unknown cyclic_group argument 'd'"),
     ("base A = cyclic_group(n = 0, epsilon = 1)",
      "semantic", 1, 23, "n must be a positive integer"),
     ("base A = matrix()",
@@ -54,6 +60,10 @@ ERRORS = [
      "semantic", 2, 1, "the name 'A' is already declared"),
     ("base A = poly(t, u)",
      "syntactic", 1, 16, "expected a closing ')', found ','"),
+    ("base F = field(x)",
+     "syntactic", 1, 16, "expected a closing ')', found 'x'"),
+    ("base L = laurent(1)",
+     "syntactic", 1, 18, "expected a generator name, found '1'"),
     ("base A = quadratic(d = 2, n = 3)",
      "semantic", 1, 27, "unknown quadratic argument 'n'"),
     ("base A = quadratic(d = 2, gen = 3)",
@@ -120,6 +130,14 @@ ERRORS = [
      "syntactic", 3, 32, "expected a number, a name or '(', found ','"),
     (P + "ring T = gwa(P, a, u = t, gamma = g)",
      "semantic", 3, 1, "unknown automorphism 'g'"),
+    (P + "ring T = gwa(P, a, gamma = a)",
+     "semantic", 3, 1, "gwa needs u = ..."),
+    (P + "ring T = gwa(P, a, u = t, v = 1)",
+     "semantic", 3, 27, "unknown gwa argument 'v'"),
+    (P + "ring T = gwa(P, a, u = t, gamma = 2)",
+     "semantic", 3, 27, "gamma must be a plain name"),
+    (P + "ring T = gwa(P, a, u = [t])",
+     "semantic", 3, 20, "u takes an expression, not a list"),
     (P + "auto g on P { t -> -t }\nring T = gwa(P, a, u = t, gamma = g)",
      "semantic", 4, 1, "alpha and gamma must commute"),
     (P + "ring T = gwa(P, a, u = t, y = t)",

@@ -17,12 +17,13 @@ from ambiskew.algebras import (
     QuadraticAlgebra,
 )
 from ambiskew.dsl import DslError, parse_spec
-from ambiskew.gwa import GwaRing, ambiskew_as_gwa, gwa_from_ambiskew, gwa_simple
+from ambiskew.gwa import GwaRing, gwa_from_ambiskew, gwa_simple
 from ambiskew.rings import AmbiskewRing
 from ambiskew.scalars import ScalarContext
 from ambiskew.verdict import Status
 
-from _helpers import laurent_scale, pw, random_elem, random_scalar
+from _helpers import (ambiskew_as_gwa, laurent_scale, pw, random_elem,
+                      random_scalar)
 
 
 def _conditions(verdict):

@@ -27,7 +27,7 @@ SURFACE = {
         "SourceLocation", "SpecDocument", "Unary", "eval_element",
         "eval_scalar", "parse_expression", "parse_scalar_table", "parse_spec",
     ],
-    "gwa": ["GwaRing", "ambiskew_as_gwa", "gwa_from_ambiskew", "gwa_simple"],
+    "gwa": ["GwaRing", "gwa_from_ambiskew", "gwa_simple"],
     "intlattice": ["column_kernel", "kernel_with_congruences"],
     "linear": ["gauss_solve"],
     "localization": [

@@ -18,8 +18,10 @@ from ambiskew.scalars import (
     _integer_roots_int,
     _interpolate,
     _pdiv_exact,
+    _horner,
     _resultant,
     cyclotomic_coeffs,
+    integer_roots_scalar_poly,
     is_prime,
     root_of_unity_order,
 )
@@ -200,7 +202,7 @@ def test_exact_division_collapse():
     assert str(s) == "q + 1"
     assert s == q + 1
     t = (6 * q) / (2 * q)
-    assert t.as_integer() == 3
+    assert t.as_fraction() == 3
 
 
 def test_cross_multiplication_equality():
@@ -497,6 +499,23 @@ def test_integer_roots_with_repeated_roots_and_colliding_primes():
         assert _integer_roots_int(f) == expected, f
     assert _integer_roots_int([3, -4, 1]) == [1, 3]
     assert _integer_roots_int([-12, 16, -7, 1]) == [2, 3]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 101])
+def test_residue_roots_up_to_degree_two_match_a_walk(p):
+    # in characteristic p the roots of degree <= 2 come from the
+    # discriminant; a walk over every residue is the reference
+    rng = random.Random(p)
+    for ctx in (ScalarContext(characteristic=p),
+                ScalarContext(characteristic=p, parameters=("q",))):
+        q = ctx.param("q") if ctx.parameters else ctx.zero
+        for _ in range(60):
+            coeffs = [ctx.int_(rng.randrange(p)) + ctx.int_(rng.randrange(p)) * q
+                      for _ in range(rng.randint(1, 3))]
+            walk = [m for m in range(p)
+                    if _horner(coeffs, ctx.int_(m)).is_zero()]
+            expected = "all" if len(walk) == p else walk
+            assert integer_roots_scalar_poly(coeffs) == expected, coeffs
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 12])
