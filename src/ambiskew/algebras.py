@@ -18,7 +18,7 @@ The protocol hooks are:
   the shared linear plumbing (``add``, ``sub``, ``smul``, ``eq``,
   ``terms``);
 - automorphisms: ``identity_auto``, ``validate_auto``, ``apply``,
-  ``compose``, ``invert``, ``auto_powers``/``auto_power``, ``auto_order``,
+  ``compose``, ``invert``, ``auto_power``, ``auto_order``,
   ``eigenvalue``, ``is_diagonal`` (diagonal on the basis),
   ``auto_from_images`` (the automorphism with given generator images) and
   ``normalizing_auto`` (gamma with v*a = gamma(a)*v);
@@ -48,7 +48,6 @@ dispersion resultant) run on the dense polynomial layer of ``scalars``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +63,7 @@ from .scalars import (
     _gcd,
     _interpolate,
     _join_signed,
+    _power,
     _resultant,
     _sqrt_mod,
     least_integer_root,
@@ -262,14 +262,7 @@ class BaseAlgebra:
             if answer.status is not Status.HOLDS:
                 raise ValueError("a negative power needs an invertible element")
             a, k = answer.inverse, -k
-        out = dict(self.one)
-        while k:
-            if k & 1:
-                out = self.mul(out, a)
-            k >>= 1
-            if k:
-                a = self.mul(a, a)
-        return out
+        return _power(self.mul, a, k) if k else self.one
 
     def is_zero(self, a: dict) -> bool:
         return not a
@@ -319,18 +312,11 @@ class BaseAlgebra:
     def invert(self, auto):
         raise NotImplementedError
 
-    def auto_powers(self, auto):
-        """auto^0, auto^1, auto^2, ..., each composed onto the last."""
-        out = self.identity_auto()
-        while True:
-            yield out
-            out = self.compose(auto, out)
-
     def auto_power(self, auto, k: int):
-        """auto^k; k < 0 inverts first."""
+        """auto^k by square-and-multiply; k < 0 inverts first."""
         if k < 0:
             auto, k = self.invert(auto), -k
-        return next(itertools.islice(self.auto_powers(auto), k, None))
+        return _power(self.compose, auto, k) if k else self.identity_auto()
 
     def auto_equal(self, f, g) -> bool:
         for name in self.gens():
@@ -1242,7 +1228,9 @@ class QuadraticAlgebra(_Univariate):
         if not u:
             return holds("u is zero", certificate={"power": 1})
         if not d:
-            return fails("the ideal is zero but u is not")
+            if self.is_zero(self.mul(u, u)):  # nilpotent in dimension 2
+                return holds("u squares to zero", certificate={"power": 2})
+            return fails("the ideal is zero but u is not nilpotent")
         # d is a nonzero zero divisor, so conj(d) spans the annihilator of
         # the ideal; u is in the radical exactly when conj(d)*u = 0
         conj = self._conj(d)

@@ -69,19 +69,19 @@ class GwaRing(ExtensionAlgebra):
             if not base.eq(base.mul(u, g),
                            base.mul(base.apply(gamma, g), u)):
                 raise ValueError(f"u is not gamma-normal against {name}")
-        # powers of alpha (sign 1) and beta (sign -1) met so far, and the rest
-        self._powers = {1: ([], base.auto_powers(alpha)),
-                        -1: ([], base.auto_powers(self.beta))}
+        self._crosses: dict[int, object] = {}
 
     # multiplication ---------------------------------------------------------
 
     def _cross(self, d: int):
-        """The map with Z_d * a = cross(a) * Z_d for the degree-d generator
-        power: alpha^d for d >= 0, beta^-d for d < 0."""
-        known, more = self._powers[1 if d >= 0 else -1]
-        while len(known) <= abs(d):
-            known.append(next(more))
-        return known[abs(d)]
+        """The map with Z_d * a = cross(a) * Z_d: alpha^d, or beta^-d for
+        d < 0, one composition from a kept neighbour nearer 0, else squared."""
+        if d not in self._crosses:
+            auto = self.alpha if d >= 0 else self.beta
+            near = self._crosses.get(d - 1 if d > 0 else d + 1) if d else None
+            self._crosses[d] = (self.base.auto_power(auto, abs(d)) if near is None
+                                else self.base.compose(auto, near))
+        return self._crosses[d]
 
     def mul(self, f: dict, g: dict) -> dict:
         base = self.base

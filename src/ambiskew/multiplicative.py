@@ -11,6 +11,10 @@ row per condition.
 
 Scalars outside that shape (e.g. 1 + zeta) have no decomposition here and
 the callers report Inconclusive.
+
+In characteristic p the torsion exponent is the least discrete logarithm
+to the least primitive root mod p, by baby-step giant-step (Shanks 1971)
+over a cached table of about sqrt(p) baby steps, never one of p entries.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .intlattice import kernel_with_congruences
 from .scalars import Scalar, ScalarContext, factor_int
@@ -38,19 +43,25 @@ def factor_rational(c: Fraction) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _dlog_table(p: int) -> tuple[int, dict[int, int]]:
-    """A primitive root g mod p and the full discrete-log table."""
-    for g in range(2, p):
-        seen = {}
-        x = 1
-        for e in range(p - 1):
-            if x in seen:
-                break
-            seen[x] = e
-            x = x * g % p
-        if len(seen) == p - 1:
-            return g, seen
-    return 1, {1: 0}  # p == 2
+def _baby_steps(p: int) -> tuple[int, dict[int, int], int]:
+    """(n, {g^j: j for j < n}, g^-n) for the least primitive root g mod p
+    and n = ceil(sqrt(p - 1))."""
+    cofactors = [(p - 1) // q for q in factor_int(p - 1)]
+    g = next(g for g in range(1, p)
+             if all(pow(g, c, p) != 1 for c in cofactors))
+    n = isqrt(p - 2) + 1
+    return n, {pow(g, j, p): j for j in range(n)}, pow(g, -n, p)
+
+
+def _dlog(c: int, p: int) -> int:
+    """The least e >= 0 with g^e = c mod p, for the least primitive root g:
+    the first giant step c*g^(-n*i) that lands in the baby-step table."""
+    n, table, giant = _baby_steps(p)
+    for i in range(n):
+        if c in table:
+            return i * n + table[c]
+        c = c * giant % p
+    raise AssertionError("unreachable: g generates F_p^*")
 
 
 def torsion_modulus(ctx: ScalarContext) -> int:
@@ -86,8 +97,7 @@ def decompose(s: Scalar) -> MultExpr | None:
     dom = s.ctx.dom
     m = torsion_modulus(s.ctx)
     if s.ctx.characteristic:
-        _, table = _dlog_table(s.ctx.characteristic)
-        return MultExpr(table[c] % m if m > 1 else 0, (), params)
+        return MultExpr(_dlog(c, s.ctx.characteristic), (), params)
     n = s.ctx.cyclotomic_order
     for k in range(n):
         rat = dom.rational_value(dom.mul(c, dom.zeta_pow(-k)))

@@ -14,6 +14,8 @@ Elements are kept in the normal form sum x^i * a_ij * y^j.  The single
 rewrite behind multiplication is y*x -> rho^{-1}*(x*y - v); repeated
 y-powers are folded through the closed form for y^t * x, which brings in
 the elements v_m defined by v_0 = 0 and v_{m+1} = v + rho*alpha(v_m).
+``v_m`` keeps each v_m, made by that step from a kept v_{m-1} or else by
+squaring the triple (v, alpha, rho), as v_{a+b} = v_a + rho^a*alpha^a(v_b).
 
 The ring implements the BaseAlgebra protocol of the coefficient families,
 so a constructed ring can serve as the coefficient algebra of the next one.
@@ -48,7 +50,8 @@ from .algebras import (
     scalar_ratio,
     solve_splitting_ex,
 )
-from .scalars import Scalar, root_of_unity_order
+from . import bounds
+from .scalars import Scalar, _power, root_of_unity_order
 from .verdict import Status, Verdict, fails, holds, inconclusive
 
 
@@ -271,17 +274,25 @@ class AmbiskewRing(ExtensionAlgebra):
         super().__init__(base, alpha, gamma, v, y_name, x_name)
         self.beta_inv = base.invert(self.beta)
         self.rho = rho
-        self._vm: list[dict] = [{}]
+        self._vm: dict[int, dict] = {0: {}}
         self._conf: Conformality | None = None
 
     # multiplication ------------------------------------------------------
 
     def v_m(self, m: int) -> dict:
-        """v_0 = 0, v_{m+1} = v + rho*alpha(v_m), as coefficient elements."""
-        while len(self._vm) <= m:
-            prev = self._vm[-1]
-            step = self.base.smul(self.rho, self.base.apply(self.alpha, prev))
-            self._vm.append(self.base.add(self.v, step))
+        """v_0 = 0, v_{m+1} = v + rho*alpha(v_m), as coefficient elements:
+        one step from a known v_{m-1}, else the first entry of
+        (v, alpha, rho)^m under (f*g) = (f0 + f2*f1(g0), f1 o g1, f2*g2)."""
+        if m not in self._vm:
+            b = self.base
+            if m - 1 in self._vm:
+                step = b.smul(self.rho, b.apply(self.alpha, self._vm[m - 1]))
+                self._vm[m] = b.add(self.v, step)
+            else:
+                def mul(f, g):
+                    return (b.add(f[0], b.smul(f[2], b.apply(f[1], g[0]))),
+                            b.compose(f[1], g[1]), f[2] * g[2])
+                self._vm[m] = _power(mul, (self.v, self.alpha, self.rho), m)[0]
         return dict(self._vm[m])
 
     def _times_x(self, f: dict) -> dict:
@@ -373,15 +384,15 @@ class AmbiskewRing(ExtensionAlgebra):
                                  f"{ratio} has finite multiplicative order")
         return m
 
-    def v_period(self, period_max: int):
+    def v_period(self):
         """(span, ratio) with v^(q*span + r) = [q]_ratio*v^(span)
-        + ratio^q*v^(r), from the least l <= period_max at which
+        + ratio^q*v^(r), from the least l <= ``bounds.PERIOD_MAX`` at which
         (rho*alpha)^l rescales v; None when there is no such l.  A factor of
         infinite order is the ratio with span l; a root of unity of order k
         gives span k*l and ratio 1, so the terms repeat exactly."""
         base = self.base
         term = dict(self.v)
-        for l in range(1, period_max + 1):
+        for l in range(1, bounds.PERIOD_MAX + 1):
             term = base.smul(self.rho, base.apply(self.alpha, term))
             ratio = scalar_ratio(base, term, self.v)
             if ratio is not None:
@@ -392,10 +403,8 @@ class AmbiskewRing(ExtensionAlgebra):
         if order is None:
             return l, ratio
         span = l * order
-        check = dict(self.v)
-        for _ in range(span):
-            check = base.smul(self.rho, base.apply(self.alpha, check))
-        if not base.eq(check, self.v):
+        check = base.apply(base.auto_power(self.alpha, span), self.v)
+        if not base.eq(base.smul(self.rho ** span, check), self.v):
             raise AssertionError("the derived period does not reproduce v")
         return span, self.ctx.one
 
@@ -414,19 +423,6 @@ class AmbiskewRing(ExtensionAlgebra):
             if q is not None and (worst is None or q * span + r < worst):
                 worst = q * span + r
         return worst
-
-    def v_m_periodic(self, m: int, span: int, ratio: Scalar) -> dict:
-        """v^(m) in closed form from the period data of ``v_period``:
-        [q]_ratio*v^(span) + ratio^q*v^(r) for m = q*span + r, in
-        O(span + log q) steps where ``v_m`` takes m."""
-        q, r = divmod(m, span)
-        if ratio == self.ctx.one:
-            lead, scale = self.ctx.int_(q), ratio
-        else:
-            scale = ratio ** q
-            lead = (scale - 1) / (ratio - 1)
-        return self.base.add(self.base.smul(lead, self.v_m(span)),
-                             self.base.smul(scale, self.v_m(r)))
 
     def w_element(self) -> dict:
         """The product x*y, whose commutation action on A is gamma."""

@@ -38,7 +38,10 @@ parameter order, so the same computation prints identically from run to
 run, and a constant prints the same with or without parameters in its
 context.
 
-The first section is the package's one layer of dense univariate
+The first section holds the package's one square-and-multiply, ``_power``,
+through which every power goes: of a scalar, of an element, of an
+automorphism, and of the triples whose first entries are the sums v^(m) of
+an ambiskew ring.  It then holds the one layer of dense univariate
 polynomials (trim, divmod, monic gcd, resultant, interpolation, Horner),
 generic over Fractions and Scalars: the integer roots below and the Poly
 family's radical, comaximality and dispersion decisions all run on it.  The
@@ -63,9 +66,23 @@ RatLike = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Q or over the scalar field
+# powers, and dense univariate polynomials over Q or over the scalar field
 # ---------------------------------------------------------------------------
-#
+
+
+def _power(mul, x, k: int):
+    """x^k for k >= 1 under the associative product ``mul``, by
+    square-and-multiply from x itself, so no identity is needed."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else mul(out, x)
+        k >>= 1
+        if not k:
+            return out
+        x = mul(x, x)
+
+
 # Coefficient lists, lowest degree first, over any field whose elements
 # support + - * / and a truth value that is False exactly at zero:
 # Fractions and Scalars.
@@ -828,17 +845,7 @@ class Scalar:
             return NotImplemented
         if k < 0:
             return self.inv() ** (-k)
-        if not k:
-            return self.ctx.one
-        out = None
-        base = self
-        while True:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
+        return _power(operator.mul, self, k) if k else self.ctx.one
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -141,7 +141,7 @@ def _units_by_period(ring, test, where: str, watch) -> Verdict:
     pencil in q, or in R^q when R has infinite order, that the coefficient
     family decides (``AmbiskewRing.first_failing_v_m``).  Without a period
     or a decided pencil, the bounded scan."""
-    if (found := ring.v_period(bounds.PERIOD_MAX)) is None:
+    if (found := ring.v_period()) is None:
         note = f"no scalar period within {bounds.PERIOD_MAX} steps"
     else:
         span, ratio = found
@@ -172,7 +172,7 @@ def _periodic(ring, span: int, ratio, worst, test, where: str) -> Verdict:
         return holds(f"the terms of v^(m) repeat with period {span}{factor} "
                      f"and every residue pencil stays invertible{where}",
                      certificate=cert)
-    bad = ring.v_m_periodic(worst, span, ratio)
+    bad = ring.v_m(worst)
     answer = test(bad)
     if answer.status is Status.HOLDS:
         raise AssertionError(

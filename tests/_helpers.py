@@ -39,6 +39,16 @@ def q_integer(m, q):
     return out
 
 
+def v_m_recurrence(ring, m):
+    """[v^(0), ..., v^(m)] by the defining recurrence v^(0) = 0,
+    v^(k+1) = v + rho*alpha(v^(k)), one step at a time."""
+    base, out = ring.base, [{}]
+    for _ in range(m):
+        out.append(base.add(ring.v, base.smul(ring.rho,
+                                              base.apply(ring.alpha, out[-1]))))
+    return out
+
+
 def w_alpha_power(ring, m):
     """The image of w = x*y under the m-th power of the extension of alpha
     determined by alpha(w) = rho^{-1}*(w - v), built one step of alpha at

@@ -22,7 +22,8 @@ from ambiskew.dsl import eval_element, parse_expression, parse_spec
 from ambiskew.scalars import (ScalarContext, _sqrt_mod,
                               integer_roots_scalar_poly, least_integer_root,
                               root_of_unity_order)
-from ambiskew.simplicity import simple
+from ambiskew.rings import AmbiskewRing
+from ambiskew.simplicity import every_v_m_unit, simple
 from ambiskew.verdict import Status
 
 
@@ -403,6 +404,20 @@ def test_norm_pencil_decides_at_a_large_prime():
 def test_quadratic_parameter_defect_is_not_a_square():
     ctx = ScalarContext(parameters=("q",))
     assert QuadraticAlgebra(ctx, ctx.param("q")).alpha_simple([]).holds
+
+
+def test_quadratic_radical_of_zero_holds_the_nilpotents():
+    # over F_2, s^2 = 1 makes (1 + s)^2 = 0, while s itself is a unit
+    ctx = ScalarContext(characteristic=2)
+    a = QuadraticAlgebra(ctx, ctx.one)
+    u = {0: ctx.one, 1: ctx.one}
+    zero_ideal = a.radical_contains(a.zero, u)
+    assert zero_ideal.holds and zero_ideal.certificate == {"power": 2}
+    assert a.radical_contains(a.zero, a.gen_elem("s")).fails
+    ring = AmbiskewRing(a, a.identity_auto(), {}, ctx.one)
+    radical = every_v_m_unit(ring, watch=u)
+    assert radical.holds
+    assert radical.certificate == {"kind": "nilpotent_u", "power": 2}
 
 
 def test_quadratic_split_radical_and_comaximal():

@@ -15,7 +15,9 @@ from fractions import Fraction
 import pytest
 
 from ambiskew.algebras import (AffineAuto, CyclicGroupAlgebra, DiagonalAuto,
-                               FieldAlgebra, PolyAlgebra, QuadraticAlgebra)
+                               FieldAlgebra, LaurentAlgebra, PolyAlgebra,
+                               QuadraticAlgebra)
+from ambiskew.dsl import parse_spec
 from ambiskew.gwa import GwaRing, gwa_simple
 from ambiskew.localization import localized_simple
 from ambiskew.rings import AmbiskewRing
@@ -23,6 +25,8 @@ from ambiskew.scalars import (ScalarContext, least_integer_root,
                               root_of_unity_order)
 from ambiskew.simplicity import every_v_m_unit, units_for_all_m
 from ambiskew.verdict import Status
+
+from _helpers import v_m_recurrence
 
 HORIZON = 300
 
@@ -180,15 +184,35 @@ def test_ratio_solver_shapes():
         least_integer_root([[-qctx.one, qctx.one]], 0, (q + 1) / (q + 2))
 
 
-def test_closed_form_v_m_matches_the_recurrence():
+def _orbit_sum_rings():
+    """K[C_4], Q(q) and a two-level tower, with v moved by rho*alpha."""
     ctx = ScalarContext(cyclotomic_order=4)
     alg = CyclicGroupAlgebra(ctx, 4, ctx.zeta())
     for rho in (ctx.int_(2), ctx.one, ctx.zeta()):
-        ring = AmbiskewRing(alg, DiagonalAuto((ctx.zeta(),)),
-                            {0: ctx.one, 1: ctx.int_(2), 3: ctx.zeta()}, rho)
-        span, ratio = ring.v_period(64)
-        for m in (1, 5, 11, 37):
-            assert alg.eq(ring.v_m_periodic(m, span, ratio), ring.v_m(m))
+        yield AmbiskewRing(alg, DiagonalAuto((ctx.zeta(),)),
+                           {0: ctx.one, 1: ctx.int_(2), 3: ctx.zeta()}, rho)
+    qctx = ScalarContext(parameters=("q",))
+    q = qctx.param("q")
+    laurent = LaurentAlgebra(qctx)
+    yield AmbiskewRing(laurent, DiagonalAuto((q ** -1,)),
+                       {-1: q, 1: qctx.one, 2: q + 1}, q + 1)
+    yield parse_spec("""context(cyclotomic_order = 3, parameters = [l])
+base A = cyclic_group(n = 3, epsilon = zeta)
+auto a on A { s -> zeta*s }
+ring R1 = ambiskew(A, a, v = s, rho = zeta^-1, y = y1, x = x1)
+auto b on R1 { s -> zeta*s, y1 -> l*y1, x1 -> zeta*l^-1*x1 }
+ring R2 = ambiskew(R1, b, v = s^2, rho = l + 1, y = y2, x = x2)
+""").rings["R2"]
+
+
+def test_closed_form_v_m_matches_the_recurrence():
+    # a far index first takes the square-and-multiply route; the walk that
+    # follows takes single steps, through the far index and beyond it
+    for ring in _orbit_sum_rings():
+        alg, walk = ring.base, v_m_recurrence(ring, 40)
+        assert alg.eq(ring.v_m(37), walk[37])
+        for m, expected in enumerate(walk):
+            assert alg.eq(ring.v_m(m), expected)
 
 
 def test_power_by_squaring_matches_repeated_products():
@@ -271,7 +295,7 @@ def test_units_and_radical_match_a_walk_to_300():
     for ring in _blocks():
         base = ring.base
         assert ring.v_eigenvalue() is None
-        span, ratio = ring.v_period(64)
+        span, ratio = ring.v_period()
         assert root_of_unity_order(ratio) is None
         units = units_for_all_m(ring)
         walked = _walk(ring, _nonunit(base), HORIZON)

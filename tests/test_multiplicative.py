@@ -2,9 +2,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
+from ambiskew.dsl import parse_spec
 from ambiskew.intlattice import column_kernel
+from ambiskew.localization import localized_simple
 from ambiskew.multiplicative import (
     MultExpr,
     decompose,
@@ -158,3 +161,30 @@ def test_relation_kernel_trivial_for_multiplicatively_free_table():
     q = [[ctx.fraction(v) for v in row] for row in e]
     conds = [[q[j][i] for j in range(4)] for i in range(4)]
     assert relation_kernel(conds) == []
+
+
+def test_prime_field_logs_match_a_walk():
+    # baby-step giant-step against the whole table of powers of the least
+    # primitive root, at every residue
+    for p in (2, 3, 5, 7, 13, 101, 10007):
+        ctx = ScalarContext(characteristic=p)
+        g = torsion_generator(ctx).constant_value()
+        walk, x = {}, 1
+        for e in range(p - 1):
+            walk[x] = e
+            x = x * g % p
+        assert {c: decompose(ctx.int_(c)).torsion for c in range(1, p)} == walk
+
+
+@pytest.mark.parametrize("p, j, e", [(1000003, 254277, -707623),
+                                     (10**9 + 7, 884237698, -1000000005)])
+def test_laurent_special_element_at_a_large_prime(p, j, e):
+    # t^e is special because alpha(t^e) = 3^e*t^e = rho^j*t^e: 3^e = 5^j mod p
+    text = (f"context(characteristic = {p})\nbase L = laurent(t)\n"
+            "auto a on L { t -> 3*t }\nring R = ambiskew(L, a, v = 0, rho = 5)\n")
+    verdict = localized_simple(parse_spec(text).rings["R"])
+    special = dict(verdict.conditions)["no_special"]
+    assert special.fails
+    assert special.certificate == {"kind": "special_element", "m": 0, "j": j,
+                                   "element": f"t^{e}"}
+    assert pow(3, e, p) == pow(5, j, p)

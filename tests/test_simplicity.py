@@ -191,7 +191,7 @@ def test_units_scan_reports_a_nonunit():
     ring = AmbiskewRing(poly, AffineAuto(ctx.one, ctx.one), {1: ctx.one},
                         ctx.int_(2))
     assert ring.v_eigenvalue() is None
-    assert ring.v_period(bounds.PERIOD_MAX) is None
+    assert ring.v_period() is None
     verdict = units_for_all_m(ring)
     assert verdict.status is Status.FAILS
     assert verdict.reason == "v^(1) is not a unit"
