@@ -10,7 +10,8 @@ cyclotomic field Q(zeta_N) (characteristic 0) or the prime field F_p, and
   characteristic 0 (``CyclotomicDomain``), or plain ints mod p;
 * polynomials are sparse dicts mapping exponent tuples (one slot per
   declared parameter, in declaration order) to nonzero C-values;
-* a Scalar is a num/den pair of such polynomials.
+* a Scalar is a num/den pair of such polynomials (num's exponents may be
+  negative).
 
 Without parameters a Scalar is a single C-value: its numerator is ``{}``
 (zero) or ``{(): c}``, and its denominator is always the context's shared
@@ -19,24 +20,22 @@ and addition never cross-multiplies.  In Q (cyclotomic order 1 or 2) ``c`` is
 the pair ``(n, den)``.
 
 With parameters, fractions are deliberately *not* reduced to lowest
-terms: the kernel never needs a multivariate gcd.  The normal form instead
-fixes the denominator to have graded-lex leading coefficient 1 and
-collapses it into the numerator whenever the division is exact.  The
-denominator takes one of three paths:
-
-* the unit, the context's shared ``{(0, ..., 0): 1}``, which products of
-  two polynomials pass through untouched;
-* a monomial c*q^e, which divides exactly when every numerator exponent is
-  at least e in each slot, and the quotient is then a shift:
-  (q^3 + q)/q collapses to q^2 + 1, while (q + 1)/q^2 stays a fraction;
-* two or more terms, which go through multivariate long division and
-  catch quotients like (q^2 - 1)/(q - 1).
+terms: the kernel never needs a multivariate gcd.  The normal form is
+Laurent instead: a monomial denominator c*q^e, and the monomial content of
+a longer one, moves into the numerator's exponents, which may go negative,
+so (q^3 + q)/q is q^2 + 1 and (q + 1)/q^2 is q^-1 + q^-2.  The denominator
+left is the context's shared unit ``{(0, ..., 0): 1}``, which products of
+two polynomials pass through untouched, or else has two or more terms,
+graded-lex leading coefficient 1 and no monomial factor, and is divided
+into the numerator whenever that is exact, which catches quotients like
+(q^2 - 1)/(q - 1).  So a scalar whose reduced denominator is a monomial
+has one representation.
 
 Equality is decided by cross-multiplication, which is exact and total.
-Serialization sorts terms in descending graded-lex order with the declared
-parameter order, so the same computation prints identically from run to
-run, and a constant prints the same with or without parameters in its
-context.
+Serialization clears negative exponents with the least monomial and sorts
+terms in descending graded-lex order with the declared parameter order, so
+the same computation prints identically from run to run, and a constant
+prints the same with or without parameters in its context.
 
 The first section holds the package's one square-and-multiply, ``_power``,
 through which every power goes: of a scalar, of an element, of an
@@ -356,6 +355,11 @@ class CyclotomicDomain:
         if d == 1:
             den = a[1] * b[1]
             return (a[0] * b[0], 1) if den == 1 else _lowest([a[0] * b[0], den])
+        if d == 2:
+            (f0, f1), (a0, a1, da), (b0, b1, db) = self._fold[0], a, b
+            top, den = a1 * b1, da * db
+            out = (a0 * b0 + top * f0, a0 * b1 + a1 * b0 + top * f1, den)
+            return out if den == 1 else _lowest(out)
         conv = [0] * (2 * d)
         terms = [(j, y) for j, y in enumerate(b[:d]) if y]
         for i, x in enumerate(a[:d]):
@@ -374,16 +378,20 @@ class CyclotomicDomain:
         d, n = self.degree, self.order
         if d == 1:
             return (a[1], a[0]) if a[0] > 0 else (-a[1], -a[0])
-        # c/den with c integral: its conjugates and their product are too
+        # c/den with c integral: its conjugates and their product are too,
+        # multiplied pairwise in a queue, so factors grow at the same pace
         c = a[:d] + (1,)
-        adj = self.one
+        conjs = []
         for k in range(2, n):
             if math.gcd(k, n) == 1:
                 conj = [0] * d + [1]
                 for i, ci in enumerate(c[:d]):
                     for j, z in enumerate(self._zeta_pows[i * k % n][:d] if ci else ()):
                         conj[j] += ci * z
-                adj = self.mul(adj, tuple(conj))
+                conjs.append(tuple(conj))
+        while len(conjs) > 1:
+            conjs.append(self.mul(conjs.pop(0), conjs.pop(0)))
+        adj, = conjs
         norm = self.mul(c, adj)[0]
         return _lowest([x * a[d] for x in adj[:d]] + [norm])
 
@@ -398,7 +406,7 @@ class CyclotomicDomain:
         return None if any(a[1:-1]) else Fraction(a[0], a[-1])
 
     def render(self, a) -> str:
-        return _join_signed(_zeta_terms(self.coords(a)))
+        return _join_signed(_zeta_terms(a))
 
 
 class PrimeDomain:
@@ -507,6 +515,13 @@ def _pmul(dom, a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c != zero}
 
 
+def _pshift(a: dict, e: tuple[int, ...]) -> dict:
+    """a times the monomial p^e, whose exponents may be negative."""
+    if not any(e):
+        return a
+    return {tuple(map(operator.add, k, e)): c for k, c in a.items()}
+
+
 def _pscale(dom, a: dict, c) -> dict:
     if dom.is_zero(c):
         return {}
@@ -527,8 +542,9 @@ def _pdiv_exact(dom, num: dict, den: dict) -> dict | None:
     must be monic (graded-lex leading coefficient 1), so each quotient term
     is the remainder's leading coefficient as it stands.
     ``Scalar.__init__`` calls it only for a den of two or more terms, made
-    monic first: a monomial divides by comparing exponents, and the unit is
-    skipped.
+    monic and freed of its monomial content first, and for a num shifted
+    by a monomial into a polynomial; a monomial den never gets here, and
+    the unit is skipped.
     """
     de, _ = _plead(den)
     q: dict = {}
@@ -554,24 +570,19 @@ def _pdiv_exact(dom, num: dict, den: dict) -> dict | None:
 # ---------------------------------------------------------------------------
 
 
-def _signed_coeff(c: Fraction, mono: str) -> tuple[bool, str]:
-    neg = c < 0
-    c = abs(c)
-    if not mono:
-        body = str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    elif c == 1:
-        body = mono
-    elif c.denominator == 1:
-        body = f"{c.numerator}*{mono}"
-    else:
-        body = f"({c.numerator}/{c.denominator})*{mono}"
-    return neg, body
+def _signed_coeff(n: int, den: int, mono: str) -> tuple[bool, str]:
+    """The sign and body of (n/den)*mono, for den > 0."""
+    g = math.gcd(n, den)
+    c = str(abs(n) // g) if den == g else f"{abs(n) // g}/{den // g}"
+    if mono:
+        c = mono if c == "1" else f"{c}*{mono}" if den == g else f"({c})*{mono}"
+    return n < 0, c
 
 
-def _zeta_terms(coords: list[Fraction]) -> list[tuple[bool, str]]:
-    """The signed terms c_k*zeta^k of a cyclotomic value's coordinates."""
-    return [_signed_coeff(c, "" if k == 0 else ("zeta" if k == 1 else f"zeta^{k}"))
-            for k, c in enumerate(coords) if c]
+def _zeta_terms(a: tuple) -> list[tuple[bool, str]]:
+    """The signed terms c_k*zeta^k of a cyclotomic value."""
+    return [_signed_coeff(c, a[-1], "" if k == 0 else ("zeta" if k == 1 else f"zeta^{k}"))
+            for k, c in enumerate(a[:-1]) if c]
 
 
 def _join_signed(parts: list[tuple[bool, str]]) -> str:
@@ -602,6 +613,8 @@ class ScalarContext:
     q^2 + 1
     >>> print((q + 1) / q**2)
     (q + 1)/(q^2)
+    >>> print(q**-3 + q**-1)
+    (q^2 + 1)/(q^3)
     >>> print(ctx.zeta() ** 2)
     -1
     """
@@ -665,7 +678,9 @@ class ScalarContext:
 
 
 class Scalar:
-    """An element of the scalar field, as an unreduced num/den pair.
+    """An element of the scalar field, as a num/den pair in Laurent normal
+    form: num may have negative exponents, and den is the unit or a monic
+    polynomial of two or more terms without a monomial factor.
 
     Supports ``+ - * / **`` against other scalars of the same context and
     against ints or Fractions, which are coerced.  In a context without
@@ -701,30 +716,26 @@ class Scalar:
             if num and den is not ctx._pone:
                 num = {(): dom.div(num[()], den[()])}
             den = ctx._pone
-        elif not num:
+        elif not num or den is ctx._pone:
             den = ctx._pone
-        elif den is ctx._pone:
-            pass  # a polynomial: nothing to divide
         elif len(den) == 1:
-            # a monomial divides num exactly when it divides every term
+            # a monomial moves into num's exponents, which may go negative
             (de, dc), = den.items()
             if dc != dom.one:
                 num = _pscale(dom, num, dom.inv(dc))
-            ge, sub = operator.ge, operator.sub
-            if all(all(map(ge, e, de)) for e in num):
-                num = {tuple(map(sub, e, de)): c for e, c in num.items()}
-                den = ctx._pone
-            elif dc != dom.one:
-                den = {de: dom.one}
+            num, den = _pshift(num, tuple([-k for k in de])), ctx._pone
         else:
+            # so does den's monomial content, and den is made monic
+            lo = tuple([-min(k) for k in zip(*den)])
+            num, den = _pshift(num, lo), _pshift(den, lo)
             _, lc = _plead(den)
             if lc != dom.one:
                 s = dom.inv(lc)
-                num = _pscale(dom, num, s)
-                den = _pscale(dom, den, s)
-            q = _pdiv_exact(dom, num, den)
+                num, den = _pscale(dom, num, s), _pscale(dom, den, s)
+            lo = tuple([min(k) for k in zip(*num)])
+            q = _pdiv_exact(dom, _pshift(num, tuple([-k for k in lo])), den)
             if q is not None:
-                num, den = q, ctx._pone
+                num, den = _pshift(q, lo), ctx._pone
         self.ctx = ctx
         self.num = num
         self.den = den
@@ -771,11 +782,10 @@ class Scalar:
     def as_monomial(self) -> tuple | None:
         """(c, e) when the scalar is c*p^e, with c a value of the domain
         and e one exponent per parameter; None otherwise, zero included."""
-        if len(self.num) != 1 or len(self.den) != 1:
+        if len(self.num) != 1 or self.den is not self.ctx._pone:
             return None
-        (en, cn), = self.num.items()
-        (ed, cd), = self.den.items()
-        return self.ctx.dom.div(cn, cd), tuple(map(operator.sub, en, ed))
+        (e, c), = self.num.items()
+        return c, e
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -866,20 +876,25 @@ class Scalar:
             mono = "*".join(
                 name if k == 1 else f"{name}^{k}"
                 for name, k in zip(self.ctx.parameters, e) if k)
-            rat = dom.rational_value(c)
-            if rat is not None:
-                parts.append(_signed_coeff(rat, mono))
+            if isinstance(c, int):  # a residue mod p
+                parts.append(_signed_coeff(c, 1, mono))
+            elif not any(c[1:-1]):
+                parts.append(_signed_coeff(c[0], c[-1], mono))
             elif mono:
                 parts.append((False, f"({dom.render(c)})*{mono}"))
             else:
                 # inline the zeta-terms of a lone cyclotomic constant
-                parts += _zeta_terms(dom.coords(c))
+                parts += _zeta_terms(c)
         return _join_signed(parts)
 
     def __str__(self) -> str:
-        if self.den == self.ctx._pone:
-            return self._render_poly(self.num)
-        return f"({self._render_poly(self.num)})/({self._render_poly(self.den)})"
+        num, den = self.num, self.den
+        # the least monomial that clears num's negative exponents
+        lo = tuple([max(0, -min(k)) for k in zip(*num)])
+        num, den = _pshift(num, lo), _pshift(den, lo)
+        if den == self.ctx._pone:
+            return self._render_poly(num)
+        return f"({self._render_poly(num)})/({self._render_poly(den)})"
 
     def __repr__(self) -> str:
         return f"<Scalar {self}>"

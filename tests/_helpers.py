@@ -39,6 +39,29 @@ def q_integer(m, q):
     return out
 
 
+def fraction_signed_coeff(c, mono):
+    """The sign and body of c*mono for a Fraction c: the Fraction-based
+    renderer the integer one in ``scalars`` replaced, kept as its oracle."""
+    neg = c < 0
+    c = abs(c)
+    if not mono:
+        body = str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    elif c == 1:
+        body = mono
+    elif c.denominator == 1:
+        body = f"{c.numerator}*{mono}"
+    else:
+        body = f"({c.numerator}/{c.denominator})*{mono}"
+    return neg, body
+
+
+def fraction_zeta_terms(coords):
+    """The signed terms c_k*zeta^k of Fraction coordinates."""
+    return [fraction_signed_coeff(c, "" if k == 0 else
+                                  ("zeta" if k == 1 else f"zeta^{k}"))
+            for k, c in enumerate(coords) if c]
+
+
 def v_m_recurrence(ring, m):
     """[v^(0), ..., v^(m)] by the defining recurrence v^(0) = 0,
     v^(k+1) = v + rho*alpha(v^(k)), one step at a time."""

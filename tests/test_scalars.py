@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,18 +16,22 @@ from ambiskew.scalars import (
     ScalarContext,
     _divmod,
     _gcd,
+    _grlex,
+    _horner,
     _integer_roots_int,
     _interpolate,
-    _pdiv_exact,
-    _horner,
+    _join_signed,
+    _plead,
     _resultant,
+    _signed_coeff,
+    _zeta_terms,
     cyclotomic_coeffs,
     integer_roots_scalar_poly,
     is_prime,
     root_of_unity_order,
 )
 
-from _helpers import q_integer
+from _helpers import fraction_signed_coeff, fraction_zeta_terms, pw, q_integer
 
 
 def _ctx(**kw) -> ScalarContext:
@@ -152,6 +157,71 @@ def test_cyclotomic_inverse_round_trip_at_large_degree(n):
     inv = dom.inv(a)
     assert dom.mul(a, inv) == dom.one
     assert dom.div(dom.one, a) == inv
+    # the inverse has coordinates of about 500 bits at n = 128
+    assert dom.inv(inv) == a
+
+
+def _oracle_render(s: Scalar) -> str:
+    """A scalar rendered through the Fraction-based helpers."""
+    dom = s.ctx.dom
+    polys = [s.num] if s.den == s.ctx._pone else [s.num, s.den]
+    out = []
+    for p in polys:
+        parts = []
+        for e in sorted(p, key=_grlex, reverse=True):
+            mono = "*".join(name if k == 1 else f"{name}^{k}"
+                            for name, k in zip(s.ctx.parameters, e) if k)
+            rat = dom.rational_value(p[e])
+            if rat is not None:
+                parts.append(fraction_signed_coeff(rat, mono))
+            elif mono:
+                zeta = _join_signed(fraction_zeta_terms(dom.coords(p[e])))
+                parts.append((False, f"({zeta})*{mono}"))
+            else:
+                parts += fraction_zeta_terms(dom.coords(p[e]))
+        out.append(_join_signed(parts))
+    return out[0] if len(out) == 1 else f"({out[0]})/({out[1]})"
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 12])
+def test_integer_renderer_matches_the_fraction_oracle(n):
+    rng = random.Random(7 * n)
+    dom = CyclotomicDomain(n)
+    d = dom.degree
+    for _ in range(60):
+        # coordinates that share factors with the denominator, one by one
+        # or all together
+        den = rng.choice((1, 2, 4, 6, 9, 12, 30))
+        a = tuple(rng.choice((0, rng.randint(-40, 40))) for _ in range(d)) + (den,)
+        fracs = [Fraction(c, den) for c in a[:-1]]
+        assert _zeta_terms(a) == fraction_zeta_terms(fracs)
+        for mono in ("", "q", "q^2*r"):
+            for c in a[:-1]:
+                assert _signed_coeff(c, den, mono) == \
+                    fraction_signed_coeff(Fraction(c, den), mono)
+        value = _canonical(fracs, d)
+        assert dom.render(value) == _join_signed(fraction_zeta_terms(dom.coords(value)))
+    ctx = ScalarContext(cyclotomic_order=n, parameters=("q", "r"))
+    q, r = ctx.param("q"), ctx.param("r")
+    for _ in range(20):
+        s = sum((ctx.fraction(_rational(rng)) * ctx.zeta(rng.randrange(n))
+                 * q ** rng.randint(0, 2) * r ** rng.randint(0, 1)
+                 for _ in range(3)), ctx.zero)
+        for t in (s, s / (q + r), (1 + ctx.zeta()) * s):
+            assert str(t) == _oracle_render(t)
+
+
+@pytest.mark.parametrize("p", [2, 13, 10007])
+def test_integer_renderer_matches_the_fraction_oracle_mod_p(p):
+    rng = random.Random(p)
+    ctx = ScalarContext(characteristic=p, parameters=("q",))
+    q = ctx.param("q")
+    for c in [0, 1, p - 1] + [rng.randrange(p) for _ in range(20)]:
+        for mono in ("", "q"):
+            assert _signed_coeff(c, 1, mono) == fraction_signed_coeff(Fraction(c), mono)
+        s = ctx.int_(c) * q ** 2 - ctx.int_(rng.randrange(p)) * q + 1
+        for t in (s, s / (q - 3), ctx.int_(c)):
+            assert str(t) == _oracle_render(t)
 
 
 def test_hand_checked_q_integer_at_zeta6():
@@ -633,24 +703,38 @@ def test_parametric_fast_paths_match_sympy(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_monomial_denominator_agrees_with_long_division(data):
+def test_monomial_denominators_move_into_the_numerator(data):
     ctx = data.draw(st.sampled_from(_PARAM_CTXS))
-    dom = ctx.dom
     num = data.draw(_param_poly(ctx, data.draw(st.integers(1, 3))))
     mono = data.draw(_param_poly(ctx, 1))
     if data.draw(st.booleans()):
         num = num * mono
-    (de, dc), = mono.num.items()
     got = Scalar(ctx, num.num, mono.num)
-    # the general path: make den monic, then divide by it
-    unit = dom.inv(dc)
-    scaled = {e: dom.mul(c, unit) for e, c in num.num.items()}
-    quotient = _pdiv_exact(dom, scaled, {de: dom.one})
-    if quotient is None:
-        assert got.num == scaled and got.den == {de: dom.one}
-    else:
-        assert got.num == quotient and got.den is ctx._pone
-    assert ctx._pone == {ctx._pzero: dom.one}
+    assert got.den is ctx._pone
+    assert got * mono == num
+    # every stored denominator is the unit or a monic polynomial of two or
+    # more terms without a monomial factor
+    an, ad = data.draw(_param_fraction(ctx))
+    bn, bd = data.draw(_param_fraction(ctx))
+    for s in (an / ad, bn / bd, an / ad + bn / bd, (an / ad) * (bn / bd),
+              got.inv(), (an / ad).inv() if an else ctx.one):
+        assert s.den is ctx._pone or (
+            len(s.den) > 1 and _plead(s.den)[1] == ctx.dom.one
+            and not any(map(min, zip(*s.den))))
+    assert ctx._pone == {ctx._pzero: ctx.dom.one}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_equal_scalars_over_monomials_render_alike(data):
+    ctx = data.draw(st.sampled_from(_PARAM_CTXS))
+    num = data.draw(_param_poly(ctx, data.draw(st.integers(1, 3))))
+    m, n = data.draw(_param_poly(ctx, 1)), data.draw(_param_poly(ctx, 1))
+    ways = [num / m, (num * n) / (m * n), num * n.inv() * (n / m),
+            sum((Scalar(ctx, {e: c}, ctx._pone) / m
+                 for e, c in num.num.items()), ctx.zero)]
+    assert all(w == ways[0] for w in ways)
+    assert len({str(w) for w in ways}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -676,24 +760,22 @@ ring R = ambiskew(L, a, v = t, rho = r)
 """
 
 _WEYL_POW6 = (
-    '((-5*q^10 - 6*q^9 - 3*q^8 - q^7)/(q^13)) + ((9*q^28 + 13*q^27 '
-    '+ 12*q^26 + 7*q^25 + 3*q^24 + q^23)/(q^30))*y^2 + ((-5*q^10 - '
-    '4*q^9 - 3*q^8 - 2*q^7 - q^6)/(q^11))*y^4 + y^6 + ((9*q^46 + '
-    '22*q^45 + 25*q^44 + 19*q^43 + 10*q^42 + 4*q^41 + '
-    'q^40)/(q^48))*x*y + ((-5*q^40 - 9*q^39 - 12*q^38 - 14*q^37 - '
-    '10*q^36 - 6*q^35 - 3*q^34 - q^33)/(q^41))*x*y^3 + ((q^7 + q^6 '
-    '+ q^5 + q^4 + q^3 + q^2)/(q^7))*x*y^5 + ((9*q^36 + 13*q^35 + '
-    '12*q^34 + 7*q^33 + 3*q^32 + q^31)/(q^38))*x^2 + ((-5*q^54 - '
-    '9*q^53 - 17*q^52 - 18*q^51 - 18*q^50 - 12*q^49 - 7*q^48 - '
-    '3*q^47 - q^46)/(q^55))*x^2*y^2 + ((q^17 + q^16 + 2*q^15 + '
-    '2*q^14 + 3*q^13 + 2*q^12 + 2*q^11 + q^10 + '
-    'q^9)/(q^17))*x^2*y^4 + ((-5*q^53 - 9*q^52 - 12*q^51 - 14*q^50 '
-    '- 10*q^49 - 6*q^48 - 3*q^47 - q^46)/(q^54))*x^3*y + ((q^24 + '
-    'q^23 + 2*q^22 + 3*q^21 + 3*q^20 + 3*q^19 + 3*q^18 + 2*q^17 + '
-    'q^16 + q^15)/(q^24))*x^3*y^3 + ((-5*q^15 - 4*q^14 - 3*q^13 - '
-    '2*q^12 - q^11)/(q^16))*x^4 + ((q^23 + q^22 + 2*q^21 + 2*q^20 + '
-    '3*q^19 + 2*q^18 + 2*q^17 + q^16 + q^15)/(q^23))*x^4*y^2 + '
-    '((q^9 + q^8 + q^7 + q^6 + q^5 + q^4)/(q^9))*x^5*y + x^6')
+    '((-5*q^3 - 6*q^2 - 3*q - 1)/(q^6)) + ((9*q^5 + 13*q^4 + 12*q^3'
+    ' + 7*q^2 + 3*q + 1)/(q^7))*y^2 + ((-5*q^4 - 4*q^3 - 3*q^2 - '
+    '2*q - 1)/(q^5))*y^4 + y^6 + ((9*q^6 + 22*q^5 + 25*q^4 + 19*q^3'
+    ' + 10*q^2 + 4*q + 1)/(q^8))*x*y + ((-5*q^7 - 9*q^6 - 12*q^5 - '
+    '14*q^4 - 10*q^3 - 6*q^2 - 3*q - 1)/(q^8))*x*y^3 + ((q^5 + q^4 '
+    '+ q^3 + q^2 + q + 1)/(q^5))*x*y^5 + ((9*q^5 + 13*q^4 + 12*q^3 '
+    '+ 7*q^2 + 3*q + 1)/(q^7))*x^2 + ((-5*q^8 - 9*q^7 - 17*q^6 - '
+    '18*q^5 - 18*q^4 - 12*q^3 - 7*q^2 - 3*q - 1)/(q^9))*x^2*y^2 + '
+    '((q^8 + q^7 + 2*q^6 + 2*q^5 + 3*q^4 + 2*q^3 + 2*q^2 + q + '
+    '1)/(q^8))*x^2*y^4 + ((-5*q^7 - 9*q^6 - 12*q^5 - 14*q^4 - '
+    '10*q^3 - 6*q^2 - 3*q - 1)/(q^8))*x^3*y + ((q^9 + q^8 + 2*q^7 +'
+    ' 3*q^6 + 3*q^5 + 3*q^4 + 3*q^3 + 2*q^2 + q + 1)/(q^9))*x^3*y^3'
+    ' + ((-5*q^4 - 4*q^3 - 3*q^2 - 2*q - 1)/(q^5))*x^4 + ((q^8 + '
+    'q^7 + 2*q^6 + 2*q^5 + 3*q^4 + 2*q^3 + 2*q^2 + q + '
+    '1)/(q^8))*x^4*y^2 + ((q^5 + q^4 + q^3 + q^2 + q + '
+    '1)/(q^5))*x^5*y + x^6')
 
 _FC4_POW5 = (
     '((7*mu^2 + 3 + 2*zeta)*s^3 + ((2 - 2*zeta)*mu)*s^2 + ((10 + '
@@ -711,11 +793,20 @@ _FC4_POW5 = (
 
 _LAURENT_POW3 = (
     '(8*t^3 + ((-2*q - 4)/(r))*t^2) + ((4*q^2 + 4*q + 4)*t^2 + '
-    '((-q*r^2 - r^2 - r)/(r^3))*t)*y + ((2*q^2 + 2*q + 2)*t)*y^2 + '
-    'y^3 + x*((4*q^2 + 4*q + 4)*t^2 + ((-q*r^3 - r^3 - '
-    'r^2)/(r^4))*t) + x*(((2*q^2 + 4*q*r + 4*q + 2*r)/(r))*t)*y + '
-    '((r^2 + r + 1)/(r^2))*x*y^2 + x^2*((2*q^2 + 2*q + 2)*t) + '
-    '((r^3 + r^2 + r)/(r^3))*x^2*y + x^3')
+    '((-q*r - r - 1)/(r^2))*t)*y + ((2*q^2 + 2*q + 2)*t)*y^2 + y^3 '
+    '+ x*((4*q^2 + 4*q + 4)*t^2 + ((-q*r - r - 1)/(r^2))*t) + '
+    'x*(((2*q^2 + 4*q*r + 4*q + 2*r)/(r))*t)*y + ((r^2 + r + '
+    '1)/(r^2))*x*y^2 + x^2*((2*q^2 + 2*q + 2)*t) + ((r^2 + r + '
+    '1)/(r^2))*x^2*y + x^3')
+
+
+def _scalars_of(element):
+    """The scalar coefficients of an element, through nested bases."""
+    for c in element.values():
+        if isinstance(c, Scalar):
+            yield c
+        else:
+            yield from _scalars_of(c)
 
 
 @pytest.mark.parametrize("text, expr, rendered", [
@@ -725,7 +816,46 @@ _LAURENT_POW3 = (
 ])
 def test_parametric_powers_render_pinned(text, expr, rendered):
     ring = parse_spec(text).rings["R"]
-    assert ring.render(eval_element(parse_expression(expr), ring)) == rendered
+    element = eval_element(parse_expression(expr), ring)
+    assert ring.render(element) == rendered
+    # each rendered denominator is the reduced one, up to a constant
+    sympy = pytest.importorskip("sympy")
+    for s in _scalars_of(element):
+        shown = sympy.sympify(str(s).replace("^", "**"),
+                              locals={"zeta": sympy.I})
+        reduced = sympy.fraction(sympy.cancel(shown))[1]
+        assert sympy.cancel(sympy.fraction(shown)[1] / reduced).is_number, s
+
+
+_QUANTUM_PLANE = _WEYL.replace("v = 1", "v = 0")
+
+_LAURENT_GWA = """context(parameters = [q])
+base L = laurent(t)
+auto a on L { t -> q*t }
+ring T = gwa(L, a, u = t)
+"""
+
+
+@pytest.mark.parametrize("text, name, expr, n", [
+    (_WEYL, "R", "x + y", 8),
+    (_QUANTUM_PLANE, "R", "x + y", 10),
+    (_LAURENT_SCALE, "R", "x + y - 2*t", 5),
+    (_LAURENT_GWA, "T", "X + Y + 2*t", 5),
+])
+def test_powers_render_the_same_however_they_are_multiplied(text, name, expr, n):
+    ring = parse_spec(text).rings[name]
+    element = eval_element(parse_expression(expr), ring)
+    assert ring.render(ring.power(element, n)) == ring.render(pw(ring, element, n))
+
+
+def test_quantized_weyl_twelfth_power_has_denominator_q36():
+    ring = parse_spec(_WEYL).rings["R"]
+    element = eval_element(parse_expression("(x + y)^12"), ring)
+    shown = ring.render(element)
+    dens = re.findall(r"/\(([^)]*)\)", shown)
+    assert all(re.fullmatch(r"q\^\d+", d) for d in dens)
+    assert max(int(d[2:]) for d in dens) == 36
+    assert ring.eq(eval_element(parse_expression(shown), ring), element)
 
 
 def test_monomial_divisors_skip_long_division(monkeypatch):
