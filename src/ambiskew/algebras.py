@@ -201,7 +201,7 @@ def _pencil_line(algebra, p: dict, b: dict, ratio: Scalar | None):
     return algebra.add(p, algebra.smul(ratio - 1, b)), algebra.neg(p)
 
 
-def _split_pencil(algebra, chars: list, p: dict, b: dict, q0: int,
+def _split_pencil(algebra, chars: list, p: dict, b: dict,
                   ratio: Scalar | None, watch: dict | None) -> int | None:
     """``first_nonunit_in_pencil`` over an algebra that the characters
     ``chars`` split into copies of K: the element is a non-unit exactly
@@ -210,7 +210,7 @@ def _split_pencil(algebra, chars: list, p: dict, b: dict, q0: int,
     lead, const = _pencil_line(algebra, p, b, ratio)
     return least_integer_root([[chi(const), chi(lead)] for chi in chars
                                if watch is None or not chi(watch).is_zero()],
-                              q0, ratio)
+                              0, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +422,10 @@ class BaseAlgebra:
         raise ValueError("no closed form for the comaximality of u with its "
                          "images")
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
+    def first_nonunit_in_pencil(self, p: dict, b: dict,
                                 ratio: Scalar | None = None,
                                 watch: dict | None = None) -> int | None:
-        """Least integer q >= q0 at which the pencil element fails, or None.
+        """Least integer q >= 0 at which the pencil element fails, or None.
 
         With ``ratio`` None or 1 the element is q*p + b; with a ratio R of
         infinite order it is [q]_R*p + R^q*b, the shape of v^(q*L + r) when
@@ -443,13 +443,13 @@ class BaseAlgebra:
     def render(self, a: dict) -> str:
         raise NotImplementedError
 
-    def _probe_pencil(self, p: dict, b: dict, q0: int, count: int) -> int | None:
-        """The first q >= q0 with q*p + b not a unit, for families whose
+    def _probe_pencil(self, p: dict, b: dict, count: int) -> int | None:
+        """The first q >= 0 with q*p + b not a unit, for families whose
         pencils leave no polynomial in q to solve.  In characteristic 0 the
         caller knows one of ``count`` consecutive values is a non-unit; in
         characteristic p the pencil repeats mod p, so one period decides."""
         ch = self.ctx.characteristic
-        for q in range(q0, q0 + (ch or count)):
+        for q in range(ch or count):
             elem = _eadd(_escale(p, self.ctx.int_(q)), b)
             if self.is_unit(elem).status is not Status.HOLDS:
                 return q
@@ -539,13 +539,13 @@ class FieldAlgebra(BaseAlgebra):
             return holds("one of the two elements is a unit")
         return fails("both elements are zero")
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
+    def first_nonunit_in_pencil(self, p: dict, b: dict,
                                 ratio: Scalar | None = None,
                                 watch: dict | None = None) -> int | None:
         # one character, the value itself
         zero = self.ctx.zero
-        return _split_pencil(self, [lambda a: a.get((), zero)], p, b, q0,
-                             ratio, watch)
+        return _split_pencil(self, [lambda a: a.get((), zero)], p, b, ratio,
+                             watch)
 
     def render(self, a: dict) -> str:
         return str(a[()]) if a else "0"
@@ -681,7 +681,7 @@ class _Univariate(BaseAlgebra):
         return fails(f"the elements share a {self._common_factor} factor",
                      certificate={"kind": "common_factor_degree", "degree": len(g) - 1})
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
+    def first_nonunit_in_pencil(self, p: dict, b: dict,
                                 ratio: Scalar | None = None,
                                 watch: dict | None = None) -> int | None:
         if watch is not None:
@@ -690,18 +690,18 @@ class _Univariate(BaseAlgebra):
         lead, const = _pencil_line(self, p, b, ratio)
         support = set(lead) | set(const)
         if not support:
-            return q0
+            return 0
         if len(support) == 1:
             (i,) = support
             if 0 in self._normalize({i: self.ctx.one}):
                 zero = self.ctx.zero
                 return least_integer_root(
-                    [[const.get(i, zero), lead.get(i, zero)]], q0, ratio)
+                    [[const.get(i, zero), lead.get(i, zero)]], 0, ratio)
         if ratio is not None and ratio != self.ctx.one:
             raise ValueError(f"pencils over {self.kind} are decided only "
                              "with the ratio 1")
         # only finitely many q cancel the pencil down to one unit monomial
-        return self._probe_pencil(p, b, q0, len(support) + 2)
+        return self._probe_pencil(p, b, len(support) + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -819,11 +819,11 @@ class CyclicGroupAlgebra(_Univariate):
                              certificate={"kind": "character_witness", "character": l})
         return holds("no character kills both elements")
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
+    def first_nonunit_in_pencil(self, p: dict, b: dict,
                                 ratio: Scalar | None = None,
                                 watch: dict | None = None) -> int | None:
         chars = [lambda a, l=l: self.character(l, a) for l in range(self.n)]
-        return _split_pencil(self, chars, p, b, q0, ratio, watch)
+        return _split_pencil(self, chars, p, b, ratio, watch)
 
 
 # ---------------------------------------------------------------------------
@@ -1254,7 +1254,7 @@ class QuadraticAlgebra(_Univariate):
                      certificate={"kind": "annihilator_witness",
                                   "annihilator": self.render(self._conj(a))})
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
+    def first_nonunit_in_pencil(self, p: dict, b: dict,
                                 ratio: Scalar | None = None,
                                 watch: dict | None = None) -> int | None:
         if watch is not None:
@@ -1264,7 +1264,7 @@ class QuadraticAlgebra(_Univariate):
                 zero = self.ctx.zero
                 chars = [lambda a, r=r: a.get(0, zero) + r * a.get(1, zero)
                          for r in (root, -root)]
-                return _split_pencil(self, chars, p, b, q0, ratio, watch)
+                return _split_pencil(self, chars, p, b, ratio, watch)
             if square is not False:
                 raise ValueError("radical pencils over a quadratic algebra "
                                  "need a non-square defect or an explicit "
@@ -1277,7 +1277,7 @@ class QuadraticAlgebra(_Univariate):
         lead, const = _pencil_line(self, p, b, ratio)
         c0, c2 = self.norm(const), self.norm(lead)
         c1 = self.norm(self.add(lead, const)) - c0 - c2
-        return least_integer_root([[c0, c1, c2]], q0, ratio)
+        return least_integer_root([[c0, c1, c2]], 0, ratio)
 
 
 def _fraction_sqrt(f: Fraction) -> Fraction | None:

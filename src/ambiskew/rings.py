@@ -370,26 +370,15 @@ class AmbiskewRing(ExtensionAlgebra):
         return scalar_ratio(self.base, self.base.apply(self.alpha, self.v),
                             self.v)
 
-    def first_vanishing_v_m(self, ratio: Scalar) -> int | None:
-        """The least m >= 1 with v^(m) = 0 when rho*alpha rescales v by
-        ``ratio``, or None when no v^(m) vanishes.  Then v^(m) = [m]*v with
-        the ratio-integer [m] = 1 + ratio + ... + ratio^(m-1), which is m
-        for ratio 1 and vanishes at the order of any other root of unity."""
-        if ratio == self.ctx.one:
-            m = self.ctx.characteristic or None
-        else:
-            m = root_of_unity_order(ratio)
-        if m is not None and not self.base.is_zero(self.v_m(m)):
-            raise AssertionError(f"v^({m}) must vanish when the eigen ratio "
-                                 f"{ratio} has finite multiplicative order")
-        return m
-
     def v_period(self):
         """(span, ratio) with v^(q*span + r) = [q]_ratio*v^(span)
         + ratio^q*v^(r), from the least l <= ``bounds.PERIOD_MAX`` at which
-        (rho*alpha)^l rescales v; None when there is no such l.  A factor of
-        infinite order is the ratio with span l; a root of unity of order k
-        gives span k*l and ratio 1, so the terms repeat exactly."""
+        (rho*alpha)^l rescales v; None when there is no such l.  The span is
+        l and the ratio is that factor, except that a root of unity of order
+        k at l > 1 gives span k*l and ratio 1, so the terms repeat exactly
+        and a pencil of a residue r < span sees only the ratio 1 or one of
+        infinite order.  At l = 1, where v is an eigenvector, no such
+        residue exists, and a factor of order near p costs no walk."""
         base = self.base
         term = dict(self.v)
         for l in range(1, bounds.PERIOD_MAX + 1):
@@ -399,30 +388,13 @@ class AmbiskewRing(ExtensionAlgebra):
                 break
         else:
             return None
-        order = root_of_unity_order(ratio)
-        if order is None:
+        if l == 1 or (order := root_of_unity_order(ratio)) is None:
             return l, ratio
         span = l * order
         check = base.apply(base.auto_power(self.alpha, span), self.v)
         if not base.eq(base.smul(self.rho ** span, check), self.v):
             raise AssertionError("the derived period does not reproduce v")
         return span, self.ctx.one
-
-    def first_failing_v_m(self, span: int, ratio: Scalar,
-                          watch: dict | None = None) -> int | None:
-        """The least m >= 1 at which v^(m) is not a unit, or, given
-        ``watch`` = u, not a unit of A[1/u], where no power of u lies in
-        v^(m)A; None when no m fails.  ``span`` and ``ratio`` come from
-        ``v_period``, which turns each residue r of m into a pencil in q
-        that the coefficient family decides, or refuses with ValueError."""
-        top = self.v_m(span)
-        worst = None
-        for r in range(span):
-            q = self.base.first_nonunit_in_pencil(
-                top, self.v_m(r), 1 if r == 0 else 0, ratio, watch)
-            if q is not None and (worst is None or q * span + r < worst):
-                worst = q * span + r
-        return worst
 
     def w_element(self) -> dict:
         """The product x*y, whose commutation action on A is gamma."""
@@ -495,7 +467,7 @@ class AmbiskewRing(ExtensionAlgebra):
         return inconclusive("comaximality in an iterated ring is only "
                             "decided through units")
 
-    def first_nonunit_in_pencil(self, p: dict, b: dict, q0: int,
+    def first_nonunit_in_pencil(self, p: dict, b: dict,
                                 ratio: Scalar | None = None,
                                 watch: dict | None = None) -> int | None:
         if watch is not None:
@@ -503,7 +475,7 @@ class AmbiskewRing(ExtensionAlgebra):
                              "not decided here")
         if self._in_base(p) and self._in_base(b):
             return self.base.first_nonunit_in_pencil(
-                self.base_part(p), self.base_part(b), q0, ratio)
+                self.base_part(p), self.base_part(b), ratio)
         if not self.is_domain():
             raise ValueError("the coefficient tower does not decide unit "
                              "pencils")
@@ -512,7 +484,7 @@ class AmbiskewRing(ExtensionAlgebra):
                              "decided only with the ratio 1")
         # a unit needs every coefficient outside (0, 0) to cancel, which
         # pins q to at most one value
-        return self._probe_pencil(p, b, q0, 2)
+        return self._probe_pencil(p, b, 2)
 
     # presentation ---------------------------------------------------------
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from . import bounds
 from .linear import gauss_solve
+from .scalars import root_of_unity_order
 from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
                       inconclusive)
 
@@ -50,14 +51,14 @@ from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
 def units_for_all_m(ring) -> Verdict:
     """Whether v^(m) is a unit of the coefficient algebra for all m >= 1.
 
-    When v is an eigenvector of alpha the sequence collapses to q-integer
-    multiples of v and the answer is exact for every m.  Otherwise the terms
-    rho^l * alpha^l(v) are searched for a period L up to a factor R, which
-    turns each residue class of m into a pencil that the coefficient family
-    decides: in q when R is a root of unity, in X = R^q when R is rational
-    or moves a parameter.  Only without a period, or for a family or an R
-    that decides no pencil, is the check truncated at ``bounds.M_MAX``.
-    This is ``every_v_m_unit`` over A itself.
+    The terms rho^l * alpha^l(v) are searched for a period L up to a factor
+    R, which makes v^(q*L) = [q]_R*v^(L) a closed form and turns each other
+    residue class of m into a pencil that the coefficient family decides:
+    in q when R is 1, in X = R^q when R is rational or moves a parameter.
+    An eigenvector v is the case L = 1, with no other residue.  Only
+    without a period, or for a family or an R that decides no pencil, is
+    the check truncated at ``bounds.M_MAX``.  This is ``every_v_m_unit``
+    over A itself.
     """
     return every_v_m_unit(ring)
 
@@ -66,13 +67,12 @@ def every_v_m_unit(ring, watch: dict | None = None) -> Verdict:
     """Whether every v^(m), m >= 1, is a unit of A or, given ``watch`` = u,
     of A[1/u]: the radical condition of the Casimir localization.
 
-    The routes, in order: A[1/u] = 0 (u nilpotent); v = 0; v^(1) itself, so
-    a failure at m = 1 waits for no period search (over A only for an
-    eigenvector v); the eigen closed form; the period of v, searched for
-    ``bounds.PERIOD_MAX`` steps; the bounded scan to ``bounds.M_MAX``.  A
-    Fails names the least m.
+    The routes, in order: A[1/u] = 0 (u nilpotent); v = 0; given ``watch``,
+    v^(1) itself, so a failure at m = 1 waits for no period search; the
+    period of v, searched for ``bounds.PERIOD_MAX`` steps; the bounded scan
+    to ``bounds.M_MAX``.  A Fails names the least m.
     """
-    base, ctx = ring.base, ring.ctx
+    base = ring.base
     if watch is None:
         test, where, nil = base.is_unit, "", Status.FAILS
     else:
@@ -87,38 +87,12 @@ def every_v_m_unit(ring, watch: dict | None = None) -> Verdict:
     if base.is_zero(ring.v):
         return _vanishing(nil, where, "v^(1) = v is zero",
                           {"kind": "vanishing_v_m", "m": 1})
-    mu = ring.v_eigenvalue()
-    if mu is None and watch is None:
-        # the pencils name m = 1 as well, and a unit test here would build
-        # an inverse of v that nothing reads
-        return _units_by_period(ring, test, where, watch)
-    first = test(ring.v)
-    if first.status is Status.FAILS:
-        return fails(f"v = v^(1) is not a unit{where}",
-                     certificate=_nonunit(base, 1, ring.v, first))
-    if mu is None:
-        return _units_by_period(ring, test, where, watch)
-    if first.status is Status.INCONCLUSIVE:
-        return inconclusive(f"whether v is a unit{where} was not decided")
-    ratio = ring.rho * mu
-    m = ring.first_vanishing_v_m(ratio)
-    if m is None:
-        reason = (f"v^(m) = m*v for all m and v is a unit{where}"
-                  if ratio == ctx.one else "v^(m) is a nonzero q-integer "
-                  f"multiple of the unit v{where}, with a rescaling factor "
-                  "of infinite multiplicative order")
-        cert = {"kind": "eigen_units", "ratio": str(ratio),
-                "v": base.render(ring.v)}
-        if watch is None:
-            cert["v_inverse"] = base.render(first.inverse)
-        if first.certificate:
-            cert["detail"] = first.certificate
-        return holds(reason, certificate=cert)
-    reason = (f"v^({m}) = {m}*v vanishes in characteristic {m}"
-              if ratio == ctx.one else f"v^({m}) vanishes: rho*alpha "
-              f"rescales v by a root of unity of order {m}")
-    return _vanishing(nil, where, reason, {"kind": "vanishing_v_m", "m": m,
-                                           "ratio": str(ratio)})
+    if watch is not None:
+        first = test(ring.v)
+        if first.status is Status.FAILS:
+            return fails(f"v = v^(1) is not a unit{where}",
+                         certificate=_nonunit(base, 1, ring.v, first))
+    return _units_by_period(ring, test, where, watch, nil)
 
 
 def _vanishing(nil: Status, where: str, reason: str, cert: dict) -> Verdict:
@@ -135,28 +109,41 @@ def _nonunit(base, m: int, value: dict, answer) -> dict:
             "detail": answer.certificate}
 
 
-def _units_by_period(ring, test, where: str, watch) -> Verdict:
-    """Exact decision once (rho*alpha)^L rescales v by R:
-    v^(q*L + r) = [q]_R*v^(L) + R^q*v^(r) reduces each residue r to a
-    pencil in q, or in R^q when R has infinite order, that the coefficient
-    family decides (``AmbiskewRing.first_failing_v_m``).  Without a period
-    or a decided pencil, the bounded scan."""
+def _units_by_period(ring, test, where: str, watch, nil: Status) -> Verdict:
+    """Exact decision once (rho*alpha)^L rescales v by R (``v_period``):
+    v^(q*L + r) = [q]_R*v^(L) + R^q*v^(r).  The multiples m = q*L fail at
+    m = L when v^(L) does, and otherwise where [q]_R first vanishes.  Each
+    other residue r < L is a pencil in q, or in R^q when R has infinite
+    order, that the coefficient family decides.  Without a period, a
+    decided v^(L) or a decided pencil, the bounded scan."""
+    base = ring.base
     if (found := ring.v_period()) is None:
         note = f"no scalar period within {bounds.PERIOD_MAX} steps"
     else:
         span, ratio = found
-        try:
-            worst = ring.first_failing_v_m(span, ratio, watch)
-        except ValueError as exc:
-            note = str(exc)
+        top = ring.v_m(span)
+        answer = test(top)
+        if answer.status is Status.INCONCLUSIVE:
+            note = f"whether v^({span}) is a unit{where} was not decided"
         else:
-            return _periodic(ring, span, ratio, worst, test, where)
+            failing = [span] if answer.status is Status.FAILS else []
+            try:
+                for r in range(1, span):
+                    q = base.first_nonunit_in_pencil(top, ring.v_m(r), ratio,
+                                                     watch)
+                    if q is not None:
+                        failing.append(q * span + r)
+            except ValueError as exc:
+                note = str(exc)
+            else:
+                return _periodic(ring, span, ratio, min(failing, default=None),
+                                 test, where, nil)
     return bounded_scan(
         bounds.M_MAX,
         lambda m: test(ring.v_m(m)),
         lambda m, answer: fails(
             f"v^({m}) is not a unit{where}",
-            certificate=_nonunit(ring.base, m, ring.v_m(m), answer)),
+            certificate=_nonunit(base, m, ring.v_m(m), answer)),
         lambda m: inconclusive(
             f"whether v^({m}) is a unit{where} was not decided"),
         inconclusive(f"{note}; units{where} verified through m = "
@@ -164,19 +151,41 @@ def _units_by_period(ring, test, where: str, watch) -> Verdict:
                                                      "m_max": bounds.M_MAX}))
 
 
-def _periodic(ring, span: int, ratio, worst, test, where: str) -> Verdict:
+def _periodic(ring, span: int, ratio, worst, test, where: str,
+              nil: Status) -> Verdict:
+    """The verdict from ``worst``, the least m at which v^(span) or a
+    residue pencil fails (None when none does), and from the multiples
+    [q]_R*v^(span), which vanish first at q = k: the order of R, or p when
+    R = 1 in characteristic p.  Every Fails is replayed."""
+    ctx = ring.ctx
+    k = ((ctx.characteristic or None) if ratio == ctx.one
+         else root_of_unity_order(ratio))
+    if k is not None and (worst is None or k * span < worst):
+        m = k * span
+        if not ring.base.is_zero(ring.v_m(m)):
+            raise AssertionError(f"v^({m}) must vanish when [{k}] does for "
+                                 f"the factor {ratio}")
+        term = "v" if span == 1 else f"v^({span})"
+        # a factor of finite order other than 1 comes only with span 1
+        reason = (f"v^({m}) = {k}*{term} vanishes in characteristic {k}"
+                  if ratio == ctx.one else f"v^({m}) vanishes: rho*alpha "
+                  f"rescales v by a root of unity of order {k}")
+        return _vanishing(nil, where, reason, {"kind": "vanishing_v_m",
+                                               "m": m, "ratio": str(ratio)})
     if worst is None:
         cert, factor = {"kind": "periodic_units", "period": span}, ""
-        if ratio != ring.ctx.one:
+        if ratio != ctx.one:
             cert["ratio"], factor = str(ratio), f" up to the factor {ratio},"
+        others = (f"every residue pencil stays invertible{where}" if span > 1
+                  else f"v^(m) = [m]*v is a nonzero multiple of the unit "
+                  f"v{where}")
         return holds(f"the terms of v^(m) repeat with period {span}{factor} "
-                     f"and every residue pencil stays invertible{where}",
-                     certificate=cert)
+                     f"and {others}", certificate=cert)
     bad = ring.v_m(worst)
     answer = test(bad)
     if answer.status is Status.HOLDS:
         raise AssertionError(
-            f"pencil decision disagrees with a direct unit check at m={worst}")
+            f"the period route disagrees with a unit check at m={worst}")
     return fails(f"v^({worst}) is not a unit{where}",
                  certificate=_nonunit(ring.base, worst, bad, answer))
 

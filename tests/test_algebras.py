@@ -81,8 +81,8 @@ def test_cyclic4_alpha_simple_depends_on_gcd():
 def test_cyclic_pencil_respects_character_mask():
     ctx, a = _fc2()
     p = {0: ctx.one, 1: ctx.one}  # character 1 kills every member
-    assert a.first_nonunit_in_pencil(p, a.zero, 1) == 1
-    assert a.first_nonunit_in_pencil(a.one, {0: ctx.int_(-3)}, 1) == 3
+    assert a.first_nonunit_in_pencil(p, p) == 0
+    assert a.first_nonunit_in_pencil(a.one, {0: ctx.int_(-2)}) == 2
 
 
 def _cyclic_algebras():
@@ -174,10 +174,10 @@ def test_laurent_radical_strips_monomial_factors():
 def test_laurent_pencil_finds_first_nonunit():
     ctx = _plain()
     a = LaurentAlgebra(ctx)
-    assert a.first_nonunit_in_pencil({1: ctx.one}, a.one, 0) == 1
-    assert a.first_nonunit_in_pencil(a.zero, {1: ctx.int_(5), 0: ctx.one}, 7) == 7
-    assert a.first_nonunit_in_pencil(a.zero, {1: ctx.int_(5)}, 7) is None
-    assert a.first_nonunit_in_pencil({1: ctx.one}, {1: ctx.int_(-4)}, 1) == 4
+    assert a.first_nonunit_in_pencil({1: ctx.one}, a.one) == 1
+    assert a.first_nonunit_in_pencil(a.zero, {1: ctx.int_(5), 0: ctx.one}) == 0
+    assert a.first_nonunit_in_pencil(a.zero, {1: ctx.int_(5)}) is None
+    assert a.first_nonunit_in_pencil({1: ctx.one}, {1: ctx.int_(-3)}) == 3
 
 
 # -- polynomials ---------------------------------------------------------------
@@ -303,10 +303,10 @@ def test_poly_radical_and_comaximal():
 def test_poly_pencil():
     ctx = _plain()
     a = PolyAlgebra(ctx)
-    assert a.first_nonunit_in_pencil(a.one, {0: ctx.int_(-7)}, 1) == 7
-    assert a.first_nonunit_in_pencil({1: ctx.one}, a.one, 0) == 1
-    assert a.first_nonunit_in_pencil(a.zero, {1: ctx.one}, 2) == 2
-    assert a.first_nonunit_in_pencil(a.one, {0: ctx.int_(7)}, 1) is None
+    assert a.first_nonunit_in_pencil(a.one, {0: ctx.int_(-6)}) == 6
+    assert a.first_nonunit_in_pencil({1: ctx.one}, a.one) == 1
+    assert a.first_nonunit_in_pencil(a.zero, {1: ctx.one}) == 0
+    assert a.first_nonunit_in_pencil(a.one, {0: ctx.int_(8)}) is None
 
 
 # -- quadratic extensions --------------------------------------------------------
@@ -438,11 +438,13 @@ def test_quadratic_split_radical_and_comaximal():
 def test_quadratic_pencil_through_norm_roots():
     ctx = _plain()
     a = QuadraticAlgebra(ctx, ctx.int_(-1))
-    assert a.first_nonunit_in_pencil(a.one, {1: ctx.one}, 1) is None
-    assert a.first_nonunit_in_pencil(a.one, {0: ctx.int_(-2)}, 1) == 2
+    assert a.first_nonunit_in_pencil(a.one, {0: ctx.one, 1: ctx.one}) is None
+    assert a.first_nonunit_in_pencil(a.one, {0: -ctx.one}) == 1
     split = QuadraticAlgebra(ctx, ctx.int_(4))
-    assert split.first_nonunit_in_pencil(split.one, {1: ctx.one}, 1) == 2
-    assert split.first_nonunit_in_pencil(split.one, {1: ctx.one}, 3) is None
+    # q + 1 + s has norm (q + 1)^2 - 4, q + 3 + s has (q + 3)^2 - 4
+    assert split.first_nonunit_in_pencil(split.one, {0: ctx.one, 1: ctx.one}) == 1
+    assert split.first_nonunit_in_pencil(split.one,
+                                         {0: ctx.int_(3), 1: ctx.one}) is None
 
 
 # -- integer roots of scalar polynomials ------------------------------------------
@@ -463,6 +465,12 @@ def test_integer_roots_with_parameters():
     assert integer_roots_scalar_poly([-2 * q, q]) == [2]
     # no common root of the two components
     assert integer_roots_scalar_poly([-2 * q + ctx.one, q]) == []
+    # polynomial denominators are cleared before a component is read
+    over = (q + 1).inv()
+    assert integer_roots_scalar_poly(
+        [ctx.int_(6) * over, ctx.int_(-5) * over, over]) == [2, 3]
+    assert integer_roots_scalar_poly(
+        [ctx.int_(6) * over, ctx.int_(-5) / (q - 1), over]) == []
     # in F_7, q*(m^2 - 4) + (m - 2): the q-component also vanishes at m = 5
     ctx7 = ScalarContext(characteristic=7, parameters=("q",))
     q = ctx7.param("q")
@@ -635,12 +643,13 @@ def test_quadratic_pencil_with_a_huge_constant_is_exact():
     ctx = ScalarContext(cyclotomic_order=4)
     a = QuadraticAlgebra(ctx, ctx.int_(-1))
     v = {0: ctx.one, 1: ctx.int_(10**40)}
-    assert a.first_nonunit_in_pencil(a.zero, v, 1) is None
-    assert a.first_nonunit_in_pencil(a.one, {1: ctx.int_(-10**40)}, 0) is None
-    # d = zeta^2 splits: q - 10^40 + zeta*s has norm (q - 10^40)^2 - 1
-    b = {0: ctx.int_(-10**40), 1: ctx.zeta()}
-    assert a.first_nonunit_in_pencil(a.one, b, 1) == 10**40 - 1
-    assert a.first_nonunit_in_pencil(a.one, b, 10**40) == 10**40 + 1
+    assert a.first_nonunit_in_pencil(a.zero, v) is None
+    assert a.first_nonunit_in_pencil(a.one, {1: ctx.int_(-10**40)}) is None
+    # d = zeta^2 splits: q + c + zeta*s has norm (q + c)^2 - 1
+    b = {0: ctx.int_(1 - 10**40), 1: ctx.zeta()}
+    assert a.first_nonunit_in_pencil(a.one, b) == 10**40 - 2
+    b = {0: ctx.int_(-10**40 - 2), 1: ctx.zeta()}
+    assert a.first_nonunit_in_pencil(a.one, b) == 10**40 + 1
 
 
 _PENCIL_CONTEXTS = {
@@ -705,15 +714,15 @@ def _unit_at(alg, p, b, q):
     return alg.is_unit(elem).status is Status.HOLDS
 
 
-def _agrees_with_probe(alg, p, b, q0):
+def _agrees_with_probe(alg, p, b):
     """first_nonunit_in_pencil against direct is_unit calls: exhaustive over
-    one period in characteristic p, up to q0 + 30 in characteristic 0."""
-    got = alg.first_nonunit_in_pencil(p, b, q0)
-    stop = q0 + (alg.ctx.characteristic or 30)
+    one period in characteristic p, up to 30 in characteristic 0."""
+    got = alg.first_nonunit_in_pencil(p, b)
+    stop = alg.ctx.characteristic or 30
     if got is not None:
-        assert got >= q0 and not _unit_at(alg, p, b, got)
+        assert got >= 0 and not _unit_at(alg, p, b, got)
         stop = min(stop, got)
-    assert all(_unit_at(alg, p, b, q) for q in range(q0, stop))
+    assert all(_unit_at(alg, p, b, q) for q in range(stop))
     return got
 
 
@@ -724,15 +733,14 @@ def test_split_pencils_agree_with_a_unit_probe(name):
     families = _split_families(ctx)
     assert len(families) >= 5
     for alg in families:
-        assert alg.first_nonunit_in_pencil(alg.zero, alg.one, 1) is None
+        assert alg.first_nonunit_in_pencil(alg.zero, alg.one) is None
         nones = 0
         for _ in range(6):
-            q0 = rng.randint(0, 2)
             p = _random_element(alg, rng)
-            r = q0 + rng.randint(0, 8)
+            r = rng.randint(0, 10)
             planted = alg.sub(_random_nonunit(alg, rng), alg.smul(ctx.int_(r), p))
-            got = _agrees_with_probe(alg, p, planted, q0)
+            got = _agrees_with_probe(alg, p, planted)
             assert got is not None and got <= r
-            nones += _agrees_with_probe(alg, p, _random_element(alg, rng), q0) is None
+            nones += _agrees_with_probe(alg, p, _random_element(alg, rng)) is None
         if not ctx.characteristic:
             assert nones

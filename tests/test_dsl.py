@@ -221,12 +221,23 @@ def test_document_objects():
     doc = parse_spec(C4 + "base A = cyclic_group(n = 4, epsilon = zeta)\n"
                      "auto b on A { s -> -s }\n"
                      "ring R = ambiskew(A, b, v = s, rho = -1, y = u)\n"
-                     "check simple(R)\ncheck torus(m.csv)\n")
+                     "check simple(R)\ncheck torus(m.csv)\n"
+                     'check torus("my table.csv")\n')
     assert doc.context.cyclotomic_order == 4
     assert list(doc.rings) == ["R"]
     assert doc.algebra("A") is doc.rings["R"].base
     assert doc.algebra("R") is doc.rings["R"]
-    assert [c.echo() for c in doc.checks] == ["simple(R)", "torus(m.csv)"]
+    assert [c.echo() for c in doc.checks] == [
+        "simple(R)", "torus(m.csv)", "torus(my table.csv)"]
+    assert doc.checks[2].target == "my table.csv"
+
+
+def test_scalar_table_skips_blank_and_comment_lines():
+    ctx = ScalarContext(cyclotomic_order=4)
+    text = "# a torus matrix\n\n1, zeta  # first row\n   \n-zeta, 1\n# end\n"
+    rows = parse_scalar_table(text, ctx)
+    assert [[str(s) for s in row] for row in rows] == [["1", "zeta"],
+                                                       ["-zeta", "1"]]
 
 
 # -- regression tests for fixed parser defects ------------------------------

@@ -110,13 +110,13 @@ def _fails_at(alg, elem, watch):
     return alg.radical_contains(elem, watch).status is Status.FAILS
 
 
-def _check_pencil(alg, p, b, ratio, q0, watch, horizon):
-    got = alg.first_nonunit_in_pencil(p, b, q0, ratio, watch)
+def _check_pencil(alg, p, b, ratio, watch, horizon):
+    got = alg.first_nonunit_in_pencil(p, b, ratio, watch)
     if got is not None:
-        assert got >= q0
+        assert got >= 0
         assert _fails_at(alg, _pencil_at(alg, p, b, ratio, got), watch)
     stop = horizon if got is None else min(got, horizon)
-    for q in range(q0, stop):
+    for q in range(stop):
         assert not _fails_at(alg, _pencil_at(alg, p, b, ratio, q), watch), \
             (repr(type(alg)), q, got)
     return got
@@ -140,8 +140,7 @@ def test_ratio_pencils_match_a_walk(name):
                     planted += 1
                 watch = None if trial < 2 else _element(alg, rng)
                 try:
-                    got = _check_pencil(alg, p, b, ratio, trial % 2, watch,
-                                        horizon)
+                    got = _check_pencil(alg, p, b, ratio, watch, horizon)
                 except ValueError:
                     # radical pencils need the characters of the family
                     assert watch is not None and isinstance(alg, QuadraticAlgebra)
@@ -274,6 +273,29 @@ def _blocks():
     return out
 
 
+def _eigen_blocks():
+    """Period-1 blocks, where v is an eigenvector of alpha: the field
+    Q(zeta_5) with rho = zeta (fails at 5), the Weyl algebra over F_5
+    (fails at 5), the field Q(q) with the factor q (holds), and K[C_4] over
+    Q(zeta_4) with v = s, rho = 1 (fails at 4) and with alpha = 1,
+    v = -(1 + s), rho = 2, a non-unit that a zero divisor u splits.  Each
+    splits, so each meets the radical walk as well."""
+    z5 = ScalarContext(cyclotomic_order=5)
+    f5 = ScalarContext(characteristic=5)
+    qq = ScalarContext(parameters=("q",))
+    z4 = ScalarContext(cyclotomic_order=4)
+    cyclic, fields = CyclicGroupAlgebra(z4, 4, z4.zeta()), []
+    for ctx, rho in ((z5, z5.zeta()), (qq, qq.param("q"))):
+        alg = FieldAlgebra(ctx)
+        fields.append(AmbiskewRing(alg, alg.identity_auto(), alg.one, rho))
+    poly = PolyAlgebra(f5)
+    return fields + [
+        AmbiskewRing(poly, AffineAuto(f5.one, f5.one), poly.one, f5.one),
+        AmbiskewRing(cyclic, DiagonalAuto((z4.zeta(),)), {1: z4.one}, z4.one),
+        AmbiskewRing(cyclic, cyclic.identity_auto(),
+                     {0: -z4.one, 1: -z4.one}, z4.int_(2))]
+
+
 def _walk(ring, fails, horizon):
     for m in range(1, horizon + 1):
         if fails(ring.v_m(m)):
@@ -292,11 +314,12 @@ def _nonunit(base):
 
 def test_units_and_radical_match_a_walk_to_300():
     seen = {"holds": 0, "fails": 0}
-    for ring in _blocks():
+    for ring in _blocks() + _eigen_blocks():
         base = ring.base
-        assert ring.v_eigenvalue() is None
         span, ratio = ring.v_period()
-        assert root_of_unity_order(ratio) is None
+        # an eigenvector is the period-1 case, whatever the order of R
+        assert (span == 1) is (ring.v_eigenvalue() is not None)
+        assert span == 1 or root_of_unity_order(ratio) is None
         units = units_for_all_m(ring)
         walked = _walk(ring, _nonunit(base), HORIZON)
         assert units.status is not Status.INCONCLUSIVE

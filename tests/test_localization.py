@@ -105,8 +105,7 @@ def test_quantized_weyl_localization_formal_parameter():
     verdict = localized_simple(_quantized_weyl_at(ctx.param("q")))
     assert verdict.holds
     radical = _conditions(verdict)["radical"].certificate
-    assert radical == {"kind": "eigen_units", "ratio": "q", "v": "1",
-                       "detail": {"power": 0}}
+    assert radical == {"kind": "periodic_units", "period": 1, "ratio": "q"}
 
 
 def test_localized_simple_rejects_singular_quadruple():

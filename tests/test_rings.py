@@ -440,12 +440,12 @@ def test_nested_units_and_regularity():
 def test_nested_pencil_defers_to_base():
     ctx, alg, ring = fc2_block()
     base_p = alg.one
-    base_b = {0: -ctx.int_(7)}
-    assert ring.first_nonunit_in_pencil(ring.embed(base_p), ring.embed(base_b), 1) == 7
+    base_b = {0: -ctx.int_(6)}
+    assert ring.first_nonunit_in_pencil(ring.embed(base_p), ring.embed(base_b)) == 6
     qp = quantum_plane()
     p = qp.gen_elem("y")
-    b = qp.smul(-qp.ctx.int_(3), qp.gen_elem("y"))
-    assert qp.first_nonunit_in_pencil(p, b, 1) == 1
+    b = qp.smul(-qp.ctx.int_(2), qp.gen_elem("y"))
+    assert qp.first_nonunit_in_pencil(p, b) == 0
 
 
 def test_nested_radical_and_comaximal_shortcuts():

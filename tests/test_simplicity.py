@@ -66,9 +66,7 @@ def test_units_weyl_eigen_certificate():
     ring = weyl_over_field()
     verdict = units_for_all_m(ring)
     assert verdict.status is Status.HOLDS
-    assert verdict.certificate["kind"] == "eigen_units"
-    assert verdict.certificate["ratio"] == "1"
-    assert verdict.certificate["v_inverse"] == "1"
+    assert verdict.certificate == {"kind": "periodic_units", "period": 1}
 
 
 def test_units_root_of_unity_ratio_fails():
@@ -226,6 +224,31 @@ def test_singular_fc2_block():
     assert singular(ring).status is Status.HOLDS
 
 
+def test_poly_scaling_splits_or_resonates_over_a_parameter():
+    # over Q(q)[t] a scaling t -> a*t scales t^k by a^k
+    ctx = ScalarContext(parameters=("q",))
+    q, alg = ctx.param("q"), PolyAlgebra(ctx)
+    scale = AffineAuto(q, ctx.zero)
+    ring = AmbiskewRing(alg, scale, {0: ctx.one, 1: ctx.one}, ctx.int_(2))
+    verdict = singular(ring)
+    assert verdict.fails
+    assert verdict.certificate["u"] == "((-1/2)/(q - 1/2))*t - 1"
+    u = ring.conformality().u
+    assert alg.eq(alg.sub(u, alg.smul(ctx.int_(2), alg.apply(scale, u))),
+                  ring.v)
+    verdict = singular(AmbiskewRing(alg, scale, alg.one, ctx.one))
+    assert verdict.holds
+    assert verdict.certificate["obstruction"] == {
+        "kind": "resonant_monomial", "monomial": "1", "scale": "1"}
+    ring = AmbiskewRing(alg, AffineAuto(ctx.int_(2), ctx.zero), {2: ctx.one},
+                        ctx.fraction(Fraction(1, 4)))
+    verdict = singular(ring)
+    assert verdict.holds
+    assert verdict.certificate["obstruction"]["monomial"] == "t^2"
+    units = units_for_all_m(ring)
+    assert units.fails and units.certificate["m"] == 1
+
+
 # -- simple, characteristic zero -------------------------------------------------
 
 
@@ -268,7 +291,8 @@ def test_gaussian_unit_commutator_is_simple():
     verdict = simple(ring)
     assert verdict.status is Status.HOLDS
     units = _conditions(verdict)["units"]
-    assert units.certificate["kind"] == "eigen_units"
+    assert units.certificate["kind"] == "periodic_units"
+    assert units.certificate["period"] == 1
 
 
 # -- simple, characteristic p ----------------------------------------------------
@@ -591,8 +615,7 @@ def test_cyclic_tower_monomial_levels():
     verdict = simple_iterated([r1, good])
     assert verdict.status is Status.HOLDS
     units = _conditions(_conditions(verdict)["level_2"])["units"]
-    assert units.certificate["kind"] == "eigen_units"
-    assert units.certificate["ratio"] == "1"
+    assert units.certificate == {"kind": "periodic_units", "period": 1}
 
     conformal = AmbiskewRing(r1, second, r1.embed({2: ctx.one}), ctx.one,
                              y_name="y2", x_name="x2")
