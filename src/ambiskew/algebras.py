@@ -244,7 +244,7 @@ class BaseAlgebra:
         return _eadd(a, b)
 
     def neg(self, a: dict) -> dict:
-        return _escale(a, -self.ctx.one)
+        return {k: -s for k, s in a.items()}
 
     def sub(self, a: dict, b: dict) -> dict:
         return _eadd(a, self.neg(b))

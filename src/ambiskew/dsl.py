@@ -1,14 +1,15 @@
 """A small text language for declaring rings and the checks to run on them.
 
 A document is a sequence of lines.  Each line is one declaration or one
-check directive; ``#`` starts a comment.  Declarations are order
-sensitive: a name must be declared before it is used, which makes every
-reference acyclic by construction.  ``parse_spec`` reads a document in one
-pass: it reads each statement's whole line, its syntax first and then its
-arguments, and only then builds the algebra, automorphism or ring the line
-declares into the ``SpecDocument``.  So every semantic rule (nonzero rho,
-primitive roots, relation preservation) is enforced eagerly and errors
-point at a line and column.
+check directive; ``#`` outside a quoted string starts a comment, to the end
+of the line.  Declarations are order sensitive: a name must be declared
+before it is used, which makes every reference acyclic by construction.
+``parse_spec`` reads a document in one pass: it reads each statement's
+whole line, its syntax first and then its arguments, and only then builds
+the algebra, automorphism or ring the line declares into the
+``SpecDocument``.  So every semantic rule (nonzero rho, primitive roots,
+relation preservation) is enforced eagerly and errors point at a line and
+column.
 
 The statement forms follow; the families and ring constructors, with
 their keyword arguments and which of them are required, come from the
@@ -66,7 +67,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceLocation:
     """A 1-based line and column position in the document text."""
 
@@ -98,45 +99,59 @@ class DslError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # NAME INT PATH STRING PUNCT END
-    text: str
-    loc: SourceLocation
+    """A token; its kind is NAME, INT, PATH, STRING, END or the punctuation."""
+
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
+
+    @property
+    def loc(self) -> SourceLocation:
+        return SourceLocation(self.line, self.column)
 
 
+# blanks match without a group; a '#' outside a string comments out the rest
 _TOKEN_RE = re.compile(r"""
     (?P<PATH>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)+)
   | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<INT>[0-9]+)
   | (?P<STRING>"[^"\n]*")
   | (?P<PUNCT>->|[(){}\[\],=+\-*/^])
-  | (?P<SPACE>[ \t]+)
-""", re.VERBOSE)
+  | [ \t]+
+  | (?P<COMMENT>\#.*)
+  | (?P<BAD>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def _tokenize_line(text: str, line: int) -> list[_Token]:
     out: list[_Token] = []
-    pos = 0
-    cut = text.find("#")
-    if cut >= 0:
-        text = text[:cut]
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslError("lexical", SourceLocation(line, pos + 1),
-                           f"unexpected character {text[pos]!r}")
-        kind = m.lastgroup or ""
-        if kind != "SPACE":
-            out.append(_Token(kind if kind != "PUNCT" else m.group(),
-                              m.group(), SourceLocation(line, pos + 1)))
-        pos = m.end()
-    out.append(_Token("END", "", SourceLocation(line, len(text) + 1)))
+    end = len(text)
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "COMMENT":
+            end = m.start()
+            break
+        if kind == "BAD":
+            raise DslError("lexical", SourceLocation(line, m.start() + 1),
+                           f"unexpected character {m.group()!r}")
+        word = m.group()
+        out.append(_Token(word if kind == "PUNCT" else kind, word, line,
+                          m.start() + 1))
+    out.append(_Token("END", "", line, end + 1))
     return out
 
 
 class _Cursor:
     """A token stream for one statement line, with expectation helpers."""
+
+    __slots__ = ("tokens", "i")
 
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -152,26 +167,26 @@ class _Cursor:
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.i].kind == kind
 
     def take(self, kind: str) -> _Token | None:
-        if self.at(kind):
-            return self.next()
-        return None
+        tok = self.tokens[self.i]
+        if tok.kind != kind:
+            return None
+        self.i += 1  # no caller takes the END token
+        return tok
 
     def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != kind:
             found = repr(tok.text) if tok.kind != "END" else "end of line"
             raise DslError("syntactic", tok.loc,
                            f"expected {what}, found {found}")
-        return self.next()
+        self.i += 1
+        return tok
 
     def expect_end(self) -> None:
-        tok = self.peek()
-        if tok.kind != "END":
-            raise DslError("syntactic", tok.loc,
-                           f"expected end of line, found {tok.text!r}")
+        self.expect("END", "end of line")  # the last read of a line
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +259,7 @@ def _parse_unary(cur: _Cursor) -> Expr:
 
 def _parse_power(cur: _Cursor) -> Expr:
     node = _parse_atom(cur)
-    while cur.at("^"):
-        op = cur.next()
+    while op := cur.take("^"):
         sign = -1 if cur.take("-") else 1
         lit = cur.expect("INT", "an integer exponent after '^'")
         node = BinOp("^", node, Num(sign * int(lit.text), loc=lit.loc),
@@ -254,15 +268,12 @@ def _parse_power(cur: _Cursor) -> Expr:
 
 
 def _parse_atom(cur: _Cursor) -> Expr:
-    tok = cur.peek()
+    tok = cur.next()
     if tok.kind == "INT":
-        cur.next()
         return Num(int(tok.text), loc=tok.loc)
     if tok.kind == "NAME":
-        cur.next()
         return Name(tok.text, loc=tok.loc)
     if tok.kind == "(":
-        cur.next()
         inner = _parse_expr(cur)
         cur.expect(")", "a closing ')'")
         return inner
@@ -470,19 +481,19 @@ def _parse_args(cur: _Cursor, what: str, schema: dict, required: tuple,
         if key.text in raw:
             raise DslError("syntactic", key.loc,
                            f"duplicate argument {key.text!r}")
-        raw[key.text] = (value, key.loc)
+        raw[key.text] = (value, key)
         if not cur.take(","):
             break
     cur.expect(")", "a closing ')'")
     cur.expect_end()
     args = {}
-    for key, (value, kloc) in raw.items():
+    for key, (value, tok) in raw.items():
         if key not in schema:
-            raise _semantic(kloc, f"unknown {what} argument {key!r}")
+            raise _semantic(tok.loc, f"unknown {what} argument {key!r}")
         convert, message = _KINDS[schema[key]]
         args[key] = convert(value)
         if args[key] is None:
-            raise _semantic(kloc, f"{key} {message}")
+            raise _semantic(tok.loc, f"{key} {message}")
     if any(key not in args for key in required):
         raise _semantic(loc, f"{what} needs " +
                         " and ".join(f"{key} = ..." for key in required))
@@ -657,19 +668,14 @@ def _parse_check(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
         raise _semantic(kind.loc, f"unknown check {kind.text!r}; expected "
                         "one of " + ", ".join(CHECK_KINDS))
     cur.expect("(", "'('")
-    tok = cur.peek()
     if kind.text == "torus":
-        if tok.kind == "STRING":
-            target = tok.text[1:-1]
-            cur.next()
-        elif tok.kind in ("PATH", "NAME"):
-            target = tok.text
-            cur.next()
-        else:
+        tok = cur.next()
+        if tok.kind not in ("STRING", "PATH", "NAME"):
             raise DslError("syntactic", tok.loc,
                            "expected a table file name, found "
                            + (repr(tok.text) if tok.kind != "END"
                              else "end of line"))
+        target = tok.text[1:-1] if tok.kind == "STRING" else tok.text
     else:
         target = cur.expect("NAME", "a ring name").text
     cur.expect(")", "a closing ')'")
@@ -702,18 +708,16 @@ def parse_spec(text: str) -> SpecDocument:
     """
     doc = SpecDocument()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(line, lineno)
-        if tokens[0].kind == "END":
+        cur = _Cursor(_tokenize_line(line, lineno))
+        head = cur.next()
+        if head.kind == "END":
             continue
-        head = tokens[0]
         parser = _STATEMENT_PARSERS.get(head.text)
         if head.kind != "NAME" or parser is None:
             raise DslError(
                 "syntactic", head.loc,
                 f"expected a statement keyword (one of "
                 f"{', '.join(_STATEMENT_PARSERS)}), found {head.text!r}")
-        cur = _Cursor(tokens)
-        cur.next()
         parser(cur, head.loc, doc)
     _context(doc)
     return doc

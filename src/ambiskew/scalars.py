@@ -620,7 +620,7 @@ class ScalarContext:
     """
 
     __slots__ = ("characteristic", "cyclotomic_order", "parameters",
-                 "dom", "_pzero", "_pone")
+                 "dom", "_pzero", "_pone", "zero", "one")
 
     def __init__(self, characteristic: int = 0, cyclotomic_order: int = 1,
                  parameters: Iterable[str] = ()):
@@ -643,18 +643,13 @@ class ScalarContext:
         self.parameters = parameters
         self._pzero = (0,) * len(parameters)
         self._pone = {self._pzero: self.dom.one}
+        # shared, like every Scalar they are never written into
+        self.zero = self._const(self.dom.zero)
+        self.one = self._const(self.dom.one)
 
     def _const(self, c) -> "Scalar":
         num = {} if self.dom.is_zero(c) else {self._pzero: c}
         return Scalar(self, num, self._pone)
-
-    @property
-    def zero(self) -> "Scalar":
-        return self._const(self.dom.zero)
-
-    @property
-    def one(self) -> "Scalar":
-        return self._const(self.dom.one)
 
     def int_(self, n: int) -> "Scalar":
         return self._const(self.dom.from_fraction(n))
@@ -793,11 +788,19 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        dom = self.ctx.dom
+        ctx = self.ctx
+        dom = ctx.dom
+        if not ctx.parameters:
+            if not o.num:
+                return self
+            if not self.num:
+                return o
+            c = dom.add(self.num[()], o.num[()])
+            return Scalar(ctx, {} if dom.is_zero(c) else {(): c}, ctx._pone)
         if self.den == o.den:
-            return Scalar(self.ctx, _padd(dom, self.num, o.num), self.den)
+            return Scalar(ctx, _padd(dom, self.num, o.num), self.den)
         num = _padd(dom, _pmul(dom, self.num, o.den), _pmul(dom, o.num, self.den))
-        return Scalar(self.ctx, num, _pmul(dom, self.den, o.den))
+        return Scalar(ctx, num, _pmul(dom, self.den, o.den))
 
     __radd__ = __add__
 

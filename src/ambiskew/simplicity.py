@@ -87,12 +87,13 @@ def every_v_m_unit(ring, watch: dict | None = None) -> Verdict:
     if base.is_zero(ring.v):
         return _vanishing(nil, where, "v^(1) = v is zero",
                           {"kind": "vanishing_v_m", "m": 1})
+    first = None
     if watch is not None:
         first = test(ring.v)
         if first.status is Status.FAILS:
             return fails(f"v = v^(1) is not a unit{where}",
                          certificate=_nonunit(base, 1, ring.v, first))
-    return _units_by_period(ring, test, where, watch, nil)
+    return _units_by_period(ring, test, where, watch, nil, first)
 
 
 def _vanishing(nil: Status, where: str, reason: str, cert: dict) -> Verdict:
@@ -109,20 +110,22 @@ def _nonunit(base, m: int, value: dict, answer) -> dict:
             "detail": answer.certificate}
 
 
-def _units_by_period(ring, test, where: str, watch, nil: Status) -> Verdict:
+def _units_by_period(ring, test, where: str, watch, nil: Status,
+                     first) -> Verdict:
     """Exact decision once (rho*alpha)^L rescales v by R (``v_period``):
     v^(q*L + r) = [q]_R*v^(L) + R^q*v^(r).  The multiples m = q*L fail at
     m = L when v^(L) does, and otherwise where [q]_R first vanishes.  Each
     other residue r < L is a pencil in q, or in R^q when R has infinite
     order, that the coefficient family decides.  Without a period, a
-    decided v^(L) or a decided pencil, the bounded scan."""
+    decided v^(L) or a decided pencil, the bounded scan.  ``first`` is the
+    answer of ``test`` on v^(1) when it was already asked, else None."""
     base = ring.base
     if (found := ring.v_period()) is None:
         note = f"no scalar period within {bounds.PERIOD_MAX} steps"
     else:
         span, ratio = found
         top = ring.v_m(span)
-        answer = test(top)
+        answer = first if span == 1 and first is not None else test(top)
         if answer.status is Status.INCONCLUSIVE:
             note = f"whether v^({span}) is a unit{where} was not decided"
         else:

@@ -744,3 +744,90 @@ def test_split_pencils_agree_with_a_unit_probe(name):
             nones += _agrees_with_probe(alg, p, _random_element(alg, rng)) is None
         if not ctx.characteristic:
             assert nones
+
+
+# -- element plumbing against a term-by-term oracle ----------------------------
+
+_PLUMBING_CONTEXTS = {
+    "Q": ScalarContext(),
+    "Q(zeta_4)": ScalarContext(cyclotomic_order=4),
+    "Q(q)": ScalarContext(parameters=("q",)),
+    "F_5": ScalarContext(characteristic=5),
+}
+
+
+def _plumbing_families(ctx):
+    eps = ctx.zeta() if ctx.cyclotomic_order == 4 else -ctx.one
+    return [FieldAlgebra(ctx), PolyAlgebra(ctx), LaurentAlgebra(ctx),
+            CyclicGroupAlgebra(ctx, 4 if ctx.cyclotomic_order == 4 else 2, eps),
+            QuadraticAlgebra(ctx, ctx.int_(2))]
+
+
+def _oracle_add(a, b):
+    out = dict(a)
+    for key, s in b.items():
+        out[key] = out[key] + s if key in out else s
+    return {key: s for key, s in out.items() if not s.is_zero()}
+
+
+def _oracle_neg(a):
+    return {key: s * -1 for key, s in a.items()}
+
+
+@st.composite
+def _plumbing_case(draw):
+    ctx = _PLUMBING_CONTEXTS[draw(st.sampled_from(list(_PLUMBING_CONTEXTS)))]
+    alg = draw(st.sampled_from(_plumbing_families(ctx)))
+    keys = alg.finite_basis() or list(range(-2 if alg.kind == "laurent" else 0, 3))
+
+    def scalar():
+        s = ctx.fraction(Fraction(draw(st.integers(-4, 4)),
+                                  draw(st.sampled_from((1, 2, 3)))))
+        if ctx.cyclotomic_order > 1:
+            s = s + draw(st.integers(-1, 1)) * ctx.zeta()
+        if ctx.parameters:
+            s = s + draw(st.integers(-1, 1)) * ctx.param("q")
+        return s
+
+    def element():
+        terms = {key: scalar() for key in draw(st.lists(st.sampled_from(keys),
+                                                        unique=True))}
+        return {key: s for key, s in terms.items() if not s.is_zero()}
+
+    a, b = element(), element()
+    if draw(st.booleans()):  # b cancels some of a's terms
+        b.update(_oracle_neg({k: s for k, s in a.items() if draw(st.booleans())}))
+    return alg, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plumbing_case())
+def test_add_sub_neg_eq_agree_with_a_term_by_term_oracle(case):
+    alg, a, b = case
+    neg_b = _oracle_neg(b)
+    assert alg.add(a, b) == _oracle_add(a, b)
+    assert alg.neg(b) == neg_b
+    assert alg.sub(a, b) == _oracle_add(a, neg_b)
+    assert alg.eq(a, b) is (_oracle_add(a, neg_b) == {})
+    assert alg.eq(a, a) and alg.sub(a, a) == {} and alg.add(a, alg.neg(a)) == {}
+    for out in (alg.add(a, b), alg.sub(a, b), alg.neg(b)):
+        assert not any(s.is_zero() for s in out.values())
+
+
+_FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["Q", "Q(zeta_4)", "F_5"]), _FRACTIONS, _FRACTIONS)
+def test_constant_scalar_addition_agrees_with_fractions(name, x, y):
+    ctx = _PLUMBING_CONTEXTS[name]
+    if ctx.characteristic and (x.denominator % 5 == 0 or y.denominator % 5 == 0):
+        x, y = Fraction(x.numerator), Fraction(y.numerator)
+    total = ctx.fraction(x) + ctx.fraction(y)
+    assert total == ctx.fraction(x + y)
+    if not ctx.characteristic:
+        assert total.as_fraction() == x + y
+    cancelled = ctx.fraction(x) + ctx.fraction(-x)
+    assert cancelled.is_zero() and cancelled.num == {}
+    assert (ctx.zero + ctx.fraction(x)) == ctx.fraction(x)
+    assert ctx.one is ctx.one and ctx.zero is ctx.zero

@@ -10,10 +10,12 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambiskew.algebras import FieldAlgebra, PolyAlgebra
-from ambiskew.dsl import (DslError, eval_element, parse_expression,
-                          parse_scalar_table, parse_spec)
+from ambiskew.dsl import (DslError, _tokenize_line, eval_element,
+                          parse_expression, parse_scalar_table, parse_spec)
 from ambiskew.scalars import ScalarContext
 
 F = "base F = field()\nauto a on F { }\n"
@@ -72,6 +74,8 @@ ERRORS = [
      "semantic", 1, 20, "d takes an expression, not a list"),
     ("base A = field() $",
      "lexical", 1, 18, "unexpected character '$'"),
+    ('check torus("a#b.csv)',
+     "lexical", 1, 13, "unexpected character '\"'"),
     (C4 + "base A = cyclic_group(n = 2, epsilon = w)",
      "semantic", 2, 40, "unknown name 'w'"),
     ("base A = quadratic(d = 1/0)",
@@ -222,14 +226,18 @@ def test_document_objects():
                      "auto b on A { s -> -s }\n"
                      "ring R = ambiskew(A, b, v = s, rho = -1, y = u)\n"
                      "check simple(R)\ncheck torus(m.csv)\n"
-                     'check torus("my table.csv")\n')
+                     'check torus("my table.csv")\n'
+                     'check torus("my#table.csv")  # a "quoted" comment\n'
+                     "check torus(n.csv)# torus(o.csv)\n")
     assert doc.context.cyclotomic_order == 4
     assert list(doc.rings) == ["R"]
     assert doc.algebra("A") is doc.rings["R"].base
     assert doc.algebra("R") is doc.rings["R"]
     assert [c.echo() for c in doc.checks] == [
-        "simple(R)", "torus(m.csv)", "torus(my table.csv)"]
+        "simple(R)", "torus(m.csv)", "torus(my table.csv)",
+        "torus(my#table.csv)", "torus(n.csv)"]
     assert doc.checks[2].target == "my table.csv"
+    assert doc.checks[3].target == "my#table.csv"
 
 
 def test_scalar_table_skips_blank_and_comment_lines():
@@ -299,3 +307,52 @@ def test_deep_nesting_is_a_dsl_error():
     with pytest.raises(DslError) as info:
         parse_scalar_table(f"1, 2\n3, {nested}", ScalarContext())
     assert info.value.loc.line == 2
+
+
+# -- the tokenizer against the text it reads ----------------------------------
+
+# a character that can begin a token, a blank or a comment; '"' only when a
+# closing quote follows it on the line
+_STARTS = set("abxyzAZ_0123456789(){}[],=+-*/^ \t#")
+
+
+def _strip(line: str) -> str:
+    """The line with its comment and the blanks outside quotes removed."""
+    out, quoted = [], False
+    for ch in line:
+        if ch == '"':
+            quoted = not quoted
+        elif not quoted and ch == "#":
+            break
+        elif not quoted and ch in " \t":
+            continue
+        out.append(ch)
+    return "".join(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.sampled_from(list('abxyzAZ_019.."##(){}[],=+-*/^>  \t@')),
+               max_size=30))
+def test_tokens_cover_the_line_or_the_first_stray_character_is_reported(line):
+    try:
+        tokens = _tokenize_line(line, 7)
+    except DslError as err:
+        assert (err.kind, err.loc.line) == ("lexical", 7)
+        at = err.loc.column - 1
+        assert err.message == f"unexpected character {line[at]!r}"
+        assert line[at] not in _STARTS
+        assert line[at] != '"' or '"' not in line[at + 1:]
+        # every character before it is accepted, by a token or as a blank
+        assert _tokenize_line(line[:at], 7)[-1].column == at + 1
+        return
+    *tokens, end = tokens
+    assert end.kind == "END" and end.line == 7
+    for tok in tokens:
+        assert line[tok.column - 1:tok.column - 1 + len(tok.text)] == tok.text
+    assert "".join(tok.text for tok in tokens) == _strip(line)
+    assert line[end.column - 1:end.column] in ("", "#")
+
+
+def test_a_line_break_in_a_bare_expression_is_a_stray_character():
+    assert _error(parse_expression, "1\n+ 2") == (
+        "lexical", 1, 2, "unexpected character '\\n'")

@@ -108,6 +108,25 @@ def test_quantized_weyl_localization_formal_parameter():
     assert radical == {"kind": "periodic_units", "period": 1, "ratio": "q"}
 
 
+def test_radical_condition_tests_an_eigenvector_v_once(monkeypatch):
+    # v = 1 is an eigenvector, so the answer at m = 1 is also that of v^(1)
+    # in the period-1 route: u = 0 is tested, then v, and nothing else
+    seen = []
+    radical_contains = FieldAlgebra.radical_contains
+
+    def spy(self, d, u):
+        seen.append(self.render(d))
+        return radical_contains(self, d, u)
+
+    monkeypatch.setattr(FieldAlgebra, "radical_contains", spy)
+    ctx = ScalarContext(parameters=("q",))
+    verdict = localized_simple(_quantized_weyl_at(ctx.param("q")))
+    assert seen == ["0", "1"]
+    assert verdict.holds
+    radical = _conditions(verdict)["radical"].certificate
+    assert radical == {"kind": "periodic_units", "period": 1, "ratio": "q"}
+
+
 def test_localized_simple_rejects_singular_quadruple():
     ctx = ScalarContext()
     field = FieldAlgebra(ctx)
