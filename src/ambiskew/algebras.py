@@ -38,9 +38,10 @@ The protocol hooks are:
   and ``scalars.least_integer_root`` solves them; Poly, Laurent and
   towers probe q with ``is_unit`` and decide only R = 1),
   ``split_nondiagonal`` (v = u - rho*alpha(u) for an alpha that is not
-  diagonal) and ``coprime_to_shifts`` (the least m with u and alpha^m(u)
-  not comaximal, from a closed form: the dispersion of u under a
-  polynomial shift, the single root of u under a Laurent scaling).
+  diagonal: a shift, or a scaling about a fixed point, over Poly) and
+  ``coprime_to_shifts`` (the least m with u and alpha^m(u) not comaximal,
+  from a closed form: the dispersion of u under a polynomial shift, the
+  single root of u under a Laurent scaling).
 
 The Euclidean decisions of Poly and Laurent (radical, comaximality, the
 dispersion resultant) run on the dense polynomial layer of ``scalars``.
@@ -54,7 +55,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
-from .linear import gauss_solve
 from .multiplicative import factor_rational
 from .scalars import (
     Scalar,
@@ -896,7 +896,9 @@ class LaurentAlgebra(_Univariate):
 
 
 class PolyAlgebra(_Univariate):
-    """K[t] with affine automorphisms t -> a*t + b."""
+    """K[t] with affine automorphisms t -> a*t + b: a shift when a = 1, else
+    the scaling s -> a*s in s = t - t0 about the fixed point t0 = b/(1 - a).
+    """
 
     kind = "poly"
     # t^k with k < 0 is no element, so the monomial frame does not apply
@@ -949,12 +951,10 @@ class PolyAlgebra(_Univariate):
         return AffineAuto(ainv, -auto.b * ainv)
 
     def auto_order(self, auto) -> int | None:
-        k = root_of_unity_order(auto.a)
-        if k is None:
-            return None
-        if self.auto_power(auto, k).b.is_zero():
-            return k
-        return k * self.ctx.characteristic if self.ctx.characteristic else None
+        # a scaling has the order of a; a nonzero shift has order p, or none
+        if auto.a != self.ctx.one:
+            return root_of_unity_order(auto.a)
+        return 1 if auto.b.is_zero() else self.ctx.characteristic or None
 
     def eigenvalue(self, auto, key) -> Scalar | None:
         if auto.b.is_zero():
@@ -973,63 +973,42 @@ class PolyAlgebra(_Univariate):
                           {"kind": "positive_degree", "degree": max(a)})
 
     def alpha_simple(self, autos: list) -> Verdict:
-        autos = list(autos) or [self.identity_auto()]
-        closure = list(autos)
-        for f in autos:
-            for g in autos:
-                closure.append(self.compose(f, self.invert(g)))
-                # the commutator f g f^-1 g^-1 always has trivial linear part
-                closure.append(self.compose(self.compose(f, g),
-                                            self.invert(self.compose(g, f))))
         one = self.ctx.one
-        if self.ctx.characteristic == 0:
-            for h in closure:
-                if h.a == one and not h.b.is_zero():
-                    return holds("the group generated contains a nonzero shift, "
-                                 "which fixes no proper ideal in characteristic 0")
-        if all(h.a == one for h in autos):
-            bs = [h.b for h in autos if not h.b.is_zero()]
-            if not bs:
+        shifts = [h.b for h in autos if h.a == one and not h.b.is_zero()]
+        points = [h.b / (one - h.a) for h in autos if h.a != one]
+        if not shifts and all(c == points[0] for c in points):
+            if not points:
                 return fails("every automorphism is the identity",
                              certificate={"kind": "stable_ideal",
                                           "generator": self.gen})
-            # characteristic p: the product over the F_p-span of the shifts,
-            # built one offset at a time (Ore's subspace polynomial): f is
-            # additive, so adding a b outside the span of its roots
-            # (f(b) != 0) multiplies out to prod_k (f - k*f(b)), which is
-            # f^p - f(b)^(p-1)*f with f^p taken termwise
-            p = self.ctx.characteristic
-            f = {1: one}
-            for b in bs:
-                fb = self.ctx.zero
-                for k, c in f.items():
-                    fb = fb + c * b ** k
-                if not fb.is_zero():
-                    f = self.sub({k * p: c ** p for k, c in f.items()},
-                                 self.smul(fb ** (p - 1), f))
-            return fails(
-                "the shifts only translate by the finite span of their offsets",
-                certificate={"kind": "stable_ideal", "generator": self.render(f)})
-        fixed = None
-        consistent = True
-        for h in autos:
-            if h.a == one:
-                consistent = consistent and h.b.is_zero()
-                continue
-            c = h.b / (one - h.a)
-            if fixed is None:
-                fixed = c
-            else:
-                consistent = consistent and fixed == c
-        if consistent and fixed is not None:
-            f = {1: one}
-            if not fixed.is_zero():
-                f[0] = -fixed
+            line = self.sub({1: one}, self.from_scalar(points[0]))
             return fails("every automorphism fixes the same point",
                          certificate={"kind": "stable_ideal",
-                                      "generator": self.render(f)})
-        return inconclusive("the automorphisms share no fixed point and no shift "
-                            "was derived from their compositions")
+                                      "generator": self.render(line)})
+        if self.ctx.characteristic == 0:
+            # a shift, or the commutator of scalings about two points
+            return holds("the group generated contains a nonzero shift, "
+                         "which fixes no proper ideal in characteristic 0")
+        if points:
+            return inconclusive("the automorphisms share no fixed point and no "
+                                "shift was derived from their compositions")
+        # characteristic p: the product over the F_p-span of the shifts,
+        # built one offset at a time (Ore's subspace polynomial): f is
+        # additive, so adding a b outside the span of its roots
+        # (f(b) != 0) multiplies out to prod_k (f - k*f(b)), which is
+        # f^p - f(b)^(p-1)*f with f^p taken termwise
+        p = self.ctx.characteristic
+        f = {1: one}
+        for b in shifts:
+            fb = self.ctx.zero
+            for k, c in f.items():
+                fb = fb + c * b ** k
+            if not fb.is_zero():
+                f = self.sub({k * p: c ** p for k, c in f.items()},
+                             self.smul(fb ** (p - 1), f))
+        return fails(
+            "the shifts only translate by the finite span of their offsets",
+            certificate={"kind": "stable_ideal", "generator": self.render(f)})
 
     def coprime_to_shifts(self, alpha, u: dict):
         ctx = self.ctx
@@ -1053,22 +1032,41 @@ class PolyAlgebra(_Univariate):
                 "no positive integer root", fields)
 
     def split_nondiagonal(self, alpha, v: dict, rho: Scalar):
-        # window of degree deg(v) + 1: a shift can drop the degree of
-        # u - rho*alpha(u) by one, and by no more than one for the minimal
-        # representative modulo the kernel
         ctx = self.ctx
-        dim = max(v) + 2
-        rows = [[ctx.zero] * dim for _ in range(dim)]
-        for d in range(dim):
-            img = _eadd({d: ctx.one},
-                        _escale(self.apply(alpha, {d: ctx.one}), -rho))
-            for r, s in img.items():
-                rows[r][d] = s
-        sol = gauss_solve(rows, [v.get(r, ctx.zero) for r in range(dim)])
-        if sol is None:
-            return None, {"kind": "no_polynomial_splitting",
-                          "window": dim - 1}, True
-        return {d: s for d, s in enumerate(sol) if not s.is_zero()}, None, True
+        one = ctx.one
+        if alpha.a != one:
+            # alpha scales s = t - t0, so v(t0 + s) splits monomial by
+            # monomial over K[s], whose generator prints as (t - t0)
+            t0 = alpha.b / (one - alpha.a)
+            line = self.sub({1: one}, self.from_scalar(t0))
+            about = PolyAlgebra(ctx, f"({self.render(line)})")
+            u, obstruction, complete = solve_splitting_ex(
+                about, AffineAuto(alpha.a, ctx.zero), about.identity_auto(),
+                self.apply(AffineAuto(one, t0), v), rho)
+            if u is None:
+                return u, obstruction, complete
+            u = self.apply(AffineAuto(one, -t0), u)
+            # the kernel is spanned by the resonant (t - t0)^k, rho*a^k = 1;
+            # clear each resonant t^k, top degree first
+            for k in range(max(u), -1, -1):
+                if k in u and rho * alpha.a ** k == one:
+                    u = self.sub(u, self.smul(u[k], self.power(line, k)))
+            return u, None, True
+        # a shift: cancel the top term of v by t^d, whose image leads with
+        # (1 - rho)*t^d, or for rho = 1 by t^(d+1), whose image leads with
+        # -(d+1)*b*t^d.  Nothing reaches t^d when p | d + 1: in the basis
+        # t^i*(t^p - b^(p-1)*t)^j the image has no term with i = p - 1
+        u, rest = {}, dict(v)
+        while rest:
+            d = max(rest)
+            k = d if rho != one else d + 1
+            image = self.sub({k: one},
+                             self.smul(rho, self.apply(alpha, {k: one})))
+            if d not in image:
+                return None, {"kind": "no_polynomial_splitting", "degree": d}, True
+            u[k] = c = rest[d] / image[d]
+            rest = self.sub(rest, self.smul(c, image))
+        return u, None, True
 
 
 # ---------------------------------------------------------------------------
@@ -1314,7 +1312,7 @@ def solve_splitting_ex(algebra, alpha, gamma, v: dict, rho: Scalar):
     complete=False is an honest refusal, only reachable when the coefficient
     algebra is an iterated ring whose componentwise candidate fails the
     normality conditions, or when alpha is not diagonal on the basis of a
-    family with no windowed solver.
+    family other than Poly.
     """
     ctx = algebra.ctx
     if algebra.is_zero(v):

@@ -1,9 +1,9 @@
 """Dense exact linear algebra over the scalar field.
 
-Systems here are tiny (splitting searches and height-n witness
-searches), so plain Gaussian elimination with exact scalar division
-is the right tool.  Matrices are lists of row lists of Scalars and are never
-mutated in place by the callers.
+Systems here are tiny (the height-n witness search of the
+characteristic-p criterion), so plain Gaussian elimination with exact
+scalar division is the right tool.  Matrices are lists of row lists of
+Scalars and are never mutated in place by the callers.
 """
 
 from __future__ import annotations

@@ -120,12 +120,13 @@ def _units_by_period(ring, test, where: str, watch, nil: Status,
     decided v^(L) or a decided pencil, the bounded scan.  ``first`` is the
     answer of ``test`` on v^(1) when it was already asked, else None."""
     base = ring.base
+    at = lambda m: first if m == 1 and first is not None else test(ring.v_m(m))
     if (found := ring.v_period()) is None:
         note = f"no scalar period within {bounds.PERIOD_MAX} steps"
     else:
         span, ratio = found
         top = ring.v_m(span)
-        answer = first if span == 1 and first is not None else test(top)
+        answer = at(span)
         if answer.status is Status.INCONCLUSIVE:
             note = f"whether v^({span}) is a unit{where} was not decided"
         else:
@@ -143,7 +144,7 @@ def _units_by_period(ring, test, where: str, watch, nil: Status,
                                  test, where, nil)
     return bounded_scan(
         bounds.M_MAX,
-        lambda m: test(ring.v_m(m)),
+        at,
         lambda m, answer: fails(
             f"v^({m}) is not a unit{where}",
             certificate=_nonunit(base, m, ring.v_m(m), answer)),

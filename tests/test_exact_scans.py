@@ -395,6 +395,30 @@ def test_radical_watching_one_is_the_units_condition():
     assert seen[Status.HOLDS] and seen[Status.FAILS]
 
 
+def test_radical_scan_asks_v_once(monkeypatch):
+    # t -> 2*t + 1 leaves v = t with no scalar period, so the radical
+    # condition scans; v^(1) was asked before the scan and is not asked
+    # again, and v^(2) = t + 3*(2*t + 1) fails
+    seen = []
+    radical_contains = PolyAlgebra.radical_contains
+
+    def spy(self, d, u):
+        seen.append(self.render(d))
+        return radical_contains(self, d, u)
+
+    monkeypatch.setattr(PolyAlgebra, "radical_contains", spy)
+    ctx = ScalarContext()
+    poly = PolyAlgebra(ctx)
+    t = poly.gen_elem("t")
+    ring = AmbiskewRing(poly, AffineAuto(ctx.int_(2), ctx.one), t, ctx.int_(3))
+    verdict = every_v_m_unit(ring, watch=t)
+    assert seen == ["0", "t", "7*t + 3"]
+    assert verdict.fails
+    assert verdict.certificate == {
+        "kind": "nonunit_v_m", "m": 2, "value": "7*t + 3",
+        "detail": {"kind": "radical_witness", "power": 1}}
+
+
 def test_a_ratio_moving_a_parameter_decides():
     # K[C_2] over Q(q), v = 1 + 2*s, rho = q: (rho*alpha)^2 rescales v by
     # q^2, whose degree in q pins every candidate

@@ -629,8 +629,9 @@ def test_cyclic_tower_monomial_levels():
 
 def test_tower_singularity_by_projection():
     # alpha is affine but not diagonal at both levels, so the tower's own
-    # splitting solver declines; over K[t] the image of u - alpha(u) is
-    # spanned by t + 1, so v = 1 has no splitting element there
+    # splitting solver declines; over K[t] alpha scales t + 1 by 2, the
+    # image of u - alpha(u) is spanned by the powers (t + 1)^k with k >= 1,
+    # and v = 1 is the resonant monomial with no splitting element
     ctx = ScalarContext()
     poly = PolyAlgebra(ctx)
     aff = AffineAuto(ctx.int_(2), ctx.one)
@@ -642,7 +643,8 @@ def test_tower_singularity_by_projection():
     assert verdict.certificate == {
         "kind": "singular", "obstruction": {
             "kind": "singular_by_projection",
-            "obstruction": {"kind": "no_polynomial_splitting", "window": 1}}}
+            "obstruction": {"kind": "resonant_monomial", "monomial": "1",
+                            "scale": "1"}}}
     assert r2.conformality().status is Status.FAILS
     level = _conditions(_conditions(simple_iterated([r1, r2]))["level_2"])
     assert level["singular"].to_json() == verdict.to_json()
