@@ -268,7 +268,9 @@ class BaseAlgebra:
         return not a
 
     def eq(self, a: dict, b: dict) -> bool:
-        return self.is_zero(self.sub(a, b))
+        """a == b key by key, a missing key standing for a zero entry."""
+        zero = self.ctx.zero
+        return all(a.get(k, zero) == b.get(k, zero) for k in a.keys() | b.keys())
 
     def scalar_of(self, a: dict) -> Scalar | None:
         """s with a == s*1, if the element is scalar."""

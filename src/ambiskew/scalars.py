@@ -648,8 +648,8 @@ class ScalarContext:
         self.one = self._const(self.dom.one)
 
     def _const(self, c) -> "Scalar":
-        num = {} if self.dom.is_zero(c) else {self._pzero: c}
-        return Scalar(self, num, self._pone)
+        return _raw(self, {} if c == self.dom.zero else {self._pzero: c},
+                    self._pone)
 
     def int_(self, n: int) -> "Scalar":
         return self._const(self.dom.from_fraction(n))
@@ -665,11 +665,18 @@ class ScalarContext:
     def param(self, name: str) -> "Scalar":
         i = self.parameters.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(self.parameters)))
-        return Scalar(self, {e: self.dom.one}, self._pone)
+        return _raw(self, {e: self.dom.one}, self._pone)
 
     def __repr__(self) -> str:
         return (f"ScalarContext(characteristic={self.characteristic}, "
                 f"cyclotomic_order={self.cyclotomic_order}, parameters={self.parameters})")
+
+
+def _raw(ctx: ScalarContext, num: dict, den: dict) -> "Scalar":
+    """The Scalar num/den, which must already be in normal form."""
+    s = object.__new__(Scalar)
+    s.ctx, s.num, s.den = ctx, num, den
+    return s
 
 
 class Scalar:
@@ -707,11 +714,7 @@ class Scalar:
         dom = ctx.dom
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
-        if not ctx.parameters:
-            if num and den is not ctx._pone:
-                num = {(): dom.div(num[()], den[()])}
-            den = ctx._pone
-        elif not num or den is ctx._pone:
+        if not num or den is ctx._pone:
             den = ctx._pone
         elif len(den) == 1:
             # a monomial moves into num's exponents, which may go negative
@@ -737,14 +740,15 @@ class Scalar:
 
     # -- coercion ----------------------------------------------------------
 
-    def _coerce(self, other) -> "Scalar | None":
+    def _mixed(self, op, other):
+        """op(self, other) for an operand that is not a Scalar of this
+        context: an int or a Fraction is coerced, a Scalar of another
+        context raises.  Each operator handles its own context inline."""
         if isinstance(other, Scalar):
-            if other.ctx is not self.ctx:
-                raise ValueError("mixing scalars from different contexts")
-            return other
+            raise ValueError("mixing scalars from different contexts")
         if isinstance(other, (int, Fraction)):
-            return self.ctx.fraction(other)
-        return None
+            return op(self, self.ctx.fraction(other))
+        return NotImplemented
 
     # -- predicates ---------------------------------------------------------
 
@@ -783,75 +787,83 @@ class Scalar:
         return c, e
 
     # -- arithmetic ----------------------------------------------------------
+    #
+    # A result that is in normal form by construction is made by ``_raw``
+    # (or ``ctx._const``): every result without parameters, a negation, and
+    # a sum or product of two scalars over the shared unit.  Only a result
+    # over a polynomial denominator goes through ``__init__``.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         ctx = self.ctx
+        if type(other) is not Scalar or other.ctx is not ctx:
+            return self._mixed(operator.add, other)
+        a, b = self.num, other.num
+        if not b:
+            return self
+        if not a:
+            return other
         dom = ctx.dom
         if not ctx.parameters:
-            if not o.num:
-                return self
-            if not self.num:
-                return o
-            c = dom.add(self.num[()], o.num[()])
-            return Scalar(ctx, {} if dom.is_zero(c) else {(): c}, ctx._pone)
-        if self.den == o.den:
-            return Scalar(ctx, _padd(dom, self.num, o.num), self.den)
-        num = _padd(dom, _pmul(dom, self.num, o.den), _pmul(dom, o.num, self.den))
-        return Scalar(ctx, num, _pmul(dom, self.den, o.den))
+            return ctx._const(dom.add(a[()], b[()]))
+        den = self.den
+        if den is ctx._pone and other.den is den:
+            return _raw(ctx, _padd(dom, a, b), den)
+        if den == other.den:
+            return Scalar(ctx, _padd(dom, a, b), den)
+        return Scalar(ctx, _padd(dom, _pmul(dom, a, other.den), _pmul(dom, b, den)),
+                      _pmul(dom, den, other.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ctx, _pneg(self.ctx.dom, self.num), self.den)
+        return _raw(self.ctx, _pneg(self.ctx.dom, self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        ctx = self.ctx
+        if type(other) is not Scalar or other.ctx is not ctx:
+            return self._mixed(operator.sub, other)
+        a, b = self.num, other.num
+        if ctx.parameters or not a or not b:
+            return self + (-other)
+        return ctx._const(ctx.dom.sub(a[()], b[()]))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return self._mixed(lambda s, o: o - s, other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         ctx = self.ctx
+        if type(other) is not Scalar or other.ctx is not ctx:
+            return self._mixed(operator.mul, other)
+        a, b = self.num, other.num
         if not ctx.parameters:
-            num = {(): ctx.dom.mul(self.num[()], o.num[()])} \
-                if self.num and o.num else {}
-            return Scalar(ctx, num, ctx._pone)
-        dom = ctx.dom
-        num = _pmul(dom, self.num, o.num)
-        if self.den is ctx._pone and o.den is ctx._pone:
-            return Scalar(ctx, num, ctx._pone)
-        return Scalar(ctx, num, _pmul(dom, self.den, o.den))
+            return _raw(ctx, {(): ctx.dom.mul(a[()], b[()])},
+                        ctx._pone) if a and b else ctx.zero
+        num = _pmul(ctx.dom, a, b)
+        if self.den is ctx._pone and other.den is ctx._pone:
+            return _raw(ctx, num, ctx._pone)
+        return Scalar(ctx, num, _pmul(ctx.dom, self.den, other.den))
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
-        if self.is_zero():
+        if not self.num:
             raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(self.ctx, self.den, self.num)
+        ctx = self.ctx
+        if not ctx.parameters:
+            return _raw(ctx, {(): ctx.dom.inv(self.num[()])}, ctx._pone)
+        return Scalar(ctx, self.den, self.num)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
+        ctx = self.ctx
+        if type(other) is not Scalar or other.ctx is not ctx:
+            return self._mixed(operator.truediv, other)
+        a, b = self.num, other.num
+        if ctx.parameters or not a or not b:
+            return self * other.inv()
+        return _raw(ctx, {(): ctx.dom.div(a[()], b[()])}, ctx._pone)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
+        return self._mixed(lambda s, o: o / s, other)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -861,13 +873,12 @@ class Scalar:
         return _power(operator.mul, self, k) if k else self.ctx.one
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == o.den:
-            return self.num == o.num
+        if type(other) is not Scalar or other.ctx is not self.ctx:
+            return self._mixed(operator.eq, other)
+        if self.den is other.den or self.den == other.den:
+            return self.num == other.num
         dom = self.ctx.dom
-        return _pmul(dom, self.num, o.den) == _pmul(dom, o.num, self.den)
+        return _pmul(dom, self.num, other.den) == _pmul(dom, other.num, self.den)
 
     # -- rendering -----------------------------------------------------------
 
@@ -968,7 +979,7 @@ def _rational_component(coeffs: list[Scalar]):
     for idx in range(len(cleared)):
         den = cleared[idx].den
         if den != ctx._pone:
-            d = Scalar(ctx, den, ctx._pone)
+            d = _raw(ctx, den, ctx._pone)
             cleared = [x * d for x in cleared]
     coords = ctx.dom.coords
     e, i = min((e, i) for c in cleared for e, val in c.num.items()

@@ -67,10 +67,10 @@ def every_v_m_unit(ring, watch: dict | None = None) -> Verdict:
     """Whether every v^(m), m >= 1, is a unit of A or, given ``watch`` = u,
     of A[1/u]: the radical condition of the Casimir localization.
 
-    The routes, in order: A[1/u] = 0 (u nilpotent); v = 0; given ``watch``,
-    v^(1) itself, so a failure at m = 1 waits for no period search; the
-    period of v, searched for ``bounds.PERIOD_MAX`` steps; the bounded scan
-    to ``bounds.M_MAX``.  A Fails names the least m.
+    The routes, in order: A[1/u] = 0 (u nilpotent); v = 0; v^(1) itself,
+    so a failure at m = 1 waits for no period search; the period of v,
+    searched for ``bounds.PERIOD_MAX`` steps; the bounded scan to
+    ``bounds.M_MAX``.  A Fails names the least m.
     """
     base = ring.base
     if watch is None:
@@ -87,12 +87,11 @@ def every_v_m_unit(ring, watch: dict | None = None) -> Verdict:
     if base.is_zero(ring.v):
         return _vanishing(nil, where, "v^(1) = v is zero",
                           {"kind": "vanishing_v_m", "m": 1})
-    first = None
-    if watch is not None:
-        first = test(ring.v)
-        if first.status is Status.FAILS:
-            return fails(f"v = v^(1) is not a unit{where}",
-                         certificate=_nonunit(base, 1, ring.v, first))
+    first = test(ring.v)
+    if first.status is Status.FAILS:
+        name = "v^(1)" if watch is None else "v = v^(1)"
+        return fails(f"{name} is not a unit{where}",
+                     certificate=_nonunit(base, 1, ring.v, first))
     return _units_by_period(ring, test, where, watch, nil, first)
 
 
@@ -118,9 +117,9 @@ def _units_by_period(ring, test, where: str, watch, nil: Status,
     other residue r < L is a pencil in q, or in R^q when R has infinite
     order, that the coefficient family decides.  Without a period, a
     decided v^(L) or a decided pencil, the bounded scan.  ``first`` is the
-    answer of ``test`` on v^(1) when it was already asked, else None."""
+    answer of ``test`` on v^(1), already asked."""
     base = ring.base
-    at = lambda m: first if m == 1 and first is not None else test(ring.v_m(m))
+    at = lambda m: first if m == 1 else test(ring.v_m(m))
     if (found := ring.v_period()) is None:
         note = f"no scalar period within {bounds.PERIOD_MAX} steps"
     else:

@@ -419,6 +419,26 @@ def test_radical_scan_asks_v_once(monkeypatch):
         "detail": {"kind": "radical_witness", "power": 1}}
 
 
+def test_units_failing_at_m_1_wait_for_no_period_search(monkeypatch):
+    # over Q(q) the period search of this affine alpha swells; v^(1) has
+    # positive degree, so the units condition fails before that search
+    def no_search(self):
+        raise AssertionError("v^(1) decides; no period search is needed")
+
+    monkeypatch.setattr(AmbiskewRing, "v_period", no_search)
+    ring = parse_spec("""context(parameters = [q])
+base P = poly(t)
+auto a on P { t -> (q^2 + 1/2)*t + (q^2 - 1/2)*(q - 1) }
+ring R = ambiskew(P, a, v = 2*q*t^2 + 4*(q^2 - q)*t + 1, rho = 1/(q^2 + 1/2))
+""").rings["R"]
+    verdict = units_for_all_m(ring)
+    assert verdict.fails
+    assert verdict.reason == "v^(1) is not a unit"
+    assert verdict.certificate == {
+        "kind": "nonunit_v_m", "m": 1, "value": "2*q*t^2 + (4*q^2 - 4*q)*t + 1",
+        "detail": {"kind": "positive_degree", "degree": 2}}
+
+
 def test_a_ratio_moving_a_parameter_decides():
     # K[C_2] over Q(q), v = 1 + 2*s, rho = q: (rho*alpha)^2 rescales v by
     # q^2, whose degree in q pins every candidate

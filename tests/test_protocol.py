@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambiskew.algebras import (
     AffineAuto,
@@ -20,8 +21,10 @@ from ambiskew.scalars import ScalarContext
 
 from _helpers import (
     fc4_mixed,
+    key_pool,
     laurent_scale,
     quadratic_conjugation,
+    random_elem,
     random_scalar,
 )
 
@@ -103,3 +106,26 @@ def test_protocol(name):
     for elem in (a, algebra.power(a, 2), algebra.smul(s, a)):
         again = eval_element(parse_expression(algebra.render(elem)), algebra)
         assert algebra.eq(again, elem)
+
+
+_EQ_ALGEBRAS = {name: CASES[name]()[0] for name in
+                ("field", "poly", "laurent", "cyclic_group", "quadratic",
+                 "ambiskew")}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_EQ_ALGEBRAS)), st.integers(0, 2**32),
+       st.booleans())
+def test_eq_reads_an_explicit_zero_entry_as_a_missing_key(name, seed, same):
+    algebra, rng = _EQ_ALGEBRAS[name], random.Random(seed)
+    a, c = random_elem(algebra, rng, terms=3), random_elem(algebra, rng)
+    # equal to a by another route, or drawn afresh
+    b = (algebra.sub(algebra.add(a, c), c) if same
+         else random_elem(algebra, rng, terms=3))
+    zero, pool = algebra.ctx.zero, key_pool(algebra)
+    a0 = {**{k: zero for k in rng.sample(pool, min(2, len(pool)))}, **a}
+    b0 = {**{k: zero for k in rng.sample(pool, min(2, len(pool)))}, **b}
+    expected = algebra.is_zero(algebra.sub(a, b))
+    assert algebra.eq(a0, b0) is expected
+    assert algebra.eq(a, b0) is algebra.is_zero(algebra.sub(a, b0)) is expected
+    assert algebra.eq(a0, a) and algebra.eq(a, a0)

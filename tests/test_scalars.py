@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -432,6 +433,59 @@ def test_constant_fast_path_matches_general_path(ctxs, xs, ys, k):
         assert str(x) == str(gx)
         assert x.is_zero() == gx.is_zero() and x.is_one() == gx.is_one()
         assert x.as_fraction() == gx.as_fraction()
+
+
+# ---------------------------------------------------------------------------
+# every operator returns its result in normal form
+# ---------------------------------------------------------------------------
+
+_FAMILY_CTXS = [ScalarContext(), ScalarContext(cyclotomic_order=4),
+                ScalarContext(characteristic=5),
+                ScalarContext(parameters=("q",)),
+                ScalarContext(parameters=("q", "r"))]
+
+
+@st.composite
+def _operand(draw, ctx: ScalarContext) -> Scalar:
+    if ctx.characteristic:
+        return ctx.int_(draw(st.integers(0, ctx.characteristic - 1)))
+    if not ctx.parameters:
+        return _constant(ctx, draw(_COORDS))
+    num, den = draw(_param_fraction(ctx))
+    return num / den
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_operator_returns_normal_form(data):
+    ctx = data.draw(st.sampled_from(_FAMILY_CTXS))
+    a, b = data.draw(_operand(ctx)), data.draw(_operand(ctx))
+    n = data.draw(st.integers(-6, 6))
+    f = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    results = [-a, -b]
+    for x, y in ((a, b), (b, a), (a, n), (n, a), (a, f), (f, a), (a, a)):
+        results += [x + y, x - y, x * y]
+        if ctx.zero + y:
+            results.append(x / y)
+    for k in range(-2, 4):
+        if a or k >= 0:
+            results.append(a ** k)
+    if a:
+        results.append(a.inv())
+    for r in results:
+        assert type(r) is Scalar and r.ctx is ctx
+        again = Scalar(ctx, r.num, r.den)
+        assert r.num == again.num and r.den == again.den
+        assert (r.den is ctx._pone) == (again.den is ctx._pone)
+    # a scalar of an equal but distinct context is refused on every path
+    twin = ScalarContext(ctx.characteristic, ctx.cyclotomic_order,
+                         ctx.parameters)
+    for other in (twin.one, twin.zero, twin.int_(3)):
+        for x, y in ((a, other), (other, a), (ctx.zero, other)):
+            for op in (operator.add, operator.sub, operator.mul,
+                       operator.truediv, operator.eq):
+                with pytest.raises(ValueError, match="different contexts"):
+                    op(x, y)
 
 
 # ---------------------------------------------------------------------------
