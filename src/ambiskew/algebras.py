@@ -100,10 +100,21 @@ class NestedAuto:
     lam_x: Scalar
 
 
-class UnitAnswer(NamedTuple):
-    status: Status
-    inverse: object | None
-    certificate: dict | None
+class UnitAnswer:
+    """The answer of a unit test: its status, the certificate of a
+    non-unit, and for a unit its inverse.  The inverse is built by the
+    stored ``build`` on the first read of ``inverse`` and kept, so a caller
+    that asks only for the status pays for no inverse."""
+
+    def __init__(self, status: Status, certificate: dict | None = None,
+                 build: Callable[[], dict] | None = None):
+        self.status = status
+        self.certificate = certificate
+        self._build = build
+
+    @cached_property
+    def inverse(self) -> dict | None:
+        return None if self._build is None else self._build()
 
 
 class EigenFrame(NamedTuple):
@@ -128,22 +139,25 @@ NO_EIGEN_FRAME = ("the special-element search needs diagonal automorphisms "
 # ---------------------------------------------------------------------------
 
 
-def _eadd(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, s in b.items():
-        t = out.get(k)
-        t = s if t is None else t + s
+def _eadd_into(out: dict, b: dict, s: Scalar | None = None) -> None:
+    """out += s*b (b when s is None) in place, dropping zero entries; b is
+    only read, so it may be shared."""
+    for k, t in b.items():
+        if s is not None:
+            t = t * s
+        u = out.get(k)
+        if u is not None:
+            t = u + t
         if t.is_zero():
             out.pop(k, None)
         else:
             out[k] = t
+
+
+def _eadd(a: dict, b: dict) -> dict:
+    out = dict(a)
+    _eadd_into(out, b)
     return out
-
-
-def _escale(a: dict, s: Scalar) -> dict:
-    if s.is_zero():
-        return {}
-    return {k: v * s for k, v in a.items()}
 
 
 def _signed_atom(s: Scalar) -> tuple[bool, str]:
@@ -250,7 +264,7 @@ class BaseAlgebra:
         return _eadd(a, self.neg(b))
 
     def smul(self, s: Scalar, a: dict) -> dict:
-        return _escale(a, s)
+        return {} if s.is_zero() else {k: v * s for k, v in a.items()}
 
     def mul(self, a: dict, b: dict) -> dict:
         raise NotImplementedError
@@ -452,7 +466,7 @@ class BaseAlgebra:
         characteristic p the pencil repeats mod p, so one period decides."""
         ch = self.ctx.characteristic
         for q in range(ch or count):
-            elem = _eadd(_escale(p, self.ctx.int_(q)), b)
+            elem = self.add(self.smul(self.ctx.int_(q), p), b)
             if self.is_unit(elem).status is not Status.HOLDS:
                 return q
         if not ch:
@@ -518,8 +532,9 @@ class FieldAlgebra(BaseAlgebra):
 
     def is_unit(self, a: dict) -> UnitAnswer:
         if not a:
-            return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
-        return UnitAnswer(Status.HOLDS, {(): a[()].inv()}, None)
+            return UnitAnswer(Status.FAILS, {"kind": "zero"})
+        s = a[()]
+        return UnitAnswer(Status.HOLDS, build=lambda: {(): s.inv()})
 
     is_regular = is_unit
 
@@ -646,8 +661,8 @@ class _Univariate(BaseAlgebra):
 
     def is_regular(self, a: dict) -> UnitAnswer:
         if not a:
-            return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
-        return UnitAnswer(Status.HOLDS, None, None)
+            return UnitAnswer(Status.FAILS, {"kind": "zero"})
+        return UnitAnswer(Status.HOLDS)
 
     def is_domain(self) -> bool | None:
         return True
@@ -774,18 +789,15 @@ class CyclicGroupAlgebra(_Univariate):
             if val.is_zero():
                 cert = {"kind": "character_zero", "character": l,
                         "cofactor": self.render(self._character_unit(l))}
-                return UnitAnswer(Status.FAILS, None, cert)
+                return UnitAnswer(Status.FAILS, cert)
+        return UnitAnswer(Status.HOLDS, build=lambda: self._inverse(chars))
+
+    def _inverse(self, chars: list[Scalar]) -> dict:
+        """The unit whose characters are the inverses of ``chars``."""
         inv: dict = {}
-        inv_n = self.ctx.fraction(Fraction(1, self.n))
-        inv_chars = [val.inv() for val in chars]
-        for k in range(self.n):
-            c = self.ctx.zero
-            for l, val in enumerate(inv_chars):
-                c = c + val * self._eps_pows[-k * l % self.n]
-            c = c * inv_n
-            if not c.is_zero():
-                inv[k] = c
-        return UnitAnswer(Status.HOLDS, inv, None)
+        for l, val in enumerate(chars):
+            _eadd_into(inv, self._character_unit(l), val.inv())
+        return inv
 
     is_regular = is_unit
 
@@ -850,12 +862,12 @@ class LaurentAlgebra(_Univariate):
 
     def is_unit(self, a: dict) -> UnitAnswer:
         if not a:
-            return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
+            return UnitAnswer(Status.FAILS, {"kind": "zero"})
         if len(a) == 1:
             ((i, s),) = a.items()
-            return UnitAnswer(Status.HOLDS, {-i: s.inv()}, None)
+            return UnitAnswer(Status.HOLDS, build=lambda: {-i: s.inv()})
         lo, hi = min(a), max(a)
-        return UnitAnswer(Status.FAILS, None,
+        return UnitAnswer(Status.FAILS,
                           {"kind": "multiple_monomials", "exponents": [lo, hi]})
 
     def alpha_simple(self, autos: list) -> Verdict:
@@ -941,7 +953,7 @@ class PolyAlgebra(_Univariate):
             powers[i] = self.mul(powers[i - 1], gen_image)
         out: dict = {}
         for i, s in elem.items():
-            out = _eadd(out, _escale(powers[i], s))
+            _eadd_into(out, powers[i], s)
         return out
 
     def compose(self, f, g):
@@ -968,10 +980,11 @@ class PolyAlgebra(_Univariate):
 
     def is_unit(self, a: dict) -> UnitAnswer:
         if not a:
-            return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
+            return UnitAnswer(Status.FAILS, {"kind": "zero"})
         if set(a) == {0}:
-            return UnitAnswer(Status.HOLDS, {0: a[0].inv()}, None)
-        return UnitAnswer(Status.FAILS, None,
+            s = a[0]
+            return UnitAnswer(Status.HOLDS, build=lambda: {0: s.inv()})
+        return UnitAnswer(Status.FAILS,
                           {"kind": "positive_degree", "degree": max(a)})
 
     def alpha_simple(self, autos: list) -> Verdict:
@@ -1134,20 +1147,15 @@ class QuadraticAlgebra(_Univariate):
 
     def is_unit(self, a: dict) -> UnitAnswer:
         if not a:
-            return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
-        n = self.norm(a)
+            return UnitAnswer(Status.FAILS, {"kind": "zero"})
+        n, conj = self.norm(a), self.conjugation()
         if n.is_zero():
-            return UnitAnswer(Status.FAILS, None,
-                              {"kind": "zero_divisor",
-                               "cofactor": self.render(self._conj(a))})
-        inv = n.inv()
-        out = {}
-        zero = self.ctx.zero
-        if not a.get(0, zero).is_zero():
-            out[0] = a[0] * inv
-        if not a.get(1, zero).is_zero():
-            out[1] = -a[1] * inv
-        return UnitAnswer(Status.HOLDS, out, None)
+            cofactor = self.render(self.apply(conj, a))
+            return UnitAnswer(Status.FAILS, {"kind": "zero_divisor",
+                                             "cofactor": cofactor})
+        a = dict(a)  # the inverse is built from this copy on first read
+        return UnitAnswer(Status.HOLDS,
+                          build=lambda: self.smul(n.inv(), self.apply(conj, a)))
 
     is_regular = is_unit
 
@@ -1156,16 +1164,6 @@ class QuadraticAlgebra(_Univariate):
         if square is None:
             return None
         return not square
-
-    def _conj(self, a: dict) -> dict:
-        out = {}
-        if 0 in a:
-            out[0] = a[0]
-        if 1 in a:
-            s = -a[1]
-            if not s.is_zero():
-                out[1] = s
-        return out
 
     def square_root_of_d(self) -> tuple[bool | None, Scalar | None]:
         """(is_square, explicit root): exact where decidable, else (None, None)."""
@@ -1233,7 +1231,7 @@ class QuadraticAlgebra(_Univariate):
             return fails("the ideal is zero but u is not nilpotent")
         # d is a nonzero zero divisor, so conj(d) spans the annihilator of
         # the ideal; u is in the radical exactly when conj(d)*u = 0
-        conj = self._conj(d)
+        conj = self.apply(self.conjugation(), d)
         if self.is_zero(self.mul(conj, u)):
             return holds("u lies in the same split component as the ideal",
                          certificate={"power": 1})
@@ -1250,9 +1248,10 @@ class QuadraticAlgebra(_Univariate):
             return fails("one element is zero, the other is not a unit")
         if self.ctx.characteristic != 2 and self.is_zero(self.mul(a, b)):
             return holds("the elements lie in complementary split components")
+        conj = self.apply(self.conjugation(), a)
         return fails("both elements lie in a common proper ideal",
                      certificate={"kind": "annihilator_witness",
-                                  "annihilator": self.render(self._conj(a))})
+                                  "annihilator": self.render(conj)})
 
     def first_nonunit_in_pencil(self, p: dict, b: dict,
                                 ratio: Scalar | None = None,

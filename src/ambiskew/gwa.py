@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from .algebras import scalar_ratio
 from . import bounds
-from .rings import ExtensionAlgebra
+from .rings import ExtensionAlgebra, _add_at, _ungroup
 from .scalars import Scalar
 from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
                       inconclusive)
@@ -85,7 +85,7 @@ class GwaRing(ExtensionAlgebra):
 
     def mul(self, f: dict, g: dict) -> dict:
         base = self.base
-        out: dict[int, dict] = {}
+        out: dict = {}
         right = self.grouped(g)
         for (d1,), b in self.grouped(f).items():
             for (d2,), c in right.items():
@@ -94,21 +94,12 @@ class GwaRing(ExtensionAlgebra):
                 # X^i Y^k collapses one pair at a time, emitting a twist of u
                 while i > 0 and k < 0 and coeff:
                     coeff = base.mul(coeff, base.apply(self._cross(i), self.u))
-                    i -= 1
-                    k += 1
+                    i, k = i - 1, k + 1
                 while i < 0 and k > 0 and coeff:
                     coeff = base.mul(coeff, base.apply(self._cross(i + 1), self.u))
-                    i += 1
-                    k -= 1
-                if not coeff:
-                    continue
-                s = base.add(out.get(i + k, {}), coeff)
-                if s:
-                    out[i + k] = s
-                else:
-                    out.pop(i + k, None)
-        return {key: s for d, c in out.items()
-                for key, s in self._flat((d,), c).items()}
+                    i, k = i + 1, k - 1
+                _add_at(out, (i + k,), coeff)
+        return _ungroup(out)
 
     # automorphisms ------------------------------------------------------------
 

@@ -16,6 +16,8 @@ y-powers are folded through the closed form for y^t * x, which brings in
 the elements v_m defined by v_0 = 0 and v_{m+1} = v + rho*alpha(v_m).
 ``v_m`` keeps each v_m, made by that step from a kept v_{m-1} or else by
 squaring the triple (v, alpha, rho), as v_{a+b} = v_a + rho^a*alpha^a(v_b).
+A product adds each coefficient product in place into the sum of its
+degree (``_add_at``) and flattens the result once.
 
 The ring implements the BaseAlgebra protocol of the coefficient families,
 so a constructed ring can serve as the coefficient algebra of the next one.
@@ -45,7 +47,7 @@ from .algebras import (
     EigenFrame,
     NestedAuto,
     UnitAnswer,
-    _eadd,
+    _eadd_into,
     _render_terms,
     scalar_ratio,
     solve_splitting_ex,
@@ -53,6 +55,24 @@ from .algebras import (
 from . import bounds
 from .scalars import Scalar, _power, root_of_unity_order
 from .verdict import Status, Verdict, fails, holds, inconclusive
+
+
+def _add_at(groups: dict, deg: tuple[int, ...], c: dict,
+            s: Scalar | None = None) -> None:
+    """groups[deg] += s*c (c when s is None) in place, for an element
+    grouped by degree.  A degree's sum starts as a fresh dict, so c is only
+    read and may be shared, and a degree left empty is dropped."""
+    acc = groups.get(deg)
+    if acc is None:
+        acc = groups[deg] = {}
+    _eadd_into(acc, c, s)
+    if not acc:
+        del groups[deg]
+
+
+def _ungroup(groups: dict) -> dict:
+    """The flat element of a map from degrees to coefficient elements."""
+    return {deg + (bk,): s for deg, c in groups.items() for bk, s in c.items()}
 
 
 class Conformality(NamedTuple):
@@ -153,12 +173,10 @@ class ExtensionAlgebra(BaseAlgebra):
         raise NotImplementedError
 
     def apply(self, auto, a: dict) -> dict:
-        out: dict = {}
-        for deg, c in self.grouped(a).items():
-            img = self.base.apply(auto.base, c)
-            img = self.base.smul(self._weight(auto, deg), img)
-            out.update(self._flat(deg, img))
-        return out
+        base = self.base
+        return _ungroup({deg: base.smul(self._weight(auto, deg),
+                                        base.apply(auto.base, c))
+                         for deg, c in self.grouped(a).items()})
 
     def eigenvalue(self, auto, key) -> Scalar | None:
         lam = self.base.eigenvalue(auto.base, key[-1])
@@ -243,16 +261,16 @@ class ExtensionAlgebra(BaseAlgebra):
 
     def is_unit(self, a: dict) -> UnitAnswer:
         if not a:
-            return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
+            return UnitAnswer(Status.FAILS, {"kind": "zero"})
         if not self._in_base(a):
             if self.is_domain():
-                return UnitAnswer(Status.FAILS, None,
+                return UnitAnswer(Status.FAILS,
                                   {"kind": "nonconstant_in_domain"})
-            return UnitAnswer(Status.INCONCLUSIVE, None, None)
+            return UnitAnswer(Status.INCONCLUSIVE)
         ans = self.base.is_unit(self.base_part(a))
         if ans.status is Status.HOLDS:
-            return UnitAnswer(Status.HOLDS, self.embed(ans.inverse),
-                              ans.certificate)
+            return UnitAnswer(Status.HOLDS, ans.certificate,
+                              lambda: self.embed(ans.inverse))
         return ans
 
 
@@ -295,41 +313,33 @@ class AmbiskewRing(ExtensionAlgebra):
                 self._vm[m] = _power(mul, (self.v, self.alpha, self.rho), m)[0]
         return dict(self._vm[m])
 
-    def _times_x(self, f: dict) -> dict:
+    def _times_x(self, groups: dict) -> dict:
         # (x^s c y^t) * x = rho^-t * (x^{s+1} beta^{-1}(c) y^t - x^s c v_t y^{t-1})
+        base = self.base
         out: dict = {}
         rinv = self.rho.inv()
-        for (s, t), c in self.grouped(f).items():
-            scale = rinv ** t
-            lead = self.base.smul(scale, self.base.apply(self.beta_inv, c))
-            out = _eadd(out, self._flat((s + 1, t), lead))
-            if t:
-                tail = self.base.smul(-scale, self.base.mul(c, self.v_m(t)))
-                out = _eadd(out, self._flat((s, t - 1), tail))
-        return out
-
-    def _times_coeff(self, f: dict, b: dict, l: int) -> dict:
-        # (x^s c y^t) * b * y^l = x^s (c * alpha^t(b)) y^(t+l)
-        if not b or not f:
-            return {}
-        groups = self.grouped(f)
-        images = [b]
-        for _ in range(max(t for (_s, t) in groups)):
-            images.append(self.base.apply(self.alpha, images[-1]))
-        out: dict = {}
         for (s, t), c in groups.items():
-            prod = self.base.mul(c, images[t])
-            out = _eadd(out, self._flat((s, t + l), prod))
+            scale = rinv ** t
+            _add_at(out, (s + 1, t), base.apply(self.beta_inv, c), scale)
+            if t:
+                _add_at(out, (s, t - 1), base.mul(c, self.v_m(t)), -scale)
         return out
 
     def mul(self, f: dict, g: dict) -> dict:
+        # f * (x^k b y^l) = (f * x^k) * b * y^l, with f * x^k built one x
+        # at a time and (x^s c y^t) * b * y^l = x^s (c * alpha^t(b)) y^(t+l)
+        base = self.base
         out: dict = {}
-        fx = [f]
+        fx = [self.grouped(f)]
         for (k, l), b in sorted(self.grouped(g).items()):
             while len(fx) <= k:
                 fx.append(self._times_x(fx[-1]))
-            out = _eadd(out, self._times_coeff(fx[k], b, l))
-        return out
+            images = [b]
+            for (s, t), c in fx[k].items():
+                while len(images) <= t:
+                    images.append(base.apply(self.alpha, images[-1]))
+                _add_at(out, (s, t + l), base.mul(c, images[t]))
+        return _ungroup(out)
 
     # automorphisms ------------------------------------------------------
 
@@ -436,11 +446,11 @@ class AmbiskewRing(ExtensionAlgebra):
 
     def is_regular(self, a: dict) -> UnitAnswer:
         if not a:
-            return UnitAnswer(Status.FAILS, None, {"kind": "zero"})
+            return UnitAnswer(Status.FAILS, {"kind": "zero"})
         if not self._in_base(a):
             if self.is_domain():
-                return UnitAnswer(Status.HOLDS, None, None)
-            return UnitAnswer(Status.INCONCLUSIVE, None, None)
+                return UnitAnswer(Status.HOLDS)
+            return UnitAnswer(Status.INCONCLUSIVE)
         return self.base.is_regular(self.base_part(a))
 
     def alpha_simple(self, autos: list) -> Verdict:

@@ -26,6 +26,8 @@ from ambiskew.rings import AmbiskewRing
 from ambiskew.simplicity import every_v_m_unit, simple
 from ambiskew.verdict import Status
 
+from _helpers import random_elem
+
 
 def _plain():
     return ScalarContext()
@@ -812,6 +814,51 @@ def test_add_sub_neg_eq_agree_with_a_term_by_term_oracle(case):
     assert alg.eq(a, a) and alg.sub(a, a) == {} and alg.add(a, alg.neg(a)) == {}
     for out in (alg.add(a, b), alg.sub(a, b), alg.neg(b)):
         assert not any(s.is_zero() for s in out.values())
+
+
+def _unit_algebras(ctx):
+    """The five families, the quadratic one split where -1 is a square,
+    and an ambiskew ring over the group algebra, whose unit test passes
+    through to its coefficients."""
+    field, poly, laurent, cyclic, _ = _plumbing_families(ctx)
+    ring = AmbiskewRing(cyclic, DiagonalAuto((cyclic.eps,)), {1: ctx.one},
+                        ctx.int_(3))
+    return [field, poly, laurent, cyclic, QuadraticAlgebra(ctx, -ctx.one), ring]
+
+
+_UNIT_ALGEBRAS = {f"{alg.kind} over {name}": alg
+                  for name, ctx in _PLUMBING_CONTEXTS.items()
+                  for alg in _unit_algebras(ctx)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_UNIT_ALGEBRAS)), st.integers(0, 2**32),
+       st.integers(0, 3))
+def test_a_unit_holds_exactly_when_its_inverse_is_two_sided(name, seed, terms):
+    alg = _UNIT_ALGEBRAS[name]
+    a = random_elem(alg, random.Random(seed), terms)
+    ans = alg.is_unit(a)
+    if ans.status is Status.HOLDS:
+        inv = ans.inverse
+        assert alg.eq(alg.mul(a, inv), alg.one)
+        assert alg.eq(alg.mul(inv, a), alg.one)
+        assert alg.eq(ans.inverse, inv)
+        assert alg.eq(alg.is_unit(a).inverse, inv)
+        assert alg.eq(alg.power(a, -2), alg.power(alg.power(a, -1), 2))
+        return
+    assert ans.inverse is None
+    cert = ans.certificate or {}
+    if "cofactor" in cert:
+        # a zero divisor: the nonzero cofactor times a is zero
+        cofactor = eval_element(parse_expression(cert["cofactor"]), alg)
+        assert cofactor and alg.is_zero(alg.mul(a, cofactor))
+    elif cert.get("kind") == "positive_degree":
+        assert cert["degree"] == max(a) > 0
+    elif cert.get("kind") == "multiple_monomials":
+        assert len(a) > 1
+    elif a:
+        # only the ring leaves a unit test open, outside its coefficients
+        assert alg.kind == "ambiskew" and not alg._in_base(a)
 
 
 _FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=12)

@@ -28,14 +28,17 @@ from spans import Tracer  # noqa: E402
 # pencil with the factor rho^2 = 4, the parametric splitting solves of a
 # shift with rho = 1 and with rho = 2, the quadratic and K[C_2] unit
 # pencils, the dispersion of a GWA over a shift, the radical pencil of a
-# localization, and the period-1 route of an eigenvector v, vanishing at
-# m = p over F_5 and holding with the factor q
+# localization, the period-1 route of an eigenvector v, vanishing at
+# m = p over F_5 and holding with the factor q, and the parametric powers
+# of K[C_4] over Q(zeta_4)(mu), whose units condition reads no inverse, and
+# of the quantized Weyl algebra
 DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("swell", "swell-solve-0"), ("swell", "swell-solve-4"),
              ("catalog", "quad-1-1-1"),
              ("catalog", "fc2-1-0"), ("scan", "gwa-shift-1"),
              ("scan", "localized-2-0"), ("catalog", "weyl-f5"),
-             ("catalog", "quantized-weyl"))
+             ("catalog", "quantized-weyl"), ("swell", "swell-fc4-mixed-18"),
+             ("swell", "swell-quantized-weyl-15"))
 
 
 def _kinds(verdict: dict):

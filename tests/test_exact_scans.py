@@ -9,6 +9,7 @@ the index, and every Fails is replayed.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -23,10 +24,10 @@ from ambiskew.localization import localized_simple
 from ambiskew.rings import AmbiskewRing
 from ambiskew.scalars import (ScalarContext, least_integer_root,
                               root_of_unity_order)
-from ambiskew.simplicity import every_v_m_unit, units_for_all_m
+from ambiskew.simplicity import every_v_m_unit, simple, units_for_all_m
 from ambiskew.verdict import Status
 
-from _helpers import v_m_recurrence
+from _helpers import fc4_mixed, v_m_recurrence
 
 HORIZON = 300
 
@@ -304,11 +305,6 @@ def _walk(ring, fails, horizon):
 
 
 def _nonunit(base):
-    if isinstance(base, CyclicGroupAlgebra) and base.ctx.parameters:
-        # over Q(q) is_unit builds an inverse of degree ~m in q at every
-        # step; the characters alone decide units
-        return lambda a: any(base.character(l, a).is_zero()
-                             for l in range(base.n))
     return lambda a: base.is_unit(a).status is not Status.HOLDS
 
 
@@ -437,6 +433,20 @@ ring R = ambiskew(P, a, v = 2*q*t^2 + 4*(q^2 - q)*t + 1, rho = 1/(q^2 + 1/2))
     assert verdict.certificate == {
         "kind": "nonunit_v_m", "m": 1, "value": "2*q*t^2 + (4*q^2 - 4*q)*t + 1",
         "detail": {"kind": "positive_degree", "degree": 2}}
+
+
+def test_the_units_condition_builds_no_inverse(monkeypatch):
+    # K[C_4] over Q(zeta_4)(mu), v = s + mu*s^3, rho = zeta: every v^(m)
+    # the units condition asks about is a unit, and only its status is read
+    expected = json.dumps(simple(fc4_mixed()[2]).to_json())
+
+    def refuse(self, chars):
+        raise AssertionError("the units condition reads no inverse")
+
+    monkeypatch.setattr(CyclicGroupAlgebra, "_inverse", refuse)
+    verdict = simple(fc4_mixed()[2])
+    assert dict(verdict.conditions)["units"].holds
+    assert json.dumps(verdict.to_json()) == expected
 
 
 def test_a_ratio_moving_a_parameter_decides():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -16,6 +17,8 @@ from ambiskew.algebras import (
     PolyAlgebra,
     solve_splitting_ex,
 )
+from ambiskew.dsl import parse_spec
+from ambiskew.gwa import GwaRing
 from ambiskew.rings import AmbiskewRing
 from ambiskew.scalars import ScalarContext
 from ambiskew.verdict import Status
@@ -503,3 +506,112 @@ def test_ring_axioms(data):
                    ring.add(ring.mul(f, h), ring.mul(g, h)))
     assert ring.eq(ring.mul(f, ring.one), f)
     assert ring.eq(ring.mul(ring.one, f), f)
+
+
+# -- hypothesis: in-place products against the term-by-term product ----------------
+
+
+def _reference_times_x(ring, f):
+    # (x^s c y^t) * x = rho^-t * (x^{s+1} beta^{-1}(c) y^t - x^s c v_t y^{t-1})
+    base, out = ring.base, {}
+    rinv = ring.rho.inv()
+    for (s, t), c in ring.grouped(f).items():
+        scale = rinv ** t
+        lead = base.smul(scale, base.apply(ring.beta_inv, c))
+        out = ring.add(out, ring._flat((s + 1, t), lead))
+        if t:
+            tail = base.smul(-scale, base.mul(c, ring.v_m(t)))
+            out = ring.add(out, ring._flat((s, t - 1), tail))
+    return out
+
+
+def _reference_mul(ring, f, g):
+    """f*g with every partial sum a fresh copy: for an ambiskew ring,
+    f * x^k * b * y^l one x at a time; for a GWA, pair by pair."""
+    base, out = ring.base, {}
+    if isinstance(ring, GwaRing):
+        for (d1,), b in ring.grouped(f).items():
+            for (d2,), c in ring.grouped(g).items():
+                coeff = base.mul(b, base.apply(ring._cross(d1), c))
+                i, k = d1, d2
+                while i > 0 and k < 0:
+                    coeff = base.mul(coeff, base.apply(ring._cross(i), ring.u))
+                    i, k = i - 1, k + 1
+                while i < 0 and k > 0:
+                    coeff = base.mul(coeff, base.apply(ring._cross(i + 1), ring.u))
+                    i, k = i + 1, k - 1
+                out = ring.add(out, ring._flat((i + k,), coeff))
+        return out
+    fx = [f]
+    for (k, l), b in sorted(ring.grouped(g).items()):
+        while len(fx) <= k:
+            fx.append(_reference_times_x(ring, fx[-1]))
+        # (x^s c y^t) * b * y^l = x^s (c * alpha^t(b)) y^(t+l)
+        for (s, t), c in ring.grouped(fx[k]).items():
+            image = base.apply(base.auto_power(ring.alpha, t), b)
+            out = ring.add(out, ring._flat((s, t + l), base.mul(c, image)))
+    return out
+
+
+def _gwa_over_laurent():
+    ctx = ScalarContext(parameters=("q",))
+    alg = LaurentAlgebra(ctx)
+    q = ctx.param("q")
+    return GwaRing(alg, DiagonalAuto((q,)), {0: ctx.one, 1: q})
+
+
+def _two_level_tower():
+    return parse_spec("""context(cyclotomic_order = 3, parameters = [l])
+base A = cyclic_group(n = 3, epsilon = zeta)
+auto a on A { s -> zeta*s }
+ring R1 = ambiskew(A, a, v = s, rho = zeta^-1, y = y1, x = x1)
+auto b on R1 { s -> zeta*s, y1 -> l*y1, x1 -> zeta*l^-1*x1 }
+ring R2 = ambiskew(R1, b, v = s^2, rho = l + 1, y = y2, x = x2)
+""").rings["R2"]
+
+
+PRODUCT_RINGS = {
+    "weyl_over_shift": lambda: poly_shift()[2],
+    "quantum_plane": quantum_plane,
+    "fc4_mixed": lambda: fc4_mixed()[2],
+    "gwa_over_laurent": _gwa_over_laurent,
+    "two_level_tower": _two_level_tower,
+}
+
+
+def _small_elem(ring, rng, terms):
+    if isinstance(ring, GwaRing):
+        elem = {}
+        for d in rng.sample(range(-2, 3), terms):
+            elem = ring.add(elem, ring._flat((d,), random_elem(ring.base, rng)))
+        return elem
+    return random_elem(ring, rng, terms)
+
+
+def _shared(ring):
+    """What a product reads but must never write: the normal element, the
+    one of each coefficient level and the v_m kept by each ambiskew level."""
+    out = []
+    while hasattr(ring, "base"):
+        out.append(getattr(ring, ring.normal_name))
+        out.append(ring.base.one)
+        if isinstance(ring, AmbiskewRing):
+            out.extend(ring.v_m(t) for t in range(4))
+        ring = ring.base
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(PRODUCT_RINGS)), st.integers(0, 2**32),
+       st.integers(1, 3))
+def test_in_place_products_match_the_term_by_term_product(name, seed, terms):
+    ring, rng = PRODUCT_RINGS[name](), random.Random(seed)
+    f, g, h = (_small_elem(ring, rng, terms) for _ in range(3))
+    keep = {id(ring.ctx): ring.ctx}
+    before = copy.deepcopy((f, g, h, _shared(ring)), keep)
+    fg = ring.mul(f, g)
+    assert fg == _reference_mul(ring, f, g)
+    assert ring.eq(ring.mul(fg, h), ring.mul(f, ring.mul(g, h)))
+    for prod in (fg, ring.mul(g, f), ring.mul(fg, h)):
+        assert not any(s.is_zero() for s in prod.values())
+    assert (f, g, h, _shared(ring)) == before
