@@ -645,10 +645,12 @@ class _Univariate(BaseAlgebra):
         return c if key == 1 else c ** key
 
     def eigen_frame(self, alpha, gamma, units_only: bool) -> EigenFrame:
-        # candidates are the monomials c = t^k; both identities pin one
-        # multiplicative relation on k, and normality against t is trivial
+        # candidates are the powers c = t^k, d^(k div 2)*s^(k mod 2) in
+        # K[s]/(s^2 - d), whose multiples of 1 and s are every eigenvector of
+        # s -> -s; both identities pin one multiplicative relation on k, and
+        # normality against t is trivial
         pair = (self.eigenvalue(alpha, 1), self.eigenvalue(gamma, 1))
-        build = lambda exps: self.monomial(self._reduce(exps[0]), self.ctx.one)
+        build = lambda exps: self.power(self.gen_elem(self.gen), exps[0])
         return EigenFrame([pair], [pair + ((self.ctx.one,),)], build, True)
 
     # Euclidean decisions ------------------------------------------------------
@@ -1099,8 +1101,6 @@ class QuadraticAlgebra(_Univariate):
     """
 
     kind = "quadratic"
-    # s^2 = d is no basis monomial, so the monomial frame does not apply
-    eigen_frame = BaseAlgebra.eigen_frame
 
     def __init__(self, ctx: ScalarContext, d: Scalar, gen: str = "s"):
         if d.is_zero():

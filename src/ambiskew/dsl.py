@@ -9,7 +9,9 @@ whole line, its syntax first and then its arguments, and only then builds
 the algebra, automorphism or ring the line declares into the
 ``SpecDocument``.  So every semantic rule (nonzero rho, primitive roots,
 relation preservation) is enforced eagerly and errors point at a line and
-column.
+column.  One reader (``_read``) serves both steps: it reads each
+expression once, building nothing, to check the line's syntax, and again,
+from the same tokens, to build the argument's value.
 
 The statement forms follow; the families and ring constructors, with
 their keyword arguments and which of them are required, come from the
@@ -194,92 +196,65 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-    loc: SourceLocation = field(compare=False, default=SourceLocation(0, 0))
+# an expression is the slice of its line's tokens, closed by an END token
+Expr = list[_Token]
+
+# the binding power of each infix operator; any other token ends a chain
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
-    loc: SourceLocation = field(compare=False, default=SourceLocation(0, 0))
+def _read(cur: _Cursor, atom, apply):
+    """The value of the expression at ``cur``, read by precedence climbing.
+    ``atom(token)`` values a number or a name, ``apply(operator, left,
+    right)`` an operation: left is None for a unary minus, and right is an
+    integer after ``^``.  Only parentheses recurse."""
+    pending: list[tuple] = []  # (left value, operator), binding powers rising
+    while True:
+        signs = []
+        while sign := cur.take("-"):
+            signs.append(sign)
+        tok = cur.next()
+        if tok.kind == "(":
+            value = _read(cur, atom, apply)
+            cur.expect(")", "a closing ')'")
+        elif tok.kind == "INT" or tok.kind == "NAME":
+            value = atom(tok)
+        else:
+            found = repr(tok.text) if tok.kind != "END" else "end of line"
+            raise DslError("syntactic", tok.loc,
+                           f"expected a number, a name or '(', found {found}")
+        while op := cur.take("^"):
+            sign = -1 if cur.take("-") else 1
+            lit = cur.expect("INT", "an integer exponent after '^'")
+            value = apply(op, value, sign * int(lit.text))
+        for sign in reversed(signs):
+            value = apply(sign, None, value)
+        binding = _BINDING.get(cur.peek().kind, 0)
+        while pending and _BINDING[pending[-1][1].kind] >= binding:
+            left, op = pending.pop()
+            value = apply(op, left, value)
+        if not binding:
+            return value
+        pending.append((value, cur.next()))
 
 
-@dataclass(frozen=True)
-class Unary:
-    operand: "Expr"
-    loc: SourceLocation = field(compare=False, default=SourceLocation(0, 0))
+def _nothing(*_):
+    return None
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
-    loc: SourceLocation = field(compare=False, default=SourceLocation(0, 0))
-
-
-Expr = Num | Name | Unary | BinOp
+def _nested_too_deeply(start: _Token) -> DslError:
+    return DslError("syntactic", start.loc, "the expression is nested too deeply")
 
 
 def _expression(cur: _Cursor) -> Expr:
-    """An expression standing on its own in a line.  Nesting deeper than
-    the interpreter's stack allows is reported on the expression's line."""
-    start = cur.peek()
+    """An expression standing on its own in a line, its syntax checked;
+    nesting too deep for the stack is reported on its line."""
+    start = cur.i
     try:
-        return _parse_expr(cur)
+        _read(cur, _nothing, _nothing)
     except RecursionError:
-        raise DslError("syntactic", start.loc,
-                       "the expression is nested too deeply") from None
-
-
-def _parse_expr(cur: _Cursor) -> Expr:
-    node = _parse_term(cur)
-    while cur.peek().kind in ("+", "-"):
-        op = cur.next()
-        node = BinOp(op.text, node, _parse_term(cur), loc=op.loc)
-    return node
-
-
-def _parse_term(cur: _Cursor) -> Expr:
-    node = _parse_unary(cur)
-    while cur.peek().kind in ("*", "/"):
-        op = cur.next()
-        node = BinOp(op.text, node, _parse_unary(cur), loc=op.loc)
-    return node
-
-
-def _parse_unary(cur: _Cursor) -> Expr:
-    tok = cur.take("-")
-    if tok is None:
-        return _parse_power(cur)
-    return Unary(_parse_unary(cur), loc=tok.loc)
-
-
-def _parse_power(cur: _Cursor) -> Expr:
-    node = _parse_atom(cur)
-    while op := cur.take("^"):
-        sign = -1 if cur.take("-") else 1
-        lit = cur.expect("INT", "an integer exponent after '^'")
-        node = BinOp("^", node, Num(sign * int(lit.text), loc=lit.loc),
-                     loc=op.loc)
-    return node
-
-
-def _parse_atom(cur: _Cursor) -> Expr:
-    tok = cur.next()
-    if tok.kind == "INT":
-        return Num(int(tok.text), loc=tok.loc)
-    if tok.kind == "NAME":
-        return Name(tok.text, loc=tok.loc)
-    if tok.kind == "(":
-        inner = _parse_expr(cur)
-        cur.expect(")", "a closing ')'")
-        return inner
-    found = repr(tok.text) if tok.kind != "END" else "end of line"
-    raise DslError("syntactic", tok.loc,
-                   f"expected a number, a name or '(', found {found}")
+        raise _nested_too_deeply(cur.tokens[start]) from None
+    return cur.tokens[start:cur.i] + cur.tokens[-1:]
 
 
 def _scope_names(algebra) -> dict[str, dict]:
@@ -297,12 +272,12 @@ def _scope_names(algebra) -> dict[str, dict]:
 def eval_element(expr: Expr, algebra, names: dict[str, dict] | None = None) -> dict:
     """Evaluate an expression to an element of ``algebra``.
 
-    Names resolve to parameters, ``zeta`` and the generators of the
-    algebra (including embedded coefficient generators).  Division is by
-    scalars only; ``^`` takes integer exponents and negative powers need
-    an invertible operand.  A chain of operators, which the parser nests
-    to the left, is folded in a loop, so only parentheses deepen the
-    recursion.
+    This is the second read of the expression's tokens: the first, when it
+    was parsed, checked its syntax, and this one builds its value.  Names
+    resolve to parameters, ``zeta`` and the generators of the algebra
+    (including embedded coefficient generators).  Division is by scalars
+    only; ``^`` takes integer exponents and negative powers need an
+    invertible operand.
 
     >>> ctx = ScalarContext(parameters=("q",))
     >>> alg = LaurentAlgebra(ctx)
@@ -311,46 +286,38 @@ def eval_element(expr: Expr, algebra, names: dict[str, dict] | None = None) -> d
     """
     if names is None:
         names = _scope_names(algebra)
-    spine: list[BinOp | Unary] = []
-    while not isinstance(expr, (Num, Name)):
-        spine.append(expr)
-        expr = expr.operand if isinstance(expr, Unary) else expr.left
-    if isinstance(expr, Num):
-        value = algebra.from_scalar(algebra.ctx.int_(expr.value))
-    else:
+    ring_ops = {"+": algebra.add, "-": algebra.sub, "*": algebra.mul}
+
+    def atom(tok: _Token) -> dict:
+        if tok.kind == "INT":
+            return algebra.from_scalar(algebra.ctx.int_(int(tok.text)))
         try:
-            value = dict(names[expr.ident])
+            return dict(names[tok.text])
         except KeyError:
-            raise DslError("semantic", expr.loc,
-                           f"unknown name {expr.ident!r}") from None
-    for node in reversed(spine):
-        value = _apply(node, value, algebra, names)
-    return value
+            raise DslError("semantic", tok.loc,
+                           f"unknown name {tok.text!r}") from None
 
+    def apply(op: _Token, left, right):
+        if left is None:
+            return algebra.neg(right)
+        if op.kind == "^":
+            try:
+                return algebra.power(left, right)
+            except ValueError as exc:
+                raise DslError("semantic", op.loc, str(exc)) from None
+        if op.kind in ring_ops:
+            return ring_ops[op.kind](left, right)
+        s = algebra.scalar_of(right)
+        if s is None:
+            raise DslError("semantic", op.loc, "the divisor must be a scalar")
+        if s.is_zero():
+            raise DslError("semantic", op.loc, "division by zero")
+        return algebra.smul(s.inv(), left)
 
-def _apply(node: BinOp | Unary, left: dict, algebra, names) -> dict:
-    """The value of ``node`` given the value of its left operand."""
-    if isinstance(node, Unary):
-        return algebra.neg(left)
-    if node.op == "^":
-        assert isinstance(node.right, Num)
-        try:
-            return algebra.power(left, node.right.value)
-        except ValueError as exc:
-            raise DslError("semantic", node.loc, str(exc)) from None
-    right = eval_element(node.right, algebra, names)
-    if node.op == "+":
-        return algebra.add(left, right)
-    if node.op == "-":
-        return algebra.sub(left, right)
-    if node.op == "*":
-        return algebra.mul(left, right)
-    s = algebra.scalar_of(right)
-    if s is None:
-        raise DslError("semantic", node.loc, "the divisor must be a scalar")
-    if s.is_zero():
-        raise DslError("semantic", node.loc, "division by zero")
-    return algebra.smul(s.inv(), left)
+    try:
+        return _read(_Cursor(expr), atom, apply)
+    except RecursionError:
+        raise _nested_too_deeply(expr[0]) from None
 
 
 def eval_scalar(expr: Expr, ctx: ScalarContext) -> Scalar:
@@ -370,7 +337,6 @@ def eval_scalar(expr: Expr, ctx: ScalarContext) -> Scalar:
 class CheckDecl:
     kind: str  # simple singular conformal iterated localized_simple torus
     target: str
-    loc: SourceLocation = field(compare=False, default=SourceLocation(0, 0))
 
     def echo(self) -> str:
         return f"{self.kind}({self.target})"
@@ -442,18 +408,26 @@ def _named_auto(doc: SpecDocument, name: str, base_name: str,
 # ---------------------------------------------------------------------------
 
 
+def _lone(value, kind: str) -> _Token | None:
+    """The token of ``value`` when it is an expression of one ``kind`` token."""
+    if isinstance(value, list) and len(value) == 2 and value[0].kind == kind:
+        return value[0]
+    return None
+
+
 # kind of a keyword -> (the value a statement builds from the written one,
-# None when that does not fit, and the message the error then gives)
+# None when that does not fit, and the message the error then gives); a
+# written value is an expression or a tuple of the names in a list
 _KINDS = {
-    "count": (lambda v: v.value if isinstance(v, Num) and v.value >= 1
-              else None, "must be a positive integer"),
-    "characteristic": (lambda v: v.value if isinstance(v, Num)
-                       and v.value >= 0 else None, "must be 0 or a prime"),
-    "name": (lambda v: v.ident if isinstance(v, Name) else None,
+    "count": (lambda v: int(t.text) if (t := _lone(v, "INT"))
+              and int(t.text) >= 1 else None, "must be a positive integer"),
+    "characteristic": (lambda v: int(t.text) if (t := _lone(v, "INT"))
+                       else None, "must be 0 or a prime"),
+    "name": (lambda v: t.text if (t := _lone(v, "NAME")) else None,
              "must be a plain name"),
-    "expr": (lambda v: None if isinstance(v, list) else v,
+    "expr": (lambda v: None if isinstance(v, tuple) else v,
              "takes an expression, not a list"),
-    "list": (lambda v: tuple(t.text for t in v) if isinstance(v, list)
+    "list": (lambda v: tuple(t.text for t in v) if isinstance(v, tuple)
              else None, "takes a list like [q, r]"),
 }
 
@@ -475,7 +449,7 @@ def _parse_args(cur: _Cursor, what: str, schema: dict, required: tuple,
                 if not cur.take(","):
                     break
             cur.expect("]", "a closing ']'")
-            value: Expr | list[_Token] = items
+            value: Expr | tuple[_Token, ...] = tuple(items)
         else:
             value = _expression(cur)
         if key.text in raw:
@@ -547,7 +521,7 @@ def _parse_base(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
     _fresh(doc, name, loc)
     ctx = _context(doc)
     # evaluated outside the try: its errors already carry their own location
-    args = {key: eval_scalar(value, ctx) if isinstance(value, Expr) else value
+    args = {key: eval_scalar(value, ctx) if isinstance(value, list) else value
             for key, value in args.items()}
     try:
         doc.bases[name] = cls(ctx, **args)
@@ -596,7 +570,7 @@ def _ambiskew_args(doc: SpecDocument, args: dict, algebra, base: str,
     v = eval_element(args["v"], algebra, _scope_names(algebra))
     rho = eval_scalar(args["rho"], _context(doc))
     if rho.is_zero():
-        raise _semantic(args["rho"].loc, "rho must be nonzero")
+        raise _semantic(args["rho"][0].loc, "rho must be nonzero")
     return {"v": v, "rho": rho}
 
 
@@ -688,7 +662,7 @@ def _parse_check(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
                          "localized_simple")
         if kind.text in ambiskew_only and not isinstance(ring, AmbiskewRing):
             raise _semantic(loc, f"check {kind.text} needs an ambiskew ring")
-    doc.checks.append(CheckDecl(kind.text, target, loc=loc))
+    doc.checks.append(CheckDecl(kind.text, target))
 
 
 _STATEMENT_PARSERS = {

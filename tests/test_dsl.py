@@ -7,7 +7,9 @@ reads or builds a statement cannot move or reword an error unnoticed.
 
 from __future__ import annotations
 
+import operator
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,18 @@ ERRORS = [
      "syntactic", 3, 31, "expected an integer exponent after '^', found 'x'"),
     (F + "ring R = ambiskew(F, a, v = 1 +, rho = 1)",
      "syntactic", 3, 32, "expected a number, a name or '(', found ','"),
+    (F + "ring R = ambiskew(F, a, v = 2^, rho = 1)",
+     "syntactic", 3, 31, "expected an integer exponent after '^', found ','"),
+    (F + "ring R = ambiskew(F, a, v = (), rho = 1)",
+     "syntactic", 3, 30, "expected a number, a name or '(', found ')'"),
+    (F + "ring R = ambiskew(F, a, v = -, rho = 1)",
+     "syntactic", 3, 30, "expected a number, a name or '(', found ','"),
+    (F + "ring R = ambiskew(F, a, v = 1 + * 2, rho = 1)",
+     "syntactic", 3, 33, "expected a number, a name or '(', found '*'"),
+    (F + "ring R = ambiskew(F, a, v = 1), rho = 1)",
+     "syntactic", 3, 31, "expected end of line, found ','"),
+    (F + "ring R = ambiskew(F, a, v = 1 2, rho = 1)",
+     "syntactic", 3, 31, "expected a closing ')', found '2'"),
     (P + "ring T = gwa(P, a, u = t, gamma = g)",
      "semantic", 3, 1, "unknown automorphism 'g'"),
     (P + "ring T = gwa(P, a, gamma = a)",
@@ -307,6 +321,84 @@ def test_deep_nesting_is_a_dsl_error():
     with pytest.raises(DslError) as info:
         parse_scalar_table(f"1, 2\n3, {nested}", ScalarContext())
     assert info.value.loc.line == 2
+
+
+# -- the expression reader against a Fraction oracle ---------------------------
+
+# the precedence level of each node: a child printed where a higher level
+# is needed gets parentheses
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def _extend(sub):
+    """Operator nodes over ``sub``; the last field asks for parentheses
+    the precedence does not need."""
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), sub, sub, st.booleans()),
+        st.tuples(st.just("neg"), sub, st.booleans()),
+        st.tuples(st.just("^"), sub, st.integers(-2, 2), st.booleans()))
+
+
+_TREES = st.recursive(st.integers(0, 6), _extend, max_leaves=8)
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
+
+def _show(tree, least: int, out: list) -> tuple:
+    """Print ``tree`` into ``out`` where its precedence level must be at
+    least ``least``, and evaluate it in Fractions.  Returns (value, None),
+    or (anything, column) with the column of the operator where the
+    evaluation, left operand first, first fails."""
+    if isinstance(tree, int):
+        out.append(str(tree))
+        return Fraction(tree), None
+    op, left, *rest, wrap = tree
+    wrap = wrap or _LEVEL[op] < least
+    out.append("(" * wrap)
+    if op == "neg":
+        out.append("-")
+        value, failed = _show(left, 3, out)
+        if failed is None:
+            value = -value
+    elif op == "^":
+        value, failed = _show(left, 4, out)
+        column = sum(map(len, out)) + 1
+        out.append(f"^{rest[0]}")
+        if failed is None:
+            if value == 0 and rest[0] < 0:
+                failed = column
+            else:
+                value = value ** rest[0]
+    else:
+        value, failed = _show(left, _LEVEL[op], out)
+        column = sum(map(len, out)) + 2
+        out.append(f" {op} ")
+        right, right_failed = _show(rest[0], _LEVEL[op] + 1, out)
+        failed = failed or right_failed
+        if failed is None:
+            if op == "/" and right == 0:
+                failed = column
+            else:
+                value = _ARITH[op](value, right)
+    out.append(")" * wrap)
+    return value, failed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_reader_matches_a_fraction_oracle(tree):
+    out: list[str] = []
+    value, failed = _show(tree, 1, out)
+    text = "".join(out)
+    alg = FieldAlgebra(ScalarContext())
+    if failed is None:
+        elem = eval_element(parse_expression(text), alg)
+        assert alg.eq(elem, alg.from_scalar(alg.ctx.fraction(value))), text
+        return
+    with pytest.raises(DslError) as info:
+        eval_element(parse_expression(text), alg)
+    err = info.value
+    assert (err.kind, err.loc.line, err.loc.column) == ("semantic", 1, failed), text
 
 
 # -- the tokenizer against the text it reads ----------------------------------

@@ -17,6 +17,7 @@ from ambiskew.algebras import (
     NestedAuto,
     PolyAlgebra,
 )
+from ambiskew.dsl import eval_scalar, parse_expression
 from ambiskew.localization import (
     SpecialElement,
     TorusMatrix,
@@ -26,7 +27,7 @@ from ambiskew.localization import (
 )
 from ambiskew.rings import AmbiskewRing
 from ambiskew.scalars import ScalarContext
-from ambiskew.simplicity import skew_laurent_simple
+from ambiskew.simplicity import simple, skew_laurent_simple
 from ambiskew.verdict import Status
 
 from _helpers import laurent_scale, quadratic_conjugation, quantum_plane
@@ -218,14 +219,45 @@ def test_radical_fails_at_the_least_m():
     assert radical.certificate["m"] == 1
 
 
-def test_quadratic_conjugation_localization_is_inconclusive():
+def test_quadratic_conjugation_localization_holds():
+    # the powers of s (multiples of 1 and s) are every eigenvector of the
+    # conjugation, so the special-element search is complete
     _, _, ring = quadratic_conjugation(Fraction(3), 0, 1)
     verdict = localized_simple(ring)
-    assert verdict.status is Status.INCONCLUSIVE
-    assert verdict.reason == "undecided: no_special"
+    assert verdict.status is Status.HOLDS
     conds = _conditions(verdict)
     assert conds["alpha_gamma_simple"].holds
+    assert conds["no_special"].holds
     assert conds["radical"].holds
+
+
+def _statuses(check, ring):
+    """The status of ``check`` on ``ring`` and of each of its conditions,
+    or the message of the ValueError it raises."""
+    try:
+        verdict = check(ring)
+    except ValueError as exc:
+        return str(exc)
+    return verdict.status, [(name, c.status) for name, c in verdict.conditions]
+
+
+@given(a=st.integers(-3, 3), b=st.integers(-3, 3), sign=st.sampled_from([1, -1]),
+       rho=st.sampled_from(["1", "-1", "2", "-1/3", "zeta", "-zeta", "2*zeta",
+                            "1 + zeta"]))
+@settings(max_examples=150, deadline=None)
+def test_quadratic_and_its_group_algebra_twin_agree(a, b, sign, rho):
+    # s -> zeta*s' sends Q(zeta_4)[s]/(s^2 + 1) onto K[C_2], commuting with
+    # s -> +-s, so R(A, s -> +-s, a + b*s, rho) and its twin are isomorphic
+    ctx, quad, ring = quadratic_conjugation(Fraction(1), a, b)
+    zeta, rho = ctx.zeta(), eval_scalar(parse_expression(rho), ctx)
+    auto = DiagonalAuto((ctx.int_(sign),))
+    group = CyclicGroupAlgebra(ctx, 2, -ctx.one)
+    twin_v = {k: c for k, c in ((0, ctx.int_(a)), (1, b * zeta))
+              if not c.is_zero()}
+    pair = (AmbiskewRing(quad, auto, ring.v, rho),
+            AmbiskewRing(group, auto, twin_v, rho))
+    for check in (simple, localized_simple):
+        assert _statuses(check, pair[0]) == _statuses(check, pair[1])
 
 
 # -- the special-element search -----------------------------------------------------
@@ -246,10 +278,10 @@ def test_identity_pair_search_without_torsion():
     assert special_element_search(field, one, one, ctx.int_(2)) == (None, True)
 
 
-def test_search_rejects_conjugation():
+def test_search_under_conjugation_finds_no_special():
     _, alg, ring = quadratic_conjugation(Fraction(3), 0, 1)
-    with pytest.raises(ValueError, match="diagonal"):
-        special_element_search(alg, ring.alpha, ring.gamma, ring.rho)
+    assert special_element_search(alg, ring.alpha, ring.gamma,
+                                  ring.rho) == (None, True)
 
 
 def test_cyclic_mismatched_scales_have_no_special():

@@ -23,9 +23,9 @@ SURFACE = {
     ],
     "bounds": ["M_MAX", "N_MAX", "PERIOD_MAX"],
     "dsl": [
-        "BinOp", "CHECK_KINDS", "CheckDecl", "DslError", "Expr", "Name", "Num",
-        "SourceLocation", "SpecDocument", "Unary", "eval_element",
-        "eval_scalar", "parse_expression", "parse_scalar_table", "parse_spec",
+        "CHECK_KINDS", "CheckDecl", "DslError", "Expr", "SourceLocation",
+        "SpecDocument", "eval_element", "eval_scalar", "parse_expression",
+        "parse_scalar_table", "parse_spec",
     ],
     "gwa": ["GwaRing", "gwa_from_ambiskew", "gwa_simple"],
     "intlattice": ["column_kernel", "kernel_with_congruences"],
