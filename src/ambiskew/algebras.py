@@ -40,11 +40,11 @@ The protocol hooks are:
   ``split_nondiagonal`` (v = u - rho*alpha(u) for an alpha that is not
   diagonal: a shift, or a scaling about a fixed point, over Poly) and
   ``coprime_to_shifts`` (the least m with u and alpha^m(u) not comaximal,
-  from a closed form: the dispersion of u under a polynomial shift, the
-  single root of u under a Laurent scaling).
+  or why there is none, from one resultant in X = m under a shift of K[t]
+  or X = a^m under a scaling of K[t] or K[t, t^-1]).
 
 The Euclidean decisions of Poly and Laurent (radical, comaximality, the
-dispersion resultant) run on the dense polynomial layer of ``scalars``.
+resultant in the action) run on the dense polynomial layer of ``scalars``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
-from .multiplicative import factor_rational
+from .multiplicative import _dlog, factor_rational
 from .scalars import (
     Scalar,
     ScalarContext,
@@ -64,8 +64,10 @@ from .scalars import (
     _interpolate,
     _join_signed,
     _power,
+    _rational_component,
     _resultant,
     _sqrt_mod,
+    integer_roots_scalar_poly,
     least_integer_root,
     root_of_unity_order,
 )
@@ -190,12 +192,7 @@ def scalar_ratio(algebra, a: dict, b: dict) -> Scalar | None:
     if not bt:
         raise ValueError("scalar_ratio against zero")
     key, coeff = bt[0]
-    at = dict(algebra.terms(a))
-    s = at.get(key)
-    if s is None:
-        s = coeff.ctx.zero
-    else:
-        s = s / coeff
+    s = a[key] / coeff if key in a else coeff.ctx.zero
     return s if algebra.eq(a, algebra.smul(s, b)) else None
 
 
@@ -225,6 +222,19 @@ def _split_pencil(algebra, chars: list, p: dict, b: dict,
     return least_integer_root([[chi(const), chi(lead)] for chi in chars
                                if watch is None or not chi(watch).is_zero()],
                               0, ratio)
+
+
+def _least_power(a: Scalar, roots, order: int) -> int:
+    """The least m >= 1 with a^m in ``roots`` (residues mod p, 1 among them,
+    or "all") for a = g^e in F_p of ``order`` (p - 1)/d, d = gcd(e, p - 1):
+    a^m = g^f exactly when d divides f and m*e/d = f/d mod ``order``."""
+    if roots == "all":
+        return 1
+    p = a.ctx.characteristic
+    d = (p - 1) // order
+    inv = pow(_dlog(a.constant_value(), p) // d, -1, order)
+    return min(f // d * inv % order or order
+               for f in (_dlog(r, p) for r in roots if r) if f % d == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +439,51 @@ class BaseAlgebra:
         """Whether aA + bA = A."""
         raise NotImplementedError
 
+    def _action_coordinate(self, alpha, u: dict):
+        """(u0, move, ratio): u in the coordinate s that alpha^m takes to
+        s + m*b (ratio None) or a^m*s (ratio a), and move(X) taking s there."""
+        raise ValueError(f"no resultant in the action over {self.kind}")
+
     def coprime_to_shifts(self, alpha, u: dict):
-        """(m, reason, fields) from a closed form for the comaximality of u
-        with every alpha^m(u): m is the least m >= 1 with
-        uA + alpha^m(u)A proper, or None when there is none, and then the
-        reason and the certificate fields say why; ValueError when the
-        family has no closed form for alpha and u."""
-        raise ValueError("no closed form for the comaximality of u with its "
-                         "images")
+        """(m, reason, certificate) for u neither zero nor a unit: the least
+        m >= 1 with uA + alpha^m(u)A proper, or None and why there is none.
+        u0 meets its image where R(X) = Res_s(u0, move(X)(u0)), of degree
+        <= n^2, vanishes (for a shift the dispersion of u, Abramov 1971).
+        An order k > n^2 of alpha is read in F_p by discrete logs; ValueError
+        for a smaller one or any in characteristic 0, as a walk ends by k."""
+        u0, move, ratio = self._action_coordinate(alpha, u)
+        ctx, n = self.ctx, max(u0)
+        p, order = ctx.characteristic, self.auto_order(alpha)
+        if order is not None and (order <= n * n or not p):
+            raise ValueError(f"alpha has finite order {order}")
+        if not p or p > n * n:
+            xs = [ctx.int_(x) for x in range(n * n + 1)]
+        else:  # a scaling by a parameter over an F_p with too few points
+            xs = [ctx.param(ctx.parameters[0]) ** x for x in range(n * n + 1)]
+        # R matters up to a unit, so u0 loses its denominators; at X = 0 a
+        # scaling leaves the constant u0(0), which in the formal degree n
+        # gives the resultant (lc(u0)*u0(0))^n
+        dense = _rational_component(_udense(u0))[0]
+        u0 = {k: c for k, c in enumerate(dense) if c}
+        res = _interpolate(
+            [_resultant(dense, _udense(self.apply(move(x), u0)))
+             if x or ratio is None else (dense[-1] * dense[0]) ** n
+             for x in xs], xs)
+        if ratio is not None and order is not None:
+            m = _least_power(ratio, integer_roots_scalar_poly(res), order)
+        else:
+            m = least_integer_root([res], 1, ratio)
+        if m is not None:
+            return m, None, None
+        var = "m" if ratio is None else "X"
+        cert = {"kind": "shift_coprime", "resultant": PolyAlgebra(
+            ctx, var).render({k: c for k, c in enumerate(res) if c})}
+        if ratio is not None:
+            cert["ratio"] = str(ratio)
+        root = ("positive integer root" if ratio is None
+                else f"root at X = ({ratio})^m")
+        return None, (f"the resultant of u and alpha^m(u), a polynomial in "
+                      f"{var}, has no {root}"), cert
 
     def first_nonunit_in_pencil(self, p: dict, b: dict,
                                 ratio: Scalar | None = None,
@@ -893,17 +940,9 @@ class LaurentAlgebra(_Univariate):
         lo = min(a)
         return {i - lo: s for i, s in a.items()}
 
-    def coprime_to_shifts(self, alpha, u: dict):
-        lam = alpha.scales[0]
-        exps = sorted(u)
-        if root_of_unity_order(lam) is not None or len(exps) != 2 \
-                or exps[1] != exps[0] + 1:
-            raise ValueError("the scaling closed form needs a scale of "
-                             "infinite order and u = c*t^k*(t - theta)")
-        # alpha^m(u) = c*lam^(m*k)*t^k*(lam^m*t - theta) has the one
-        # nonzero root theta/lam^m, never theta again
-        return None, (f"u has a single nonzero root, which alpha^m divides "
-                      f"by {lam}^m, of infinite order"), {"ratio": str(lam)}
+    def _action_coordinate(self, alpha, u: dict):
+        # u over its lowest monomial is a polynomial u0 with u0(0) != 0
+        return self._normalize(u), lambda x: DiagonalAuto((x,)), alpha.scales[0]
 
 
 # ---------------------------------------------------------------------------
@@ -943,16 +982,12 @@ class PolyAlgebra(_Univariate):
     def apply(self, auto, elem: dict) -> dict:
         if not elem:
             return {}
-        image = {0: self.ctx.one}
-        powers = {0: image}
-        gen_image = {}
-        if not auto.a.is_zero():
-            gen_image[1] = auto.a
+        gen_image = {1: auto.a}
         if not auto.b.is_zero():
             gen_image[0] = auto.b
-        top = max(elem)
-        for i in range(1, top + 1):
-            powers[i] = self.mul(powers[i - 1], gen_image)
+        powers = [{0: self.ctx.one}]
+        for _ in range(max(elem)):
+            powers.append(self.mul(powers[-1], gen_image))
         out: dict = {}
         for i, s in elem.items():
             _eadd_into(out, powers[i], s)
@@ -1027,26 +1062,12 @@ class PolyAlgebra(_Univariate):
             "the shifts only translate by the finite span of their offsets",
             certificate={"kind": "stable_ideal", "generator": self.render(f)})
 
-    def coprime_to_shifts(self, alpha, u: dict):
-        ctx = self.ctx
-        if alpha.a != ctx.one or alpha.b.is_zero() or ctx.characteristic:
-            raise ValueError("the dispersion closed form needs a nonzero "
-                             "shift in characteristic 0")
-        # alpha^m(u) = u(t + m*b) shares a root with u exactly at the
-        # integer roots m of Res_t(u(t), u(t + m*b)), of degree n^2 in m
-        # (the dispersion of u, Abramov 1971): interpolate it from n^2 + 1
-        # values and take its least positive integer root
-        n = max(u)
-        dense = _udense(u)
-        values = [_resultant(dense, _udense(self.apply(
-                      AffineAuto(ctx.one, alpha.b * m), u)))
-                  for m in range(n * n + 1)]
-        res = _interpolate(values)
-        fields = {"resultant": PolyAlgebra(ctx, "m").render(
-            {k: c for k, c in enumerate(res) if not c.is_zero()})}
-        return (least_integer_root([res], 1),
-                "the resultant of u and alpha^m(u), a polynomial in m, has "
-                "no positive integer root", fields)
+    def _action_coordinate(self, alpha, u: dict):
+        one = self.ctx.one
+        if alpha.a == one:
+            return u, lambda x: AffineAuto(one, alpha.b * x), None
+        u0 = self.apply(AffineAuto(one, alpha.b / (one - alpha.a)), u)
+        return u0, lambda x: AffineAuto(x, self.ctx.zero), alpha.a
 
     def split_nondiagonal(self, alpha, v: dict, rho: Scalar):
         ctx = self.ctx

@@ -9,7 +9,7 @@ setting the module attribute.
 - ``PERIOD_MAX``: the steps of rho*alpha that ``simplicity``'s units and
   radical conditions try before they give up on a scalar period of v.
 - ``M_MAX``: the indices m of the bounded scans, over v^(m) in those same
-  conditions and over alpha^m(u) in ``gwa.gwa_simple``'s comaximality.
+  conditions and over alpha^m(u) in ``gwa.gwa_simple``'s fallback walk.
 - ``N_MAX``: the largest witness height n of the characteristic-p
   splitting condition in ``simplicity.simple``.
 

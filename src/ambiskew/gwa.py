@@ -35,7 +35,6 @@ four-condition criterion inside A.
 
 from __future__ import annotations
 
-from .algebras import scalar_ratio
 from . import bounds
 from .rings import ExtensionAlgebra, _add_at, _ungroup
 from .scalars import Scalar
@@ -75,12 +74,10 @@ class GwaRing(ExtensionAlgebra):
 
     def _cross(self, d: int):
         """The map with Z_d * a = cross(a) * Z_d: alpha^d, or beta^-d for
-        d < 0, one composition from a kept neighbour nearer 0, else squared."""
+        d < 0."""
         if d not in self._crosses:
-            auto = self.alpha if d >= 0 else self.beta
-            near = self._crosses.get(d - 1 if d > 0 else d + 1) if d else None
-            self._crosses[d] = (self.base.auto_power(auto, abs(d)) if near is None
-                                else self.base.compose(auto, near))
+            self._crosses[d] = self.base.auto_power(
+                self.alpha if d >= 0 else self.beta, abs(d))
         return self._crosses[d]
 
     def mul(self, f: dict, g: dict) -> dict:
@@ -167,10 +164,9 @@ def gwa_simple(gwa: GwaRing) -> Verdict:
     is inner, u is regular, and uA + alpha^m(u)A = A for every m >= 1.
     Inner powers are decided through the order of alpha (on a commutative
     base the only inner automorphism is the identity); the comaximality
-    quantifier falls to a unit u, an alpha-stable ideal, periodicity of
-    alpha, the family's closed form (``coprime_to_shifts``: the dispersion
-    of u under a polynomial shift, a single root under a Laurent scaling of
-    infinite order), or a bounded scan to ``bounds.M_MAX``, in that order.
+    quantifier falls to a zero or unit u, else to the family's resultant
+    (``coprime_to_shifts``), else to a walk over one period of alpha or
+    to ``bounds.M_MAX``.
     """
     base = gwa.base
     return conjunction([
@@ -196,36 +192,25 @@ def _comaximal_all_m(gwa: GwaRing) -> Verdict:
     if base.is_zero(gwa.u):
         return fails("uA + alpha^m(u)A is the zero ideal",
                      certificate={"kind": "comaximal_witness", "m": 1})
-    unit = base.is_unit(gwa.u)
-    if unit.status is Status.HOLDS:
+    if base.is_unit(gwa.u).status is Status.HOLDS:
         return holds("u is a unit, so uA + alpha^m(u)A = A for every m",
                      certificate={"kind": "unit_u"})
-    mu = scalar_ratio(base, base.apply(gwa.alpha, gwa.u), gwa.u)
-    if mu is not None:
-        if unit.status is Status.FAILS:
-            return fails("uA is alpha-stable and u is not a unit, so "
-                         "uA + alpha^m(u)A = uA is proper",
-                         certificate={"kind": "eigen_ideal", "m": 1,
-                                      "ratio": str(mu)})
-        return inconclusive("uA is alpha-stable but the invertibility of u "
-                            "was not decided")
-    order = base.auto_order(gwa.alpha)
-    if order is not None:
-        return _comaximal_scan(gwa, order, holds(
-            f"uA + alpha^m(u)A = A for m = 1..{order}, and alpha^m(u) "
-            f"repeats with period {order}",
-            certificate={"kind": "periodic_scan", "period": order}))
     try:
-        m, reason, fields = base.coprime_to_shifts(gwa.alpha, gwa.u)
+        m, reason, certificate = base.coprime_to_shifts(gwa.alpha, gwa.u)
     except ValueError as exc:
-        return _comaximal_scan(gwa, bounds.M_MAX, inconclusive(
-            f"{exc}; comaximality verified through m = {bounds.M_MAX}",
-            certificate={"kind": "bounded_scan", "m_max": bounds.M_MAX}))
+        # alpha^k(u) = u for alpha of order k, so a walk to k fails there
+        upto = base.auto_order(gwa.alpha) or bounds.M_MAX
+        return bounded_scan(
+            upto, lambda m: _comaximal_at(gwa, m), _comaximal_fails,
+            lambda m: inconclusive(f"comaximality of u and alpha^{m}(u) "
+                                   "was not decided"),
+            inconclusive(f"{exc}; comaximality verified through m = {upto}",
+                         certificate={"kind": "bounded_scan", "m_max": upto}))
     if m is None:
-        return holds(reason, certificate={"kind": "shift_coprime", **fields})
+        return holds(reason, certificate=certificate)
     answer = _comaximal_at(gwa, m)
     if answer.status is not Status.FAILS:
-        raise AssertionError(f"the closed form disagrees with a direct "
+        raise AssertionError(f"the resultant disagrees with a direct "
                              f"comaximality check at m={m}")
     return _comaximal_fails(m, answer)
 
@@ -239,11 +224,3 @@ def _comaximal_fails(m: int, answer: Verdict) -> Verdict:
     return fails(f"uA + alpha^{m}(u)A is a proper ideal",
                  certificate={"kind": "comaximal_witness", "m": m,
                               "detail": answer.certificate})
-
-
-def _comaximal_scan(gwa: GwaRing, upto: int, done: Verdict) -> Verdict:
-    return bounded_scan(
-        upto, lambda m: _comaximal_at(gwa, m), _comaximal_fails,
-        lambda m: inconclusive(f"comaximality of u and alpha^{m}(u) was "
-                               "not decided"),
-        done)

@@ -469,11 +469,13 @@ class AmbiskewRing(ExtensionAlgebra):
                             "units and zero in an iterated ring")
 
     def comaximal(self, a: dict, b: dict) -> Verdict:
-        if self.is_unit(a).status is Status.HOLDS or \
-                self.is_unit(b).status is Status.HOLDS:
+        unit = self.is_unit(a).status
+        if unit is Status.HOLDS or self.is_unit(b).status is Status.HOLDS:
             return holds("one element is a unit")
         if self.is_zero(a) and self.is_zero(b):
             return fails("both elements are zero")
+        if unit is Status.FAILS and scalar_ratio(self, b, a) is not None:
+            return fails("b is a scalar multiple of a, which is not a unit")
         return inconclusive("comaximality in an iterated ring is only "
                             "decided through units")
 

@@ -133,18 +133,18 @@ def _resultant(a: list, b: list):
     return out * b[0] ** (len(a) - 1)
 
 
-def _interpolate(values: list) -> list:
-    """The polynomial of degree < len(values) taking values[i] at
-    i = 0, 1, ..., by Newton's divided differences."""
+def _interpolate(values: list, xs) -> list:
+    """The polynomial of degree < len(values) taking values[i] at the
+    distinct points xs[i], by Newton's divided differences."""
     coef = list(values)
     for j in range(1, len(coef)):
         for i in range(len(coef) - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / j
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
     poly = [coef[-1]]
     for i in range(len(coef) - 2, -1, -1):
-        # poly <- poly*(x - i) + coef[i]
-        poly = [coef[i] - poly[0] * i] + [
-            prev - c * i for prev, c in zip(poly, poly[1:])] + [poly[-1]]
+        # poly <- poly*(x - xs[i]) + coef[i]
+        poly = [coef[i] - poly[0] * xs[i]] + [
+            prev - c * xs[i] for prev, c in zip(poly, poly[1:])] + [poly[-1]]
     return poly
 
 
@@ -1047,8 +1047,8 @@ def integer_roots_scalar_poly(coeffs: list[Scalar]):
     each rational component (per parameter monomial and zeta coordinate),
     so one component gives the candidates, each checked against the full
     polynomial: characteristic p solves that component for its residues
-    mod p (``_roots_mod``: in closed form up to degree 2, the degrees the
-    families reach, so no pencil walks the p residues), and characteristic
+    mod p (``_roots_mod``: in closed form up to the pencils' degree 2, by
+    all p residues above it, as for a GWA resultant), and characteristic
     0 lifts its roots p-adically (``_integer_roots_int``), at any degree.
 
     >>> ctx = ScalarContext()

@@ -31,15 +31,19 @@ from spans import Tracer  # noqa: E402
 # localization, the period-1 route of an eigenvector v, vanishing at
 # m = p over F_5 and holding with the factor q, and the parametric powers
 # of K[C_4] over Q(zeta_4)(mu), whose units condition reads no inverse, and
-# of the quantized Weyl algebra, and the localization of a quadratic ring
-# under conjugation, whose special-element search takes the powers of s
+# of the quantized Weyl algebra, the localization of a quadratic ring
+# under conjugation, whose special-element search takes the powers of s,
+# and GWA comaximality read from the resultant in the action at a residue
+# mod 5, at m = 1 about a fixed point, and under a parametric scaling
 DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("swell", "swell-solve-0"), ("swell", "swell-solve-4"),
              ("catalog", "quad-1-1-1"),
              ("catalog", "fc2-1-0"), ("scan", "gwa-shift-1"),
              ("scan", "localized-2-0"), ("catalog", "weyl-f5"),
              ("catalog", "quantized-weyl"), ("swell", "swell-fc4-mixed-18"),
-             ("swell", "swell-quantized-weyl-15"), ("catalog", "quad-localized"))
+             ("swell", "swell-quantized-weyl-15"), ("catalog", "quad-localized"),
+             ("catalog", "gwa-weyl-f5"), ("catalog", "gwa-scaled-ideal"),
+             ("swell", "swell-gwa-scan-0"))
 
 
 def _kinds(verdict: dict):

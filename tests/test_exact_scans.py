@@ -2,9 +2,10 @@
 
 Units and radical: with (rho*alpha)^L rescaling v by a factor R of infinite
 order, v^(q*L + r) = [q]_R*v^(L) + R^q*v^(r), and the split families decide
-each such pencil exactly.  Comaximality of a GWA over a polynomial shift is
-the dispersion of u.  Every answer here is held against a direct walk over
-the index, and every Fails is replayed.
+each such pencil exactly.  Comaximality of a GWA under a polynomial shift
+or scaling, or a Laurent scaling, is read from one resultant in the action.
+Every answer here is held against a direct walk over the index, and every
+Fails is replayed.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambiskew.algebras import (AffineAuto, CyclicGroupAlgebra, DiagonalAuto,
                                FieldAlgebra, LaurentAlgebra, PolyAlgebra,
                                QuadraticAlgebra)
-from ambiskew.dsl import parse_spec
+from ambiskew.dsl import eval_element, parse_expression, parse_spec
 from ambiskew.gwa import GwaRing, gwa_simple
 from ambiskew.localization import localized_simple
 from ambiskew.rings import AmbiskewRing
@@ -535,3 +538,95 @@ def test_dispersion_with_a_parametric_step():
     comax = dict(gwa_simple(GwaRing(alg, AffineAuto(ctx.one, q), u))
                  .conditions)["comaximal"]
     assert comax.fails and comax.certificate["m"] == 3
+
+
+# -- GWA comaximality by the resultant in the action, against a walk --------
+
+_GWA_CONTEXTS = {
+    "Q": ScalarContext(), "Q(q)": ScalarContext(parameters=("q",)),
+    "F_5": ScalarContext(characteristic=5),
+    "F_7": ScalarContext(characteristic=7),
+    "F_101": ScalarContext(characteristic=101),
+    "F_7(q)": ScalarContext(characteristic=7, parameters=("q",)),
+}
+COMAXIMAL_WALK = 40
+
+
+@st.composite
+def _gwa_draws(draw):
+    """(algebra, alpha, u, ratio): a Poly shift (ratio None), a Poly
+    affine scaling or a Laurent scaling by the ratio, and u of degree 1-3
+    whose roots are sometimes planted images of one another under
+    ``move(r, j)``, the root r moved by alpha^j, so both verdicts occur."""
+    ctx = _GWA_CONTEXTS[draw(st.sampled_from(sorted(_GWA_CONTEXTS)))]
+    one, half = ctx.one, ctx.fraction(Fraction(1, 2))
+    pool = [ctx.int_(k) for k in range(-3, 4)]
+    scales = [ctx.int_(2), ctx.int_(3), -one, half]
+    family = draw(st.sampled_from(("shift", "scaling", "laurent")))
+    if ctx.parameters:
+        # the walk's gcds over Q(q) keep every common factor (ROADMAP item
+        # 1b) and pass 10 s by m = 40 once a scaling moves parametric
+        # coefficients: the parameter enters a shift's step and roots, and
+        # a Laurent scaling
+        q = ctx.param("q")
+        if family == "shift":
+            pool += [q, -q, q + one]
+        elif family == "laurent":
+            scales += [q, 2 * q]
+    nonzero = [c for c in pool if not c.is_zero()]
+    if family == "shift":
+        b = draw(st.sampled_from(nonzero))
+        alg, alpha, ratio = PolyAlgebra(ctx), AffineAuto(one, b), None
+        move = lambda r, j: r + ctx.int_(j) * b
+    else:
+        a = draw(st.sampled_from([c for c in scales if c != one]))
+        if family == "scaling":
+            b = draw(st.sampled_from(pool))
+            t0 = b / (one - a)
+            alg, alpha = PolyAlgebra(ctx), AffineAuto(a, b)
+            move = lambda r, j: t0 + (r - t0) * a ** j
+        else:
+            alg, alpha = LaurentAlgebra(ctx), DiagonalAuto((a,))
+            move = lambda r, j: r * a ** j
+        ratio = a
+    roots = [draw(st.sampled_from(pool))]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            roots.append(move(draw(st.sampled_from(roots)),
+                              draw(st.integers(1, 3))))
+        else:
+            roots.append(draw(st.sampled_from(pool)))
+    u = {0: ctx.int_(draw(st.sampled_from((1, -2, 3))))}
+    for r in roots:
+        u = alg.mul(u, {1: one, 0: -r})
+    if len(roots) == 1 and draw(st.booleans()):
+        u = alg.mul(u, {2: one, 0: draw(st.sampled_from(nonzero))})
+    if family == "laurent":
+        u = alg.mul(u, {draw(st.integers(-1, 1)): one})
+    return alg, alpha, u, ratio
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gwa_draws())
+def test_resultant_matches_a_comaximality_walk(draw):
+    alg, alpha, u, ratio = draw
+    comax = dict(gwa_simple(GwaRing(alg, alpha, u)).conditions)["comaximal"]
+    assert comax.status is not Status.INCONCLUSIVE
+    upto = comax.certificate["m"] if comax.fails else COMAXIMAL_WALK
+    walked = next((m for m in range(1, upto + 1) if alg.comaximal(
+        u, alg.apply(alg.auto_power(alpha, m), u)).fails), None)
+    if comax.fails:
+        assert walked == comax.certificate["m"]
+        return
+    assert walked is None
+    cert = comax.certificate
+    if cert["kind"] == "unit_u":
+        return
+    assert cert["kind"] == "shift_coprime"
+    assert cert.get("ratio") == (None if ratio is None else str(ratio))
+    ctx = alg.ctx
+    res = eval_element(parse_expression(cert["resultant"]),
+                       PolyAlgebra(ctx, "m" if ratio is None else "X"))
+    for m in range(1, COMAXIMAL_WALK + 1):
+        x = ctx.int_(m) if ratio is None else ratio ** m
+        assert sum((c * x ** k for k, c in res.items()), ctx.zero) != ctx.zero

@@ -345,7 +345,9 @@ def test_scaled_fixed_ideal_blocks_comaximality():
     alg = PolyAlgebra(ctx)
     T = GwaRing(alg, AffineAuto(ctx.int_(2), ctx.zero), alg.gen_elem("t"))
     cert = _conditions(gwa_simple(T))["comaximal"].certificate
-    assert cert == {"kind": "eigen_ideal", "m": 1, "ratio": "2"}
+    # u shares the fixed point 0 with every alpha^m(u): R vanishes identically
+    assert cert == {"kind": "comaximal_witness", "m": 1,
+                    "detail": {"kind": "common_factor_degree", "degree": 1}}
 
 
 def test_group_algebra_scan_finds_the_periodic_witness():
@@ -364,19 +366,91 @@ def test_laurent_scaling_moves_a_single_root_away():
     T = GwaRing(alg, DiagonalAuto((ctx.param("q"),)), u)
     comax = _conditions(gwa_simple(T))["comaximal"]
     assert comax.holds
-    assert comax.certificate == {"kind": "shift_coprime", "ratio": "q"}
+    assert comax.certificate == {"kind": "shift_coprime",
+                                 "resultant": "-X + 1", "ratio": "q"}
 
 
 def test_bounded_comaximal_scan_is_inconclusive(monkeypatch):
-    ctx = ScalarContext(parameters=("q",))
+    # 1 + zeta has infinite order but is neither rational nor parametric,
+    # so no root of the resultant is read at a power of it
+    ctx = ScalarContext(cyclotomic_order=4)
     alg = LaurentAlgebra(ctx)
     u = {0: ctx.one, 1: ctx.one, 2: ctx.one}
-    T = GwaRing(alg, DiagonalAuto((ctx.param("q"),)), u)
+    T = GwaRing(alg, DiagonalAuto((ctx.one + ctx.zeta(),)), u)
     monkeypatch.setattr(bounds, "M_MAX", 5)
     verdict = gwa_simple(T)
     comax = _conditions(verdict)["comaximal"]
     assert comax.status is Status.INCONCLUSIVE
     assert comax.certificate == {"kind": "bounded_scan", "m_max": 5}
+
+
+def _comaximal_of(text, u):
+    T = parse_spec(f"{text}ring T = gwa(P, b, u = {u})\n").rings["T"]
+    return _conditions(gwa_simple(T))["comaximal"]
+
+
+@pytest.mark.parametrize("base, ratio, u, resultant", [
+    ("poly(t)", "2", "t + 1", "-X + 1"),
+    ("poly(t)", "2", "t^2 + 1", "X^4 - 2*X^2 + 1"),
+    # the roots of 1 + t + t^2 meet those of its image where X is a ratio
+    # of two of them: R = (X - 1)^2*(X^2 + X + 1)
+    ("laurent(t)", "2", "1 + t + t^2", "X^4 - X^3 - X + 1"),
+    ("laurent(t)", "q", "1 + t + t^2", "X^4 - X^3 - X + 1"),
+])
+def test_scalings_of_infinite_order_hold_by_their_resultant(base, ratio, u,
+                                                            resultant):
+    comax = _comaximal_of("context(parameters = [q])\n"
+                          f"base P = {base}\n"
+                          f"auto b on P {{ t -> {ratio}*t }}\n", u)
+    assert comax.holds
+    assert comax.certificate == {"kind": "shift_coprime",
+                                 "resultant": resultant, "ratio": ratio}
+
+
+def test_scalings_decide_over_cyclotomic_and_parametric_fields():
+    comax = _comaximal_of("context(cyclotomic_order = 8)\n"
+                          "base P = poly(t)\n"
+                          "auto b on P { t -> 5/2*t - 2/3 }\n",
+                          "t^3 + 2*t + 1 + zeta")
+    assert comax.status is not Status.INCONCLUSIVE
+    # about the fixed point 1/(1 - q), with the denominators of u(t0 + s)
+    # cleared, R has polynomial coefficients
+    comax = _comaximal_of("context(characteristic = 7, parameters = [q])\n"
+                          "base P = poly(t)\n"
+                          "auto b on P { t -> q*t + 1 }\n",
+                          "(t - 1)*(t - q^2)")
+    assert comax.holds and comax.certificate["ratio"] == "q"
+    assert "/" not in comax.certificate["resultant"]
+    # F_7 has too few points for the degree 9 of a cubic's R, which is
+    # interpolated at the powers of q; its roots X^3 = 1 are no power of q
+    comax = _comaximal_of("context(characteristic = 7, parameters = [q])\n"
+                          "base P = laurent(t)\n"
+                          "auto b on P { t -> q*t }\n", "1 + t^3")
+    assert comax.holds
+    assert comax.certificate["resultant"] == "-X^9 + 3*X^6 + 4*X^3 + 1"
+
+
+@pytest.mark.parametrize("p, u, m", [
+    # R = 1 - X: the first return to 1 of 3^m, at the order of 3
+    (10**6 + 3, "t + 1", 333334),
+    (10**9 + 7, "t + 1", 500000003),
+    # R = (1 - X^2)^2: the first m with 3^m = -1
+    (10007, "t^2 + 1", 5003),
+])
+def test_large_prime_scaling_reads_m_without_a_walk(monkeypatch, p, u, m):
+    calls = []
+    comaximal = PolyAlgebra.comaximal
+
+    def counted(self, a, b):
+        calls.append(1)
+        return comaximal(self, a, b)
+
+    monkeypatch.setattr(PolyAlgebra, "comaximal", counted)
+    comax = _comaximal_of(f"context(characteristic = {p})\n"
+                          "base P = poly(t)\n"
+                          "auto b on P { t -> 3*t }\n", u)
+    assert comax.fails and comax.certificate["m"] == m
+    assert len(calls) <= 1
 
 
 def test_nested_base_outerness_is_inconclusive():
