@@ -174,15 +174,12 @@ def _signed_atom(s: Scalar) -> tuple[bool, str]:
 def _render_terms(parts: list[tuple[Scalar, str]]) -> str:
     signed = []
     for s, mono in parts:
-        if not mono:
-            signed.append(_signed_atom(s))
-        elif s.is_one():
-            signed.append((False, mono))
-        elif (-s).is_one():
-            signed.append((True, mono))
-        else:
-            neg, body = _signed_atom(s)
-            signed.append((neg, f"{body}*{mono}"))
+        neg, body = _signed_atom(s)
+        if mono and body == str(s.ctx.characteristic - 1) != "1":
+            neg, body = True, mono  # -1 in F_p, which renders as p - 1
+        elif mono:
+            body = mono if body == "1" else f"{body}*{mono}"
+        signed.append((neg, body))
     return _join_signed(signed)
 
 

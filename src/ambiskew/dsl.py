@@ -4,14 +4,14 @@ A document is a sequence of lines.  Each line is one declaration or one
 check directive; ``#`` outside a quoted string starts a comment, to the end
 of the line.  Declarations are order sensitive: a name must be declared
 before it is used, which makes every reference acyclic by construction.
-``parse_spec`` reads a document in one pass: it reads each statement's
-whole line, its syntax first and then its arguments, and only then builds
-the algebra, automorphism or ring the line declares into the
-``SpecDocument``.  So every semantic rule (nonzero rho, primitive roots,
-relation preservation) is enforced eagerly and errors point at a line and
-column.  One reader (``_read``) serves both steps: it reads each
-expression once, building nothing, to check the line's syntax, and again,
-from the same tokens, to build the argument's value.
+``parse_spec`` reads a document in one pass, a line at a time: one
+regular-expression scan cuts the line into ``(kind, text, line, column)``
+tuples, and its statement reads them, its syntax first and then its
+arguments, before it builds the algebra, automorphism or ring it declares
+into the ``SpecDocument``.  So every semantic rule (nonzero rho, primitive
+roots, relation preservation) is enforced eagerly; errors point at a line
+and column.  One reader (``_read``) serves both steps: it reads each
+expression once, building nothing, to check syntax, and again for its value.
 
 The statement forms follow; the families and ring constructors, with
 their keyword arguments and which of them are required, come from the
@@ -55,6 +55,7 @@ ambiskew.dsl.DslError: 5:38: semantic error: rho must be nonzero
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 
 from .algebras import (CyclicGroupAlgebra, FieldAlgebra, LaurentAlgebra,
@@ -101,53 +102,59 @@ class DslError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class _Token:
-    """A token; its kind is NAME, INT, PATH, STRING, END or the punctuation."""
-
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-    @property
-    def loc(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column)
-
-
-# blanks match without a group; a '#' outside a string comments out the rest
+# a token is a (kind, text, line, column) tuple; its kind is NAME, INT,
+# PATH, STRING, END or the punctuation itself.  Each match is the blank run
+# before a token and the token; a '#' outside a string comments out the
+# rest, and any other character is stray.
 _TOKEN_RE = re.compile(r"""
-    (?P<PATH>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)+)
-  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<INT>[0-9]+)
-  | (?P<STRING>"[^"\n]*")
-  | (?P<PUNCT>->|[(){}\[\],=+\-*/^])
-  | [ \t]+
-  | (?P<COMMENT>\#.*)
-  | (?P<BAD>.)
+    ([ \t]*)
+    ( [A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*
+    | [0-9]+
+    | "[^"\n]*"
+    | ->
+    | \#.*
+    | [^ \t]
+    )
 """, re.VERBOSE | re.DOTALL)
 
+# NAME and INT by a token's first character; punctuation is its own kind
+_FIRST = {**dict.fromkeys(string.ascii_letters + "_", "NAME"),
+          **dict.fromkeys(string.digits, "INT")}
+_PUNCT = frozenset(["->", *"(){}[],=+-*/^"])
 
-def _tokenize_line(text: str, line: int) -> list[_Token]:
-    out: list[_Token] = []
-    end = len(text)
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
+
+def _tokenize_line(text: str, line: int) -> list[tuple]:
+    out = []
+    column = 1
+    for blank, word in _TOKEN_RE.findall(text):
+        column += len(blank)
+        kind = _FIRST.get(word[0])
         if kind is None:
-            continue
-        if kind == "COMMENT":
-            end = m.start()
-            break
-        if kind == "BAD":
-            raise DslError("lexical", SourceLocation(line, m.start() + 1),
-                           f"unexpected character {m.group()!r}")
-        word = m.group()
-        out.append(_Token(word if kind == "PUNCT" else kind, word, line,
-                          m.start() + 1))
-    out.append(_Token("END", "", line, end + 1))
+            if word in _PUNCT:
+                kind = word
+            elif word[0] == "#":
+                break
+            elif len(word) == 1:  # a stray character, or an unclosed '"'
+                raise DslError("lexical", SourceLocation(line, column),
+                               f"unexpected character {word!r}")
+            else:
+                kind = "STRING"
+        elif kind == "NAME" and "." in word:
+            kind = "PATH"
+        out.append((kind, word, line, column))
+        column += len(word)
+    else:
+        column = len(text) + 1
+    out.append(("END", "", line, column))
     return out
+
+
+def _loc(tok: tuple) -> SourceLocation:
+    return SourceLocation(tok[2], tok[3])
+
+
+def _found(tok: tuple) -> str:
+    return repr(tok[1]) if tok[0] != "END" else "end of line"
 
 
 class _Cursor:
@@ -155,35 +162,31 @@ class _Cursor:
 
     __slots__ = ("tokens", "i")
 
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.i]
-        if tok.kind != "END":
+        if tok[0] != "END":
             self.i += 1
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.tokens[self.i].kind == kind
+        return self.tokens[self.i][0] == kind
 
-    def take(self, kind: str) -> _Token | None:
+    def take(self, kind: str) -> tuple | None:
         tok = self.tokens[self.i]
-        if tok.kind != kind:
+        if tok[0] != kind:
             return None
         self.i += 1  # no caller takes the END token
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str) -> tuple:
         tok = self.tokens[self.i]
-        if tok.kind != kind:
-            found = repr(tok.text) if tok.kind != "END" else "end of line"
-            raise DslError("syntactic", tok.loc,
-                           f"expected {what}, found {found}")
+        if tok[0] != kind:
+            raise DslError("syntactic", _loc(tok),
+                           f"expected {what}, found {_found(tok)}")
         self.i += 1
         return tok
 
@@ -197,7 +200,7 @@ class _Cursor:
 
 
 # an expression is the slice of its line's tokens, closed by an END token
-Expr = list[_Token]
+Expr = list[tuple]
 
 # the binding power of each infix operator; any other token ends a chain
 _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -208,42 +211,41 @@ def _read(cur: _Cursor, atom, apply):
     ``atom(token)`` values a number or a name, ``apply(operator, left,
     right)`` an operation: left is None for a unary minus, and right is an
     integer after ``^``.  Only parentheses recurse."""
-    pending: list[tuple] = []  # (left value, operator), binding powers rising
+    pending: list[tuple] = []  # (binding power, left value, operator), rising
     while True:
         signs = []
         while sign := cur.take("-"):
             signs.append(sign)
         tok = cur.next()
-        if tok.kind == "(":
+        if tok[0] in ("NAME", "INT"):
+            value = atom(tok)
+        elif tok[0] == "(":
             value = _read(cur, atom, apply)
             cur.expect(")", "a closing ')'")
-        elif tok.kind == "INT" or tok.kind == "NAME":
-            value = atom(tok)
         else:
-            found = repr(tok.text) if tok.kind != "END" else "end of line"
-            raise DslError("syntactic", tok.loc,
-                           f"expected a number, a name or '(', found {found}")
+            raise DslError("syntactic", _loc(tok), "expected a number, a "
+                           f"name or '(', found {_found(tok)}")
         while op := cur.take("^"):
             sign = -1 if cur.take("-") else 1
             lit = cur.expect("INT", "an integer exponent after '^'")
-            value = apply(op, value, sign * int(lit.text))
+            value = apply(op, value, sign * int(lit[1]))
         for sign in reversed(signs):
             value = apply(sign, None, value)
-        binding = _BINDING.get(cur.peek().kind, 0)
-        while pending and _BINDING[pending[-1][1].kind] >= binding:
-            left, op = pending.pop()
+        binding = _BINDING.get(cur.tokens[cur.i][0], 0)
+        while pending and pending[-1][0] >= binding:
+            _, left, op = pending.pop()
             value = apply(op, left, value)
         if not binding:
             return value
-        pending.append((value, cur.next()))
+        pending.append((binding, value, cur.next()))
 
 
 def _nothing(*_):
     return None
 
 
-def _nested_too_deeply(start: _Token) -> DslError:
-    return DslError("syntactic", start.loc, "the expression is nested too deeply")
+def _nested_too_deeply(start: tuple) -> DslError:
+    return DslError("syntactic", _loc(start), "the expression is nested too deeply")
 
 
 def _expression(cur: _Cursor) -> Expr:
@@ -288,30 +290,30 @@ def eval_element(expr: Expr, algebra, names: dict[str, dict] | None = None) -> d
         names = _scope_names(algebra)
     ring_ops = {"+": algebra.add, "-": algebra.sub, "*": algebra.mul}
 
-    def atom(tok: _Token) -> dict:
-        if tok.kind == "INT":
-            return algebra.from_scalar(algebra.ctx.int_(int(tok.text)))
+    def atom(tok: tuple) -> dict:
+        if tok[0] == "INT":
+            return algebra.from_scalar(algebra.ctx.int_(int(tok[1])))
         try:
-            return dict(names[tok.text])
+            return dict(names[tok[1]])
         except KeyError:
-            raise DslError("semantic", tok.loc,
-                           f"unknown name {tok.text!r}") from None
+            raise DslError("semantic", _loc(tok),
+                           f"unknown name {tok[1]!r}") from None
 
-    def apply(op: _Token, left, right):
+    def apply(op: tuple, left, right):
         if left is None:
             return algebra.neg(right)
-        if op.kind == "^":
+        if op[0] == "^":
             try:
                 return algebra.power(left, right)
             except ValueError as exc:
-                raise DslError("semantic", op.loc, str(exc)) from None
-        if op.kind in ring_ops:
-            return ring_ops[op.kind](left, right)
+                raise DslError("semantic", _loc(op), str(exc)) from None
+        if op[0] in ring_ops:
+            return ring_ops[op[0]](left, right)
         s = algebra.scalar_of(right)
         if s is None:
-            raise DslError("semantic", op.loc, "the divisor must be a scalar")
+            raise DslError("semantic", _loc(op), "the divisor must be a scalar")
         if s.is_zero():
-            raise DslError("semantic", op.loc, "division by zero")
+            raise DslError("semantic", _loc(op), "division by zero")
         return algebra.smul(s.inv(), left)
 
     try:
@@ -408,10 +410,10 @@ def _named_auto(doc: SpecDocument, name: str, base_name: str,
 # ---------------------------------------------------------------------------
 
 
-def _lone(value, kind: str) -> _Token | None:
-    """The token of ``value`` when it is an expression of one ``kind`` token."""
-    if isinstance(value, list) and len(value) == 2 and value[0].kind == kind:
-        return value[0]
+def _lone(value, kind: str) -> str | None:
+    """The text of ``value`` when it is an expression of one ``kind`` token."""
+    if isinstance(value, list) and len(value) == 2 and value[0][0] == kind:
+        return value[0][1]
     return None
 
 
@@ -419,15 +421,14 @@ def _lone(value, kind: str) -> _Token | None:
 # None when that does not fit, and the message the error then gives); a
 # written value is an expression or a tuple of the names in a list
 _KINDS = {
-    "count": (lambda v: int(t.text) if (t := _lone(v, "INT"))
-              and int(t.text) >= 1 else None, "must be a positive integer"),
-    "characteristic": (lambda v: int(t.text) if (t := _lone(v, "INT"))
-                       else None, "must be 0 or a prime"),
-    "name": (lambda v: t.text if (t := _lone(v, "NAME")) else None,
-             "must be a plain name"),
+    "count": (lambda v: int(t) if (t := _lone(v, "INT")) and int(t) >= 1
+              else None, "must be a positive integer"),
+    "characteristic": (lambda v: int(t) if (t := _lone(v, "INT")) else None,
+                       "must be 0 or a prime"),
+    "name": (lambda v: _lone(v, "NAME"), "must be a plain name"),
     "expr": (lambda v: None if isinstance(v, tuple) else v,
              "takes an expression, not a list"),
-    "list": (lambda v: tuple(t.text for t in v) if isinstance(v, tuple)
+    "list": (lambda v: tuple(t[1] for t in v) if isinstance(v, tuple)
              else None, "takes a list like [q, r]"),
 }
 
@@ -449,13 +450,13 @@ def _parse_args(cur: _Cursor, what: str, schema: dict, required: tuple,
                 if not cur.take(","):
                     break
             cur.expect("]", "a closing ']'")
-            value: Expr | tuple[_Token, ...] = tuple(items)
+            value: Expr | tuple = tuple(items)
         else:
             value = _expression(cur)
-        if key.text in raw:
-            raise DslError("syntactic", key.loc,
-                           f"duplicate argument {key.text!r}")
-        raw[key.text] = (value, key)
+        if key[1] in raw:
+            raise DslError("syntactic", _loc(key),
+                           f"duplicate argument {key[1]!r}")
+        raw[key[1]] = (value, key)
         if not cur.take(","):
             break
     cur.expect(")", "a closing ')'")
@@ -463,11 +464,11 @@ def _parse_args(cur: _Cursor, what: str, schema: dict, required: tuple,
     args = {}
     for key, (value, tok) in raw.items():
         if key not in schema:
-            raise _semantic(tok.loc, f"unknown {what} argument {key!r}")
+            raise _semantic(_loc(tok), f"unknown {what} argument {key!r}")
         convert, message = _KINDS[schema[key]]
         args[key] = convert(value)
         if args[key] is None:
-            raise _semantic(tok.loc, f"{key} {message}")
+            raise _semantic(_loc(tok), f"{key} {message}")
     if any(key not in args for key in required):
         raise _semantic(loc, f"{what} needs " +
                         " and ".join(f"{key} = ..." for key in required))
@@ -504,20 +505,20 @@ _BASES = {
 
 
 def _parse_base(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
-    name = cur.expect("NAME", "a base name").text
+    name = cur.expect("NAME", "a base name")[1]
     cur.expect("=", "'=' after the base name")
     fam = cur.expect("NAME", "a base family")
-    if fam.text not in _BASES:
-        raise _semantic(fam.loc, f"unknown base family {fam.text!r}; "
+    if fam[1] not in _BASES:
+        raise _semantic(_loc(fam), f"unknown base family {fam[1]!r}; "
                         "expected one of " + ", ".join(_BASES))
-    cls, schema, required = _BASES[fam.text]
+    cls, schema, required = _BASES[fam[1]]
     cur.expect("(", "'('")
     if isinstance(schema, str):
-        args = {schema: cur.expect("NAME", "a generator name").text}
+        args = {schema: cur.expect("NAME", "a generator name")[1]}
         cur.expect(")", "a closing ')'")
         cur.expect_end()
     else:
-        args = _parse_args(cur, fam.text, schema, required, loc)
+        args = _parse_args(cur, fam[1], schema, required, loc)
     _fresh(doc, name, loc)
     ctx = _context(doc)
     # evaluated outside the try: its errors already carry their own location
@@ -530,11 +531,11 @@ def _parse_base(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
 
 
 def _parse_auto(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
-    name = cur.expect("NAME", "an automorphism name").text
+    name = cur.expect("NAME", "an automorphism name")[1]
     on = cur.expect("NAME", "'on'")
-    if on.text != "on":
-        raise DslError("syntactic", on.loc, f"expected 'on', found {on.text!r}")
-    carrier = cur.expect("NAME", "a carrier name").text
+    if on[1] != "on":
+        raise DslError("syntactic", _loc(on), f"expected 'on', found {on[1]!r}")
+    carrier = cur.expect("NAME", "a carrier name")[1]
     cur.expect("{", "'{'")
     rules = []
     while not cur.at("}"):
@@ -551,12 +552,12 @@ def _parse_auto(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
     images: dict[str, dict] = {}
     scope = _scope_names(algebra)
     for gen, image in rules:
-        if gen.text not in gens:
-            raise _semantic(gen.loc, f"{carrier} has no generator {gen.text!r}")
-        if gen.text in images:
-            raise _semantic(gen.loc,
-                            f"duplicate rule for generator {gen.text!r}")
-        images[gen.text] = eval_element(image, algebra, scope)
+        if gen[1] not in gens:
+            raise _semantic(_loc(gen), f"{carrier} has no generator {gen[1]!r}")
+        if gen[1] in images:
+            raise _semantic(_loc(gen),
+                            f"duplicate rule for generator {gen[1]!r}")
+        images[gen[1]] = eval_element(image, algebra, scope)
     try:
         auto = algebra.auto_from_images(images)
         algebra.validate_auto(auto)
@@ -570,7 +571,7 @@ def _ambiskew_args(doc: SpecDocument, args: dict, algebra, base: str,
     v = eval_element(args["v"], algebra, _scope_names(algebra))
     rho = eval_scalar(args["rho"], _context(doc))
     if rho.is_zero():
-        raise _semantic(args["rho"][0].loc, "rho must be nonzero")
+        raise _semantic(_loc(args["rho"][0]), "rho must be nonzero")
     return {"v": v, "rho": rho}
 
 
@@ -594,12 +595,12 @@ _RINGS = {
 
 
 def _parse_ring(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
-    name = cur.expect("NAME", "a ring name").text
+    name = cur.expect("NAME", "a ring name")[1]
     cur.expect("=", "'=' after the ring name")
     ctor = cur.expect("NAME", "a ring constructor")
-    if ctor.text == "quotient_by_casimir":
+    if ctor[1] == "quotient_by_casimir":
         cur.expect("(", "'('")
-        source_name = cur.expect("NAME", "a ring name").text
+        source_name = cur.expect("NAME", "a ring name")[1]
         cur.expect(")", "a closing ')'")
         cur.expect_end()
         _fresh(doc, name, loc)
@@ -612,16 +613,16 @@ def _parse_ring(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
         except ValueError as exc:
             raise _semantic(loc, str(exc)) from None
         return
-    if ctor.text not in _RINGS:
-        raise _semantic(ctor.loc, f"unknown ring constructor {ctor.text!r}; "
+    if ctor[1] not in _RINGS:
+        raise _semantic(_loc(ctor), f"unknown ring constructor {ctor[1]!r}; "
                         f"expected {', '.join(_RINGS)} or quotient_by_casimir")
-    cls, schema, required, read = _RINGS[ctor.text]
+    cls, schema, required, read = _RINGS[ctor[1]]
     cur.expect("(", "'('")
-    base = cur.expect("NAME", "a coefficient algebra name").text
+    base = cur.expect("NAME", "a coefficient algebra name")[1]
     cur.expect(",", "','")
-    auto_name = cur.expect("NAME", "an automorphism name").text
+    auto_name = cur.expect("NAME", "an automorphism name")[1]
     cur.expect(",", "','")
-    args = _parse_args(cur, ctor.text, schema, required, loc)
+    args = _parse_args(cur, ctor[1], schema, required, loc)
     _fresh(doc, name, loc)
     algebra = _carrier(doc, base, loc)
     if isinstance(algebra, GwaRing):
@@ -637,32 +638,31 @@ def _parse_ring(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
 
 
 def _parse_check(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
-    kind = cur.expect("NAME", "a check kind")
-    if kind.text not in CHECK_KINDS:
-        raise _semantic(kind.loc, f"unknown check {kind.text!r}; expected "
+    head = cur.expect("NAME", "a check kind")
+    kind = head[1]
+    if kind not in CHECK_KINDS:
+        raise _semantic(_loc(head), f"unknown check {kind!r}; expected "
                         "one of " + ", ".join(CHECK_KINDS))
     cur.expect("(", "'('")
-    if kind.text == "torus":
+    if kind == "torus":
         tok = cur.next()
-        if tok.kind not in ("STRING", "PATH", "NAME"):
-            raise DslError("syntactic", tok.loc,
-                           "expected a table file name, found "
-                           + (repr(tok.text) if tok.kind != "END"
-                             else "end of line"))
-        target = tok.text[1:-1] if tok.kind == "STRING" else tok.text
+        if tok[0] not in ("STRING", "PATH", "NAME"):
+            raise DslError("syntactic", _loc(tok), "expected a table file "
+                           f"name, found {_found(tok)}")
+        target = tok[1][1:-1] if tok[0] == "STRING" else tok[1]
     else:
-        target = cur.expect("NAME", "a ring name").text
+        target = cur.expect("NAME", "a ring name")[1]
     cur.expect(")", "a closing ')'")
     cur.expect_end()
-    if kind.text != "torus":
+    if kind != "torus":
         ring = doc.rings.get(target)
         if ring is None:
             raise _semantic(loc, f"unknown ring {target!r}")
         ambiskew_only = ("singular", "conformal", "iterated",
                          "localized_simple")
-        if kind.text in ambiskew_only and not isinstance(ring, AmbiskewRing):
-            raise _semantic(loc, f"check {kind.text} needs an ambiskew ring")
-    doc.checks.append(CheckDecl(kind.text, target))
+        if kind in ambiskew_only and not isinstance(ring, AmbiskewRing):
+            raise _semantic(loc, f"check {kind} needs an ambiskew ring")
+    doc.checks.append(CheckDecl(kind, target))
 
 
 _STATEMENT_PARSERS = {
@@ -683,16 +683,15 @@ def parse_spec(text: str) -> SpecDocument:
     doc = SpecDocument()
     for lineno, line in enumerate(text.splitlines(), start=1):
         cur = _Cursor(_tokenize_line(line, lineno))
-        head = cur.next()
-        if head.kind == "END":
+        kind, word, _, column = cur.next()
+        if kind == "END":
             continue
-        parser = _STATEMENT_PARSERS.get(head.text)
-        if head.kind != "NAME" or parser is None:
-            raise DslError(
-                "syntactic", head.loc,
-                f"expected a statement keyword (one of "
-                f"{', '.join(_STATEMENT_PARSERS)}), found {head.text!r}")
-        parser(cur, head.loc, doc)
+        parser = _STATEMENT_PARSERS.get(word)
+        if kind != "NAME" or parser is None:
+            raise DslError("syntactic", SourceLocation(lineno, column),
+                           "expected a statement keyword (one of "
+                           f"{', '.join(_STATEMENT_PARSERS)}), found {word!r}")
+        parser(cur, SourceLocation(lineno, column), doc)
     _context(doc)
     return doc
 
@@ -733,7 +732,7 @@ def parse_scalar_table(text: str, ctx: ScalarContext) -> list[list[Scalar]]:
             comma = cur.take(",")
             if comma is None:
                 break
-            column = comma.loc.column + 1
+            column = comma[3] + 1
         cur.expect_end()
         rows.append([eval_scalar(cell, ctx) for cell in cells])
     return rows

@@ -34,7 +34,8 @@ from spans import Tracer  # noqa: E402
 # of the quantized Weyl algebra, the localization of a quadratic ring
 # under conjugation, whose special-element search takes the powers of s,
 # and GWA comaximality read from the resultant in the action at a residue
-# mod 5, at m = 1 about a fixed point, and under a parametric scaling
+# mod 5, at m = 1 about a fixed point, and under a parametric scaling, and
+# a quantum torus whose table a dotted file name names
 DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("swell", "swell-solve-0"), ("swell", "swell-solve-4"),
              ("catalog", "quad-1-1-1"),
@@ -43,7 +44,7 @@ DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("catalog", "quantized-weyl"), ("swell", "swell-fc4-mixed-18"),
              ("swell", "swell-quantized-weyl-15"), ("catalog", "quad-localized"),
              ("catalog", "gwa-weyl-f5"), ("catalog", "gwa-scaled-ideal"),
-             ("swell", "swell-gwa-scan-0"))
+             ("swell", "swell-gwa-scan-0"), ("catalog", "torus-primes"))
 
 
 def _kinds(verdict: dict):

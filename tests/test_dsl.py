@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -435,14 +437,84 @@ def test_tokens_cover_the_line_or_the_first_stray_character_is_reported(line):
         assert line[at] not in _STARTS
         assert line[at] != '"' or '"' not in line[at + 1:]
         # every character before it is accepted, by a token or as a blank
-        assert _tokenize_line(line[:at], 7)[-1].column == at + 1
+        assert _tokenize_line(line[:at], 7)[-1][3] == at + 1
         return
-    *tokens, end = tokens
-    assert end.kind == "END" and end.line == 7
-    for tok in tokens:
-        assert line[tok.column - 1:tok.column - 1 + len(tok.text)] == tok.text
-    assert "".join(tok.text for tok in tokens) == _strip(line)
-    assert line[end.column - 1:end.column] in ("", "#")
+    *tokens, (kind, _, lineno, column) = tokens
+    assert kind == "END" and lineno == 7
+    for _, text, _, at in tokens:
+        assert line[at - 1:at - 1 + len(text)] == text
+    assert "".join(text for _, text, _, _ in tokens) == _strip(line)
+    assert line[column - 1:column] in ("", "#")
+
+
+# the earlier tokenizer, kept as the oracle of ``_tokenize_line``: one
+# ``finditer`` pass with a named group per kind, blank runs matching none
+_ORACLE_RE = re.compile(r"""
+    (?P<PATH>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)+)
+  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<INT>[0-9]+)
+  | (?P<STRING>"[^"\n]*")
+  | (?P<PUNCT>->|[(){}\[\],=+\-*/^])
+  | [ \t]+
+  | (?P<COMMENT>\#.*)
+  | (?P<BAD>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def _oracle_tokens(text: str, line: int):
+    """The (kind, text, line, column) tokens of a line, or the column and
+    message of its lexical error."""
+    out = []
+    end = len(text)
+    for m in _ORACLE_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "COMMENT":
+            end = m.start()
+            break
+        if kind == "BAD":
+            return m.start() + 1, f"unexpected character {m.group()!r}"
+        word = m.group()
+        out.append((word if kind == "PUNCT" else kind, word, line,
+                    m.start() + 1))
+    out.append(("END", "", line, end + 1))
+    return out
+
+
+def _tokens_or_error(text: str, line: int):
+    try:
+        return _tokenize_line(text, line)
+    except DslError as err:
+        assert (err.kind, err.loc.line) == ("lexical", line)
+        return err.loc.column, err.message
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(list('abxyzAZ_019.."##(){}[],=+-*/^>  \t@\n')
+                                + ["->"]), max_size=30).map("".join))
+def test_the_tokenizer_matches_the_finditer_oracle(line):
+    assert _tokens_or_error(line, 3) == _oracle_tokens(line, 3)
+
+
+def test_every_bench_line_tokenizes_as_the_oracle_does():
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+    lines = set()
+    for workload in ("catalog", "scan", "swell"):
+        for seed in (1, 2, 3):
+            for doc in workloads.generate(workload, seed):
+                texts = [doc.text, *(t for _, t in doc.tables),
+                         *(e for _, e in doc.elements)]
+                lines.update(ln for text in texts for ln in text.splitlines())
+    kinds = set()
+    for line in sorted(lines):
+        tokens = _tokens_or_error(line, 1)
+        assert tokens == _oracle_tokens(line, 1), line
+        kinds.update(tok[0] for tok in tokens)
+    assert {"NAME", "INT", "PATH", "->", "^"} <= kinds
 
 
 def test_a_line_break_in_a_bare_expression_is_a_stray_character():
