@@ -80,17 +80,26 @@ from .verdict import Status, Verdict, fails, holds, inconclusive
 
 @dataclass(frozen=True, eq=False)
 class DiagonalAuto:
-    """Scales each family generator: one scalar per generator, in order."""
+    """Scales each family generator: one scalar per generator, in order;
+    ``_pows`` keeps each scales[0]^k made, by k, for the value's lifetime."""
 
     scales: tuple[Scalar, ...]
+
+    @cached_property
+    def _pows(self) -> dict[int, Scalar]:
+        return {}
 
 
 @dataclass(frozen=True, eq=False)
 class AffineAuto:
-    """Polynomial algebras only: t -> a*t + b."""
+    """Polynomial algebras only: t -> a*t + b, keeping (a*t + b)^k in ``_pows``."""
 
     a: Scalar
     b: Scalar
+
+    @cached_property
+    def _pows(self) -> list[dict]:
+        return [{0: self.a.ctx.one}]
 
 
 @dataclass(frozen=True, eq=False)
@@ -685,8 +694,11 @@ class _Univariate(BaseAlgebra):
         return DiagonalAuto((auto.scales[0].inv(),))
 
     def eigenvalue(self, auto, key) -> Scalar | None:
-        c = auto.scales[0]
-        return c if key == 1 else c ** key
+        if key == 1:
+            return auto.scales[0]
+        if key not in auto._pows:
+            auto._pows[key] = auto.scales[0] ** key
+        return auto._pows[key]
 
     def eigen_frame(self, alpha, gamma, units_only: bool) -> EigenFrame:
         # candidates are the powers c = t^k, d^(k div 2)*s^(k mod 2) in
@@ -979,12 +991,9 @@ class PolyAlgebra(_Univariate):
     def apply(self, auto, elem: dict) -> dict:
         if not elem:
             return {}
-        gen_image = {1: auto.a}
-        if not auto.b.is_zero():
-            gen_image[0] = auto.b
-        powers = [{0: self.ctx.one}]
-        for _ in range(max(elem)):
-            powers.append(self.mul(powers[-1], gen_image))
+        powers = auto._pows
+        while len(powers) <= max(elem):
+            powers.append(self.mul(powers[-1], {1: auto.a, 0: auto.b}))
         out: dict = {}
         for i, s in elem.items():
             _eadd_into(out, powers[i], s)

@@ -84,17 +84,18 @@ class GwaRing(ExtensionAlgebra):
         base = self.base
         out: dict = {}
         right = self.grouped(g)
+        twists: dict = {}  # j -> cross(j)(u), kept for this product
         for (d1,), b in self.grouped(f).items():
             for (d2,), c in right.items():
                 coeff = base.mul(b, base.apply(self._cross(d1), c))
                 i, k = d1, d2
                 # X^i Y^k collapses one pair at a time, emitting a twist of u
-                while i > 0 and k < 0 and coeff:
-                    coeff = base.mul(coeff, base.apply(self._cross(i), self.u))
-                    i, k = i - 1, k + 1
-                while i < 0 and k > 0 and coeff:
-                    coeff = base.mul(coeff, base.apply(self._cross(i + 1), self.u))
-                    i, k = i + 1, k - 1
+                while i * k < 0 and coeff:
+                    j, step = (i, 1) if i > 0 else (i + 1, -1)
+                    if j not in twists:
+                        twists[j] = base.apply(self._cross(j), self.u)
+                    coeff = base.mul(coeff, twists[j])
+                    i, k = i - step, k + step
                 _add_at(out, (i + k,), coeff)
         return _ungroup(out)
 

@@ -298,9 +298,12 @@ class AmbiskewRing(ExtensionAlgebra):
     # multiplication ------------------------------------------------------
 
     def v_m(self, m: int) -> dict:
-        """v_0 = 0, v_{m+1} = v + rho*alpha(v_m), as coefficient elements:
-        one step from a known v_{m-1}, else the first entry of
-        (v, alpha, rho)^m under (f*g) = (f0 + f2*f1(g0), f1 o g1, f2*g2)."""
+        """v_0 = 0, v_{m+1} = v + rho*alpha(v_m), copied from the kept ``_v(m)``:
+        one step from a known v_{m-1}, else the first entry of (v, alpha, rho)^m
+        under (f*g) = (f0 + f2*f1(g0), f1 o g1, f2*g2)."""
+        return dict(self._v(m))
+
+    def _v(self, m: int) -> dict:
         if m not in self._vm:
             b = self.base
             if m - 1 in self._vm:
@@ -311,18 +314,20 @@ class AmbiskewRing(ExtensionAlgebra):
                     return (b.add(f[0], b.smul(f[2], b.apply(f[1], g[0]))),
                             b.compose(f[1], g[1]), f[2] * g[2])
                 self._vm[m] = _power(mul, (self.v, self.alpha, self.rho), m)[0]
-        return dict(self._vm[m])
+        return self._vm[m]
 
-    def _times_x(self, groups: dict) -> dict:
+    def _times_x(self, groups: dict, rinv: list) -> dict:
         # (x^s c y^t) * x = rho^-t * (x^{s+1} beta^{-1}(c) y^t - x^s c v_t y^{t-1})
+        # rinv[t] is rho^-t, and None at t = 0, which takes no scale; the
+        # list lives for one product, which grows it here as t rises
         base = self.base
         out: dict = {}
-        rinv = self.rho.inv()
         for (s, t), c in groups.items():
-            scale = rinv ** t
-            _add_at(out, (s + 1, t), base.apply(self.beta_inv, c), scale)
+            while len(rinv) <= t:
+                rinv.append(rinv[1] * rinv[-1] if len(rinv) > 1 else self.rho.inv())
+            _add_at(out, (s + 1, t), base.apply(self.beta_inv, c), rinv[t])
             if t:
-                _add_at(out, (s, t - 1), base.mul(c, self.v_m(t)), -scale)
+                _add_at(out, (s, t - 1), base.mul(c, self._v(t)), -rinv[t])
         return out
 
     def mul(self, f: dict, g: dict) -> dict:
@@ -330,10 +335,10 @@ class AmbiskewRing(ExtensionAlgebra):
         # at a time and (x^s c y^t) * b * y^l = x^s (c * alpha^t(b)) y^(t+l)
         base = self.base
         out: dict = {}
-        fx = [self.grouped(f)]
+        fx, rinv = [self.grouped(f)], [None]
         for (k, l), b in sorted(self.grouped(g).items()):
             while len(fx) <= k:
-                fx.append(self._times_x(fx[-1]))
+                fx.append(self._times_x(fx[-1], rinv))
             images = [b]
             for (s, t), c in fx[k].items():
                 while len(images) <= t:

@@ -500,6 +500,9 @@ def _pmul(dom, a: dict, b: dict) -> dict:
         # and scales the other's terms
         (ea, ca), = a.items()
         mul = dom.mul
+        if len(b) == 1:
+            (eb, cb), = b.items()
+            return {tuple(map(operator.add, ea, eb)): mul(ca, cb)}
         if not any(ea):
             return {eb: mul(ca, cb) for eb, cb in b.items()}
         add = operator.add

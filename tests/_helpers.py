@@ -181,6 +181,12 @@ def key_pool(algebra):
             for bk in key_pool(algebra.base)]
 
 
+def exact(elem: dict) -> dict:
+    """The element with each scalar as its stored (num, den) pair, so that
+    two elements compare equal only when built to the same normal form."""
+    return {key: (s.num, s.den) for key, s in elem.items()}
+
+
 def random_elem(algebra, rng, terms=2):
     pool = key_pool(algebra)
     out = {}

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambiskew import bounds
 from ambiskew.algebras import (
@@ -18,11 +20,11 @@ from ambiskew.algebras import (
 )
 from ambiskew.dsl import DslError, parse_spec
 from ambiskew.gwa import GwaRing, gwa_from_ambiskew, gwa_simple
-from ambiskew.rings import AmbiskewRing
+from ambiskew.rings import AmbiskewRing, _add_at, _ungroup
 from ambiskew.scalars import ScalarContext
 from ambiskew.verdict import Status
 
-from _helpers import (ambiskew_as_gwa, laurent_scale, pw, random_elem,
+from _helpers import (ambiskew_as_gwa, exact, laurent_scale, pw, random_elem,
                       random_scalar)
 
 
@@ -130,6 +132,61 @@ def test_products_respect_the_grading():
             if not f or not g:
                 continue
             assert set(T.grouped(T.mul(f, g))) <= {(d1 + d2,)}
+
+
+# the earlier product, kept as the oracle of ``GwaRing.mul``: it applies a
+# power of alpha or beta to u afresh for every pair of terms it collapses
+def _oracle_mul(ring, f, g):
+    base = ring.base
+    out = {}
+    right = ring.grouped(g)
+    for (d1,), b in ring.grouped(f).items():
+        for (d2,), c in right.items():
+            coeff = base.mul(b, base.apply(ring._cross(d1), c))
+            i, k = d1, d2
+            while i > 0 and k < 0 and coeff:
+                coeff = base.mul(coeff, base.apply(ring._cross(i), ring.u))
+                i, k = i - 1, k + 1
+            while i < 0 and k > 0 and coeff:
+                coeff = base.mul(coeff, base.apply(ring._cross(i + 1), ring.u))
+                i, k = i + 1, k - 1
+            _add_at(out, (i + k,), coeff)
+    return _ungroup(out)
+
+
+def _laurent_scaling():
+    """T(K[t, t^-1], t -> q*t, t + 1) over Q(q)."""
+    ctx = ScalarContext(parameters=("q",))
+    laurent = LaurentAlgebra(ctx)
+    return GwaRing(laurent, DiagonalAuto((ctx.param("q"),)),
+                   {0: ctx.one, 1: ctx.one})
+
+
+_ORACLE_RINGS = {"laurent_scaling": _laurent_scaling,
+                 "nested": lambda: _nested_fixture()[1],
+                 **{f"family_{i}": lambda i=i: _family_fixtures()[i]
+                    for i in range(5)}}
+
+
+def _graded(ring, rng, terms):
+    """A sum of ``terms`` terms a*Z_d with d in -4..4."""
+    elem = {}
+    for _ in range(terms):
+        elem = ring.add(elem, ring._flat((rng.randint(-4, 4),),
+                                         random_elem(ring.base, rng)))
+    return elem
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_ORACLE_RINGS)), st.integers(0, 2**32),
+       st.integers(1, 4))
+def test_products_match_the_earlier_product(name, seed, terms):
+    ring, rng = _ORACLE_RINGS[name](), random.Random(seed)
+    f, g = _graded(ring, rng, terms), _graded(ring, rng, terms)
+    # scalars compare by their stored num/den, so each entry is built as
+    # the earlier product built it, not just equal in value
+    assert exact(ring.mul(f, g)) == exact(_oracle_mul(ring, f, g))
+    assert exact(ring.mul(g, f)) == exact(_oracle_mul(ring, g, f))
 
 
 def test_gwa_mul_is_associative():

@@ -9,11 +9,15 @@ applications a decision makes at p = 10007.
 
 from __future__ import annotations
 
+import hashlib
+
+import pytest
+
 from ambiskew.algebras import (AffineAuto, CyclicGroupAlgebra, DiagonalAuto,
                                FieldAlgebra, PolyAlgebra)
-from ambiskew.dsl import parse_spec
+from ambiskew.dsl import eval_element, parse_expression, parse_spec
 from ambiskew.localization import localized_simple
-from ambiskew.scalars import ScalarContext, _power
+from ambiskew.scalars import Scalar, ScalarContext, _power
 from ambiskew.simplicity import simple
 
 BIG = 10**9 + 7
@@ -109,3 +113,44 @@ def test_group_algebra_span_makes_no_more_applications(monkeypatch):
     units = dict(simple(_ring(_KC2, 10007)).conditions)["units"]
     assert units.fails and units.certificate["m"] == 2
     assert len(calls) <= 20018
+
+
+_FC4_MIXED = ("context(cyclotomic_order = 4, parameters = [mu])\n"
+              "base A = cyclic_group(n = 4, epsilon = zeta)\n"
+              "auto a on A { s -> zeta*s }\n"
+              "ring R = ambiskew(A, a, v = s + mu*s^3, rho = zeta, y = y1, "
+              "x = x1)\n")
+_QUANTIZED_WEYL = ("context(parameters = [q])\nbase F = field()\n"
+                   "auto i on F { }\nring R = ambiskew(F, i, v = 1, rho = q)\n")
+
+
+@pytest.mark.parametrize("text, expr, pows, muls, digest", [
+    # each power of rho^-1 and of the scale of alpha is made once per
+    # product or per automorphism: 356 powers and 2,566 products without
+    (_FC4_MIXED, "(x1 + y1 - s)^10", 10, 2200,
+     "33791610b45fa522f39864310f422de180dee123e5136447855824ca536945c3"),
+    # rho^-t is grown by one product per t: 58 powers without
+    (_QUANTIZED_WEYL, "(y + x)^8", 0, 270,
+     "717e722389e011f47a21d71cfb44858f8a568adb0aaed46232a1ee1a72ca8ae8"),
+], ids=["fc4_mixed", "quantized_weyl"])
+def test_ring_powers_make_few_scalar_operations(monkeypatch, text, expr,
+                                                pows, muls, digest):
+    ring = parse_spec(text).rings["R"]
+    counts = {"pow": 0, "mul": 0}
+    power, times = Scalar.__pow__, Scalar.__mul__
+
+    def counting_pow(self, k):
+        counts["pow"] += 1
+        return power(self, k)
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return times(self, other)
+
+    monkeypatch.setattr(Scalar, "__pow__", counting_pow)
+    monkeypatch.setattr(Scalar, "__mul__", counting_mul)
+    value = eval_element(parse_expression(expr), ring)
+    monkeypatch.undo()
+    assert counts["pow"] <= pows and counts["mul"] <= muls
+    # the text is the one these powers rendered to before any was kept
+    assert hashlib.sha256(ring.render(value).encode()).hexdigest() == digest

@@ -9,6 +9,7 @@ size of the package surface shows in review.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import ambiskew
@@ -75,3 +76,14 @@ def test_public_surface_is_pinned():
              for path in Path(ambiskew.__file__).parent.glob("*.py")}
     assert found == {module: sorted(names)
                      for module, names in SURFACE.items()}
+
+
+def test_sources_parse_at_the_python_floor():
+    # syntax newer than the floor pyproject.toml declares, such as
+    # ``except*`` (3.11), fails to parse here
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                             pyproject.read_text()).groups()
+    floor = (int(major), int(minor))
+    for path in Path(ambiskew.__file__).parent.glob("*.py"):
+        ast.parse(path.read_text(), str(path), feature_version=floor)

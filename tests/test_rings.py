@@ -19,14 +19,16 @@ from ambiskew.algebras import (
 )
 from ambiskew.dsl import parse_spec
 from ambiskew.gwa import GwaRing
-from ambiskew.rings import AmbiskewRing
+from ambiskew.rings import AmbiskewRing, _add_at, _ungroup
 from ambiskew.scalars import ScalarContext
 from ambiskew.verdict import Status
 
 from _helpers import (
+    exact,
     fc2_block,
     fc4_mixed,
     homogeneous_components,
+    key_pool,
     laurent_scale,
     poly_shift,
     pw,
@@ -35,6 +37,7 @@ from _helpers import (
     quantized_weyl,
     quantum_plane,
     random_elem,
+    random_scalar,
     slow_mul,
     w_alpha_power,
     weyl_over_field,
@@ -616,3 +619,98 @@ def test_in_place_products_match_the_term_by_term_product(name, seed, terms):
     for prod in (fg, ring.mul(g, f), ring.mul(fg, h)):
         assert not any(s.is_zero() for s in prod.values())
     assert (f, g, h, _shared(ring)) == before
+
+
+# -- hypothesis: the products that keep their powers against the earlier ones ------
+
+
+# the earlier product, kept as the oracle of ``AmbiskewRing.mul``: it makes
+# rho^-t afresh for every term of f * x^k, scales the terms with t = 0 by
+# rho^0 and copies v_t through ``v_m``
+def _oracle_times_x(ring, groups):
+    base = ring.base
+    out = {}
+    rinv = ring.rho.inv()
+    for (s, t), c in groups.items():
+        scale = rinv ** t
+        _add_at(out, (s + 1, t), base.apply(ring.beta_inv, c), scale)
+        if t:
+            _add_at(out, (s, t - 1), base.mul(c, ring.v_m(t)), -scale)
+    return out
+
+
+def _oracle_mul(ring, f, g):
+    base = ring.base
+    out = {}
+    fx = [ring.grouped(f)]
+    for (k, l), b in sorted(ring.grouped(g).items()):
+        while len(fx) <= k:
+            fx.append(_oracle_times_x(ring, fx[-1]))
+        images = [b]
+        for (s, t), c in fx[k].items():
+            while len(images) <= t:
+                images.append(base.apply(ring.alpha, images[-1]))
+            _add_at(out, (s, t + l), base.mul(c, images[t]))
+    return _ungroup(out)
+
+
+ORACLE_RINGS = {**dict(ASSOC_RINGS), "quantized_weyl": quantized_weyl,
+                "two_level_tower": _two_level_tower}
+
+
+def _graded_elem(ring, rng, terms, top):
+    """Up to ``terms`` terms x^i a y^j with i, j <= top and a a basis
+    monomial of the coefficient algebra, so products reach y-degree 2 and
+    more, where rho^-t is read from what the product kept."""
+    pool = key_pool(ring.base)
+    return {(rng.randint(0, top), rng.randint(0, top), rng.choice(pool)):
+            random_scalar(ring.ctx, rng, nonzero=True) for _ in range(terms)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_RINGS)), st.integers(0, 2**32),
+       st.integers(1, 3))
+def test_products_match_the_earlier_product(name, seed, terms):
+    ring, rng = ORACLE_RINGS[name](), random.Random(seed)
+    top = 2 if name == "two_level_tower" else 3
+    f, g = (_graded_elem(ring, rng, terms, top) for _ in range(2))
+    # scalars compare by their stored num/den, so each entry is built as
+    # the earlier product built it, not just equal in value
+    assert exact(ring.mul(f, g)) == exact(_oracle_mul(ring, f, g))
+    assert exact(ring.mul(g, f)) == exact(_oracle_mul(ring, g, f))
+
+
+def test_kept_powers_are_the_powers():
+    # the scale's powers are kept by exponent, in whatever order a product
+    # first asks for them, negative exponents apart from positive ones
+    ctx = ScalarContext(parameters=("q",))
+    q = ctx.param("q")
+    laurent, auto = LaurentAlgebra(ctx), DiagonalAuto((q,))
+    for keys in ([2, -1], [-2, 1, 3], [1, -2, 2, -1, -3]):
+        a = {k: ctx.int_(k + 5) for k in keys}
+        assert exact(laurent.apply(auto, a)) == exact(
+            {k: s * q ** k for k, s in a.items()})
+        assert all(laurent.eigenvalue(auto, k) == q ** k for k in keys)
+
+
+def test_mutating_an_image_changes_no_later_image():
+    ctx = ScalarContext(cyclotomic_order=4, parameters=("q",))
+    one, q = ctx.one, ctx.param("q")
+    tower = _two_level_tower()
+    cases = [
+        (LaurentAlgebra(ctx), DiagonalAuto((q,)), {-2: q, 0: one, 3: one}),
+        (CyclicGroupAlgebra(ctx, 4, ctx.zeta()), DiagonalAuto((ctx.zeta(),)),
+         {0: one, 1: q, 3: one}),
+        (PolyAlgebra(ctx), AffineAuto(q, one), {0: q, 1: one, 3: one}),
+        (PolyAlgebra(ctx), AffineAuto(q, one), {2: one}),
+        (PolyAlgebra(ctx), AffineAuto(q, ctx.zero), {0: q, 2: one}),
+        (tower.base, tower.alpha,
+         _graded_elem(tower.base, random.Random(5), 3, 2)),
+    ]
+    for alg, auto, a in cases:
+        image = alg.apply(auto, a)
+        expected = exact(image)
+        for key in image:
+            image[key] = 2 * image[key]
+        image.popitem()
+        assert exact(alg.apply(auto, a)) == expected
