@@ -29,14 +29,16 @@ The protocol hooks are:
   ``is_domain``, ``alpha_simple`` (no proper ideal stable under a set of
   automorphisms), ``radical_contains``, ``comaximal``,
   ``first_nonunit_in_pencil`` (the first q at which q*P + B, or
-  [q]_R*P + R^q*B for a ratio R of infinite order, is a non-unit, or,
-  given a watched u, a non-unit of A[1/u], which leaves no power of u in
-  the ideal it generates: the split families, Field, K[C_n] and the
-  quadratic one, list the scalar polynomials in q or in X = R^q that
-  vanish exactly there, through the norm or per character in one shared
-  step (``_split_pencil``, which drops the characters that vanish on u),
-  and ``scalars.least_integer_root`` solves them; Poly, Laurent and
-  towers probe q with ``is_unit`` and decide only R = 1),
+  [q]_R*P + R^q*B for a ratio R other than 1, is a non-unit, or, given a
+  watched u, a non-unit of A[1/u], which leaves no power of u in the
+  ideal it generates: K[C_n] and the quadratic family list the scalar
+  polynomials in q or in X = R^q that vanish exactly there, through the
+  norm or per character in one shared step (``_split_pencil``, which
+  drops the characters that vanish on u), and
+  ``scalars.least_integer_root`` solves them; a tower passes its pencil
+  to its coefficient algebra, and the other families refuse, because a
+  unit v over a field, K[t] or K[t, t^-1] is an eigenvector of alpha, so no
+  pencil arises there),
   ``split_nondiagonal`` (v = u - rho*alpha(u) for an alpha that is not
   diagonal: a shift, or a scaling about a fixed point, over Poly) and
   ``coprime_to_shifts`` (the least m with u and alpha^m(u) not comaximal,
@@ -55,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
-from .multiplicative import _dlog, factor_rational
+from .multiplicative import factor_rational
 from .scalars import (
     Scalar,
     ScalarContext,
@@ -67,7 +69,6 @@ from .scalars import (
     _rational_component,
     _resultant,
     _sqrt_mod,
-    integer_roots_scalar_poly,
     least_integer_root,
     root_of_unity_order,
 )
@@ -228,19 +229,6 @@ def _split_pencil(algebra, chars: list, p: dict, b: dict,
     return least_integer_root([[chi(const), chi(lead)] for chi in chars
                                if watch is None or not chi(watch).is_zero()],
                               0, ratio)
-
-
-def _least_power(a: Scalar, roots, order: int) -> int:
-    """The least m >= 1 with a^m in ``roots`` (residues mod p, 1 among them,
-    or "all") for a = g^e in F_p of ``order`` (p - 1)/d, d = gcd(e, p - 1):
-    a^m = g^f exactly when d divides f and m*e/d = f/d mod ``order``."""
-    if roots == "all":
-        return 1
-    p = a.ctx.characteristic
-    d = (p - 1) // order
-    inv = pow(_dlog(a.constant_value(), p) // d, -1, order)
-    return min(f // d * inv % order or order
-               for f in (_dlog(r, p) for r in roots if r) if f % d == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +463,7 @@ class BaseAlgebra:
             [_resultant(dense, _udense(self.apply(move(x), u0)))
              if x or ratio is None else (dense[-1] * dense[0]) ** n
              for x in xs], xs)
-        if ratio is not None and order is not None:
-            m = _least_power(ratio, integer_roots_scalar_poly(res), order)
-        else:
-            m = least_integer_root([res], 1, ratio)
+        m = least_integer_root([res], 1, ratio)
         if m is not None:
             return m, None, None
         var = "m" if ratio is None else "X"
@@ -496,13 +481,16 @@ class BaseAlgebra:
                                 watch: dict | None = None) -> int | None:
         """Least integer q >= 0 at which the pencil element fails, or None.
 
-        With ``ratio`` None or 1 the element is q*p + b; with a ratio R of
-        infinite order it is [q]_R*p + R^q*b, the shape of v^(q*L + r) when
+        With ``ratio`` None or 1 the element is q*p + b; with any other
+        ratio R it is [q]_R*p + R^q*b, the shape of v^(q*L + r) when
         (rho*alpha)^L rescales v by R.  It fails when it is not a unit, or,
         given ``watch``, when no power of ``watch`` lies in the ideal it
-        generates.  ValueError when the family does not decide the pencil.
-        """
-        raise NotImplementedError
+        generates.  The kernel asks only at a period L > 1 after v was
+        tested a unit, which over a field, K[t] or K[t, t^-1] cannot happen,
+        so this default refuses with ValueError."""
+        pencils = "unit" if watch is None else "radical"
+        raise ValueError(f"{pencils} pencils over {self.kind} are not "
+                         "decided here")
 
     def split_nondiagonal(self, alpha, v: dict, rho: Scalar):
         """(u, obstruction, complete) for v = u - rho*alpha(u) when alpha is
@@ -511,21 +499,6 @@ class BaseAlgebra:
 
     def render(self, a: dict) -> str:
         raise NotImplementedError
-
-    def _probe_pencil(self, p: dict, b: dict, count: int) -> int | None:
-        """The first q >= 0 with q*p + b not a unit, for families whose
-        pencils leave no polynomial in q to solve.  In characteristic 0 the
-        caller knows one of ``count`` consecutive values is a non-unit; in
-        characteristic p the pencil repeats mod p, so one period decides."""
-        ch = self.ctx.characteristic
-        for q in range(ch or count):
-            elem = self.add(self.smul(self.ctx.int_(q), p), b)
-            if self.is_unit(elem).status is not Status.HOLDS:
-                return q
-        if not ch:
-            raise AssertionError(f"unreachable: {count} consecutive unit "
-                                 "values in a pencil bounded by its family")
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +581,6 @@ class FieldAlgebra(BaseAlgebra):
         if a or b:
             return holds("one of the two elements is a unit")
         return fails("both elements are zero")
-
-    def first_nonunit_in_pencil(self, p: dict, b: dict,
-                                ratio: Scalar | None = None,
-                                watch: dict | None = None) -> int | None:
-        # one character, the value itself
-        zero = self.ctx.zero
-        return _split_pencil(self, [lambda a: a.get((), zero)], p, b, ratio,
-                             watch)
 
     def render(self, a: dict) -> str:
         return str(a[()]) if a else "0"
@@ -755,28 +720,6 @@ class _Univariate(BaseAlgebra):
             return holds("the elements generate the unit ideal")
         return fails(f"the elements share a {self._common_factor} factor",
                      certificate={"kind": "common_factor_degree", "degree": len(g) - 1})
-
-    def first_nonunit_in_pencil(self, p: dict, b: dict,
-                                ratio: Scalar | None = None,
-                                watch: dict | None = None) -> int | None:
-        if watch is not None:
-            raise ValueError(f"radical pencils over {self.kind} are not "
-                             "decided here")
-        lead, const = _pencil_line(self, p, b, ratio)
-        support = set(lead) | set(const)
-        if not support:
-            return 0
-        if len(support) == 1:
-            (i,) = support
-            if 0 in self._normalize({i: self.ctx.one}):
-                zero = self.ctx.zero
-                return least_integer_root(
-                    [[const.get(i, zero), lead.get(i, zero)]], 0, ratio)
-        if ratio is not None and ratio != self.ctx.one:
-            raise ValueError(f"pencils over {self.kind} are decided only "
-                             "with the ratio 1")
-        # only finitely many q cancel the pencil down to one unit monomial
-        return self._probe_pencil(p, b, len(support) + 2)
 
 
 # ---------------------------------------------------------------------------

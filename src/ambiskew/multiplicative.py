@@ -14,18 +14,17 @@ the callers report Inconclusive.
 
 In characteristic p the torsion exponent is the least discrete logarithm
 to the least primitive root mod p, by baby-step giant-step (Shanks 1971)
-over a cached table of about sqrt(p) baby steps, never one of p entries.
+over a cached table of about sqrt(p) baby steps, never one of p entries:
+``scalars._dlog``, which lives with the roots at X = R^q that use it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt
 
 from .intlattice import kernel_with_congruences
-from .scalars import Scalar, ScalarContext, factor_int
+from .scalars import Scalar, ScalarContext, _dlog, factor_int
 
 
 def factor_rational(c: Fraction) -> dict[int, int]:
@@ -40,28 +39,6 @@ def factor_rational(c: Fraction) -> dict[int, int]:
     for p, e in factor_int(c.denominator).items():
         out[p] = out.get(p, 0) - e
     return dict(sorted(out.items()))
-
-
-@lru_cache(maxsize=None)
-def _baby_steps(p: int) -> tuple[int, dict[int, int], int]:
-    """(n, {g^j: j for j < n}, g^-n) for the least primitive root g mod p
-    and n = ceil(sqrt(p - 1))."""
-    cofactors = [(p - 1) // q for q in factor_int(p - 1)]
-    g = next(g for g in range(1, p)
-             if all(pow(g, c, p) != 1 for c in cofactors))
-    n = isqrt(p - 2) + 1
-    return n, {pow(g, j, p): j for j in range(n)}, pow(g, -n, p)
-
-
-def _dlog(c: int, p: int) -> int:
-    """The least e >= 0 with g^e = c mod p, for the least primitive root g:
-    the first giant step c*g^(-n*i) that lands in the baby-step table."""
-    n, table, giant = _baby_steps(p)
-    for i in range(n):
-        if c in table:
-            return i * n + table[c]
-        c = c * giant % p
-    raise AssertionError("unreachable: g generates F_p^*")
 
 
 def torsion_modulus(ctx: ScalarContext) -> int:

@@ -49,7 +49,8 @@ and the least q at which one vanishes at X = q or at X = R^q, which is how
 the coefficient families decide their unit and radical pencils.  In
 characteristic p the roots are residues mod p, solved through the
 discriminant and a modular square root up to degree 2 rather than found by
-trying all p of them.
+trying all p of them, and X = R^q is read by the discrete logarithm
+``_dlog`` (baby-step giant-step), which ``multiplicative`` imports from here.
 """
 
 from __future__ import annotations
@@ -263,6 +264,28 @@ def _roots_mod(f: list[int], p: int) -> list[int]:
         return []
     inv = pow(2 * f[2], -1, p)
     return sorted({(-f[1] + root) * inv % p, (-f[1] - root) * inv % p})
+
+
+@lru_cache(maxsize=None)
+def _baby_steps(p: int) -> tuple[int, dict[int, int], int]:
+    """(n, {g^j: j for j < n}, g^-n) for the least primitive root g mod p
+    and n = ceil(sqrt(p - 1))."""
+    cofactors = [(p - 1) // q for q in factor_int(p - 1)]
+    g = next(g for g in range(1, p)
+             if all(pow(g, c, p) != 1 for c in cofactors))
+    n = math.isqrt(p - 2) + 1
+    return n, {pow(g, j, p): j for j in range(n)}, pow(g, -n, p)
+
+
+def _dlog(c: int, p: int) -> int:
+    """The least e >= 0 with g^e = c mod p, for the least primitive root g:
+    the first giant step c*g^(-n*i) that lands in the baby-step table."""
+    n, table, giant = _baby_steps(p)
+    for i in range(n):
+        if c in table:
+            return i * n + table[c]
+        c = c * giant % p
+    raise AssertionError("unreachable: g generates F_p^*")
 
 
 # ---------------------------------------------------------------------------
@@ -1139,36 +1162,49 @@ def least_integer_root(polys: list[list[Scalar]], q0: int,
                        ratio: Scalar | None = None) -> int | None:
     """The least integer q >= q0 at which one of the scalar polynomials
     sum c[k]*X^k vanishes at X = q, or None; in characteristic p a root
-    stands for its whole residue class.  With a ``ratio`` R other than 1,
-    of infinite order, the polynomials are read at X = R^q instead
-    (``_power_candidates``, every candidate checked exactly), and a ratio
-    outside the shapes solved there raises ValueError.
+    stands for its whole residue class.  With a ``ratio`` R other than 1
+    the polynomials are read at X = R^q instead.  An R of finite order k
+    is read per residue of q mod k: in Q(zeta_N), where k <= 2N, by trying
+    each one, and in F_p by one discrete log (``_dlog``) per root.  One of
+    infinite order is read through ``_power_candidates``, every candidate
+    checked exactly, and a ratio outside the shapes solved there raises
+    ValueError.
 
     >>> ctx = ScalarContext(characteristic=5)
     >>> least_integer_root([[ctx.int_(2), ctx.one]], 7)
     8
+    >>> least_integer_root([[ctx.int_(-4), ctx.one]], 0, ctx.int_(2))
+    2
     >>> rationals = ScalarContext()
     >>> least_integer_root([[rationals.int_(-8), rationals.one]], 0,
     ...                    rationals.int_(2))
     3
     """
-    best = None
-    if ratio is not None and ratio != ratio.ctx.one:
-        for coeffs in polys:
-            if all(c.is_zero() for c in coeffs):
-                return q0
-            for q in _power_candidates(coeffs, ratio, q0):
-                if _horner(coeffs, ratio ** q).is_zero():
-                    best = q if best is None else min(best, q)
-                    break
-        return best
+    one = ratio is None or ratio == ratio.ctx.one
+    order = None if one else root_of_unity_order(ratio)
+    found = []
     for coeffs in polys:
-        roots = integer_roots_scalar_poly(coeffs)
-        if roots == "all":
-            return q0
         p = coeffs[0].ctx.characteristic
-        for r in roots:
-            q = q0 + (r - q0) % p if p else r
-            if q >= q0 and (best is None or q < best):
-                best = q
-    return best
+        if one or order and p:
+            roots = integer_roots_scalar_poly(coeffs)
+            if roots == "all":
+                return q0
+            if not one:
+                # R = g^e of order k = (p - 1)/d meets x = g^f exactly when
+                # d divides f, at q = (f/d)*(e/d)^-1 mod k
+                d = (p - 1) // order
+                inv = pow(_dlog(ratio.constant_value(), p) // d, -1, order)
+                roots = [f // d * inv for f in (_dlog(x, p) for x in roots
+                                                if x) if f % d == 0]
+                p = order
+            found += [q0 + (r - q0) % p if p else r for r in roots]
+            continue
+        if order:  # Q(zeta_N): R^q runs through its values once a period
+            cands = range(q0, q0 + order)
+        elif all(c.is_zero() for c in coeffs):
+            return q0
+        else:
+            cands = _power_candidates(coeffs, ratio, q0)
+        found += itertools.islice(
+            (q for q in cands if _horner(coeffs, ratio ** q).is_zero()), 1)
+    return min((q for q in found if q >= q0), default=None)

@@ -54,11 +54,11 @@ def units_for_all_m(ring) -> Verdict:
     The terms rho^l * alpha^l(v) are searched for a period L up to a factor
     R, which makes v^(q*L) = [q]_R*v^(L) a closed form and turns each other
     residue class of m into a pencil that the coefficient family decides:
-    in q when R is 1, in X = R^q when R is rational or moves a parameter.
-    An eigenvector v is the case L = 1, with no other residue.  Only
-    without a period, or for a family or an R that decides no pencil, is
-    the check truncated at ``bounds.M_MAX``.  This is ``every_v_m_unit``
-    over A itself.
+    in q when R is 1, in X = R^q when R has finite order, is rational or
+    moves a parameter.  An eigenvector v is the case L = 1, with no other
+    residue.  Only without a period, or for a family or an R that decides
+    no pencil, is the check truncated at ``bounds.M_MAX``.  This is
+    ``every_v_m_unit`` over A itself.
     """
     return every_v_m_unit(ring)
 
@@ -114,10 +114,10 @@ def _units_by_period(ring, test, where: str, watch, nil: Status,
     """Exact decision once (rho*alpha)^L rescales v by R (``v_period``):
     v^(q*L + r) = [q]_R*v^(L) + R^q*v^(r).  The multiples m = q*L fail at
     m = L when v^(L) does, and otherwise where [q]_R first vanishes.  Each
-    other residue r < L is a pencil in q, or in R^q when R has infinite
-    order, that the coefficient family decides.  Without a period, a
-    decided v^(L) or a decided pencil, the bounded scan.  ``first`` is the
-    answer of ``test`` on v^(1), already asked."""
+    other residue r < L is a pencil in q, or in R^q when R is not 1, that
+    the coefficient family decides.  Without a period, a decided v^(L) or
+    a decided pencil, the bounded scan.  ``first`` is the answer of
+    ``test`` on v^(1), already asked."""
     base = ring.base
     at = lambda m: first if m == 1 else test(ring.v_m(m))
     if (found := ring.v_period()) is None:
@@ -169,9 +169,9 @@ def _periodic(ring, span: int, ratio, worst, test, where: str,
             raise AssertionError(f"v^({m}) must vanish when [{k}] does for "
                                  f"the factor {ratio}")
         term = "v" if span == 1 else f"v^({span})"
-        # a factor of finite order other than 1 comes only with span 1
+        step = "rho*alpha" if span == 1 else f"(rho*alpha)^{span}"
         reason = (f"v^({m}) = {k}*{term} vanishes in characteristic {k}"
-                  if ratio == ctx.one else f"v^({m}) vanishes: rho*alpha "
+                  if ratio == ctx.one else f"v^({m}) vanishes: {step} "
                   f"rescales v by a root of unity of order {k}")
         return _vanishing(nil, where, reason, {"kind": "vanishing_v_m",
                                                "m": m, "ratio": str(ratio)})

@@ -174,12 +174,14 @@ def test_laurent_radical_strips_monomial_factors():
 
 
 def test_laurent_pencil_finds_first_nonunit():
+    # a unit v over K[t, t^-1] is an eigenvector of alpha, so no pencil
+    # arises there and the family refuses one
     ctx = _plain()
     a = LaurentAlgebra(ctx)
-    assert a.first_nonunit_in_pencil({1: ctx.one}, a.one) == 1
-    assert a.first_nonunit_in_pencil(a.zero, {1: ctx.int_(5), 0: ctx.one}) == 0
-    assert a.first_nonunit_in_pencil(a.zero, {1: ctx.int_(5)}) is None
-    assert a.first_nonunit_in_pencil({1: ctx.one}, {1: ctx.int_(-3)}) == 3
+    with pytest.raises(ValueError, match="unit pencils over laurent"):
+        a.first_nonunit_in_pencil({1: ctx.one}, a.one)
+    with pytest.raises(ValueError, match="radical pencils over laurent"):
+        a.first_nonunit_in_pencil(a.one, a.one, watch={1: ctx.one})
 
 
 # -- polynomials ---------------------------------------------------------------
@@ -303,12 +305,13 @@ def test_poly_radical_and_comaximal():
 
 
 def test_poly_pencil():
+    # a unit v over K[t] is a constant, so no pencil arises there
     ctx = _plain()
     a = PolyAlgebra(ctx)
-    assert a.first_nonunit_in_pencil(a.one, {0: ctx.int_(-6)}) == 6
-    assert a.first_nonunit_in_pencil({1: ctx.one}, a.one) == 1
-    assert a.first_nonunit_in_pencil(a.zero, {1: ctx.one}) == 0
-    assert a.first_nonunit_in_pencil(a.one, {0: ctx.int_(8)}) is None
+    with pytest.raises(ValueError, match="unit pencils over poly"):
+        a.first_nonunit_in_pencil(a.one, {0: ctx.int_(-6)})
+    with pytest.raises(ValueError, match="radical pencils over poly"):
+        a.first_nonunit_in_pencil(a.one, a.one, ctx.int_(2), {1: ctx.one})
 
 
 # -- quadratic extensions --------------------------------------------------------
@@ -674,7 +677,7 @@ def _primitive_root(ctx, n):
 
 
 def _split_families(ctx):
-    out = [FieldAlgebra(ctx)]
+    out = []
     for n in (2, 3, 4):
         eps = _primitive_root(ctx, n)
         if eps is not None:
@@ -733,7 +736,7 @@ def test_split_pencils_agree_with_a_unit_probe(name):
     ctx = _PENCIL_CONTEXTS[name]
     rng = random.Random(name)
     families = _split_families(ctx)
-    assert len(families) >= 5
+    assert len(families) >= 4
     for alg in families:
         assert alg.first_nonunit_in_pencil(alg.zero, alg.one) is None
         nones = 0

@@ -34,8 +34,9 @@ from spans import Tracer  # noqa: E402
 # of the quantized Weyl algebra, the localization of a quadratic ring
 # under conjugation, whose special-element search takes the powers of s,
 # and GWA comaximality read from the resultant in the action at a residue
-# mod 5, at m = 1 about a fixed point, and under a parametric scaling, and
-# a quantum torus whose table a dotted file name names
+# mod 5, at m = 1 about a fixed point, and under a parametric scaling, a
+# quantum torus whose table a dotted file name names, and a K[C_2] period
+# L = 2 over F_13 whose ratio 10 has order 6
 DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("swell", "swell-solve-0"), ("swell", "swell-solve-4"),
              ("catalog", "quad-1-1-1"),
@@ -44,7 +45,8 @@ DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("catalog", "quantized-weyl"), ("swell", "swell-fc4-mixed-18"),
              ("swell", "swell-quantized-weyl-15"), ("catalog", "quad-localized"),
              ("catalog", "gwa-weyl-f5"), ("catalog", "gwa-scaled-ideal"),
-             ("swell", "swell-gwa-scan-0"), ("catalog", "torus-primes"))
+             ("swell", "swell-gwa-scan-0"), ("catalog", "torus-primes"),
+             ("scan", "charp-13-2-2"))
 
 
 def _kinds(verdict: dict):

@@ -1,11 +1,11 @@
 """The exact decisions that replace the bounded scans, against brute force.
 
-Units and radical: with (rho*alpha)^L rescaling v by a factor R of infinite
-order, v^(q*L + r) = [q]_R*v^(L) + R^q*v^(r), and the split families decide
-each such pencil exactly.  Comaximality of a GWA under a polynomial shift
-or scaling, or a Laurent scaling, is read from one resultant in the action.
-Every answer here is held against a direct walk over the index, and every
-Fails is replayed.
+Units and radical: with (rho*alpha)^L rescaling v by a factor R, of finite
+or infinite order, v^(q*L + r) = [q]_R*v^(L) + R^q*v^(r), and the split
+families decide each such pencil exactly.  Comaximality of a GWA under a
+polynomial shift or scaling, or a Laurent scaling, is read from one
+resultant in the action.  Every answer here is held against a direct walk
+over the index, and every Fails is replayed.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambiskew.algebras import (AffineAuto, CyclicGroupAlgebra, DiagonalAuto,
-                               FieldAlgebra, LaurentAlgebra, PolyAlgebra,
-                               QuadraticAlgebra)
+                               FieldAlgebra, LaurentAlgebra, NestedAuto,
+                               PolyAlgebra, QuadraticAlgebra, scalar_ratio)
 from ambiskew.dsl import eval_element, parse_expression, parse_spec
 from ambiskew.gwa import GwaRing, gwa_simple
 from ambiskew.localization import localized_simple
@@ -44,15 +44,22 @@ def _contexts():
         "Qzeta4": (ScalarContext(cyclotomic_order=4),
                    lambda c: [c.int_(2), c.fraction(Fraction(-1, 3))]),
         "Qq": (q, lambda c: [p, 2 * p, p ** -2, p / (p + 1)]),
+        # ratios of finite order: 3, 5 and 12 have orders 3, 4 and 2 mod 13
+        "F13": (ScalarContext(characteristic=13),
+                lambda c: [c.int_(3), c.int_(5), c.int_(12)]),
+        "Qzeta8": (ScalarContext(cyclotomic_order=8), lambda c: [c.zeta()]),
     }
 
 
 def _families(ctx):
-    """Field, K[C_n] for the n whose roots of unity ctx has, and quadratic
-    algebras that split (d = 4, and d = -1 over Q(zeta_4)) or are fields."""
-    out = [FieldAlgebra(ctx), CyclicGroupAlgebra(ctx, 2, -ctx.one)]
-    if ctx.cyclotomic_order == 4:
-        out.append(CyclicGroupAlgebra(ctx, 4, ctx.zeta()))
+    """K[C_n] for the n whose roots of unity ctx has (4 through zeta_4 in
+    Q(zeta_4), zeta_8^2 in Q(zeta_8) and 5 in F_13), and quadratic algebras
+    that split (d = 4, and d = -1 where -1 is a square) or are fields."""
+    out = [CyclicGroupAlgebra(ctx, 2, -ctx.one)]
+    if ctx.cyclotomic_order in (4, 8) or ctx.characteristic == 13:
+        eps4 = (ctx.int_(5) if ctx.characteristic
+                else ctx.zeta(ctx.cyclotomic_order // 4))
+        out.append(CyclicGroupAlgebra(ctx, 4, eps4))
     return out + [QuadraticAlgebra(ctx, ctx.int_(d)) for d in (4, 2, -1)]
 
 
@@ -126,15 +133,17 @@ def _check_pencil(alg, p, b, ratio, watch, horizon):
     return got
 
 
-@pytest.mark.parametrize("name", ["Q", "Qzeta4", "Qq"])
+@pytest.mark.parametrize("name", ["Q", "Qzeta4", "Qq", "F13", "Qzeta8"])
 def test_ratio_pencils_match_a_walk(name):
     ctx, ratios = _contexts()[name]
     rng = random.Random(name)
-    # over Q(q) each step of the walk grows the rational functions
-    horizon = HORIZON if name != "Qq" else 12
     planted = found = 0
     for alg in _families(ctx):
         for ratio in ratios(ctx):
+            # a ratio of finite order repeats the pencil after one period;
+            # over Q(q) each step of the walk grows the rational functions
+            horizon = (root_of_unity_order(ratio)
+                       or (HORIZON if name != "Qq" else 12))
             for trial in range(4):
                 p, b = _element(alg, rng), _element(alg, rng)
                 target = None
@@ -187,6 +196,63 @@ def test_ratio_solver_shapes():
         least_integer_root([[-qctx.one, qctx.one]], 0, (q + 1) / (q + 2))
 
 
+_FINITE_CONTEXTS = (ScalarContext(characteristic=13),
+                    ScalarContext(characteristic=13, parameters=("q",)),
+                    ScalarContext(cyclotomic_order=8))
+
+
+@st.composite
+def _finite_ratio_polys(draw):
+    """(ratio, polys): a ratio R != 1 of finite order over F_13, F_13(q) or
+    Q(zeta_8), and polynomials in X that are zero, have a root R^j planted,
+    or are drawn freely (often without a root among the powers of R)."""
+    ctx = draw(st.sampled_from(_FINITE_CONTEXTS))
+    if ctx.characteristic:
+        ratio = ctx.int_(draw(st.integers(2, 12)))
+    else:
+        ratio = ctx.zeta(draw(st.integers(1, 7)))
+
+    def scalar():
+        s = ctx.int_(draw(st.integers(-3, 3)))
+        if ctx.cyclotomic_order > 1:
+            zeta = ctx.zeta(draw(st.integers(1, 7)))
+            s = s + draw(st.integers(-1, 1)) * zeta
+        if ctx.parameters:
+            s = s + draw(st.integers(-1, 1)) * ctx.param("q")
+        return s
+
+    polys = []
+    for shape in draw(st.lists(st.sampled_from(["zero", "planted", "free"]),
+                               min_size=1, max_size=2)):
+        if shape == "zero":
+            polys.append([ctx.zero, ctx.zero])
+        elif shape == "planted":
+            root = ratio ** draw(st.integers(0, 15))
+            c0, c1 = scalar(), scalar()
+            # (X - root)*(c1*X + c0)
+            polys.append([-root * c0, c0 - root * c1, c1])
+        else:
+            polys.append([scalar() for _ in range(draw(st.integers(2, 3)))])
+    return ratio, polys
+
+
+@settings(max_examples=150, deadline=None)
+@given(_finite_ratio_polys(), st.sampled_from([0, 1, 5]))
+def test_finite_order_ratio_roots_match_brute_force(case, q0):
+    ratio, polys = case
+    order = root_of_unity_order(ratio)
+
+    def vanishes(coeffs, q):
+        x = ratio ** q
+        return sum((c * x ** k for k, c in enumerate(coeffs)),
+                   ratio.ctx.zero).is_zero()
+
+    # R^q repeats with the order of R, so one period from q0 decides
+    want = min((q for coeffs in polys for q in range(q0, q0 + order)
+                if vanishes(coeffs, q)), default=None)
+    assert least_integer_root(polys, q0, ratio) == want
+
+
 def _orbit_sum_rings():
     """K[C_4], Q(q) and a two-level tower, with v moved by rho*alpha."""
     ctx = ScalarContext(cyclotomic_order=4)
@@ -237,21 +303,27 @@ def test_power_by_squaring_matches_repeated_products():
 
 def _blocks():
     """K[C_n] (n = 2, 3, 4) and quadratic blocks whose rho*alpha repeats v
-    only up to a factor of infinite order.  For each K[C_n] and rho one more
-    block splits through a zero divisor u, so that A[1/u] drops characters
-    and the radical condition differs from the units condition, from m = 1
-    on when n > 2."""
+    only up to a factor R, of infinite order, or of finite order for K[C_2]
+    over F_13 with rho = 3 (R = 9, of order 3, so v^(6) vanishes) and over
+    Q(zeta_8) with rho = zeta_8 (R = zeta_4).  For each K[C_n] and rho one
+    more block splits through a zero divisor u, so that A[1/u] drops
+    characters and the radical condition differs from the units condition,
+    from m = 1 on when n > 2."""
     rng, plant = random.Random(6), random.Random(7)
     q3 = ScalarContext(cyclotomic_order=3)
     q4 = ScalarContext(cyclotomic_order=4)
+    q8 = ScalarContext(cyclotomic_order=8)
     qq = ScalarContext(parameters=("q",))
+    f13 = ScalarContext(characteristic=13)
     out = []
-    specs = [(ScalarContext(), 2, -1), (q3, 3, None), (q4, 4, None), (qq, 2, -1)]
-    for ctx, n, eps in specs:
+    specs = [(ScalarContext(), 2, -1, None), (q3, 3, None, None),
+             (q4, 4, None, None), (qq, 2, -1, [qq.param("q")]),
+             (f13, 2, -1, [f13.int_(3)]), (q8, 2, -1, [q8.zeta()])]
+    for ctx, n, eps, rhos in specs:
         eps = ctx.zeta() if eps is None else ctx.int_(eps)
         alg = CyclicGroupAlgebra(ctx, n, eps)
-        rhos = ([ctx.param("q")] if ctx.parameters
-                else [ctx.int_(2), ctx.fraction(Fraction(1, 2)), ctx.int_(-3)])
+        rhos = rhos or [ctx.int_(2), ctx.fraction(Fraction(1, 2)),
+                        ctx.int_(-3)]
         for rho in rhos:
             for _ in range(3):
                 v = {k: ctx.int_(rng.choice((-3, -2, -1, 1, 2, 3)))
@@ -311,6 +383,39 @@ def _nonunit(base):
     return lambda a: base.is_unit(a).status is not Status.HOLDS
 
 
+_NONZERO = st.integers(-3, 3).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["field", "poly", "laurent"]), st.sampled_from([0, 7]),
+       st.lists(_NONZERO, min_size=4, max_size=4), st.integers(-2, 2))
+def test_a_unit_v_has_period_one(kind, p, draws, k):
+    # a unit of the field, K[t] or K[t, t^-1] is a multiple of a monomial
+    # that alpha only rescales, and a unit of a domain tower lies in its
+    # coefficient algebra, so the period route asks no pencil of them
+    ctx = ScalarContext(characteristic=p)
+    a, c, rho, lam = (ctx.int_(x) for x in draws)
+    if kind == "field":
+        alg = FieldAlgebra(ctx)
+        alpha, unit = alg.identity_auto(), {(): c}
+    elif kind == "poly":
+        alg = PolyAlgebra(ctx)
+        alpha, unit = AffineAuto(a, ctx.int_(k)), {0: c}
+    else:
+        alg = LaurentAlgebra(ctx)
+        alpha, unit = DiagonalAuto((a,)), {k: c}
+    ring = AmbiskewRing(alg, alpha, unit, rho, y_name="y1", x_name="x1")
+    assert ring.v_period()[0] == 1
+    # a second level moving A by alpha, which rescales v1 by mu, with v
+    # the inverse of v1
+    mu = scalar_ratio(alg, alg.apply(alpha, unit), unit)
+    nested = NestedAuto(alpha, lam, mu / lam)
+    ring.validate_auto(nested)
+    top = AmbiskewRing(ring, nested, ring.embed(alg.is_unit(unit).inverse),
+                       rho)
+    assert top.v_period()[0] == 1
+
+
 def test_units_and_radical_match_a_walk_to_300():
     seen = {"holds": 0, "fails": 0}
     for ring in _blocks() + _eigen_blocks():
@@ -318,7 +423,9 @@ def test_units_and_radical_match_a_walk_to_300():
         span, ratio = ring.v_period()
         # an eigenvector is the period-1 case, whatever the order of R
         assert (span == 1) is (ring.v_eigenvalue() is not None)
-        assert span == 1 or root_of_unity_order(ratio) is None
+        moved = base.apply(base.auto_power(ring.alpha, span), ring.v)
+        assert base.eq(base.smul(ring.rho ** span, moved),
+                       base.smul(ratio, ring.v))
         units = units_for_all_m(ring)
         walked = _walk(ring, _nonunit(base), HORIZON)
         assert units.status is not Status.INCONCLUSIVE

@@ -4,7 +4,8 @@ Powers of scalars, elements and automorphisms and the far sums v^(m) all go
 through it, so exponents of the size of a large prime cost O(log m)
 products.  The documents at p = 10^9 + 7 below would walk about 5*10^8
 steps without it; the counting tests pin how many automorphism
-applications a decision makes at p = 10007.
+applications a decision makes at p = 10007, and how many residue pencils
+the period route asks when its ratio has an order near p.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import hashlib
 import pytest
 
 from ambiskew.algebras import (AffineAuto, CyclicGroupAlgebra, DiagonalAuto,
-                               FieldAlgebra, PolyAlgebra)
+                               FieldAlgebra, PolyAlgebra, QuadraticAlgebra)
 from ambiskew.dsl import eval_element, parse_expression, parse_spec
 from ambiskew.localization import localized_simple
 from ambiskew.scalars import Scalar, ScalarContext, _power
@@ -108,11 +109,37 @@ def test_weyl_orbit_sum_is_not_walked(monkeypatch):
 
 
 def test_group_algebra_span_makes_no_more_applications(monkeypatch):
-    # the span walk of K[C_2] stays open; squaring must not add to it
+    # (rho*alpha)^2 rescales v by 9, of order (p - 1)/2, and the period
+    # route keeps that ratio: no walk over the span 2*(p - 1)/2
     calls = _count_apply(monkeypatch, CyclicGroupAlgebra)
     units = dict(simple(_ring(_KC2, 10007)).conditions)["units"]
     assert units.fails and units.certificate["m"] == 2
-    assert len(calls) <= 20018
+    assert len(calls) <= 7
+
+
+_QUAD = ("context(characteristic = {p}, parameters = [q])\n"
+         "base A = quadratic(d = q)\nauto a on A {{ s -> -s }}\n"
+         "ring R = ambiskew(A, a, v = s + 2, rho = 3)\n")
+
+
+@pytest.mark.parametrize("text, p, cls, m", [
+    (_KC2, BIG, CyclicGroupAlgebra, 2),
+    (_QUAD, 10**6 + 3, QuadraticAlgebra, 333334),
+], ids=["cyclic_group", "quadratic"])
+def test_a_ratio_of_large_order_asks_one_pencil(monkeypatch, text, p, cls, m):
+    # with period L = 2 and the ratio 9 only the residue r = 1 is a pencil,
+    # read at X = 9^q by one discrete log per root
+    calls = []
+    pencil = cls.first_nonunit_in_pencil
+
+    def counting(self, *args):
+        calls.append(args)
+        return pencil(self, *args)
+
+    monkeypatch.setattr(cls, "first_nonunit_in_pencil", counting)
+    units = dict(simple(_ring(text, p)).conditions)["units"]
+    assert units.fails and units.certificate["m"] == m
+    assert len(calls) <= 1
 
 
 _FC4_MIXED = ("context(cyclotomic_order = 4, parameters = [mu])\n"
