@@ -101,7 +101,8 @@ class GwaRing(ExtensionAlgebra):
 
     # automorphisms ------------------------------------------------------------
 
-    def _weight(self, auto, deg: tuple[int, ...]) -> Scalar:
+    def _weight(self, auto, deg: tuple[int, ...], pows: dict) -> Scalar:
+        # the degrees of one element differ: no power is asked for twice
         d, = deg
         return auto.lam_y ** d if d >= 0 else auto.lam_x ** -d
 

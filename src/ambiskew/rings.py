@@ -70,6 +70,13 @@ def _add_at(groups: dict, deg: tuple[int, ...], c: dict,
         del groups[deg]
 
 
+def _kept_power(pows: dict, key, s: Scalar, k: int) -> Scalar:
+    """s^k, made on the first request for ``key`` and kept in ``pows``."""
+    if key not in pows:
+        pows[key] = s ** k
+    return pows[key]
+
+
 def _ungroup(groups: dict) -> dict:
     """The flat element of a map from degrees to coefficient elements."""
     return {deg + (bk,): s for deg, c in groups.items() for bk, s in c.items()}
@@ -168,13 +175,15 @@ class ExtensionAlgebra(BaseAlgebra):
 
     # automorphisms ----------------------------------------------------------
 
-    def _weight(self, auto, deg: tuple[int, ...]) -> Scalar:
-        """The scale that the NestedAuto ``auto`` puts on degree ``deg``."""
+    def _weight(self, auto, deg: tuple[int, ...], pows: dict) -> Scalar:
+        """The scale that the NestedAuto ``auto`` puts on degree ``deg``,
+        from the powers of its scales kept in ``pows`` by the caller."""
         raise NotImplementedError
 
     def apply(self, auto, a: dict) -> dict:
         base = self.base
-        return _ungroup({deg: base.smul(self._weight(auto, deg),
+        pows: dict = {}  # each power of a scale made once per application
+        return _ungroup({deg: base.smul(self._weight(auto, deg, pows),
                                         base.apply(auto.base, c))
                          for deg, c in self.grouped(a).items()})
 
@@ -182,7 +191,7 @@ class ExtensionAlgebra(BaseAlgebra):
         lam = self.base.eigenvalue(auto.base, key[-1])
         if lam is None:
             return None
-        return lam * self._weight(auto, key[:-1])
+        return lam * self._weight(auto, key[:-1], {})
 
     def identity_auto(self) -> NestedAuto:
         return NestedAuto(self.base.identity_auto(), self.ctx.one, self.ctx.one)
@@ -348,8 +357,10 @@ class AmbiskewRing(ExtensionAlgebra):
 
     # automorphisms ------------------------------------------------------
 
-    def _weight(self, auto, deg: tuple[int, ...]) -> Scalar:
-        return auto.lam_x ** deg[0] * auto.lam_y ** deg[1]
+    def _weight(self, auto, deg: tuple[int, ...], pows: dict) -> Scalar:
+        i, j = deg
+        return (_kept_power(pows, ("x", i), auto.lam_x, i)
+                * _kept_power(pows, ("y", j), auto.lam_y, j))
 
     def eigen_frame(self, alpha, gamma, units_only: bool) -> EigenFrame:
         if not isinstance(alpha, NestedAuto) or not isinstance(gamma, NestedAuto):

@@ -502,10 +502,12 @@ def _grlex(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 def _padd(dom, a: dict, b: dict) -> dict:
     out = dict(a)
+    add, zero = dom.add, dom.zero
     for e, c in b.items():
-        s = dom.add(out.get(e, dom.zero), c)
-        if dom.is_zero(s):
-            out.pop(e, None)
+        if e not in out:
+            out[e] = c
+        elif (s := add(out[e], c)) == zero:
+            del out[e]
         else:
             out[e] = s
     return out
@@ -860,13 +862,18 @@ class Scalar:
         ctx = self.ctx
         if type(other) is not Scalar or other.ctx is not ctx:
             return self._mixed(operator.mul, other)
-        a, b = self.num, other.num
+        a, b, pone = self.num, other.num, ctx._pone
+        # a factor equal to 1, by value, returns the other as it stands
+        if a == pone and self.den is pone:
+            return other
+        if b == pone and other.den is pone:
+            return self
         if not ctx.parameters:
             return _raw(ctx, {(): ctx.dom.mul(a[()], b[()])},
-                        ctx._pone) if a and b else ctx.zero
+                        pone) if a and b else ctx.zero
         num = _pmul(ctx.dom, a, b)
-        if self.den is ctx._pone and other.den is ctx._pone:
-            return _raw(ctx, num, ctx._pone)
+        if self.den is pone and other.den is pone:
+            return _raw(ctx, num, pone)
         return Scalar(ctx, num, _pmul(ctx.dom, self.den, other.den))
 
     __rmul__ = __mul__
@@ -909,13 +916,17 @@ class Scalar:
     # -- rendering -----------------------------------------------------------
 
     def _render_poly(self, p: dict) -> str:
-        dom = self.ctx.dom
+        dom, names = self.ctx.dom, self.ctx.parameters
         parts: list[tuple[bool, str]] = []
-        for e in sorted(p, key=_grlex, reverse=True):
+        # with one parameter or none, graded-lex order is the order of keys
+        for e in sorted(p, key=_grlex if len(names) > 1 else None, reverse=True):
             c = p[e]
-            mono = "*".join(
-                name if k == 1 else f"{name}^{k}"
-                for name, k in zip(self.ctx.parameters, e) if k)
+            if len(e) == 1:
+                k, = e
+                mono = "" if not k else names[0] if k == 1 else f"{names[0]}^{k}"
+            else:
+                mono = "*".join(name if k == 1 else f"{name}^{k}"
+                                for name, k in zip(names, e) if k)
             if isinstance(c, int):  # a residue mod p
                 parts.append(_signed_coeff(c, 1, mono))
             elif not any(c[1:-1]):

@@ -17,10 +17,10 @@ from ambiskew.algebras import (
     PolyAlgebra,
     solve_splitting_ex,
 )
-from ambiskew.dsl import parse_spec
+from ambiskew.dsl import eval_element, parse_expression, parse_spec
 from ambiskew.gwa import GwaRing
 from ambiskew.rings import AmbiskewRing, _add_at, _ungroup
-from ambiskew.scalars import ScalarContext
+from ambiskew.scalars import Scalar, ScalarContext
 from ambiskew.verdict import Status
 
 from _helpers import (
@@ -575,6 +575,23 @@ ring R1 = ambiskew(A, a, v = s, rho = zeta^-1, y = y1, x = x1)
 auto b on R1 { s -> zeta*s, y1 -> l*y1, x1 -> zeta*l^-1*x1 }
 ring R2 = ambiskew(R1, b, v = s^2, rho = l + 1, y = y2, x = x2)
 """).rings["R2"]
+
+
+def test_an_application_makes_each_scale_power_once(monkeypatch):
+    # apply raises lam_x and lam_y once per exponent in each call: 112
+    # powers when every degree raised them afresh, 114 with the two that
+    # the coefficient level makes
+    ring = _two_level_tower()
+    calls = []
+    power = Scalar.__pow__
+
+    def counting(self, k):
+        calls.append(k)
+        return power(self, k)
+
+    monkeypatch.setattr(Scalar, "__pow__", counting)
+    eval_element(parse_expression("(x2 + y2 + y1 + x1)^4"), ring)
+    assert len(calls) <= 106
 
 
 PRODUCT_RINGS = {

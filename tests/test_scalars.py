@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ambiskew import scalars
 from ambiskew.dsl import eval_element, parse_expression, parse_spec
@@ -949,3 +949,123 @@ def test_monic_divisor_long_division_inverts_nothing(monkeypatch):
     assert inverses == []
     monkeypatch.undo()
     assert product * (2 * mu - 1) == (mu + zeta) * b
+
+
+# ---------------------------------------------------------------------------
+# results that are already known: products by one, and plain renders
+# ---------------------------------------------------------------------------
+
+_KNOWN_CTXS = [ScalarContext(), ScalarContext(cyclotomic_order=4),
+               ScalarContext(cyclotomic_order=8),
+               ScalarContext(characteristic=5),
+               ScalarContext(parameters=("q",)),
+               ScalarContext(parameters=("q", "r")),
+               ScalarContext(cyclotomic_order=4, parameters=("mu",)),
+               ScalarContext(characteristic=5, parameters=("q",))]
+
+
+def _ones(ctx: ScalarContext) -> list[Scalar]:
+    """Values equal to 1, the first of them ctx.one and none other that
+    object."""
+    out = [ctx.one, ctx.int_(1), ctx.fraction(Fraction(3, 3)),
+           ctx.int_(3) * ctx.int_(3).inv(), ctx.int_(-1) * ctx.int_(-1)]
+    if not ctx.characteristic:
+        out.append(ctx.zeta(ctx.cyclotomic_order))
+    for name in ctx.parameters:
+        p = ctx.param(name)
+        out += [p / p, (p + 1) / (p + 1)]
+    return out
+
+
+def _factors(ctx: ScalarContext) -> list[Scalar]:
+    out = [ctx.int_(2), ctx.fraction(Fraction(-3, 4)), ctx.zero]
+    if not ctx.characteristic:
+        out.append(ctx.zeta() + ctx.fraction(Fraction(1, 2)))
+    for name in ctx.parameters:
+        p = ctx.param(name)
+        out += [p ** -2 - 3, (p + 1) / (p - 2)]
+    return out
+
+
+@pytest.mark.parametrize("ctx", _KNOWN_CTXS, ids=repr)
+def test_a_product_by_one_makes_no_domain_multiplication(monkeypatch, ctx):
+    ones, factors = _ones(ctx), _factors(ctx)
+    assert ones[0] is ctx.one
+    assert all(one == ctx.one and one is not ctx.one for one in ones[1:])
+    calls = []
+    mul = type(ctx.dom).mul
+
+    def counting(dom, a, b):
+        calls.append((a, b))
+        return mul(dom, a, b)
+
+    monkeypatch.setattr(type(ctx.dom), "mul", counting)
+    for one in ones:
+        for x in factors:
+            assert (x * one) is x and (one * x) is x
+        assert one * one == ctx.one
+    assert calls == []
+    # the guard sees the products that do run
+    assert factors[0] * factors[1] == ctx.fraction(Fraction(-3, 2))
+    assert calls
+
+
+# the earlier renderer, kept as the oracle of ``Scalar.__str__``: it clears
+# the exponents with a shift that may be zero, sorts every key by graded-lex
+# order, joins every monomial name and takes a gcd for every coefficient
+def _oracle_signed_coeff(n: int, den: int, mono: str) -> tuple[bool, str]:
+    g = math.gcd(n, den)
+    c = str(abs(n) // g) if den == g else f"{abs(n) // g}/{den // g}"
+    if mono:
+        c = mono if c == "1" else f"{c}*{mono}" if den == g else f"({c})*{mono}"
+    return n < 0, c
+
+
+def _oracle_zeta_terms(a: tuple) -> list[tuple[bool, str]]:
+    return [_oracle_signed_coeff(c, a[-1], "" if k == 0 else
+                                 ("zeta" if k == 1 else f"zeta^{k}"))
+            for k, c in enumerate(a[:-1]) if c]
+
+
+def _oracle_render_poly(ctx: ScalarContext, p: dict) -> str:
+    parts: list[tuple[bool, str]] = []
+    for e in sorted(p, key=_grlex, reverse=True):
+        c = p[e]
+        mono = "*".join(name if k == 1 else f"{name}^{k}"
+                        for name, k in zip(ctx.parameters, e) if k)
+        if isinstance(c, int):
+            parts.append(_oracle_signed_coeff(c, 1, mono))
+        elif not any(c[1:-1]):
+            parts.append(_oracle_signed_coeff(c[0], c[-1], mono))
+        elif mono:
+            parts.append((False, f"({_join_signed(_oracle_zeta_terms(c))})*{mono}"))
+        else:
+            parts += _oracle_zeta_terms(c)
+    return _join_signed(parts)
+
+
+def _oracle_str(s: Scalar) -> str:
+    ctx = s.ctx
+    lo = tuple([max(0, -min(k)) for k in zip(*s.num)])
+    num, den = scalars._pshift(s.num, lo), scalars._pshift(s.den, lo)
+    if den == ctx._pone:
+        return _oracle_render_poly(ctx, num)
+    return f"({_oracle_render_poly(ctx, num)})/({_oracle_render_poly(ctx, den)})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rendering_matches_the_earlier_renderer(data):
+    ctx = data.draw(st.sampled_from(_KNOWN_CTXS))
+    if ctx.parameters:
+        # a polynomial or monomial denominator, and a monomial factor whose
+        # exponents may be negative
+        num, den = data.draw(_param_fraction(ctx))
+        assume(den)  # a coefficient of 5 vanishes in F_5(q)
+        s = num / den
+        for name in ctx.parameters:
+            s = s * ctx.param(name) ** data.draw(st.integers(-3, 2))
+    else:
+        s = data.draw(_operand(ctx))
+    for x in (s, -s, s.inv() if s else s, s * ctx.fraction(Fraction(-5, 3))):
+        assert str(x) == _oracle_str(x)
