@@ -103,11 +103,14 @@ class AffineAuto:
 
 @dataclass(frozen=True, eq=False)
 class NestedAuto:
-    """Automorphism of an iterated ring: base part plus y and x scales."""
+    """Automorphism of an iterated ring: base part plus y and x scales;
+    ``_pows`` keeps each power of a scale made, by ("y" or "x", k)."""
 
     base: object
     lam_y: Scalar
     lam_x: Scalar
+    _pows: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
 
 class UnitAnswer:

@@ -36,7 +36,7 @@ four-condition criterion inside A.
 from __future__ import annotations
 
 from . import bounds
-from .rings import ExtensionAlgebra, _add_at, _ungroup
+from .rings import ExtensionAlgebra, _add_at, _kept_power, _ungroup
 from .scalars import Scalar
 from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
                       inconclusive)
@@ -101,10 +101,10 @@ class GwaRing(ExtensionAlgebra):
 
     # automorphisms ------------------------------------------------------------
 
-    def _weight(self, auto, deg: tuple[int, ...], pows: dict) -> Scalar:
-        # the degrees of one element differ: no power is asked for twice
+    def _weight(self, auto, deg: tuple[int, ...]) -> Scalar:
         d, = deg
-        return auto.lam_y ** d if d >= 0 else auto.lam_x ** -d
+        name, scale = ("y", auto.lam_y) if d >= 0 else ("x", auto.lam_x)
+        return _kept_power(auto._pows, (name, abs(d)), scale, abs(d))
 
     # decision hooks -------------------------------------------------------------
 

@@ -175,15 +175,14 @@ class ExtensionAlgebra(BaseAlgebra):
 
     # automorphisms ----------------------------------------------------------
 
-    def _weight(self, auto, deg: tuple[int, ...], pows: dict) -> Scalar:
+    def _weight(self, auto, deg: tuple[int, ...]) -> Scalar:
         """The scale that the NestedAuto ``auto`` puts on degree ``deg``,
-        from the powers of its scales kept in ``pows`` by the caller."""
+        from the powers of its scales kept in ``auto._pows``."""
         raise NotImplementedError
 
     def apply(self, auto, a: dict) -> dict:
         base = self.base
-        pows: dict = {}  # each power of a scale made once per application
-        return _ungroup({deg: base.smul(self._weight(auto, deg, pows),
+        return _ungroup({deg: base.smul(self._weight(auto, deg),
                                         base.apply(auto.base, c))
                          for deg, c in self.grouped(a).items()})
 
@@ -191,7 +190,7 @@ class ExtensionAlgebra(BaseAlgebra):
         lam = self.base.eigenvalue(auto.base, key[-1])
         if lam is None:
             return None
-        return lam * self._weight(auto, key[:-1], {})
+        return lam * self._weight(auto, key[:-1])
 
     def identity_auto(self) -> NestedAuto:
         return NestedAuto(self.base.identity_auto(), self.ctx.one, self.ctx.one)
@@ -357,10 +356,10 @@ class AmbiskewRing(ExtensionAlgebra):
 
     # automorphisms ------------------------------------------------------
 
-    def _weight(self, auto, deg: tuple[int, ...], pows: dict) -> Scalar:
+    def _weight(self, auto, deg: tuple[int, ...]) -> Scalar:
         i, j = deg
-        return (_kept_power(pows, ("x", i), auto.lam_x, i)
-                * _kept_power(pows, ("y", j), auto.lam_y, j))
+        return (_kept_power(auto._pows, ("x", i), auto.lam_x, i)
+                * _kept_power(auto._pows, ("y", j), auto.lam_y, j))
 
     def eigen_frame(self, alpha, gamma, units_only: bool) -> EigenFrame:
         if not isinstance(alpha, NestedAuto) or not isinstance(gamma, NestedAuto):
@@ -388,13 +387,6 @@ class AmbiskewRing(ExtensionAlgebra):
             return None
         return self.base.to_ground(self.base_part(elem),
                                    [auto.base for auto in autos])
-
-    def v_eigenvalue(self) -> Scalar | None:
-        """mu with alpha(v) = mu*v, or None if v is not an eigenvector."""
-        if not self.v:
-            return self.ctx.one
-        return scalar_ratio(self.base, self.base.apply(self.alpha, self.v),
-                            self.v)
 
     def v_period(self):
         """(span, ratio) with v^(q*span + r) = [q]_ratio*v^(span)

@@ -10,9 +10,9 @@ b_0, ..., b_{n-1} with
     rho^(p^n) * alpha(u) - u = v^(p^n) + sum_i b_i * v^(p^i)
 
 and alpha(b_i) = rho^(p^i - p^n) * b_i; height 0 is the ordinary splitting
-equation.  A tower of extensions is certified level by level: once a level
-is simple, every automorphism leaves only the trivial ideals stable, so
-the next level reduces to its own singularity and unit conditions.
+equation.  A tower is certified level by level in either characteristic:
+once a level is simple, every automorphism leaves only the trivial ideals
+stable, so the next level reduces to the conditions ``simple`` asks of it.
 
 Every verdict carries a certificate.  A failing index m replays through
 v_m and is_unit, a splitting element or height-n witness replays through
@@ -38,6 +38,7 @@ is only claimed when the family structure makes the search complete.
 from __future__ import annotations
 
 from . import bounds
+from .algebras import scalar_ratio
 from .linear import gauss_solve
 from .scalars import root_of_unity_order
 from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
@@ -223,20 +224,23 @@ def singular(ring) -> Verdict:
 
 
 def simple(ring) -> Verdict:
-    """Simplicity of the ring: alpha-simplicity of A, the splitting
-    condition and the units condition, reported together so a failing ring
-    shows every obstruction.  The splitting condition is ``singular`` in
-    characteristic zero, where a splitting element's Casimir element
-    generates a proper ideal, and the absence of a height-n witness in
-    characteristic p."""
+    """Simplicity of the ring: alpha-simplicity of A and the ring's own
+    conditions (``_own_conditions``), reported together so a failing ring
+    shows every obstruction."""
     alpha_simple = ring.base.alpha_simple([ring.alpha])
-    if ring.ctx.characteristic:
-        split = ("no_generalized_splitting", _no_generalized_splitting(ring))
-    else:
-        split = ("singular", singular(ring))
     return conjunction(
-        [("alpha_simple", alpha_simple), split, ("units", units_for_all_m(ring))],
+        [("alpha_simple", alpha_simple), *_own_conditions(ring)],
         theorem="simple.charp" if ring.ctx.characteristic else "simple.char0")
+
+
+def _own_conditions(ring) -> list[tuple[str, Verdict]]:
+    """The splitting condition, then the units condition.  The splitting
+    condition is ``singular`` in characteristic zero, where a splitting
+    element's Casimir element generates a proper ideal, and the absence of
+    a height-n witness in characteristic p."""
+    split = (("no_generalized_splitting", _no_generalized_splitting(ring))
+             if ring.ctx.characteristic else ("singular", singular(ring)))
+    return [split, ("units", units_for_all_m(ring))]
 
 
 def _no_generalized_splitting(ring) -> Verdict:
@@ -355,13 +359,16 @@ def _witness_for_height(base, alpha, rho, v: dict, n: int, keys):
 def ring_alpha_simple(ring, autos: list) -> Verdict:
     """Whether an iterated ring has no proper ideal stable under ``autos``.
 
-    Three routes decide this.  A simple ring has no proper ideals at all.
-    Under identity automorphisms every ideal is stable, so the question is
-    simplicity itself.  And when alpha is trivial, rho = 1 and v is a
-    nonzero scalar, the generators x and y span a Weyl algebra factor over
-    the scalars: every ideal is the extension of a coefficient ideal, and
-    stability passes to the coefficient parts of the automorphisms.
-    Anything else is an honest refusal.
+    Five routes decide this.  A simple ring has no proper ideals at all.
+    With v = 0 the generator x is normal and generates a stable ideal.  A
+    conformal ring whose Casimir element z is no unit has the proper ideal
+    zR, stable when every automorphism rescales z.  Under identity
+    automorphisms every ideal is stable, so the question is simplicity
+    itself.  And when alpha is trivial, rho = 1 and v is a nonzero scalar,
+    the generators x and y span a Weyl algebra factor over the scalars:
+    every ideal is the extension of a coefficient ideal, and stability
+    passes to the coefficient parts of the automorphisms.  Anything else is
+    an honest refusal.
     """
     ctx = ring.ctx
     inner = simple(ring)
@@ -376,11 +383,19 @@ def ring_alpha_simple(ring, autos: list) -> Verdict:
                      certificate={"kind": "stable_ideal",
                                   "generator": ring.x_name},
                      conditions=[("simple", inner)])
+    z = ring.conformality().casimir
+    if z is not None and ring.is_unit(z).status is Status.FAILS and all(
+            scalar_ratio(ring, ring.apply(t, z), z) is not None for t in autos):
+        return fails("the Casimir element z is no unit and every automorphism "
+                     "rescales it, so zR is a proper stable ideal",
+                     certificate={"kind": "stable_ideal",
+                                  "generator": ring.render(z)},
+                     conditions=[("simple", inner)])
     if all(ring.auto_is_identity(t) for t in autos):
         if inner.fails:
             return fails("every ideal is stable under the identity and the "
                          "ring is not simple",
-                         certificate=_stable_ideal_from(ring),
+                         certificate={"kind": "not_simple"},
                          conditions=[("simple", inner)])
         return inconclusive("the automorphisms are trivial and simplicity "
                             "itself was not decided",
@@ -401,15 +416,6 @@ def ring_alpha_simple(ring, autos: list) -> Verdict:
                         "iterated ring", conditions=[("simple", inner)])
 
 
-def _stable_ideal_from(ring) -> dict:
-    conf = ring.conformality()
-    if conf.status is Status.HOLDS and \
-            ring.is_unit(conf.casimir).status is Status.FAILS:
-        return {"kind": "stable_ideal",
-                "generator": ring.render(conf.casimir)}
-    return {"kind": "not_simple"}
-
-
 # ---------------------------------------------------------------------------
 # towers
 # ---------------------------------------------------------------------------
@@ -418,12 +424,11 @@ def _stable_ideal_from(ring) -> dict:
 def simple_iterated(chain) -> Verdict:
     """Level-by-level simplicity of a tower of ambiskew extensions.
 
-    The first level is the characteristic-zero criterion.  Every later
-    level inherits stable-ideal simplicity from the simplicity of the level
-    below it, and contributes its own singularity and unit conditions; v
-    must be an eigenvector of the level automorphism so those conditions
-    stay decidable.  A failing or undecided level names itself in the
-    combined verdict.
+    In either characteristic, the first level is ``simple`` on the bottom
+    ring.  Every later level inherits stable-ideal simplicity from the
+    simplicity of the level below it, so it reports only the splitting and
+    unit conditions that ``simple`` asks of its own ring.  A failing or
+    undecided level names itself in the combined verdict.
     """
     chain = list(chain)
     if not chain:
@@ -431,26 +436,12 @@ def simple_iterated(chain) -> Verdict:
     for lower, upper in zip(chain, chain[1:]):
         if upper.base is not lower:
             raise ValueError("each level must be built over the previous one")
-    if chain[0].ctx.characteristic:
-        raise ValueError("the iteration criterion needs characteristic zero")
     if len(chain) == 1:
         return simple(chain[0])
-    conditions = [("level_1", simple(chain[0]))]
-    for index, ring in enumerate(chain[1:], start=2):
-        conditions.append((f"level_{index}", _tower_level(ring)))
+    conditions = [("level_1", simple(chain[0]))] + [
+        (f"level_{index}", conjunction(_own_conditions(ring)))
+        for index, ring in enumerate(chain[1:], start=2)]
     return conjunction(conditions, theorem="simple.tower")
-
-
-def _tower_level(ring) -> Verdict:
-    mu = ring.v_eigenvalue()
-    if mu is None:
-        eigen = inconclusive("v is not an eigenvector of the level "
-                             "automorphism, so this criterion does not apply")
-    else:
-        eigen = holds("the level automorphism rescales v",
-                      certificate={"kind": "eigenvector", "eigenvalue": str(mu)})
-    return conjunction([("eigenvector", eigen), ("singular", singular(ring)),
-                        ("units", units_for_all_m(ring))])
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ import ambiskew
 KINDS = {
     "annihilator_witness", "bounded_scan", "character_witness",
     "character_zero", "cofactor_witness", "comaximal_witness",
-    "common_factor_degree", "eigenvector",
-    "generalized_splitting", "inner_power", "multiple_monomials",
+    "common_factor_degree", "generalized_splitting", "inner_power",
+    "multiple_monomials",
     "nilpotent_u", "no_polynomial_splitting", "nonconstant_in_domain",
     "nondiagonal_automorphism", "nonunit_v_m", "not_gamma_fixed",
     "not_normalizing", "not_simple", "periodic_units",
@@ -34,4 +34,4 @@ def test_certificate_kinds_are_pinned():
     for path in Path(ambiskew.__file__).parent.glob("*.py"):
         found |= set(literal.findall(path.read_text()))
     assert sorted(found) == sorted(KINDS)
-    assert len(KINDS) == 38
+    assert len(KINDS) == 37

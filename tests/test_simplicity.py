@@ -17,6 +17,7 @@ from ambiskew.algebras import (
     NestedAuto,
     PolyAlgebra,
     QuadraticAlgebra,
+    scalar_ratio,
 )
 from ambiskew.rings import AmbiskewRing
 from ambiskew.scalars import ScalarContext, root_of_unity_order
@@ -173,7 +174,8 @@ def test_units_nonunit_eigenvector_fails_at_one():
     poly = PolyAlgebra(ctx)
     ring = AmbiskewRing(poly, AffineAuto(ctx.int_(2), ctx.zero), {1: ctx.one},
                         ctx.one)
-    assert ring.v_eigenvalue() == ctx.int_(2)
+    assert scalar_ratio(poly, poly.apply(ring.alpha, ring.v), ring.v) == \
+        ctx.int_(2)
     verdict = units_for_all_m(ring)
     assert verdict.status is Status.FAILS
     assert verdict.certificate == {
@@ -188,7 +190,7 @@ def test_units_scan_reports_a_nonunit():
     poly = PolyAlgebra(ctx)
     ring = AmbiskewRing(poly, AffineAuto(ctx.one, ctx.one), {1: ctx.one},
                         ctx.int_(2))
-    assert ring.v_eigenvalue() is None
+    assert scalar_ratio(poly, poly.apply(ring.alpha, ring.v), ring.v) is None
     assert ring.v_period() is None
     verdict = units_for_all_m(ring)
     assert verdict.status is Status.FAILS
@@ -530,12 +532,34 @@ def test_chain_validation():
     r2 = weyl_over_field()
     with pytest.raises(ValueError, match="previous one"):
         simple_iterated([r1, r2])
-    with pytest.raises(ValueError, match="characteristic zero"):
-        simple_iterated([weyl_over_field(characteristic=5)])
 
 
-def _h_tc_order_a(tv, cv):
-    ctx = ScalarContext()
+def _weyl_tower(characteristic=0):
+    """A_2 = R(A_1, identity, 1, 1) over the Weyl algebra A_1."""
+    ctx = ScalarContext(characteristic=characteristic)
+    field = FieldAlgebra(ctx)
+    r1 = AmbiskewRing(field, field.identity_auto(), field.one, ctx.one,
+                      y_name="y1", x_name="x1")
+    r2 = AmbiskewRing(r1, r1.identity_auto(), r1.one, ctx.one,
+                      y_name="y2", x_name="x2")
+    return [r1, r2]
+
+
+def test_tower_decides_in_characteristic_p():
+    # over F_5 each level has the height-1 witness of a monomial v, and
+    # v^(5) = 5 vanishes
+    verdict = simple_iterated(_weyl_tower(characteristic=5))
+    assert verdict.theorem == "simple.tower"
+    assert verdict.status is Status.FAILS
+    assert verdict.reason == "failed: level_1, level_2"
+    level = _conditions(_conditions(verdict)["level_2"])
+    assert list(level) == ["no_generalized_splitting", "units"]
+    assert level["no_generalized_splitting"].certificate["n"] == 1
+    assert level["units"].certificate["kind"] == "vanishing_v_m"
+
+
+def _h_tc_chain(tv, cv, characteristic=0):
+    ctx = ScalarContext(characteristic=characteristic)
     alg = CyclicGroupAlgebra(ctx, 2, -ctx.one)
     t, c = ctx.fraction(Fraction(tv)), ctx.fraction(Fraction(cv))
     v1 = {}
@@ -548,7 +572,11 @@ def _h_tc_order_a(tv, cv):
     second = NestedAuto(alg.identity_auto(), ctx.one, ctx.one)
     v2 = r1.embed({0: 2 * t}) if tv else {}
     r2 = AmbiskewRing(r1, second, v2, ctx.one, y_name="y2", x_name="x2")
-    return simple_iterated([r1, r2])
+    return [r1, r2]
+
+
+def _h_tc_order_a(tv, cv):
+    return simple_iterated(_h_tc_chain(tv, cv))
 
 
 def test_h_tc_order_a_levels():
@@ -557,6 +585,45 @@ def test_h_tc_order_a_levels():
     assert bad.status is Status.FAILS
     assert bad.reason == "failed: level_1"
     assert _h_tc_order_a(0, 1).status is Status.FAILS
+
+
+@pytest.mark.parametrize("chain", [
+    _weyl_tower(), _weyl_tower(characteristic=5),
+    _h_tc_chain(1, Fraction(1, 3)), _h_tc_chain(1, Fraction(3, 2)),
+    _h_tc_chain(1, Fraction(1, 3), characteristic=5),
+    _h_tc_chain(0, 1, characteristic=5)],
+    ids=["weyl-0", "weyl-5", "h-tc-third-0", "h-tc-three-halves-0",
+         "h-tc-third-5", "h-tc-zero-t-5"])
+def test_tower_levels_are_the_conditions_of_simple(chain):
+    levels = _conditions(simple_iterated(chain))
+    assert levels["level_1"].to_json() == simple(chain[0]).to_json()
+    for k, ring in enumerate(chain[1:], start=2):
+        own = [{"name": name, **sub.to_json()}
+               for name, sub in simple(ring).conditions
+               if name != "alpha_simple"]
+        assert levels[f"level_{k}"].to_json()["conditions"] == own
+
+
+def test_tower_over_a_rescaled_casimir_fails_by_its_ideal():
+    # the quantized Weyl algebra R1 is conformal with Casimir element
+    # z = x1*y1 + 1/(q - 1); y1 -> l*y1, x1 -> l^-1*x1 fixes z, so zR1 is
+    # a proper b-stable ideal
+    ctx = ScalarContext(parameters=("q", "l"))
+    field = FieldAlgebra(ctx)
+    q, lam = ctx.param("q"), ctx.param("l")
+    r1 = AmbiskewRing(field, field.identity_auto(), field.one, q,
+                      y_name="y1", x_name="x1")
+    b = NestedAuto(field.identity_auto(), lam, lam.inv())
+    r2 = AmbiskewRing(r1, b, r1.one, q, y_name="y2", x_name="x2")
+    verdict = _conditions(simple(r2))["alpha_simple"]
+    assert verdict.status is Status.FAILS
+    assert verdict.certificate == {"kind": "stable_ideal",
+                                   "generator": "((1)/(q - 1)) + x1*y1"}
+    z = r1.conformality().casimir
+    assert verdict.certificate["generator"] == r1.render(z)
+    assert r1.is_unit(z).status is Status.FAILS
+    assert scalar_ratio(r1, r1.apply(b, z), z) is not None
+    assert simple_iterated([r1, r2]).status is Status.FAILS
 
 
 def test_h_tc_order_b_matches():
