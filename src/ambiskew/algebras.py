@@ -32,9 +32,9 @@ The protocol hooks are:
   [q]_R*P + R^q*B for a ratio R other than 1, is a non-unit, or, given a
   watched u, a non-unit of A[1/u], which leaves no power of u in the
   ideal it generates: K[C_n] and the quadratic family list the scalar
-  polynomials in q or in X = R^q that vanish exactly there, through the
-  norm or per character in one shared step (``_split_pencil``, which
-  drops the characters that vanish on u), and
+  polynomials in q or in X = R^q that vanish exactly there, K[C_n] one
+  per character that does not vanish on u, the quadratic family its norm,
+  or, when u is a zero divisor, the line uA, and
   ``scalars.least_integer_root`` solves them; a tower passes its pencil
   to its coefficient algebra, and the other families refuse, because a
   unit v over a field, K[t] or K[t, t^-1] is an eigenvector of alpha, so no
@@ -218,18 +218,6 @@ def _pencil_line(algebra, p: dict, b: dict, ratio: Scalar | None):
     if ratio is None or ratio == ratio.ctx.one:
         return p, b
     return algebra.add(p, algebra.smul(ratio - 1, b)), algebra.neg(p)
-
-
-def _split_pencil(algebra, chars: list, p: dict, b: dict,
-                  ratio: Scalar | None, watch: dict | None) -> int | None:
-    """``first_nonunit_in_pencil`` over an algebra that the characters
-    ``chars`` split into copies of K: the element is a non-unit exactly
-    where one of them vanishes on it, and leaves ``watch`` outside its
-    radical where one that does not vanish on ``watch`` does."""
-    lead, const = _pencil_line(algebra, p, b, ratio)
-    return least_integer_root([[chi(const), chi(lead)] for chi in chars
-                               if watch is None or not chi(watch).is_zero()],
-                              0, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -840,8 +828,14 @@ class CyclicGroupAlgebra(_Univariate):
     def first_nonunit_in_pencil(self, p: dict, b: dict,
                                 ratio: Scalar | None = None,
                                 watch: dict | None = None) -> int | None:
-        chars = [lambda a, l=l: self.character(l, a) for l in range(self.n)]
-        return _split_pencil(self, chars, p, b, ratio, watch)
+        # a non-unit exactly where a character vanishes on it, and outside
+        # the radical of watch where one that does not vanish on watch does
+        lead, const = _pencil_line(self, p, b, ratio)
+        return least_integer_root(
+            [[self.character(l, const), self.character(l, lead)]
+             for l in range(self.n)
+             if watch is None or not self.character(l, watch).is_zero()],
+            0, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -911,8 +905,6 @@ class PolyAlgebra(_Univariate):
     """
 
     kind = "poly"
-    # t^k with k < 0 is no element, so the monomial frame does not apply
-    eigen_frame = BaseAlgebra.eigen_frame
 
     def identity_auto(self) -> AffineAuto:
         return AffineAuto(self.ctx.one, self.ctx.zero)
@@ -1229,24 +1221,18 @@ class QuadraticAlgebra(_Univariate):
     def first_nonunit_in_pencil(self, p: dict, b: dict,
                                 ratio: Scalar | None = None,
                                 watch: dict | None = None) -> int | None:
-        if watch is not None:
-            square, root = self.square_root_of_d()
-            if root is not None:
-                # split at s = +-root: one character per factor
-                zero = self.ctx.zero
-                chars = [lambda a, r=r: a.get(0, zero) + r * a.get(1, zero)
-                         for r in (root, -root)]
-                return _split_pencil(self, chars, p, b, ratio, watch)
-            if square is not False:
-                raise ValueError("radical pencils over a quadratic algebra "
-                                 "need a non-square defect or an explicit "
-                                 "root of it")
-            # a field: only the zero ideal misses a nonzero watch
-            if not watch:
-                return None
-        # lead*X + const is a non-unit exactly where its norm, quadratic in
-        # X, vanishes
         lead, const = _pencil_line(self, p, b, ratio)
+        if watch is not None and self.norm(watch).is_zero():
+            if self.is_zero(self.mul(watch, watch)):
+                return None  # A[1/u] = 0
+            # A[1/u] is the field uA, a line, where an element is a non-unit
+            # exactly when its product with u vanishes
+            k, zero = next(iter(watch)), self.ctx.zero
+            return least_integer_root([[self.mul(const, watch).get(k, zero),
+                                        self.mul(lead, watch).get(k, zero)]],
+                                      0, ratio)
+        # no u, or a unit u, so A[1/u] = A: lead*X + const is a non-unit
+        # exactly where its norm, quadratic in X, vanishes
         c0, c2 = self.norm(const), self.norm(lead)
         c1 = self.norm(self.add(lead, const)) - c0 - c2
         return least_integer_root([[c0, c1, c2]], 0, ratio)

@@ -6,17 +6,15 @@ the family structure makes a finite search provably exhaustive.  Each route
 reads its constant as ``bounds.NAME`` when it runs, so a test lowers one by
 setting the module attribute.
 
-- ``PERIOD_MAX``: the steps of rho*alpha that ``simplicity``'s units and
-  radical conditions try before they give up on a scalar period of v.
-- ``M_MAX``: the indices m of the bounded scans, over v^(m) in those same
-  conditions and over alpha^m(u) in ``gwa.gwa_simple``'s fallback walk.
+- ``M_MAX``: the last index m of ``simplicity``'s units and radical
+  conditions (the period search for v and the scan over v^(m)) and of
+  ``gwa.gwa_simple``'s fallback walk over alpha^m(u).
 - ``N_MAX``: the largest witness height n of the characteristic-p
   splitting condition in ``simplicity.simple``.
 
->>> (PERIOD_MAX, M_MAX, N_MAX)
-(64, 200, 3)
+>>> (M_MAX, N_MAX)
+(200, 3)
 """
 
-PERIOD_MAX = 64
 M_MAX = 200
 N_MAX = 3

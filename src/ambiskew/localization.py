@@ -163,7 +163,14 @@ def _lattice_search(algebra, alpha, gamma, rho: Scalar, frame: EigenFrame):
     if not any(b[0] or b[1] for b in basis):
         return None, frame.complete
     vec = _pick_vector(basis)
-    witness = SpecialElement(frame.build(vec[2:]), vec[0], vec[1])
+    try:
+        c = frame.build(vec[2:])
+    except ValueError:
+        # t^k with k < 0 is no element of K[t]; the lattice is a group, so
+        # the negated vector is a witness with k > 0
+        vec = [-t for t in vec]
+        c = frame.build(vec[2:])
+    witness = SpecialElement(c, vec[0], vec[1])
     witness.check(algebra, alpha, gamma, rho)
     return witness, True
 

@@ -362,7 +362,8 @@ class AmbiskewRing(ExtensionAlgebra):
                 * _kept_power(auto._pows, ("y", j), auto.lam_y, j))
 
     def eigen_frame(self, alpha, gamma, units_only: bool) -> EigenFrame:
-        if not isinstance(alpha, NestedAuto) or not isinstance(gamma, NestedAuto):
+        if (not isinstance(alpha, NestedAuto) or not isinstance(gamma, NestedAuto)
+                or not self.base.is_diagonal(self.alpha)):
             raise ValueError(NO_EIGEN_FRAME)
         inner = self.base.eigen_frame(alpha.base, gamma.base, units_only)
         # Candidates are embedded ground monomials.  Moving one past y or x
@@ -390,12 +391,12 @@ class AmbiskewRing(ExtensionAlgebra):
 
     def v_period(self):
         """(span, ratio) with v^(q*span + r) = [q]_ratio*v^(span)
-        + ratio^q*v^(r): the least span <= ``bounds.PERIOD_MAX`` at which
+        + ratio^q*v^(r): the least span <= ``bounds.M_MAX`` at which
         (rho*alpha)^span rescales v, and that factor, whatever its order;
         None when there is no such span."""
         base = self.base
         term = dict(self.v)
-        for span in range(1, bounds.PERIOD_MAX + 1):
+        for span in range(1, bounds.M_MAX + 1):
             term = base.smul(self.rho, base.apply(self.alpha, term))
             ratio = scalar_ratio(base, term, self.v)
             if ratio is not None:

@@ -69,8 +69,8 @@ def every_v_m_unit(ring, watch: dict | None = None) -> Verdict:
     of A[1/u]: the radical condition of the Casimir localization.
 
     The routes, in order: A[1/u] = 0 (u nilpotent); v = 0; v^(1) itself,
-    so a failure at m = 1 waits for no period search; the period of v,
-    searched for ``bounds.PERIOD_MAX`` steps; the bounded scan to
+    so a failure at m = 1 waits for no period search; the period of v and
+    its residue pencils; the bounded scan.  Both searches stop at
     ``bounds.M_MAX``.  A Fails names the least m.
     """
     base = ring.base
@@ -122,7 +122,7 @@ def _units_by_period(ring, test, where: str, watch, nil: Status,
     base = ring.base
     at = lambda m: first if m == 1 else test(ring.v_m(m))
     if (found := ring.v_period()) is None:
-        note = f"no scalar period within {bounds.PERIOD_MAX} steps"
+        note = f"no scalar period within {bounds.M_MAX} steps"
     else:
         span, ratio = found
         top = ring.v_m(span)
@@ -137,6 +137,8 @@ def _units_by_period(ring, test, where: str, watch, nil: Status,
                                                      watch)
                     if q is not None:
                         failing.append(q * span + r)
+                        if q == 0:  # m = r: no other candidate is smaller
+                            break
             except ValueError as exc:
                 note = str(exc)
             else:

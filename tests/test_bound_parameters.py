@@ -31,7 +31,7 @@ def _bound_parameters(tree: ast.Module) -> list[tuple[int, str]]:
 
 
 def test_no_function_takes_a_bound_as_a_parameter():
-    assert BOUND_NAMES == {"period_max", "m_max", "n_max"}
+    assert BOUND_NAMES == {"m_max", "n_max"}
     found = {path.name: _bound_parameters(ast.parse(path.read_text()))
              for path in Path(ambiskew.__file__).parent.glob("*.py")}
     assert {name: params for name, params in found.items() if params} == {}

@@ -18,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambiskew import bounds
 from ambiskew.algebras import (AffineAuto, CyclicGroupAlgebra, DiagonalAuto,
                                FieldAlgebra, LaurentAlgebra, NestedAuto,
                                PolyAlgebra, QuadraticAlgebra, scalar_ratio)
-from ambiskew.dsl import eval_element, parse_expression, parse_spec
+from ambiskew.dsl import (eval_element, eval_scalar, parse_expression,
+                          parse_spec)
 from ambiskew.gwa import GwaRing, gwa_simple
 from ambiskew.localization import localized_simple
 from ambiskew.rings import AmbiskewRing
@@ -99,6 +101,8 @@ def _killer(alg, rng):
 
 
 def _pencil_at(alg, p, b, ratio, q):
+    if ratio is None:
+        return alg.add(alg.smul(alg.ctx.int_(q), p), b)
     scale = ratio ** q
     lead = (scale - 1) / (ratio - 1)
     return alg.add(alg.smul(lead, p), alg.smul(scale, b))
@@ -152,16 +156,59 @@ def test_ratio_pencils_match_a_walk(name):
                     b = _plant(alg, p, b, ratio, target, rng)
                     planted += 1
                 watch = None if trial < 2 else _element(alg, rng)
-                try:
-                    got = _check_pencil(alg, p, b, ratio, watch, horizon)
-                except ValueError:
-                    # radical pencils need the characters of the family
-                    assert watch is not None and isinstance(alg, QuadraticAlgebra)
-                    continue
+                got = _check_pencil(alg, p, b, ratio, watch, horizon)
                 if target is not None and watch is None:
                     assert got is not None and got <= target
                 found += got is not None
     assert planted and found
+
+
+# the quadratic defects of the radical pencils, each with a square root r
+# where d is a square: s - r is then a zero divisor
+_QUADRATICS = {
+    "4/Q": (ScalarContext(), 4, lambda c: c.int_(2)),
+    "2/Qzeta8": (ScalarContext(cyclotomic_order=8), 2,
+                 lambda c: c.zeta() + c.zeta(7)),
+    "-1/Qzeta4": (ScalarContext(cyclotomic_order=4), -1, lambda c: c.zeta()),
+    "2/F7": (ScalarContext(characteristic=7), 2, lambda c: c.int_(3)),
+    "3/F13": (ScalarContext(characteristic=13), 3, lambda c: c.int_(4)),
+    "3/Q": (ScalarContext(), 3, None),
+    "q^2/Qq": (ScalarContext(parameters=("q",)), "q^2", lambda c: c.param("q")),
+}
+_PENCIL_WALK = 40
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_QUADRATICS)),
+       st.sampled_from(["zero divisor", "unit", "zero", "random"]),
+       st.sampled_from([None, "2", "-1", "1/3"]),
+       st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+def test_quadratic_radical_pencils_match_a_walk(name, kind, ratio, coeffs):
+    # q*p + b, or [q]_R*p + R^q*b, against radical_contains at each q up to
+    # the walk: a radical pencil is decided for every defect and watch
+    ctx, d, root = _QUADRATICS[name]
+    alg = QuadraticAlgebra(ctx, eval_scalar(parse_expression(str(d)), ctx))
+    elem = lambda c0, c1: {k: ctx.int_(c) for k, c in ((0, c0), (1, c1)) if c}
+    p, b = elem(*coeffs[:2]), elem(*coeffs[2:4])
+    if kind == "zero divisor" and root is not None:  # 3/Q is a field
+        watch = alg.smul(ctx.int_(coeffs[4] or 1),
+                         {0: -root(ctx), 1: ctx.one})
+    elif kind == "unit":
+        watch = alg.one if alg.norm(elem(*coeffs[4:])).is_zero() \
+            else elem(*coeffs[4:])
+    elif kind == "zero":
+        watch = {}
+    else:
+        watch = elem(*coeffs[4:])
+    if ratio is not None:
+        ratio = ctx.fraction(Fraction(ratio))
+    got = alg.first_nonunit_in_pencil(p, b, ratio, watch)
+    walked = next((q for q in range(_PENCIL_WALK + 1) if alg.radical_contains(
+        _pencil_at(alg, p, b, ratio, q), watch).fails), None)
+    if got is not None and got <= _PENCIL_WALK:
+        assert walked == got
+    else:
+        assert walked is None
 
 
 def test_ratio_solver_shapes():
@@ -588,6 +635,39 @@ def test_planted_failure_past_the_old_scan_bound():
     assert verdict.fails and verdict.certificate["m"] == 301
     assert verdict.certificate["detail"]["character"] == 0
     assert _walk(ring, _nonunit(alg), 301) == 301
+
+
+@pytest.mark.parametrize("p, eps, c, rho, m", [(257, 9, -3, 3, 2),
+                                                 (3329, 289, 29, 2, 197)])
+def test_a_period_of_128_takes_the_period_route(monkeypatch, p, eps, c, rho,
+                                                m):
+    # K[C_128] over F_p, s -> eps*s with eps of order 128, v = s + c: the
+    # period of v is 128, which the period search reaches within M_MAX;
+    # with M_MAX below the period the units condition scans.  A residue r
+    # that fails at q = 0 is m = r, and no later residue is asked
+    ctx = ScalarContext(characteristic=p)
+    alg = CyclicGroupAlgebra(ctx, 128, ctx.int_(eps))
+    ring = AmbiskewRing(alg, DiagonalAuto((ctx.int_(eps),)),
+                        {0: ctx.int_(c), 1: ctx.one}, ctx.int_(rho))
+    assert ring.v_period() == (128, ctx.int_(rho) ** 128)
+    asked = []
+    pencil = CyclicGroupAlgebra.first_nonunit_in_pencil
+    monkeypatch.setattr(CyclicGroupAlgebra, "first_nonunit_in_pencil",
+                        lambda self, *args: asked.append(1) or pencil(self, *args))
+    verdict = units_for_all_m(ring)
+    assert verdict.fails and verdict.certificate["m"] == m
+    assert len(asked) == min(m, 127)
+    assert _walk(ring, _nonunit(alg), HORIZON) == m
+    monkeypatch.setattr(bounds, "M_MAX", 100)
+    assert ring.v_period() is None
+    scanned = units_for_all_m(ring)
+    if m <= 100:
+        assert scanned.to_json() == verdict.to_json()
+    else:
+        assert scanned.status is Status.INCONCLUSIVE
+        assert scanned.reason == ("no scalar period within 100 steps; units "
+                                  "verified through m = 100")
+        assert scanned.certificate == {"kind": "bounded_scan", "m_max": 100}
 
 
 # -- GWA comaximality over a shift: the dispersion of u ---------------------------

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ambiskew.algebras import (
+    NO_EIGEN_FRAME,
     AffineAuto,
     CyclicGroupAlgebra,
     DiagonalAuto,
@@ -16,8 +17,9 @@ from ambiskew.algebras import (
     LaurentAlgebra,
     NestedAuto,
     PolyAlgebra,
+    QuadraticAlgebra,
 )
-from ambiskew.dsl import eval_scalar, parse_expression
+from ambiskew.dsl import eval_element, eval_scalar, parse_expression
 from ambiskew.localization import (
     SpecialElement,
     TorusMatrix,
@@ -241,23 +243,148 @@ def _statuses(check, ring):
     return verdict.status, [(name, c.status) for name, c in verdict.conditions]
 
 
-@given(a=st.integers(-3, 3), b=st.integers(-3, 3), sign=st.sampled_from([1, -1]),
-       rho=st.sampled_from(["1", "-1", "2", "-1/3", "zeta", "-zeta", "2*zeta",
-                            "1 + zeta"]))
-@settings(max_examples=150, deadline=None)
-def test_quadratic_and_its_group_algebra_twin_agree(a, b, sign, rho):
-    # s -> zeta*s' sends Q(zeta_4)[s]/(s^2 + 1) onto K[C_2], commuting with
-    # s -> +-s, so R(A, s -> +-s, a + b*s, rho) and its twin are isomorphic
-    ctx, quad, ring = quadratic_conjugation(Fraction(1), a, b)
-    zeta, rho = ctx.zeta(), eval_scalar(parse_expression(rho), ctx)
+# split quadratic bases K[s]/(s^2 - d): the context, d, the root r of d
+# and the rhos tried
+_SPLIT_QUADRATICS = {
+    "Qzeta4": (ScalarContext(cyclotomic_order=4), "-1", "zeta",
+               ["1", "-1", "2", "-1/3", "zeta", "-zeta", "2*zeta",
+                "1 + zeta"]),
+    "Qzeta8": (ScalarContext(cyclotomic_order=8), "2", "zeta + zeta^7",
+               ["1", "-1", "2", "-1/3", "zeta", "zeta^2", "1 + zeta"]),
+    "Qzeta12": (ScalarContext(cyclotomic_order=12), "3", "zeta + zeta^11",
+                ["1", "-1", "2", "-1/3", "zeta", "zeta^3"]),
+    "F13": (ScalarContext(characteristic=13), "3", "4",
+            ["1", "-1", "2", "3", "5", "1/3"]),
+}
+
+
+@given(field=st.sampled_from(sorted(_SPLIT_QUADRATICS)),
+       a=st.integers(-3, 3), b=st.integers(-3, 3),
+       sign=st.sampled_from([1, -1]), pick=st.integers(0, 7))
+@settings(max_examples=200, deadline=None)
+def test_quadratic_and_its_group_algebra_twin_agree(field, a, b, sign, pick):
+    # s -> r*s' sends K[s]/(s^2 - d) onto K[C_2] when d = r^2, commuting
+    # with s -> +-s, so R(A, s -> +-s, a + b*s, rho) and its twin
+    # R(K[C_2], s' -> +-s', a + b*r*s', rho) are isomorphic
+    ctx, d, r, rhos = _SPLIT_QUADRATICS[field]
+    read = lambda text: eval_scalar(parse_expression(text), ctx)
+    quad = QuadraticAlgebra(ctx, read(d))
+    rho, r = read(rhos[pick % len(rhos)]), read(r)
+    assert r * r == quad.d
     auto = DiagonalAuto((ctx.int_(sign),))
     group = CyclicGroupAlgebra(ctx, 2, -ctx.one)
-    twin_v = {k: c for k, c in ((0, ctx.int_(a)), (1, b * zeta))
-              if not c.is_zero()}
-    pair = (AmbiskewRing(quad, auto, ring.v, rho),
-            AmbiskewRing(group, auto, twin_v, rho))
+    pair = []
+    for alg, s in ((quad, ctx.one), (group, r)):
+        v = {k: c for k, c in ((0, ctx.int_(a)), (1, b * s)) if not c.is_zero()}
+        pair.append(AmbiskewRing(alg, auto, v, rho))
     for check in (simple, localized_simple):
         assert _statuses(check, pair[0]) == _statuses(check, pair[1])
+
+
+@pytest.mark.parametrize("v, u", [("1 + s", "-1 + 1/3*s"),
+                                  ("zeta - zeta^3 + 3*s", "(-zeta + zeta^3) + s")])
+def test_split_quadratic_radicals_decide_without_a_root(v, u):
+    # d = 2 over Q(zeta_8) is a square.  u = -1 + s/3 is a unit, so the
+    # radical pencils read the norm; u = -sqrt(2) + s is a zero divisor,
+    # so they read the line uA
+    ctx = ScalarContext(cyclotomic_order=8)
+    quad = QuadraticAlgebra(ctx, ctx.int_(2))
+    v = eval_element(parse_expression(v), quad)
+    ring = AmbiskewRing(quad, quad.conjugation(), v, ctx.int_(2))
+    assert quad.render(ring.conformality().u) == u
+    verdict = localized_simple(ring)
+    assert verdict.holds
+    assert _conditions(verdict)["radical"].certificate == {
+        "kind": "periodic_units", "period": 2, "ratio": "4"}
+
+
+_POLY_CONTEXTS = {
+    "Q": (ScalarContext(), ["2", "-1", "1/3"], ["1", "2", "1/2", "-1"]),
+    "Qq": (ScalarContext(parameters=("q",)), ["q", "2", "1/q"],
+           ["1", "q", "1/q", "q^2", "2"]),
+    "Qzeta4": (ScalarContext(cyclotomic_order=4), ["zeta", "-1", "2"],
+               ["1", "zeta", "-zeta", "1/2", "-1"]),
+    "F7": (ScalarContext(characteristic=7), ["2", "3", "6"],
+           ["1", "2", "3", "4", "6"]),
+}
+
+
+@given(field=st.sampled_from(sorted(_POLY_CONTEXTS)),
+       pick=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       v=st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+@settings(max_examples=120, deadline=None)
+def test_polynomial_and_laurent_special_elements_agree(field, pick, v):
+    # under t -> a*t every monomial of a special element is special, and
+    # t^k is special in K[t^+-1] exactly when t^-k is, with (m, j) negated,
+    # so K[t] and K[t^+-1] have a special element together
+    ctx, scales, rhos = _POLY_CONTEXTS[field]
+    read = lambda text: eval_scalar(parse_expression(text), ctx)
+    a, rho = read(scales[pick[0] % 3]), read(rhos[pick[1] % len(rhos)])
+    v = {k: ctx.int_(c) for k, c in enumerate(v) if c}
+    statuses = []
+    for alg in (PolyAlgebra(ctx), LaurentAlgebra(ctx)):
+        alpha = AffineAuto(a, ctx.zero) if alg.kind == "poly" \
+            else DiagonalAuto((a,))
+        try:
+            verdict = localized_simple(AmbiskewRing(alg, alpha, v, rho))
+        except ValueError as exc:
+            statuses.append(str(exc))
+        else:
+            statuses.append(_conditions(verdict)["no_special"].status)
+    assert statuses[0] == statuses[1]
+    assert statuses[0] is not Status.INCONCLUSIVE
+
+
+def test_a_polynomial_scaling_names_its_special_monomial():
+    # t -> 2*t, v = 1, rho = 1/2: alpha(t) = 2*t = rho^-1 * t, so t is
+    # (0, -1)-special; the lattice picks t^-1, no element of K[t]
+    ctx = ScalarContext()
+    poly = PolyAlgebra(ctx)
+    ring = AmbiskewRing(poly, AffineAuto(ctx.int_(2), ctx.zero), poly.one,
+                        ctx.fraction(Fraction(1, 2)))
+    special = _conditions(localized_simple(ring))["no_special"]
+    assert special.fails
+    assert special.reason == "t is (0, -1)-special"
+    assert special.certificate == {"kind": "special_element", "m": 0,
+                                   "j": -1, "element": "t"}
+
+
+@pytest.mark.parametrize("rho, status, reason", [
+    ("q", Status.HOLDS,
+     "no (m, j)-special element exists with (m, j) != (0, 0)"),
+    ("zeta", Status.FAILS, "1 is (0, 4)-special"),
+])
+def test_the_tower_frame_decides_special_elements(rho, status, reason):
+    # R2 = R(R1, b, 1, rho) over the Weyl algebra R1 = R(K, id, 1, 1), with
+    # b: y1 -> l*y1, x1 -> l^-1*x1; the search reads the tower's frame
+    ctx = (ScalarContext(parameters=("q", "l")) if rho == "q"
+           else ScalarContext(cyclotomic_order=4, parameters=("l",)))
+    field = FieldAlgebra(ctx)
+    weyl = AmbiskewRing(field, field.identity_auto(), field.one, ctx.one,
+                        y_name="y1", x_name="x1")
+    lam = ctx.param("l")
+    b = NestedAuto(field.identity_auto(), lam, lam ** -1)
+    weyl.validate_auto(b)
+    top = AmbiskewRing(weyl, b, weyl.one, eval_scalar(parse_expression(rho),
+                                                      ctx))
+    special = _conditions(localized_simple(top))["no_special"]
+    assert (special.status, special.reason) == (status, reason)
+
+
+def test_a_level_over_a_shift_has_no_tower_frame():
+    # R1 = R(K[t], t -> t + 1, t, 1): t^k is no eigenvector of the level's
+    # own alpha, so the tower frame refuses by name instead of reading one
+    ctx = ScalarContext(parameters=("q", "l"))
+    poly = PolyAlgebra(ctx)
+    level = AmbiskewRing(poly, AffineAuto(ctx.one, ctx.one),
+                         poly.gen_elem("t"), ctx.one, y_name="y1", x_name="x1")
+    lam = ctx.param("l")
+    b = NestedAuto(poly.identity_auto(), lam, lam ** -1)
+    level.validate_auto(b)
+    top = AmbiskewRing(level, b, level.one, ctx.param("q"))
+    special = _conditions(localized_simple(top))["no_special"]
+    assert special.status is Status.INCONCLUSIVE
+    assert special.reason == NO_EIGEN_FRAME
 
 
 # -- the special-element search -----------------------------------------------------

@@ -22,7 +22,7 @@ SURFACE = {
         "NestedAuto", "PolyAlgebra", "QuadraticAlgebra", "UnitAnswer",
         "scalar_ratio", "solve_splitting_ex",
     ],
-    "bounds": ["M_MAX", "N_MAX", "PERIOD_MAX"],
+    "bounds": ["M_MAX", "N_MAX"],
     "dsl": [
         "CHECK_KINDS", "CheckDecl", "DslError", "Expr", "SourceLocation",
         "SpecDocument", "eval_element", "eval_scalar", "parse_expression",
