@@ -25,20 +25,15 @@ The protocol hooks are:
 - structure: ``commutative``, ``finite_basis``, ``eigen_frame`` (the
   exponent lattice of the special-element search), ``no_inner_power`` and
   ``to_ground`` (an element of a tower read in its ground algebra);
-- decisions: ``is_unit`` and ``is_regular`` with certificates,
+- decisions: ``is_unit``, ``is_regular``, ``radical_contains`` (d a unit
+  of A[1/u]) and ``comaximal`` (b a unit of A/aA) answer with a status
+  and a certificate (``UnitAnswer``), and only criteria write prose;
   ``is_domain``, ``alpha_simple`` (no proper ideal stable under a set of
-  automorphisms), ``radical_contains``, ``comaximal``,
-  ``first_nonunit_in_pencil`` (the first q at which q*P + B, or
-  [q]_R*P + R^q*B for a ratio R other than 1, is a non-unit, or, given a
-  watched u, a non-unit of A[1/u], which leaves no power of u in the
-  ideal it generates: K[C_n] and the quadratic family list the scalar
-  polynomials in q or in X = R^q that vanish exactly there, K[C_n] one
-  per character that does not vanish on u, the quadratic family its norm,
-  or, when u is a zero divisor, the line uA, and
-  ``scalars.least_integer_root`` solves them; a tower passes its pencil
-  to its coefficient algebra, and the other families refuse, because a
-  unit v over a field, K[t] or K[t, t^-1] is an eigenvector of alpha, so no
-  pencil arises there),
+  automorphisms), ``first_nonunit_in_pencil`` (the first q at which an
+  element linear in q, or in R^q, is no unit of A, or of A[1/u]: K[C_n]
+  and the quadratic family hand ``scalars.least_integer_root`` the scalar
+  polynomials that vanish exactly there, a tower passes its pencil down,
+  and the other families refuse),
   ``split_nondiagonal`` (v = u - rho*alpha(u) for an alpha that is not
   diagonal: a shift, or a scaling about a fixed point, over Poly) and
   ``coprime_to_shifts`` (the least m with u and alpha^m(u) not comaximal,
@@ -114,10 +109,10 @@ class NestedAuto:
 
 
 class UnitAnswer:
-    """The answer of a unit test: its status, the certificate of a
-    non-unit, and for a unit its inverse.  The inverse is built by the
-    stored ``build`` on the first read of ``inverse`` and kept, so a caller
-    that asks only for the status pays for no inverse."""
+    """The answer of a unit test in A, A[1/u] or A/aA: its status, its
+    certificate, and for a unit of A its inverse.  The inverse is built by
+    the stored ``build`` on the first read of ``inverse`` and kept, so a
+    caller that asks only for the status pays for no inverse."""
 
     def __init__(self, status: Status, certificate: dict | None = None,
                  build: Callable[[], dict] | None = None):
@@ -202,6 +197,13 @@ def scalar_ratio(algebra, a: dict, b: dict) -> Scalar | None:
     key, coeff = bt[0]
     s = a[key] / coeff if key in a else coeff.ctx.zero
     return s if algebra.eq(a, algebra.smul(s, b)) else None
+
+
+def _kept_power(pows: dict, key, s: Scalar, k: int) -> Scalar:
+    """s^k, made on the first request for ``key`` and kept in ``pows``."""
+    if key not in pows:
+        pows[key] = s ** k
+    return pows[key]
 
 
 def _udense(a: dict) -> list[Scalar]:
@@ -415,12 +417,13 @@ class BaseAlgebra:
     def alpha_simple(self, autos: list) -> Verdict:
         raise NotImplementedError
 
-    def radical_contains(self, d: dict, u: dict) -> Verdict:
-        """Whether u^n lies in the ideal generated by d for some n >= 0."""
+    def radical_contains(self, d: dict, u: dict) -> UnitAnswer:
+        """Whether u^n lies in dA for some n >= 0: the unit test of d in
+        A[1/u].  A Holds certifies the ``power`` n it found."""
         raise NotImplementedError
 
-    def comaximal(self, a: dict, b: dict) -> Verdict:
-        """Whether aA + bA = A."""
+    def comaximal(self, a: dict, b: dict) -> UnitAnswer:
+        """Whether aA + bA = A: the unit test of b in A/aA."""
         raise NotImplementedError
 
     def _action_coordinate(self, alpha, u: dict):
@@ -560,17 +563,13 @@ class FieldAlgebra(BaseAlgebra):
     def alpha_simple(self, autos: list) -> Verdict:
         return holds("the coefficient algebra is a field")
 
-    def radical_contains(self, d: dict, u: dict) -> Verdict:
-        if d:
-            return holds("the ideal is everything", certificate={"power": 0})
-        if not u:
-            return holds("u is zero", certificate={"power": 1})
-        return fails("u is a unit but the ideal is zero")
+    def radical_contains(self, d: dict, u: dict) -> UnitAnswer:
+        if d or not u:  # the ideal is everything, or u is zero
+            return UnitAnswer(Status.HOLDS, {"power": 0 if d else 1})
+        return UnitAnswer(Status.FAILS)
 
-    def comaximal(self, a: dict, b: dict) -> Verdict:
-        if a or b:
-            return holds("one of the two elements is a unit")
-        return fails("both elements are zero")
+    def comaximal(self, a: dict, b: dict) -> UnitAnswer:
+        return UnitAnswer(Status.HOLDS if a or b else Status.FAILS)
 
     def render(self, a: dict) -> str:
         return str(a[()]) if a else "0"
@@ -651,9 +650,7 @@ class _Univariate(BaseAlgebra):
     def eigenvalue(self, auto, key) -> Scalar | None:
         if key == 1:
             return auto.scales[0]
-        if key not in auto._pows:
-            auto._pows[key] = auto.scales[0] ** key
-        return auto._pows[key]
+        return _kept_power(auto._pows, key, auto.scales[0], key)
 
     def eigen_frame(self, alpha, gamma, units_only: bool) -> EigenFrame:
         # candidates are the powers c = t^k, d^(k div 2)*s^(k mod 2) in
@@ -665,8 +662,6 @@ class _Univariate(BaseAlgebra):
         return EigenFrame([pair], [pair + ((self.ctx.one,),)], build, True)
 
     # Euclidean decisions ------------------------------------------------------
-
-    _common_factor = "nonconstant"
 
     def _normalize(self, a: dict) -> dict:
         """a divided by its largest unit monomial factor."""
@@ -680,36 +675,34 @@ class _Univariate(BaseAlgebra):
     def is_domain(self) -> bool | None:
         return True
 
-    def radical_contains(self, d: dict, u: dict) -> Verdict:
-        if not d:
-            if not u:
-                return holds("u is zero", certificate={"power": 1})
-            return fails("the ideal is zero but u is not")
+    def radical_contains(self, d: dict, u: dict) -> UnitAnswer:
         dp = self._normalize(d)
-        deg = max(dp)
-        if deg == 0:
-            return holds("the ideal is everything", certificate={"power": 0})
+        if dp and max(dp) == 0:
+            return UnitAnswer(Status.HOLDS, {"power": 0})
         if not u:
-            return holds("u is zero", certificate={"power": 1})
-        power = self._normalize(self.power(u, deg))
-        _, rem = _divmod(_udense(power), _udense(dp))
-        if rem:
-            return fails(f"d does not divide u^{deg}",
-                         certificate={"kind": "radical_witness", "power": deg})
-        return holds(f"d divides u^{deg}", certificate={"power": deg})
+            return UnitAnswer(Status.HOLDS, {"power": 1})
+        if not d:
+            return UnitAnswer(Status.FAILS)
+        # u^deg(d) lies in dA exactly when each prime of d divides u: strip
+        # them off d by gcds, each dividing the last, until d or one is 1
+        rest, common = _udense(dp), _udense(self._normalize(u))
+        while len(rest) > 1:
+            common = _gcd(rest, common)
+            if len(common) == 1:
+                return UnitAnswer(Status.FAILS, {"kind": "radical_witness",
+                                                 "power": max(dp)})
+            rest = _divmod(rest, common)[0]
+        return UnitAnswer(Status.HOLDS, {"power": max(dp)})
 
-    def comaximal(self, a: dict, b: dict) -> Verdict:
-        if not a and not b:
-            return fails("both elements are zero")
+    def comaximal(self, a: dict, b: dict) -> UnitAnswer:
         if not a or not b:
-            if max(self._normalize(a or b)) == 0:
-                return holds("one element is a unit")
-            return fails("one element is zero, the other is not a unit")
+            c = self._normalize(a or b)
+            return UnitAnswer(Status.HOLDS if c and max(c) == 0 else Status.FAILS)
         g = _gcd(_udense(self._normalize(a)), _udense(self._normalize(b)))
         if len(g) <= 1:
-            return holds("the elements generate the unit ideal")
-        return fails(f"the elements share a {self._common_factor} factor",
-                     certificate={"kind": "common_factor_degree", "degree": len(g) - 1})
+            return UnitAnswer(Status.HOLDS)
+        return UnitAnswer(Status.FAILS, {"kind": "common_factor_degree",
+                                         "degree": len(g) - 1})
 
 
 # ---------------------------------------------------------------------------
@@ -809,33 +802,42 @@ class CyclicGroupAlgebra(_Univariate):
             certificate={"kind": "stable_ideal", "generator": self.render(f),
                          "vanishing_characters": zeros, "fixed_by_all": True})
 
-    def radical_contains(self, d: dict, u: dict) -> Verdict:
-        bad = [l for l in range(self.n)
-               if self.character(l, d).is_zero()
-               and not self.character(l, u).is_zero()]
-        if bad:
-            return fails(f"character {bad[0]} kills the ideal but not u",
-                         certificate={"kind": "character_witness", "character": bad[0]})
-        return holds("u vanishes wherever the ideal does", certificate={"power": 1})
+    def radical_contains(self, d: dict, u: dict) -> UnitAnswer:
+        return self._witness(d, u, False, {"power": 1})
 
-    def comaximal(self, a: dict, b: dict) -> Verdict:
+    def comaximal(self, a: dict, b: dict) -> UnitAnswer:
+        return self._witness(a, b, True, None)
+
+    def _witness(self, a: dict, b: dict, b_zero: bool, cert) -> UnitAnswer:
+        """Fails at the first character zero on a whose zero on b is ``b_zero``."""
         for l in range(self.n):
-            if self.character(l, a).is_zero() and self.character(l, b).is_zero():
-                return fails(f"character {l} kills both elements",
-                             certificate={"kind": "character_witness", "character": l})
-        return holds("no character kills both elements")
+            if (self.character(l, a).is_zero()
+                    and self.character(l, b).is_zero() is b_zero):
+                return UnitAnswer(Status.FAILS, {"kind": "character_witness",
+                                                 "character": l})
+        return UnitAnswer(Status.HOLDS, cert)
 
     def first_nonunit_in_pencil(self, p: dict, b: dict,
                                 ratio: Scalar | None = None,
                                 watch: dict | None = None) -> int | None:
         # a non-unit exactly where a character vanishes on it, and outside
-        # the radical of watch where one that does not vanish on watch does
+        # the radical of watch where one that does not vanish on watch does,
+        # read only at a line with a root (or a ValueError)
         lead, const = _pencil_line(self, p, b, ratio)
-        return least_integer_root(
-            [[self.character(l, const), self.character(l, lead)]
-             for l in range(self.n)
-             if watch is None or not self.character(l, watch).is_zero()],
-            0, ratio)
+        lines = [[self.character(l, const), self.character(l, lead)]
+                 for l in range(self.n)]
+        if watch is not None:
+            lines = [line for l, line in enumerate(lines) if _has_root(line, ratio)
+                     and not self.character(l, watch).is_zero()]
+        return least_integer_root(lines, 0, ratio)
+
+
+def _has_root(line: list[Scalar], ratio: Scalar | None) -> bool:
+    """Whether ``least_integer_root`` finds a root of the line, or raises."""
+    try:
+        return least_integer_root([line], 0, ratio) is not None
+    except ValueError:
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +849,6 @@ class LaurentAlgebra(_Univariate):
     """K[t, t^-1]; units are the nonzero monomials."""
 
     kind = "laurent"
-    _common_factor = "nonmonomial"
 
     def validate_auto(self, auto) -> None:
         if not isinstance(auto, DiagonalAuto) or len(auto.scales) != 1:
@@ -1185,38 +1186,33 @@ class QuadraticAlgebra(_Univariate):
                      certificate={"kind": "stable_idempotent",
                                   "element": self.render(idem)})
 
-    def radical_contains(self, d: dict, u: dict) -> Verdict:
+    def radical_contains(self, d: dict, u: dict) -> UnitAnswer:
         if self.is_unit(d).status is Status.HOLDS:
-            return holds("the ideal is everything", certificate={"power": 0})
+            return UnitAnswer(Status.HOLDS, {"power": 0})
         if not u:
-            return holds("u is zero", certificate={"power": 1})
+            return UnitAnswer(Status.HOLDS, {"power": 1})
         if not d:
             if self.is_zero(self.mul(u, u)):  # nilpotent in dimension 2
-                return holds("u squares to zero", certificate={"power": 2})
-            return fails("the ideal is zero but u is not nilpotent")
+                return UnitAnswer(Status.HOLDS, {"power": 2})
+            return UnitAnswer(Status.FAILS)
         # d is a nonzero zero divisor, so conj(d) spans the annihilator of
         # the ideal; u is in the radical exactly when conj(d)*u = 0
         conj = self.apply(self.conjugation(), d)
         if self.is_zero(self.mul(conj, u)):
-            return holds("u lies in the same split component as the ideal",
-                         certificate={"power": 1})
-        return fails("the conjugate of the generator annihilates the ideal but not u",
-                     certificate={"kind": "cofactor_witness",
-                                  "cofactor": self.render(conj)})
+            return UnitAnswer(Status.HOLDS, {"power": 1})
+        return UnitAnswer(Status.FAILS, {"kind": "cofactor_witness",
+                                         "cofactor": self.render(conj)})
 
-    def comaximal(self, a: dict, b: dict) -> Verdict:
-        if self.is_unit(a).status is Status.HOLDS or self.is_unit(b).status is Status.HOLDS:
-            return holds("one element is a unit")
-        if not a and not b:
-            return fails("both elements are zero")
+    def comaximal(self, a: dict, b: dict) -> UnitAnswer:
+        if Status.HOLDS in (self.is_unit(a).status, self.is_unit(b).status):
+            return UnitAnswer(Status.HOLDS)
         if not a or not b:
-            return fails("one element is zero, the other is not a unit")
+            return UnitAnswer(Status.FAILS)
         if self.ctx.characteristic != 2 and self.is_zero(self.mul(a, b)):
-            return holds("the elements lie in complementary split components")
+            return UnitAnswer(Status.HOLDS)
         conj = self.apply(self.conjugation(), a)
-        return fails("both elements lie in a common proper ideal",
-                     certificate={"kind": "annihilator_witness",
-                                  "annihilator": self.render(conj)})
+        return UnitAnswer(Status.FAILS, {"kind": "annihilator_witness",
+                                         "annihilator": self.render(conj)})
 
     def first_nonunit_in_pencil(self, p: dict, b: dict,
                                 ratio: Scalar | None = None,

@@ -36,7 +36,8 @@ four-condition criterion inside A.
 from __future__ import annotations
 
 from . import bounds
-from .rings import ExtensionAlgebra, _add_at, _kept_power, _ungroup
+from .algebras import UnitAnswer, _kept_power
+from .rings import ExtensionAlgebra, _add_at, _ungroup
 from .scalars import Scalar
 from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
                       inconclusive)
@@ -217,12 +218,11 @@ def _comaximal_all_m(gwa: GwaRing) -> Verdict:
     return _comaximal_fails(m, answer)
 
 
-def _comaximal_at(gwa: GwaRing, m: int) -> Verdict:
-    base = gwa.base
-    return base.comaximal(gwa.u, base.apply(gwa._cross(m), gwa.u))
+def _comaximal_at(gwa: GwaRing, m: int) -> UnitAnswer:
+    return gwa.base.comaximal(gwa.u, gwa.base.apply(gwa._cross(m), gwa.u))
 
 
-def _comaximal_fails(m: int, answer: Verdict) -> Verdict:
+def _comaximal_fails(m: int, answer: UnitAnswer) -> Verdict:
     return fails(f"uA + alpha^{m}(u)A is a proper ideal",
                  certificate={"kind": "comaximal_witness", "m": m,
                               "detail": answer.certificate})

@@ -48,13 +48,14 @@ from .algebras import (
     NestedAuto,
     UnitAnswer,
     _eadd_into,
+    _kept_power,
     _render_terms,
     scalar_ratio,
     solve_splitting_ex,
 )
 from . import bounds
 from .scalars import Scalar, _power, root_of_unity_order
-from .verdict import Status, Verdict, fails, holds, inconclusive
+from .verdict import Status, Verdict
 
 
 def _add_at(groups: dict, deg: tuple[int, ...], c: dict,
@@ -68,13 +69,6 @@ def _add_at(groups: dict, deg: tuple[int, ...], c: dict,
     _eadd_into(acc, c, s)
     if not acc:
         del groups[deg]
-
-
-def _kept_power(pows: dict, key, s: Scalar, k: int) -> Scalar:
-    """s^k, made on the first request for ``key`` and kept in ``pows``."""
-    if key not in pows:
-        pows[key] = s ** k
-    return pows[key]
 
 
 def _ungroup(groups: dict) -> dict:
@@ -454,27 +448,25 @@ class AmbiskewRing(ExtensionAlgebra):
         from .simplicity import ring_alpha_simple
         return ring_alpha_simple(self, autos)
 
-    def radical_contains(self, d: dict, u: dict) -> Verdict:
+    def radical_contains(self, d: dict, u: dict) -> UnitAnswer:
         if self.is_unit(d).status is Status.HOLDS:
-            return holds("the ideal is everything", certificate={"power": 0})
+            return UnitAnswer(Status.HOLDS, {"power": 0})
         if self.is_zero(u):
-            return holds("u is zero", certificate={"power": 1})
+            return UnitAnswer(Status.HOLDS, {"power": 1})
         if self.is_zero(d) and self.is_domain():
-            return fails("the ideal is zero but u is not, and the ring "
-                         "has no nilpotents")
-        return inconclusive("radical membership is only decided against "
-                            "units and zero in an iterated ring")
+            return UnitAnswer(Status.FAILS)
+        return UnitAnswer(Status.INCONCLUSIVE)
 
-    def comaximal(self, a: dict, b: dict) -> Verdict:
-        unit = self.is_unit(a).status
-        if unit is Status.HOLDS or self.is_unit(b).status is Status.HOLDS:
-            return holds("one element is a unit")
-        if self.is_zero(a) and self.is_zero(b):
-            return fails("both elements are zero")
-        if unit is Status.FAILS and scalar_ratio(self, b, a) is not None:
-            return fails("b is a scalar multiple of a, which is not a unit")
-        return inconclusive("comaximality in an iterated ring is only "
-                            "decided through units")
+    def comaximal(self, a: dict, b: dict) -> UnitAnswer:
+        # decided through units: aA + bA is bA for a = 0, aA for b in K*a
+        units = [self.is_unit(a).status, self.is_unit(b).status]
+        if Status.HOLDS in units:
+            return UnitAnswer(Status.HOLDS)
+        if self.is_zero(a):
+            return UnitAnswer(units[1])
+        if units[0] is Status.FAILS and scalar_ratio(self, b, a) is not None:
+            return UnitAnswer(Status.FAILS)
+        return UnitAnswer(Status.INCONCLUSIVE)
 
     def first_nonunit_in_pencil(self, p: dict, b: dict,
                                 ratio: Scalar | None = None,

@@ -77,10 +77,9 @@ def every_v_m_unit(ring, watch: dict | None = None) -> Verdict:
     if watch is None:
         test, where, nil = base.is_unit, "", Status.FAILS
     else:
-        def test(d):
-            return base.radical_contains(d, watch)
+        test = lambda d: base.radical_contains(d, watch)
         where, answer = " in A[1/u]", test(base.zero)
-        if answer.holds:
+        if answer.status is Status.HOLDS:
             return holds("u is nilpotent, so a power of u lies in every "
                          "v^(m)A", certificate={"kind": "nilpotent_u",
                                                 **(answer.certificate or {})})

@@ -36,8 +36,10 @@ from spans import Tracer  # noqa: E402
 # and GWA comaximality read from the resultant in the action at a residue
 # mod 5, at m = 1 about a fixed point, and under a parametric scaling, a
 # quantum torus whose table a dotted file name names, and a K[C_2] period
-# L = 2 over F_13 whose ratio 10 has order 6, and two towers whose
-# iterated check fails at level_1 and at level_2, replayed level by level
+# L = 2 over F_13 whose ratio 10 has order 6, two towers whose iterated
+# check fails at level_1 and at level_2, replayed level by level, the
+# K[t] radical of a localization under a shift, and GWA comaximality over
+# K[C_4], read character by character
 DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("swell", "swell-solve-0"), ("swell", "swell-solve-4"),
              ("catalog", "quad-1-1-1"),
@@ -48,7 +50,8 @@ DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("catalog", "gwa-weyl-f5"), ("catalog", "gwa-scaled-ideal"),
              ("swell", "swell-gwa-scan-0"), ("catalog", "torus-primes"),
              ("scan", "charp-13-2-2"), ("catalog", "tower-a-three-halves"),
-             ("catalog", "tower-cyclic-conformal"))
+             ("catalog", "tower-cyclic-conformal"), ("catalog", "smith-shift"),
+             ("catalog", "gwa-cyclic-periodic"))
 
 
 def _kinds(verdict: dict):

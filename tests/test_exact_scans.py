@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from ambiskew import bounds
 from ambiskew.algebras import (AffineAuto, CyclicGroupAlgebra, DiagonalAuto,
                                FieldAlgebra, LaurentAlgebra, NestedAuto,
-                               PolyAlgebra, QuadraticAlgebra, scalar_ratio)
+                               PolyAlgebra, QuadraticAlgebra, _pencil_line,
+                               scalar_ratio)
 from ambiskew.dsl import (eval_element, eval_scalar, parse_expression,
                           parse_spec)
 from ambiskew.gwa import GwaRing, gwa_simple
@@ -204,7 +205,7 @@ def test_quadratic_radical_pencils_match_a_walk(name, kind, ratio, coeffs):
         ratio = ctx.fraction(Fraction(ratio))
     got = alg.first_nonunit_in_pencil(p, b, ratio, watch)
     walked = next((q for q in range(_PENCIL_WALK + 1) if alg.radical_contains(
-        _pencil_at(alg, p, b, ratio, q), watch).fails), None)
+        _pencil_at(alg, p, b, ratio, q), watch).status is Status.FAILS), None)
     if got is not None and got <= _PENCIL_WALK:
         assert walked == got
     else:
@@ -488,13 +489,13 @@ def test_units_and_radical_match_a_walk_to_300():
             continue
         u = ring.conformality().u
         radical = dict(localized_simple(ring).conditions)["radical"]
-        walked = _walk(ring, lambda a: base.radical_contains(a, u).fails,
-                       HORIZON)
+        walked = _walk(ring, lambda a: base.radical_contains(a, u).status
+                       is Status.FAILS, HORIZON)
         assert radical.status is not Status.INCONCLUSIVE
         if radical.fails:
             m = radical.certificate["m"]
             assert walked == m or (walked is None and m > HORIZON)
-            assert base.radical_contains(ring.v_m(m), u).fails
+            assert base.radical_contains(ring.v_m(m), u).status is Status.FAILS
         else:
             assert walked is None
     assert seen["holds"] and seen["fails"]
@@ -670,6 +671,64 @@ def test_a_period_of_128_takes_the_period_route(monkeypatch, p, eps, c, rho,
         assert scanned.certificate == {"kind": "bounded_scan", "m_max": 100}
 
 
+def test_a_radical_pencil_reads_watch_only_where_a_line_has_a_root(monkeypatch):
+    # K[C_128] over F_257, s -> 9*s, v = s - 3, rho = 3, watching the
+    # idempotent u of character 28: each of the 127 residue pencils reads
+    # watch only at a character whose line has a root, 158 reads in all
+    # rather than 128 per pencil
+    ctx = ScalarContext(characteristic=257)
+    alg = CyclicGroupAlgebra(ctx, 128, ctx.int_(9))
+    ring = AmbiskewRing(alg, DiagonalAuto((ctx.int_(9),)),
+                        {0: ctx.int_(-3), 1: ctx.one}, ctx.int_(3))
+    u = {k: alg.eps ** (-k * 28) / 128 for k in range(128)}
+    reads = []
+    character = CyclicGroupAlgebra.character
+    monkeypatch.setattr(CyclicGroupAlgebra, "character", lambda self, l, a:
+                        (a is u and reads.append(l)) or character(self, l, a))
+    verdict = every_v_m_unit(ring, watch=u)
+    assert verdict.status is Status.FAILS and verdict.certificate["m"] == 228
+    assert len(reads) == 158
+
+
+_ONE_CALL_RATIOS = {
+    # 1 + zeta has infinite order and is not rational, so it raises
+    "Q(zeta_4)": (ScalarContext(cyclotomic_order=4), lambda c: [
+        None, c.int_(2), -c.one, c.zeta(), c.one + c.zeta(),
+        c.fraction(Fraction(1, 3))]),
+    "F_13": (ScalarContext(characteristic=13), lambda c: [
+        None, c.int_(2), c.int_(5), c.int_(12), c.int_(3)]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_ONE_CALL_RATIOS)), st.sampled_from([2, 4]),
+       st.integers(0, 5), st.lists(st.integers(-1, 1), min_size=12,
+                                   max_size=12))
+def test_a_radical_pencil_is_one_call_over_the_watched_lines(name, n, pick,
+                                                             coeffs):
+    # the answer, a ValueError included, is that of one least_integer_root
+    # call over the lines of the characters that do not vanish on watch
+    ctx, ratios = _ONE_CALL_RATIOS[name]
+    ratios = ratios(ctx)
+    ratio = ratios[pick % len(ratios)]
+    eps = ctx.zeta() if ctx.cyclotomic_order == 4 else ctx.int_(5)
+    alg = CyclicGroupAlgebra(ctx, n, eps ** (4 // n))
+    p, b, watch = ({k: ctx.int_(c) for k, c in enumerate(coeffs[i:i + n]) if c}
+                   for i in (0, 4, 8))
+    lead, const = _pencil_line(alg, p, b, ratio)
+
+    def outcome(solve):
+        try:
+            return solve()
+        except ValueError as exc:
+            return str(exc)
+
+    expected = outcome(lambda: least_integer_root(
+        [[alg.character(l, const), alg.character(l, lead)] for l in range(n)
+         if not alg.character(l, watch).is_zero()], 0, ratio))
+    assert outcome(lambda: alg.first_nonunit_in_pencil(p, b, ratio, watch)) == expected
+
+
 # -- GWA comaximality over a shift: the dispersion of u ---------------------------
 
 
@@ -703,7 +762,7 @@ def test_dispersion_matches_a_comaximality_walk():
         walked = None
         for m in range(1, 40):
             image = alg.apply(alg.auto_power(alpha, m), u)
-            if alg.comaximal(u, image).fails:
+            if alg.comaximal(u, image).status is Status.FAILS:
                 walked = m
                 break
         assert comax.status is not Status.INCONCLUSIVE
@@ -802,7 +861,7 @@ def test_resultant_matches_a_comaximality_walk(draw):
     assert comax.status is not Status.INCONCLUSIVE
     upto = comax.certificate["m"] if comax.fails else COMAXIMAL_WALK
     walked = next((m for m in range(1, upto + 1) if alg.comaximal(
-        u, alg.apply(alg.auto_power(alpha, m), u)).fails), None)
+        u, alg.apply(alg.auto_power(alpha, m), u)).status is Status.FAILS), None)
     if comax.fails:
         assert walked == comax.certificate["m"]
         return

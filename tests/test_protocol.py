@@ -14,10 +14,12 @@ from ambiskew.algebras import (
     FieldAlgebra,
     NestedAuto,
     PolyAlgebra,
+    UnitAnswer,
 )
 from ambiskew.dsl import eval_element, parse_expression
 from ambiskew.gwa import gwa_from_ambiskew
 from ambiskew.scalars import ScalarContext
+from ambiskew.verdict import Status
 
 from _helpers import (
     fc4_mixed,
@@ -129,3 +131,18 @@ def test_eq_reads_an_explicit_zero_entry_as_a_missing_key(name, seed, same):
     assert algebra.eq(a0, b0) is expected
     assert algebra.eq(a, b0) is algebra.is_zero(algebra.sub(a, b0)) is expected
     assert algebra.eq(a0, a) and algebra.eq(a, a0)
+
+
+@pytest.mark.parametrize("name", sorted(set(CASES) - {"gwa"}))
+def test_ideal_tests_answer_like_unit_tests(name):
+    # radical_contains asks for a unit of A[1/u], comaximal for one of A/aA:
+    # each answers with a status and a certificate and writes no prose
+    algebra, _ = CASES[name]()
+    rng = random.Random(name)
+    a = random_elem(algebra, rng, terms=3)
+    for d, u in ((a, algebra.one), (algebra.one, a), (algebra.zero, a),
+                 (a, algebra.zero), (a, a)):
+        for answer in (algebra.radical_contains(d, u), algebra.comaximal(d, u)):
+            assert type(answer) is UnitAnswer
+            assert answer.status in Status
+            assert not hasattr(answer, "reason")
