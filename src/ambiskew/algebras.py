@@ -1169,22 +1169,14 @@ class QuadraticAlgebra(_Univariate):
         if is_square is None:
             return inconclusive(f"squareness of the defect {self.d} in the "
                                 "scalar field was not decided")
-        if self.ctx.characteristic == 2:
-            elem = {1: self.ctx.one}
-            if root is not None and not root.is_zero():
-                elem[0] = root
-            return fails("the defect is a square, so the generator minus its root "
-                         "spans a stable nilpotent ideal",
-                         certificate={"kind": "stable_ideal",
-                                      "generator": self.render(elem)})
         if root is None:
             return fails("the defect is a square in the cyclotomic field and "
                          "every automorphism fixes both split factors")
-        half = self.ctx.fraction(Fraction(1, 2))
-        idem = {0: half, 1: half / root}
-        return fails("the algebra splits and no automorphism swaps the factors",
-                     certificate={"kind": "stable_idempotent",
-                                  "element": self.render(idem)})
+        # (s - r)(s + r) = d - r^2 = 0, and every automorphism here fixes s
+        return fails("the defect is a square, so the generator minus its root "
+                     "spans a proper stable ideal",
+                     certificate={"kind": "stable_ideal", "generator":
+                                  self.render({0: -root, 1: self.ctx.one})})
 
     def radical_contains(self, d: dict, u: dict) -> UnitAnswer:
         if self.is_unit(d).status is Status.HOLDS:
@@ -1200,7 +1192,7 @@ class QuadraticAlgebra(_Univariate):
         conj = self.apply(self.conjugation(), d)
         if self.is_zero(self.mul(conj, u)):
             return UnitAnswer(Status.HOLDS, {"power": 1})
-        return UnitAnswer(Status.FAILS, {"kind": "cofactor_witness",
+        return UnitAnswer(Status.FAILS, {"kind": "zero_divisor",
                                          "cofactor": self.render(conj)})
 
     def comaximal(self, a: dict, b: dict) -> UnitAnswer:
@@ -1211,8 +1203,8 @@ class QuadraticAlgebra(_Univariate):
         if self.ctx.characteristic != 2 and self.is_zero(self.mul(a, b)):
             return UnitAnswer(Status.HOLDS)
         conj = self.apply(self.conjugation(), a)
-        return UnitAnswer(Status.FAILS, {"kind": "annihilator_witness",
-                                         "annihilator": self.render(conj)})
+        return UnitAnswer(Status.FAILS, {"kind": "zero_divisor",
+                                         "cofactor": self.render(conj)})
 
     def first_nonunit_in_pencil(self, p: dict, b: dict,
                                 ratio: Scalar | None = None,

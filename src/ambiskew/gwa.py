@@ -205,17 +205,11 @@ def _comaximal_all_m(gwa: GwaRing) -> Verdict:
         upto = base.auto_order(gwa.alpha) or bounds.M_MAX
         return bounded_scan(
             upto, lambda m: _comaximal_at(gwa, m), _comaximal_fails,
-            lambda m: inconclusive(f"comaximality of u and alpha^{m}(u) "
-                                   "was not decided"),
             inconclusive(f"{exc}; comaximality verified through m = {upto}",
                          certificate={"kind": "bounded_scan", "m_max": upto}))
     if m is None:
         return holds(reason, certificate=certificate)
-    answer = _comaximal_at(gwa, m)
-    if answer.status is not Status.FAILS:
-        raise AssertionError(f"the resultant disagrees with a direct "
-                             f"comaximality check at m={m}")
-    return _comaximal_fails(m, answer)
+    return _comaximal_fails(m, _comaximal_at(gwa, m))
 
 
 def _comaximal_at(gwa: GwaRing, m: int) -> UnitAnswer:
@@ -223,6 +217,13 @@ def _comaximal_at(gwa: GwaRing, m: int) -> UnitAnswer:
 
 
 def _comaximal_fails(m: int, answer: UnitAnswer) -> Verdict:
-    return fails(f"uA + alpha^{m}(u)A is a proper ideal",
-                 certificate={"kind": "comaximal_witness", "m": m,
-                              "detail": answer.certificate})
+    """The verdict of ``answer``, comaximality replayed at the least
+    failing m that the resultant or the walk found."""
+    if answer.status is Status.HOLDS:
+        raise AssertionError(f"the resultant disagrees with a direct "
+                             f"comaximality check at m={m}")
+    if answer.status is Status.FAILS:
+        return fails(f"uA + alpha^{m}(u)A is a proper ideal",
+                     certificate={"kind": "comaximal_witness", "m": m,
+                                  "detail": answer.certificate})
+    return inconclusive(f"comaximality of u and alpha^{m}(u) was not decided")

@@ -389,6 +389,8 @@ class AmbiskewRing(ExtensionAlgebra):
         (rho*alpha)^span rescales v, and that factor, whatever its order;
         None when there is no such span."""
         base = self.base
+        if base.is_zero(self.v):
+            return 1, self.ctx.one  # every factor rescales v = 0
         term = dict(self.v)
         for span in range(1, bounds.M_MAX + 1):
             term = base.smul(self.rho, base.apply(self.alpha, term))

@@ -487,9 +487,6 @@ class PrimeDomain:
     def rational_value(self, a) -> Fraction | None:
         return Fraction(a)
 
-    def render(self, a) -> str:
-        return str(a)
-
 
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials (module-private; Scalar is the public face)

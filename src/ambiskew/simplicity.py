@@ -14,9 +14,10 @@ equation.  A tower is certified level by level in either characteristic:
 once a level is simple, every automorphism leaves only the trivial ideals
 stable, so the next level reduces to the conditions ``simple`` asks of it.
 
-Every verdict carries a certificate.  A failing index m replays through
-v_m and is_unit, a splitting element or height-n witness replays through
-its defining equation, and a stable-ideal generator names the obstructing
+Every verdict carries a certificate.  The least failing index m of a
+"for every m" condition is certified by one replay of the unit test on
+v^(m), a splitting element or height-n witness replays through its
+defining equation, and a stable-ideal generator names the obstructing
 ideal.  A search that merely exhausts a bound returns Inconclusive; Holds
 is only claimed when the family structure makes the search complete.
 
@@ -58,7 +59,8 @@ def units_for_all_m(ring) -> Verdict:
     in q when R is 1, in X = R^q when R has finite order, is rational or
     moves a parameter.  An eigenvector v is the case L = 1, with no other
     residue.  Only without a period, or for a family or an R that decides
-    no pencil, is the check truncated at ``bounds.M_MAX``.  This is
+    no pencil, is the check truncated at ``bounds.M_MAX``.  Every Fails
+    replays is_unit once, on v^(m) at the least failing m.  This is
     ``every_v_m_unit`` over A itself.
     """
     return every_v_m_unit(ring)
@@ -68,58 +70,51 @@ def every_v_m_unit(ring, watch: dict | None = None) -> Verdict:
     """Whether every v^(m), m >= 1, is a unit of A or, given ``watch`` = u,
     of A[1/u]: the radical condition of the Casimir localization.
 
-    The routes, in order: A[1/u] = 0 (u nilpotent); v = 0; v^(1) itself,
-    so a failure at m = 1 waits for no period search; the period of v and
-    its residue pencils; the bounded scan.  Both searches stop at
-    ``bounds.M_MAX``.  A Fails names the least m.
+    The routes, in order: A[1/u] = 0 (u nilpotent); v^(1) itself, so a
+    failure at m = 1 waits for no period search; the period of v and its
+    residue pencils; the bounded scan.  Both searches stop at
+    ``bounds.M_MAX``.  Every Fails names the least m and replays the test
+    on v^(m) once.
     """
     base = ring.base
     if watch is None:
-        test, where, nil = base.is_unit, "", Status.FAILS
+        test, where = base.is_unit, ""
     else:
-        test = lambda d: base.radical_contains(d, watch)
-        where, answer = " in A[1/u]", test(base.zero)
+        test, where = (lambda d: base.radical_contains(d, watch)), " in A[1/u]"
+        answer = test(base.zero)
         if answer.status is Status.HOLDS:
             return holds("u is nilpotent, so a power of u lies in every "
                          "v^(m)A", certificate={"kind": "nilpotent_u",
                                                 **(answer.certificate or {})})
-        nil = answer.status
-    if base.is_zero(ring.v):
-        return _vanishing(nil, where, "v^(1) = v is zero",
-                          {"kind": "vanishing_v_m", "m": 1})
+
+    def stop(m: int, answer) -> Verdict:
+        """The verdict of ``answer``, the test replayed on v^(m)."""
+        if answer.status is Status.HOLDS:
+            raise AssertionError(f"v^({m}) is a unit{where}, against the "
+                                 "period route")
+        if answer.status is Status.FAILS:
+            return fails(f"v^({m}) is not a unit{where}",
+                         certificate={"kind": "nonunit_v_m", "m": m,
+                                      "value": base.render(ring.v_m(m)),
+                                      "detail": answer.certificate})
+        return inconclusive(f"whether v^({m}) is a unit{where} was not decided")
+
     first = test(ring.v)
     if first.status is Status.FAILS:
-        name = "v^(1)" if watch is None else "v = v^(1)"
-        return fails(f"{name} is not a unit{where}",
-                     certificate=_nonunit(base, 1, ring.v, first))
-    return _units_by_period(ring, test, where, watch, nil, first)
-
-
-def _vanishing(nil: Status, where: str, reason: str, cert: dict) -> Verdict:
-    """v^(m) = 0 is a unit of A[1/u] exactly when u is nilpotent."""
-    if nil is Status.FAILS:
-        return fails(reason + (where and ", and u is not nilpotent"),
-                     certificate=cert)
-    return inconclusive(f"{reason}, so the condition needs u to be "
-                        "nilpotent, which was not decided")
-
-
-def _nonunit(base, m: int, value: dict, answer) -> dict:
-    return {"kind": "nonunit_v_m", "m": m, "value": base.render(value),
-            "detail": answer.certificate}
-
-
-def _units_by_period(ring, test, where: str, watch, nil: Status,
-                     first) -> Verdict:
-    """Exact decision once (rho*alpha)^L rescales v by R (``v_period``):
-    v^(q*L + r) = [q]_R*v^(L) + R^q*v^(r).  The multiples m = q*L fail at
-    m = L when v^(L) does, and otherwise where [q]_R first vanishes.  Each
-    other residue r < L is a pencil in q, or in R^q when R is not 1, that
-    the coefficient family decides.  Without a period, a decided v^(L) or
-    a decided pencil, the bounded scan.  ``first`` is the answer of
-    ``test`` on v^(1), already asked."""
-    base = ring.base
+        return stop(1, first)
     at = lambda m: first if m == 1 else test(ring.v_m(m))
+    return _units_by_period(ring, at, where, watch, stop)
+
+
+def _units_by_period(ring, at, where: str, watch, stop) -> Verdict:
+    """Exact decision once (rho*alpha)^L rescales v by R (``v_period``):
+    v^(q*L + r) = [q]_R*v^(L) + R^q*v^(r).  The failing candidates are L,
+    k*L where [k]_R first vanishes (k the order of R, or p for R = 1), and
+    each residue r < L at the least q of its pencil, in q or in R^q, that
+    the family decides.  The least goes to ``stop`` with one replay.
+    Without a period, a decided v^(L) or a decided pencil, the bounded
+    scan.  ``at(m)`` is the test on v^(m)."""
+    base, ctx = ring.base, ring.ctx
     if (found := ring.v_period()) is None:
         note = f"no scalar period within {bounds.M_MAX} steps"
     else:
@@ -141,58 +136,26 @@ def _units_by_period(ring, test, where: str, watch, nil: Status,
             except ValueError as exc:
                 note = str(exc)
             else:
-                return _periodic(ring, span, ratio, min(failing, default=None),
-                                 test, where, nil)
+                k = ((ctx.characteristic or None) if ratio == ctx.one
+                     else root_of_unity_order(ratio))
+                if k is not None:
+                    failing.append(k * span)
+                if failing:
+                    return stop(min(failing), at(min(failing)))
+                cert, factor = {"kind": "periodic_units", "period": span}, ""
+                if ratio != ctx.one:
+                    cert["ratio"], factor = (str(ratio),
+                                             f" up to the factor {ratio},")
+                others = (f"every residue pencil stays invertible{where}"
+                          if span > 1 else f"v^(m) = [m]*v is a nonzero "
+                          f"multiple of the unit v{where}")
+                return holds(f"the terms of v^(m) repeat with period {span}"
+                             f"{factor} and {others}", certificate=cert)
     return bounded_scan(
-        bounds.M_MAX,
-        at,
-        lambda m, answer: fails(
-            f"v^({m}) is not a unit{where}",
-            certificate=_nonunit(base, m, ring.v_m(m), answer)),
-        lambda m: inconclusive(
-            f"whether v^({m}) is a unit{where} was not decided"),
+        bounds.M_MAX, at, stop,
         inconclusive(f"{note}; units{where} verified through m = "
                      f"{bounds.M_MAX}", certificate={"kind": "bounded_scan",
                                                      "m_max": bounds.M_MAX}))
-
-
-def _periodic(ring, span: int, ratio, worst, test, where: str,
-              nil: Status) -> Verdict:
-    """The verdict from ``worst``, the least m at which v^(span) or a
-    residue pencil fails (None when none does), and from the multiples
-    [q]_R*v^(span), which vanish first at q = k: the order of R, or p when
-    R = 1 in characteristic p.  Every Fails is replayed."""
-    ctx = ring.ctx
-    k = ((ctx.characteristic or None) if ratio == ctx.one
-         else root_of_unity_order(ratio))
-    if k is not None and (worst is None or k * span < worst):
-        m = k * span
-        if not ring.base.is_zero(ring.v_m(m)):
-            raise AssertionError(f"v^({m}) must vanish when [{k}] does for "
-                                 f"the factor {ratio}")
-        term = "v" if span == 1 else f"v^({span})"
-        step = "rho*alpha" if span == 1 else f"(rho*alpha)^{span}"
-        reason = (f"v^({m}) = {k}*{term} vanishes in characteristic {k}"
-                  if ratio == ctx.one else f"v^({m}) vanishes: {step} "
-                  f"rescales v by a root of unity of order {k}")
-        return _vanishing(nil, where, reason, {"kind": "vanishing_v_m",
-                                               "m": m, "ratio": str(ratio)})
-    if worst is None:
-        cert, factor = {"kind": "periodic_units", "period": span}, ""
-        if ratio != ctx.one:
-            cert["ratio"], factor = str(ratio), f" up to the factor {ratio},"
-        others = (f"every residue pencil stays invertible{where}" if span > 1
-                  else f"v^(m) = [m]*v is a nonzero multiple of the unit "
-                  f"v{where}")
-        return holds(f"the terms of v^(m) repeat with period {span}{factor} "
-                     f"and {others}", certificate=cert)
-    bad = ring.v_m(worst)
-    answer = test(bad)
-    if answer.status is Status.HOLDS:
-        raise AssertionError(
-            f"the period route disagrees with a unit check at m={worst}")
-    return fails(f"v^({worst}) is not a unit{where}",
-                 certificate=_nonunit(ring.base, worst, bad, answer))
 
 
 # ---------------------------------------------------------------------------

@@ -74,15 +74,12 @@ def conjunction(conditions: list[tuple[str, Verdict]], theorem: str | None = Non
     return out
 
 
-def bounded_scan(upto: int, probe, failed, undecided, done: Verdict) -> Verdict:
-    """Run ``probe(m)`` for m = 1..upto, stopping at the first index whose
-    answer (anything with a ``status``) is not Holds: a failing one gives
-    ``failed(m, answer)``, an undecided one ``undecided(m)``.  ``done`` is
-    the verdict when every index holds."""
+def bounded_scan(upto: int, probe, stop, done: Verdict) -> Verdict:
+    """Run ``probe(m)`` for m = 1..upto and return ``stop(m, answer)`` at
+    the first index whose answer (anything with a ``status``) is not Holds.
+    ``done`` is the verdict when every index holds."""
     for m in range(1, upto + 1):
         answer = probe(m)
-        if answer.status is Status.FAILS:
-            return failed(m, answer)
         if answer.status is not Status.HOLDS:
-            return undecided(m)
+            return stop(m, answer)
     return done

@@ -335,10 +335,10 @@ def test_quadratic_split_certificates():
     a = QuadraticAlgebra(ctx, ctx.int_(9))
     v = a.alpha_simple([a.identity_auto()])
     assert v.fails
-    half, sixth = ctx.fraction(Fraction(1, 2)), ctx.fraction(Fraction(1, 6))
-    idem = {0: half, 1: sixth}
-    assert v.certificate["element"] == a.render(idem)
-    assert a.eq(a.mul(idem, idem), idem)
+    # s - 3 is a nonzero zero divisor: (s - 3)(s + 3) = s^2 - 9 = 0
+    gen, other = {0: ctx.int_(-3), 1: ctx.one}, {0: ctx.int_(3), 1: ctx.one}
+    assert v.certificate == {"kind": "stable_ideal", "generator": a.render(gen)}
+    assert a.is_zero(a.mul(gen, other))
     assert a.alpha_simple([a.conjugation()]).holds
 
 
@@ -348,10 +348,31 @@ def test_quadratic_gaussian_cases():
     a = QuadraticAlgebra(ctx, -ctx.one)
     v = a.alpha_simple([a.identity_auto()])
     assert v.fails
-    idem = {0: ctx.fraction(Fraction(1, 2)),
-            1: ctx.fraction(Fraction(1, 2)) / ctx.zeta()}
-    assert a.eq(a.mul(idem, idem), idem)
-    assert v.certificate["element"] == a.render(idem)
+    # the root of -1 is zeta, and (s - zeta)(s + zeta) = s^2 + 1 = 0
+    gen = {0: -ctx.zeta(), 1: ctx.one}
+    assert v.certificate == {"kind": "stable_ideal", "generator": a.render(gen)}
+    assert a.is_zero(a.mul(gen, {0: ctx.zeta(), 1: ctx.one}))
+
+
+def test_quadratic_squareness_of_a_parameter_square_is_undecided():
+    ctx = ScalarContext(parameters=("q",))
+    a = QuadraticAlgebra(ctx, ctx.param("q") ** 2)
+    assert a.square_root_of_d() == (None, None)
+    assert a.is_domain() is None
+    v = a.alpha_simple([a.identity_auto()])
+    assert v.status is Status.INCONCLUSIVE
+    assert v.reason == ("squareness of the defect q^2 in the scalar field "
+                        "was not decided")
+
+
+def test_poly_eigenvalue_under_a_shift():
+    # a shift fixes the constants and mixes every other monomial
+    ctx = _plain()
+    poly, shift = PolyAlgebra(ctx), AffineAuto(ctx.one, ctx.one)
+    assert not poly.is_diagonal(shift)
+    assert poly.eigenvalue(shift, 0) == ctx.one
+    assert [poly.eigenvalue(shift, k) for k in (1, 2)] == [None, None]
+    assert poly.eigenvalue(AffineAuto(ctx.int_(3), ctx.zero), 2) == ctx.int_(9)
 
 
 def test_quadratic_conductor_criterion():
@@ -434,13 +455,17 @@ def test_quadratic_split_radical_and_comaximal():
     a = QuadraticAlgebra(ctx, ctx.int_(9))
     d = {0: ctx.int_(3), 1: ctx.one}
     assert a.radical_contains(d, d).status is Status.HOLDS
-    assert a.radical_contains(d, a.one).status is Status.FAILS
     other = {0: ctx.int_(3), 1: -ctx.one}
+    # both tests name conj(x) as the cofactor, as is_unit does
+    for answer in (a.radical_contains(d, a.one), a.is_unit(d)):
+        assert answer.status is Status.FAILS
+        assert answer.certificate == {"kind": "zero_divisor",
+                                      "cofactor": a.render(other)}
     assert a.comaximal(d, other).status is Status.HOLDS
     v = a.comaximal(d, a.smul(ctx.int_(2), d))
     assert v.status is Status.FAILS
     ann = {0: ctx.int_(3), 1: -ctx.one}
-    assert v.certificate["annihilator"] == a.render(ann)
+    assert v.certificate == {"kind": "zero_divisor", "cofactor": a.render(ann)}
     assert a.is_zero(a.mul(ann, d))
 
 

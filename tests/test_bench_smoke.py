@@ -28,8 +28,8 @@ from spans import Tracer  # noqa: E402
 # pencil with the factor rho^2 = 4, the parametric splitting solves of a
 # shift with rho = 1 and with rho = 2, the quadratic and K[C_2] unit
 # pencils, the dispersion of a GWA over a shift, the radical pencil of a
-# localization, the period-1 route of an eigenvector v, vanishing at
-# m = p over F_5 and holding with the factor q, and the parametric powers
+# localization, the period-1 route of an eigenvector v, the replayed zero
+# v^(5) over F_5 and holding with the factor q, and the parametric powers
 # of K[C_4] over Q(zeta_4)(mu), whose units condition reads no inverse, and
 # of the quantized Weyl algebra, the localization of a quadratic ring
 # under conjugation, whose special-element search takes the powers of s,
@@ -37,9 +37,11 @@ from spans import Tracer  # noqa: E402
 # mod 5, at m = 1 about a fixed point, and under a parametric scaling, a
 # quantum torus whose table a dotted file name names, and a K[C_2] period
 # L = 2 over F_13 whose ratio 10 has order 6, two towers whose iterated
-# check fails at level_1 and at level_2, replayed level by level, the
-# K[t] radical of a localization under a shift, and GWA comaximality over
-# K[C_4], read character by character
+# check fails at level_1 and at level_2 (there at a zero v^(3)), replayed
+# level by level, the K[t] radical of a localization under a shift, and GWA
+# comaximality over K[C_4], read character by character.  Their least
+# failing m come from the pencils, the vanishing multiples, the radical
+# test at m = 1, the resultant and the walk.
 DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("swell", "swell-solve-0"), ("swell", "swell-solve-4"),
              ("catalog", "quad-1-1-1"),
@@ -97,3 +99,52 @@ def test_one_document_per_workload_runs_traced_and_checks():
     assert not hasattr(scalar["__mul__"], "__wrapped__")
     assert not hasattr(vars(lib.algebras.CyclicGroupAlgebra)["is_unit"],
                        "__wrapped__")
+
+
+def _level_ring(lib, ring, name: str):
+    """The ring whose own conditions a ``level_k`` entry reports."""
+    chain = [ring]
+    while isinstance(chain[0].base, lib.rings.AmbiskewRing):
+        chain.insert(0, chain[0].base)
+    return chain[int(name[len("level_"):]) - 1]
+
+
+def _least_failing_m(entry: dict, path=()):
+    """(condition path, certificate) of every nonunit_v_m and
+    comaximal_witness in a verdict and its conditions."""
+    cert = entry.get("certificate") or {}
+    if cert.get("kind") in ("nonunit_v_m", "comaximal_witness"):
+        yield path, cert
+    for cond in entry.get("conditions", ()):
+        yield from _least_failing_m(cond, path + (cond["name"],))
+
+
+def test_every_least_failing_m_replays():
+    """Each certified m re-parses to v^(m) and its unit test, in A, in
+    A[1/u] or in A/uA, does not hold."""
+    lib = _library()
+    dsl, op, seen = lib.dsl, Operation(lib), set()
+    for workload, name in DOCUMENTS:
+        (doc,) = [d for d in workloads.generate(workload, 1)
+                  if d.name == name]
+        text, spec, _ = op.run(doc)
+        checks = [e for e in json.loads(text) if "check" in e]
+        for entry, check in zip(checks, spec.checks):
+            for path, cert in _least_failing_m(entry["verdict"]):
+                ring, m = spec.rings[check.target], cert["m"]
+                if path[0].startswith("level_"):
+                    ring = _level_ring(lib, ring, path[0])
+                base, condition = ring.base, path[-1]
+                seen.add(condition)
+                if condition == "comaximal":
+                    image = base.apply(base.auto_power(ring.alpha, m), ring.u)
+                    answer = base.comaximal(ring.u, image)
+                else:
+                    value = dsl.eval_element(
+                        dsl.parse_expression(cert["value"]), base)
+                    assert base.eq(value, ring.v_m(m)), (name, path)
+                    answer = (base.is_unit(value) if condition == "units" else
+                              base.radical_contains(value,
+                                                    ring.conformality().u))
+                assert answer.status is not lib.verdict.Status.HOLDS, (name, path)
+    assert seen == {"units", "radical", "comaximal"}

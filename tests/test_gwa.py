@@ -378,6 +378,19 @@ def test_scalar_base_with_identity_twist_fails_outerness():
         "kind": "inner_power", "m": 1}
 
 
+def test_quadratic_conjugation_is_an_inner_square():
+    # s -> -s has order 2, and over the split K[s]/(s^2 - 1) the walk to
+    # that order finds u = 1 + s comaximal with 1 - s but not with itself
+    T = parse_spec("base A = quadratic(d = 1)\nauto a on A { s -> -s }\n"
+                   "ring T = gwa(A, a, u = 1 + s)\n").rings["T"]
+    assert T.base.auto_order(T.alpha) == 2
+    conds = _conditions(gwa_simple(T))
+    assert conds["outer_powers"].certificate == {"kind": "inner_power", "m": 2}
+    assert conds["comaximal"].certificate == {
+        "kind": "comaximal_witness", "m": 2,
+        "detail": {"kind": "zero_divisor", "cofactor": "1 - s"}}
+
+
 def test_unit_u_over_laurent_scaling_is_simple():
     ctx = ScalarContext(parameters=("q",))
     alg = LaurentAlgebra(ctx)

@@ -100,7 +100,8 @@ def test_quantized_weyl_localization_at_zeta3():
     special = conds["no_special"].certificate
     assert (special["m"], special["j"], special["element"]) == (3, 3, "1")
     radical = conds["radical"].certificate
-    assert radical["kind"] == "vanishing_v_m" and radical["m"] == 3
+    assert radical == {"kind": "nonunit_v_m", "m": 3, "value": "0",
+                       "detail": None}
 
 
 def test_quantized_weyl_localization_formal_parameter():

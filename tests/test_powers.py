@@ -75,8 +75,8 @@ def test_weyl_units_fail_at_the_order_of_rho_for_a_large_prime():
     verdict = simple(_ring(_FIELD, BIG, v=1))
     units = dict(verdict.conditions)["units"]
     assert units.fails
-    assert units.certificate == {"kind": "vanishing_v_m", "m": HALF,
-                                 "ratio": "3"}
+    assert units.certificate == {"kind": "nonunit_v_m", "m": HALF,
+                                 "value": "0", "detail": {"kind": "zero"}}
 
 
 def test_quantum_plane_special_element_at_a_large_prime():
@@ -103,8 +103,8 @@ def test_weyl_orbit_sum_is_not_walked(monkeypatch):
     # from the value already kept; a walk makes one application per index
     calls = _count_apply(monkeypatch, FieldAlgebra)
     units = dict(simple(_ring(_FIELD, 10007, v=1)).conditions)["units"]
-    assert units.certificate == {"kind": "vanishing_v_m", "m": 5003,
-                                 "ratio": "3"}
+    assert units.certificate == {"kind": "nonunit_v_m", "m": 5003,
+                                 "value": "0", "detail": {"kind": "zero"}}
     assert len(calls) < 100
 
 

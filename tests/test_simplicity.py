@@ -21,7 +21,10 @@ from ambiskew.algebras import (
 )
 from ambiskew.rings import AmbiskewRing
 from ambiskew.scalars import ScalarContext, root_of_unity_order
+from ambiskew import simplicity
+from ambiskew.dsl import parse_spec
 from ambiskew.simplicity import (
+    every_v_m_unit,
     ring_alpha_simple,
     simple,
     simple_iterated,
@@ -76,8 +79,8 @@ def test_units_root_of_unity_ratio_fails():
     ring = AmbiskewRing(field, field.identity_auto(), field.one, ctx.zeta(1))
     verdict = units_for_all_m(ring)
     assert verdict.status is Status.FAILS
-    assert verdict.certificate == {"kind": "vanishing_v_m", "m": 5,
-                                   "ratio": "zeta"}
+    assert verdict.certificate == {"kind": "nonunit_v_m", "m": 5,
+                                   "value": "0", "detail": {"kind": "zero"}}
     assert q_integer(5, ctx.zeta(1)).is_zero()
     assert field.is_zero(ring.v_m(5))
 
@@ -146,7 +149,49 @@ def test_units_zero_v_fails_at_one():
     ring = quantum_plane()
     verdict = units_for_all_m(ring)
     assert verdict.status is Status.FAILS
-    assert verdict.certificate == {"kind": "vanishing_v_m", "m": 1}
+    assert verdict.certificate == {"kind": "nonunit_v_m", "m": 1,
+                                   "value": "0", "detail": {"kind": "zero"}}
+
+
+def _plane_over_group_algebra():
+    """The quantum plane x1*y1 = 2*y1*x1 over K[C_2], which is no domain,
+    so the unit tests of its non-constant elements stay undecided."""
+    ctx = ScalarContext()
+    alg = CyclicGroupAlgebra(ctx, 2, -ctx.one)
+    return AmbiskewRing(alg, alg.identity_auto(), {}, ctx.int_(2),
+                        y_name="y1", x_name="x1")
+
+
+def test_units_scan_stops_at_an_undecided_answer(monkeypatch):
+    # v = x1 is normal and repeats with period 1, but whether it is a unit
+    # of the plane is not decided, so the scan stops at m = 1
+    plane = _plane_over_group_algebra()
+    ring = AmbiskewRing(plane, plane.identity_auto(), plane.gen_elem("x1"),
+                        plane.ctx.one, y_name="y2", x_name="x2")
+    stops, scan = [], simplicity.bounded_scan
+
+    def recording(*args):
+        stops.append(scan(*args))
+        return stops[-1]
+
+    monkeypatch.setattr(simplicity, "bounded_scan", recording)
+    verdict = units_for_all_m(ring)
+    assert verdict.status is Status.INCONCLUSIVE
+    assert verdict.reason == "whether v^(1) is a unit was not decided"
+    assert stops == [verdict]
+
+
+def test_zero_v_with_undecided_nilpotence_is_inconclusive():
+    # v = 0 is rescaled by anything, so its period is 1; whether the zero
+    # v^(1) is a unit of A[1/x1] is whether x1 is nilpotent, not decided
+    plane = _plane_over_group_algebra()
+    ring = AmbiskewRing(plane, plane.identity_auto(), {}, plane.ctx.int_(3),
+                        y_name="y2", x_name="x2")
+    assert ring.v_period() == (1, plane.ctx.one)
+    verdict = every_v_m_unit(ring, watch=plane.gen_elem("x1"))
+    assert verdict.status is Status.INCONCLUSIVE
+    assert verdict.reason == ("whether v^(1) is a unit in A[1/u] was not "
+                              "decided")
 
 
 def _fc4_ring(mu):
@@ -555,7 +600,22 @@ def test_tower_decides_in_characteristic_p():
     level = _conditions(_conditions(verdict)["level_2"])
     assert list(level) == ["no_generalized_splitting", "units"]
     assert level["no_generalized_splitting"].certificate["n"] == 1
-    assert level["units"].certificate["kind"] == "vanishing_v_m"
+    assert level["units"].certificate == {"kind": "nonunit_v_m", "m": 5,
+                                          "value": "0",
+                                          "detail": {"kind": "zero"}}
+
+
+def test_height_n_search_needs_a_diagonal_alpha():
+    # t -> t + 1 mixes the monomials of F_5[t], and v = t^4 is no unit
+    spec = parse_spec("context(characteristic = 5)\nbase P = poly(t)\n"
+                      "auto a on P { t -> t + 1 }\n"
+                      "ring R = ambiskew(P, a, v = t^4, rho = 1)\n")
+    conds = _conditions(simple(spec.rings["R"]))
+    split = conds["no_generalized_splitting"]
+    assert split.status is Status.INCONCLUSIVE
+    assert split.reason == ("the height-n witness search needs alpha "
+                            "diagonal on the basis")
+    assert conds["units"].certificate["m"] == 1
 
 
 def _h_tc_chain(tv, cv, characteristic=0):
