@@ -37,8 +37,8 @@ The protocol hooks are:
   ``split_nondiagonal`` (v = u - rho*alpha(u) for an alpha that is not
   diagonal: a shift, or a scaling about a fixed point, over Poly) and
   ``coprime_to_shifts`` (the least m with u and alpha^m(u) not comaximal,
-  or why there is none, from one resultant in X = m under a shift of K[t]
-  or X = a^m under a scaling of K[t] or K[t, t^-1]).
+  or why there is none, from one resultant, built from power sums, in X = m
+  under a shift of K[t] or X = a^m under a scaling of K[t] or K[t, t^-1]).
 
 The Euclidean decisions of Poly and Laurent (radical, comaximality, the
 resultant in the action) run on the dense polynomial layer of ``scalars``.
@@ -56,10 +56,12 @@ from .multiplicative import factor_rational
 from .scalars import (
     Scalar,
     ScalarContext,
+    _action_resultant,
     _divmod,
     _gcd,
     _interpolate,
     _join_signed,
+    _least_roots,
     _power,
     _rational_component,
     _resultant,
@@ -427,35 +429,33 @@ class BaseAlgebra:
         raise NotImplementedError
 
     def _action_coordinate(self, alpha, u: dict):
-        """(u0, move, ratio): u in the coordinate s that alpha^m takes to
-        s + m*b (ratio None) or a^m*s (ratio a), and move(X) taking s there."""
+        """(u0, ratio, b): u in the coordinate s that alpha^m takes to
+        s + m*b (ratio None) or to ratio^m*s (b None)."""
         raise ValueError(f"no resultant in the action over {self.kind}")
 
     def coprime_to_shifts(self, alpha, u: dict):
         """(m, reason, certificate) for u neither zero nor a unit: the least
         m >= 1 with uA + alpha^m(u)A proper, or None and why there is none.
-        u0 meets its image where R(X) = Res_s(u0, move(X)(u0)), of degree
-        <= n^2, vanishes (for a shift the dispersion of u, Abramov 1971).
-        An order k > n^2 of alpha is read in F_p by discrete logs; ValueError
-        for a smaller one or any in characteristic 0, as a walk ends by k."""
-        u0, move, ratio = self._action_coordinate(alpha, u)
+        u0 meets its image where R(X) = Res_s(u0, u0(s + b*X)), or for a
+        scaling Res_s(u0, u0(X*s)), vanishes (Abramov's dispersion, 1971).
+        R costs O(n^4) products from power sums, or N + 1 = n^2 + 1 Euclid
+        resultants in characteristic p <= N, for a scaling by a parameter.
+        An order k > N is read in F_p by discrete logs; ValueError for a
+        smaller one or any in characteristic 0, as a walk ends by k."""
+        u0, ratio, b = self._action_coordinate(alpha, u)
         ctx, n = self.ctx, max(u0)
         p, order = ctx.characteristic, self.auto_order(alpha)
         if order is not None and (order <= n * n or not p):
             raise ValueError(f"alpha has finite order {order}")
+        dense = _rational_component(_udense(u0))[0]  # R matters up to a unit
+        if ratio is not None and not dense[0]:
+            return 1, None, None  # u0 and every image vanish at s = 0
         if not p or p > n * n:
-            xs = [ctx.int_(x) for x in range(n * n + 1)]
-        else:  # a scaling by a parameter over an F_p with too few points
+            res = _action_resultant(dense, b)
+        else:  # Newton's identities would divide by p: interpolate R
             xs = [ctx.param(ctx.parameters[0]) ** x for x in range(n * n + 1)]
-        # R matters up to a unit, so u0 loses its denominators; at X = 0 a
-        # scaling leaves the constant u0(0), which in the formal degree n
-        # gives the resultant (lc(u0)*u0(0))^n
-        dense = _rational_component(_udense(u0))[0]
-        u0 = {k: c for k, c in enumerate(dense) if c}
-        res = _interpolate(
-            [_resultant(dense, _udense(self.apply(move(x), u0)))
-             if x or ratio is None else (dense[-1] * dense[0]) ** n
-             for x in xs], xs)
+            res = _interpolate([_resultant(dense, [c * x ** k for k, c in
+                                enumerate(dense)]) for x in xs], xs)
         m = least_integer_root([res], 1, ratio)
         if m is not None:
             return m, None, None
@@ -826,16 +826,17 @@ class CyclicGroupAlgebra(_Univariate):
         lead, const = _pencil_line(self, p, b, ratio)
         lines = [[self.character(l, const), self.character(l, lead)]
                  for l in range(self.n)]
+        least = _least_roots(0, ratio)  # one order and discrete log of ratio
         if watch is not None:
-            lines = [line for l, line in enumerate(lines) if _has_root(line, ratio)
+            lines = [line for l, line in enumerate(lines) if _has_root(least, line)
                      and not self.character(l, watch).is_zero()]
-        return least_integer_root(lines, 0, ratio)
+        return least(lines)
 
 
-def _has_root(line: list[Scalar], ratio: Scalar | None) -> bool:
-    """Whether ``least_integer_root`` finds a root of the line, or raises."""
+def _has_root(least, line: list[Scalar]) -> bool:
+    """Whether ``least`` (of ``_least_roots``) finds a root, or raises."""
     try:
-        return least_integer_root([line], 0, ratio) is not None
+        return least([line]) is not None
     except ValueError:
         return True
 
@@ -892,7 +893,7 @@ class LaurentAlgebra(_Univariate):
 
     def _action_coordinate(self, alpha, u: dict):
         # u over its lowest monomial is a polynomial u0 with u0(0) != 0
-        return self._normalize(u), lambda x: DiagonalAuto((x,)), alpha.scales[0]
+        return self._normalize(u), alpha.scales[0], None
 
 
 # ---------------------------------------------------------------------------
@@ -1010,9 +1011,9 @@ class PolyAlgebra(_Univariate):
     def _action_coordinate(self, alpha, u: dict):
         one = self.ctx.one
         if alpha.a == one:
-            return u, lambda x: AffineAuto(one, alpha.b * x), None
+            return u, None, alpha.b
         u0 = self.apply(AffineAuto(one, alpha.b / (one - alpha.a)), u)
-        return u0, lambda x: AffineAuto(x, self.ctx.zero), alpha.a
+        return u0, alpha.a, None
 
     def split_nondiagonal(self, alpha, v: dict, rho: Scalar):
         ctx = self.ctx

@@ -42,8 +42,9 @@ through which every power goes: of a scalar, of an element, of an
 automorphism, and of the triples whose first entries are the sums v^(m) of
 an ambiskew ring.  It then holds the one layer of dense univariate
 polynomials (trim, divmod, monic gcd, resultant, interpolation, Horner),
-generic over Fractions and Scalars: the integer roots below and the Poly
-family's radical, comaximality and dispersion decisions all run on it.  The
+generic over Fractions and Scalars, and the resultant in the action of a
+shift or a scaling, built from power sums: the integer roots below and the
+Poly family's radical, comaximality and dispersion decisions all run on it.  The
 last section finds the integer roots of scalar polynomials at any degree,
 and the least q at which one vanishes at X = q or at X = R^q, which is how
 the coefficient families decide their unit and radical pencils.  In
@@ -132,6 +133,47 @@ def _resultant(a: list, b: list):
         out = out * b[-1] ** (len(a) - len(r))
         a, b = b, r
     return out * b[0] ** (len(a) - 1)
+
+
+def _power_sums(c: list, count: int) -> list:
+    """lc^k*(k-th power sum of the roots of sum c[i]*X^i) for k < count."""
+    n, lc = len(c) - 1, c[-1]
+    w = {i: -c[n - i] * lc ** (i - 1) for i in range(1, n + 1) if c[n - i]}
+    sums = [lc.ctx.int_(n)]
+    for k in range(1, count):
+        sums.append(sum((x * sums[k - i] for i, x in w.items() if i < k),
+                        k * w[k] if k in w else lc.ctx.zero))
+    return sums
+
+
+def _action_resultant(c: list, b=None) -> list:
+    """Res_s(c(s), c(s + b*X)), or for b None Res_s(c(s), c(X*s)) with
+    c(0) != 0: the composed sum or product of c with itself (Bostan et al.,
+    J. Symbolic Comput. 41, 2006), dividing only by integers k <= n^2."""
+    n, lc = len(c) - 1, c[-1]
+    N, zero = n * n, lc.ctx.zero
+    sums = _power_sums(c, N + 1)
+    if b is None:  # scaled by (lc*c(0))^k
+        pows = [x * y for x, y in zip(sums, _power_sums(c[::-1], N + 1))]
+    else:  # scaled by lc^k: k!*sum_a (-1)^a*(s_a/a!)*(s_(k - a)/(k - a)!)
+        egf = [x / math.factorial(a) for a, x in enumerate(sums)]
+        pows = [sum(((-egf[a] if a % 2 else egf[a]) * egf[k - a]
+                     for a in range(k + 1)), zero) * math.factorial(k)
+                if k % 2 == 0 else zero for k in range(N + 1)]
+    # sum f_k*Y^(N - k) has those roots, f_k scaled like pows[k]; a shift's
+    # f_k vanish at odd k, and past N - n as n of its roots are 0
+    step, top = (1, N) if b is None else (2, N - n)
+    f = [lc.ctx.one] + [zero] * N
+    for k in range(step, top + 1, step):
+        f[k] = -sum((f[k - i] * pows[i] for i in range(step, k + 1, step)),
+                    zero) / k
+    # R = lc^(2n)*prod(b*X + r_i - r_j), or lc^(2n)*prod(X*r_i - r_j)
+    # = (-1)^n*(lc*c(0))^n*prod(X - r_j/r_i), as prod(r_i) = (-1)^n*c(0)/lc
+    if b is None:
+        return [(-1) ** n * f[N - d] * (lc * c[0]) ** (n - N + d)
+                for d in range(N + 1)]
+    return [f[N - d] * lc ** (2 * n - N + d) * b ** d if f[N - d] else zero
+            for d in range(N + 1)]
 
 
 def _interpolate(values: list, xs) -> list:
@@ -1188,31 +1230,41 @@ def least_integer_root(polys: list[list[Scalar]], q0: int,
     ...                    rationals.int_(2))
     3
     """
+    return _least_roots(q0, ratio)(polys)
+
+
+def _least_roots(q0: int, ratio: Scalar | None):
+    """``least_integer_root`` of the polynomials, R's order derived once."""
     one = ratio is None or ratio == ratio.ctx.one
     order = None if one else root_of_unity_order(ratio)
-    found = []
-    for coeffs in polys:
-        p = coeffs[0].ctx.characteristic
-        if one or order and p:
-            roots = integer_roots_scalar_poly(coeffs)
-            if roots == "all":
+    if order and (p := ratio.ctx.characteristic):
+        # R = g^e of order k = (p - 1)/d meets x = g^f exactly when d
+        # divides f, at q = (f/d)*(e/d)^-1 mod k
+        d = (p - 1) // order
+        inv = pow(_dlog(ratio.constant_value(), p) // d, -1, order)
+
+    def least(polys: list[list[Scalar]]) -> int | None:
+        found = []
+        for coeffs in polys:
+            p = coeffs[0].ctx.characteristic
+            if one or order and p:
+                roots = integer_roots_scalar_poly(coeffs)
+                if roots == "all":
+                    return q0
+                if not one:
+                    roots = [f // d * inv for f in (_dlog(x, p) for x in roots
+                                                    if x) if f % d == 0]
+                    p = order
+                found += [q0 + (r - q0) % p if p else r for r in roots]
+                continue
+            if order:  # Q(zeta_N): R^q runs through its values once a period
+                cands = range(q0, q0 + order)
+            elif all(c.is_zero() for c in coeffs):
                 return q0
-            if not one:
-                # R = g^e of order k = (p - 1)/d meets x = g^f exactly when
-                # d divides f, at q = (f/d)*(e/d)^-1 mod k
-                d = (p - 1) // order
-                inv = pow(_dlog(ratio.constant_value(), p) // d, -1, order)
-                roots = [f // d * inv for f in (_dlog(x, p) for x in roots
-                                                if x) if f % d == 0]
-                p = order
-            found += [q0 + (r - q0) % p if p else r for r in roots]
-            continue
-        if order:  # Q(zeta_N): R^q runs through its values once a period
-            cands = range(q0, q0 + order)
-        elif all(c.is_zero() for c in coeffs):
-            return q0
-        else:
-            cands = _power_candidates(coeffs, ratio, q0)
-        found += itertools.islice(
-            (q for q in cands if _horner(coeffs, ratio ** q).is_zero()), 1)
-    return min((q for q in found if q >= q0), default=None)
+            else:
+                cands = _power_candidates(coeffs, ratio, q0)
+            found += itertools.islice(
+                (q for q in cands if _horner(coeffs, ratio ** q).is_zero()), 1)
+        return min((q for q in found if q >= q0), default=None)
+
+    return least

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambiskew import bounds
+from ambiskew import algebras, bounds, scalars
 from ambiskew.algebras import (AffineAuto, CyclicGroupAlgebra, DiagonalAuto,
                                FieldAlgebra, LaurentAlgebra, NestedAuto,
                                PolyAlgebra, QuadraticAlgebra, _pencil_line,
@@ -675,19 +675,27 @@ def test_a_radical_pencil_reads_watch_only_where_a_line_has_a_root(monkeypatch):
     # K[C_128] over F_257, s -> 9*s, v = s - 3, rho = 3, watching the
     # idempotent u of character 28: each of the 127 residue pencils reads
     # watch only at a character whose line has a root, 158 reads in all
-    # rather than 128 per pencil
+    # rather than 128 per pencil.  Each pencil derives the ratio's order and
+    # its discrete log once: 127 orders, and 127 + 16,258 logs, one per
+    # nonzero root read (the 158 watched lines are read twice)
     ctx = ScalarContext(characteristic=257)
     alg = CyclicGroupAlgebra(ctx, 128, ctx.int_(9))
     ring = AmbiskewRing(alg, DiagonalAuto((ctx.int_(9),)),
                         {0: ctx.int_(-3), 1: ctx.one}, ctx.int_(3))
     u = {k: alg.eps ** (-k * 28) / 128 for k in range(128)}
-    reads = []
+    reads, calls = [], {"root_of_unity_order": 0, "_dlog": 0}
     character = CyclicGroupAlgebra.character
     monkeypatch.setattr(CyclicGroupAlgebra, "character", lambda self, l, a:
                         (a is u and reads.append(l)) or character(self, l, a))
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(scalars, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(scalars, name, counted)
     verdict = every_v_m_unit(ring, watch=u)
     assert verdict.status is Status.FAILS and verdict.certificate["m"] == 228
     assert len(reads) == 158
+    assert calls == {"root_of_unity_order": 127, "_dlog": 127 + 16258}
 
 
 _ONE_CALL_RATIOS = {
@@ -877,3 +885,146 @@ def test_resultant_matches_a_comaximality_walk(draw):
     for m in range(1, COMAXIMAL_WALK + 1):
         x = ctx.int_(m) if ratio is None else ratio ** m
         assert sum((c * x ** k for k, c in res.items()), ctx.zero) != ctx.zero
+
+
+# -- the resultant in the action from power sums, against sympy -------------
+
+# every context draws degrees n with n^2 below its characteristic
+_ORACLE_CONTEXTS = {
+    "Q": (ScalarContext(), 4), "Q(q)": (ScalarContext(parameters=("q",)), 4),
+    "Q(zeta_4)": (ScalarContext(cyclotomic_order=4), 4),
+    "F_101": (ScalarContext(characteristic=101), 4),
+    "F_7(q)": (ScalarContext(characteristic=7, parameters=("q",)), 2),
+}
+
+
+def _oracle_pool(ctx):
+    """Coefficients, every one nonzero, and ratios of infinite order."""
+    pool = [ctx.int_(k) for k in (1, 2, 3, -1, -3)] + [
+        ctx.fraction(Fraction(1, 2))]
+    ratios = [ctx.int_(2), ctx.fraction(Fraction(1, 2))]
+    if ctx.parameters:
+        q = ctx.param("q")
+        pool += [q, q + 1, (q + 2) / (q - 1)]
+        ratios = [q, 2 * q] + ([] if ctx.characteristic else ratios)
+    if ctx.cyclotomic_order == 4:
+        pool += [ctx.zeta(), ctx.one + ctx.zeta()]
+    return pool, ratios
+
+
+@st.composite
+def _action_draws(draw):
+    """(ctx, u0 dense, b, ratio): a shift by b (ratio None) or a scaling
+    about 0 by the ratio (b None), of u0 of degree 1-4, whose constant
+    term is sometimes 0 under a scaling."""
+    ctx, top = _ORACLE_CONTEXTS[draw(st.sampled_from(sorted(_ORACLE_CONTEXTS)))]
+    pool, ratios = _oracle_pool(ctx)
+    n = draw(st.integers(1, top))
+    c = [draw(st.sampled_from(pool + [ctx.zero])) for _ in range(n)]
+    c.append(draw(st.sampled_from(pool)))
+    if draw(st.booleans()):
+        return ctx, c, draw(st.sampled_from(pool)), None
+    if c[0].is_zero() and draw(st.booleans()):
+        c[0] = draw(st.sampled_from(pool))
+    return ctx, c, None, draw(st.sampled_from(ratios))
+
+
+def _euclid_refused(*args):
+    raise AssertionError("Euclid's resultant or interpolation ran")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_action_draws())
+def test_the_power_sum_resultant_is_sympys(draw):
+    # R(X) = Res_s(u0(s), u0(s + b*X)) or Res_s(u0(s), u0(X*s)) exactly, and
+    # in characteristic 0 or above n^2 the GWA route reaches neither
+    # Euclid's resultant nor an interpolation
+    sympy = pytest.importorskip("sympy")
+    ctx, c, b, ratio = draw
+    # cleared of denominators, as the route clears u0
+    c = scalars._rational_component(c)[0]
+    s, x, q, zeta = sympy.symbols("s X q zeta")
+
+    def value(a):
+        return sympy.sympify(str(a).replace("^", "**"),
+                             locals={"q": q, "zeta": zeta})
+
+    u0 = sum(value(a) * s ** k for k, a in enumerate(c))
+    image = u0.subs(s, s + value(b) * x if b is not None else x * s)
+    expected = sympy.resultant(u0, sympy.expand(image), s)
+    alg = PolyAlgebra(ctx)
+    alpha = AffineAuto(ctx.one, b) if ratio is None else AffineAuto(
+        ratio, ctx.zero)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebras, "_resultant", _euclid_refused)
+        patch.setattr(algebras, "_interpolate", _euclid_refused)
+        m, _, _ = alg.coprime_to_shifts(
+            alpha, {k: a for k, a in enumerate(c) if a})
+    if ratio is not None and c[0].is_zero():
+        # u0 and every image vanish at 0: R is zero, and m = 1
+        assert sympy.expand(expected) == 0 and m == 1
+        return
+    expected = sympy.Poly(expected, x)
+    got = scalars._action_resultant(c, b)
+    assert len(got) == len(c) ** 2 - 2 * len(c) + 2 == expected.degree() + 1
+    for d, coeff in enumerate(got):
+        text = str(expected.coeff_monomial(x ** d)).replace("**", "^")
+        assert coeff == eval_scalar(parse_expression(text), ctx), d
+
+
+def _count_products(monkeypatch, run) -> int:
+    count = [0]
+    mul = scalars.Scalar.__mul__
+
+    def counted(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(scalars.Scalar, "__mul__", counted)
+    run()
+    monkeypatch.setattr(scalars.Scalar, "__mul__", mul)
+    return count[0]
+
+
+@pytest.mark.parametrize("a", [1, 2])
+def test_the_action_resultant_costs_n_to_the_fourth(monkeypatch, a):
+    # a shift (a = 1) or a scaling of u of degree n over Q: O(n^4) scalar
+    # products, so doubling n multiplies them by at most 16 (about 9 here),
+    # and never a Euclid resultant or an interpolation
+    ctx = ScalarContext()
+    alg = PolyAlgebra(ctx)
+    monkeypatch.setattr(algebras, "_resultant", _euclid_refused)
+    monkeypatch.setattr(algebras, "_interpolate", _euclid_refused)
+    alpha = AffineAuto(ctx.int_(a), ctx.one)
+    counts = []
+    for n in (4, 8):
+        u = {k: ctx.int_((3 * k * k + 5 * k + 7) % 11 + 1) for k in range(n + 1)}
+        counts.append(_count_products(
+            monkeypatch, lambda: alg.coprime_to_shifts(alpha, u)))
+    assert counts[1] <= 16 * counts[0]
+
+
+def test_a_parametric_shift_of_degree_four_forms_no_swell(monkeypatch):
+    # u = t^4 + q*t^3 + (q + 2)/(q - 1)*t^2 + t + 1/(q + 3) under t -> t + 1:
+    # 255 products and 33 scalars over a polynomial denominator, where N + 1
+    # Euclid resultants made 1,701 and 669 and took about 20 times as long
+    ctx = ScalarContext(parameters=("q",))
+    q, one = ctx.param("q"), ctx.one
+    alg = PolyAlgebra(ctx)
+    u = {4: one, 3: q, 2: (q + 2) / (q - 1), 1: one, 0: one / (q + 3)}
+    monkeypatch.setattr(algebras, "_resultant", _euclid_refused)
+    monkeypatch.setattr(algebras, "_interpolate", _euclid_refused)
+    fractions = [0]
+    init = scalars.Scalar.__init__
+
+    def counted(self, *args):
+        fractions[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(scalars.Scalar, "__init__", counted)
+    out = []
+    products = _count_products(monkeypatch, lambda: out.append(
+        alg.coprime_to_shifts(AffineAuto(one, one), u)))
+    m, _, cert = out[0]
+    assert m is None and cert["kind"] == "shift_coprime"
+    assert products <= 500 and fractions[0] <= 70
