@@ -9,7 +9,9 @@ cyclotomic field Q(zeta_N) (characteristic 0) or the prime field F_p, and
   power basis ``1, zeta, ..., zeta^(d-1)`` over a common denominator, in
   characteristic 0 (``CyclotomicDomain``), or plain ints mod p;
 * polynomials are sparse dicts mapping exponent tuples (one slot per
-  declared parameter, in declaration order) to nonzero C-values;
+  declared parameter, in declaration order) to nonzero C-values; with one
+  parameter, products and shifts write the exponent sum out as
+  ``(i + j,)`` instead of mapping over the tuples;
 * a Scalar is a num/den pair of such polynomials (num's exponents may be
   negative).
 
@@ -349,7 +351,9 @@ class CyclotomicDomain:
     of c/den is den*prod(sigma_k(c), k != 1)/N(c) over the Galois
     conjugates zeta -> zeta^k, and the norm N(c) is a positive integer when
     d > 1 (Cohen, "A Course in Computational Algebraic Number Theory",
-    1993, section 4.3).
+    1993, section 4.3).  For d <= 2 (Q, Q(zeta_3), Q(zeta_4), Q(zeta_6))
+    values negate and multiply in closed form, and add in closed form over
+    den 1, without the general degree's lists.
 
     >>> dom = CyclotomicDomain(4)
     >>> z = dom.zeta_pow(1)
@@ -400,6 +404,10 @@ class CyclotomicDomain:
     def add(self, a, b):
         da, db = a[-1], b[-1]
         if da == db:
+            if da == 1 and self.degree < 3:
+                if self.degree == 1:
+                    return (a[0] + b[0], 1)
+                return (a[0] + b[0], a[1] + b[1], 1)
             out = list(map(operator.add, a, b))
             out[-1] = da
             return tuple(out) if da == 1 else _lowest(out)
@@ -413,6 +421,10 @@ class CyclotomicDomain:
         return self.add(a, self.neg(b))
 
     def neg(self, a):
+        if self.degree == 1:
+            return (-a[0], a[1])
+        if self.degree == 2:
+            return (-a[0], -a[1], a[2])
         return tuple([-x for x in a[:-1]]) + a[-1:]
 
     def mul(self, a, b):
@@ -566,16 +578,22 @@ def _pmul(dom, a: dict, b: dict) -> dict:
         mul = dom.mul
         if len(b) == 1:
             (eb, cb), = b.items()
+            if len(ea) == 1:
+                return {(ea[0] + eb[0],): mul(ca, cb)}
             return {tuple(map(operator.add, ea, eb)): mul(ca, cb)}
         if not any(ea):
             return {eb: mul(ca, cb) for eb, cb in b.items()}
+        if len(ea) == 1:
+            i, = ea
+            return {(i + j,): mul(ca, cb) for (j,), cb in b.items()}
         add = operator.add
         return {tuple(map(add, ea, eb)): mul(ca, cb) for eb, cb in b.items()}
     mul, add, plus = dom.mul, dom.add, operator.add
     out: dict = {}
+    one = len(next(iter(a), ())) == 1
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(map(plus, ea, eb))
+            e = (ea[0] + eb[0],) if one else tuple(map(plus, ea, eb))
             c = mul(ca, cb)
             out[e] = add(out[e], c) if e in out else c
     zero = dom.zero
@@ -586,6 +604,9 @@ def _pshift(a: dict, e: tuple[int, ...]) -> dict:
     """a times the monomial p^e, whose exponents may be negative."""
     if not any(e):
         return a
+    if len(e) == 1:
+        k, = e
+        return {(i + k,): c for (i,), c in a.items()}
     return {tuple(map(operator.add, k, e)): c for k, c in a.items()}
 
 
@@ -1069,17 +1090,38 @@ def _ints(fracs) -> list[int]:
     return [int(f * den) for f in fracs]
 
 
+def _squarefree_mod(g: list[int], p: int) -> bool:
+    """Whether g, whose leading coefficient the prime p does not divide,
+    is squarefree mod p: Euclid's algorithm on g and g' mod p ends at a
+    nonzero constant."""
+    a, b = [c % p for c in g], _trim([k * c % p for k, c in enumerate(g)][1:])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[i + shift] = (a[i + shift] - c * bc) % p
+            _trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
 def _integer_roots_int(f: list[int]) -> list[int]:
     """The integer roots of a nonzero integer polynomial of any degree.
 
-    The roots of its squarefree part g (f itself unless Res(f, f') = 0) are
-    simple.  Modulo the least prime p that divides neither the leading
-    coefficient of g nor Res(g, g') (the least integer >= 2 prime to both,
-    which is prime) each one is a simple root of g mod p and lifts uniquely by Newton's
-    iteration (Hensel's lemma) until the modulus exceeds twice the bound
-    |g(0)| on a nonzero integer root; each lift is then checked exactly
-    (Loos, "Computing rational zeros of integral polynomials by p-adic
-    expansion", 1983).
+    The roots of its squarefree part g are simple.  Modulo the least prime
+    p that divides neither lc(g) nor Res(g, g') each one is a simple root
+    of g mod p and lifts uniquely by Newton's iteration (Hensel's lemma)
+    until the modulus exceeds twice the bound |g(0)| on a nonzero integer
+    root; each lift is then checked exactly (Loos, "Computing rational
+    zeros of integral polynomials by p-adic expansion", 1983).  A prime
+    not dividing lc(g) divides Res(g, g') exactly when g mod p has a
+    repeated factor, so p, also the least integer >= 2 prime to
+    lc(g)*Res(g, g'), is the first prime at which Euclid's algorithm mod p
+    (``_squarefree_mod``) finds g squarefree: no resultant over Q is
+    formed.  g is f without its roots at 0, unless the first thirteen
+    primes all fail: then g becomes its quotient by gcd(g, g') over Q, and
+    the search starts again from 2.
 
     >>> _integer_roots_int([-6, 11, -6, 1])
     [1, 2, 3]
@@ -1091,15 +1133,14 @@ def _integer_roots_int(f: list[int]) -> list[int]:
     g = f[lo:]
     if len(g) < 2:
         return roots
-    a = [Fraction(c) for c in g]
-    da = [k * c for k, c in enumerate(a)][1:]
-    res = _resultant(a, da)
-    if not res:
-        # repeated roots: lift those of the squarefree part g / gcd(g, g')
-        g = _ints(_divmod(a, _gcd(a, da))[0])
+    p = next((p for p in _MR_BASES if g[-1] % p and _squarefree_mod(g, p)),
+             None)
+    if p is None:
+        # repeated roots, or many bad primes: g over gcd(g, g') is squarefree
         a = [Fraction(c) for c in g]
-        res = _resultant(a, [k * c for k, c in enumerate(a)][1:])
-    p = next(d for d in itertools.count(2) if math.gcd(d, int(res) * g[-1]) == 1)
+        g = _ints(_divmod(a, _gcd(a, [k * c for k, c in enumerate(a)][1:]))[0])
+        p = next(p for p in itertools.count(2) if is_prime(p)
+                 and g[-1] % p and _squarefree_mod(g, p))
     bound = abs(g[0])
     dg = [k * c for k, c in enumerate(g)][1:]
     for r in range(p):

@@ -1028,3 +1028,26 @@ def test_a_parametric_shift_of_degree_four_forms_no_swell(monkeypatch):
     m, _, cert = out[0]
     assert m is None and cert["kind"] == "shift_coprime"
     assert products <= 500 and fractions[0] <= 70
+
+
+def test_a_degree_twelve_shift_picks_its_hensel_prime_mod_p(monkeypatch):
+    # u = sum ((3k^2 + 5k + 7) mod 11 + 1)*t^k under t -> t + 1 over Q:
+    # R has degree 144, X^12 times g of degree 132, and Res(g, g') by
+    # Euclid over Fractions took about 1.5 s; Euclid mod 2 and mod 3
+    # settle the same prime, 3, at once
+    ctx = ScalarContext()
+    alg = PolyAlgebra(ctx)
+    u = {k: ctx.int_((3 * k * k + 5 * k + 7) % 11 + 1) for k in range(13)}
+    monkeypatch.setattr(scalars, "_resultant", _euclid_refused)
+    tried = []
+    squarefree = scalars._squarefree_mod
+
+    def spied(g, p):
+        tried.append((len(g) - 1, p, squarefree(g, p)))
+        return tried[-1][2]
+
+    monkeypatch.setattr(scalars, "_squarefree_mod", spied)
+    verdict = gwa_simple(GwaRing(alg, AffineAuto(ctx.one, ctx.one), u))
+    comax = dict(verdict.conditions)["comaximal"]
+    assert verdict.holds and comax.certificate["kind"] == "shift_coprime"
+    assert tried == [(132, 2, False), (132, 3, True)]

@@ -111,14 +111,17 @@ def _fracs(v: tuple) -> list:
     return [Fraction(c, v[-1]) for c in v[:-1]]
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 8, 12, 15])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 15])
 def test_domain_matches_fraction_reference(n):
     rng = random.Random(1000 + n)
     dom = CyclotomicDomain(n)
     d = dom.degree
     for _ in range(25):
-        a, b = ([_rational(rng) if rng.random() < 0.7 else Fraction(0)
-                 for _ in range(d)] for _ in range(2))
+        # each operand is integral (den 1) half the time, which the closed
+        # forms of degree <= 2 take
+        a, b = ([(Fraction(rng.randint(-9, 9)) if whole else _rational(rng))
+                 if rng.random() < 0.7 else Fraction(0) for _ in range(d)]
+                for whole in (rng.random() < 0.5, rng.random() < 0.5))
         va, vb = _canonical(a, d), _canonical(b, d)
         assert dom.add(va, vb) == _canonical([x + y for x, y in zip(a, b)], d)
         assert dom.sub(va, vb) == _canonical([x - y for x, y in zip(a, b)], d)
@@ -607,6 +610,7 @@ def test_dense_layer_matches_sympy_over_q_of_q(seed):
 def test_integer_roots_with_repeated_roots_and_colliding_primes():
     sympy = pytest.importorskip("sympy")
     m = sympy.Symbol("m")
+    lc = math.prod(p for p in range(2, 42) if is_prime(p))
     cases = [
         [3, -4, 1],                  # (m - 1)(m - 3): collides mod 2
         [-28, 39, -12, 1],           # (m - 1)(m - 4)(m - 7): collides mod 3
@@ -616,6 +620,8 @@ def test_integer_roots_with_repeated_roots_and_colliding_primes():
         [36, 0, -13, 0, 1],          # (m^2 - 4)(m^2 - 9)
         [-9, 0, 0, 3, 0, 1],         # m^5 + 3m^3 - 9: no integer root
         [4, 0, -4, 0, 1],            # (m^2 - 2)^2: repeated, no integer root
+        [-6 * lc, lc, lc],           # lc*(m - 2)(m + 3): squarefree, and
+                                     # no prime below 43 serves
     ]
     for f in cases:
         expected = sorted({int(r) for r in sympy.Poly(
@@ -673,22 +679,24 @@ def test_fold_rows_are_powers_reduced_mod_the_cyclotomic_polynomial(n):
 
 _PARAM_CTXS = [ScalarContext(parameters=("q",)),
                ScalarContext(parameters=("q", "r")),
+               ScalarContext(cyclotomic_order=3, parameters=("q",)),
                ScalarContext(cyclotomic_order=4, parameters=("mu",)),
                ScalarContext(characteristic=13, parameters=("q",))]
 
 
 @st.composite
 def _param_poly(draw, ctx: ScalarContext, size: int) -> Scalar:
-    """A polynomial with `size` distinct monomials, each exponent <= 2."""
-    slot = st.integers(0, 2)
+    """A Laurent polynomial with `size` distinct monomials, each exponent
+    between -2 and 2."""
+    slot = st.integers(-2, 2)
     exps = draw(st.lists(st.tuples(*[slot] * len(ctx.parameters)),
                          min_size=size, max_size=size, unique=True))
     out = ctx.zero
     for e in exps:
         c = ctx.fraction(Fraction(draw(st.integers(-6, 6).filter(bool)),
                                   draw(st.integers(1, 3))))
-        if ctx.cyclotomic_order == 4:
-            c = c * ctx.zeta(draw(st.integers(0, 3)))
+        if ctx.cyclotomic_order > 1:
+            c = c * ctx.zeta(draw(st.integers(0, ctx.cyclotomic_order - 1)))
         for name, k in zip(ctx.parameters, e):
             c = c * ctx.param(name) ** k
         out = out + c
@@ -708,10 +716,12 @@ def _param_fraction(draw, ctx: ScalarContext) -> tuple[Scalar, Scalar]:
 
 
 def _sympy_poly(sympy, ctx: ScalarContext, p: dict):
+    """p with zeta as the symbol `zeta`, which ``same`` reduces mod Phi_N."""
     gens = [sympy.Symbol(name) for name in ctx.parameters]
+    zeta = sympy.Symbol("zeta")
     out = sympy.Integer(0)
     for e, c in p.items():
-        coeff = sum(sympy.Rational(x.numerator, x.denominator) * sympy.I ** k
+        coeff = sum(sympy.Rational(x.numerator, x.denominator) * zeta ** k
                     for k, x in enumerate(ctx.dom.coords(c)))
         out += coeff * sympy.Mul(*[g ** k for g, k in zip(gens, e)])
     return out
@@ -731,13 +741,16 @@ def test_parametric_fast_paths_match_sympy(data):
         return _sympy_poly(sympy, ctx, s.num) / _sympy_poly(sympy, ctx, s.den)
 
     def same(s: Scalar, expected) -> bool:
-        diff = expr(s) - expected
+        num, _ = sympy.fraction(sympy.together(expr(s) - expected))
         if not ctx.characteristic:
-            return sympy.cancel(diff) == 0
+            # zero in Q(zeta)(q): Phi_N(zeta) divides the numerator
+            zeta = sympy.Symbol("zeta")
+            phi = sum(c * zeta ** k for k, c in
+                      enumerate(cyclotomic_coeffs(ctx.cyclotomic_order)))
+            return sympy.rem(sympy.expand(num), phi, zeta) == 0
         # sympy reads the F_p values as rationals: clear the numerator's
         # rational coefficients over QQ, then reduce it mod p (no
         # denominator here is divisible by p)
-        num, _ = sympy.fraction(sympy.together(diff))
         _, num = sympy.Poly(num, *gens, domain="QQ").clear_denoms(convert=True)
         return sympy.Poly(num.as_expr(), *gens,
                           modulus=ctx.characteristic).is_zero
