@@ -10,8 +10,8 @@ algebras (``GwaRing``, gwa.py) share ``rings.ExtensionAlgebra``, which owns
 their flat graded element layout and the hooks that read it.
 
 Elements are sparse dicts from a family-specific basis key to nonzero
-Scalars; automorphisms are small dataclasses interpreted by their algebra.
-The protocol hooks are:
+Scalars; automorphisms are small immutable values interpreted by their
+algebra.  The protocol hooks are:
 
 - elements: ``from_scalar``, ``gens``, ``gen_elem`` (ValueError for an
   unknown name), ``mul``, ``power``, ``scalar_of`` and ``render``, plus
@@ -47,7 +47,6 @@ resultant in the action) run on the dense polynomial layer of ``scalars``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -76,38 +75,41 @@ from .verdict import Status, Verdict, fails, holds, inconclusive
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class DiagonalAuto:
-    """Scales each family generator: one scalar per generator, in order;
-    ``_pows`` keeps each scales[0]^k made, by k, for the value's lifetime."""
+    """Scales each family generator: one scalar per generator, in order.
+    An immutable value, so ``_pows`` may keep each scales[0]^k made, by k."""
 
-    scales: tuple[Scalar, ...]
-    _pows: dict[int, Scalar] = field(default_factory=dict, init=False,
-                                     repr=False, compare=False)
+    __slots__ = ("scales", "_pows")
+
+    def __init__(self, scales: tuple[Scalar, ...]):
+        self.scales = scales
+        self._pows: dict[int, Scalar] = {}
 
 
-@dataclass(frozen=True, eq=False)
 class AffineAuto:
-    """Polynomial algebras only: t -> a*t + b, keeping (a*t + b)^k in ``_pows``."""
+    """Polynomial algebras only: t -> a*t + b.  An immutable value, so
+    ``_pows`` may keep each (a*t + b)^k made."""
 
-    a: Scalar
-    b: Scalar
-    _pows: list[dict] = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "b", "_pows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_pows", [{0: self.a.ctx.one}])
+    def __init__(self, a: Scalar, b: Scalar):
+        self.a = a
+        self.b = b
+        self._pows: list[dict] = [{0: a.ctx.one}]
 
 
-@dataclass(frozen=True, eq=False)
 class NestedAuto:
-    """Automorphism of an iterated ring: base part plus y and x scales;
-    ``_pows`` keeps each power of a scale made, by ("y" or "x", k)."""
+    """Automorphism of an iterated ring: base part plus y and x scales.  An
+    immutable value, so ``_pows`` may keep each power of a scale made, by
+    ("y" or "x", k)."""
 
-    base: object
-    lam_y: Scalar
-    lam_x: Scalar
-    _pows: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    __slots__ = ("base", "lam_y", "lam_x", "_pows")
+
+    def __init__(self, base, lam_y: Scalar, lam_x: Scalar):
+        self.base = base
+        self.lam_y = lam_y
+        self.lam_x = lam_x
+        self._pows: dict = {}
 
 
 class UnitAnswer:
@@ -181,9 +183,10 @@ def _signed_atom(s: Scalar) -> tuple[bool, str]:
 
 def _render_terms(parts: list[tuple[Scalar, str]]) -> str:
     signed = []
+    minus_one = str(parts[0][0].ctx.characteristic - 1) if parts else ""
     for s, mono in parts:
         neg, body = _signed_atom(s)
-        if mono and body == str(s.ctx.characteristic - 1) != "1":
+        if mono and body == minus_one != "1":
             neg, body = True, mono  # -1 in F_p, which renders as p - 1
         elif mono:
             body = mono if body == "1" else f"{body}*{mono}"

@@ -10,8 +10,9 @@ tuples, and its statement reads them, its syntax first and then its
 arguments, before it builds the algebra, automorphism or ring it declares
 into the ``SpecDocument``.  So every semantic rule (nonzero rho, primitive
 roots, relation preservation) is enforced eagerly; errors point at a line
-and column.  One reader (``_read``) serves both steps: it reads each
-expression once, building nothing, to check syntax, and again for its value.
+and column.  One reader (``_read``), indexing the tokens, serves both steps:
+it reads each expression once, building nothing, to check syntax, and again
+for its value, which stays a scalar until a generator enters it.
 
 The statement forms follow; the families and ring constructors, with
 their keyword arguments and which of them are required, come from the
@@ -54,9 +55,9 @@ ambiskew.dsl.DslError: 5:38: semantic error: rho must be nonzero
 
 from __future__ import annotations
 
+import operator
 import re
 import string
-from dataclasses import dataclass, field
 
 from .algebras import (CyclicGroupAlgebra, FieldAlgebra, LaurentAlgebra,
                        PolyAlgebra, QuadraticAlgebra)
@@ -70,12 +71,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
 class SourceLocation:
     """A 1-based line and column position in the document text."""
 
-    line: int
-    column: int
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int, column: int):
+        self.line = line
+        self.column = column
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
@@ -153,8 +156,9 @@ def _loc(tok: tuple) -> SourceLocation:
     return SourceLocation(tok[2], tok[3])
 
 
-def _found(tok: tuple) -> str:
-    return repr(tok[1]) if tok[0] != "END" else "end of line"
+def _expected(tok: tuple, what: str) -> DslError:
+    found = repr(tok[1]) if tok[0] != "END" else "end of line"
+    return DslError("syntactic", _loc(tok), f"expected {what}, found {found}")
 
 
 class _Cursor:
@@ -185,8 +189,7 @@ class _Cursor:
     def expect(self, kind: str, what: str) -> tuple:
         tok = self.tokens[self.i]
         if tok[0] != kind:
-            raise DslError("syntactic", _loc(tok),
-                           f"expected {what}, found {_found(tok)}")
+            raise _expected(tok, what)
         self.i += 1
         return tok
 
@@ -206,38 +209,45 @@ Expr = list[tuple]
 _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def _read(cur: _Cursor, atom, apply):
-    """The value of the expression at ``cur``, read by precedence climbing.
-    ``atom(token)`` values a number or a name, ``apply(operator, left,
-    right)`` an operation: left is None for a unary minus, and right is an
-    integer after ``^``.  Only parentheses recurse."""
+def _read(tokens: Expr, i: int, atom, apply) -> tuple:
+    """The value of the expression at ``tokens[i]``, read by precedence
+    climbing, and the index of the token after it.  ``atom(token)`` values
+    a number or a name, ``apply(operator, left, right)`` an operation: left
+    is None for a unary minus, and right is an integer after ``^``.  Only
+    parentheses recurse; the END token closing the list stops every read."""
     pending: list[tuple] = []  # (binding power, left value, operator), rising
     while True:
         signs = []
-        while sign := cur.take("-"):
-            signs.append(sign)
-        tok = cur.next()
-        if tok[0] in ("NAME", "INT"):
+        while tokens[i][0] == "-":
+            signs.append(tokens[i])
+            i += 1
+        tok = tokens[i]
+        if tok[0] == "NAME" or tok[0] == "INT":
             value = atom(tok)
         elif tok[0] == "(":
-            value = _read(cur, atom, apply)
-            cur.expect(")", "a closing ')'")
+            value, i = _read(tokens, i + 1, atom, apply)
+            if tokens[i][0] != ")":
+                raise _expected(tokens[i], "a closing ')'")
         else:
-            raise DslError("syntactic", _loc(tok), "expected a number, a "
-                           f"name or '(', found {_found(tok)}")
-        while op := cur.take("^"):
-            sign = -1 if cur.take("-") else 1
-            lit = cur.expect("INT", "an integer exponent after '^'")
-            value = apply(op, value, sign * int(lit[1]))
+            raise _expected(tok, "a number, a name or '('")
+        i += 1
+        while tokens[i][0] == "^":
+            op, neg = tokens[i], tokens[i + 1][0] == "-"
+            lit = tokens[i + 1 + neg]
+            if lit[0] != "INT":
+                raise _expected(lit, "an integer exponent after '^'")
+            value = apply(op, value, -int(lit[1]) if neg else int(lit[1]))
+            i += 2 + neg
         for sign in reversed(signs):
             value = apply(sign, None, value)
-        binding = _BINDING.get(cur.tokens[cur.i][0], 0)
+        binding = _BINDING.get(tokens[i][0], 0)
         while pending and pending[-1][0] >= binding:
             _, left, op = pending.pop()
             value = apply(op, left, value)
         if not binding:
-            return value
-        pending.append((binding, value, cur.next()))
+            return value, i
+        pending.append((binding, value, tokens[i]))
+        i += 1
 
 
 def _nothing(*_):
@@ -253,81 +263,90 @@ def _expression(cur: _Cursor) -> Expr:
     nesting too deep for the stack is reported on its line."""
     start = cur.i
     try:
-        _read(cur, _nothing, _nothing)
+        cur.i = _read(cur.tokens, start, _nothing, _nothing)[1]
     except RecursionError:
         raise _nested_too_deeply(cur.tokens[start]) from None
     return cur.tokens[start:cur.i] + cur.tokens[-1:]
 
 
-def _scope_names(algebra) -> dict[str, dict]:
-    ctx = algebra.ctx
-    out: dict[str, dict] = {}
-    for p in ctx.parameters:
-        out[p] = algebra.from_scalar(ctx.param(p))
-    if ctx.characteristic == 0 and ctx.cyclotomic_order > 1:
-        out["zeta"] = algebra.from_scalar(ctx.zeta())
-    for g in algebra.gens():
-        out[g] = algebra.gen_elem(g)
-    return out
+# each infix operator of a ring: on two scalars, and the algebra's method
+_INFIX = {"+": (operator.add, "add"), "-": (operator.sub, "sub"),
+          "*": (operator.mul, "mul")}
 
 
-def eval_element(expr: Expr, algebra, names: dict[str, dict] | None = None) -> dict:
-    """Evaluate an expression to an element of ``algebra``.
+def _evaluate(expr: Expr, ctx: ScalarContext, algebra=None):
+    """The value of a syntax-checked expression: a Scalar until a
+    generator of ``algebra`` enters it, then an element, which meets a
+    scalar through ``smul`` in a product and ``from_scalar`` in a sum.
+    Generators shadow parameters and ``zeta``."""
+    gens = () if algebra is None else algebra.gens()
 
-    This is the second read of the expression's tokens: the first, when it
-    was parsed, checked its syntax, and this one builds its value.  Names
-    resolve to parameters, ``zeta`` and the generators of the algebra
-    (including embedded coefficient generators).  Division is by scalars
-    only; ``^`` takes integer exponents and negative powers need an
-    invertible operand.
+    def atom(tok: tuple):
+        word = tok[1]
+        if tok[0] == "INT":
+            return ctx.int_(int(word))
+        if word in gens:
+            return algebra.gen_elem(word)
+        if word in ctx.parameters:
+            return ctx.param(word)
+        if word == "zeta" and ctx.characteristic == 0 and ctx.cyclotomic_order > 1:
+            return ctx.zeta()
+        raise DslError("semantic", _loc(tok), f"unknown name {word!r}")
+
+    def apply(op: tuple, left, right):
+        kind = op[0]
+        if left is None:  # a unary minus
+            return -right if type(right) is Scalar else algebra.neg(right)
+        if kind == "^":
+            try:
+                if type(left) is not Scalar:
+                    return algebra.power(left, right)
+                if right < 0 and not left:
+                    raise ValueError("a negative power needs an invertible element")
+                return left ** right
+            except ValueError as exc:
+                raise DslError("semantic", _loc(op), str(exc)) from None
+        if kind == "/":
+            s = right if type(right) is Scalar else algebra.scalar_of(right)
+            if s is None:
+                raise DslError("semantic", _loc(op), "the divisor must be a scalar")
+            if not s:
+                raise DslError("semantic", _loc(op), "division by zero")
+            kind, right = "*", s.inv()
+        if type(left) is Scalar and type(right) is Scalar:
+            return _INFIX[kind][0](left, right)
+        if kind == "*" and Scalar in (type(left), type(right)):
+            s, elem = (left, right) if type(left) is Scalar else (right, left)
+            return algebra.smul(s, elem)  # a scalar is central
+        left, right = [algebra.from_scalar(v) if type(v) is Scalar else v
+                       for v in (left, right)]
+        return getattr(algebra, _INFIX[kind][1])(left, right)
+
+    try:
+        return _read(expr, 0, atom, apply)[0]
+    except RecursionError:
+        raise _nested_too_deeply(expr[0]) from None
+
+
+def eval_element(expr: Expr, algebra) -> dict:
+    """Evaluate an expression to an element of ``algebra``, read as a
+    scalar until a generator (embedded coefficient generators included)
+    enters it, and a scalar value lifted at the end.  Division is by
+    scalars only; ``^`` takes integer exponents and negative powers need
+    an invertible operand.
 
     >>> ctx = ScalarContext(parameters=("q",))
     >>> alg = LaurentAlgebra(ctx)
     >>> alg.render(eval_element(parse_expression("q*t + t^-1"), alg))
     'q*t + t^-1'
     """
-    if names is None:
-        names = _scope_names(algebra)
-    ring_ops = {"+": algebra.add, "-": algebra.sub, "*": algebra.mul}
-
-    def atom(tok: tuple) -> dict:
-        if tok[0] == "INT":
-            return algebra.from_scalar(algebra.ctx.int_(int(tok[1])))
-        try:
-            return dict(names[tok[1]])
-        except KeyError:
-            raise DslError("semantic", _loc(tok),
-                           f"unknown name {tok[1]!r}") from None
-
-    def apply(op: tuple, left, right):
-        if left is None:
-            return algebra.neg(right)
-        if op[0] == "^":
-            try:
-                return algebra.power(left, right)
-            except ValueError as exc:
-                raise DslError("semantic", _loc(op), str(exc)) from None
-        if op[0] in ring_ops:
-            return ring_ops[op[0]](left, right)
-        s = algebra.scalar_of(right)
-        if s is None:
-            raise DslError("semantic", _loc(op), "the divisor must be a scalar")
-        if s.is_zero():
-            raise DslError("semantic", _loc(op), "division by zero")
-        return algebra.smul(s.inv(), left)
-
-    try:
-        return _read(_Cursor(expr), atom, apply)
-    except RecursionError:
-        raise _nested_too_deeply(expr[0]) from None
+    value = _evaluate(expr, algebra.ctx, algebra)
+    return algebra.from_scalar(value) if type(value) is Scalar else value
 
 
 def eval_scalar(expr: Expr, ctx: ScalarContext) -> Scalar:
-    """Evaluate an expression that must denote a scalar."""
-    probe = FieldAlgebra(ctx)
-    s = probe.scalar_of(eval_element(expr, probe))
-    assert s is not None
-    return s
+    """Evaluate an expression of numbers, parameters and ``zeta``."""
+    return _evaluate(expr, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +354,12 @@ def eval_scalar(expr: Expr, ctx: ScalarContext) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CheckDecl:
-    kind: str  # simple singular conformal iterated localized_simple torus
-    target: str
+    __slots__ = ("kind", "target")  # kind is one of CHECK_KINDS
+
+    def __init__(self, kind: str, target: str):
+        self.kind = kind
+        self.target = target
 
     def echo(self) -> str:
         return f"{self.kind}({self.target})"
@@ -348,7 +369,6 @@ CHECK_KINDS = ("simple", "singular", "conformal", "iterated",
                "localized_simple", "torus")
 
 
-@dataclass(eq=False)
 class SpecDocument:
     """The objects a document declares, filled in by ``parse_spec`` as it
     reads each line.
@@ -358,12 +378,13 @@ class SpecDocument:
     ``context`` line came before; ``context_declared`` records such a line.
     """
 
-    context: ScalarContext | None = None
-    bases: dict = field(default_factory=dict)
-    autos: dict = field(default_factory=dict)
-    rings: dict = field(default_factory=dict)
-    checks: list[CheckDecl] = field(default_factory=list)
-    context_declared: bool = False
+    def __init__(self):
+        self.context: ScalarContext | None = None
+        self.bases: dict = {}
+        self.autos: dict = {}
+        self.rings: dict = {}
+        self.checks: list[CheckDecl] = []
+        self.context_declared = False
 
     def algebra(self, name: str):
         """The base algebra or ring declared under ``name``."""
@@ -534,7 +555,7 @@ def _parse_auto(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
     name = cur.expect("NAME", "an automorphism name")[1]
     on = cur.expect("NAME", "'on'")
     if on[1] != "on":
-        raise DslError("syntactic", _loc(on), f"expected 'on', found {on[1]!r}")
+        raise _expected(on, "'on'")
     carrier = cur.expect("NAME", "a carrier name")[1]
     cur.expect("{", "'{'")
     rules = []
@@ -550,14 +571,13 @@ def _parse_auto(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
     algebra = _carrier(doc, carrier, loc)
     gens = algebra.gens()
     images: dict[str, dict] = {}
-    scope = _scope_names(algebra)
     for gen, image in rules:
         if gen[1] not in gens:
             raise _semantic(_loc(gen), f"{carrier} has no generator {gen[1]!r}")
         if gen[1] in images:
             raise _semantic(_loc(gen),
                             f"duplicate rule for generator {gen[1]!r}")
-        images[gen[1]] = eval_element(image, algebra, scope)
+        images[gen[1]] = eval_element(image, algebra)
     try:
         auto = algebra.auto_from_images(images)
         algebra.validate_auto(auto)
@@ -568,7 +588,7 @@ def _parse_auto(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
 
 def _ambiskew_args(doc: SpecDocument, args: dict, algebra, base: str,
                    loc: SourceLocation) -> dict:
-    v = eval_element(args["v"], algebra, _scope_names(algebra))
+    v = eval_element(args["v"], algebra)
     rho = eval_scalar(args["rho"], _context(doc))
     if rho.is_zero():
         raise _semantic(_loc(args["rho"][0]), "rho must be nonzero")
@@ -577,7 +597,7 @@ def _ambiskew_args(doc: SpecDocument, args: dict, algebra, base: str,
 
 def _gwa_args(doc: SpecDocument, args: dict, algebra, base: str,
               loc: SourceLocation) -> dict:
-    u = eval_element(args["u"], algebra, _scope_names(algebra))
+    u = eval_element(args["u"], algebra)
     gamma = args.get("gamma")
     if gamma is not None:
         gamma = _named_auto(doc, gamma, base, loc)
@@ -647,8 +667,7 @@ def _parse_check(cur: _Cursor, loc: SourceLocation, doc: SpecDocument) -> None:
     if kind == "torus":
         tok = cur.next()
         if tok[0] not in ("STRING", "PATH", "NAME"):
-            raise DslError("syntactic", _loc(tok), "expected a table file "
-                           f"name, found {_found(tok)}")
+            raise _expected(tok, "a table file name")
         target = tok[1][1:-1] if tok[0] == "STRING" else tok[1]
     else:
         target = cur.expect("NAME", "a ring name")[1]

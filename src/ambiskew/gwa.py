@@ -59,15 +59,13 @@ class GwaRing(ExtensionAlgebra):
 
     def __init__(self, base, alpha, u: dict, gamma=None,
                  y_name: str = "Y", x_name: str = "X"):
-        if gamma is None:
-            gamma = base.identity_auto()
-        else:
+        if gamma is not None:
             base.validate_auto(gamma)
         super().__init__(base, alpha, gamma, u, y_name, x_name)
         for name in base.gens():
             g = base.gen_elem(name)
             if not base.eq(base.mul(u, g),
-                           base.mul(base.apply(gamma, g), u)):
+                           base.mul(base.apply(self.gamma, g), u)):
                 raise ValueError(f"u is not gamma-normal against {name}")
         self._crosses: dict[int, object] = {}
 

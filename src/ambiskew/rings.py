@@ -99,7 +99,8 @@ class ExtensionAlgebra(BaseAlgebra):
     ``_weight``, the scale a NestedAuto (a coefficient part plus scales for
     y and x) puts on a degree.  ``normal_name`` names the attribute holding
     the normal element, which gamma must fix and every automorphism must
-    rescale."""
+    rescale.  A gamma of None is the identity: nothing is checked or
+    composed for it, and beta is alpha^-1."""
 
     commutative = False
     normal_name = "v"
@@ -110,17 +111,19 @@ class ExtensionAlgebra(BaseAlgebra):
         if y_name == x_name or y_name in base.gens() or x_name in base.gens():
             raise ValueError("the names of y and x must be distinct from each "
                              "other and from the coefficient generators")
-        if not base.auto_equal(base.compose(alpha, gamma),
-                               base.compose(gamma, alpha)):
-            raise ValueError("alpha and gamma must commute")
-        if not base.eq(base.apply(gamma, normal), normal):
-            raise ValueError(f"gamma must fix {self.normal_name}")
+        if gamma is not None:
+            if not base.auto_equal(base.compose(alpha, gamma),
+                                   base.compose(gamma, alpha)):
+                raise ValueError("alpha and gamma must commute")
+            if not base.eq(base.apply(gamma, normal), normal):
+                raise ValueError(f"gamma must fix {self.normal_name}")
         self.base = base
         self.ctx = base.ctx
         self.alpha = alpha
         self.alpha_inv = base.invert(alpha)
-        self.gamma = gamma
-        self.beta = base.compose(gamma, self.alpha_inv)
+        self.gamma = base.identity_auto() if gamma is None else gamma
+        self.beta = (self.alpha_inv if gamma is None
+                     else base.compose(gamma, self.alpha_inv))
         setattr(self, self.normal_name, dict(normal))
         self.y_name = y_name
         self.x_name = x_name
@@ -287,12 +290,13 @@ class AmbiskewRing(ExtensionAlgebra):
                  y_name: str = "y", x_name: str = "x"):
         if rho.is_zero():
             raise ValueError("the twist rho must be a nonzero scalar")
-        gamma = base.normalizing_auto(v)
-        if gamma is None:
+        # over a commutative algebra gamma is the identity, passed as None
+        gamma = None if base.commutative else base.normalizing_auto(v)
+        if gamma is None and not base.commutative:
             raise ValueError("v is not normal: no diagonal automorphism gamma "
                              "satisfies v*a = gamma(a)*v")
         super().__init__(base, alpha, gamma, v, y_name, x_name)
-        self.beta_inv = base.invert(self.beta)
+        self.beta_inv = alpha if gamma is None else base.invert(self.beta)
         self.rho = rho
         self._vm: dict[int, dict] = {0: {}}
         self._conf: Conformality | None = None

@@ -355,6 +355,9 @@ class CyclotomicDomain:
     values negate and multiply in closed form, and add in closed form over
     den 1, without the general degree's lists.
 
+    Its tables hold N values of d + 1 ints: a degree d over ``max_degree``
+    raises ValueError before any is built.
+
     >>> dom = CyclotomicDomain(4)
     >>> z = dom.zeta_pow(1)
     >>> dom.mul(z, z) == dom.from_fraction(-1)
@@ -366,10 +369,16 @@ class CyclotomicDomain:
     """
 
     __slots__ = ("order", "degree", "zero", "one", "_fold", "_zeta_pows")
+    max_degree = 1000
 
     def __init__(self, order: int):
         if order < 1:
             raise ValueError("cyclotomic order must be positive")
+        top = self.max_degree  # phi(N) < N, and phi(N) >= sqrt(N/2)
+        if order > top and (order > 2 * top * top or math.prod(
+                (p - 1) * p ** (k - 1) for p, k in factor_int(order).items()) > top):
+            raise ValueError(f"cyclotomic order {order} is too large: its "
+                             f"degree phi({order}) must be at most {top}")
         self.order = order
         coeffs = cyclotomic_coeffs(order)
         self.degree = d = len(coeffs) - 1
@@ -660,7 +669,7 @@ def _pdiv_exact(dom, num: dict, den: dict) -> dict | None:
 
 def _signed_coeff(n: int, den: int, mono: str) -> tuple[bool, str]:
     """The sign and body of (n/den)*mono, for den > 0."""
-    g = math.gcd(n, den)
+    g = 1 if den == 1 else math.gcd(n, den)
     c = str(abs(n) // g) if den == g else f"{abs(n) // g}/{den // g}"
     if mono:
         c = mono if c == "1" else f"{c}*{mono}" if den == g else f"({c})*{mono}"
@@ -1002,7 +1011,8 @@ class Scalar:
         num, den = self.num, self.den
         # the least monomial that clears num's negative exponents
         lo = tuple([max(0, -min(k)) for k in zip(*num)])
-        num, den = _pshift(num, lo), _pshift(den, lo)
+        if any(lo):
+            num, den = _pshift(num, lo), _pshift(den, lo)
         if den == self.ctx._pone:
             return self._render_poly(num)
         return f"({self._render_poly(num)})/({self._render_poly(den)})"

@@ -9,7 +9,6 @@ every obstruction it found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -19,13 +18,17 @@ class Status(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
 class Verdict:
-    status: Status
-    reason: str = ""
-    certificate: dict | None = None
-    theorem: str | None = None
-    conditions: list[tuple[str, "Verdict"]] = field(default_factory=list)
+    __slots__ = ("status", "reason", "certificate", "theorem", "conditions")
+
+    def __init__(self, status: Status, reason: str = "",
+                 certificate: dict | None = None, theorem: str | None = None,
+                 conditions: list[tuple[str, "Verdict"]] | None = None):
+        self.status = status
+        self.reason = reason
+        self.certificate = certificate
+        self.theorem = theorem
+        self.conditions = [] if conditions is None else conditions
 
     @property
     def holds(self) -> bool:

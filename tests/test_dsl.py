@@ -10,17 +10,20 @@ from __future__ import annotations
 import operator
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ambiskew.algebras import FieldAlgebra, PolyAlgebra
-from ambiskew.dsl import (DslError, _tokenize_line, eval_element,
+from ambiskew.algebras import CyclicGroupAlgebra, FieldAlgebra, PolyAlgebra
+from ambiskew.dsl import (DslError, _loc, _read, _tokenize_line, eval_element,
                           parse_expression, parse_scalar_table, parse_spec)
-from ambiskew.scalars import ScalarContext
+from ambiskew.scalars import CyclotomicDomain, ScalarContext
+
+from _helpers import exact
 
 F = "base F = field()\nauto a on F { }\n"
 P = "base P = poly(t)\nauto a on P { t -> t + 1 }\n"
@@ -325,7 +328,23 @@ def test_deep_nesting_is_a_dsl_error():
     assert info.value.loc.line == 2
 
 
-# -- the expression reader against a Fraction oracle ---------------------------
+@pytest.mark.parametrize("order", [1009, 2 * 1000 ** 2 + 1, 10 ** 30])
+def test_a_cyclotomic_order_above_the_degree_limit_fails_at_once(order):
+    # phi(N) <= 1000: 1009 is the least order above it, and an order above
+    # 2*1000^2 is refused before it is factored
+    assert CyclotomicDomain.max_degree == 1000
+    tracemalloc.start()
+    try:
+        got = _error(parse_spec, f"context(cyclotomic_order = {order})")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ("semantic", 1, 1, f"cyclotomic order {order} is too large: "
+                   f"its degree phi({order}) must be at most 1000")
+    assert peak < 1 << 20  # no table of zeta powers was built
+
+
+# -- the expression reader against a Fraction oracle and a lifting reader ------
 
 # the precedence level of each node: a child printed where a higher level
 # is needed gets parentheses
@@ -341,7 +360,9 @@ def _extend(sub):
         st.tuples(st.just("^"), sub, st.integers(-2, 2), st.booleans()))
 
 
-_TREES = st.recursive(st.integers(0, 6), _extend, max_leaves=8)
+# leaves are integers, the parameter q and the generator s
+_TREES = st.recursive(st.integers(0, 6) | st.sampled_from(["q", "s"]),
+                      _extend, max_leaves=8)
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": operator.truediv}
 
@@ -350,23 +371,24 @@ def _show(tree, least: int, out: list) -> tuple:
     """Print ``tree`` into ``out`` where its precedence level must be at
     least ``least``, and evaluate it in Fractions.  Returns (value, None),
     or (anything, column) with the column of the operator where the
-    evaluation, left operand first, first fails."""
-    if isinstance(tree, int):
+    evaluation, left operand first, first fails; the value is None once a
+    name enters, which Fractions cannot value."""
+    if not isinstance(tree, tuple):
         out.append(str(tree))
-        return Fraction(tree), None
+        return (Fraction(tree) if isinstance(tree, int) else None), None
     op, left, *rest, wrap = tree
     wrap = wrap or _LEVEL[op] < least
     out.append("(" * wrap)
     if op == "neg":
         out.append("-")
         value, failed = _show(left, 3, out)
-        if failed is None:
+        if value is not None and failed is None:
             value = -value
     elif op == "^":
         value, failed = _show(left, 4, out)
         column = sum(map(len, out)) + 1
         out.append(f"^{rest[0]}")
-        if failed is None:
+        if value is not None and failed is None:
             if value == 0 and rest[0] < 0:
                 failed = column
             else:
@@ -377,7 +399,9 @@ def _show(tree, least: int, out: list) -> tuple:
         out.append(f" {op} ")
         right, right_failed = _show(rest[0], _LEVEL[op] + 1, out)
         failed = failed or right_failed
-        if failed is None:
+        if right is None:
+            value = None
+        elif value is not None and failed is None:
             if op == "/" and right == 0:
                 failed = column
             else:
@@ -386,21 +410,78 @@ def _show(tree, least: int, out: list) -> tuple:
     return value, failed
 
 
-@settings(max_examples=300, deadline=None)
-@given(_TREES)
-def test_reader_matches_a_fraction_oracle(tree):
+def _lifting_eval(expr, algebra) -> dict:
+    """The reader's value as an earlier evaluator built it, kept as its
+    oracle: every atom lifted to an element, and ring arithmetic on them."""
+    ctx = algebra.ctx
+    names = {p: algebra.from_scalar(ctx.param(p)) for p in ctx.parameters}
+    names.update((g, algebra.gen_elem(g)) for g in algebra.gens())
+    ring_ops = {"+": algebra.add, "-": algebra.sub, "*": algebra.mul}
+
+    def atom(tok):
+        if tok[0] == "INT":
+            return algebra.from_scalar(ctx.int_(int(tok[1])))
+        if tok[1] not in names:
+            raise DslError("semantic", _loc(tok), f"unknown name {tok[1]!r}")
+        return dict(names[tok[1]])
+
+    def apply(op, left, right):
+        if left is None:
+            return algebra.neg(right)
+        if op[0] == "^":
+            try:
+                return algebra.power(left, right)
+            except ValueError as exc:
+                raise DslError("semantic", _loc(op), str(exc)) from None
+        if op[0] in ring_ops:
+            return ring_ops[op[0]](left, right)
+        s = algebra.scalar_of(right)
+        if s is None:
+            raise DslError("semantic", _loc(op), "the divisor must be a scalar")
+        if s.is_zero():
+            raise DslError("semantic", _loc(op), "division by zero")
+        return algebra.smul(s.inv(), left)
+
+    return _read(expr, 0, atom, apply)[0]
+
+
+def _outcome(evaluate, expr, algebra) -> tuple:
+    """The exact value of ``evaluate``, or the kind, place and message of
+    its DslError."""
+    try:
+        return "value", exact(evaluate(expr, algebra))
+    except DslError as err:
+        return err.kind, err.loc.line, err.loc.column, err.message
+
+
+_Q = ScalarContext(parameters=("q",))
+_ALGEBRAS = [FieldAlgebra(_Q), CyclicGroupAlgebra(_Q, 2, -_Q.one, "s"),
+             PolyAlgebra(_Q, "s")]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES, st.sampled_from(_ALGEBRAS))
+@example(("^", 0, 0, False), _ALGEBRAS[2])
+@example(("^", 0, -1, False), _ALGEBRAS[1])
+@example(("/", 1, ("+", "s", 1, False), False), _ALGEBRAS[1])
+@example(("^", ("+", "q", 1, True), -2, False), _ALGEBRAS[0])
+@example(("*", ("^", "q", -2, False), "s", False), _ALGEBRAS[2])
+def test_reader_matches_a_fraction_oracle(tree, alg):
+    """The reader keeps a value a scalar until a generator enters it; it
+    must agree with the lifting reader, value for value in normal form
+    and error for error, and with Fractions where no name enters."""
     out: list[str] = []
     value, failed = _show(tree, 1, out)
     text = "".join(out)
-    alg = FieldAlgebra(ScalarContext())
-    if failed is None:
-        elem = eval_element(parse_expression(text), alg)
-        assert alg.eq(elem, alg.from_scalar(alg.ctx.fraction(value))), text
-        return
-    with pytest.raises(DslError) as info:
-        eval_element(parse_expression(text), alg)
-    err = info.value
-    assert (err.kind, err.loc.line, err.loc.column) == ("semantic", 1, failed), text
+    expr = parse_expression(text)
+    got = _outcome(eval_element, expr, alg)
+    assert got == _outcome(_lifting_eval, expr, alg), text
+    if value is None:
+        return  # a name entered, which Fractions cannot value
+    if failed is not None:
+        assert got[:3] == ("semantic", 1, failed), text
+    elif value is not None:
+        assert got == ("value", exact(alg.from_scalar(_Q.fraction(value)))), text
 
 
 # -- the tokenizer against the text it reads ----------------------------------
