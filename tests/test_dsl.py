@@ -330,8 +330,8 @@ def test_deep_nesting_is_a_dsl_error():
 
 @pytest.mark.parametrize("order", [1009, 2 * 1000 ** 2 + 1, 10 ** 30])
 def test_a_cyclotomic_order_above_the_degree_limit_fails_at_once(order):
-    # phi(N) <= 1000: 1009 is the least order above it, and an order above
-    # 2*1000^2 is refused before it is factored
+    # the limit is phi(N) <= 1000: 1009 is the least order whose degree
+    # passes it, and an order above 2*1000^2 is refused before factoring
     assert CyclotomicDomain.max_degree == 1000
     tracemalloc.start()
     try:
