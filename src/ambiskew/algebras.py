@@ -57,6 +57,7 @@ from .scalars import (
     ScalarContext,
     _action_resultant,
     _divmod,
+    _dlog,
     _gcd,
     _interpolate,
     _join_signed,
@@ -151,9 +152,9 @@ NO_EIGEN_FRAME = ("the special-element search needs diagonal automorphisms "
 # ---------------------------------------------------------------------------
 
 
-def _eadd_into(out: dict, b: dict, s: Scalar | None = None) -> None:
-    """out += s*b (b when s is None) in place, dropping zero entries; b is
-    only read, so it may be shared."""
+def _eadd_into(out: dict, b: dict, s: Scalar | None = None) -> dict:
+    """out += s*b (b when s is None) in place, dropping zero entries, and
+    out returned; b is only read, so it may be shared."""
     for k, t in b.items():
         if s is not None:
             t = t * s
@@ -164,12 +165,11 @@ def _eadd_into(out: dict, b: dict, s: Scalar | None = None) -> None:
             out.pop(k, None)
         else:
             out[k] = t
+    return out
 
 
 def _eadd(a: dict, b: dict) -> dict:
-    out = dict(a)
-    _eadd_into(out, b)
-    return out
+    return _eadd_into(dict(a), b)
 
 
 def _signed_atom(s: Scalar) -> tuple[bool, str]:
@@ -266,7 +266,15 @@ class BaseAlgebra:
     def smul(self, s: Scalar, a: dict) -> dict:
         return {} if s.is_zero() else {k: v * s for k, v in a.items()}
 
-    def mul(self, a: dict, b: dict) -> dict:
+    def mul(self, a: dict, b: dict, out: dict | None = None) -> dict:
+        """a*b, or ``out`` after a*b is added into it in place, dropping the
+        entries that cancel; ``out`` must not alias a or b.
+
+        >>> A = PolyAlgebra(ScalarContext())
+        >>> t, acc = A.gen_elem("t"), {0: A.ctx.one, 2: A.ctx.one}
+        >>> A.mul(t, A.sub(A.one, t), acc) is acc, A.render(acc)
+        (True, 't + 1')
+        """
         raise NotImplementedError
 
     def power(self, a: dict, k: int) -> dict:
@@ -519,10 +527,9 @@ class FieldAlgebra(BaseAlgebra):
     def gen_elem(self, name: str) -> dict:
         raise ValueError(f"unknown generator: {name!r}")
 
-    def mul(self, a: dict, b: dict) -> dict:
-        if not a or not b:
-            return {}
-        return self.from_scalar(a[()] * b[()])
+    def mul(self, a: dict, b: dict, out: dict | None = None) -> dict:
+        prod = self.from_scalar(a[()] * b[()]) if a and b else {}
+        return prod if out is None else _eadd_into(out, prod)
 
     def identity_auto(self) -> DiagonalAuto:
         return DiagonalAuto(())
@@ -612,9 +619,8 @@ class _Univariate(BaseAlgebra):
             raise ValueError(f"unknown generator: {name!r}")
         return {self._reduce(1): self.ctx.one}
 
-    def mul(self, a: dict, b: dict) -> dict:
-        n = self.period
-        out: dict = {}
+    def mul(self, a: dict, b: dict, out: dict | None = None) -> dict:
+        n, out = self.period, {} if out is None else out
         for i, s in a.items():
             for j, t in b.items():
                 k = (i + j) % n if n else i + j
@@ -735,9 +741,9 @@ class CyclicGroupAlgebra(_Univariate):
 
     @cached_property
     def _eps_pows(self) -> list[Scalar]:
-        """eps^j for j = 0..n-1, built on first use (an automorphism
-        validated, a unit tested): a document that only declares a large
-        group pays nothing for it."""
+        """eps^j for j = 0..n-1, built on first use (a unit tested, or an
+        automorphism validated by a walk): a document that only declares a
+        large group pays nothing for it."""
         pows = [self.ctx.one]
         for _ in range(1, self.n):
             pows.append(pows[-1] * self.eps)
@@ -750,9 +756,18 @@ class CyclicGroupAlgebra(_Univariate):
         return val
 
     def scale_exponent(self, c: Scalar) -> int:
-        for j, e in enumerate(self._eps_pows):
-            if c == e:
-                return j
+        # a walk over the powers of eps; over F_p with n > sqrt(p), discrete
+        # logs to the least primitive root g (about sqrt(p) steps) instead:
+        # eps = g^(d*u) and c = g^(d*f), d = (p - 1)/n, give j = f/u mod n
+        p, n = self.ctx.characteristic, self.n
+        if not (p and n > math.isqrt(p)):
+            for j, e in enumerate(self._eps_pows):
+                if c == e:
+                    return j
+        elif c and c.is_constant() and pow(x := c.constant_value(), n, p) == 1:
+            d = (p - 1) // n
+            u = _dlog(self.eps.constant_value(), p) // d
+            return _dlog(x, p) // d * pow(u, -1, n) % n
         raise ValueError("scale is not a power of epsilon")
 
     def validate_auto(self, auto) -> None:
@@ -1078,12 +1093,14 @@ class QuadraticAlgebra(_Univariate):
         super().__init__(ctx, gen)
         self.d = d
 
-    def mul(self, a: dict, b: dict) -> dict:
+    def mul(self, a: dict, b: dict, out: dict | None = None) -> dict:
         zero = self.ctx.zero
         a0, a1 = a.get(0, zero), a.get(1, zero)
         b0, b1 = b.get(0, zero), b.get(1, zero)
         c0 = a0 * b0 + self.d * a1 * b1
         c1 = a0 * b1 + a1 * b0
+        if out is not None:
+            return _eadd_into(out, {0: c0, 1: c1})
         out = {}
         if not c0.is_zero():
             out[0] = c0

@@ -63,7 +63,7 @@ from .algebras import (CyclicGroupAlgebra, FieldAlgebra, LaurentAlgebra,
                        PolyAlgebra, QuadraticAlgebra)
 from .gwa import GwaRing, gwa_from_ambiskew
 from .rings import AmbiskewRing
-from .scalars import Scalar, ScalarContext
+from .scalars import Scalar, ScalarContext, _power_size
 
 __all__ = [
     "CheckDecl", "DslError", "SourceLocation", "SpecDocument",
@@ -269,6 +269,9 @@ def _expression(cur: _Cursor) -> Expr:
     return cur.tokens[start:cur.i] + cur.tokens[-1:]
 
 
+_MAX_POWER = (1 << 20, 1 << 10)  # bits of a coordinate, terms (eval_element)
+
+
 # each infix operator of a ring: on two scalars, and the algebra's method
 _INFIX = {"+": (operator.add, "add"), "-": (operator.sub, "sub"),
           "*": (operator.mul, "mul")}
@@ -303,6 +306,8 @@ def _evaluate(expr: Expr, ctx: ScalarContext, algebra=None):
                     return algebra.power(left, right)
                 if right < 0 and not left:
                     raise ValueError("a negative power needs an invertible element")
+                if any(map(operator.gt, _power_size(left, right), _MAX_POWER)):
+                    raise ValueError("the power is too large to compute")
                 return left ** right
             except ValueError as exc:
                 raise DslError("semantic", _loc(op), str(exc)) from None
@@ -333,7 +338,8 @@ def eval_element(expr: Expr, algebra) -> dict:
     scalar until a generator (embedded coefficient generators included)
     enters it, and a scalar value lifted at the end.  Division is by
     scalars only; ``^`` takes integer exponents and negative powers need
-    an invertible operand.
+    an invertible operand.  A scalar power is refused past 2^20 bits in a
+    coordinate or 1024 terms in num or den, as ``_power_size`` estimates.
 
     >>> ctx = ScalarContext(parameters=("q",))
     >>> alg = LaurentAlgebra(ctx)

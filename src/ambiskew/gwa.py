@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from . import bounds
 from .algebras import UnitAnswer, _kept_power
-from .rings import ExtensionAlgebra, _add_at, _ungroup
+from .rings import ExtensionAlgebra, _ungroup
 from .scalars import Scalar
 from .verdict import (Status, Verdict, bounded_scan, conjunction, fails, holds,
                       inconclusive)
@@ -79,24 +79,24 @@ class GwaRing(ExtensionAlgebra):
                 self.alpha if d >= 0 else self.beta, abs(d))
         return self._crosses[d]
 
-    def mul(self, f: dict, g: dict) -> dict:
+    def mul(self, f: dict, g: dict, out: dict | None = None) -> dict:
         base = self.base
-        out: dict = {}
+        groups: dict = {}
         right = self.grouped(g)
         twists: dict = {}  # j -> cross(j)(u), kept for this product
         for (d1,), b in self.grouped(f).items():
             for (d2,), c in right.items():
-                coeff = base.mul(b, base.apply(self._cross(d1), c))
-                i, k = d1, d2
+                coeff, factor, i, k = b, base.apply(self._cross(d1), c), d1, d2
                 # X^i Y^k collapses one pair at a time, emitting a twist of u
                 while i * k < 0 and coeff:
+                    coeff = base.mul(coeff, factor)
                     j, step = (i, 1) if i > 0 else (i + 1, -1)
                     if j not in twists:
                         twists[j] = base.apply(self._cross(j), self.u)
-                    coeff = base.mul(coeff, twists[j])
+                    factor = twists[j]
                     i, k = i - step, k + step
-                _add_at(out, (i + k,), coeff)
-        return _ungroup(out)
+                base.mul(coeff, factor, groups.setdefault((d1 + d2,), {}))
+        return _ungroup(groups, out)
 
     # automorphisms ------------------------------------------------------------
 

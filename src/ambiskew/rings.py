@@ -16,8 +16,8 @@ y-powers are folded through the closed form for y^t * x, which brings in
 the elements v_m defined by v_0 = 0 and v_{m+1} = v + rho*alpha(v_m).
 ``v_m`` keeps each v_m, made by that step from a kept v_{m-1} or else by
 squaring the triple (v, alpha, rho), as v_{a+b} = v_a + rho^a*alpha^a(v_b).
-A product adds each coefficient product in place into the sum of its
-degree (``_add_at``) and flattens the result once.
+A product hands each coefficient product the sum of its degree, into
+which ``mul`` adds it in place, and flattens the result once.
 
 The ring implements the BaseAlgebra protocol of the coefficient families,
 so a constructed ring can serve as the coefficient algebra of the next one.
@@ -58,22 +58,10 @@ from .scalars import Scalar, _power, root_of_unity_order
 from .verdict import Status, Verdict
 
 
-def _add_at(groups: dict, deg: tuple[int, ...], c: dict,
-            s: Scalar | None = None) -> None:
-    """groups[deg] += s*c (c when s is None) in place, for an element
-    grouped by degree.  A degree's sum starts as a fresh dict, so c is only
-    read and may be shared, and a degree left empty is dropped."""
-    acc = groups.get(deg)
-    if acc is None:
-        acc = groups[deg] = {}
-    _eadd_into(acc, c, s)
-    if not acc:
-        del groups[deg]
-
-
-def _ungroup(groups: dict) -> dict:
-    """The flat element of a map from degrees to coefficient elements."""
-    return {deg + (bk,): s for deg, c in groups.items() for bk, s in c.items()}
+def _ungroup(groups: dict, out: dict | None = None) -> dict:
+    """The flat element of a map from degrees, added into ``out`` if given."""
+    flat = {deg + (bk,): s for deg, c in groups.items() for bk, s in c.items()}
+    return flat if out is None else _eadd_into(out, flat)
 
 
 class Conformality(NamedTuple):
@@ -322,35 +310,37 @@ class AmbiskewRing(ExtensionAlgebra):
                 self._vm[m] = _power(mul, (self.v, self.alpha, self.rho), m)[0]
         return self._vm[m]
 
-    def _times_x(self, groups: dict, rinv: list) -> dict:
-        # (x^s c y^t) * x = rho^-t * (x^{s+1} beta^{-1}(c) y^t - x^s c v_t y^{t-1})
-        # rinv[t] is rho^-t, and None at t = 0, which takes no scale; the
-        # list lives for one product, which grows it here as t rises
+    def _times_x(self, groups: dict, rinv: list, wv: list) -> dict:
+        # (x^s c y^t) * x = rho^-t * x^{s+1} beta^{-1}(c) y^t + x^s c wv[t] y^{t-1}
+        # with wv[t] = -rho^-t * v_t and rinv[t] = rho^-t (None at t = 0: no
+        # scale), kept for one product and grown here as t rises
         base = self.base
         out: dict = {}
         for (s, t), c in groups.items():
             while len(rinv) <= t:
                 rinv.append(rinv[1] * rinv[-1] if len(rinv) > 1 else self.rho.inv())
-            _add_at(out, (s + 1, t), base.apply(self.beta_inv, c), rinv[t])
-            if t and (vt := self._v(t)):
-                _add_at(out, (s, t - 1), base.mul(c, vt), -rinv[t])
-        return out
+                wv.append((vt := self._v(len(wv))) and base.smul(-rinv[-1], vt))
+            _eadd_into(out.setdefault((s + 1, t), {}),
+                       base.apply(self.beta_inv, c), rinv[t])
+            if wv[t]:
+                base.mul(c, wv[t], out.setdefault((s, t - 1), {}))
+        return {deg: c for deg, c in out.items() if c}
 
-    def mul(self, f: dict, g: dict) -> dict:
+    def mul(self, f: dict, g: dict, out: dict | None = None) -> dict:
         # f * (x^k b y^l) = (f * x^k) * b * y^l, with f * x^k built one x
         # at a time and (x^s c y^t) * b * y^l = x^s (c * alpha^t(b)) y^(t+l)
         base = self.base
-        out: dict = {}
-        fx, rinv = [self.grouped(f)], [None]
+        groups: dict = {}
+        fx, rinv, wv = [self.grouped(f)], [None], [{}]
         for (k, l), b in sorted(self.grouped(g).items()):
             while len(fx) <= k:
-                fx.append(self._times_x(fx[-1], rinv))
+                fx.append(self._times_x(fx[-1], rinv, wv))
             images = [b]
             for (s, t), c in fx[k].items():
                 while len(images) <= t:
                     images.append(base.apply(self.alpha, images[-1]))
-                _add_at(out, (s, t + l), base.mul(c, images[t]))
-        return _ungroup(out)
+                base.mul(c, images[t], groups.setdefault((s, t + l), {}))
+        return _ungroup(groups, out)
 
     # automorphisms ------------------------------------------------------
 

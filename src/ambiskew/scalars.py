@@ -1033,6 +1033,16 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _power_size(s: Scalar, k: int) -> tuple[float, int]:
+    """Estimates of the bits of a coordinate of s^k (n terms up to c gain
+    log2(n*c) a factor) and of the terms of its num or den."""
+    k, polys = abs(k), (s.num, s.den)
+    bits = 0.0 if s.ctx.characteristic else k * math.log2(
+        max(map(len, polys)) * max(abs(c) for p in polys for v in p.values() for c in v))
+    return bits, max(math.prod(k * (max(e) - min(e)) + 1 for e in zip(*p))
+                     for p in polys)
+
+
 def root_of_unity_order(s: Scalar) -> int | None:
     """The multiplicative order of s, or None if infinite.
 

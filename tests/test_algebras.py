@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from ambiskew.algebras import (
 )
 from ambiskew import scalars
 from ambiskew.dsl import eval_element, parse_expression, parse_spec
+from ambiskew.gwa import GwaRing
 from ambiskew.scalars import (ScalarContext, _sqrt_mod,
                               integer_roots_scalar_poly, least_integer_root,
                               root_of_unity_order)
@@ -29,7 +32,7 @@ from ambiskew.rings import AmbiskewRing
 from ambiskew.simplicity import every_v_m_unit, simple
 from ambiskew.verdict import Status
 
-from _helpers import random_elem
+from _helpers import exact, random_elem
 
 
 def _plain():
@@ -891,6 +894,85 @@ def test_a_unit_holds_exactly_when_its_inverse_is_two_sided(name, seed, terms):
     elif a:
         # only the ring leaves a unit test open, outside its coefficients
         assert alg.kind == "ambiskew" and not alg._in_base(a)
+
+
+def _accumulating_algebras():
+    """The algebras of ``_UNIT_ALGEBRAS``, a tower over their ambiskew ring
+    over Q(q), whose products accumulate through that ring's ``mul``, and a
+    GWA over the Laurent family."""
+    ring = _UNIT_ALGEBRAS["ambiskew over Q(q)"]
+    ctx = ring.ctx
+    tower = AmbiskewRing(ring, ring.identity_auto(), ring.one, ctx.int_(2),
+                         y_name="y2", x_name="x2")
+    gwa = GwaRing(LaurentAlgebra(ctx), DiagonalAuto((ctx.param("q"),)),
+                  {0: ctx.one, 1: ctx.param("q")})
+    return {**_UNIT_ALGEBRAS, "tower over Q(q)": tower, "gwa over Q(q)": gwa}
+
+
+_ACCUMULATING = _accumulating_algebras()
+
+
+def _accumulating_elem(alg, rng, terms):
+    if isinstance(alg, GwaRing):
+        elem = {}
+        for d in rng.sample(range(-2, 3), terms):
+            elem = alg.add(elem, alg._flat((d,), random_elem(alg.base, rng)))
+        return elem
+    return random_elem(alg, rng, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_ACCUMULATING)), st.integers(0, 2**32),
+       st.integers(1, 3), st.sampled_from(["apart", "cancel", "partial"]))
+def test_an_accumulating_product_adds_into_its_output(name, seed, terms, shape):
+    alg, rng = _ACCUMULATING[name], random.Random(seed)
+    a, b, c = (_accumulating_elem(alg, rng, terms) for _ in range(3))
+    prod = alg.mul(a, b)
+    # out starts as c less all of a*b, less about half its entries, or less
+    # nothing: cancelled entries must leave out, and the rest add to c's
+    cancel = {"apart": {}, "cancel": prod,
+              "partial": dict(rng.sample(list(prod.items()), len(prod) // 2))}
+    out0 = alg.sub(c, cancel[shape])
+    out = dict(out0)
+    operands = copy.deepcopy((a, b), {id(alg.ctx): alg.ctx})
+    assert alg.mul(a, b, out) is out
+    assert exact(out) == exact(alg.add(out0, prod))
+    assert not any(s.is_zero() for s in out.values())
+    assert (a, b) == operands
+    assert exact(alg.mul(a, b, {})) == exact(prod)
+
+
+@pytest.mark.parametrize("p, n", [(7, 3), (7, 6), (13, 4), (13, 6), (31, 10),
+                                  (31, 15), (101, 20), (101, 100)])
+def test_a_scale_exponent_over_f_p_is_the_walks(p, n):
+    # n > sqrt(p) reads the exponent from discrete logs; the walk over the
+    # powers of eps is its oracle, and a scale outside them keeps its error
+    ctx = ScalarContext(characteristic=p)
+    g = next(g for g in range(2, p) if root_of_unity_order(ctx.int_(g)) == p - 1)
+    for e in (k for k in range(1, n) if math.gcd(k, n) == 1):
+        eps = ctx.int_(pow(g, (p - 1) // n * e, p))
+        alg = CyclicGroupAlgebra(ctx, n, eps)
+        walk = {c: j for j, c in enumerate(pow(eps.constant_value(), j, p)
+                                           for j in range(n))}
+        for c in range(p):
+            if c in walk:
+                assert alg.scale_exponent(ctx.int_(c)) == walk[c]
+            else:
+                with pytest.raises(ValueError, match="^scale is not a power of epsilon$"):
+                    alg.scale_exponent(ctx.int_(c))
+        assert "_eps_pows" not in vars(alg)
+
+
+def test_declaring_an_automorphism_of_a_large_group_builds_no_powers():
+    ctx = ScalarContext(characteristic=1000003, parameters=("q",))
+    alg = CyclicGroupAlgebra(ctx, 1000002, ctx.int_(2))
+    alg.validate_auto(DiagonalAuto((ctx.int_(3),)))
+    assert alg.scale_exponent(ctx.int_(8)) == 3
+    assert alg.scale_exponent(ctx.int_(2).inv()) == 1000001
+    for scale in (ctx.zero, ctx.param("q")):
+        with pytest.raises(ValueError, match="^scale is not a power of epsilon$"):
+            alg.validate_auto(DiagonalAuto((scale,)))
+    assert "_eps_pows" not in vars(alg)
 
 
 _FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=12)

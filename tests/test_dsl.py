@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from ambiskew.algebras import CyclicGroupAlgebra, FieldAlgebra, PolyAlgebra
 from ambiskew.dsl import (DslError, _loc, _read, _tokenize_line, eval_element,
-                          parse_expression, parse_scalar_table, parse_spec)
-from ambiskew.scalars import CyclotomicDomain, ScalarContext
+                          eval_scalar, parse_expression, parse_scalar_table,
+                          parse_spec)
+from ambiskew.scalars import CyclotomicDomain, ScalarContext, _power_size
 
 from _helpers import exact
 
@@ -342,6 +343,39 @@ def test_a_cyclotomic_order_above_the_degree_limit_fails_at_once(order):
     assert got == ("semantic", 1, 1, f"cyclotomic order {order} is too large: "
                    f"its degree phi({order}) must be at most 1000")
     assert peak < 1 << 20  # no table of zeta powers was built
+
+
+@pytest.mark.parametrize("power", ["2^10000000000", "(1 + q)^100000000",
+                                   "q^-1 * (3 - q)^-100000000", "2^1048577",
+                                   "(1 + q)^1024"])
+def test_a_scalar_power_past_the_size_limit_fails_at_once(power):
+    # estimated before it is formed: 2^k has k bits, (1 + q)^k has k + 1
+    # terms, and the limits are 2^20 bits and 1024 terms
+    line = f"ring R = ambiskew(F, a, v = 1, rho = {power})"
+    text = f"context(parameters = [q])\nbase F = field()\nauto a on F {{ }}\n{line}"
+    tracemalloc.start()
+    try:
+        got = _error(parse_spec, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ("semantic", 4, line.rindex("^") + 1,
+                   "the power is too large to compute")
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("power, base, k", [
+    ("2^1048576", 2, 1048576), ("(-1)^10000000001", -1, 1),
+    ("0^10000000000", 0, 1), ("(1/2)^-1000", 2, 1000)])
+def test_a_scalar_power_within_the_size_limit_is_read(power, base, k):
+    assert eval_scalar(parse_expression(power), ScalarContext()) == base ** k
+
+
+def test_a_one_term_power_has_no_size_to_refuse():
+    ctx = ScalarContext(parameters=("q",))
+    got = eval_scalar(parse_expression("q^10000000000 * q^-9999999999"), ctx)
+    assert got == ctx.param("q")
+    assert _power_size(1 + ctx.param("q"), -1023) == (1023.0, 1024)
 
 
 # -- the expression reader against a Fraction oracle and a lifting reader ------

@@ -20,7 +20,7 @@ from ambiskew.algebras import (
 )
 from ambiskew.dsl import DslError, parse_spec
 from ambiskew.gwa import GwaRing, gwa_from_ambiskew, gwa_simple
-from ambiskew.rings import AmbiskewRing, _add_at, _ungroup
+from ambiskew.rings import AmbiskewRing
 from ambiskew.scalars import ScalarContext
 from ambiskew.verdict import Status
 
@@ -150,8 +150,8 @@ def _oracle_mul(ring, f, g):
             while i < 0 and k > 0 and coeff:
                 coeff = base.mul(coeff, base.apply(ring._cross(i + 1), ring.u))
                 i, k = i + 1, k - 1
-            _add_at(out, (i + k,), coeff)
-    return _ungroup(out)
+            out = ring.add(out, ring._flat((i + k,), coeff))
+    return out
 
 
 def _laurent_scaling():

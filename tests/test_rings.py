@@ -15,11 +15,12 @@ from ambiskew.algebras import (
     LaurentAlgebra,
     NestedAuto,
     PolyAlgebra,
+    _eadd_into,
     solve_splitting_ex,
 )
 from ambiskew.dsl import eval_element, parse_expression, parse_spec
 from ambiskew.gwa import GwaRing
-from ambiskew.rings import AmbiskewRing, _add_at, _ungroup
+from ambiskew.rings import AmbiskewRing, _ungroup
 from ambiskew.scalars import Scalar, ScalarContext
 from ambiskew.verdict import Status
 
@@ -640,31 +641,40 @@ def test_in_place_products_match_the_term_by_term_product(name, seed, terms):
     assert (f, g, h, _shared(ring)) == before
 
 
-# -- hypothesis: the products that keep their powers against the earlier ones ------
+# -- hypothesis: the products that add in place against the earlier ones ----------
 
 
-# the earlier product, kept as the oracle of ``AmbiskewRing.mul``: it makes
-# rho^-t afresh for every term of f * x^k, scales the terms with t = 0 by
-# rho^0 and copies v_t through ``v_m``
-def _oracle_times_x(ring, groups):
+# the earlier product, kept as the oracle of ``AmbiskewRing.mul``: it builds
+# each coefficient product as its own element and adds it a second time into
+# the sum of its degree (``_add_at``), scaling every c*v_t by -rho^-t
+def _add_at(groups, deg, c, s=None):
+    acc = groups.get(deg)
+    if acc is None:
+        acc = groups[deg] = {}
+    _eadd_into(acc, c, s)
+    if not acc:
+        del groups[deg]
+
+
+def _oracle_times_x(ring, groups, rinv):
     base = ring.base
     out = {}
-    rinv = ring.rho.inv()
     for (s, t), c in groups.items():
-        scale = rinv ** t
-        _add_at(out, (s + 1, t), base.apply(ring.beta_inv, c), scale)
-        if t:
-            _add_at(out, (s, t - 1), base.mul(c, ring.v_m(t)), -scale)
+        while len(rinv) <= t:
+            rinv.append(rinv[1] * rinv[-1] if len(rinv) > 1 else ring.rho.inv())
+        _add_at(out, (s + 1, t), base.apply(ring.beta_inv, c), rinv[t])
+        if t and (vt := ring.v_m(t)):
+            _add_at(out, (s, t - 1), base.mul(c, vt), -rinv[t])
     return out
 
 
 def _oracle_mul(ring, f, g):
     base = ring.base
     out = {}
-    fx = [ring.grouped(f)]
+    fx, rinv = [ring.grouped(f)], [None]
     for (k, l), b in sorted(ring.grouped(g).items()):
         while len(fx) <= k:
-            fx.append(_oracle_times_x(ring, fx[-1]))
+            fx.append(_oracle_times_x(ring, fx[-1], rinv))
         images = [b]
         for (s, t), c in fx[k].items():
             while len(images) <= t:
@@ -673,8 +683,17 @@ def _oracle_mul(ring, f, g):
     return _ungroup(out)
 
 
+def _charp_scaling():
+    """R(F_7[t], t -> 3t, 1 + t, 2): rho^-t differs from rho^t."""
+    ctx = ScalarContext(characteristic=7)
+    alg = PolyAlgebra(ctx)
+    return AmbiskewRing(alg, AffineAuto(ctx.int_(3), ctx.zero),
+                        {0: ctx.one, 1: ctx.one}, ctx.int_(2))
+
+
 ORACLE_RINGS = {**dict(ASSOC_RINGS), "quantized_weyl": quantized_weyl,
-                "two_level_tower": _two_level_tower}
+                "two_level_tower": _two_level_tower,
+                "charp_scaling": _charp_scaling}
 
 
 def _graded_elem(ring, rng, terms, top):
@@ -697,6 +716,47 @@ def test_products_match_the_earlier_product(name, seed, terms):
     # the earlier product built it, not just equal in value
     assert exact(ring.mul(f, g)) == exact(_oracle_mul(ring, f, g))
     assert exact(ring.mul(g, f)) == exact(_oracle_mul(ring, g, f))
+
+
+def test_the_v_term_makes_one_scalar_product_per_pair_of_terms(monkeypatch):
+    # (x^s c y^t) * x adds c*wv[t] into its degree, with wv[t] = -rho^-t*v_t
+    # formed once a product: |c|*|wv[t]| scalar products and no second pass
+    # that scales each term of c*v_t.  The v-term's products are those a
+    # ring makes beyond the same ring with v = 0, on the same groups, once
+    # both have grown their lists of rho^-t and wv[t]
+    ctx, alg, ring = fc4_mixed()
+    flat = AmbiskewRing(alg, ring.alpha, {}, ring.rho, y_name="y1", x_name="x1")
+    times_x, mul, seen = AmbiskewRing._times_x, Scalar.__mul__, []
+
+    def capture(self, groups, rinv, wv):
+        seen.append(copy.deepcopy(groups, {id(ctx): ctx}))
+        return times_x(self, groups, rinv, wv)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AmbiskewRing, "_times_x", capture)
+        eval_element(parse_expression("(s + y1 + x1)^10"), ring)
+    counted = []
+
+    def counting(self, other):
+        counted.append(1)
+        return mul(self, other)
+
+    total = 0
+    for groups in seen:
+        lists = {r: ([None], [{}]) for r in (ring, flat)}
+        made = {}
+        for r, (rinv, wv) in lists.items():
+            times_x(r, groups, rinv, wv)
+            with monkeypatch.context() as patch:
+                patch.setattr(Scalar, "__mul__", counting)
+                counted.clear()
+                times_x(r, groups, rinv, wv)
+                made[r] = len(counted)
+        wv = lists[ring][1]
+        expect = sum(len(c) * len(wv[t]) for (_, t), c in groups.items())
+        assert made[ring] - made[flat] == expect
+        total += expect
+    assert len(seen) == 15 and total > 100
 
 
 def test_kept_powers_are_the_powers():
