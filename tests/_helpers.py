@@ -196,6 +196,17 @@ def random_elem(algebra, rng, terms=2):
     return out
 
 
+def random_small_elem(ring, rng, terms):
+    """``random_elem``, or for a GWA ``terms`` distinct degrees in -2..2,
+    each with a random coefficient."""
+    if isinstance(ring, GwaRing):
+        elem = {}
+        for d in rng.sample(range(-2, 3), terms):
+            elem = ring.add(elem, ring._flat((d,), random_elem(ring.base, rng)))
+        return elem
+    return random_elem(ring, rng, terms)
+
+
 # -- standard rings ----------------------------------------------------------------
 
 

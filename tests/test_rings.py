@@ -39,6 +39,7 @@ from _helpers import (
     quantum_plane,
     random_elem,
     random_scalar,
+    random_small_elem,
     slow_mul,
     w_alpha_power,
     weyl_over_field,
@@ -603,15 +604,6 @@ PRODUCT_RINGS = {
 }
 
 
-def _small_elem(ring, rng, terms):
-    if isinstance(ring, GwaRing):
-        elem = {}
-        for d in rng.sample(range(-2, 3), terms):
-            elem = ring.add(elem, ring._flat((d,), random_elem(ring.base, rng)))
-        return elem
-    return random_elem(ring, rng, terms)
-
-
 def _shared(ring):
     """What a product reads but must never write: the normal element, the
     one of each coefficient level and the v_m kept by each ambiskew level."""
@@ -630,7 +622,7 @@ def _shared(ring):
        st.integers(1, 3))
 def test_in_place_products_match_the_term_by_term_product(name, seed, terms):
     ring, rng = PRODUCT_RINGS[name](), random.Random(seed)
-    f, g, h = (_small_elem(ring, rng, terms) for _ in range(3))
+    f, g, h = (random_small_elem(ring, rng, terms) for _ in range(3))
     keep = {id(ring.ctx): ring.ctx}
     before = copy.deepcopy((f, g, h, _shared(ring)), keep)
     fg = ring.mul(f, g)
