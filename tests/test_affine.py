@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ambiskew.algebras import (AffineAuto, PolyAlgebra, scalar_ratio,
                                solve_splitting_ex)
-from ambiskew.dsl import eval_element, parse_expression
+from ambiskew.dsl import eval_element, eval_scalar, parse_expression
 from ambiskew.linear import gauss_solve
 from ambiskew.rings import AmbiskewRing
 from ambiskew.scalars import ScalarContext
@@ -26,6 +27,15 @@ from ambiskew.verdict import Status
 
 CONTEXTS = {"Q": ScalarContext(), "Q(q)": ScalarContext(parameters=("q",)),
             **{f"F_{p}": ScalarContext(characteristic=p) for p in (2, 3, 5, 7)}}
+QQR = ScalarContext(parameters=("q", "r"))
+# shifts whose offset b and rho have two or more terms, with two parameters
+# and in characteristic p: (context, offsets b, rhos, largest degree of v).
+# Over Q(q, r) the windowed dense solve of degree 4 is a known cliff
+SHIFT_POOLS = (
+    (QQR, ("q", "1 + q", "r - q", "q*r + 1"),
+     ("r", "1 + r", "2 + q", "q*r", "1"), 3),
+    (ScalarContext(characteristic=5, parameters=("q",)), ("1", "1 + q", "q^2 - 2"),
+     ("2 + q", "q", "1 + q^2", "3", "1"), 4))
 
 
 @st.composite
@@ -64,6 +74,29 @@ def _splitting_case(draw):
     return alg, alpha, draw(_poly(alg)), rho
 
 
+@st.composite
+def _shift_case(draw):
+    """A shift t -> t + b over Q(q, r) or F_5(q), b and rho drawn from small
+    pools, and v with coefficients c0 + c1*q."""
+    ctx, offsets, rhos, degree = draw(st.sampled_from(SHIFT_POOLS))
+    alg = PolyAlgebra(ctx)
+    scalar = lambda text: eval_scalar(parse_expression(text), ctx)
+    coeff = lambda: ctx.int_(draw(st.integers(-2, 2))) \
+        + ctx.int_(draw(st.integers(-1, 1))) * ctx.param("q")
+    v = {k: coeff() for k in range(draw(st.integers(0, degree)) + 1)}
+    v = {k: s for k, s in v.items() if not s.is_zero()}
+    assume(v)
+    b = scalar(draw(st.sampled_from(offsets)))
+    return alg, AffineAuto(ctx.one, b), v, scalar(draw(st.sampled_from(rhos)))
+
+
+def _swell_solve_7():
+    """The bench's swell-solve-7: t -> t + q, rho = r over Q(q, r)."""
+    alg = PolyAlgebra(QQR)
+    v = eval_element(parse_expression("-2 - 3*t + t^2 + 2*r*t^3"), alg)
+    return alg, AffineAuto(QQR.one, QQR.param("q")), v, QQR.param("r")
+
+
 def _windowed_solve(alg, alpha, v, rho):
     """The dense solve of u - rho*alpha(u) = v over the monomials t^d,
     d <= deg v + 1, with the free unknowns set to zero; None when the
@@ -81,8 +114,9 @@ def _windowed_solve(alg, alpha, v, rho):
                                      if not s.is_zero()}
 
 
-@settings(max_examples=150, deadline=None)
-@given(_splitting_case())
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_splitting_case(), _shift_case()))
+@example(_swell_solve_7())
 def test_splitting_matches_the_windowed_dense_solve(case):
     alg, alpha, v, rho = case
     u, obstruction, complete = solve_splitting_ex(alg, alpha,
@@ -167,15 +201,19 @@ def test_a_translation_conjugate_gets_the_same_statuses(pair):
     assert simple(moved).status is simple(diagonal).status
 
 
-def _cliff_ring(a: str, b: str, rho: str, n: int):
-    """Over Q(q): t -> a*t + b and v = sum_k ((k+1)*q + k)*t^k, k <= n."""
-    ctx = CONTEXTS["Q(q)"]
+def _cliff_case(ctx, a: str, b: str, rho: str, n: int):
+    """(algebra, t -> a*t + b, v, rho) with v = sum_k ((k+1)*q + k)*t^k,
+    k <= n."""
     alg = PolyAlgebra(ctx)
     v = eval_element(parse_expression(" + ".join(
         f"({k + 1}*q + {k})*t^{k}" for k in range(n + 1))), alg)
-    scalar = lambda text: eval_element(parse_expression(text), alg)[0]
-    return AmbiskewRing(alg, AffineAuto(scalar(a), scalar(b)), v,
-                        scalar(rho))
+    scalar = lambda text: eval_scalar(parse_expression(text), ctx)
+    return alg, AffineAuto(scalar(a), scalar(b)), v, scalar(rho)
+
+
+def _cliff_ring(a: str, b: str, rho: str, n: int):
+    """The ring of ``_cliff_case`` over Q(q)."""
+    return AmbiskewRing(*_cliff_case(CONTEXTS["Q(q)"], a, b, rho, n))
 
 
 def test_scalings_about_a_point_solve_in_small_forms():
@@ -187,3 +225,39 @@ def test_scalings_about_a_point_solve_in_small_forms():
     assert verdict.holds
     assert verdict.certificate["obstruction"] == {
         "kind": "resonant_monomial", "monomial": "1", "scale": "1"}
+
+
+@pytest.mark.parametrize("ctx, b, rho", [(CONTEXTS["Q(q)"], "1", "q"),
+                                         (QQR, "q", "r")],
+                         ids=["Q(q)", "Q(q, r)"])
+def test_a_parametric_shift_splits_in_quadratic_products(monkeypatch, ctx,
+                                                         b, rho):
+    # t -> t + b carries one denominator, the product of the leads 1 - rho:
+    # O(n^2) scalar products, so doubling n multiplies the domain's products
+    # by at most 16 (about 4 and 7 here).  Divided into the remainder at each
+    # step, the leads made 176 and 408 times as many
+    calls = [0]
+    mul = type(ctx.dom).mul
+
+    def counting(dom, x, y):
+        calls[0] += 1
+        return mul(dom, x, y)
+
+    monkeypatch.setattr(type(ctx.dom), "mul", counting)
+    counts = []
+    for n in (4, 8):
+        alg, alpha, v, r = _cliff_case(ctx, "1", b, rho, n)
+        calls[0] = 0
+        u, _, _ = solve_splitting_ex(alg, alpha, alg.identity_auto(), v, r)
+        counts.append(calls[0])
+        assert alg.eq(alg.sub(u, alg.smul(r, alg.apply(alpha, u))), v)
+    assert counts[1] <= 16 * counts[0]
+
+
+def test_the_shift_row_renders_u_small_at_degree_11():
+    # t -> t + 1, rho = q: u renders in about 1.8 KB.  With the leads divided
+    # into the remainder, whose denominators doubled in degree each step, it
+    # took 169 KB at degree 9
+    alg, alpha, v, rho = _cliff_case(CONTEXTS["Q(q)"], "1", "1", "q", 11)
+    u, _, _ = solve_splitting_ex(alg, alpha, alg.identity_auto(), v, rho)
+    assert len(alg.render(u)) < 4_096

@@ -26,7 +26,8 @@ from spans import Tracer  # noqa: E402
 
 # (workload, document name at seed 1): a worked example, the K[C_2] units
 # pencil with the factor rho^2 = 4, the parametric splitting solves of a
-# shift with rho = 1 and with rho = 2, the quadratic and K[C_2] unit
+# shift with rho = 1 and with rho = 2, and over Q(q, r) with rho = r, whose
+# carried denominator is a power of 1 - r, the quadratic and K[C_2] unit
 # pencils, the dispersion of a GWA over a shift, the radical pencil of a
 # localization, the period-1 route of an eigenvector v, the replayed zero
 # v^(5) over F_5 and holding with the factor q, and the parametric powers
@@ -44,6 +45,7 @@ from spans import Tracer  # noqa: E402
 # test at m = 1, the resultant and the walk.
 DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("swell", "swell-solve-0"), ("swell", "swell-solve-4"),
+             ("swell", "swell-solve-5"),
              ("catalog", "quad-1-1-1"),
              ("catalog", "fc2-1-0"), ("scan", "gwa-shift-1"),
              ("scan", "localized-2-0"), ("catalog", "weyl-f5"),
