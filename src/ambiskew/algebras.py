@@ -51,7 +51,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
-from .multiplicative import factor_rational
 from .scalars import (
     Scalar,
     ScalarContext,
@@ -66,6 +65,7 @@ from .scalars import (
     _rational_component,
     _resultant,
     _sqrt_mod,
+    factor_int,
     least_integer_root,
     root_of_unity_order,
 )
@@ -1034,39 +1034,39 @@ class PolyAlgebra(_Univariate):
         return u0, alpha.a, None
 
     def split_nondiagonal(self, alpha, v: dict, rho: Scalar):
-        ctx = self.ctx
-        one = ctx.one
-        if alpha.a != one:
-            # alpha scales s = t - t0, so v(t0 + s) splits monomial by
-            # monomial over K[s], whose generator prints as (t - t0)
-            t0 = alpha.b / (one - alpha.a)
-            line = self.sub({1: one}, self.from_scalar(t0))
-            about = PolyAlgebra(ctx, f"({self.render(line)})")
-            u, obstruction, complete = solve_splitting_ex(
-                about, AffineAuto(alpha.a, ctx.zero), about.identity_auto(),
-                self.apply(AffineAuto(one, t0), v), rho)
-            if u is None:
-                return u, obstruction, complete
-            u = self.apply(AffineAuto(one, -t0), u)
-            # the kernel is spanned by the resonant (t - t0)^k, rho*a^k = 1;
-            # clear each resonant t^k, top degree first
-            for k in range(max(u), -1, -1):
-                if k in u and rho * alpha.a ** k == one:
-                    u = self.sub(u, self.smul(u[k], self.power(line, k)))
-            return u, None, True
-        # a shift: cancel the top term of v by t^d, whose image leads with
-        # (1 - rho)*t^d, or for rho = 1 by t^(d+1), whose image leads with
-        # -(d+1)*b*t^d.  Nothing reaches t^d when p | d + 1: in the basis
-        # t^i*(t^p - b^(p-1)*t)^j the image has no term with i = p - 1.  A
-        # lead of two or more terms goes into den, not into rest (Bareiss):
-        # O(n^2) scalar products, each u[k] one division by at most n + 1 leads
+        """(u, obstruction, True) for v = u - rho*alpha(u), alpha: t -> a*t + b
+        with b != 0; u has no term t^k with rho*a^k = 1.
+
+        1 - rho*alpha is upper triangular on the t^k with diagonal 1 - rho*a^k,
+        so the top term t^d of the remainder is cancelled by t^d, or for a
+        shift with rho = 1 by t^(d+1), whose image leads with -(d+1)*b*t^d.
+        A zero lead is the obstruction: for a != 1 a resonant s^d in
+        s = t - b/(1 - a), which alpha scales; for a shift p | d + 1, as the
+        image has no term t^i*(t^p - b^(p-1)*t)^j with i = p - 1.  A lead of
+        two or more terms goes into den, not into rest (Bareiss): O(n^2)
+        scalar products, each u[k] one division by at most n + 1 leads.
+
+        >>> ctx = ScalarContext()
+        >>> A, one = PolyAlgebra(ctx), ctx.one
+        >>> alpha = AffineAuto(ctx.int_(2), one)
+        >>> A.render(A.split_nondiagonal(alpha, {3: one, 1: one}, ctx.int_(3))[0])
+        '-1/23*t^3 + 36/253*t^2 - 487/1265*t + 543/1265'
+        >>> A.split_nondiagonal(alpha, {2: one, 0: one}, one / ctx.int_(4))[1]
+        {'kind': 'resonant_monomial', 'monomial': '(t + 1)^2', 'scale': '1'}
+        """
+        one = self.ctx.one
         u, rest, den = {}, dict(v), one
         while rest:
             d = max(rest)
-            k = d if rho != one else d + 1
+            k = d + 1 if alpha.a == one == rho else d
             image = _eadd_into({k: one}, self.apply(alpha, {k: one}), -rho)
-            if d not in image:
+            if d not in image and alpha.a == one:
                 return None, {"kind": "no_polynomial_splitting", "degree": d}, True
+            if d not in image:  # rho*a^d = 1
+                line = self.sub({1: one}, self.from_scalar(alpha.b / (one - alpha.a)))
+                mono = f"({self.render(line)})" + (f"^{d}" if d > 1 else "")
+                return None, {"kind": "resonant_monomial", "monomial":
+                              mono if d else "1", "scale": str(one)}, True
             if (lead := image[d]).as_monomial():
                 c = rest[d] / lead  # a unit of the Laurent normal form
             else:
@@ -1162,7 +1162,14 @@ class QuadraticAlgebra(_Univariate):
         ctx = self.ctx
         f = self.d.as_fraction()
         if f is not None and ctx.characteristic == 0:
-            m = _squarefree_part(f)
+            # a root in Q(zeta_N) needs each prime of the squarefree part m of
+            # f to divide 2N: only those are divided out, so no f is factored
+            m, rest = 1 if f > 0 else -1, abs(f.numerator * f.denominator)
+            for p in factor_int(2 * ctx.cyclotomic_order):
+                while rest % p == 0:
+                    rest, m = rest // p, m // p if m % p == 0 else m * p
+            if math.isqrt(rest) ** 2 != rest:
+                return False, None
             if m == 1:
                 return True, ctx.fraction(_fraction_sqrt(f))
             if m == -1:
@@ -1262,15 +1269,6 @@ def _fraction_sqrt(f: Fraction) -> Fraction | None:
     return None
 
 
-def _squarefree_part(f: Fraction) -> int:
-    """The signed squarefree integer m with f = m * (rational square)."""
-    m = 1
-    for p, e in factor_rational(abs(f)).items():
-        if e % 2:
-            m *= p
-    return m if f > 0 else -m
-
-
 # ---------------------------------------------------------------------------
 # splitting elements: v = u - rho*alpha(u)
 # ---------------------------------------------------------------------------
@@ -1286,8 +1284,9 @@ def solve_splitting_ex(algebra, alpha, gamma, v: dict, rho: Scalar):
     complete=False is an honest refusal, only reachable when the coefficient
     algebra is an iterated ring whose componentwise candidate fails the
     normality conditions, or when alpha is not diagonal on the basis of a
-    family other than Poly.  A shift of K[t] costs O(n^2) scalar products for
-    v of degree n, each coefficient of u one division by at most n + 1 leads.
+    family other than Poly.  Every affine map t -> a*t + b of K[t] costs
+    O(n^2) scalar products for v of degree n, each coefficient of u one
+    division by at most n + 1 leads.
     """
     ctx = algebra.ctx
     if algebra.is_zero(v):

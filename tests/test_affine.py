@@ -1,11 +1,12 @@
-"""Affine automorphisms t -> a*t + b of K[t], read by their fixed point.
+"""Affine automorphisms t -> a*t + b of K[t].
 
-A map with a != 1 is the scaling s -> a*s in s = t - b/(1 - a), and a map
-with a = 1 is a shift.  The splitting solve, the stable-ideal search and
-the conjugation invariance all rest on that; each is held here against an
-independent route: the dense solve on the window of degree deg v + 1, the
-replay of every stable generator, and the statuses of the diagonal ring a
-translation conjugates.
+The splitting solve runs one back-substitution on the t^k for every such
+map, as 1 - rho*alpha is upper triangular there; it is held against the
+dense solve on the window of degree deg v + 1, and its resonant
+obstructions against v read in s = t - b/(1 - a), which a map with a != 1
+scales.  The stable-ideal search and the conjugation invariance rest on
+that fixed-point reading, and are held against the replay of every stable
+generator and the statuses of the diagonal ring a translation conjugates.
 """
 
 from __future__ import annotations
@@ -97,6 +98,14 @@ def _swell_solve_7():
     return alg, AffineAuto(QQR.one, QQR.param("q")), v, QQR.param("r")
 
 
+def _two_resonances():
+    """t -> -t + 2, rho = 1, v = t^2 + t over Q: v(1 + s) = s^2 + 3s + 2
+    has both resonant terms s^0 and s^2."""
+    ctx = CONTEXTS["Q"]
+    return (PolyAlgebra(ctx), AffineAuto(-ctx.one, ctx.int_(2)),
+            {2: ctx.one, 1: ctx.one}, ctx.one)
+
+
 def _windowed_solve(alg, alpha, v, rho):
     """The dense solve of u - rho*alpha(u) = v over the monomials t^d,
     d <= deg v + 1, with the free unknowns set to zero; None when the
@@ -117,6 +126,7 @@ def _windowed_solve(alg, alpha, v, rho):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_splitting_case(), _shift_case()))
 @example(_swell_solve_7())
+@example(_two_resonances())
 def test_splitting_matches_the_windowed_dense_solve(case):
     alg, alpha, v, rho = case
     u, obstruction, complete = solve_splitting_ex(alg, alpha,
@@ -132,6 +142,16 @@ def test_splitting_matches_the_windowed_dense_solve(case):
         # the monomial reads back in t, and rho*alpha fixes it
         mono = eval_element(parse_expression(obstruction["monomial"]), alg)
         assert alg.eq(alg.smul(rho, alg.apply(alpha, mono)), mono)
+        one = alg.ctx.one
+        if alpha.a != one:
+            # v(t0 + s) has an s^d term at the degree d named; the diagonal
+            # solve names the first resonant term it meets, and a map that
+            # moves 0 the highest
+            d = max(mono)
+            vs = alg.apply(AffineAuto(one, alpha.b / (one - alpha.a)), v)
+            assert d in vs
+            assert alg.is_diagonal(alpha) or all(
+                rho * alpha.a ** k != one for k in vs if k > d)
     else:
         # a shift with rho = 1, stopped at a degree d with p | d + 1
         assert obstruction["kind"] == "no_polynomial_splitting"
@@ -227,15 +247,20 @@ def test_scalings_about_a_point_solve_in_small_forms():
         "kind": "resonant_monomial", "monomial": "1", "scale": "1"}
 
 
-@pytest.mark.parametrize("ctx, b, rho", [(CONTEXTS["Q(q)"], "1", "q"),
-                                         (QQR, "q", "r")],
-                         ids=["Q(q)", "Q(q, r)"])
-def test_a_parametric_shift_splits_in_quadratic_products(monkeypatch, ctx,
-                                                         b, rho):
-    # t -> t + b carries one denominator, the product of the leads 1 - rho:
-    # O(n^2) scalar products, so doubling n multiplies the domain's products
-    # by at most 16 (about 4 and 7 here).  Divided into the remainder at each
-    # step, the leads made 176 and 408 times as many
+@pytest.mark.parametrize("ctx, a, b, rho",
+                         [(CONTEXTS["Q(q)"], "1", "1", "q"), (QQR, "1", "q", "r"),
+                          (CONTEXTS["Q(q)"], "q", "1", "q^3"),
+                          (QQR, "q", "r", "r")],
+                         ids=["Q(q)", "Q(q, r)", "Q(q) scaling",
+                              "Q(q, r) scaling"])
+def test_a_parametric_affine_map_splits_in_quadratic_products(
+        monkeypatch, ctx, a, b, rho):
+    # t -> a*t + b carries one denominator, the product of the leads
+    # 1 - rho*a^k: O(n^2) scalar products, so doubling n multiplies the
+    # domain's products by at most 16 (about 4, 7, 7 and 12 here).  Divided
+    # into the remainder at each step, the shift leads made 176 and 408 times
+    # as many; solved in s = t - b/(1 - a) and moved back, the scalings 24
+    # and 67 times
     calls = [0]
     mul = type(ctx.dom).mul
 
@@ -246,7 +271,7 @@ def test_a_parametric_shift_splits_in_quadratic_products(monkeypatch, ctx,
     monkeypatch.setattr(type(ctx.dom), "mul", counting)
     counts = []
     for n in (4, 8):
-        alg, alpha, v, r = _cliff_case(ctx, "1", b, rho, n)
+        alg, alpha, v, r = _cliff_case(ctx, a, b, rho, n)
         calls[0] = 0
         u, _, _ = solve_splitting_ex(alg, alpha, alg.identity_auto(), v, r)
         counts.append(calls[0])
@@ -261,3 +286,11 @@ def test_the_shift_row_renders_u_small_at_degree_11():
     alg, alpha, v, rho = _cliff_case(CONTEXTS["Q(q)"], "1", "1", "q", 11)
     u, _, _ = solve_splitting_ex(alg, alpha, alg.identity_auto(), v, rho)
     assert len(alg.render(u)) < 4_096
+
+
+def test_the_scaling_row_renders_u_small_at_degree_15():
+    # t -> q*t + 1, rho = q^3: u renders in about 34 KB.  Solved in
+    # s = t - 1/(1 - q) and moved back, it took 1.12 MB
+    alg, alpha, v, rho = _cliff_case(CONTEXTS["Q(q)"], "q", "1", "q^3", 15)
+    u, _, _ = solve_splitting_ex(alg, alpha, alg.identity_auto(), v, rho)
+    assert len(alg.render(u)) < 65_536

@@ -22,7 +22,7 @@ from ambiskew.algebras import (
     _udense,
     scalar_ratio,
 )
-from ambiskew import scalars
+from ambiskew import algebras, multiplicative, scalars
 from ambiskew.dsl import eval_element, parse_expression, parse_spec
 from ambiskew.gwa import GwaRing
 from ambiskew.scalars import (ScalarContext, _sqrt_mod,
@@ -384,6 +384,28 @@ def test_quadratic_conductor_criterion():
     assert v.fails  # sqrt(5) lives in the fifth cyclotomic field
     ctx7 = ScalarContext(cyclotomic_order=7)
     assert QuadraticAlgebra(ctx7, ctx7.int_(5)).alpha_simple([]).holds
+
+
+def test_a_large_defect_is_decided_without_factoring_it(monkeypatch):
+    # only the primes of 2N are divided out of d, and the rest is tested for
+    # a square: trial division of the semiprime below ran past 10 s
+    factor_int = scalars.factor_int
+
+    def small_only(n):
+        assert n <= 10 ** 6, f"factored {n}"
+        return factor_int(n)
+
+    for module in (algebras, multiplicative, scalars):
+        monkeypatch.setattr(module, "factor_int", small_only)
+    big = 1000000000039 * 1000000000061
+    for n in (1, 4):
+        ctx = ScalarContext(cyclotomic_order=n)
+        assert QuadraticAlgebra(ctx, ctx.int_(big)).alpha_simple([]).holds
+    ctx = ScalarContext(cyclotomic_order=8)
+    assert QuadraticAlgebra(ctx, ctx.int_(big ** 2)).square_root_of_d() == (
+        True, ctx.int_(big))
+    assert QuadraticAlgebra(ctx, ctx.int_(8 * big ** 2)).square_root_of_d() == (
+        True, None)  # sqrt(2) lies in the eighth cyclotomic field
 
 
 def test_square_roots_mod_p_agree_with_brute_force():
