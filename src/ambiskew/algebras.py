@@ -59,7 +59,7 @@ from .scalars import (
     _dlog,
     _gcd,
     _interpolate,
-    _join_signed,
+    _joined,
     _least_roots,
     _power,
     _rational_component,
@@ -78,13 +78,17 @@ from .verdict import Status, Verdict, fails, holds, inconclusive
 
 class DiagonalAuto:
     """Scales each family generator: one scalar per generator, in order.
-    An immutable value, so ``_pows`` may keep each scales[0]^k made, by k."""
+    An immutable value, so ``_pows`` may keep each scales[0]^k made, by k.
+    A family writes each map in one form, so automorphisms compare by data."""
 
     __slots__ = ("scales", "_pows")
 
     def __init__(self, scales: tuple[Scalar, ...]):
         self.scales = scales
         self._pows: dict[int, Scalar] = {}
+
+    def __eq__(self, other):
+        return isinstance(other, DiagonalAuto) and self.scales == other.scales
 
 
 class AffineAuto:
@@ -97,6 +101,9 @@ class AffineAuto:
         self.a = a
         self.b = b
         self._pows: list[dict] = [{0: a.ctx.one}]
+
+    def __eq__(self, other):
+        return isinstance(other, AffineAuto) and (self.a, self.b) == (other.a, other.b)
 
 
 class NestedAuto:
@@ -111,6 +118,10 @@ class NestedAuto:
         self.lam_y = lam_y
         self.lam_x = lam_x
         self._pows: dict = {}
+
+    def __eq__(self, other):
+        return isinstance(other, NestedAuto) and self.base == other.base and (
+            self.lam_y, self.lam_x) == (other.lam_y, other.lam_x)
 
 
 class UnitAnswer:
@@ -172,26 +183,23 @@ def _eadd(a: dict, b: dict) -> dict:
     return _eadd_into(dict(a), b)
 
 
-def _signed_atom(s: Scalar) -> tuple[bool, str]:
-    text = str(s)
-    if " " in text:
-        return False, f"({text})"
-    if text.startswith("-"):
-        return True, text[1:]
-    return False, text
-
-
 def _render_terms(parts: list[tuple[Scalar, str]]) -> str:
-    signed = []
+    """The text of the sum of the terms s*mono, in one pass."""
+    out: list[str] = []
     minus_one = str(parts[0][0].ctx.characteristic - 1) if parts else ""
     for s, mono in parts:
-        neg, body = _signed_atom(s)
+        body = str(s)
+        neg = body[0] == "-"
+        if " " in body:
+            neg, body = False, f"({body})"
+        elif neg:
+            body = body[1:]
         if mono and body == minus_one != "1":
             neg, body = True, mono  # -1 in F_p, which renders as p - 1
         elif mono:
             body = mono if body == "1" else f"{body}*{mono}"
-        signed.append((neg, body))
-    return _join_signed(signed)
+        out.append((" - " if neg else " + ") + body)
+    return _joined(out)
 
 
 def scalar_ratio(algebra, a: dict, b: dict) -> Scalar | None:
@@ -343,15 +351,8 @@ class BaseAlgebra:
             auto, k = self.invert(auto), -k
         return _power(self.compose, auto, k) if k else self.identity_auto()
 
-    def auto_equal(self, f, g) -> bool:
-        for name in self.gens():
-            if not self.eq(self.apply(f, self.gen_elem(name)),
-                           self.apply(g, self.gen_elem(name))):
-                return False
-        return True
-
     def auto_is_identity(self, auto) -> bool:
-        return self.auto_equal(auto, self.identity_auto())
+        return auto == self.identity_auto()
 
     def auto_order(self, auto) -> int | None:
         raise NotImplementedError

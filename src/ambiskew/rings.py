@@ -100,8 +100,7 @@ class ExtensionAlgebra(BaseAlgebra):
             raise ValueError("the names of y and x must be distinct from each "
                              "other and from the coefficient generators")
         if gamma is not None:
-            if not base.auto_equal(base.compose(alpha, gamma),
-                                   base.compose(gamma, alpha)):
+            if base.compose(alpha, gamma) != base.compose(gamma, alpha):
                 raise ValueError("alpha and gamma must commute")
             if not base.eq(base.apply(gamma, normal), normal):
                 raise ValueError(f"gamma must fix {self.normal_name}")
@@ -188,11 +187,9 @@ class ExtensionAlgebra(BaseAlgebra):
         if auto.lam_y.is_zero() or auto.lam_x.is_zero():
             raise ValueError("the scales of y and x must be nonzero")
         b = self.base
-        if not b.auto_equal(b.compose(auto.base, self.alpha),
-                            b.compose(self.alpha, auto.base)):
+        if b.compose(auto.base, self.alpha) != b.compose(self.alpha, auto.base):
             raise ValueError("the coefficient part must commute with alpha")
-        if not b.auto_equal(b.compose(auto.base, self.gamma),
-                            b.compose(self.gamma, auto.base)):
+        if b.compose(auto.base, self.gamma) != b.compose(self.gamma, auto.base):
             raise ValueError("the coefficient part must commute with gamma")
         normal = getattr(self, self.normal_name)
         if not b.eq(b.apply(auto.base, normal),

@@ -347,13 +347,14 @@ class CyclotomicDomain:
     """Arithmetic in Q(zeta_N), d = phi(N).  A value is one int tuple
     ``(c_0, ..., c_(d-1), den)``, the value sum(c_k*zeta^k)/den, with den > 0
     and gcd 1: equal values are equal tuples, zero is ``(0, ..., 0, 1)``.
-    Phi_N is monic over Z, so products fold back in integers.  The inverse
-    of c/den is den*prod(sigma_k(c), k != 1)/N(c) over the Galois
-    conjugates zeta -> zeta^k, and the norm N(c) is a positive integer when
-    d > 1 (Cohen, "A Course in Computational Algebraic Number Theory",
-    1993, section 4.3).  For d <= 2 (Q, Q(zeta_3), Q(zeta_4), Q(zeta_6))
-    values negate and multiply in closed form, and add in closed form over
-    den 1, without the general degree's lists.
+    Phi_N is monic over Z, so products fold back in integers.  For d <= 2
+    (Q, Q(zeta_3), Q(zeta_4), Q(zeta_6)) values negate, multiply and invert
+    in closed form, the inverse of c/den being den times the conjugate of c
+    over its norm, and add in closed form over den 1, without the general
+    degree's lists.  Above degree 2 the inverse comes from the extended
+    Euclidean algorithm on Phi_N and c in integers, in O(d*deg c) steps
+    (Cohen, "A Course in Computational Algebraic Number Theory", 1993,
+    sections 3.2 and 4.3).
 
     Its tables hold N values of d + 1 ints: a degree d over ``max_degree``
     raises ValueError before any is built.
@@ -461,25 +462,26 @@ class CyclotomicDomain:
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        d, n = self.degree, self.order
+        d, den = self.degree, a[-1]
         if d == 1:
             return (a[1], a[0]) if a[0] > 0 else (-a[1], -a[0])
-        # c/den with c integral: its conjugates and their product are too,
-        # multiplied pairwise in a queue, so factors grow at the same pace
-        c = a[:d] + (1,)
-        conjs = []
-        for k in range(2, n):
-            if math.gcd(k, n) == 1:
-                conj = [0] * d + [1]
-                for i, ci in enumerate(c[:d]):
-                    for j, z in enumerate(self._zeta_pows[i * k % n][:d] if ci else ()):
-                        conj[j] += ci * z
-                conjs.append(tuple(conj))
-        while len(conjs) > 1:
-            conjs.append(self.mul(conjs.pop(0), conjs.pop(0)))
-        adj, = conjs
-        norm = self.mul(c, adj)[0]
-        return _lowest([x * a[d] for x in adj[:d]] + [norm])
+        if d == 2:  # times the conjugate c0 + c1*f1 - c1*zeta, over the norm
+            (f0, f1), (c0, c1) = self._fold[0], a[:2]
+            return _lowest([(c0 + c1 * f1) * den, -c1 * den,
+                            c0 * (c0 + c1 * f1) - c1 * c1 * f0])
+        # fraction-free Euclid on Phi_N and c = den*a: eliminating leading
+        # terms keeps s*c = r mod Phi_N, with s below degree d, and each
+        # remainder sheds the content it shares with its s
+        r0, r = list(cyclotomic_coeffs(self.order)), _trim(list(a[:d]))
+        s0, s = [0] * d, [1] + [0] * (d - 1)
+        while len(r) > 1:
+            while len(r0) >= len(r):
+                k, f, g = len(r0) - len(r), r[-1], r0[-1]
+                r0 = _trim([f * x - g * y for x, y in zip(r0, [0] * k + r)])
+                s0 = [f * x - g * y for x, y in zip(s0, [0] * k + s)]
+            g = math.gcd(*r0, *s0)
+            r0, r, s0, s = r, [x // g for x in r0], s, [x // g for x in s0]
+        return _lowest([x * den * (1 if r[0] > 0 else -1) for x in s] + [abs(r[0])])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -492,7 +494,13 @@ class CyclotomicDomain:
         return None if any(a[1:-1]) else Fraction(a[0], a[-1])
 
     def render(self, a) -> str:
-        return _join_signed(_zeta_terms(a))
+        return _joined(_zeta_terms(a))
+
+    def term(self, a, mono: str) -> str:
+        """a*mono, signed; with no monomial an irrational a is its zeta-terms."""
+        if self.degree == 1 or not any(a[1:-1]):
+            return _term(a[0], a[-1], mono)
+        return f" + ({self.render(a)})*{mono}" if mono else "".join(_zeta_terms(a))
 
 
 class PrimeDomain:
@@ -549,6 +557,9 @@ class PrimeDomain:
 
     def rational_value(self, a) -> Fraction | None:
         return Fraction(a)
+
+    def term(self, a, mono: str) -> str:
+        return _term(a, 1, mono)
 
 
 # ---------------------------------------------------------------------------
@@ -663,32 +674,34 @@ def _pdiv_exact(dom, num: dict, den: dict) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# rendering helpers shared by domains and scalars
+# rendering helpers shared by domains, scalars and elements
 # ---------------------------------------------------------------------------
 
 
-def _signed_coeff(n: int, den: int, mono: str) -> tuple[bool, str]:
-    """The sign and body of (n/den)*mono, for den > 0."""
-    g = 1 if den == 1 else math.gcd(n, den)
-    c = str(abs(n) // g) if den == g else f"{abs(n) // g}/{den // g}"
-    if mono:
-        c = mono if c == "1" else f"{c}*{mono}" if den == g else f"({c})*{mono}"
-    return n < 0, c
+def _term(n: int, den: int, mono: str) -> str:
+    """(n/den)*mono as " + body" or " - body", for n != 0 < den."""
+    sign, n = (" - ", -n) if n < 0 else (" + ", n)
+    if den != 1:
+        g = math.gcd(n, den)
+        n, den = n // g, den // g
+    if den != 1:
+        return f"{sign}({n}/{den})*{mono}" if mono else f"{sign}{n}/{den}"
+    return sign + (mono if n == 1 else f"{n}*{mono}") if mono else f"{sign}{n}"
 
 
-def _zeta_terms(a: tuple) -> list[tuple[bool, str]]:
+def _zeta_terms(a: tuple) -> list[str]:
     """The signed terms c_k*zeta^k of a cyclotomic value."""
-    return [_signed_coeff(c, a[-1], "" if k == 0 else ("zeta" if k == 1 else f"zeta^{k}"))
+    return [_term(c, a[-1], f"zeta^{k}" if k > 1 else "zeta" if k else "")
             for k, c in enumerate(a[:-1]) if c]
 
 
-def _join_signed(parts: list[tuple[bool, str]]) -> str:
-    if not parts:
+def _joined(terms: list[str]) -> str:
+    """The text of signed terms, "0" when there are none."""
+    if not terms:
         return "0"
-    chunks = [("-" + parts[0][1]) if parts[0][0] else parts[0][1]]
-    for neg, body in parts[1:]:
-        chunks.append(("- " if neg else "+ ") + body)
-    return " ".join(chunks)
+    first = terms[0]
+    terms[0] = "-" + first[3:] if first[1] == "-" else first[3:]
+    return "".join(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +815,18 @@ class Scalar:
     True
     >>> print((1 - q) ** -1)
     (-1)/(q - 1)
+
+    The text is a signed sum of terms in descending graded-lex order; a
+    coefficient that is a fraction, or has zeta, is parenthesized before a
+    monomial, a residue mod p is its least representative, and negative
+    exponents clear into a monomial denominator:
+
+    >>> print(r**2 + q*r - 3*q**2 - r/2 + 1, 1 - q / r**2)
+    -3*q^2 + q*r + r^2 - (1/2)*r + 1 (r^2 - q)/(r^2)
+    >>> z = ScalarContext(cyclotomic_order=4, parameters=("q",))
+    >>> f = ScalarContext(characteristic=7)
+    >>> print((1 + z.zeta()) * z.param("q") - z.zeta() / 2, f.int_(-1) / 2)
+    (1 + zeta)*q - (1/2)*zeta 3
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -984,38 +1009,29 @@ class Scalar:
 
     # -- rendering -----------------------------------------------------------
 
-    def _render_poly(self, p: dict) -> str:
-        dom, names = self.ctx.dom, self.ctx.parameters
-        parts: list[tuple[bool, str]] = []
-        # with one parameter or none, graded-lex order is the order of keys
-        for e in sorted(p, key=_grlex if len(names) > 1 else None, reverse=True):
-            c = p[e]
-            if len(e) == 1:
-                k, = e
-                mono = "" if not k else names[0] if k == 1 else f"{names[0]}^{k}"
-            else:
-                mono = "*".join(name if k == 1 else f"{name}^{k}"
-                                for name, k in zip(names, e) if k)
-            if isinstance(c, int):  # a residue mod p
-                parts.append(_signed_coeff(c, 1, mono))
-            elif not any(c[1:-1]):
-                parts.append(_signed_coeff(c[0], c[-1], mono))
-            elif mono:
-                parts.append((False, f"({dom.render(c)})*{mono}"))
-            else:
-                # inline the zeta-terms of a lone cyclotomic constant
-                parts += _zeta_terms(c)
-        return _join_signed(parts)
+    def _render_poly(self, p: dict, lo: tuple[int, ...]) -> str:
+        """The text of p times the monomial with exponents lo."""
+        names, out, term = self.ctx.parameters, [], self.ctx.dom.term
+        if len(names) == 1:
+            x, j = names[0], lo[0]
+            for e in sorted(p, reverse=True):
+                k = e[0] + j
+                out.append(term(p[e], "" if not k else x if k == 1 else f"{x}^{k}"))
+            return _joined(out)
+        # graded-lex: by degree, then by exponents
+        for e in sorted(sorted(p, reverse=True), key=sum, reverse=True):
+            out.append(term(p[e], "*".join([name if k + j == 1 else f"{name}^{k + j}"
+                                            for name, k, j in zip(names, e, lo) if k + j])))
+        return _joined(out)
 
     def __str__(self) -> str:
         num, den = self.num, self.den
-        # the least monomial that clears num's negative exponents
-        lo = tuple([max(0, -min(k)) for k in zip(*num)])
-        if any(lo):
-            num, den = _pshift(num, lo), _pshift(den, lo)
-        if den == self.ctx._pone:
-            return self._render_poly(num)
-        return f"({self._render_poly(num)})/({self._render_poly(den)})"
+        # the exponents lo of the least monomial that clears num's negative ones
+        lo = ((max(0, -min(num)[0]) if num else 0,) if len(self.ctx.parameters) == 1
+              else tuple([max(0, -min(k)) for k in zip(*num)]))
+        if not any(lo) and den == self.ctx._pone:
+            return self._render_poly(num, lo)
+        return f"({self._render_poly(num, lo)})/({self._render_poly(den, lo)})"
 
     def __repr__(self) -> str:
         return f"<Scalar {self}>"

@@ -8,6 +8,7 @@ of the fast path against the presentation itself.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ambiskew.algebras import (
@@ -21,7 +22,7 @@ from ambiskew.algebras import (
 )
 from ambiskew.gwa import GwaRing
 from ambiskew.rings import AmbiskewRing
-from ambiskew.scalars import ScalarContext
+from ambiskew.scalars import ScalarContext, _grlex, _pshift
 
 
 def pw(ring, elem, m):
@@ -60,6 +61,136 @@ def fraction_zeta_terms(coords):
     return [fraction_signed_coeff(c, "" if k == 0 else
                                   ("zeta" if k == 1 else f"zeta^{k}"))
             for k, c in enumerate(coords) if c]
+
+
+# -- the earlier renderer -----------------------------------------------------------
+# Scalars and elements as they were rendered before the one-pass renderer:
+# every term a (negative, body) pair, joined at the end, and every scalar of
+# an element rendered first and then read again for a space or a leading
+# "-".  Kept as the oracle of ``Scalar.__str__`` and of every ``render``.
+
+
+def join_signed(parts):
+    """The text of (negative, body) terms, "0" when there are none."""
+    if not parts:
+        return "0"
+    chunks = [("-" + parts[0][1]) if parts[0][0] else parts[0][1]]
+    for neg, body in parts[1:]:
+        chunks.append(("- " if neg else "+ ") + body)
+    return " ".join(chunks)
+
+
+def _signed_coeff(n, den, mono):
+    g = 1 if den == 1 else math.gcd(n, den)
+    c = str(abs(n) // g) if den == g else f"{abs(n) // g}/{den // g}"
+    if mono:
+        c = mono if c == "1" else f"{c}*{mono}" if den == g else f"({c})*{mono}"
+    return n < 0, c
+
+
+def _zeta_terms(a):
+    return [_signed_coeff(c, a[-1], "" if k == 0 else
+                          ("zeta" if k == 1 else f"zeta^{k}"))
+            for k, c in enumerate(a[:-1]) if c]
+
+
+def _render_poly(ctx, p):
+    names, parts = ctx.parameters, []
+    for e in sorted(p, key=_grlex if len(names) > 1 else None, reverse=True):
+        c = p[e]
+        if len(e) == 1:
+            k, = e
+            mono = "" if not k else names[0] if k == 1 else f"{names[0]}^{k}"
+        else:
+            mono = "*".join(name if k == 1 else f"{name}^{k}"
+                            for name, k in zip(names, e) if k)
+        if isinstance(c, int):
+            parts.append(_signed_coeff(c, 1, mono))
+        elif not any(c[1:-1]):
+            parts.append(_signed_coeff(c[0], c[-1], mono))
+        elif mono:
+            parts.append((False, f"({join_signed(_zeta_terms(c))})*{mono}"))
+        else:
+            parts += _zeta_terms(c)
+    return join_signed(parts)
+
+
+def oracle_str(s):
+    """``str(s)`` as the earlier renderer wrote it."""
+    num, den = s.num, s.den
+    lo = tuple([max(0, -min(k)) for k in zip(*num)])
+    if any(lo):
+        num, den = _pshift(num, lo), _pshift(den, lo)
+    if den == s.ctx._pone:
+        return _render_poly(s.ctx, num)
+    return f"({_render_poly(s.ctx, num)})/({_render_poly(s.ctx, den)})"
+
+
+def _render_terms(parts):
+    signed = []
+    minus_one = str(parts[0][0].ctx.characteristic - 1) if parts else ""
+    for s, mono in parts:
+        text = oracle_str(s)
+        if " " in text:
+            neg, body = False, f"({text})"
+        elif text.startswith("-"):
+            neg, body = True, text[1:]
+        else:
+            neg, body = False, text
+        if mono and body == minus_one != "1":
+            neg, body = True, mono
+        elif mono:
+            body = mono if body == "1" else f"{body}*{mono}"
+        signed.append((neg, body))
+    return join_signed(signed)
+
+
+def oracle_render(algebra, a):
+    """``algebra.render(a)`` as the earlier renderer wrote it, for every
+    coefficient family, ambiskew rings and towers of them, and GWAs."""
+    base = getattr(algebra, "base", None)
+    if isinstance(algebra, GwaRing):
+        if not a:
+            return "0"
+        parts = []
+        for (d,), c in sorted(algebra.grouped(a).items()):
+            name = algebra.y_name if d > 0 else algebra.x_name
+            power = name if abs(d) == 1 else f"{name}^{abs(d)}"
+            if d == 0:
+                parts.append(oracle_render(base, c))
+            elif base.eq(c, base.one):
+                parts.append(power)
+            else:
+                parts.append(f"({oracle_render(base, c)})*{power}")
+        return " + ".join(parts)
+    if isinstance(algebra, AmbiskewRing):
+        if not a:
+            return "0"
+        parts = []
+        for (i, j), c in sorted(algebra.grouped(a).items()):
+            factors = []
+            if i:
+                factors.append(algebra.x_name if i == 1 else f"{algebra.x_name}^{i}")
+            s = base.scalar_of(c)
+            if s is None:
+                factors.append(f"({oracle_render(base, c)})")
+                s = algebra.ctx.one
+            if j:
+                factors.append(algebra.y_name if j == 1 else f"{algebra.y_name}^{j}")
+            parts.append((s, "*".join(factors)))
+        return _render_terms(parts)
+    if isinstance(algebra, FieldAlgebra):
+        return oracle_str(a[()]) if a else "0"
+    gen = algebra.gen
+    return _render_terms([(s, "" if k == 0 else gen if k == 1 else f"{gen}^{k}")
+                          for k, s in algebra.terms(a)])
+
+
+# Q, Q(zeta_N) for N in {3, 4, 5, 8} and F_5, F_7, each with zero, one and
+# two parameters: the contexts the renderer is held against its oracle in
+RENDER_CTXS = [ScalarContext(characteristic=p, cyclotomic_order=n, parameters=names)
+               for p, n in ((0, 1), (0, 3), (0, 4), (0, 5), (0, 8), (5, 1), (7, 1))
+               for names in ((), ("q",), ("q", "r"))]
 
 
 def v_m_recurrence(ring, m):

@@ -40,9 +40,11 @@ from spans import Tracer  # noqa: E402
 # L = 2 over F_13 whose ratio 10 has order 6, two towers whose iterated
 # check fails at level_1 and at level_2 (there at a zero v^(3)), replayed
 # level by level, the K[t] radical of a localization under a shift, and GWA
-# comaximality over K[C_4], read character by character.  Their least
-# failing m come from the pencils, the vanishing multiples, the radical
-# test at m = 1, the resultant and the walk.
+# comaximality over K[C_4], read character by character, and two swell
+# powers re-parsed from their text: one over Q(q, r), whose render sorts
+# two-parameter monomials in graded-lex order, and one in a GWA over
+# K[t^+-1].  Their least failing m come from the pencils, the vanishing
+# multiples, the radical test at m = 1, the resultant and the walk.
 DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("swell", "swell-solve-0"), ("swell", "swell-solve-4"),
              ("swell", "swell-solve-5"),
@@ -55,7 +57,8 @@ DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("swell", "swell-gwa-scan-0"), ("catalog", "torus-primes"),
              ("scan", "charp-13-2-2"), ("catalog", "tower-a-three-halves"),
              ("catalog", "tower-cyclic-conformal"), ("catalog", "smith-shift"),
-             ("catalog", "gwa-cyclic-periodic"))
+             ("catalog", "gwa-cyclic-periodic"),
+             ("swell", "swell-laurent-scale-17"), ("swell", "swell-gwa-laurent-19"))
 
 
 def _kinds(verdict: dict):

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import copy
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ambiskew.algebras import (
@@ -15,6 +17,7 @@ from ambiskew.algebras import (
     LaurentAlgebra,
     NestedAuto,
     PolyAlgebra,
+    QuadraticAlgebra,
     _eadd_into,
     solve_splitting_ex,
 )
@@ -25,11 +28,13 @@ from ambiskew.scalars import Scalar, ScalarContext
 from ambiskew.verdict import Status
 
 from _helpers import (
+    RENDER_CTXS,
     exact,
     fc2_block,
     fc4_mixed,
     homogeneous_components,
     key_pool,
+    oracle_render,
     laurent_scale,
     poly_shift,
     pw,
@@ -365,7 +370,7 @@ def test_normalizing_auto_of_group_monomial_in_tower():
         assert gamma is not None
         assert gamma.lam_y == eps ** (-h)
         assert gamma.lam_x == eps ** h
-        assert alg.auto_equal(gamma.base, alg.identity_auto())
+        assert gamma.base == alg.identity_auto()
 
 
 def test_normalizing_auto_of_quantized_casimir():
@@ -484,6 +489,55 @@ def test_render_layout():
     assert ring.render(two_block) == "1 + x1*(t*s + t)*y1"
     assert ring.render(ring.zero) == "0"
     assert ring.render(ring.w_element()) == "x1*y1"
+
+
+@lru_cache(maxsize=None)
+def _render_algebras(i: int) -> list:
+    """Every coefficient family over RENDER_CTXS[i], an ambiskew ring over
+    K[t], a tower over that ring and a GWA over K[t^+-1]."""
+    ctx = RENDER_CTXS[i]
+    field, poly, laurent = FieldAlgebra(ctx), PolyAlgebra(ctx), LaurentAlgebra(ctx)
+    n = max(ctx.cyclotomic_order, 2)
+    cyclic = CyclicGroupAlgebra(ctx, n, ctx.zeta() if n > 2 else -ctx.one)
+    ring = AmbiskewRing(poly, poly.identity_auto(), poly.gen_elem("t"), ctx.int_(2))
+    tower = AmbiskewRing(ring, ring.identity_auto(), ring.one, ctx.one,
+                         y_name="y2", x_name="x2")
+    gwa = GwaRing(laurent, DiagonalAuto((ctx.int_(2),)), laurent.gen_elem("t"))
+    return [field, poly, laurent, cyclic, QuadraticAlgebra(ctx, ctx.int_(2)),
+            ring, tower, gwa]
+
+
+@st.composite
+def _render_scalar(draw, ctx: ScalarContext) -> Scalar:
+    """A nonzero scalar of up to three terms c*zeta^j*q^e*r^f, e and f in
+    -2..2, over one or two such terms."""
+    def poly(size: int) -> Scalar:
+        out = ctx.zero
+        for _ in range(size):
+            c = ctx.fraction(Fraction(draw(st.integers(-4, 4)),
+                                      draw(st.sampled_from((1, 1, 2, 3)))))
+            if ctx.cyclotomic_order > 1:
+                c = c * ctx.zeta(draw(st.integers(0, ctx.cyclotomic_order - 1)))
+            for name in ctx.parameters:
+                c = c * ctx.param(name) ** draw(st.integers(-2, 2))
+            out = out + c
+        return out
+    num, den = poly(draw(st.integers(1, 3))), poly(draw(st.integers(1, 2)))
+    assume(num and den)
+    return num / den
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rendering_matches_the_earlier_renderer_in_every_algebra(data):
+    i = data.draw(st.integers(0, len(RENDER_CTXS) - 1))
+    alg = data.draw(st.sampled_from(_render_algebras(i)))
+    base = alg.base if isinstance(alg, GwaRing) else None
+    pool = ([(d, k) for d in range(-2, 3) for k in key_pool(base)]
+            if base else key_pool(alg))
+    keys = data.draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+    elem = {key: data.draw(_render_scalar(alg.ctx)) for key in keys}
+    assert alg.render(elem) == oracle_render(alg, elem)
 
 
 # -- hypothesis: ring axioms ---------------------------------------------------------
