@@ -64,10 +64,13 @@ def fraction_zeta_terms(coords):
 
 
 # -- the earlier renderer -----------------------------------------------------------
-# Scalars and elements as they were rendered before the one-pass renderer:
-# every term a (negative, body) pair, joined at the end, and every scalar of
-# an element rendered first and then read again for a space or a leading
-# "-".  Kept as the oracle of ``Scalar.__str__`` and of every ``render``.
+# Scalars and elements rendered naively, as before the one-pass renderer:
+# every scalar's exponents are cleared by a shift that may be zero, every
+# key is sorted by graded-lex order, every monomial joins its names and
+# every coefficient takes a gcd; each term is a (negative, body) pair,
+# joined at the end, and every scalar of an element is rendered first and
+# then read again for a space or a leading "-".  Kept as the oracle of
+# ``Scalar.__str__`` and of every ``render``.
 
 
 def join_signed(parts):
@@ -81,7 +84,7 @@ def join_signed(parts):
 
 
 def _signed_coeff(n, den, mono):
-    g = 1 if den == 1 else math.gcd(n, den)
+    g = math.gcd(n, den)
     c = str(abs(n) // g) if den == g else f"{abs(n) // g}/{den // g}"
     if mono:
         c = mono if c == "1" else f"{c}*{mono}" if den == g else f"({c})*{mono}"
@@ -95,15 +98,11 @@ def _zeta_terms(a):
 
 
 def _render_poly(ctx, p):
-    names, parts = ctx.parameters, []
-    for e in sorted(p, key=_grlex if len(names) > 1 else None, reverse=True):
+    parts = []
+    for e in sorted(p, key=_grlex, reverse=True):
         c = p[e]
-        if len(e) == 1:
-            k, = e
-            mono = "" if not k else names[0] if k == 1 else f"{names[0]}^{k}"
-        else:
-            mono = "*".join(name if k == 1 else f"{name}^{k}"
-                            for name, k in zip(names, e) if k)
+        mono = "*".join(name if k == 1 else f"{name}^{k}"
+                        for name, k in zip(ctx.parameters, e) if k)
         if isinstance(c, int):
             parts.append(_signed_coeff(c, 1, mono))
         elif not any(c[1:-1]):
@@ -117,10 +116,8 @@ def _render_poly(ctx, p):
 
 def oracle_str(s):
     """``str(s)`` as the earlier renderer wrote it."""
-    num, den = s.num, s.den
-    lo = tuple([max(0, -min(k)) for k in zip(*num)])
-    if any(lo):
-        num, den = _pshift(num, lo), _pshift(den, lo)
+    lo = tuple([max(0, -min(k)) for k in zip(*s.num)])
+    num, den = _pshift(s.num, lo), _pshift(s.den, lo)
     if den == s.ctx._pone:
         return _render_poly(s.ctx, num)
     return f"({_render_poly(s.ctx, num)})/({_render_poly(s.ctx, den)})"
