@@ -9,12 +9,11 @@ setting the module attribute.
 - ``M_MAX``: the last index m of ``simplicity``'s units and radical
   conditions (the period search for v and the scan over v^(m)) and of
   ``gwa.gwa_simple``'s fallback walk over alpha^m(u).
-- ``N_MAX``: the largest witness height n of the characteristic-p
-  splitting condition in ``simplicity.simple``.
 
->>> (M_MAX, N_MAX)
-(200, 3)
+The characteristic-p witness needs no bound: its height is 0 or 1.
+
+>>> M_MAX
+200
 """
 
 M_MAX = 200
-N_MAX = 3

@@ -309,7 +309,11 @@ def quantum_torus_simple(Q: TorusMatrix) -> Verdict:
     """
     n = Q.n
     conditions = [[Q.entries[k][i] for k in range(n)] for i in range(n)]
-    basis = relation_kernel(conditions)
+    try:
+        basis = relation_kernel(conditions)
+    except ValueError as exc:
+        return inconclusive(f"a commutation scalar was not factored: {exc}",
+                            theorem="torus.lattice")
     if basis is None:
         return inconclusive("some commutation scalar has no monomial-like "
                             "decomposition", theorem="torus.lattice")

@@ -24,20 +24,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .intlattice import kernel_with_congruences
-from .scalars import Scalar, ScalarContext, _dlog, factor_int
+from .scalars import _MR_LIMIT, Scalar, ScalarContext, _dlog, is_prime
+
+_TRIAL_LIMIT = 10 ** 5
 
 
 def factor_rational(c: Fraction) -> dict[int, int]:
-    """Prime factorization of a positive rational, exponents in Z.
+    """Prime factorization of a positive rational, exponents in Z.  Trial
+    division stops at a cofactor that ``scalars.is_prime`` certifies, and
+    raises ValueError naming ``_TRIAL_LIMIT`` when it would pass it.
 
     >>> factor_rational(Fraction(12, 5))
     {2: 2, 3: 1, 5: -1}
     """
     if c <= 0:
         raise ValueError("factor_rational wants a positive rational")
-    out = factor_int(c.numerator)
-    for p, e in factor_int(c.denominator).items():
-        out[p] = out.get(p, 0) - e
+    out: dict[int, int] = {}
+    for n, sign in ((c.numerator, 1), (c.denominator, -1)):
+        d = 2
+        while n > 1 and not (n < _MR_LIMIT and is_prime(n)):
+            d = next((e for e in range(d, _TRIAL_LIMIT + 1) if n % e == 0), 0)
+            if not d:
+                raise ValueError(f"trial division up to {_TRIAL_LIMIT} leaves "
+                                 f"the factor {n}, not a certified prime")
+            out[d], n = out.get(d, 0) + sign, n // d
+        if n > 1:
+            out[n] = out.get(n, 0) + sign
     return dict(sorted(out.items()))
 
 
@@ -61,7 +73,8 @@ class MultExpr:
 
 
 def decompose(s: Scalar) -> MultExpr | None:
-    """Monomial-like decomposition of a nonzero scalar, or None.
+    """Monomial-like decomposition of a nonzero scalar, or None; ValueError
+    from ``factor_rational`` when a rational part is not factored.
 
     >>> ctx = ScalarContext(cyclotomic_order=6, parameters=("q",))
     >>> decompose(ctx.fraction(Fraction(-12, 5)) * ctx.zeta(2) * ctx.param("q") ** 3)
@@ -91,9 +104,9 @@ def decompose(s: Scalar) -> MultExpr | None:
 def relation_kernel(conditions: list[list[Scalar]]) -> list[list[int]] | None:
     """Basis of {x in Z^v : prod_i cond[i]^x_i = 1 for every condition}.
 
-    Each condition is a list of scalars aligned with the variables.  Returns
-    None when some scalar has no monomial-like decomposition (the caller
-    should report Inconclusive rather than guess).
+    Each condition is a list of scalars aligned with the variables.  None,
+    or ``factor_rational``'s ValueError, when some scalar is not decomposed:
+    the caller should report Inconclusive rather than guess.
     """
     if not conditions or not conditions[0]:
         raise ValueError("relation_kernel needs at least one condition and variable")

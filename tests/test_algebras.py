@@ -22,7 +22,7 @@ from ambiskew.algebras import (
     _udense,
     scalar_ratio,
 )
-from ambiskew import algebras, multiplicative, scalars
+from ambiskew import algebras, scalars
 from ambiskew.dsl import eval_element, parse_expression, parse_spec
 from ambiskew.gwa import GwaRing
 from ambiskew.scalars import (ScalarContext, _sqrt_mod,
@@ -395,7 +395,7 @@ def test_a_large_defect_is_decided_without_factoring_it(monkeypatch):
         assert n <= 10 ** 6, f"factored {n}"
         return factor_int(n)
 
-    for module in (algebras, multiplicative, scalars):
+    for module in (algebras, scalars):  # multiplicative stops at 10^5 itself
         monkeypatch.setattr(module, "factor_int", small_only)
     big = 1000000000039 * 1000000000061
     for n in (1, 4):

@@ -43,8 +43,10 @@ from spans import Tracer  # noqa: E402
 # comaximality over K[C_4], read character by character, and two swell
 # powers re-parsed from their text: one over Q(q, r), whose render sorts
 # two-parameter monomials in graded-lex order, and one in a GWA over
-# K[t^+-1].  Their least failing m come from the pencils, the vanishing
-# multiples, the radical test at m = 1, the resultant and the walk.
+# K[t^+-1], and the closed-form height-1 witness over F_5[t^+-1], whose
+# u is not zero.  Their least failing m come from the pencils, the
+# vanishing multiples, the radical test at m = 1, the resultant and the
+# walk.
 DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("swell", "swell-solve-0"), ("swell", "swell-solve-4"),
              ("swell", "swell-solve-5"),
@@ -58,7 +60,8 @@ DOCUMENTS = (("catalog", "fc2-block"), ("scan", "fc2-2-3"),
              ("scan", "charp-13-2-2"), ("catalog", "tower-a-three-halves"),
              ("catalog", "tower-cyclic-conformal"), ("catalog", "smith-shift"),
              ("catalog", "gwa-cyclic-periodic"),
-             ("swell", "swell-laurent-scale-17"), ("swell", "swell-gwa-laurent-19"))
+             ("swell", "swell-laurent-scale-17"), ("swell", "swell-gwa-laurent-19"),
+             ("catalog", "laurent-f5-nonmonomial"))
 
 
 def _kinds(verdict: dict):

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from ambiskew.dsl import parse_spec
 from ambiskew.intlattice import column_kernel
-from ambiskew.localization import localized_simple
+from ambiskew.localization import (TorusMatrix, localized_simple,
+                                   quantum_torus_simple)
 from ambiskew.multiplicative import (
     MultExpr,
     decompose,
@@ -16,6 +17,7 @@ from ambiskew.multiplicative import (
     torsion_modulus,
 )
 from ambiskew.scalars import Scalar, ScalarContext
+from ambiskew.verdict import Status
 
 _CTX = ScalarContext(cyclotomic_order=6, parameters=("q", "r"))
 
@@ -47,6 +49,41 @@ def test_factor_rational():
     assert factor_rational(Fraction(12, 5)) == {2: 2, 3: 1, 5: -1}
     assert factor_rational(Fraction(1)) == {}
     assert factor_rational(Fraction(97)) == {97: 1}
+
+
+def test_factoring_stops_at_a_certified_prime_cofactor():
+    # a 13-digit prime, alone or beside small primes, is certified by
+    # Miller-Rabin instead of being trial-divided to its square root
+    big = 1000000000039
+    assert factor_rational(Fraction(big)) == {big: 1}
+    assert factor_rational(Fraction(2 * 3 * 7 ** 3 * big, 5 * big ** 2)) == {
+        2: 1, 3: 1, 5: -1, 7: 3, big: -1}
+    ctx = ScalarContext()
+    assert decompose(ctx.int_(-big)).primes == ((big, 1),)
+
+
+def test_an_unfactored_commutation_scalar_names_the_bound():
+    # two 13-digit primes: trial division stops at 10^5, and the composite
+    # cofactor leaves the torus undecided, where it ran unbounded before
+    ctx = ScalarContext()
+    big = 1000000000039 * 1000000000061
+    d = ctx.int_(big)
+    verdict = quantum_torus_simple(TorusMatrix(((ctx.one, d),
+                                                (d.inv(), ctx.one))))
+    assert verdict.status is Status.INCONCLUSIVE
+    unfactored = (f"trial division up to 100000 leaves the factor {big}, "
+                  "not a certified prime")
+    assert verdict.reason == ("a commutation scalar was not factored: "
+                              + unfactored)
+    with pytest.raises(ValueError, match="up to 100000"):
+        factor_rational(Fraction(100003 * 100019))
+    assert factor_rational(Fraction(99991 * 100003)) == {99991: 1, 100003: 1}
+    # the special-element lattice of a localization refuses the same way
+    spec = parse_spec("base L = laurent(t)\nauto a on L { t -> 2*t }\n"
+                      f"ring R = ambiskew(L, a, v = 1, rho = {big})\n")
+    no_special = dict(localized_simple(spec.rings["R"]).conditions)["no_special"]
+    assert no_special.status is Status.INCONCLUSIVE
+    assert no_special.reason == unfactored
 
 
 def test_torsion_generator_has_full_order():

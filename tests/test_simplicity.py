@@ -22,7 +22,7 @@ from ambiskew.algebras import (
 from ambiskew.rings import AmbiskewRing
 from ambiskew.scalars import ScalarContext, root_of_unity_order
 from ambiskew import simplicity
-from ambiskew.dsl import parse_spec
+from ambiskew.dsl import eval_element, parse_expression, parse_spec
 from ambiskew.simplicity import (
     every_v_m_unit,
     ring_alpha_simple,
@@ -420,29 +420,24 @@ def test_charp_witness_with_nonzero_u():
     assert split.certificate["u"] != "0"
 
 
-def test_charp_nonmonomial_laurent_declines():
+def test_charp_nonmonomial_laurent_has_a_height_one_witness():
+    # K[t^+-1] has no finite basis, and the closed form needs none: over F_5
+    # with t -> 2t and rho = 3, w = t is the part of v = t + t^2 of
+    # eigenvalue rho^-1 = 2, b0 = -w^4, and u solves the height-1 equation
+    # rho^5*alpha(u) - u = v^5 + b0*v = t^10 - t^6 key by key
     ctx = ScalarContext(characteristic=5)
     alg = LaurentAlgebra(ctx)
     ring = AmbiskewRing(alg, DiagonalAuto((ctx.int_(2),)),
                         {1: ctx.one, 2: ctx.one}, ctx.int_(3))
     verdict = simple(ring)
     assert verdict.status is Status.FAILS
-    assert verdict.reason == "failed: alpha_simple, units"
+    assert verdict.reason == ("failed: alpha_simple, no_generalized_splitting, "
+                              "units")
     split = _conditions(verdict)["no_generalized_splitting"]
-    assert split.status is Status.INCONCLUSIVE
-    assert "finite-dimensional" in split.reason
-
-
-def test_splitting_search_without_heights_is_exhausted(monkeypatch):
-    # n_max = 0 leaves the height loop empty, and the search never closes
-    # itself: only this bound reaches its Inconclusive end
-    ctx, alg, ring = _fc2_ring(1, 1, 1, characteristic=3)
-    assert ring.conformality().status is Status.FAILS
-    monkeypatch.setattr(bounds, "N_MAX", 0)
-    cond = _conditions(simple(ring))
-    verdict = cond["no_generalized_splitting"]
-    assert verdict.status is Status.INCONCLUSIVE
-    assert verdict.certificate == {"kind": "search_exhausted", "n_max": 0}
+    assert split.status is Status.FAILS
+    assert split.reason == "a height-1 witness exists"
+    assert split.certificate == {"kind": "generalized_splitting", "n": 1,
+                                 "u": "t^10 - t^6", "b": ["-t^4"]}
 
 
 def _finite_families(p):
@@ -466,11 +461,9 @@ def _finite_families(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_singular_prime_field_quadruples_have_a_height_one_witness(p):
-    # Over prime-field data rho^(p-1) = 1, so b_0 may be any alpha-fixed
-    # element, and one always cancels v^p at the resonant keys.  The search
-    # therefore stops at height 1, which is why it has no Holds end: a
-    # bound that closed it would need prime-field data, where a witness
-    # always exists.
+    # every v, so also those with several resonant keys, over every finite
+    # family and diagonal alpha of a few primes: the theorem of the
+    # ``simplicity`` docstring puts the witness at height 1
     ctx, families = _finite_families(p)
     rng = random.Random(p)
     seen = 0
@@ -492,6 +485,81 @@ def test_singular_prime_field_quadruples_have_a_height_one_witness(p):
                     assert verdict.status is Status.FAILS
                     assert verdict.certificate["n"] == 1
     assert seen >= 10
+
+
+@st.composite
+def _singular_quadruples(draw):
+    """(A, alpha, v, rho) over F_p, p from 3 to 13, with zero or one
+    parameter q: the field, K[t] and K[t^+-1] under a scaling, K[C_n] and
+    K[s]/(s^2 - d).  rho is the inverse eigenvalue of the first key of v,
+    so v has a resonant part and the quadruple is singular."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    ctx = ScalarContext(characteristic=p,
+                        parameters=draw(st.sampled_from(((), ("q",)))))
+    q = ctx.param("q") if ctx.parameters else None
+
+    def scalar():
+        c = ctx.int_(draw(st.integers(1, p - 1)))
+        if q is not None and draw(st.booleans()):
+            c = c + ctx.int_(draw(st.integers(1, p - 1))) * q ** draw(
+                st.integers(1, 2))
+        return c
+
+    family = draw(st.sampled_from(("field", "poly", "laurent", "cyclic",
+                                   "quadratic")))
+    if family == "field":
+        alg = FieldAlgebra(ctx)
+        alpha, keys = alg.identity_auto(), [()]
+    elif family in ("poly", "laurent"):
+        lam = ctx.int_(draw(st.integers(1, p - 1)))
+        if q is not None and draw(st.booleans()):
+            lam = lam * q ** draw(st.sampled_from((-1, 1)))
+        if family == "poly":
+            alg, alpha, keys = PolyAlgebra(ctx), AffineAuto(lam, ctx.zero), range(4)
+        else:
+            alg, alpha = LaurentAlgebra(ctx), DiagonalAuto((lam,))
+            keys = range(-2, 3)
+    elif family == "cyclic":
+        n = draw(st.sampled_from([n for n in range(2, p) if (p - 1) % n == 0]))
+        eps = next(ctx.int_(e) for e in range(2, p)
+                   if root_of_unity_order(ctx.int_(e)) == n)
+        alg = CyclicGroupAlgebra(ctx, n, eps)
+        alpha, keys = DiagonalAuto((eps ** draw(st.integers(0, n - 1)),)), range(n)
+    else:
+        d = draw(st.sampled_from([ctx.int_(d) for d in range(1, p)]
+                                 + ([q] if q is not None else [])))
+        alg = QuadraticAlgebra(ctx, d)
+        alpha = draw(st.sampled_from((alg.identity_auto(), alg.conjugation())))
+        keys = [0, 1]
+    support = draw(st.lists(st.sampled_from(list(keys)), min_size=1,
+                            max_size=3, unique=True))
+    v = {k: scalar() for k in support}
+    return alg, alpha, v, alg.eigenvalue(alpha, support[0]).inv()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_singular_quadruples())
+def test_a_singular_quadruple_has_a_height_one_witness(case):
+    # the theorem of the ``simplicity`` docstring, replayed from the rendered
+    # certificate with the ring's arithmetic: alpha(b0) = rho^(1-p)*b0 and
+    # rho^p*alpha(u) - u = v^p + b0*v
+    alg, alpha, v, rho = case
+    ring = AmbiskewRing(alg, alpha, v, rho)
+    assert ring.conformality().status is Status.FAILS
+    verdict = _conditions(simple(ring))["no_generalized_splitting"]
+    assert verdict.status is Status.FAILS
+    cert = verdict.certificate
+    assert cert["kind"] == "generalized_splitting" and cert["n"] == 1
+    u = eval_element(parse_expression(cert["u"]), alg)
+    (b0,) = [eval_element(parse_expression(b), alg) for b in cert["b"]]
+    p = ring.ctx.characteristic
+    v_p = alg.one
+    for _ in range(p):
+        v_p = alg.mul(v_p, v)
+    assert alg.eq(alg.apply(alpha, b0), alg.smul(rho ** (1 - p), b0))
+    assert alg.eq(alg.sub(alg.smul(rho ** p, alg.apply(alpha, u)), u),
+                  alg.add(v_p, alg.mul(b0, v)))
+    assert verdict.reason.endswith(", with u = 0") == alg.is_zero(u)
 
 
 # -- dispatch and stable ideals --------------------------------------------------
@@ -613,8 +681,8 @@ def test_height_n_search_needs_a_diagonal_alpha():
     conds = _conditions(simple(spec.rings["R"]))
     split = conds["no_generalized_splitting"]
     assert split.status is Status.INCONCLUSIVE
-    assert split.reason == ("the height-n witness search needs alpha "
-                            "diagonal on the basis")
+    assert split.reason == ("the height-1 witness needs alpha diagonal on "
+                            "the basis")
     assert conds["units"].certificate["m"] == 1
 
 
